@@ -1,14 +1,14 @@
-"""Benchmark the numba hot kernels against their pure-numpy fallbacks.
+"""Micro-benchmark of the public hot kernels.
 
-Runs the same inputs through both backends and prints timings plus the
-speedup and the agreement between the two paths. Usage:
+Times ``lp_ascent``, ``ratio_ascent`` and ``schatten_norm_batch`` from
+``summinglab.kernels`` on fixed inputs and seeds, and prints the median
+and quartiles of the wall time over ``--repeats`` calls, plus the best
+value each call returned (a change that moves it changed the numbers, not
+just the speed). Usage:
 
     python benchmarks/bench_kernels.py [--repeats N]
 
-The dispatched backend for library calls is controlled by the
-SUMMINGLAB_NUMBA environment variable; this script accesses both
-implementations directly, so it exercises both regardless of the flag
-(the numba columns are skipped when numba is unavailable).
+End-to-end timing of the CLI suites lives in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -19,87 +19,70 @@ import time
 import numpy as np
 
 from summinglab import kernels
+from summinglab.systems import lacunary_character_set
 
 
-def _time(fn, *args, repeats=3):
-    best = np.inf
-    result = None
+def _pair(mat):
+    mat = np.ascontiguousarray(mat)
+    return mat, np.ascontiguousarray(mat.conj().T)
+
+
+def _dft(group, m):
+    return _pair(np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group))
+
+
+def _starts(restarts, m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((restarts, m)) + 1j * rng.standard_normal((restarts, m))
+
+
+def cases():
+    """(label, kernel, args) triples; inputs are built outside the timed calls."""
+    group, m, restarts = 256, 32, 32
+    basis, basis_h = _dft(group, m)
+    yield (f"lp_ascent p=4 (G={group}, m={m}, R={restarts})", kernels.lp_ascent,
+           (basis, basis_h, 1.0 / group, 4.0, _starts(restarts, m, 0), 300, 0.1, 1e-8))
+
+    group, m, restarts = 65536, 16, 12
+    basis, basis_h = _pair(lacunary_character_set(group, m).matrix())
+    yield (f"lp_ascent p=4 tall lacunary (G={group}, m={m}, R={restarts})",
+           kernels.lp_ascent,
+           (basis, basis_h, 1.0 / group, 4.0, _starts(restarts, m, 3), 150, 0.1, 1e-8))
+
+    group, m, restarts = 128, 16, 32
+    basis, basis_h = _dft(group, m)
+    yield (f"ratio_ascent (G={group}, m={m}, R={restarts})", kernels.ratio_ascent,
+           (basis, basis_h, _starts(restarts, m, 2), 300, 0.1, 1e-8))
+
+    mats = np.random.default_rng(1).standard_normal((2048, 16, 16))
+    yield "schatten_norm_batch p=4 (2048 x 16x16)", kernels.schatten_norm_batch, (mats, 4.0)
+
+
+def _time(fn, args, repeats):
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def bench_lp_ascent(repeats: int):
-    group, m, restarts = 256, 32, 32
-    basis = np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group)
-    basis = np.ascontiguousarray(basis)
-    basis_h = np.ascontiguousarray(basis.conj().T)
-    rng = np.random.default_rng(0)
-    starts = rng.standard_normal((restarts, m)) + 1j * rng.standard_normal((restarts, m))
-    args = (basis, basis_h, 1.0 / group, 4.0, False, starts, 300, 0.1, 1e-8)
-
-    t_np, (vals_np, _) = _time(kernels._lp_ascent_impl, *args, repeats=repeats)
-    row = {"kernel": f"lp_ascent (G={group}, m={m}, R={restarts})",
-           "numpy_s": t_np, "numba_s": None, "agree": None}
-    if kernels.LP_ASCENT_JIT is not None:
-        kernels.LP_ASCENT_JIT(*args)  # compile outside the timed region
-        t_nb, (vals_nb, _) = _time(kernels.LP_ASCENT_JIT, *args, repeats=repeats)
-        row["numba_s"] = t_nb
-        row["agree"] = float(np.max(np.abs(vals_np - vals_nb)))
-    return row
-
-
-def bench_schatten(repeats: int):
-    rng = np.random.default_rng(1)
-    mats = rng.standard_normal((2048, 16, 16))
-    t_np, out_np = _time(kernels._schatten_norm_batch_numpy, mats, 4.0, repeats=repeats)
-    row = {"kernel": "schatten_norm_batch (2048 x 16x16, p=4)",
-           "numpy_s": t_np, "numba_s": None, "agree": None}
-    if kernels.SCHATTEN_JIT is not None:
-        kernels.SCHATTEN_JIT(mats, 4.0)
-        t_nb, out_nb = _time(kernels.SCHATTEN_JIT, mats, 4.0, repeats=repeats)
-        row["numba_s"] = t_nb
-        row["agree"] = float(np.max(np.abs(out_np - out_nb) / out_np))
-    return row
-
-
-def bench_ratio_ascent(repeats: int):
-    group, m, restarts = 128, 16, 32
-    basis = np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group)
-    basis = np.ascontiguousarray(basis)
-    basis_h = np.ascontiguousarray(basis.conj().T)
-    rng = np.random.default_rng(2)
-    starts = rng.standard_normal((restarts, m)) + 1j * rng.standard_normal((restarts, m))
-    args = (basis, basis_h, starts, 300, 0.1, 1e-8)
-    t_np, (vals_np, _) = _time(kernels._ratio_ascent_impl, *args, repeats=repeats)
-    row = {"kernel": f"ratio_ascent (G={group}, m={m}, R={restarts})",
-           "numpy_s": t_np, "numba_s": None, "agree": None}
-    if kernels.RATIO_ASCENT_JIT is not None:
-        kernels.RATIO_ASCENT_JIT(*args)
-        t_nb, (vals_nb, _) = _time(kernels.RATIO_ASCENT_JIT, *args, repeats=repeats)
-        row["numba_s"] = t_nb
-        row["agree"] = float(np.max(np.abs(vals_np - vals_nb)))
-    return row
+        out = fn(*args)
+        times.append(time.perf_counter() - t0)
+    values = out[0] if isinstance(out, tuple) else out
+    return np.percentile(times, [25, 50, 75]), float(np.max(values))
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
 
-    print(f"numba available: {kernels.NUMBA_ENABLED} "
-          f"(dispatching backend: {kernels.active_backend()})\n")
-    rows = [bench_lp_ascent(args.repeats), bench_ratio_ascent(args.repeats),
-            bench_schatten(args.repeats)]
-    width = max(len(r["kernel"]) for r in rows)
-    print(f"{'kernel':<{width}}  {'numpy':>9}  {'numba':>9}  {'speedup':>8}  {'max diff':>9}")
-    for r in rows:
-        numba_s = "-" if r["numba_s"] is None else f"{r['numba_s']*1e3:8.2f}ms"
-        speedup = "-" if r["numba_s"] is None else f"{r['numpy_s']/r['numba_s']:7.1f}x"
-        agree = "-" if r["agree"] is None else f"{r['agree']:.2e}"
-        print(f"{r['kernel']:<{width}}  {r['numpy_s']*1e3:7.2f}ms  {numba_s}  {speedup}  {agree:>9}")
+    rows = [(label, *_time(fn, fn_args, args.repeats)) for label, fn, fn_args in cases()]
+    width = max(len(label) for label, _, _ in rows)
+    print(f"backend {kernels.active_backend()}, {args.repeats} repeats\n")
+    print(f"{'kernel':<{width}}  {'median':>10}  {'q25':>10}  {'q75':>10}  {'best value':>18}")
+    for label, (q25, med, q75), best in rows:
+        print(f"{label:<{width}}  {med * 1e3:8.1f}ms  {q25 * 1e3:8.1f}ms  "
+              f"{q75 * 1e3:8.1f}ms  {best:18.15g}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .interpolation import (AuditReport, CertificationError, DThetaBound,
                             InterpolationCouple, UnregisteredCoupleError,
                             dtheta_lookup, interp_exponent,
                             interpolation_audit, theta_for_target)
-from .kernels import NUMBA_ENABLED, active_backend
+from .kernels import active_backend
 from .limit_order import (ConvexityReport, ExponentFit, LimitOrderValue,
                           fit_exponent, gaussian_limit_order,
                           limit_order_convexity_check, limit_order_table,
@@ -25,8 +25,7 @@ from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
                      singular_values, weak_l2_lower_heuristic, weak_l2_norm)
 from .summing import (ReferenceValue, SearchConfig, UnknownReferenceError,
                       ell_norm_mc, factorization_upper, kp_summing_bound,
-                      pi_b_lower, pi_b_search, reference_norm,
-                      summing_norm_lower, summing_norm_search)
+                      reference_norm, summing_norm_lower, summing_norm_search)
 from .systems import (AscentConfig, CharacterGroup, CharacterSet,
                       OrthonormalSystem, SpanElement, character_system,
                       cyclic_group, full_character_set, gaussian_system,

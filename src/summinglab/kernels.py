@@ -1,219 +1,150 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: the coefficient-sphere ascents and batched Schatten norms.
 
-The backend is chosen once at import time from the ``SUMMINGLAB_NUMBA``
-environment variable: ``0``/``off`` forces the numpy path, ``1``/``force``
-requires numba (import error if missing), anything else tries numba and
-falls back silently.
-
-The coefficient-sphere ascent kernels are single-source: the same function
-body is either compiled with ``numba.njit`` or executed as plain numpy, so
-both backends run literally the same iteration. The batched Schatten norm
-has two genuinely different implementations (LAPACK gufunc batching vs. an
-explicit compiled loop); they agree to floating-point roundoff but the
-gufunc wins on speed, so it is the one dispatched.
-``benchmarks/bench_kernels.py`` times every kernel both ways.
+Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
+every restart in lockstep: each round takes one backtracking trial for each
+restart still searching, with one ``(R, m) @ (m, N)`` product for all trial
+values. Each restart follows the same iteration as a single-restart loop
+would; only the grouping of the products differs, so values agree with such
+a loop to floating-point roundoff. The one exception is a sup objective
+with exactly tied maxima (a singleton start on a full group), where roundoff
+decides which tied point's subgradient is followed. The objectives (L_p mean
+or sup, and l1 / sup) are small value/gradient pairs.
+``benchmarks/bench_kernels.py`` times the public kernels.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("SUMMINGLAB_NUMBA", "auto").strip().lower()
-
-
-def _load_njit():
-    if _FLAG in ("0", "off", "false", "no"):
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        if _FLAG in ("1", "on", "true", "yes", "force"):
-            raise
-        return None
-    return njit
-
-
-_njit = _load_njit()
-NUMBA_ENABLED = _njit is not None
 
 
 def active_backend() -> str:
-    """Name of the backend actually dispatching the hot kernels."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the backend dispatching the hot kernels (numpy is the only one)."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# projected gradient ascent of an L_p mean on the coefficient sphere
+# projected gradient ascent on the coefficient sphere, all restarts at once
 # ---------------------------------------------------------------------------
 
-def _lp_ascent_impl(basis_t, basis_h, weight, p, p_is_max, starts, max_steps,
-                    step0, tol):
-    # basis_t: (npoints, m) synthesis columns, basis_h its conjugate transpose
-    # (contiguous). starts: (nrestarts, m) complex. Maximizes
-    # (weight * sum |basis_t @ a|^p)^(1/p)  (or max |.| when p_is_max)
-    # over the unit sphere ||a||_2 = 1, one backtracking line search per step.
-    nrest, m = starts.shape
-    out_vals = np.empty(nrest)
-    out_coeffs = np.empty_like(starts)
+def _row_norms(rows):
+    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+
+
+def _sphere_ascent(basis_t, starts, value, gradient, max_steps, step0, tol):
+    # basis_t: (npoints, m) synthesis columns; starts: (nrestarts, m) complex.
+    # value(coeffs, mags) -> (R,) objective, where mags = |coeffs @ basis_t.T|;
+    # gradient(coeffs, vals, mags) -> (R, m) ascent direction; it may overwrite
+    # vals and mags, which are the current round's scratch. Each restart
+    # maximizes value over ||a||_2 = 1 with one backtracking line search per
+    # step: an improving trial is accepted and the step grows by 1.25, else
+    # the step halves until it drops below 1e-7 * step0. A restart stops
+    # after max_steps accepted steps, a relative gain <= tol, a zero
+    # gradient, or a failed line search.
+    synth = basis_t.T
+    coeffs = starts / _row_norms(starts)[:, None]
+    vals = coeffs @ synth
+    mags = np.abs(vals)
+    best = value(coeffs, mags)
+    grad = gradient(coeffs, vals, mags)
+    gnorm = _row_norms(grad)
+    searching = (gnorm != 0.0) & (max_steps > 0)
+    step = np.full(len(coeffs), step0)
+    taken = np.zeros(len(coeffs), dtype=np.int64)
     min_step = 1e-7 * step0
-    for r in range(nrest):
-        a = starts[r].copy()
-        a /= np.sqrt(np.sum(np.abs(a) ** 2))
-        v = basis_t @ a
-        av = np.abs(v)
-        val = np.max(av) if p_is_max else (weight * np.sum(av ** p)) ** (1.0 / p)
-        step = step0
-        for _ in range(max_steps):
-            if p_is_max:
-                idx = np.argmax(av)
-                g = basis_h[:, idx] * (v[idx] / av[idx])
-            else:
-                w = av ** (p - 2.0) * v
-                g = basis_h @ w
-            gn = np.sqrt(np.sum(np.abs(g) ** 2))
-            if gn == 0.0:
-                break
-            improved = False
-            while step >= min_step:
-                trial = a + (step / gn) * g
-                trial /= np.sqrt(np.sum(np.abs(trial) ** 2))
-                tv = basis_t @ trial
-                tav = np.abs(tv)
-                tval = np.max(tav) if p_is_max else (weight * np.sum(tav ** p)) ** (1.0 / p)
-                if tval > val:
-                    gain = (tval - val) / val
-                    a = trial
-                    v = tv
-                    av = tav
-                    val = tval
-                    step *= 1.25
-                    improved = gain > tol
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        out_vals[r] = val
-        out_coeffs[r] = a
-    return out_vals, out_coeffs
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        trial = coeffs[rows] + (step[rows] / gnorm[rows])[:, None] * grad[rows]
+        trial /= _row_norms(trial)[:, None]
+        vals = trial @ synth
+        mags = np.abs(vals)
+        tbest = value(trial, mags)
+        up = tbest > best[rows]
+        lost, won = rows[~up], rows[up]
+        step[lost] *= 0.5
+        searching[lost] = step[lost] >= min_step
+        gain = (tbest[up] - best[won]) / best[won]
+        coeffs[won] = trial[up]
+        best[won] = tbest[up]
+        step[won] *= 1.25
+        taken[won] += 1
+        more = up.copy()
+        more[up] = (gain > tol) & (taken[won] < max_steps)
+        searching[won] = False
+        if more.any():
+            # gather the (R, N) trial values only when some rows stop here
+            keep = slice(None) if more.all() else more
+            nxt = rows[more]
+            grad[nxt] = gradient(trial[keep], vals[keep], mags[keep])
+            gnorm[nxt] = _row_norms(grad[nxt])
+            searching[nxt] = gnorm[nxt] != 0.0
+    return best, coeffs
 
 
-# ---------------------------------------------------------------------------
-# ascent of  sum_k |a_k|  /  max_x |(basis_t @ a)(x)|  on the sphere
-# ---------------------------------------------------------------------------
+def _sup_gradient(basis_h, vals, mags):
+    # subgradient of max_x |f(x)|: conj(basis_t[x*]) * phase(f(x*)), plus |f(x*)|
+    at = np.arange(len(vals))
+    idx = np.argmax(mags, axis=1)
+    top = mags[at, idx]
+    return basis_h[:, idx].T * (vals[at, idx] / top)[:, None], top
 
-def _ratio_ascent_impl(basis_t, basis_h, starts, max_steps, step0, tol):
-    nrest, m = starts.shape
-    out_vals = np.empty(nrest)
-    out_coeffs = np.empty_like(starts)
-    min_step = 1e-7 * step0
-    for r in range(nrest):
-        a = starts[r].copy()
-        a /= np.sqrt(np.sum(np.abs(a) ** 2))
-        v = basis_t @ a
-        av = np.abs(v)
-        num = np.sum(np.abs(a))
-        idx = np.argmax(av)
-        den = av[idx]
-        val = num / den
-        step = step0
-        for _ in range(max_steps):
-            # quotient-rule subgradient: d(num)/d(conj a_k) ~ phase(a_k),
-            # d(den)/d(conj a_k) ~ conj(basis_t[x*,k]) * phase(v[x*])
-            g = np.empty(m, basis_t.dtype)
-            for k in range(m):
-                ak = np.abs(a[k])
-                if ak > 1e-14:
-                    g[k] = a[k] / ak
-                else:
-                    g[k] = 0.0
-            gden = basis_h[:, idx] * (v[idx] / av[idx])
-            g = g / den - (num / (den * den)) * gden
-            gn = np.sqrt(np.sum(np.abs(g) ** 2))
-            if gn == 0.0:
-                break
-            improved = False
-            while step >= min_step:
-                trial = a + (step / gn) * g
-                trial /= np.sqrt(np.sum(np.abs(trial) ** 2))
-                tv = basis_t @ trial
-                tav = np.abs(tv)
-                tidx = np.argmax(tav)
-                tval = np.sum(np.abs(trial)) / tav[tidx]
-                if tval > val:
-                    gain = (tval - val) / val
-                    a = trial
-                    v = tv
-                    av = tav
-                    idx = tidx
-                    den = tav[tidx]
-                    num = np.sum(np.abs(trial))
-                    val = tval
-                    step *= 1.25
-                    improved = gain > tol
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        out_vals[r] = val
-        out_coeffs[r] = a
-    return out_vals, out_coeffs
+
+def lp_ascent(basis_t, basis_h, weight, p, starts, max_steps, step0, tol):
+    """Maximize (weight * sum |basis_t @ a|^p)^(1/p) over ||a||_2 = 1.
+
+    ``basis_h`` is the contiguous conjugate transpose of ``basis_t``; one
+    ascent runs from each row of ``starts``. Returns per-restart (values,
+    coefficient rows). ``p`` may be ``np.inf`` (the sup of |basis_t @ a|).
+    """
+    if np.isfinite(p):
+        p = float(p)
+
+        def value(coeffs, mags):
+            return (weight * np.sum(mags ** p, axis=1)) ** (1.0 / p)
+
+        def gradient(coeffs, vals, mags):
+            # |v|^(p-2) v, built in the caller's scratch rows (tall bases)
+            np.power(mags, p - 2.0, out=mags)
+            return np.multiply(mags, vals, out=vals) @ basis_h.T
+    else:
+        def value(coeffs, mags):
+            return np.max(mags, axis=1)
+
+        def gradient(coeffs, vals, mags):
+            return _sup_gradient(basis_h, vals, mags)[0]
+    return _sphere_ascent(basis_t, starts, value, gradient, int(max_steps),
+                          float(step0), float(tol))
+
+
+def ratio_ascent(basis_t, basis_h, starts, max_steps, step0, tol):
+    """Maximize (sum_k |a_k|) / (max_x |(basis_t @ a)(x)|) over ||a||_2 = 1."""
+
+    def value(coeffs, mags):
+        return np.sum(np.abs(coeffs), axis=1) / np.max(mags, axis=1)
+
+    def gradient(coeffs, vals, mags):
+        # quotient rule: d(num)/d(conj a_k) ~ phase(a_k), d(den) from the sup
+        size = np.abs(coeffs)
+        phase = np.divide(coeffs, size, out=np.zeros_like(coeffs), where=size > 1e-14)
+        gden, den = _sup_gradient(basis_h, vals, mags)
+        num = np.sum(size, axis=1)
+        return phase / den[:, None] - (num / (den * den))[:, None] * gden
+
+    return _sphere_ascent(basis_t, starts, value, gradient, int(max_steps),
+                          float(step0), float(tol))
 
 
 # ---------------------------------------------------------------------------
 # batched Schatten norms of a stack of square matrices
 # ---------------------------------------------------------------------------
 
-def _schatten_norm_batch_numpy(mats, p):
-    sv = np.linalg.svd(mats, compute_uv=False)
-    if p == np.inf:
-        return np.ascontiguousarray(sv[..., 0])
-    return (sv ** p).sum(axis=-1) ** (1.0 / p)
-
-
-def _schatten_norm_batch_loop(mats, p):
-    count = mats.shape[0]
-    out = np.empty(count)
-    for i in range(count):
-        sv = np.linalg.svd(mats[i], full_matrices=False)[1]
-        if p == np.inf:
-            out[i] = sv[0]
-        else:
-            out[i] = np.sum(sv ** p) ** (1.0 / p)
-    return out
-
-
-# compiled variants (None on the numpy backend)
-LP_ASCENT_JIT = _njit(cache=True)(_lp_ascent_impl) if NUMBA_ENABLED else None
-RATIO_ASCENT_JIT = _njit(cache=True)(_ratio_ascent_impl) if NUMBA_ENABLED else None
-SCHATTEN_JIT = _njit(cache=True)(_schatten_norm_batch_loop) if NUMBA_ENABLED else None
-
-
-def lp_ascent(basis_t, basis_h, weight, p, starts, max_steps, step0, tol):
-    """Dispatch the sphere-constrained L_p ascent to the active backend.
-
-    Returns per-restart (values, coefficient rows). ``p`` may be ``np.inf``.
-    """
-    p_is_max = not np.isfinite(p)
-    p_arg = 0.0 if p_is_max else float(p)
-    impl = LP_ASCENT_JIT if LP_ASCENT_JIT is not None else _lp_ascent_impl
-    return impl(basis_t, basis_h, float(weight), p_arg, p_is_max,
-                starts, int(max_steps), float(step0), float(tol))
-
-
-def ratio_ascent(basis_t, basis_h, starts, max_steps, step0, tol):
-    """Dispatch the (sum |a_k|) / (sup |f|) ascent to the active backend."""
-    impl = RATIO_ASCENT_JIT if RATIO_ASCENT_JIT is not None else _ratio_ascent_impl
-    return impl(basis_t, basis_h, starts, int(max_steps), float(step0), float(tol))
-
-
 def schatten_norm_batch(mats, p):
     """Schatten p-norms of a (count, n, n) stack. ``p`` may be ``np.inf``.
 
-    Always dispatches to the batched-LAPACK numpy implementation: the
-    benchmark shows it beating the compiled per-matrix loop 2-5x at every
-    desk-scale size (the gufunc reuses workspace across the batch). The
-    compiled variant stays available for the benchmark comparison.
+    One batched LAPACK SVD (numpy's gufunc reuses workspace across the
+    stack), then the p-sum or the top singular value per matrix.
     """
-    return _schatten_norm_batch_numpy(np.ascontiguousarray(mats), float(p))
+    p = float(p)
+    sv = np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False)
+    if p == np.inf:
+        return np.ascontiguousarray(sv[..., 0])
+    return (sv ** p).sum(axis=-1) ** (1.0 / p)

@@ -46,7 +46,9 @@ class Exponent:
 
     @classmethod
     def from_fraction(cls, num: int, den: int) -> "Exponent":
-        if num < den or den <= 0:
+        if den <= 0:
+            raise ValueError(f"exponent fraction needs a positive denominator, got {num}/{den}")
+        if num < den:
             return cls.from_value(num / den)  # raises a uniform error
         return cls(den / num)
 

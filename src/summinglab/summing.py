@@ -52,6 +52,8 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
         return NormEstimate(value, Certainty.EXACT, method="frobenius")
     if seed is None:
         raise ValueError("a seed is required for the Monte Carlo path")
+    if samples < 2:
+        raise ValueError(f"the Monte Carlo path needs >= 2 samples for a stderr, got {samples}")
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -103,10 +105,6 @@ def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
     return NormEstimate(value, certainty, stderr=stderr,
                         method=f"family ratio ({num.method} / {den.method})",
                         witness=family)
-
-
-# alias matching the estimator's usual name in reports
-pi_b_lower = summing_norm_lower
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +270,6 @@ def _refine_weights(space_map, system, family, value, cfg: SearchConfig):
             if i >= 2 * m:
                 break
     return current, value
-
-
-pi_b_search = summing_norm_search
 
 
 # ---------------------------------------------------------------------------

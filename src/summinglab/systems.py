@@ -227,6 +227,8 @@ def second_moment(system: OrthonormalSystem, elements: np.ndarray,
     seed = seed if seed is not None else system.mc_seed
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
+    if n_samples < 2:
+        raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {n_samples}")
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -260,6 +262,15 @@ class AscentConfig:
     steps: int = 500
     step_size: float = 0.1
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"ascent restarts must be >= 1, got {self.restarts}")
+        if self.steps < 0:
+            raise ValueError(f"ascent steps must be >= 0, got {self.steps}")
+        if not self.step_size > 0:
+            # a zero step never improves and never shrinks below 1e-7 * itself
+            raise ValueError(f"ascent step size must be > 0, got {self.step_size}")
 
 
 def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -296,6 +307,20 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
     return NormEstimate(value, Certainty.LOWER, method="projected-ascent", witness=witness)
 
 
+def _grid_coeffs(m: int, phase_steps: int, magnitude_steps: int) -> np.ndarray:
+    """Unit coefficient rows for m = 2 or 3: quantized magnitude profiles on
+    the sphere (modulo global scale) times relative phases (modulo global phase)."""
+    angles = np.linspace(0.0, np.pi / 2, magnitude_steps)
+    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
+    if m == 2:
+        return np.asarray([np.array([np.cos(t), np.sin(t) * ph])
+                           for t in angles for ph in phases])
+    return np.asarray([
+        np.array([np.cos(t), np.sin(t) * np.cos(s) * ph1, np.sin(t) * np.sin(s) * ph2])
+        for t in angles for s in angles for ph1 in phases for ph2 in phases
+    ])
+
+
 def kp_constant_grid(charset: CharacterSet, p, phase_steps: int = 16,
                      magnitude_steps: int = 9) -> float:
     """Exhaustive phase-quantized oracle for |charset| <= 3.
@@ -309,21 +334,8 @@ def kp_constant_grid(charset: CharacterSet, p, phase_steps: int = 16,
     e = parse_exponent(p)
     if m == 1:
         return 1.0
-    half_pi = np.pi / 2
-    angles = np.linspace(0.0, half_pi, magnitude_steps)
-    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
-    if m == 2:
-        coeff_list = [
-            np.array([np.cos(t), np.sin(t) * ph])
-            for t in angles for ph in phases
-        ]
-    else:
-        coeff_list = [
-            np.array([np.cos(t), np.sin(t) * np.cos(s) * ph1, np.sin(t) * np.sin(s) * ph2])
-            for t in angles for s in angles for ph1 in phases for ph2 in phases
-        ]
+    coeffs = _grid_coeffs(m, phase_steps, magnitude_steps)
     basis = charset.matrix()
-    coeffs = np.asarray(coeff_list)
     vals = np.abs(basis @ coeffs.T)
     l2 = np.sqrt((vals ** 2).mean(axis=0))
     if e.recip == 0.0:
@@ -346,7 +358,7 @@ def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstima
     m = charset.size
     basis = np.ascontiguousarray(charset.matrix())
     basis_h = np.ascontiguousarray(basis.conj().T)
-    starts = _random_starts(make_rng(cfg.seed), max(cfg.restarts, 1), m)
+    starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     starts[0] = 0.0
     starts[0, 0] = 1.0  # singleton witness: ratio exactly 1
     vals, coeffs = ratio_ascent(basis, basis_h, starts, cfg.steps, cfg.step_size, cfg.tol)
@@ -365,18 +377,8 @@ def sidon_constant_grid(charset: CharacterSet, phase_steps: int = 16,
         raise ValueError("the exhaustive oracle only covers up to 3 characters")
     if m == 1:
         return 1.0
-    half_pi = np.pi / 2
-    angles = np.linspace(0.0, half_pi, magnitude_steps)
-    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
-    if m == 2:
-        coeff_list = [np.array([np.cos(t), np.sin(t) * ph]) for t in angles for ph in phases]
-    else:
-        coeff_list = [
-            np.array([np.cos(t), np.sin(t) * np.cos(s) * ph1, np.sin(t) * np.sin(s) * ph2])
-            for t in angles for s in angles for ph1 in phases for ph2 in phases
-        ]
+    coeffs = _grid_coeffs(m, phase_steps, magnitude_steps)
     basis = charset.matrix()
-    coeffs = np.asarray(coeff_list)
     sup = np.abs(basis @ coeffs.T).max(axis=0)
     num = np.abs(coeffs).sum(axis=1)
     ok = sup > 0

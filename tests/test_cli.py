@@ -132,3 +132,42 @@ def test_unknown_subcommand_exits_two():
 
 def test_bad_space_string_is_usage_error(capsys):
     assert main(["lnorm", "--space", "x9:4", "--target", "l2:4", "--seed", "1"]) == 2
+
+
+def _assert_usage_error(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert needle in captured.err
+
+
+def test_kp_zero_restarts_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["kp", "--group", "8", "--freqs", "1,2", "--p", "4",
+                                 "--restarts", "0", "--seed", "3"], "restarts")
+
+
+def test_sidon_zero_restarts_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["sidon", "--group", "8", "--freqs", "1,2,4",
+                                 "--restarts", "0", "--seed", "3"], "restarts")
+
+
+def test_kp_negative_steps_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["kp", "--group", "8", "--freqs", "1,2", "--p", "4",
+                                 "--steps", "-3", "--seed", "3"], "steps")
+
+
+def test_lnorm_zero_samples_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
+                                 "--samples", "0", "--seed", "7"], "samples")
+
+
+def test_lnorm_negative_samples_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
+                                 "--samples", "-5", "--seed", "7"], "samples")
+
+
+def test_zero_denominator_exponent_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["lnorm", "--space", "l2/0:4", "--target", "l2:4",
+                                 "--seed", "1"], "denominator")

@@ -101,6 +101,25 @@ def test_second_moment_single_element():
     assert est_g.value == pytest.approx(1.0, rel=1e-12)
 
 
+def test_second_moment_mc_needs_two_samples():
+    # a reported stderr needs at least two samples; the exact paths need none
+    family = np.eye(4)[:2]
+    with pytest.raises(ValueError, match="samples"):
+        second_moment(gaussian_system(), family, sequence_space("inf", 4), samples=1, seed=3)
+    est = second_moment(gaussian_system(), family, sequence_space(2, 4), samples=1, seed=3)
+    assert est.certainty is Certainty.EXACT
+
+
+def test_ascent_config_rejects_empty_budgets():
+    with pytest.raises(ValueError, match="restarts"):
+        AscentConfig(seed=1, restarts=0)
+    with pytest.raises(ValueError, match="steps"):
+        AscentConfig(seed=1, steps=-1)
+    with pytest.raises(ValueError, match="step size"):
+        AscentConfig(seed=1, step_size=0.0)
+    assert AscentConfig(seed=1, restarts=1, steps=0).steps == 0
+
+
 def test_second_moment_characters_orthonormal_basis():
     # cross terms average to zero by orthogonality, so the answer is sqrt(m)
     cs = _charset(8, [0, 1, 2])
