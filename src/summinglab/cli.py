@@ -141,7 +141,7 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
             u, _, v = chunk.partition(":")
             pairs.append((u, v))
         data["pairs"] = tuple(pairs)
-    if getattr(args, "samples", None):
+    if getattr(args, "samples", None) is not None:
         data["samples"] = args.samples
     if getattr(args, "generator", None):
         data["system"] = SystemSpec(generator=args.generator)

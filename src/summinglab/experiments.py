@@ -15,9 +15,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .estimates import Certainty, NormEstimate
@@ -148,6 +146,12 @@ class ExperimentConfig:
         if self.kind in ("schatten-scaling", "character-scaling", "interp-audit") \
                 and len(self.n_grid) < 3:
             raise ConfigError("scaling and audit experiments need a grid of at least 3 sizes")
+        # samples >= 2 so that every Monte Carlo value carries a stderr
+        for name, low in (("samples", 2), ("restarts", 1), ("steps", 0),
+                          ("search_budget", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def resolved(self) -> dict:
         out = asdict(self)
@@ -302,11 +306,12 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
                                     seed=substream(config.seed, task),
                                     complex_normals=config.complex_normals)
             else:
-                search = SearchConfig(seed=0, samples=config.samples,
+                search = SearchConfig(seed=substream(config.seed, task),
+                                      samples=config.samples,
                                       final_samples=config.samples,
                                       family_classes=("singleton", "diag", "grid"))
                 lower = summing_norm_search(mapping, gaussian_system(config.complex_normals),
-                                            replace(search, seed=_derived_seed(config.seed, task)))
+                                            search)
             task += 1
             pivot = schatten_space(2, n)
             base = reference_norm("gamma", SpaceKind.SCHATTEN, 2, 2, n)
@@ -340,10 +345,6 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
     return RunReport(_manifest(config), rows)
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
-
-
 def run_character_scaling(config: ExperimentConfig) -> RunReport:
     """Scaling of character-summing norms over structured vector families.
 
@@ -365,7 +366,7 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
             charset = config.system.charset(m)
             system = character_system(charset)
             mapping = identity_map(sequence_space(u, m), sequence_space(v, m))
-            cfg = SearchConfig(seed=_derived_seed(config.seed, task),
+            cfg = SearchConfig(seed=substream(config.seed, task),
                                samples=config.samples, final_samples=config.samples,
                                budget=config.search_budget,
                                family_classes=config.family_classes)
@@ -379,7 +380,7 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
                 # informational consistency rows (the template only covers
                 # domains with u >= 2); a reduced ascent budget is plenty
                 # and keeps large-group runs fast
-                ascent = AscentConfig(seed=_derived_seed(config.seed, task),
+                ascent = AscentConfig(seed=substream(config.seed, task),
                                       restarts=min(config.restarts, 12),
                                       steps=min(config.steps, 150))
                 task += 1
@@ -451,7 +452,7 @@ def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
             dom, cod = make(u_mid, n), make(v_mid, n)
             classes = ("singleton", "ones", "basis", "blocks") \
                 if kind is SpaceKind.SEQUENCE else ("singleton", "diag", "grid")
-            search = SearchConfig(seed=_derived_seed(config.seed, task),
+            search = SearchConfig(seed=substream(config.seed, task),
                                   samples=config.samples, final_samples=config.samples,
                                   family_classes=classes)
             task += 1

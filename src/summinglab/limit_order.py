@@ -94,14 +94,16 @@ class ExponentFit:
 def fit_exponent(points) -> ExponentFit:
     """Least-squares slope of log(value) against log(n).
 
-    Needs at least 3 points with distinct n and positive values; reports
-    the worst relative deviation of the fitted power law from the data.
+    Needs at least 3 points with distinct n and finite positive values;
+    reports the worst relative deviation of the fitted power law from the data.
     """
     pts = tuple((float(n), float(v)) for n, v in points)
     if len(pts) < 3:
         raise ValueError("exponent fits need at least 3 points")
     ns = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(ns)) and np.all(np.isfinite(vals))):
+        raise ValueError("exponent fits need finite sizes and values")
     if len(set(ns.tolist())) != len(ns):
         raise ValueError("sample sizes must be distinct")
     if np.any(vals <= 0) or np.any(ns <= 0):

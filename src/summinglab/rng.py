@@ -1,8 +1,9 @@
 """Deterministic counter-based random streams.
 
-All stochastic estimators take an explicit seed and derive independent
-Philox substreams per chunk/restart, reduced in a fixed order, so results
-are a pure function of (inputs, seed) no matter how work is scheduled.
+All stochastic estimators take an explicit seed. ``substream`` is the one
+way to derive further seeds (per task, candidate or Monte Carlo chunk), and
+results reduce in a fixed order, so they are a pure function of
+(inputs, seed) no matter how work is scheduled.
 """
 
 from __future__ import annotations

@@ -387,7 +387,7 @@ def weak_l2_norm(family: VectorSystem) -> NormEstimate:
 
 
 def weak_l2_lower_heuristic(family: VectorSystem, restarts: int = 8,
-                            iters: int = 40, seed: int = 0) -> NormEstimate:
+                            iters: int = 40, *, seed) -> NormEstimate:
     """Heuristic lower bound via nonlinear power ascent over the l_2 sphere."""
     from .rng import make_rng
 

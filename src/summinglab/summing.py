@@ -18,11 +18,10 @@ import numpy as np
 
 from .estimates import Certainty, NormEstimate
 from .limit_order import gaussian_limit_order, schatten_gaussian_exponent
-from .rng import make_rng, standard_gaussians, substream
+from .rng import substream
 from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
-                     SpaceMap, VectorSystem, inclusion_norm, norms_of_stack,
-                     weak_l2_norm)
-from .systems import OrthonormalSystem, second_moment
+                     SpaceMap, VectorSystem, inclusion_norm, weak_l2_norm)
+from .systems import OrthonormalSystem, _mc_second_moment, second_moment
 
 
 # ---------------------------------------------------------------------------
@@ -30,13 +29,12 @@ from .systems import OrthonormalSystem, second_moment
 # ---------------------------------------------------------------------------
 
 def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
-                complex_normals: bool = False, chunk: int = 4096,
-                allow_exact: bool = True) -> NormEstimate:
+                complex_normals: bool = False, allow_exact: bool = True) -> NormEstimate:
     """(E ||T g||^2)^(1/2) for a map with Hilbert domain (l_2^n or S_2^n).
 
     When the codomain is Hilbert as well the value is the Frobenius norm of
     the map matrix, returned exactly. Otherwise chunked Monte Carlo with a
-    standard error; the result doubles as a certified lower bound for the
+    standard error; the result doubles as a lower bound for the
     Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
     """
     domain = space_map.domain
@@ -50,30 +48,9 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
         else:
             value = float(np.sqrt((np.abs(space_map.matrix) ** 2).sum()))
         return NormEstimate(value, Certainty.EXACT, method="frobenius")
-    if seed is None:
-        raise ValueError("a seed is required for the Monte Carlo path")
-    if samples < 2:
-        raise ValueError(f"the Monte Carlo path needs >= 2 samples for a stderr, got {samples}")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    index = 0
-    while done < samples:
-        count = min(chunk, samples - done)
-        rng = make_rng(substream(seed, index))
-        g = standard_gaussians(rng, (count, d), complex_normals)
-        if not space_map.is_identity:
-            g = g @ space_map.matrix.T
-        q = norms_of_stack(g, codomain) ** 2
-        total += float(q.sum())
-        total_sq += float((q * q).sum())
-        done += count
-        index += 1
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    value = float(np.sqrt(mean))
-    stderr = float(np.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
-    return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian-ell")
+    matrix = None if space_map.is_identity else space_map.matrix.T
+    return _mc_second_moment(d, matrix, codomain, samples, seed, complex_normals,
+                             "mc-gaussian-ell")
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +58,14 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
 # ---------------------------------------------------------------------------
 
 def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
-                       family: VectorSystem, *, samples: int | None = None,
+                       family: VectorSystem, *, samples: int = 100_000,
                        seed=None) -> NormEstimate:
     """Lower bound: second moment of the mapped family / weak-l2 of the family.
 
-    Certified whenever the denominator is exact or a certified upper bound
-    (structured families, or any family on a Hilbert domain); the numerator
-    contributes a standard error on Monte Carlo paths.
+    ``lower`` only when the numerator is exact or a lower bound and the
+    denominator exact or an upper bound (structured families, or any family
+    on a Hilbert domain); ``heuristic`` otherwise. The numerator contributes
+    a standard error on Monte Carlo paths.
     """
     if family.space != space_map.domain:
         raise ValueError("family does not live in the map's domain")
@@ -98,8 +76,9 @@ def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
         raise ValueError("family has zero weak-l2 norm")
     value = num.value / den.value
     stderr = None if num.stderr is None else num.stderr / den.value
-    certainty = Certainty.LOWER if den.certainty in (Certainty.EXACT, Certainty.UPPER) \
-        else Certainty.HEURISTIC
+    certified = num.certainty in (Certainty.EXACT, Certainty.LOWER) \
+        and den.certainty in (Certainty.EXACT, Certainty.UPPER)
+    certainty = Certainty.LOWER if certified else Certainty.HEURISTIC
     if stderr == 0.0:
         stderr = None
     return NormEstimate(value, certainty, stderr=stderr,

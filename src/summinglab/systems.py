@@ -10,7 +10,7 @@ frequency sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -156,16 +156,13 @@ def lp_norm_of_span(f: SpanElement, p) -> float:
 class OrthonormalSystem:
     """Gaussian system (Monte Carlo integration) or character system (exact).
 
-    ``mc_samples`` / ``mc_seed`` are default integration parameters for the
-    Gaussian case; estimators may override them per call. Character systems
-    always integrate by exact group averages.
+    Character systems always integrate by exact group averages; the
+    Gaussian system takes its sample count and seed per call.
     """
 
     kind: str
     charset: CharacterSet | None = None
     complex_normals: bool = False
-    mc_samples: int = 100_000
-    mc_seed: int | None = None
 
     def __post_init__(self):
         if self.kind == "characters":
@@ -178,19 +175,50 @@ class OrthonormalSystem:
             raise ValueError(f"unknown system kind {self.kind!r}")
 
 
-def gaussian_system(complex_normals: bool = False, mc_samples: int = 100_000,
-                    mc_seed: int | None = None) -> OrthonormalSystem:
-    return OrthonormalSystem("gaussian", None, complex_normals, mc_samples, mc_seed)
+def gaussian_system(complex_normals: bool = False) -> OrthonormalSystem:
+    return OrthonormalSystem("gaussian", None, complex_normals)
 
 
 def character_system(charset: CharacterSet) -> OrthonormalSystem:
     return OrthonormalSystem("characters", charset)
 
 
+# Gaussian rows per Monte Carlo chunk. Fixed, so that a seed fixes every draw.
+MC_CHUNK = 4096
+
+
+def _mc_second_moment(dim: int, matrix: np.ndarray | None, space: SpaceDescriptor,
+                      samples: int, seed, complex_normals: bool,
+                      method: str) -> NormEstimate:
+    """(E ||g @ matrix||^2)^(1/2) over standard Gaussian rows g of length dim.
+
+    ``matrix`` is (dim, space.flat_dim), or None for the identity (no
+    product is formed). Chunk k draws from ``substream(seed, k)`` and the
+    sums run in chunk order. The value is a Monte Carlo estimate, so it is
+    ``lower`` with a standard error (delta method on the square root).
+    """
+    if seed is None:
+        raise ValueError("a seed is required for Monte Carlo integration")
+    if samples < 2:
+        raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
+    total = 0.0
+    total_sq = 0.0
+    for index, start in enumerate(range(0, samples, MC_CHUNK)):
+        count = min(MC_CHUNK, samples - start)
+        g = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
+        q = norms_of_stack(g if matrix is None else g @ matrix, space) ** 2
+        total += float(q.sum())
+        total_sq += float((q * q).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    value = float(np.sqrt(mean))
+    stderr = float(np.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
+    return NormEstimate(value, Certainty.LOWER, stderr=stderr, method=method)
+
+
 def second_moment(system: OrthonormalSystem, elements: np.ndarray,
-                  space: SpaceDescriptor, *, samples: int | None = None,
-                  seed=None, allow_exact: bool = True,
-                  chunk: int = 8192) -> NormEstimate:
+                  space: SpaceDescriptor, *, samples: int = 100_000,
+                  seed=None, allow_exact: bool = True) -> NormEstimate:
     """(average of ||sum_i b_i(omega) y_i||^2)^(1/2) over the system.
 
     Character systems pair y_i with the first m characters of the set and
@@ -222,31 +250,8 @@ def second_moment(system: OrthonormalSystem, elements: np.ndarray,
     if allow_exact and m == 1:
         value = float(norms_of_stack(flat, space)[0])
         return NormEstimate(value, Certainty.EXACT, method="single-element")
-
-    n_samples = samples if samples is not None else system.mc_samples
-    seed = seed if seed is not None else system.mc_seed
-    if seed is None:
-        raise ValueError("a seed is required for Monte Carlo integration")
-    if n_samples < 2:
-        raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {n_samples}")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    index = 0
-    while done < n_samples:
-        count = min(chunk, n_samples - done)
-        rng = make_rng(substream(seed, index))
-        g = standard_gaussians(rng, (count, m), system.complex_normals)
-        q = norms_of_stack(g @ flat, space) ** 2
-        total += float(q.sum())
-        total_sq += float((q * q).sum())
-        done += count
-        index += 1
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    value = float(np.sqrt(mean))
-    stderr = float(np.sqrt(var / n_samples) / (2.0 * value)) if value > 0 else 0.0
-    return NormEstimate(value, Certainty.HEURISTIC, stderr=stderr, method="mc-gaussian")
+    return _mc_second_moment(m, flat, space, samples, seed, system.complex_normals,
+                             "mc-gaussian")
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +398,7 @@ def kp_growth_profile(charset: CharacterSet, p_values, cfg: AscentConfig):
     """
     rows = []
     for i, p in enumerate(p_values):
-        sub_cfg = AscentConfig(seed=int(make_rng(substream(cfg.seed, i)).integers(2 ** 63)),
-                               restarts=cfg.restarts, steps=cfg.steps,
-                               step_size=cfg.step_size, tol=cfg.tol)
-        est = kp_constant_lower(charset, p, sub_cfg)
+        est = kp_constant_lower(charset, p, replace(cfg, seed=substream(cfg.seed, i)))
         pv = parse_exponent(p).value
         rows.append({"p": float(pv), "estimate": est, "ratio": est.value / np.sqrt(pv)})
     return rows

@@ -171,3 +171,24 @@ def test_lnorm_negative_samples_is_usage_error(capsys):
 def test_zero_denominator_exponent_is_usage_error(capsys):
     _assert_usage_error(capsys, ["lnorm", "--space", "l2/0:4", "--target", "l2:4",
                                  "--seed", "1"], "denominator")
+
+
+@pytest.mark.parametrize("points", ["1:1,2:2,4:inf", "1:nan,2:2,4:3"])
+def test_fit_non_finite_point_is_usage_error(capsys, points):
+    _assert_usage_error(capsys, ["fit", "--points", points], "finite")
+
+
+@pytest.mark.parametrize("command,over,needle", [
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], restarts=0),
+     "config error: restarts"),
+    ("interp-audit", dict(kind="interp-audit", samples=1), "config error: samples"),
+], ids=["thm1-restarts", "interp-audit-samples"])
+def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(seed=1, n_grid=[4, 8, 12], **over)))
+    _assert_usage_error(capsys, [command, "--config", str(path)], needle)
+
+
+def test_zero_samples_flag_reaches_config(capsys):
+    _assert_usage_error(capsys, ["thm2", "--seed", "1", "--n-grid", "8,16,32",
+                                 "--pairs", "2:inf", "--samples", "0"], "config error: samples")

@@ -40,6 +40,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="schatten-scaling", seed=1, n_grid=(8, 16),
                          pairs=(("2", "2"),))
+    for bad in (dict(samples=1), dict(samples=2000.5), dict(restarts=0),
+                dict(steps=-1), dict(search_budget=-1)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="interp-audit", seed=1, n_grid=(8, 16, 32), **bad)
 
 
 def test_config_from_dict_rejects_unknown_keys():

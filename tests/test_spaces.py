@@ -274,6 +274,8 @@ def test_weak_l2_generic_upper_vs_heuristic_lower():
     elems = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     fam = VectorSystem(sequence_space(1, 5), elems, FamilyStructure.GENERIC)
     upper = weak_l2_norm(fam)
+    with pytest.raises(TypeError):
+        weak_l2_lower_heuristic(fam)  # stochastic: the seed is required
     lower = weak_l2_lower_heuristic(fam, seed=3)
     assert upper.certainty is Certainty.UPPER
     assert lower.certainty is Certainty.LOWER

@@ -9,8 +9,8 @@ from summinglab import (Certainty, CharacterSet, FamilyStructure,
                         cyclic_group, ell_norm_mc, factorization_upper,
                         gaussian_system, identity_map, kp_summing_bound,
                         reference_norm, schatten_space, sequence_space,
-                        summing_norm_lower, summing_norm_search)
-from summinglab.systems import AscentConfig
+                        second_moment, summing_norm_lower, summing_norm_search)
+from summinglab.systems import MC_CHUNK, AscentConfig
 
 
 def _grid_family(space, n):
@@ -116,6 +116,33 @@ def test_lower_bound_scales_with_map():
     est1 = summing_norm_lower(base, gaussian_system(), fam, samples=4000, seed=13)
     est3 = summing_norm_lower(base.scaled(3.0), gaussian_system(), fam, samples=4000, seed=13)
     assert est3.value == pytest.approx(3.0 * est1.value, rel=1e-12)
+
+
+def test_lower_bound_heuristic_numerator_stays_heuristic(monkeypatch):
+    # an exact denominator must not promote an uncertified numerator
+    import summinglab.summing as summing
+
+    monkeypatch.setattr(summing, "second_moment",
+                        lambda *a, **k: NormEstimate(2.0, Certainty.HEURISTIC, method="guess"))
+    n = 4
+    fam = VectorSystem(sequence_space(2, n), np.eye(n), FamilyStructure.DISJOINT)
+    est = summing_norm_lower(identity_map(sequence_space(2, n), sequence_space(4, n)),
+                             gaussian_system(), fam)
+    assert est.certainty is Certainty.HEURISTIC
+    assert est.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_ell_norm_and_second_moment_share_one_loop():
+    # a partial last chunk; the identity map draws the same rows as the basis family
+    n = 6
+    samples = 2 * MC_CHUNK + 1
+    ell = ell_norm_mc(identity_map(sequence_space(2, n), sequence_space("inf", n)),
+                      samples=samples, seed=29, allow_exact=False)
+    mom = second_moment(gaussian_system(), np.eye(n), sequence_space("inf", n),
+                        samples=samples, seed=29, allow_exact=False)
+    assert ell.certainty is mom.certainty is Certainty.LOWER
+    assert ell.value == pytest.approx(mom.value, rel=1e-12)
+    assert ell.stderr == pytest.approx(mom.stderr, rel=1e-12)
 
 
 def test_lower_bound_domain_mismatch():

@@ -135,6 +135,7 @@ def test_second_moment_gaussian_exact_and_mc():
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
     mc = second_moment(gaussian_system(), np.eye(n), sequence_space(2, n),
                        samples=20_000, seed=5, allow_exact=False)
+    assert mc.certainty is Certainty.LOWER
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(mc.value - np.sqrt(n)) <= 3 * mc.stderr
 
