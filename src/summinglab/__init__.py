@@ -19,10 +19,10 @@ from .limit_order import (ConvexityReport, ExponentFit, LimitOrderValue,
                           limit_order_convexity_check, limit_order_table,
                           pi2_limit_order, schatten_gaussian_exponent)
 from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
-                     SpaceMap, VectorSystem, dual_exponent, element_norm,
-                     identity_map, inclusion_norm, lp_norm, parse_exponent,
-                     parse_space, schatten_space, sequence_space,
-                     singular_values, weak_l2_lower_heuristic, weak_l2_norm)
+                     SpaceMap, VectorSystem, element_norm, identity_map,
+                     inclusion_norm, lp_norm, parse_exponent, parse_space,
+                     schatten_space, sequence_space, weak_l2_lower_heuristic,
+                     weak_l2_norm)
 from .summing import (ReferenceValue, SearchConfig, UnknownReferenceError,
                       ell_norm_mc, factorization_upper, kp_summing_bound,
                       reference_norm, summing_norm_lower, summing_norm_search)

@@ -63,8 +63,7 @@ def _cmd_pib(args) -> int:
         system = gaussian_system(args.complex_normals)
     else:
         system = character_system(_parse_charset(args))
-    cfg = SearchConfig(seed=args.seed, samples=args.samples,
-                       final_samples=args.samples, budget=args.budget)
+    cfg = SearchConfig(seed=args.seed, samples=args.samples, budget=args.budget)
     est = summing_norm_search(identity_map(domain, codomain), system, cfg)
     _emit(args, _estimate_payload(est),
           f"summing-norm lower bound {args.space} -> {args.target} "

@@ -39,10 +39,6 @@ class NormEstimate:
         if self.stderr is not None and self.stderr < 0:
             raise ValueError("stderr must be >= 0")
 
-    @property
-    def certified(self) -> bool:
-        return self.certainty is not Certainty.HEURISTIC
-
     def scaled(self, factor: float) -> "NormEstimate":
         """Multiply value (and stderr) by a positive constant."""
         if factor <= 0:

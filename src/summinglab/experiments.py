@@ -30,8 +30,9 @@ from .spaces import (Exponent, SpaceKind, identity_map, parse_exponent,
                      schatten_space, sequence_space)
 from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
                       kp_summing_bound, reference_norm, summing_norm_search)
-from .systems import (AscentConfig, CharacterSet, cyclic_group,
-                      character_system, gaussian_system, kp_growth_profile)
+from .systems import (AscentConfig, CharacterSet, character_system,
+                      cyclic_group, full_character_set, gaussian_system,
+                      kp_growth_profile, lacunary_character_set)
 
 SCHEMA_VERSION = 1
 
@@ -54,16 +55,19 @@ class SystemSpec:
     """Which character frequencies an experiment uses and how the group grows.
 
     For sparse generators the group size obeys N = smallest power of two
-    with at least ``m`` admissible frequencies and N >= min_group_factor *
-    m^2, which keeps lacunary frequencies distinct and aliasing harmless at
-    desk scale. The ``full`` generator means the whole dual group, so there
-    N = m.
+    with at least ``m`` admissible frequencies and N >= 4 m^2, which keeps
+    lacunary frequencies distinct and aliasing harmless at desk scale. The
+    ``full`` generator means the whole dual group, so there N = m.
     """
 
     generator: str = "lacunary"          # lacunary | full | explicit
     ratio: int = 2
     freqs: tuple[int, ...] = ()
-    min_group_factor: int = 4
+
+    def __post_init__(self):
+        if type(self.ratio) is not int or self.ratio < 2:
+            # ratio 1 would never leave the group-size search
+            raise ConfigError(f"lacunary ratio must be an integer >= 2, got {self.ratio!r}")
 
     def group_size(self, m: int) -> int:
         if self.generator == "full":
@@ -72,7 +76,7 @@ class SystemSpec:
             raise ConfigError(f"explicit frequency list yields fewer than {m} frequencies")
         n = 2
         while True:
-            if n >= self.min_group_factor * m * m and self._available(n) >= m:
+            if n >= 4 * m * m and self._available(n) >= m:
                 return n
             if n > 1 << 40:
                 raise ConfigError("group size coupling exceeds the desk-scale cap")
@@ -91,17 +95,15 @@ class SystemSpec:
     def charset(self, m: int) -> CharacterSet:
         n = self.group_size(m)
         if self.generator == "full":
-            freqs = tuple((k,) for k in range(m))
-        elif self.generator == "lacunary":
-            freqs = tuple((pow(self.ratio, k),) for k in range(m))
-        elif self.generator == "explicit":
+            return full_character_set(n)
+        if self.generator == "lacunary":
+            return lacunary_character_set(n, m, self.ratio)
+        if self.generator == "explicit":
             chosen = [f for f in self.freqs if f < n][:m]
             if len(chosen) < m:
                 raise ConfigError(f"explicit frequency list yields fewer than {m} frequencies")
-            freqs = tuple((f,) for f in chosen)
-        else:
-            raise ConfigError(f"unknown generator {self.generator!r}")
-        return CharacterSet(cyclic_group(n), freqs)
+            return CharacterSet(cyclic_group(n), tuple((f,) for f in chosen))
+        raise ConfigError(f"unknown generator {self.generator!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,6 @@ class ExperimentConfig:
     fit_tol: float | None = None
     control: str = "match"               # match | exceed
     exceed_threshold: float = 0.2
-    family_classes: tuple[str, ...] = ("singleton", "ones", "basis", "blocks",
-                                       "diag", "grid", "comb")
     search_budget: int = 0
     restarts: int = 64
     steps: int = 500
@@ -161,19 +161,19 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         data = dict(data)
-        if "system" in data and isinstance(data["system"], dict):
-            sysd = dict(data["system"])
-            if "freqs" in sysd:
-                sysd["freqs"] = tuple(sysd["freqs"])
-            data["system"] = SystemSpec(**sysd)
-        for key in ("n_grid", "p_grid", "family_classes"):
+        for key in ("n_grid", "p_grid"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
         if "pairs" in data and data["pairs"] is not None:
             data["pairs"] = tuple((str(a), str(b)) for a, b in data["pairs"])
         try:
+            if "system" in data and isinstance(data["system"], dict):
+                sysd = dict(data["system"])
+                if "freqs" in sysd:
+                    sysd["freqs"] = tuple(sysd["freqs"])
+                data["system"] = SystemSpec(**sysd)
             return ExperimentConfig(**data)
-        except TypeError as exc:
+        except TypeError as exc:  # unknown or missing keys
             raise ConfigError(str(exc)) from None
 
     @staticmethod
@@ -307,9 +307,7 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
                                     complex_normals=config.complex_normals)
             else:
                 search = SearchConfig(seed=substream(config.seed, task),
-                                      samples=config.samples,
-                                      final_samples=config.samples,
-                                      family_classes=("singleton", "diag", "grid"))
+                                      samples=config.samples)
                 lower = summing_norm_search(mapping, gaussian_system(config.complex_normals),
                                             search)
             task += 1
@@ -367,9 +365,7 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
             system = character_system(charset)
             mapping = identity_map(sequence_space(u, m), sequence_space(v, m))
             cfg = SearchConfig(seed=substream(config.seed, task),
-                               samples=config.samples, final_samples=config.samples,
-                               budget=config.search_budget,
-                               family_classes=config.family_classes)
+                               samples=config.samples, budget=config.search_budget)
             task += 1
             lower = summing_norm_search(mapping, system, cfg)
             values.append(lower.value)
@@ -450,11 +446,7 @@ def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
             couple = InterpolationCouple(kind, n, Exponent(1.0), Exponent(0.5), theta)
             dtheta = dtheta_lookup(couple, schatten_s1_s2=config.junge_constant)
             dom, cod = make(u_mid, n), make(v_mid, n)
-            classes = ("singleton", "ones", "basis", "blocks") \
-                if kind is SpaceKind.SEQUENCE else ("singleton", "diag", "grid")
-            search = SearchConfig(seed=substream(config.seed, task),
-                                  samples=config.samples, final_samples=config.samples,
-                                  family_classes=classes)
+            search = SearchConfig(seed=substream(config.seed, task), samples=config.samples)
             task += 1
             lower = summing_norm_search(identity_map(dom, cod),
                                         gaussian_system(config.complex_normals), search)

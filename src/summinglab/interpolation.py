@@ -54,10 +54,6 @@ class InterpolationCouple:
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie strictly inside (0, 1)")
 
-    @property
-    def midpoint(self) -> Exponent:
-        return interp_exponent(self.e0, self.e1, self.theta)
-
 
 @dataclass(frozen=True)
 class DThetaBound:

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the coefficient-sphere ascents and batched Schatten norms.
+"""Hot numeric kernels: coefficient-sphere ascents, l_p norms, batched Schatten norms.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -134,17 +134,34 @@ def ratio_ascent(basis_t, basis_h, starts, max_steps, step0, tol):
 
 
 # ---------------------------------------------------------------------------
-# batched Schatten norms of a stack of square matrices
+# l_p norms of magnitudes, and batched Schatten norms
 # ---------------------------------------------------------------------------
+
+def lp_norms(mags, p):
+    """l_p norms of non-negative magnitudes along the last axis, 1 <= p <= inf.
+
+    The max at p = inf and the plain sum at p = 1; any other p sums
+    (mags / peak)^p with each row's peak factored out, so that no exponent
+    overflows or underflows. An empty row has norm 0. Every norm of the lab
+    (sequence, Schatten, span) is this reduction of some magnitudes.
+    """
+    mags = np.asarray(mags)
+    p = float(p)
+    if p == np.inf:
+        return mags.max(axis=-1, initial=0.0)
+    if p == 1.0:
+        return mags.sum(axis=-1)
+    peak = mags.max(axis=-1, keepdims=True, initial=0.0)
+    peak[peak == 0.0] = 1.0  # all-zero rows
+    scaled = mags / peak
+    scaled **= p
+    return peak[..., 0] * scaled.sum(axis=-1) ** (1.0 / p)
+
 
 def schatten_norm_batch(mats, p):
     """Schatten p-norms of a (count, n, n) stack. ``p`` may be ``np.inf``.
 
     One batched LAPACK SVD (numpy's gufunc reuses workspace across the
-    stack), then the p-sum or the top singular value per matrix.
+    stack), then ``lp_norms`` of each matrix's singular values.
     """
-    p = float(p)
-    sv = np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False)
-    if p == np.inf:
-        return np.ascontiguousarray(sv[..., 0])
-    return (sv ** p).sum(axis=-1) ** (1.0 / p)
+    return lp_norms(np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False), p)

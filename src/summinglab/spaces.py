@@ -15,10 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import schatten_norm_batch
-
-# singular values below this relative threshold are clamped to zero
-SV_CLIP_REL = 1e-12
+from .kernels import lp_norms, schatten_norm_batch
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +58,11 @@ class Exponent:
         return self.recip == 0.5
 
     def dual(self) -> "Exponent":
+        """Conjugate exponent: 1/u + 1/u' = 1 (reciprocal complement)."""
         return Exponent(1.0 - self.recip)
 
     def __repr__(self):
         return f"Exponent(u={format_exponent(self)})"
-
-
-def dual_exponent(e: Exponent) -> Exponent:
-    """Conjugate exponent: 1/u + 1/u' = 1 (reciprocal complement)."""
-    return e.dual()
 
 
 def parse_exponent(spec) -> Exponent:
@@ -153,32 +146,8 @@ def parse_space(spec: str) -> SpaceDescriptor:
 # ---------------------------------------------------------------------------
 
 def lp_norm(values: np.ndarray, exponent: Exponent) -> float:
-    """l_u norm of a coordinate array (any shape, flattened).
-
-    Evaluated with the peak factored out so huge exponents neither overflow
-    nor underflow.
-    """
-    a = np.abs(np.asarray(values)).ravel()
-    r = exponent.recip
-    if a.size == 0:
-        return 0.0
-    peak = float(a.max())
-    if r == 0.0 or peak == 0.0:
-        return peak
-    if r == 1.0:
-        return float(a.sum())
-    if r == 0.5:
-        return peak * float(np.sqrt(((a / peak) ** 2).sum()))
-    p = 1.0 / r
-    return peak * float(((a / peak) ** p).sum() ** r)
-
-
-def singular_values(mat: np.ndarray) -> np.ndarray:
-    """Descending singular values, with values below 1e-12 * s_1 clamped to 0."""
-    sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
-    if sv.size and sv[0] > 0:
-        sv = np.where(sv < SV_CLIP_REL * sv[0], 0.0, sv)
-    return sv
+    """l_u norm of a coordinate array (any shape, flattened)."""
+    return float(lp_norms(np.abs(np.asarray(values)).ravel(), exponent.value))
 
 
 def element_norm(x: np.ndarray, space: SpaceDescriptor) -> float:
@@ -186,35 +155,22 @@ def element_norm(x: np.ndarray, space: SpaceDescriptor) -> float:
     x = np.asarray(x)
     if x.shape != space.element_shape:
         raise ValueError(f"element shape {x.shape} does not match {space} (expects {space.element_shape})")
-    if space.kind is SpaceKind.SEQUENCE:
-        return lp_norm(x, space.exponent)
-    return lp_norm(singular_values(x), space.exponent)
+    return float(norms_of_stack(x.reshape(1, -1), space)[0])
 
 
 def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
-    """Norms of many elements given as rows of vectorized coordinates."""
+    """Norms of many elements given as rows of vectorized coordinates.
+
+    Sequence spaces and S_2 (the Frobenius norm, no SVD) reduce the entry
+    magnitudes; other Schatten spaces reduce singular values.
+    """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:
         raise ValueError("row length does not match the space dimension")
-    if space.kind is SpaceKind.SEQUENCE:
-        a = np.abs(flat_rows)
-        r = space.exponent.recip
-        if r == 0.0:
-            return a.max(axis=-1)
-        if r == 1.0:
-            return a.sum(axis=-1)
-        if r == 0.5:
-            return np.sqrt((a * a).sum(axis=-1))
-        p = 1.0 / r
-        peak = a.max(axis=-1, keepdims=True)
-        safe = np.where(peak > 0, peak, 1.0)
-        return safe[..., 0] * ((a / safe) ** p).sum(axis=-1) ** r
-    mats = flat_rows.reshape(-1, space.dim, space.dim)
-    p = np.inf if space.exponent.recip == 0.0 else 1.0 / space.exponent.recip
-    if space.exponent.recip == 0.5:
-        # Frobenius shortcut, no SVD needed
-        return np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
-    return schatten_norm_batch(mats, p)
+    p = space.exponent.value
+    if space.kind is SpaceKind.SEQUENCE or space.exponent.is_hilbert:
+        return lp_norms(np.abs(flat_rows), p)
+    return schatten_norm_batch(flat_rows.reshape(-1, space.dim, space.dim), p)
 
 
 def inclusion_norm(u: Exponent, v: Exponent, dim: int,
@@ -268,9 +224,6 @@ class SpaceMap:
             raise ValueError("elements do not conform to the map's domain")
         out = flat if self.matrix is None else flat @ self.matrix.T
         return out.reshape((elements.shape[0],) + self.codomain.element_shape)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_stack(np.asarray(x)[None])[0]
 
     def scaled(self, t: float) -> "SpaceMap":
         mat = self.matrix if self.matrix is not None else np.eye(self.domain.flat_dim)
@@ -381,8 +334,7 @@ def weak_l2_norm(family: VectorSystem) -> NormEstimate:
     if u.is_hilbert:
         return NormEstimate(smax, Certainty.EXACT, method="synthesis operator norm")
     elem_norms = norms_of_stack(family.elements.reshape(family.size, -1), family.space)
-    upper = min(family.space.dim ** weight_recip * smax,
-                float(np.sqrt((elem_norms ** 2).sum())))
+    upper = min(family.space.dim ** weight_recip * smax, lp_norm(elem_norms, Exponent(0.5)))
     return NormEstimate(upper, Certainty.UPPER, method="exponent-comparison upper bound")
 
 

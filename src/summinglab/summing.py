@@ -20,8 +20,10 @@ from .estimates import Certainty, NormEstimate
 from .limit_order import gaussian_limit_order, schatten_gaussian_exponent
 from .rng import substream
 from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
-                     SpaceMap, VectorSystem, inclusion_norm, weak_l2_norm)
-from .systems import OrthonormalSystem, _mc_second_moment, second_moment
+                     SpaceMap, VectorSystem, inclusion_norm, lp_norm,
+                     weak_l2_norm)
+from .systems import (OrthonormalSystem, _mc_second_moment, check_array_bytes,
+                      second_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +48,7 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
         if space_map.is_identity:
             value = float(np.sqrt(d))
         else:
-            value = float(np.sqrt((np.abs(space_map.matrix) ** 2).sum()))
+            value = lp_norm(space_map.matrix, Exponent(0.5))
         return NormEstimate(value, Certainty.EXACT, method="frobenius")
     matrix = None if space_map.is_identity else space_map.matrix.T
     return _mc_second_moment(d, matrix, codomain, samples, seed, complex_normals,
@@ -94,66 +96,57 @@ def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
 class SearchConfig:
     """Family-search budget for certified lower bounds.
 
-    ``family_classes`` picks the searched structured classes; ``budget`` is
-    the number of extra weight-perturbation evaluations on the best seed
-    family (0 = return the best seed family untouched).
+    ``samples`` is the Monte Carlo sample count of every evaluation;
+    ``budget`` is the number of extra weight-perturbation evaluations on
+    the best seed family (0 = return the best seed family untouched).
     """
 
     seed: int
     samples: int = 4000
-    final_samples: int = 20_000
     budget: int = 0
-    family_classes: tuple[str, ...] = ("singleton", "ones", "basis", "blocks",
-                                       "diag", "grid", "comb")
 
 
-def _sequence_candidates(domain: SpaceDescriptor, classes, max_size):
+def _family(domain: SpaceDescriptor, count: int, entries, structure) -> VectorSystem:
+    """``count`` elements, each 1 at its (element, flat coordinate) pairs in ``entries``."""
+    shape = (count,) + domain.element_shape
+    check_array_bytes("candidate family", shape, np.complex128)
+    fam = np.zeros((count, domain.flat_dim), dtype=np.complex128)
+    fam[entries] = 1.0
+    return VectorSystem(domain, fam.reshape(shape), structure)
+
+
+def _sequence_candidates(domain: SpaceDescriptor, max_size):
     n = domain.dim
-    out = []
-    if "singleton" in classes:
-        e1 = np.zeros((1, n))
-        e1[0, 0] = 1.0
-        out.append(("singleton", VectorSystem(domain, e1, FamilyStructure.DISJOINT)))
-    if "ones" in classes:
-        out.append(("ones", VectorSystem(domain, np.ones((1, n)), FamilyStructure.DISJOINT)))
-    if "basis" in classes and n <= max_size:
-        out.append(("basis", VectorSystem(domain, np.eye(n), FamilyStructure.DISJOINT)))
-    if "blocks" in classes:
-        block = 2
-        while block < n:
-            if n % block == 0 and n // block <= max_size:
-                k = n // block
-                fam = np.zeros((k, n))
-                for i in range(k):
-                    fam[i, i * block:(i + 1) * block] = 1.0
-                out.append((f"blocks:{block}", VectorSystem(domain, fam, FamilyStructure.DISJOINT)))
-            block *= 2
+    idx = np.arange(n)
+    disjoint = FamilyStructure.DISJOINT
+    out = [("singleton", _family(domain, 1, (0, 0), disjoint)),
+           ("ones", _family(domain, 1, (0, idx), disjoint))]
+    if n <= max_size:
+        out.append(("basis", _family(domain, n, (idx, idx), disjoint)))
+    block = 2
+    while block < n:
+        if n % block == 0 and n // block <= max_size:
+            out.append((f"blocks:{block}",
+                        _family(domain, n // block, (idx // block, idx), disjoint)))
+        block *= 2
     return out
 
 
-def _schatten_candidates(domain: SpaceDescriptor, classes, max_size):
+def _schatten_candidates(domain: SpaceDescriptor, max_size):
     n = domain.dim
-    out = []
-    if "singleton" in classes:
-        e = np.zeros((1, n, n))
-        e[0, 0, 0] = 1.0
-        out.append(("singleton", VectorSystem(domain, e, FamilyStructure.RANK_ONE)))
-    if "diag" in classes and n <= max_size:
-        fam = np.zeros((n, n, n))
-        for i in range(n):
-            fam[i, i, i] = 1.0
-        out.append(("diag", VectorSystem(domain, fam, FamilyStructure.RANK_ONE)))
-    if "grid" in classes and n * n <= max_size:
-        fam = np.zeros((n * n, n, n))
-        for j in range(n):
-            for k in range(n):
-                fam[j * n + k, j, k] = 1.0
-        out.append(("grid", VectorSystem(domain, fam, FamilyStructure.RANK_ONE)))
+    idx = np.arange(n)
+    rank_one = FamilyStructure.RANK_ONE
+    out = [("singleton", _family(domain, 1, (0, 0), rank_one))]
+    if n <= max_size:
+        out.append(("diag", _family(domain, n, (idx, idx * (n + 1)), rank_one)))
+    if n * n <= max_size:
+        grid = np.arange(n * n)
+        out.append(("grid", _family(domain, n * n, (grid, grid), rank_one)))
     return out
 
 
 def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_size):
-    """Translate-sampling families for character systems on Hilbert domains.
+    """Translate-sampling families for character systems on l_2 domains.
 
     x_i = (gamma_i(t_r))_r over evenly spread translates t_r; the synthesis
     map norm is exact (Hilbert domain), so the ratio is certified. For a
@@ -161,8 +154,6 @@ def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_siz
     witnesses the failure of a uniform Lambda(p) constant.
     """
     if system.kind != "characters" or not domain.exponent.is_hilbert:
-        return []
-    if domain.kind is not SpaceKind.SEQUENCE:
         return []
     cset = system.charset
     m = domain.dim
@@ -179,23 +170,23 @@ def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_siz
 
 def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
                         cfg: SearchConfig) -> NormEstimate:
-    """Best certified lower bound over the configured structured families.
+    """Best certified lower bound over the structured candidate families.
 
-    Deterministic given the seed: candidates are enumerated in a fixed
-    order, each scored with its own derived substream, and the winner is
-    re-evaluated at ``final_samples``. A nonzero budget additionally runs
+    Sequence domains try a singleton, the all-ones vector, the coordinate
+    basis, dyadic blocks and (character systems on l_2) translate combs;
+    Schatten domains a singleton, the diagonal units and the full unit
+    grid. Deterministic given the seed: candidates are enumerated in that
+    fixed order, each scored with its own derived substream, and the winner
+    is re-evaluated on a fresh one. A nonzero budget additionally runs
     coordinate perturbations on the winner's weights.
     """
     domain = space_map.domain
     max_size = system.charset.size if system.kind == "characters" else 1 << 30
     if domain.kind is SpaceKind.SEQUENCE:
-        candidates = _sequence_candidates(domain, cfg.family_classes, max_size)
+        candidates = (_sequence_candidates(domain, max_size)
+                      + _comb_candidates(domain, system, max_size))
     else:
-        candidates = _schatten_candidates(domain, cfg.family_classes, max_size)
-    if "comb" in cfg.family_classes:
-        candidates.extend(_comb_candidates(domain, system, max_size))
-    if not candidates:
-        raise ValueError("no candidate families available for this configuration")
+        candidates = _schatten_candidates(domain, max_size)
 
     scored = []
     for i, (tag, fam) in enumerate(candidates):
@@ -209,7 +200,7 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
         best_fam, best_value = _refine_weights(space_map, system, best_fam, best_value, cfg)
 
     final = summing_norm_lower(space_map, system, best_fam,
-                               samples=cfg.final_samples,
+                               samples=cfg.samples,
                                seed=substream(cfg.seed, len(candidates)))
     return NormEstimate(final.value, final.certainty, stderr=final.stderr,
                         method=f"family-search[{best_tag}]", witness=best_fam)
@@ -285,7 +276,7 @@ def reference_norm(ideal: str, kind: SpaceKind, u, v, n: int | None = None) -> R
 
     u, v = parse_exponent(u), parse_exponent(v)
     ideal = ideal.lower()
-    if ideal in ("gamma", "pi_gamma", "ell"):
+    if ideal == "gamma":
         if u.is_hilbert and v.is_hilbert:
             expo = 0.5 if kind is SpaceKind.SEQUENCE else 1.0
             val = None if n is None else float(n) ** expo
@@ -298,7 +289,7 @@ def reference_norm(ideal: str, kind: SpaceKind, u, v, n: int | None = None) -> R
         expo = gaussian_limit_order(u, v).value
         return ReferenceValue("gamma", kind, u, v, expo, False,
                               "Gaussian-summing limit order (order only)")
-    if ideal in ("pi2", "pi_2", "2-summing"):
+    if ideal == "pi2":
         if v.recip < 0.5:
             raise UnknownReferenceError(
                 "no registered 2-summing reference for codomain exponent v > 2")

@@ -10,6 +10,7 @@ frequency sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -18,7 +19,21 @@ import numpy as np
 from .estimates import Certainty, NormEstimate
 from .kernels import lp_ascent, ratio_ascent
 from .rng import make_rng, standard_gaussians, substream
-from .spaces import SpaceDescriptor, norms_of_stack, parse_exponent
+from .spaces import (Exponent, SpaceDescriptor, lp_norm, norms_of_stack,
+                     parse_exponent)
+
+# Largest array a configuration may make the lab allocate, in bytes: 8x the
+# complex n=64 grid family of the README's thm2 suite. Not a setting.
+MAX_ARRAY_BYTES = 2 ** 31
+
+
+def check_array_bytes(what: str, shape, dtype) -> None:
+    """Raise ValueError before allocating an array above MAX_ARRAY_BYTES."""
+    shape = tuple(int(d) for d in shape)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} of shape {shape} would take {nbytes / 2 ** 30:.3g} GiB, "
+                         f"above the {MAX_ARRAY_BYTES / 2 ** 30:g} GiB cap")
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +99,11 @@ class CharacterSet:
         """Character table slice, shape (order, size): column k = gamma_k(x)."""
         return _character_matrix(self.group.factors, self.freqs)
 
-    def subset(self, m: int) -> "CharacterSet":
-        if m > self.size:
-            raise ValueError("subset larger than the character set")
-        return CharacterSet(self.group, self.freqs[:m])
-
 
 @lru_cache(maxsize=64)
 def _character_matrix(factors: tuple[int, ...], freqs) -> np.ndarray:
     group = CharacterGroup(factors)
+    check_array_bytes("character matrix", (group.order, len(freqs)), np.complex128)
     pts = group.points()
     k = np.asarray(freqs, dtype=np.int64)
     n = np.asarray(factors, dtype=np.int64)
@@ -141,11 +152,8 @@ class SpanElement:
 def lp_norm_of_span(f: SpanElement, p) -> float:
     """L_p norm of f under the normalized counting measure on the group."""
     e = parse_exponent(p)
-    vals = np.abs(f.values())
-    if e.recip == 0.0:
-        return float(vals.max())
-    pv = 1.0 / e.recip
-    return float(((vals ** pv).mean()) ** e.recip)
+    vals = f.values()
+    return lp_norm(vals, e) * len(vals) ** -e.recip
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +209,9 @@ def _mc_second_moment(dim: int, matrix: np.ndarray | None, space: SpaceDescripto
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
+    complex_rows = complex_normals or (matrix is not None and np.iscomplexobj(matrix))
+    check_array_bytes("Monte Carlo chunk", (min(MC_CHUNK, samples), space.flat_dim),
+                      np.complex128 if complex_rows else np.float64)
     total = 0.0
     total_sq = 0.0
     for index, start in enumerate(range(0, samples, MC_CHUNK)):
@@ -240,12 +251,11 @@ def second_moment(system: OrthonormalSystem, elements: np.ndarray,
             raise ValueError(f"family size {m} exceeds the character set ({cset.size})")
         basis = cset.matrix()[:, :m]
         vals = basis @ flat
-        norms = norms_of_stack(vals, space)
-        value = float(np.sqrt((norms ** 2).mean()))
+        value = lp_norm(norms_of_stack(vals, space), Exponent(0.5)) / math.sqrt(len(vals))
         return NormEstimate(value, Certainty.EXACT, method="group-average")
 
     if allow_exact and space.exponent.is_hilbert:
-        value = float(np.sqrt((np.abs(flat) ** 2).sum()))
+        value = lp_norm(flat, Exponent(0.5))
         return NormEstimate(value, Certainty.EXACT, method="gaussian-orthogonality")
     if allow_exact and m == 1:
         value = float(norms_of_stack(flat, space)[0])
@@ -370,7 +380,7 @@ def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstima
     best = int(np.argmax(vals))
     witness = coeffs[best]
     f = SpanElement(charset, witness)
-    value = float(np.abs(witness).sum() / lp_norm_of_span(f, "inf"))
+    value = lp_norm(witness, Exponent(1.0)) / lp_norm_of_span(f, "inf")
     return NormEstimate(value, Certainty.LOWER, method="projected-ascent", witness=witness)
 
 

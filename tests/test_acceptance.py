@@ -140,8 +140,7 @@ def test_criterion_6_interpolation_audit():
         lower = sl.summing_norm_search(
             sl.identity_map(sl.sequence_space("4/3", n), sl.sequence_space(4, n)),
             sl.gaussian_system(),
-            sl.SearchConfig(seed=600 + n, samples=20_000, final_samples=20_000,
-                            family_classes=("singleton", "ones", "basis", "blocks")))
+            sl.SearchConfig(seed=600 + n, samples=20_000))
         base = sl.reference_norm("gamma", sl.SpaceKind.SEQUENCE, 2, 2, n)
         base_est = sl.NormEstimate(base.value, sl.Certainty.EXACT, method=base.source)
         seq = sl.sequence_space

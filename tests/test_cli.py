@@ -1,9 +1,13 @@
 """Command-line surface: parsing, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summinglab.cli import main
 
@@ -192,3 +196,78 @@ def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, nee
 def test_zero_samples_flag_reaches_config(capsys):
     _assert_usage_error(capsys, ["thm2", "--seed", "1", "--n-grid", "8,16,32",
                                  "--pairs", "2:inf", "--samples", "0"], "config error: samples")
+
+
+def test_lnorm_huge_schatten_target_exponent(capsys):
+    rc = main(["lnorm", "--space", "s2:8", "--target", "s1000:8",
+               "--samples", "100", "--seed", "1", "--json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert np.isfinite(doc["value"]) and np.isfinite(doc["stderr"])
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["kp", "--group", "100000000", "--freqs", "1,2,3", "--p", "4", "--seed", "1"],
+     "character matrix"),
+    (["thm2", "--seed", "1", "--n-grid", "8,16,160", "--pairs", "1:2", "--samples", "10"],
+     "candidate family"),
+    (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
+      "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
+], ids=["kp-character-matrix", "thm2-grid-family", "lnorm-mc-chunk"])
+def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
+    # the projected size is checked against the byte cap before allocating
+    _assert_usage_error(capsys, argv, needle)
+
+
+# ---------------------------------------------------------------------------
+# argv properties
+# ---------------------------------------------------------------------------
+
+_EXPONENTS = (st.sampled_from(["1", "4/3", "2", "3/1", "1000", "1e300", "inf"])
+              | st.floats(min_value=1.0, allow_nan=False).map(repr)
+              | st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+              .map(lambda t: f"{max(t)}/{min(t)}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from("ls"), n=st.integers(1, 8), v=_EXPONENTS)
+def test_lnorm_every_valid_exponent_is_finite(kind, n, v):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["lnorm", "--space", f"{kind}2:{n}", "--target", f"{kind}{v}:{n}",
+                   "--samples", "16", "--seed", "1", "--json"])
+    assert rc == 0, err.getvalue()
+    doc = json.loads(out.getvalue())
+    assert np.isfinite(doc["value"])
+    assert doc["stderr"] is None or np.isfinite(doc["stderr"])
+
+
+# arbitrary text, plus near-misses of the accepted forms so parsing gets past
+# its first check; dimensions stay small so any accepted input runs quickly
+_TOKEN = st.text(max_size=12) | st.sampled_from(
+    ["l2:4", "s2:3", "linf:4", "s4/3:3", "l1e300:2", "l2/0:4", "s0:2", "l2:-1", "full",
+     "1,2", "1,1", "0,3,5", "2", "4", "1e9", "nan", "-inf", "1/2", "4:2,16:4,64:8",
+     "1:1,2:2,4:inf", "1,2,inf", "2,4/3", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["lnorm", "fit", "limit-order", "kp", "sidon"]),
+       a=_TOKEN, b=_TOKEN, group=st.integers(-1, 32))
+def test_arbitrary_arguments_never_escape_main(command, a, b, group):
+    argv = {
+        "lnorm": ["lnorm", f"--space={a}", f"--target={b}", "--samples", "16", "--seed", "1"],
+        "fit": ["fit", f"--points={a}"],
+        "limit-order": ["limit-order", f"--grid={a}", f"--v-grid={b}"],
+        "kp": ["kp", "--group", str(group), f"--freqs={a}", f"--p={b}",
+               "--restarts", "2", "--steps", "5", "--seed", "1"],
+        "sidon": ["sidon", "--group", str(group), f"--freqs={a}",
+                  "--restarts", "2", "--steps", "5", "--seed", "1"],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -51,6 +51,17 @@ def test_config_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({"kind": "kp-profile", "seed": 1, "bogus": 2})
 
 
+@pytest.mark.parametrize("data", [
+    {"family_classes": ["singleton"]},
+    {"system": {"generator": "lacunary", "min_group_factor": 4}},
+    {"system": {"generator": "lacunary", "ratio": 1}},
+], ids=["family-classes", "min-group-factor", "ratio-one"])
+def test_config_rejects_removed_and_degenerate_settings(data):
+    # removed settings are unknown keys; ratio 1 would never end the group-size search
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"kind": "kp-profile", "seed": 1, **data})
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = _schatten_cfg()
     path = tmp_path / "cfg.json"

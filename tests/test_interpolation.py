@@ -195,8 +195,7 @@ def test_audit_proof_configuration_at_fixed_size():
     lower = sl.summing_norm_search(
         sl.identity_map(sl.sequence_space("4/3", n), sl.sequence_space(4, n)),
         sl.gaussian_system(),
-        sl.SearchConfig(seed=5, samples=4000, final_samples=4000,
-                        family_classes=("singleton", "ones", "basis", "blocks")))
+        sl.SearchConfig(seed=5, samples=4000))
     base = sl.reference_norm("gamma", SpaceKind.SEQUENCE, 2, 2, n)
     base_est = NormEstimate(base.value, Certainty.EXACT, method=base.source)
     u0 = sl.factorization_upper(

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summinglab import (Certainty, Exponent, FamilyStructure, SpaceKind,
-                        VectorSystem, dual_exponent, element_norm,
-                        identity_map, inclusion_norm, lp_norm, parse_exponent,
-                        schatten_space, sequence_space, singular_values,
+                        VectorSystem, element_norm, identity_map,
+                        inclusion_norm, lp_norm, parse_exponent,
+                        schatten_space, sequence_space,
                         weak_l2_lower_heuristic, weak_l2_norm)
+from summinglab.kernels import lp_norms, schatten_norm_batch
 from summinglab.spaces import norms_of_stack, parse_space
 
 
@@ -27,15 +28,15 @@ def _random_unitary(n, rng):
 # ---------------------------------------------------------------------------
 
 def test_dual_exponent_examples():
-    assert dual_exponent(parse_exponent(2)).value == 2
-    assert dual_exponent(parse_exponent(1)).value == np.inf
-    assert dual_exponent(parse_exponent("4/3")).value == 4
+    assert parse_exponent(2).dual().value == 2
+    assert parse_exponent(1).dual().value == np.inf
+    assert parse_exponent("4/3").dual().value == 4
 
 
 @given(st.integers(min_value=0, max_value=2 ** 20))
 def test_dual_involution_exact_on_dyadics(k):
     e = Exponent(k / 2 ** 20)
-    assert dual_exponent(dual_exponent(e)).recip == e.recip
+    assert e.dual().dual().recip == e.recip
 
 
 def test_exponent_validation():
@@ -57,6 +58,32 @@ def test_parse_exponent_forms():
 # element norms and singular values
 # ---------------------------------------------------------------------------
 
+def test_lp_norms_edge_rows():
+    rows = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    assert np.array_equal(lp_norms(rows, 2), [0.0, 5.0])
+    assert np.array_equal(lp_norms(rows, np.inf), [0.0, 4.0])
+    assert np.array_equal(lp_norms(rows, 1), [0.0, 7.0])
+    assert np.array_equal(lp_norms(np.zeros((2, 0)), 4), [0.0, 0.0])
+    # the peak is factored out: neither 1e200^2 nor 1e-200^2 is formed
+    assert lp_norms(np.array([1e200, 1e200]), 2) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+    assert lp_norms(np.array([1e-200, 1e-200]), 2) == pytest.approx(np.sqrt(2) * 1e-200, rel=1e-15)
+
+
+@pytest.mark.parametrize("u", [1, "4/3", 2, 4, 1000, "inf"])
+def test_norms_of_stack_diagonal_matches_sequence(u):
+    # one reduction for both kinds: a stack of diagonal matrices has the
+    # sequence norms of its diagonals, also at exponents where an unscaled
+    # p-sum of singular values overflows
+    rng = _rng(12)
+    diags = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    diags[0] *= 40.0
+    mats = np.zeros((5, 6, 6), dtype=np.complex128)
+    mats[:, np.arange(6), np.arange(6)] = diags
+    expected = norms_of_stack(diags, sequence_space(u, 6))
+    got = norms_of_stack(mats.reshape(5, -1), schatten_space(u, 6))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
 def test_schatten_identity_norm():
     for n, u in [(3, 2), (5, 1), (4, "inf")]:
         space = schatten_space(u, n)
@@ -77,20 +104,24 @@ def test_s1_norm_against_independent_svd():
 
 
 def test_singular_values_examples():
-    assert np.allclose(singular_values(np.diag([1.0, 2.0, 3.0])), [3, 2, 1])
-    u = np.array([1.0, 0, 0])
-    v = np.array([0.6, 0.8])
-    sv = singular_values(np.outer(u, v))
-    assert sv[0] == pytest.approx(1.0)
-    assert np.all(sv[1:] == 0.0)
+    # Schatten norms of diag(1, 2, 3) are the l_u norms of its singular values
+    d = np.diag([1.0, 2.0, 3.0])
+    assert element_norm(d, schatten_space("inf", 3)) == pytest.approx(3.0, rel=1e-12)
+    assert element_norm(d, schatten_space(1, 3)) == pytest.approx(6.0, rel=1e-12)
+    # a rank-one u v* has the single singular value |u| |v| = 1
+    rank_one = np.zeros((3, 3))
+    rank_one[0, :2] = [0.6, 0.8]
+    for u in (1, 3, "inf"):
+        assert element_norm(rank_one, schatten_space(u, 3)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_singular_values_frobenius_identity():
+    # S_2 reduces the entries with no SVD; the SVD path must agree
     rng = _rng(2)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    sv = singular_values(m)
-    assert (sv ** 2).sum() == pytest.approx(np.abs(m) ** 2 @ np.ones(6) @ np.ones(6), rel=1e-12)
-    assert np.all(np.diff(sv) <= 0)
+    frobenius = np.sqrt((np.abs(m) ** 2).sum())
+    assert element_norm(m, schatten_space(2, 6)) == pytest.approx(frobenius, rel=1e-12)
+    assert schatten_norm_batch(m[None], 2.0)[0] == pytest.approx(frobenius, rel=1e-12)
 
 
 def test_singular_values_unitary_invariance():
@@ -98,7 +129,10 @@ def test_singular_values_unitary_invariance():
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     uu = _random_unitary(7, rng)
     vv = _random_unitary(7, rng)
-    assert np.allclose(singular_values(uu @ m @ vv), singular_values(m), rtol=1e-10, atol=1e-10)
+    for u in (1, "4/3", 2, 3, "inf"):
+        space = schatten_space(u, 7)
+        assert element_norm(uu @ m @ vv, space) == pytest.approx(element_norm(m, space),
+                                                                  rel=1e-10)
 
 
 def test_element_norm_shape_mismatch():

@@ -166,7 +166,7 @@ def test_search_hilbert_identity_reaches_sqrt_n():
 
 def test_search_includes_all_ones_singleton():
     # for linf^4 -> l4^4 the all-ones singleton gives exactly 4^(1/4)
-    cfg = SearchConfig(seed=2, samples=4000, final_samples=4000)
+    cfg = SearchConfig(seed=2, samples=4000)
     est = summing_norm_search(identity_map(sequence_space("inf", 4), sequence_space(4, 4)),
                               gaussian_system(), cfg)
     assert est.value >= 4 ** 0.25 * (1 - 1e-9)
@@ -174,7 +174,7 @@ def test_search_includes_all_ones_singleton():
 
 def test_search_zero_budget_equals_best_seed_family():
     n = 6
-    cfg = SearchConfig(seed=4, samples=2000, final_samples=2000, budget=0)
+    cfg = SearchConfig(seed=4, samples=2000, budget=0)
     mapping = identity_map(sequence_space(2, n), sequence_space(2, n))
     est = summing_norm_search(mapping, gaussian_system(), cfg)
     # enumerate the same seed families by hand: basis wins with sqrt(n)
@@ -184,7 +184,7 @@ def test_search_zero_budget_equals_best_seed_family():
 
 def test_search_deterministic_given_seed():
     n = 6
-    cfg = SearchConfig(seed=9, samples=2000, final_samples=2000)
+    cfg = SearchConfig(seed=9, samples=2000)
     mapping = identity_map(sequence_space(2, n), sequence_space(4, n))
     a = summing_norm_search(mapping, gaussian_system(), cfg)
     b = summing_norm_search(mapping, gaussian_system(), cfg)
@@ -195,10 +195,9 @@ def test_search_budget_never_hurts():
     n = 6
     mapping = identity_map(sequence_space("4/3", n), sequence_space(4, n))
     base = summing_norm_search(mapping, gaussian_system(),
-                               SearchConfig(seed=6, samples=2000, final_samples=2000))
+                               SearchConfig(seed=6, samples=2000))
     refined = summing_norm_search(mapping, gaussian_system(),
-                                  SearchConfig(seed=6, samples=2000, final_samples=2000,
-                                               budget=12))
+                                  SearchConfig(seed=6, samples=2000, budget=12))
     assert refined.value >= base.value * (1 - 0.05)
 
 

@@ -73,6 +73,16 @@ def test_full_set_point_mass_norms():
     assert lp_norm_of_span(f, 4) == pytest.approx(n ** 0.75, rel=1e-12)
 
 
+def test_full_set_point_mass_huge_p():
+    # n at the origin, 0 elsewhere: ||f||_p = n^(1 - 1/p), finite for every p
+    n = 16
+    f = SpanElement(full_character_set(n), np.ones(n))
+    for p in (400, 1e6):
+        value = lp_norm_of_span(f, p)
+        assert np.isfinite(value)
+        assert value == pytest.approx(n ** (1.0 - 1.0 / p), rel=1e-12)
+
+
 def test_two_coefficients_parseval():
     cs = _charset(4, [0, 1])
     f = SpanElement(cs, np.array([1.0, 1.0]))
