@@ -10,22 +10,22 @@ __version__ = "0.1.0"
 
 from .estimates import Certainty, NormEstimate
 from .interpolation import (AuditReport, CertificationError, DThetaBound,
-                            InterpolationCouple, UnregisteredCoupleError,
-                            dtheta_lookup, interp_exponent,
-                            interpolation_audit, theta_for_target)
+                            UnregisteredCoupleError, dtheta_lookup,
+                            interp_exponent, interpolation_audit,
+                            theta_for_target)
 from .kernels import active_backend
-from .limit_order import (ConvexityReport, ExponentFit, LimitOrderValue,
-                          fit_exponent, gaussian_limit_order,
-                          limit_order_convexity_check, limit_order_table,
-                          pi2_limit_order, schatten_gaussian_exponent)
+from .limit_order import (ConvexityReport, ExponentFit, fit_exponent,
+                          gaussian_limit_order, limit_order_convexity_check,
+                          limit_order_table, pi2_limit_order,
+                          schatten_gaussian_exponent)
 from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
                      SpaceMap, VectorSystem, element_norm, identity_map,
                      inclusion_norm, lp_norm, parse_exponent, parse_space,
                      schatten_space, sequence_space, weak_l2_lower_heuristic,
                      weak_l2_norm)
-from .summing import (ReferenceValue, SearchConfig, UnknownReferenceError,
-                      ell_norm_mc, factorization_upper, kp_summing_bound,
-                      reference_norm, summing_norm_lower, summing_norm_search)
+from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
+                      kp_summing_bound, summing_norm_lower,
+                      summing_norm_search)
 from .systems import (AscentConfig, CharacterGroup, CharacterSet,
                       OrthonormalSystem, SpanElement, character_system,
                       cyclic_group, full_character_set, gaussian_system,

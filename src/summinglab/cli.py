@@ -63,7 +63,7 @@ def _cmd_pib(args) -> int:
         system = gaussian_system(args.complex_normals)
     else:
         system = character_system(_parse_charset(args))
-    cfg = SearchConfig(seed=args.seed, samples=args.samples, budget=args.budget)
+    cfg = SearchConfig(seed=args.seed, samples=args.samples)
     est = summing_norm_search(identity_map(domain, codomain), system, cfg)
     _emit(args, _estimate_payload(est),
           f"summing-norm lower bound {args.space} -> {args.target} "
@@ -185,8 +185,15 @@ def _print_summary(report: RunReport) -> None:
           f"{len(rows)} rows total")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors on one line, like every other error; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="summinglab",
         description="Summing-norm and scaling-exponent laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -211,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=int, default=0, help="cyclic group order (characters)")
     p.add_argument("--freqs", default="full", help="comma list or 'full' (characters)")
     p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--budget", type=int, default=0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--complex-normals", action="store_true")
     add_output_flags(p)

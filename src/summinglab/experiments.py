@@ -18,18 +18,17 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .estimates import Certainty, NormEstimate
-from .interpolation import (InterpolationCouple, dtheta_lookup,
-                            interp_exponent, interpolation_audit)
+from .estimates import NormEstimate
+from .interpolation import dtheta_lookup, interp_exponent, interpolation_audit
 from .kernels import active_backend
 from .limit_order import (fit_exponent, gaussian_limit_order,
                           limit_order_convexity_check,
                           schatten_gaussian_exponent)
 from .rng import substream
-from .spaces import (Exponent, SpaceKind, identity_map, parse_exponent,
-                     schatten_space, sequence_space)
+from .spaces import (SpaceKind, identity_map, parse_exponent, schatten_space,
+                     sequence_space)
 from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
-                      kp_summing_bound, reference_norm, summing_norm_search)
+                      kp_summing_bound, summing_norm_search)
 from .systems import (AscentConfig, CharacterSet, character_system,
                       cyclic_group, full_character_set, gaussian_system,
                       kp_growth_profile, lacunary_character_set)
@@ -37,7 +36,10 @@ from .systems import (AscentConfig, CharacterSet, character_system,
 SCHEMA_VERSION = 1
 
 EXPERIMENT_KINDS = ("schatten-scaling", "character-scaling", "interp-audit",
-                    "limit-order-table", "kp-profile")
+                    "kp-profile")
+
+# slack allowed below zero in the convexity row of fitted exponents
+CONVEXITY_TOL = 0.05
 
 ROW_FIELDS = ("n", "u_recip", "v_recip", "kind", "ideal", "value", "stderr",
               "cert", "slope", "ref_exponent", "slack", "verdict")
@@ -121,12 +123,10 @@ class ExperimentConfig:
     fit_tol: float | None = None
     control: str = "match"               # match | exceed
     exceed_threshold: float = 0.2
-    search_budget: int = 0
     restarts: int = 64
     steps: int = 500
     p_grid: tuple[float, ...] = ()
     complex_normals: bool = False
-    convexity_tol: float = 0.05
     output: str | None = None
 
     def __post_init__(self):
@@ -147,8 +147,7 @@ class ExperimentConfig:
                 and len(self.n_grid) < 3:
             raise ConfigError("scaling and audit experiments need a grid of at least 3 sizes")
         # samples >= 2 so that every Monte Carlo value carries a stderr
-        for name, low in (("samples", 2), ("restarts", 1), ("steps", 0),
-                          ("search_budget", 0)):
+        for name, low in (("samples", 2), ("restarts", 1), ("steps", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -312,10 +311,8 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
                                             search)
             task += 1
             pivot = schatten_space(2, n)
-            base = reference_norm("gamma", SpaceKind.SCHATTEN, 2, 2, n)
-            upper = factorization_upper(
-                identity_map(dom, cod), [dom, pivot, pivot, cod],
-                NormEstimate(base.value, Certainty.EXACT, method=base.source), 1)
+            upper = factorization_upper(mapping, [dom, pivot, pivot, cod],
+                                        ell_norm_mc(identity_map(pivot, pivot)), 1)
             lower_vals.append(lower.value)
             upper_vals.append(upper.value)
             rows.append(_row(n=n, u_recip=u.recip, v_recip=v.recip, kind="lower",
@@ -358,14 +355,13 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
     task = 0
     for u_str, v_str in config.pairs:
         u, v = parse_exponent(u_str), parse_exponent(v_str)
-        ref = gaussian_limit_order(u, v).value
+        ref = gaussian_limit_order(u, v)
         values = []
         for m in config.n_grid:
             charset = config.system.charset(m)
             system = character_system(charset)
             mapping = identity_map(sequence_space(u, m), sequence_space(v, m))
-            cfg = SearchConfig(seed=substream(config.seed, task),
-                               samples=config.samples, budget=config.search_budget)
+            cfg = SearchConfig(seed=substream(config.seed, task), samples=config.samples)
             task += 1
             lower = summing_norm_search(mapping, system, cfg)
             values.append(lower.value)
@@ -420,7 +416,7 @@ def _convexity_rows(config: ExperimentConfig, slopes) -> list[dict]:
         return []
     report = limit_order_convexity_check(pair0, pair1, theta, slopes[key0],
                                          slopes[key1], slopes[key_mid],
-                                         tol=config.convexity_tol)
+                                         tol=CONVEXITY_TOL)
     return [_row(u_recip=u_mid.recip, v_recip=v_mid.recip, kind="convexity",
                  ideal="lambda", slope=report.lhs, ref_exponent=report.rhs,
                  slack=report.slack, verdict="PASS" if report.passed else "FAIL")]
@@ -436,23 +432,21 @@ def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
     A closed-form convexity row for the same configuration is appended.
     """
     theta = config.theta
+    u_mid = interp_exponent("1", "2", theta)
+    v_mid = interp_exponent("2", "inf", theta)
     rows = []
     task = 0
     for kind in (SpaceKind.SEQUENCE, SpaceKind.SCHATTEN):
         make = sequence_space if kind is SpaceKind.SEQUENCE else schatten_space
-        u_mid = interp_exponent("1", "2", theta)
-        v_mid = interp_exponent("2", "inf", theta)
+        dtheta = dtheta_lookup(kind, 1, 2, schatten_s1_s2=config.junge_constant)
         for n in config.n_grid:
-            couple = InterpolationCouple(kind, n, Exponent(1.0), Exponent(0.5), theta)
-            dtheta = dtheta_lookup(couple, schatten_s1_s2=config.junge_constant)
             dom, cod = make(u_mid, n), make(v_mid, n)
             search = SearchConfig(seed=substream(config.seed, task), samples=config.samples)
             task += 1
             lower = summing_norm_search(identity_map(dom, cod),
                                         gaussian_system(config.complex_normals), search)
             pivot = make(2, n)
-            base = reference_norm("gamma", kind, 2, 2, n)
-            base_est = NormEstimate(base.value, Certainty.EXACT, method=base.source)
+            base_est = ell_norm_mc(identity_map(pivot, pivot))
             upper0 = factorization_upper(identity_map(make(1, n), pivot),
                                          [make(1, n), pivot, pivot], base_est, 1)
             upper1 = factorization_upper(identity_map(pivot, make("inf", n)),
@@ -463,28 +457,13 @@ def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
                              value=lower.value, stderr=audit.stderr,
                              cert=_cert(lower), slack=audit.slack,
                              verdict="PASS" if audit.passed else "FAIL"))
-    lam = lambda u, v: gaussian_limit_order(u, v).value
-    u_mid = interp_exponent("1", "2", theta)
-    v_mid = interp_exponent("2", "inf", theta)
     closed = limit_order_convexity_check(("1", "2"), ("2", "inf"), theta,
-                                         lam(1, 2), lam(2, "inf"),
-                                         lam(u_mid, v_mid))
+                                         gaussian_limit_order(1, 2),
+                                         gaussian_limit_order(2, "inf"),
+                                         gaussian_limit_order(u_mid, v_mid))
     rows.append(_row(u_recip=u_mid.recip, v_recip=v_mid.recip, kind="convexity",
                      ideal="gamma", slope=closed.lhs, ref_exponent=closed.rhs,
                      slack=closed.slack, verdict="PASS" if closed.passed else "FAIL"))
-    return RunReport(_manifest(config), rows)
-
-
-def run_limit_order_table(config: ExperimentConfig) -> RunReport:
-    """Closed-form limit-order table on the configured exponent grid."""
-    if not config.pairs:
-        raise ConfigError("the table experiment reads its grid from 'pairs'")
-    rows = []
-    for u_str, v_str in config.pairs:
-        u, v = parse_exponent(u_str), parse_exponent(v_str)
-        value = gaussian_limit_order(u, v).value
-        rows.append(_row(u_recip=u.recip, v_recip=v.recip, kind="reference",
-                         ideal="gamma", value=value))
     return RunReport(_manifest(config), rows)
 
 
@@ -510,7 +489,6 @@ RUNNERS = {
     "schatten-scaling": run_schatten_scaling,
     "character-scaling": run_character_scaling,
     "interp-audit": run_interpolation_audit,
-    "limit-order-table": run_limit_order_table,
     "kp-profile": run_kp_profile,
 }
 

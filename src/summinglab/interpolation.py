@@ -43,19 +43,6 @@ def theta_for_target(e0, e1, target) -> float:
 
 
 @dataclass(frozen=True)
-class InterpolationCouple:
-    kind: SpaceKind
-    dim: int
-    e0: Exponent
-    e1: Exponent
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
 class DThetaBound:
     """Couple constant: the norm of the natural operator-space comparison map."""
 
@@ -70,9 +57,9 @@ class DThetaBound:
             raise ValueError("a provenance note is required")
 
 
-def dtheta_lookup(couple: InterpolationCouple,
+def dtheta_lookup(kind: SpaceKind, e0, e1,
                   schatten_s1_s2: float = 2.0) -> DThetaBound:
-    """Registered couple constants.
+    """Registered constant of the couple [X_e0, X_e1] of spaces of ``kind``.
 
     Trivial couples give 1. Sequence couples with both endpoints <= 2 give
     sqrt(2) exactly. The [S_1, S_2] couple is finite with no published
@@ -80,18 +67,18 @@ def dtheta_lookup(couple: InterpolationCouple,
     Anything else (in particular sequence couples with an endpoint > 2) is
     rejected rather than guessed.
     """
-    r0, r1 = couple.e0.recip, couple.e1.recip
+    r0, r1 = parse_exponent(e0).recip, parse_exponent(e1).recip
     if r0 == r1:
         return DThetaBound(1.0, True, "trivial couple, identity retraction")
-    if couple.kind is SpaceKind.SEQUENCE and r0 >= 0.5 and r1 >= 0.5:
+    if kind is SpaceKind.SEQUENCE and r0 >= 0.5 and r1 >= 0.5:
         return DThetaBound(math.sqrt(2.0), True,
                            "sequence couples with both endpoints <= 2")
-    if couple.kind is SpaceKind.SCHATTEN and {r0, r1} == {1.0, 0.5}:
+    if kind is SpaceKind.SCHATTEN and {r0, r1} == {1.0, 0.5}:
         return DThetaBound(float(schatten_s1_s2), False,
                            f"finite but unpublished constant for the trace-class/Hilbert-Schmidt "
                            f"couple; configurable value {schatten_s1_s2:g} in use")
     raise UnregisteredCoupleError(
-        f"no registered couple constant for [{couple.kind.value}, "
+        f"no registered couple constant for [{kind.value}, "
         f"1/p0={r0:g}, 1/p1={r1:g}]")
 
 

@@ -97,12 +97,18 @@ def lp_ascent(basis_t, basis_h, weight, p, starts, max_steps, step0, tol):
     """
     if np.isfinite(p):
         p = float(p)
+        scale = weight ** (1.0 / p)
 
         def value(coeffs, mags):
-            return (weight * np.sum(mags ** p, axis=1)) ** (1.0 / p)
+            return scale * lp_norms(mags, p)
 
         def gradient(coeffs, vals, mags):
-            # |v|^(p-2) v, built in the caller's scratch rows (tall bases)
+            # (|v| / peak)^(p-2) v: |v|^(p-2) v over a positive per-row factor,
+            # which the normalised step ignores; no power overflows at huge p.
+            # Built in the caller's scratch rows (tall bases).
+            peak = mags.max(axis=1, keepdims=True)
+            peak[peak == 0.0] = 1.0
+            np.divide(mags, peak, out=mags)
             np.power(mags, p - 2.0, out=mags)
             return np.multiply(mags, vals, out=vals) @ basis_h.T
     else:

@@ -14,42 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Exponent, parse_exponent
+from .spaces import parse_exponent
 
 
-@dataclass(frozen=True)
-class LimitOrderValue:
-    ideal: str
-    u: Exponent
-    v: Exponent
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError("limit orders lie in [0, 1]")
-
-
-def gaussian_limit_order(u, v) -> LimitOrderValue:
-    """Limit order of the Gaussian-summing ideal.
+def gaussian_limit_order(u, v) -> float:
+    """Limit order of the Gaussian-summing ideal, a value in [0, 1].
 
     1/v for u >= 2, max(0, 1/2 + 1/v - 1/u) for u <= 2; the two branches
     agree on the seam u = 2.
     """
     ue, ve = parse_exponent(u), parse_exponent(v)
     if ue.recip <= 0.5:
-        value = ve.recip
-    else:
-        value = max(0.0, 0.5 + ve.recip - ue.recip)
-    return LimitOrderValue("gamma", ue, ve, value)
+        return ve.recip
+    return max(0.0, 0.5 + ve.recip - ue.recip)
 
 
-def pi2_limit_order(u, v) -> LimitOrderValue:
+def pi2_limit_order(u, v) -> float:
     """2-summing limit order on the range v <= 2 where it matches the Gaussian one."""
-    ue, ve = parse_exponent(u), parse_exponent(v)
-    if ve.recip < 0.5:
+    if parse_exponent(v).recip < 0.5:
         raise ValueError("the 2-summing limit order is only registered for v <= 2")
-    base = gaussian_limit_order(ue, ve)
-    return LimitOrderValue("pi2", ue, ve, base.value)
+    return gaussian_limit_order(u, v)
 
 
 def schatten_gaussian_exponent(u, v) -> float:
@@ -69,9 +53,9 @@ def limit_order_table(ideal: str, u_grid, v_grid) -> np.ndarray:
     """Closed-form limit orders on a grid; rows follow u, columns follow v."""
     ideal = ideal.lower()
     if ideal == "gamma":
-        fn = lambda a, b: gaussian_limit_order(a, b).value
+        fn = gaussian_limit_order
     elif ideal == "pi2":
-        fn = lambda a, b: pi2_limit_order(a, b).value
+        fn = pi2_limit_order
     else:
         raise ValueError(f"no closed-form table for ideal {ideal!r}")
     u_list = [parse_exponent(x) for x in u_grid]
@@ -127,7 +111,6 @@ class ConvexityReport:
     passed: bool
     lhs: float
     rhs: float
-    midpoint: tuple[Exponent, Exponent]
 
 
 def limit_order_convexity_check(pair0, pair1, theta: float, value0: float,
@@ -135,20 +118,15 @@ def limit_order_convexity_check(pair0, pair1, theta: float, value0: float,
                                 tol: float = 0.0) -> ConvexityReport:
     """Check value_mid <= (1-theta) value0 + theta value1 at interpolated exponents.
 
-    The hypothesis requires all domain exponents at most 2; pairs outside
-    that range are rejected. Slack is RHS minus LHS; pass iff >= -tol.
+    The (u, v) pairs name the endpoints; the hypothesis requires both domain
+    exponents at most 2, and pairs outside that range are rejected. Slack is
+    RHS minus LHS; pass iff >= -tol.
     """
-    from .interpolation import interp_exponent
-
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
-    u0, v0 = (parse_exponent(x) for x in pair0)
-    u1, v1 = (parse_exponent(x) for x in pair1)
-    for ue in (u0, u1):
-        if ue.recip < 0.5:
+    for u, _ in (pair0, pair1):
+        if parse_exponent(u).recip < 0.5:
             raise ValueError("convexity hypothesis needs domain exponents u <= 2")
-    u_mid = interp_exponent(u0, u1, theta)
-    v_mid = interp_exponent(v0, v1, theta)
     rhs = (1.0 - theta) * value0 + theta * value1
     slack = rhs - value_mid
-    return ConvexityReport(slack, slack >= -tol, value_mid, rhs, (u_mid, v_mid))
+    return ConvexityReport(slack, slack >= -tol, value_mid, rhs)

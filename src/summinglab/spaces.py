@@ -354,7 +354,9 @@ def weak_l2_lower_heuristic(family: VectorSystem, restarts: int = 8,
         a /= np.linalg.norm(a)
         for _ in range(iters):
             y = (X @ a).reshape(space.element_shape)
-            # duality map of the codomain norm, pulled back through X
+            # duality map of the codomain norm, pulled back through X; only
+            # its direction matters, so magnitudes are scaled by their peak
+            # before the power, which keeps it finite at large p
             if space.kind is SpaceKind.SEQUENCE:
                 ay = np.abs(y)
                 if p == np.inf:
@@ -362,14 +364,15 @@ def weak_l2_lower_heuristic(family: VectorSystem, restarts: int = 8,
                     j = int(ay.argmax())
                     z[j] = y[j] / ay[j] if ay[j] > 0 else 1.0
                 else:
-                    z = ay ** (p - 1.0) * np.where(ay > 0, y / np.where(ay > 0, ay, 1.0), 0.0)
+                    z = (ay / (ay.max() or 1.0)) ** (p - 1.0) \
+                        * np.where(ay > 0, y / np.where(ay > 0, ay, 1.0), 0.0)
             else:
                 uu, sv, vh = np.linalg.svd(y)
                 if p == np.inf:
                     f = np.zeros_like(sv)
                     f[0] = 1.0
                 else:
-                    f = sv ** (p - 1.0)
+                    f = (sv / (sv[0] or 1.0)) ** (p - 1.0)
                 z = (uu * f) @ vh
             a_new = X.conj().T @ z.ravel()
             nrm = np.linalg.norm(a_new)

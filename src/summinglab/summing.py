@@ -6,8 +6,7 @@ shortcut onto Hilbert codomains, Monte Carlo otherwise). For other domains
 the module produces certified lower bounds from structured vector families
 (exact numerator over character systems, exact closed-form denominators)
 and certified upper bounds by factorization through a pivot leg whose ideal
-norm is known in closed form. A small registry stores the closed-form
-reference values and asymptotic exponents the experiments compare against.
+norm is known in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .limit_order import gaussian_limit_order, schatten_gaussian_exponent
 from .rng import substream
 from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
                      SpaceMap, VectorSystem, inclusion_norm, lp_norm,
@@ -96,14 +94,11 @@ def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
 class SearchConfig:
     """Family-search budget for certified lower bounds.
 
-    ``samples`` is the Monte Carlo sample count of every evaluation;
-    ``budget`` is the number of extra weight-perturbation evaluations on
-    the best seed family (0 = return the best seed family untouched).
+    ``samples`` is the Monte Carlo sample count of every evaluation.
     """
 
     seed: int
     samples: int = 4000
-    budget: int = 0
 
 
 def _family(domain: SpaceDescriptor, count: int, entries, structure) -> VectorSystem:
@@ -177,8 +172,7 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
     Schatten domains a singleton, the diagonal units and the full unit
     grid. Deterministic given the seed: candidates are enumerated in that
     fixed order, each scored with its own derived substream, and the winner
-    is re-evaluated on a fresh one. A nonzero budget additionally runs
-    coordinate perturbations on the winner's weights.
+    is re-evaluated on a fresh one.
     """
     domain = space_map.domain
     max_size = system.charset.size if system.kind == "characters" else 1 << 30
@@ -194,114 +188,12 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
                                  samples=cfg.samples, seed=substream(cfg.seed, i))
         scored.append((est.value, tag, fam))
     scored.sort(key=lambda t: t[0], reverse=True)
-    best_value, best_tag, best_fam = scored[0]
-
-    if cfg.budget > 0:
-        best_fam, best_value = _refine_weights(space_map, system, best_fam, best_value, cfg)
-
+    _, best_tag, best_fam = scored[0]
     final = summing_norm_lower(space_map, system, best_fam,
                                samples=cfg.samples,
                                seed=substream(cfg.seed, len(candidates)))
     return NormEstimate(final.value, final.certainty, stderr=final.stderr,
                         method=f"family-search[{best_tag}]", witness=best_fam)
-
-
-def _refine_weights(space_map, system, family, value, cfg: SearchConfig):
-    """Coordinate ascent on per-element weights, budgeted evaluations."""
-    factors = (1.25, 0.8)
-    evals = 0
-    i = 0
-    m = family.size
-    current = family
-    while evals < cfg.budget:
-        idx = i % m
-        improved = False
-        for f in factors:
-            if evals >= cfg.budget:
-                break
-            scale = np.ones(m)
-            scale[idx] = f
-            trial_elems = current.elements * scale[(...,) + (None,) * (current.elements.ndim - 1)]
-            try:
-                trial = VectorSystem(current.space, trial_elems, current.structure)
-                est = summing_norm_lower(space_map, system, trial,
-                                         samples=cfg.samples,
-                                         seed=substream(cfg.seed, 1000 + evals))
-            except ValueError:
-                evals += 1
-                continue
-            evals += 1
-            if est.value > value:
-                current, value = trial, est.value
-                improved = True
-                break
-        if not improved:
-            i += 1
-            if i >= 2 * m:
-                break
-    return current, value
-
-
-# ---------------------------------------------------------------------------
-# reference registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReferenceValue:
-    """A closed-form value or an asymptotic-order-only exponent."""
-
-    ideal: str
-    kind: SpaceKind
-    u: Exponent
-    v: Exponent
-    exponent: float
-    exact: bool
-    source: str
-    value: float | None = None
-
-
-class UnknownReferenceError(KeyError):
-    pass
-
-
-def reference_norm(ideal: str, kind: SpaceKind, u, v, n: int | None = None) -> ReferenceValue:
-    """Registry of closed forms and asymptotic exponents for identity maps.
-
-    Exact entries (constant 1): the ell-norm of a Hilbert identity, and the
-    2-summing norm of Schatten identities onto cotype-2 targets (v <= 2).
-    Everything else is asymptotic-order-only: the exponent is meaningful,
-    the constant is not. Uncovered combinations raise.
-    """
-    from .spaces import parse_exponent
-
-    u, v = parse_exponent(u), parse_exponent(v)
-    ideal = ideal.lower()
-    if ideal == "gamma":
-        if u.is_hilbert and v.is_hilbert:
-            expo = 0.5 if kind is SpaceKind.SEQUENCE else 1.0
-            val = None if n is None else float(n) ** expo
-            return ReferenceValue("gamma", kind, u, v, expo, True,
-                                  "ell-norm of a Hilbert-space identity", val)
-        if kind is SpaceKind.SCHATTEN:
-            expo = schatten_gaussian_exponent(u, v)
-            return ReferenceValue("gamma", kind, u, v, expo, False,
-                                  "Gaussian-summing Schatten asymptotics (order only)")
-        expo = gaussian_limit_order(u, v).value
-        return ReferenceValue("gamma", kind, u, v, expo, False,
-                              "Gaussian-summing limit order (order only)")
-    if ideal == "pi2":
-        if v.recip < 0.5:
-            raise UnknownReferenceError(
-                "no registered 2-summing reference for codomain exponent v > 2")
-        if kind is SpaceKind.SCHATTEN:
-            expo = v.recip + min(0.5, 1.0 - u.recip)
-            val = None if n is None else float(n) ** expo
-            return ReferenceValue("pi2", kind, u, v, expo, True,
-                                  "2-summing norm of Schatten identities, cotype-2 range", val)
-        expo = gaussian_limit_order(u, v).value
-        return ReferenceValue("pi2", kind, u, v, expo, False,
-                              "2-summing limit order equals the Gaussian one for v <= 2")
-    raise UnknownReferenceError(f"unknown ideal {ideal!r}")
 
 
 # ---------------------------------------------------------------------------

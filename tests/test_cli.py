@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ def test_zero_denominator_exponent_is_usage_error(capsys):
                                  "--seed", "1"], "denominator")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["kp", "--group", "x", "--p", "4", "--seed", "1"], "invalid int value: 'x'"),
+    (["kp", "--group", "8", "--p", "4", "--seed", "1", "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+    (["kp", "--group", "8", "--seed", "1"], "required: --p"),
+    (["pib", "--space", "l2:4", "--target", "l2:4", "--seed", "1", "--budget", "3"],
+     "unrecognized arguments: --budget 3"),
+], ids=["bad-int", "unknown-flag", "missing-required", "removed-pib-budget"])
+def test_argparse_usage_error_is_one_line(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("summinglab") and needle in lines[0]
+
+
+def test_kp_huge_p_reaches_point_mass(capsys):
+    # the point mass attains 16^(1/2 - 1/1000) = 3.98893; no power may overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["kp", "--group", "16", "--freqs", "full", "--p", "1000",
+                   "--seed", "1", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["value"] >= 3.98
+
+
 @pytest.mark.parametrize("points", ["1:1,2:2,4:inf", "1:nan,2:2,4:3"])
 def test_fit_non_finite_point_is_usage_error(capsys, points):
     _assert_usage_error(capsys, ["fit", "--points", points], "finite")
@@ -271,3 +301,5 @@ def test_arbitrary_arguments_never_escape_main(command, a, b, group):
             rc = exc.code
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -41,7 +41,7 @@ def test_config_validation():
         ExperimentConfig(kind="schatten-scaling", seed=1, n_grid=(8, 16),
                          pairs=(("2", "2"),))
     for bad in (dict(samples=1), dict(samples=2000.5), dict(restarts=0),
-                dict(steps=-1), dict(search_budget=-1)):
+                dict(steps=-1)):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="interp-audit", seed=1, n_grid=(8, 16, 32), **bad)
 
@@ -53,9 +53,12 @@ def test_config_from_dict_rejects_unknown_keys():
 
 @pytest.mark.parametrize("data", [
     {"family_classes": ["singleton"]},
+    {"search_budget": 0},
+    {"convexity_tol": 0.05},
     {"system": {"generator": "lacunary", "min_group_factor": 4}},
     {"system": {"generator": "lacunary", "ratio": 1}},
-], ids=["family-classes", "min-group-factor", "ratio-one"])
+], ids=["family-classes", "search-budget", "convexity-tol", "min-group-factor",
+        "ratio-one"])
 def test_config_rejects_removed_and_degenerate_settings(data):
     # removed settings are unknown keys; ratio 1 would never end the group-size search
     with pytest.raises(ConfigError):
@@ -168,17 +171,6 @@ def test_interp_audit_fail_with_tiny_couple_constant():
     assert not report.all_pass
     for row in report.failures():
         assert row["slack"] < 0  # the violated inequality is visible
-
-
-def test_limit_order_table_run():
-    cfg = ExperimentConfig.from_dict(dict(
-        kind="limit-order-table", seed=1,
-        pairs=(("1", "1"), ("2", "1"), ("inf", "2"))))
-    report = run_experiment(cfg)
-    values = {(r["u_recip"], r["v_recip"]): r["value"] for r in report.rows}
-    assert values[(1.0, 1.0)] == pytest.approx(0.5)
-    assert values[(0.5, 1.0)] == pytest.approx(1.0)
-    assert values[(0.0, 0.5)] == pytest.approx(0.5)
 
 
 def test_kp_profile_run():

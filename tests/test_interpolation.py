@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summinglab import (AuditReport, Certainty, CertificationError,
-                        DThetaBound, InterpolationCouple, NormEstimate,
-                        SpaceKind, UnregisteredCoupleError, dtheta_lookup,
+                        DThetaBound, NormEstimate, SpaceKind,
+                        UnregisteredCoupleError, dtheta_lookup,
                         interp_exponent, interpolation_audit, parse_exponent,
                         theta_for_target)
 
@@ -100,37 +100,31 @@ def test_reiteration_consistency():
 # ---------------------------------------------------------------------------
 
 def test_dtheta_sequence_low_exponents():
-    couple = InterpolationCouple(SpaceKind.SEQUENCE, 8, parse_exponent(1), parse_exponent(2), 0.5)
-    bound = dtheta_lookup(couple)
+    bound = dtheta_lookup(SpaceKind.SEQUENCE, 1, 2)
     assert bound.exact
     assert bound.value == pytest.approx(np.sqrt(2))
 
 
 def test_dtheta_trivial_couple():
-    couple = InterpolationCouple(SpaceKind.SEQUENCE, 8, parse_exponent(2), parse_exponent(2), 0.3)
-    assert dtheta_lookup(couple).value == 1.0
-    schatten_trivial = InterpolationCouple(SpaceKind.SCHATTEN, 4, parse_exponent(4), parse_exponent(4), 0.5)
-    assert dtheta_lookup(schatten_trivial).value == 1.0
+    assert dtheta_lookup(SpaceKind.SEQUENCE, 2, 2).value == 1.0
+    assert dtheta_lookup(SpaceKind.SCHATTEN, 4, 4).value == 1.0
 
 
 def test_dtheta_schatten_configurable():
-    couple = InterpolationCouple(SpaceKind.SCHATTEN, 8, parse_exponent(1), parse_exponent(2), 0.5)
-    bound = dtheta_lookup(couple)
+    bound = dtheta_lookup(SpaceKind.SCHATTEN, 1, 2)
     assert not bound.exact
     assert bound.value == 2.0
     assert bound.note
-    custom = dtheta_lookup(couple, schatten_s1_s2=3.5)
+    custom = dtheta_lookup(SpaceKind.SCHATTEN, 1, 2, schatten_s1_s2=3.5)
     assert custom.value == 3.5
     assert "3.5" in custom.note
 
 
 def test_dtheta_unregistered_couples():
-    high = InterpolationCouple(SpaceKind.SEQUENCE, 8, parse_exponent(2), parse_exponent(4), 0.5)
     with pytest.raises(UnregisteredCoupleError):
-        dtheta_lookup(high)
-    schatten_other = InterpolationCouple(SpaceKind.SCHATTEN, 8, parse_exponent(2), parse_exponent("inf"), 0.5)
+        dtheta_lookup(SpaceKind.SEQUENCE, 2, 4)
     with pytest.raises(UnregisteredCoupleError):
-        dtheta_lookup(schatten_other)
+        dtheta_lookup(SpaceKind.SCHATTEN, 2, "inf")
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +190,7 @@ def test_audit_proof_configuration_at_fixed_size():
         sl.identity_map(sl.sequence_space("4/3", n), sl.sequence_space(4, n)),
         sl.gaussian_system(),
         sl.SearchConfig(seed=5, samples=4000))
-    base = sl.reference_norm("gamma", SpaceKind.SEQUENCE, 2, 2, n)
-    base_est = NormEstimate(base.value, Certainty.EXACT, method=base.source)
+    base_est = sl.ell_norm_mc(sl.identity_map(sl.sequence_space(2, n), sl.sequence_space(2, n)))
     u0 = sl.factorization_upper(
         sl.identity_map(sl.sequence_space(1, n), sl.sequence_space(2, n)),
         [sl.sequence_space(1, n), sl.sequence_space(2, n), sl.sequence_space(2, n)],
@@ -206,7 +199,6 @@ def test_audit_proof_configuration_at_fixed_size():
         sl.identity_map(sl.sequence_space(2, n), sl.sequence_space("inf", n)),
         [sl.sequence_space(2, n), sl.sequence_space(2, n), sl.sequence_space("inf", n)],
         base_est, 0)
-    couple = InterpolationCouple(SpaceKind.SEQUENCE, n, parse_exponent(1), parse_exponent(2), 0.5)
-    report = interpolation_audit(lower, u0, u1, 0.5, dtheta_lookup(couple))
+    report = interpolation_audit(lower, u0, u1, 0.5, dtheta_lookup(SpaceKind.SEQUENCE, 1, 2))
     assert report.passed
     assert report.bound == pytest.approx(np.sqrt(2) * np.sqrt(n), rel=1e-12)

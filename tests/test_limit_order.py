@@ -23,7 +23,7 @@ from summinglab.summing import ell_norm_mc
     (4, "4/3", 0.75),
 ])
 def test_gaussian_limit_order_values(u, v, expected):
-    assert gaussian_limit_order(u, v).value == pytest.approx(expected, abs=1e-15)
+    assert gaussian_limit_order(u, v) == pytest.approx(expected, abs=1e-15)
 
 
 def test_limit_order_table_three_by_three():
@@ -40,8 +40,8 @@ def test_limit_order_table_empty_and_single():
 
 
 def test_pi2_limit_order_range():
-    assert pi2_limit_order(1, 2).value == gaussian_limit_order(1, 2).value
-    assert pi2_limit_order(4, "4/3").value == pytest.approx(0.75)
+    assert pi2_limit_order(1, 2) == gaussian_limit_order(1, 2)
+    assert pi2_limit_order(4, "4/3") == pytest.approx(0.75)
     with pytest.raises(ValueError):
         pi2_limit_order(1, 4)
     with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ def test_schatten_exponent_identity_with_limit_order():
             u = type(parse_exponent(1))(ru)
             v = type(parse_exponent(1))(rv)
             lhs = schatten_gaussian_exponent(u, v)
-            rhs = 0.5 + gaussian_limit_order(u, v).value
+            rhs = 0.5 + gaussian_limit_order(u, v)
             assert abs(lhs - rhs) <= 1e-14
 
 
@@ -75,18 +75,19 @@ def test_branch_seam_continuity():
     for k in range(100):
         rv = k / 128.0
         v = type(parse_exponent(1))(rv)
-        assert gaussian_limit_order(2, v).value == max(0.0, 0.5 + rv - 0.5) == rv
+        assert gaussian_limit_order(2, v) == max(0.0, 0.5 + rv - 0.5) == rv
 
 
 def test_limit_order_monotonicity():
     rgrid = np.linspace(0.0, 1.0, 21)
     for ru in rgrid:
         u = type(parse_exponent(1))(ru)
-        vals = [gaussian_limit_order(u, type(parse_exponent(1))(rv)).value for rv in rgrid]
+        vals = [gaussian_limit_order(u, type(parse_exponent(1))(rv)) for rv in rgrid]
+        assert 0.0 <= min(vals) and max(vals) <= 1.0  # limit orders lie in [0, 1]
         assert np.all(np.diff(vals) >= -1e-15)  # nondecreasing in 1/v
     for rv in rgrid:
         v = type(parse_exponent(1))(rv)
-        vals = [gaussian_limit_order(type(parse_exponent(1))(ru), v).value for ru in rgrid]
+        vals = [gaussian_limit_order(type(parse_exponent(1))(ru), v) for ru in rgrid]
         assert np.all(np.diff(vals) <= 1e-15)  # nonincreasing as u shrinks towards 1
 
 
@@ -133,7 +134,7 @@ def test_fit_recovers_mc_hilbert_slope():
 # ---------------------------------------------------------------------------
 
 def test_convexity_proof_configuration_zero_slack():
-    lam = lambda u, v: gaussian_limit_order(u, v).value
+    lam = gaussian_limit_order
     u = parse_exponent("4/3")
     theta = 2.0 * (1.0 - u.recip)  # theta = 2/u'
     from summinglab import interp_exponent
@@ -148,7 +149,7 @@ def test_convexity_proof_configuration_zero_slack():
 
 
 def test_convexity_symmetric_example():
-    lam = lambda u, v: gaussian_limit_order(u, v).value
+    lam = gaussian_limit_order
     report = limit_order_convexity_check((1, 1), (2, 2), 0.5,
                                          lam(1, 1), lam(2, 2),
                                          lam("4/3", "4/3"))
@@ -160,7 +161,7 @@ def test_convexity_symmetric_example():
 def test_convexity_random_triples_nonnegative_slack():
     rng = np.random.default_rng(42)
     lam = lambda ru, rv: gaussian_limit_order(type(parse_exponent(1))(ru),
-                                              type(parse_exponent(1))(rv)).value
+                                              type(parse_exponent(1))(rv))
     for _ in range(1000):
         ru0, ru1 = rng.uniform(0.5, 1.0, size=2)
         rv0, rv1 = rng.uniform(0.0, 1.0, size=2)

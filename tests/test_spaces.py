@@ -319,6 +319,21 @@ def test_weak_l2_generic_upper_vs_heuristic_lower():
     assert element_norm(combo, fam.space) == pytest.approx(lower.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("space", [sequence_space(1000, 5), schatten_space(1000, 3)],
+                         ids=["l1000", "s1000"])
+def test_weak_l2_heuristic_large_exponent(space):
+    # the duality map |y|^(p-1) overflows at p = 1000 unless its peak is factored out
+    elems = 3.0 * _rng(0).standard_normal((3,) + space.element_shape)
+    fam = VectorSystem(space, elems, FamilyStructure.GENERIC)
+    lower = weak_l2_lower_heuristic(fam, seed=1)
+    assert lower.value > 0.0
+    assert lower.witness is not None
+    assert lower.value <= weak_l2_norm(fam).value * (1 + 1e-10)
+    combo = (np.asarray(lower.witness)[:, None] * elems.reshape(3, -1)).sum(axis=0)
+    assert element_norm(combo.reshape(space.element_shape), space) \
+        == pytest.approx(lower.value, rel=1e-9)
+
+
 def test_vector_system_validation():
     with pytest.raises(ValueError):
         VectorSystem(sequence_space(2, 4), np.ones((2, 4)), FamilyStructure.DISJOINT)

@@ -1,15 +1,15 @@
-"""ell-norm estimation, certified family bounds, references, factorization."""
+"""ell-norm estimation, certified family bounds, family search, factorization."""
 
 import numpy as np
 import pytest
 
 from summinglab import (Certainty, CharacterSet, FamilyStructure,
-                        NormEstimate, SearchConfig, SpaceKind, SpaceMap,
-                        UnknownReferenceError, VectorSystem, character_system,
-                        cyclic_group, ell_norm_mc, factorization_upper,
-                        gaussian_system, identity_map, kp_summing_bound,
-                        reference_norm, schatten_space, sequence_space,
-                        second_moment, summing_norm_lower, summing_norm_search)
+                        NormEstimate, SearchConfig, SpaceMap, VectorSystem,
+                        character_system, cyclic_group,
+                        ell_norm_mc, factorization_upper, gaussian_system,
+                        identity_map, kp_summing_bound, schatten_space,
+                        sequence_space, second_moment, summing_norm_lower,
+                        summing_norm_search)
 from summinglab.systems import MC_CHUNK, AscentConfig
 
 
@@ -94,10 +94,8 @@ def test_lower_bound_rank_one_grid_matches_reference():
     n = 8
     dom, cod = schatten_space(1, n), schatten_space(2, n)
     est = summing_norm_lower(identity_map(dom, cod), gaussian_system(), _grid_family(dom, n))
-    ref = reference_norm("pi2", SpaceKind.SCHATTEN, 1, 2, n)
     assert est.stderr is None  # exact numerator and denominator
     assert est.value == pytest.approx(np.sqrt(n), rel=1e-12)
-    assert ref.value == pytest.approx(np.sqrt(n), rel=1e-12)
 
 
 def test_lower_bound_characters_exact():
@@ -174,7 +172,7 @@ def test_search_includes_all_ones_singleton():
 
 def test_search_zero_budget_equals_best_seed_family():
     n = 6
-    cfg = SearchConfig(seed=4, samples=2000, budget=0)
+    cfg = SearchConfig(seed=4, samples=2000)
     mapping = identity_map(sequence_space(2, n), sequence_space(2, n))
     est = summing_norm_search(mapping, gaussian_system(), cfg)
     # enumerate the same seed families by hand: basis wins with sqrt(n)
@@ -189,38 +187,6 @@ def test_search_deterministic_given_seed():
     a = summing_norm_search(mapping, gaussian_system(), cfg)
     b = summing_norm_search(mapping, gaussian_system(), cfg)
     assert a.value == b.value
-
-
-def test_search_budget_never_hurts():
-    n = 6
-    mapping = identity_map(sequence_space("4/3", n), sequence_space(4, n))
-    base = summing_norm_search(mapping, gaussian_system(),
-                               SearchConfig(seed=6, samples=2000))
-    refined = summing_norm_search(mapping, gaussian_system(),
-                                  SearchConfig(seed=6, samples=2000, budget=12))
-    assert refined.value >= base.value * (1 - 0.05)
-
-
-# ---------------------------------------------------------------------------
-# reference registry
-# ---------------------------------------------------------------------------
-
-def test_reference_values():
-    ref = reference_norm("pi2", SpaceKind.SCHATTEN, 1, 2, 16)
-    assert ref.exact and ref.value == pytest.approx(4.0)
-    ref = reference_norm("gamma", SpaceKind.SEQUENCE, 2, 2, 16)
-    assert ref.exact and ref.value == pytest.approx(4.0)
-    ref = reference_norm("gamma", SpaceKind.SCHATTEN, 1, 4)
-    assert not ref.exact
-    assert ref.exponent == pytest.approx(0.5 + max(0.0, 0.5 + 0.25 - 1.0))
-    assert ref.source
-
-
-def test_reference_uncovered():
-    with pytest.raises(UnknownReferenceError):
-        reference_norm("pi2", SpaceKind.SEQUENCE, 2, 4)
-    with pytest.raises(UnknownReferenceError):
-        reference_norm("nuclear", SpaceKind.SEQUENCE, 1, 2)
 
 
 # ---------------------------------------------------------------------------
