@@ -267,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n-grid", default=None, help="comma list of sizes")
-        p.add_argument("--pairs", default=None, help="e.g. 2:inf,1:2")
-        p.add_argument("--samples", type=int, default=None)
+        if kind != "interp-audit":  # the audit's couple is fixed
+            p.add_argument("--pairs", default=None, help="e.g. 2:inf,1:2")
+        if kind != "character-scaling":  # character systems integrate exactly
+            p.add_argument("--samples", type=int, default=None)
         if kind == "character-scaling":
             p.add_argument("--generator", choices=("lacunary", "full"), default=None)
             p.add_argument("--control", choices=("match", "exceed"), default=None)

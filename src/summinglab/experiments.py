@@ -38,14 +38,13 @@ SCHEMA_VERSION = 1
 EXPERIMENT_KINDS = ("schatten-scaling", "character-scaling", "interp-audit",
                     "kp-profile")
 
+GENERATORS = ("lacunary", "full", "explicit")
+
 # slack allowed below zero in the convexity row of fitted exponents
 CONVEXITY_TOL = 0.05
 
 ROW_FIELDS = ("n", "u_recip", "v_recip", "kind", "ideal", "value", "stderr",
               "cert", "slope", "ref_exponent", "slack", "verdict")
-
-_NUMERIC_ROW_FIELDS = ("u_recip", "v_recip", "value", "stderr", "slope",
-                       "ref_exponent", "slack")
 
 
 class ConfigError(ValueError):
@@ -67,6 +66,9 @@ class SystemSpec:
     freqs: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.generator not in GENERATORS:
+            raise ConfigError(f"unknown generator {self.generator!r} "
+                              f"(choose from {', '.join(GENERATORS)})")
         if type(self.ratio) is not int or self.ratio < 2:
             # ratio 1 would never leave the group-size search
             raise ConfigError(f"lacunary ratio must be an integer >= 2, got {self.ratio!r}")
@@ -100,12 +102,10 @@ class SystemSpec:
             return full_character_set(n)
         if self.generator == "lacunary":
             return lacunary_character_set(n, m, self.ratio)
-        if self.generator == "explicit":
-            chosen = [f for f in self.freqs if f < n][:m]
-            if len(chosen) < m:
-                raise ConfigError(f"explicit frequency list yields fewer than {m} frequencies")
-            return CharacterSet(cyclic_group(n), tuple((f,) for f in chosen))
-        raise ConfigError(f"unknown generator {self.generator!r}")
+        chosen = [f for f in self.freqs if f < n][:m]
+        if len(chosen) < m:
+            raise ConfigError(f"explicit frequency list yields fewer than {m} frequencies")
+        return CharacterSet(cyclic_group(n), tuple((f,) for f in chosen))
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,20 @@ class ExperimentConfig:
             raise ConfigError("control must be 'match' or 'exceed'")
         if self.kind in ("schatten-scaling", "character-scaling") and not self.pairs:
             raise ConfigError("scaling experiments need exponent pairs")
+        for pair in self.pairs:
+            try:
+                u, v = pair
+                parse_exponent(u)
+                parse_exponent(v)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"bad exponent pair {pair!r}: {exc}") from None
+        for p in self.p_grid:
+            try:
+                ok = parse_exponent(p).recip <= 0.5
+            except (ValueError, ArithmeticError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"p_grid entries must be exponents >= 2, got {p!r}")
         if self.kind in ("schatten-scaling", "character-scaling", "interp-audit") \
                 and len(self.n_grid) < 3:
             raise ConfigError("scaling and audit experiments need a grid of at least 3 sizes")
@@ -177,11 +191,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
         return ExperimentConfig.from_dict(data)
 
 
@@ -225,25 +241,6 @@ class RunReport:
         for row in self.rows:
             writer.writerow(["" if row[k] is None else row[k] for k in ROW_FIELDS])
         return buf.getvalue()
-
-    @staticmethod
-    def rows_from_csv(text: str) -> list[dict]:
-        reader = csv.DictReader(io.StringIO(text))
-        rows = []
-        for rec in reader:
-            row = {}
-            for k in ROW_FIELDS:
-                raw = rec[k]
-                if raw == "":
-                    row[k] = "" if k == "verdict" else None
-                elif k == "n":
-                    row[k] = int(raw)
-                elif k in _NUMERIC_ROW_FIELDS:
-                    row[k] = float(raw)
-                else:
-                    row[k] = raw
-            rows.append(row)
-        return rows
 
     def write(self, base_path: str) -> tuple[str, str]:
         json_path, csv_path = base_path + ".json", base_path + ".csv"

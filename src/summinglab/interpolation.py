@@ -32,16 +32,6 @@ def interp_exponent(e0, e1, theta: float) -> Exponent:
     return Exponent((1.0 - theta) * r0 + theta * r1)
 
 
-def theta_for_target(e0, e1, target) -> float:
-    """Inverse of interp_exponent: the theta hitting the target exponent."""
-    r0, r1 = parse_exponent(e0).recip, parse_exponent(e1).recip
-    rt = parse_exponent(target).recip
-    lo, hi = min(r0, r1), max(r0, r1)
-    if r0 == r1 or not (lo < rt < hi):
-        raise ValueError("target reciprocal must lie strictly between the endpoints")
-    return (rt - r0) / (r1 - r0)
-
-
 @dataclass(frozen=True)
 class DThetaBound:
     """Couple constant: the norm of the natural operator-space comparison map."""
@@ -91,13 +81,6 @@ class AuditReport:
     stderr: float
     theta: float
     dtheta: DThetaBound
-
-    def describe(self) -> str:
-        rel = ">=" if self.passed else "<"
-        return (f"lower {self.lower:.6g} {rel} "
-                f"dtheta {self.dtheta.value:g} * uppers^theta = {self.bound:.6g} "
-                f"- 3 stderr (slack {self.slack:.3g}, stderr {self.stderr:.3g}; "
-                f"{self.dtheta.note})")
 
 
 def interpolation_audit(midpoint_lower: NormEstimate, end0_upper: NormEstimate,

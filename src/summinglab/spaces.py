@@ -150,14 +150,6 @@ def lp_norm(values: np.ndarray, exponent: Exponent) -> float:
     return float(lp_norms(np.abs(np.asarray(values)).ravel(), exponent.value))
 
 
-def element_norm(x: np.ndarray, space: SpaceDescriptor) -> float:
-    """Norm of an element in its space: coordinate l_u or Schatten S_u."""
-    x = np.asarray(x)
-    if x.shape != space.element_shape:
-        raise ValueError(f"element shape {x.shape} does not match {space} (expects {space.element_shape})")
-    return float(norms_of_stack(x.reshape(1, -1), space)[0])
-
-
 def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     """Norms of many elements given as rows of vectorized coordinates.
 
@@ -173,8 +165,7 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     return schatten_norm_batch(flat_rows.reshape(-1, space.dim, space.dim), p)
 
 
-def inclusion_norm(u: Exponent, v: Exponent, dim: int,
-                   kind: SpaceKind = SpaceKind.SEQUENCE) -> float:
+def inclusion_norm(u: Exponent, v: Exponent, dim: int) -> float:
     """Operator norm of the identity X_u^n -> X_v^n: n^max(0, 1/v - 1/u).
 
     The same formula covers coordinate and Schatten spaces; it is attained
@@ -190,50 +181,29 @@ def inclusion_norm(u: Exponent, v: Exponent, dim: int,
 
 @dataclass(frozen=True)
 class SpaceMap:
-    """A linear map between two descriptors, acting on vectorized elements.
+    """The identity between two spaces of one kind and dimension.
 
-    ``matrix`` may be None for the identity (domain and codomain must then
-    share their vectorized dimension), the cheap case all experiments use.
+    Every statement the lab measures is about such identities
+    id: X_u^n -> X_v^n; build them with ``identity_map``.
     """
 
     domain: SpaceDescriptor
     codomain: SpaceDescriptor
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.matrix is None:
-            if self.domain.flat_dim != self.codomain.flat_dim:
-                raise ValueError("identity map requires equal vectorized dimensions")
-        else:
-            m = np.asarray(self.matrix, dtype=np.complex128)
-            if m.shape != (self.codomain.flat_dim, self.domain.flat_dim):
-                raise ValueError(
-                    f"map matrix shape {m.shape} does not match "
-                    f"({self.codomain.flat_dim}, {self.domain.flat_dim})")
-            object.__setattr__(self, "matrix", m)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix is None
+        if self.domain.kind != self.codomain.kind or self.domain.dim != self.codomain.dim:
+            raise ValueError("identity map requires matching kind and dimension")
 
     def apply_stack(self, elements: np.ndarray) -> np.ndarray:
-        """Map a stack (m, *domain_shape) to (m, *codomain_shape)."""
+        """Map a stack (m, *domain_shape) into the codomain: the same coordinates."""
         elements = np.asarray(elements)
-        flat = elements.reshape(elements.shape[0], -1)
-        if flat.shape[1] != self.domain.flat_dim:
+        if elements.shape[1:] != self.domain.element_shape:
             raise ValueError("elements do not conform to the map's domain")
-        out = flat if self.matrix is None else flat @ self.matrix.T
-        return out.reshape((elements.shape[0],) + self.codomain.element_shape)
-
-    def scaled(self, t: float) -> "SpaceMap":
-        mat = self.matrix if self.matrix is not None else np.eye(self.domain.flat_dim)
-        return SpaceMap(self.domain, self.codomain, t * mat)
+        return elements
 
 
 def identity_map(domain: SpaceDescriptor, codomain: SpaceDescriptor) -> SpaceMap:
-    if domain.kind != codomain.kind or domain.dim != codomain.dim:
-        raise ValueError("identity map requires matching kind and dimension")
-    return SpaceMap(domain, codomain, None)
+    return SpaceMap(domain, codomain)
 
 
 # ---------------------------------------------------------------------------
@@ -336,50 +306,3 @@ def weak_l2_norm(family: VectorSystem) -> NormEstimate:
     elem_norms = norms_of_stack(family.elements.reshape(family.size, -1), family.space)
     upper = min(family.space.dim ** weight_recip * smax, lp_norm(elem_norms, Exponent(0.5)))
     return NormEstimate(upper, Certainty.UPPER, method="exponent-comparison upper bound")
-
-
-def weak_l2_lower_heuristic(family: VectorSystem, restarts: int = 8,
-                            iters: int = 40, *, seed) -> NormEstimate:
-    """Heuristic lower bound via nonlinear power ascent over the l_2 sphere."""
-    from .rng import make_rng
-
-    X = synthesis_matrix(family)
-    space = family.space
-    rng = make_rng(seed)
-    best = 0.0
-    best_a = None
-    p = space.exponent.value
-    for _ in range(restarts):
-        a = rng.standard_normal(family.size) + 1j * rng.standard_normal(family.size)
-        a /= np.linalg.norm(a)
-        for _ in range(iters):
-            y = (X @ a).reshape(space.element_shape)
-            # duality map of the codomain norm, pulled back through X; only
-            # its direction matters, so magnitudes are scaled by their peak
-            # before the power, which keeps it finite at large p
-            if space.kind is SpaceKind.SEQUENCE:
-                ay = np.abs(y)
-                if p == np.inf:
-                    z = np.zeros_like(y)
-                    j = int(ay.argmax())
-                    z[j] = y[j] / ay[j] if ay[j] > 0 else 1.0
-                else:
-                    z = (ay / (ay.max() or 1.0)) ** (p - 1.0) \
-                        * np.where(ay > 0, y / np.where(ay > 0, ay, 1.0), 0.0)
-            else:
-                uu, sv, vh = np.linalg.svd(y)
-                if p == np.inf:
-                    f = np.zeros_like(sv)
-                    f[0] = 1.0
-                else:
-                    f = (sv / (sv[0] or 1.0)) ** (p - 1.0)
-                z = (uu * f) @ vh
-            a_new = X.conj().T @ z.ravel()
-            nrm = np.linalg.norm(a_new)
-            if nrm == 0:
-                break
-            a = a_new / nrm
-        val = element_norm((X @ a).reshape(space.element_shape), space)
-        if val > best:
-            best, best_a = val, a
-    return NormEstimate(best, Certainty.LOWER, method="power-ascent lower bound", witness=best_a)

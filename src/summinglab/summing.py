@@ -1,7 +1,7 @@
 """Operator-ideal norm estimators.
 
-For a map with Hilbert domain the Gaussian-summing norm is computed as the
-ell-norm (E ||T g||^2)^(1/2) (operational definition; exact Frobenius
+For an identity with Hilbert domain the Gaussian-summing norm is computed as
+the ell-norm (E ||id g||^2)^(1/2) (operational definition; exact Frobenius
 shortcut onto Hilbert codomains, Monte Carlo otherwise). For other domains
 the module produces certified lower bounds from structured vector families
 (exact numerator over character systems, exact closed-form denominators)
@@ -17,11 +17,11 @@ import numpy as np
 
 from .estimates import Certainty, NormEstimate
 from .rng import substream
-from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
-                     SpaceMap, VectorSystem, inclusion_norm, lp_norm,
+from .spaces import (FamilyStructure, SpaceDescriptor, SpaceKind, SpaceMap,
+                     VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
 from .systems import (OrthonormalSystem, _mc_second_moment, check_array_bytes,
-                      second_moment)
+                      kp_constant_lower, second_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -29,27 +29,22 @@ from .systems import (OrthonormalSystem, _mc_second_moment, check_array_bytes,
 # ---------------------------------------------------------------------------
 
 def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
-                complex_normals: bool = False, allow_exact: bool = True) -> NormEstimate:
-    """(E ||T g||^2)^(1/2) for a map with Hilbert domain (l_2^n or S_2^n).
+                complex_normals: bool = False) -> NormEstimate:
+    """(E ||id g||^2)^(1/2) for an identity with Hilbert domain (l_2^n or S_2^n).
 
     When the codomain is Hilbert as well the value is the Frobenius norm of
-    the map matrix, returned exactly. Otherwise chunked Monte Carlo with a
-    standard error; the result doubles as a lower bound for the
-    Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
+    the identity, sqrt(flat dimension), returned exactly. Otherwise chunked
+    Monte Carlo with a standard error; the result doubles as a lower bound
+    for the Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
     """
     domain = space_map.domain
     if not domain.exponent.is_hilbert:
         raise ValueError("the ell-norm needs a Hilbert domain (exponent 2)")
     codomain = space_map.codomain
     d = domain.flat_dim
-    if allow_exact and codomain.exponent.is_hilbert:
-        if space_map.is_identity:
-            value = float(np.sqrt(d))
-        else:
-            value = lp_norm(space_map.matrix, Exponent(0.5))
-        return NormEstimate(value, Certainty.EXACT, method="frobenius")
-    matrix = None if space_map.is_identity else space_map.matrix.T
-    return _mc_second_moment(d, matrix, codomain, samples, seed, complex_normals,
+    if codomain.exponent.is_hilbert:
+        return NormEstimate(float(np.sqrt(d)), Certainty.EXACT, method="frobenius")
+    return _mc_second_moment(d, None, codomain, samples, seed, complex_normals,
                              "mc-gaussian-ell")
 
 
@@ -207,8 +202,6 @@ def factorization_upper(space_map: SpaceMap, route: list[SpaceDescriptor],
     Exactly one leg (``base_leg``) carries the ideal norm; every other leg
     contributes its inclusion operator norm. Certified iff the base is.
     """
-    if not space_map.is_identity:
-        raise ValueError("factorization routes are defined for identity maps")
     if len(route) < 2:
         raise ValueError("a route needs at least two descriptors")
     if route[0] != space_map.domain or route[-1] != space_map.codomain:
@@ -223,8 +216,7 @@ def factorization_upper(space_map: SpaceMap, route: list[SpaceDescriptor],
     for i in range(legs):
         if i == base_leg:
             continue
-        factor *= inclusion_norm(route[i].exponent, route[i + 1].exponent,
-                                 route[i].dim, route[i].kind)
+        factor *= inclusion_norm(route[i].exponent, route[i + 1].exponent, route[i].dim)
     certainty = Certainty.UPPER if base.certainty in (Certainty.EXACT, Certainty.UPPER) \
         else Certainty.HEURISTIC
     scaled = base.scaled(factor)
@@ -243,9 +235,6 @@ def kp_summing_bound(charset, v, m: int, cfg) -> NormEstimate:
     Heuristic: K_v is itself estimated from below, so the product is a
     consistency template, not a certified upper bound. v must exceed 2.
     """
-    from .spaces import parse_exponent
-    from .systems import kp_constant_lower
-
     ve = parse_exponent(v)
     if ve.recip >= 0.5:
         raise ValueError("the K_v template needs v > 2")

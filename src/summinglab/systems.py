@@ -4,8 +4,7 @@ Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo. On top of
 the systems sit the Lambda(p)-constant and Sidon-constant estimators,
 which are nonconvex maximizations shipped as ascent-with-restarts giving
-certified lower bounds, plus exhaustive phase-quantized oracles for tiny
-frequency sets.
+certified lower bounds.
 """
 
 from __future__ import annotations
@@ -229,15 +228,14 @@ def _mc_second_moment(dim: int, matrix: np.ndarray | None, space: SpaceDescripto
 
 def second_moment(system: OrthonormalSystem, elements: np.ndarray,
                   space: SpaceDescriptor, *, samples: int = 100_000,
-                  seed=None, allow_exact: bool = True) -> NormEstimate:
+                  seed=None) -> NormEstimate:
     """(average of ||sum_i b_i(omega) y_i||^2)^(1/2) over the system.
 
     Character systems pair y_i with the first m characters of the set and
     average exactly over the group (certified). The Gaussian system uses
     chunked Monte Carlo with a reported standard error, except for two
-    exact shortcuts (kept unless ``allow_exact`` is False): a Hilbert
-    codomain, where independence gives (sum_i ||y_i||^2)^(1/2) exactly,
-    and a single-element family.
+    exact shortcuts: a Hilbert codomain, where independence gives
+    (sum_i ||y_i||^2)^(1/2) exactly, and a single-element family.
     """
     elements = np.asarray(elements, dtype=np.complex128)
     m = elements.shape[0]
@@ -254,10 +252,10 @@ def second_moment(system: OrthonormalSystem, elements: np.ndarray,
         value = lp_norm(norms_of_stack(vals, space), Exponent(0.5)) / math.sqrt(len(vals))
         return NormEstimate(value, Certainty.EXACT, method="group-average")
 
-    if allow_exact and space.exponent.is_hilbert:
+    if space.exponent.is_hilbert:
         value = lp_norm(flat, Exponent(0.5))
         return NormEstimate(value, Certainty.EXACT, method="gaussian-orthogonality")
-    if allow_exact and m == 1:
+    if m == 1:
         value = float(norms_of_stack(flat, space)[0])
         return NormEstimate(value, Certainty.EXACT, method="single-element")
     return _mc_second_moment(m, flat, space, samples, seed, system.complex_normals,
@@ -322,46 +320,6 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
     return NormEstimate(value, Certainty.LOWER, method="projected-ascent", witness=witness)
 
 
-def _grid_coeffs(m: int, phase_steps: int, magnitude_steps: int) -> np.ndarray:
-    """Unit coefficient rows for m = 2 or 3: quantized magnitude profiles on
-    the sphere (modulo global scale) times relative phases (modulo global phase)."""
-    angles = np.linspace(0.0, np.pi / 2, magnitude_steps)
-    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
-    if m == 2:
-        return np.asarray([np.array([np.cos(t), np.sin(t) * ph])
-                           for t in angles for ph in phases])
-    return np.asarray([
-        np.array([np.cos(t), np.sin(t) * np.cos(s) * ph1, np.sin(t) * np.sin(s) * ph2])
-        for t in angles for s in angles for ph1 in phases for ph2 in phases
-    ])
-
-
-def kp_constant_grid(charset: CharacterSet, p, phase_steps: int = 16,
-                     magnitude_steps: int = 9) -> float:
-    """Exhaustive phase-quantized oracle for |charset| <= 3.
-
-    Enumerates magnitude profiles on the sphere (modulo global scale) and
-    quantized relative phases (modulo global phase); returns the best ratio.
-    """
-    m = charset.size
-    if m > 3:
-        raise ValueError("the exhaustive oracle only covers up to 3 characters")
-    e = parse_exponent(p)
-    if m == 1:
-        return 1.0
-    coeffs = _grid_coeffs(m, phase_steps, magnitude_steps)
-    basis = charset.matrix()
-    vals = np.abs(basis @ coeffs.T)
-    l2 = np.sqrt((vals ** 2).mean(axis=0))
-    if e.recip == 0.0:
-        num = vals.max(axis=0)
-    else:
-        pv = 1.0 / e.recip
-        num = ((vals ** pv).mean(axis=0)) ** e.recip
-    ok = l2 > 0
-    return float((num[ok] / l2[ok]).max())
-
-
 def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstimate:
     """Best found ratio sum_k |a_k| / sup_G |f| over span(charset).
 
@@ -382,22 +340,6 @@ def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstima
     f = SpanElement(charset, witness)
     value = lp_norm(witness, Exponent(1.0)) / lp_norm_of_span(f, "inf")
     return NormEstimate(value, Certainty.LOWER, method="projected-ascent", witness=witness)
-
-
-def sidon_constant_grid(charset: CharacterSet, phase_steps: int = 16,
-                        magnitude_steps: int = 9) -> float:
-    """Exhaustive phase-quantized Sidon oracle for |charset| <= 3."""
-    m = charset.size
-    if m > 3:
-        raise ValueError("the exhaustive oracle only covers up to 3 characters")
-    if m == 1:
-        return 1.0
-    coeffs = _grid_coeffs(m, phase_steps, magnitude_steps)
-    basis = charset.matrix()
-    sup = np.abs(basis @ coeffs.T).max(axis=0)
-    num = np.abs(coeffs).sum(axis=1)
-    ok = sup > 0
-    return float((num[ok] / sup[ok]).max())
 
 
 def kp_growth_profile(charset: CharacterSet, p_values, cfg: AscentConfig):

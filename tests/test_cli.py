@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 import warnings
 
 import numpy as np
@@ -185,7 +186,12 @@ def test_zero_denominator_exponent_is_usage_error(capsys):
     (["kp", "--group", "8", "--seed", "1"], "required: --p"),
     (["pib", "--space", "l2:4", "--target", "l2:4", "--seed", "1", "--budget", "3"],
      "unrecognized arguments: --budget 3"),
-], ids=["bad-int", "unknown-flag", "missing-required", "removed-pib-budget"])
+    (["interp-audit", "--seed", "1", "--n-grid", "8,16,32", "--pairs", "1:inf"],
+     "unrecognized arguments: --pairs 1:inf"),
+    (["thm1", "--seed", "1", "--n-grid", "4,8,12", "--pairs", "1:1", "--samples", "100"],
+     "unrecognized arguments: --samples 100"),
+], ids=["bad-int", "unknown-flag", "missing-required", "removed-pib-budget",
+        "interp-audit-pairs", "thm1-samples"])
 def test_argparse_usage_error_is_one_line(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -216,11 +222,31 @@ def test_fit_non_finite_point_is_usage_error(capsys, points):
     ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], restarts=0),
      "config error: restarts"),
     ("interp-audit", dict(kind="interp-audit", samples=1), "config error: samples"),
-], ids=["thm1-restarts", "interp-audit-samples"])
+    ("thm1", dict(kind="kp-profile", p_grid=[4.0, 1.0]),
+     "config error: p_grid entries must be exponents >= 2, got 1.0"),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]],
+                  system={"generator": "lacunry"}),
+     "config error: unknown generator 'lacunry'"),
+], ids=["thm1-restarts", "interp-audit-samples", "low-p-grid", "unknown-generator"])
 def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(seed=1, n_grid=[4, 8, 12], **over)))
+    t0 = time.perf_counter()
     _assert_usage_error(capsys, [command, "--config", str(path)], needle)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("pairs", ["2:inf,2:x", "2"])
+def test_bad_pair_is_config_error_before_work(capsys, pairs):
+    t0 = time.perf_counter()
+    _assert_usage_error(capsys, ["thm2", "--seed", "1", "--n-grid", "8,16,32,64",
+                                 "--pairs", pairs], "config error: bad exponent pair")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_missing_config_file_is_config_error(capsys, tmp_path):
+    _assert_usage_error(capsys, ["thm2", "--config", str(tmp_path / "absent.json")],
+                        "config error: cannot read config file")
 
 
 def test_zero_samples_flag_reaches_config(capsys):
@@ -280,18 +306,35 @@ _TOKEN = st.text(max_size=12) | st.sampled_from(
      "1:1,2:2,4:inf", "1,2,inf", "2,4/3", ""])
 
 
+# exponent pairs, half of them well formed, and size lists small enough that
+# an accepted experiment runs in milliseconds
+_PAIRS = _TOKEN | st.lists(st.sampled_from(["1", "4/3", "2", "4", "inf"]),
+                           min_size=2, max_size=2).map(":".join)
+_SIZES = _TOKEN | (st.lists(st.integers(-1, 4), max_size=4)
+                   | st.lists(st.integers(1, 4), min_size=3, unique=True).map(sorted)).map(
+    lambda sizes: ",".join(map(str, sizes)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(["lnorm", "fit", "limit-order", "kp", "sidon"]),
-       a=_TOKEN, b=_TOKEN, group=st.integers(-1, 32))
-def test_arbitrary_arguments_never_escape_main(command, a, b, group):
+@given(command=st.sampled_from(["lnorm", "fit", "limit-order", "kp", "sidon",
+                                "thm2", "thm1", "interp-audit"]),
+       a=_TOKEN, b=_TOKEN, group=_TOKEN | st.integers(-1, 32).map(str),
+       pairs=_PAIRS, sizes=_SIZES)
+def test_arbitrary_arguments_never_escape_main(command, a, b, group, pairs, sizes):
+    # most values are separate argv items, so that argparse itself refuses
+    # some examples: a value that looks like a flag, a --group that is no int
     argv = {
-        "lnorm": ["lnorm", f"--space={a}", f"--target={b}", "--samples", "16", "--seed", "1"],
-        "fit": ["fit", f"--points={a}"],
-        "limit-order": ["limit-order", f"--grid={a}", f"--v-grid={b}"],
-        "kp": ["kp", "--group", str(group), f"--freqs={a}", f"--p={b}",
+        "lnorm": ["lnorm", "--space", a, f"--target={b}", "--samples", "16", "--seed", "1"],
+        "fit": ["fit", "--points", a],
+        "limit-order": ["limit-order", "--grid", a, f"--v-grid={b}"],
+        "kp": ["kp", "--group", group, "--freqs", a, "--p", b,
                "--restarts", "2", "--steps", "5", "--seed", "1"],
-        "sidon": ["sidon", "--group", str(group), f"--freqs={a}",
+        "sidon": ["sidon", "--group", group, f"--freqs={a}",
                   "--restarts", "2", "--steps", "5", "--seed", "1"],
+        "thm2": ["thm2", "--seed", "1", "--n-grid", sizes, "--pairs", pairs,
+                 "--samples", "16"],
+        "thm1": ["thm1", "--seed", "1", "--n-grid", sizes, "--pairs", pairs],
+        "interp-audit": ["interp-audit", "--seed", "1", "--n-grid", sizes, "--samples", "16"],
     }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

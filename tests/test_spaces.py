@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summinglab import (Certainty, Exponent, FamilyStructure, SpaceKind,
-                        VectorSystem, element_norm, identity_map,
-                        inclusion_norm, lp_norm, parse_exponent,
-                        schatten_space, sequence_space,
-                        weak_l2_lower_heuristic, weak_l2_norm)
+from summinglab import (Certainty, Exponent, FamilyStructure, VectorSystem,
+                        identity_map, inclusion_norm, lp_norm, parse_exponent,
+                        schatten_space, sequence_space, weak_l2_norm)
 from summinglab.kernels import lp_norms, schatten_norm_batch
 from summinglab.spaces import norms_of_stack, parse_space
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _norm(x, space):
+    """Norm of one element: a one-row stack."""
+    return norms_of_stack(x.reshape(1, -1), space)[0]
 
 
 def _random_unitary(n, rng):
@@ -88,11 +91,11 @@ def test_schatten_identity_norm():
     for n, u in [(3, 2), (5, 1), (4, "inf")]:
         space = schatten_space(u, n)
         expected = n ** space.exponent.recip
-        assert element_norm(np.eye(n), space) == pytest.approx(expected, rel=1e-12)
+        assert _norm(np.eye(n), space) == pytest.approx(expected, rel=1e-12)
 
 
 def test_schatten_diag_euclidean():
-    assert element_norm(np.diag([3.0, 4.0]), schatten_space(2, 2)) == pytest.approx(5.0)
+    assert _norm(np.diag([3.0, 4.0]), schatten_space(2, 2)) == pytest.approx(5.0)
 
 
 def test_s1_norm_against_independent_svd():
@@ -100,19 +103,19 @@ def test_s1_norm_against_independent_svd():
     rng = _rng(1)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     oracle = np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0)).sum()
-    assert element_norm(m, schatten_space(1, 8)) == pytest.approx(oracle, rel=1e-10)
+    assert _norm(m, schatten_space(1, 8)) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_singular_values_examples():
     # Schatten norms of diag(1, 2, 3) are the l_u norms of its singular values
     d = np.diag([1.0, 2.0, 3.0])
-    assert element_norm(d, schatten_space("inf", 3)) == pytest.approx(3.0, rel=1e-12)
-    assert element_norm(d, schatten_space(1, 3)) == pytest.approx(6.0, rel=1e-12)
+    assert _norm(d, schatten_space("inf", 3)) == pytest.approx(3.0, rel=1e-12)
+    assert _norm(d, schatten_space(1, 3)) == pytest.approx(6.0, rel=1e-12)
     # a rank-one u v* has the single singular value |u| |v| = 1
     rank_one = np.zeros((3, 3))
     rank_one[0, :2] = [0.6, 0.8]
     for u in (1, 3, "inf"):
-        assert element_norm(rank_one, schatten_space(u, 3)) == pytest.approx(1.0, rel=1e-12)
+        assert _norm(rank_one, schatten_space(u, 3)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_singular_values_frobenius_identity():
@@ -120,7 +123,7 @@ def test_singular_values_frobenius_identity():
     rng = _rng(2)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     frobenius = np.sqrt((np.abs(m) ** 2).sum())
-    assert element_norm(m, schatten_space(2, 6)) == pytest.approx(frobenius, rel=1e-12)
+    assert _norm(m, schatten_space(2, 6)) == pytest.approx(frobenius, rel=1e-12)
     assert schatten_norm_batch(m[None], 2.0)[0] == pytest.approx(frobenius, rel=1e-12)
 
 
@@ -131,26 +134,26 @@ def test_singular_values_unitary_invariance():
     vv = _random_unitary(7, rng)
     for u in (1, "4/3", 2, 3, "inf"):
         space = schatten_space(u, 7)
-        assert element_norm(uu @ m @ vv, space) == pytest.approx(element_norm(m, space),
+        assert _norm(uu @ m @ vv, space) == pytest.approx(_norm(m, space),
                                                                   rel=1e-10)
 
 
 def test_element_norm_shape_mismatch():
     with pytest.raises(ValueError):
-        element_norm(np.ones(3), sequence_space(2, 4))
+        _norm(np.ones(3), sequence_space(2, 4))
     with pytest.raises(ValueError):
-        element_norm(np.ones((3, 3)), sequence_space(2, 3))
+        _norm(np.ones((3, 3)), sequence_space(2, 3))
 
 
 def test_norm_zero_iff_zero_and_homogeneous():
     rng = _rng(4)
     for space in (sequence_space("4/3", 6), schatten_space(3, 4)):
         zero = np.zeros(space.element_shape)
-        assert element_norm(zero, space) == 0.0
+        assert _norm(zero, space) == 0.0
         x = rng.standard_normal(space.element_shape) + 1j * rng.standard_normal(space.element_shape)
-        n1 = element_norm(x, space)
+        n1 = _norm(x, space)
         assert n1 > 0
-        assert element_norm(2.5 * x, space) == pytest.approx(2.5 * n1, rel=1e-12)
+        assert _norm(2.5 * x, space) == pytest.approx(2.5 * n1, rel=1e-12)
 
 
 def test_exponent_monotonicity_both_kinds():
@@ -166,8 +169,8 @@ def test_exponent_monotonicity_both_kinds():
     for i in range(500, 1000):
         ru, rv = sorted(recips[i])[::-1]
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        nu = element_norm(m, schatten_space(Exponent(ru).value, 4))
-        nv = element_norm(m, schatten_space(Exponent(rv).value, 4))
+        nu = _norm(m, schatten_space(Exponent(ru).value, 4))
+        nv = _norm(m, schatten_space(Exponent(rv).value, 4))
         assert nv <= nu * (1 + 1e-12)
 
 
@@ -175,8 +178,8 @@ def test_diagonal_consistency():
     rng = _rng(6)
     d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for u in (1, "4/3", 2, 5, "inf"):
-        mat_norm = element_norm(np.diag(d), schatten_space(u, 6))
-        vec_norm = element_norm(d, sequence_space(u, 6))
+        mat_norm = _norm(np.diag(d), schatten_space(u, 6))
+        vec_norm = _norm(d, sequence_space(u, 6))
         assert mat_norm == pytest.approx(vec_norm, rel=1e-12)
 
 
@@ -214,10 +217,10 @@ def test_inclusion_norm_attained_schatten():
     n = 6
     for u, v in [(1, 4), (2, 1), ("inf", 2)]:
         ue, ve = parse_exponent(u), parse_exponent(v)
-        bound = inclusion_norm(ue, ve, n, SpaceKind.SCHATTEN)
+        bound = inclusion_norm(ue, ve, n)
         extremal = np.eye(n) if ve.recip >= ue.recip else np.diag([1.0] + [0.0] * (n - 1))
-        ratio = (element_norm(extremal, schatten_space(v, n))
-                 / element_norm(extremal, schatten_space(u, n)))
+        ratio = (_norm(extremal, schatten_space(v, n))
+                 / _norm(extremal, schatten_space(u, n)))
         assert ratio == pytest.approx(bound, rel=1e-12)
 
 
@@ -253,9 +256,9 @@ def test_weak_l2_rank_one_grid_s1():
     for _ in range(2000):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a /= np.linalg.norm(a)
-        best = max(best, element_norm(a, schatten_space(1, n)))
+        best = max(best, _norm(a, schatten_space(1, n)))
     assert best <= est.value * (1 + 1e-12)
-    assert element_norm(np.eye(n) / np.sqrt(n), schatten_space(1, n)) == pytest.approx(est.value, rel=1e-12)
+    assert _norm(np.eye(n) / np.sqrt(n), schatten_space(1, n)) == pytest.approx(est.value, rel=1e-12)
 
 
 def test_weak_l2_disjoint_weight_formula():
@@ -304,34 +307,17 @@ def test_weak_l2_generic_hilbert_exact():
 
 
 def test_weak_l2_generic_upper_vs_heuristic_lower():
+    # the heuristic lower bound is the best of sampled unit coefficient
+    # vectors, each attained by its combination of the family
     rng = _rng(11)
     elems = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     fam = VectorSystem(sequence_space(1, 5), elems, FamilyStructure.GENERIC)
     upper = weak_l2_norm(fam)
-    with pytest.raises(TypeError):
-        weak_l2_lower_heuristic(fam)  # stochastic: the seed is required
-    lower = weak_l2_lower_heuristic(fam, seed=3)
     assert upper.certainty is Certainty.UPPER
-    assert lower.certainty is Certainty.LOWER
-    assert lower.value <= upper.value * (1 + 1e-10)
-    # the heuristic is genuinely attained by its witness
-    combo = (np.asarray(lower.witness)[:, None] * elems).sum(axis=0)
-    assert element_norm(combo, fam.space) == pytest.approx(lower.value, rel=1e-9)
-
-
-@pytest.mark.parametrize("space", [sequence_space(1000, 5), schatten_space(1000, 3)],
-                         ids=["l1000", "s1000"])
-def test_weak_l2_heuristic_large_exponent(space):
-    # the duality map |y|^(p-1) overflows at p = 1000 unless its peak is factored out
-    elems = 3.0 * _rng(0).standard_normal((3,) + space.element_shape)
-    fam = VectorSystem(space, elems, FamilyStructure.GENERIC)
-    lower = weak_l2_lower_heuristic(fam, seed=1)
-    assert lower.value > 0.0
-    assert lower.witness is not None
-    assert lower.value <= weak_l2_norm(fam).value * (1 + 1e-10)
-    combo = (np.asarray(lower.witness)[:, None] * elems.reshape(3, -1)).sum(axis=0)
-    assert element_norm(combo.reshape(space.element_shape), space) \
-        == pytest.approx(lower.value, rel=1e-9)
+    coeffs = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    lower = norms_of_stack(coeffs @ elems, fam.space).max()
+    assert 0.0 < lower <= upper.value * (1 + 1e-10)
 
 
 def test_vector_system_validation():

@@ -5,11 +5,12 @@ import pytest
 
 from summinglab import (AscentConfig, Certainty, CharacterGroup, CharacterSet,
                         SpanElement, character_system, cyclic_group,
-                        full_character_set, gaussian_system, kp_constant_grid,
+                        full_character_set, gaussian_system,
                         kp_constant_lower, kp_growth_profile,
                         lacunary_character_set, lp_norm_of_span,
-                        second_moment, sequence_space, sidon_constant_grid,
+                        parse_exponent, second_moment, sequence_space,
                         sidon_constant_lower)
+from summinglab.systems import _mc_second_moment
 
 CFG = AscentConfig(seed=7)
 FAST = AscentConfig(seed=7, restarts=24, steps=250)
@@ -17,6 +18,66 @@ FAST = AscentConfig(seed=7, restarts=24, steps=250)
 
 def _charset(n, freqs):
     return CharacterSet(cyclic_group(n), tuple((f,) for f in freqs))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive phase-quantized oracles for tiny frequency sets
+# ---------------------------------------------------------------------------
+
+def _grid_coeffs(m: int, phase_steps: int, magnitude_steps: int) -> np.ndarray:
+    """Unit coefficient rows for m = 2 or 3: quantized magnitude profiles on
+    the sphere (modulo global scale) times relative phases (modulo global phase)."""
+    angles = np.linspace(0.0, np.pi / 2, magnitude_steps)
+    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
+    if m == 2:
+        return np.asarray([np.array([np.cos(t), np.sin(t) * ph])
+                           for t in angles for ph in phases])
+    return np.asarray([
+        np.array([np.cos(t), np.sin(t) * np.cos(s) * ph1, np.sin(t) * np.sin(s) * ph2])
+        for t in angles for s in angles for ph1 in phases for ph2 in phases
+    ])
+
+
+def kp_constant_grid(charset: CharacterSet, p, phase_steps: int = 16,
+                     magnitude_steps: int = 9) -> float:
+    """Exhaustive phase-quantized oracle for |charset| <= 3.
+
+    Enumerates magnitude profiles on the sphere (modulo global scale) and
+    quantized relative phases (modulo global phase); returns the best ratio.
+    """
+    m = charset.size
+    if m > 3:
+        raise ValueError("the exhaustive oracle only covers up to 3 characters")
+    e = parse_exponent(p)
+    if m == 1:
+        return 1.0
+    coeffs = _grid_coeffs(m, phase_steps, magnitude_steps)
+    basis = charset.matrix()
+    vals = np.abs(basis @ coeffs.T)
+    l2 = np.sqrt((vals ** 2).mean(axis=0))
+    if e.recip == 0.0:
+        num = vals.max(axis=0)
+    else:
+        pv = 1.0 / e.recip
+        num = ((vals ** pv).mean(axis=0)) ** e.recip
+    ok = l2 > 0
+    return float((num[ok] / l2[ok]).max())
+
+
+def sidon_constant_grid(charset: CharacterSet, phase_steps: int = 16,
+                        magnitude_steps: int = 9) -> float:
+    """Exhaustive phase-quantized Sidon oracle for |charset| <= 3."""
+    m = charset.size
+    if m > 3:
+        raise ValueError("the exhaustive oracle only covers up to 3 characters")
+    if m == 1:
+        return 1.0
+    coeffs = _grid_coeffs(m, phase_steps, magnitude_steps)
+    basis = charset.matrix()
+    sup = np.abs(basis @ coeffs.T).max(axis=0)
+    num = np.abs(coeffs).sum(axis=1)
+    ok = sup > 0
+    return float((num[ok] / sup[ok]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +204,8 @@ def test_second_moment_gaussian_exact_and_mc():
     exact = second_moment(gaussian_system(), np.eye(n), sequence_space(2, n))
     assert exact.certainty is Certainty.EXACT
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
-    mc = second_moment(gaussian_system(), np.eye(n), sequence_space(2, n),
-                       samples=20_000, seed=5, allow_exact=False)
+    mc = _mc_second_moment(n, np.eye(n, dtype=complex), sequence_space(2, n),
+                           20_000, 5, False, "mc-gaussian")
     assert mc.certainty is Certainty.LOWER
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(mc.value - np.sqrt(n)) <= 3 * mc.stderr
@@ -158,9 +219,8 @@ def test_second_moment_family_too_large():
 
 def test_second_moment_complex_normals_flag():
     n = 5
-    est = second_moment(gaussian_system(complex_normals=True), np.eye(n),
-                        sequence_space(2, n), samples=20_000, seed=9,
-                        allow_exact=False)
+    est = _mc_second_moment(n, np.eye(n, dtype=complex), sequence_space(2, n),
+                            20_000, 9, True, "mc-gaussian")
     assert abs(est.value - np.sqrt(n)) <= 4 * est.stderr
 
 
