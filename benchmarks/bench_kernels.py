@@ -57,6 +57,16 @@ def cases():
     mats = np.random.default_rng(1).standard_normal((2048, 16, 16))
     yield "schatten_norm_batch p=4 (2048 x 16x16)", kernels.schatten_norm_batch, (mats, 4.0)
 
+    # the Gram paths at the README's largest thm2 size, and a complex-stored
+    # stack with zero imaginary part (what a unit family used to feed it)
+    mats = np.random.default_rng(5).standard_normal((4096, 64, 64))
+    yield "schatten_norm_batch p=4 (4096 x 64x64)", kernels.schatten_norm_batch, (mats, 4.0)
+    yield ("schatten_norm_batch p=inf (4096 x 64x64)", kernels.schatten_norm_batch,
+           (mats, np.inf))
+    mats = np.random.default_rng(6).standard_normal((4096, 32, 32)).astype(np.complex128)
+    yield ("schatten_norm_batch p=4 complex, zero imaginary part (4096 x 32x32)",
+           kernels.schatten_norm_batch, (mats, 4.0))
+
 
 def _time(fn, args, repeats):
     times = []

@@ -135,8 +135,8 @@ class ExperimentConfig:
                               f"(choose from {', '.join(EXPERIMENT_KINDS)})")
         if self.seed is None:
             raise ConfigError("a seed is mandatory")
-        if self.n_grid and list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("the size grid must be ascending")
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError("the size grid must be strictly ascending")
         if not (0.0 < self.theta < 1.0):
             raise ConfigError("theta must lie strictly inside (0, 1)")
         if self.control not in ("match", "exceed"):

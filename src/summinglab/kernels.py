@@ -1,5 +1,11 @@
 """Hot numeric kernels: coefficient-sphere ascents, l_p norms, batched Schatten norms.
 
+``schatten_norm_batch`` picks its path from the exponent: the Gram
+Frobenius norm at S_4, the Gram's top eigenvalue at S_inf, and one batched
+SVD reduced by ``lp_norms`` at every other exponent. Its Monte Carlo
+caller, ``systems._mc_second_moment``, gathers the columns of unit families
+instead of multiplying, so real Gaussian rows reach it as real stacks.
+
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
 restart still searching, with one ``(R, m) @ (m, N)`` product for all trial
@@ -148,8 +154,9 @@ def lp_norms(mags, p):
 
     The max at p = inf and the plain sum at p = 1; any other p sums
     (mags / peak)^p with each row's peak factored out, so that no exponent
-    overflows or underflows. An empty row has norm 0. Every norm of the lab
-    (sequence, Schatten, span) is this reduction of some magnitudes.
+    overflows or underflows. An empty row has norm 0. Every sequence and span
+    norm of the lab, and every Schatten norm off the S_4 and S_inf Gram
+    paths, is this reduction of some magnitudes.
     """
     mags = np.asarray(mags)
     p = float(p)
@@ -167,7 +174,24 @@ def lp_norms(mags, p):
 def schatten_norm_batch(mats, p):
     """Schatten p-norms of a (count, n, n) stack. ``p`` may be ``np.inf``.
 
-    One batched LAPACK SVD (numpy's gufunc reuses workspace across the
-    stack), then ``lp_norms`` of each matrix's singular values.
+    The path follows the exponent. At p = 4, ||A||_{S_4} = ||A^H A||_F^(1/2);
+    at p = inf, ||A|| = sqrt of the top eigenvalue of A^H A (``eigvalsh``).
+    Both scale each matrix by its peak |entry| before forming the Gram and
+    multiply it back after, so no entry of the Gram overflows or underflows.
+    Any other p takes one batched LAPACK SVD (numpy's gufunc reuses workspace
+    across the stack), then ``lp_norms`` of each matrix's singular values.
+    The Gram paths hold the stack, its scaled copy and the Gram at once
+    (and, for complex stacks, the conjugate of the scaled copy).
     """
-    return lp_norms(np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False), p)
+    p = float(p)
+    if p != 4.0 and p != np.inf:
+        return lp_norms(np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False), p)
+    mats = np.asarray(mats)
+    peak = np.abs(mats).max(axis=(-2, -1), initial=0.0)
+    peak[peak == 0.0] = 1.0  # zero matrices
+    scaled = mats / peak[:, None, None]
+    gram = scaled.swapaxes(-2, -1).conj() @ scaled
+    del scaled  # the reduction below needs only the Gram
+    if p == np.inf:
+        return peak * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    return peak * np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram.conj()).real))

@@ -154,7 +154,11 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     """Norms of many elements given as rows of vectorized coordinates.
 
     Sequence spaces and S_2 (the Frobenius norm, no SVD) reduce the entry
-    magnitudes; other Schatten spaces reduce singular values.
+    magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, which
+    takes one of three paths: the Gram Frobenius norm at S_4, the Gram's top
+    eigenvalue at S_inf, singular values otherwise. The Monte Carlo rows it
+    receives for unit families are gathered, not multiplied (see
+    ``systems._mc_second_moment``).
     """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:

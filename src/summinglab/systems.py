@@ -194,29 +194,58 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
 MC_CHUNK = 4096
 
 
+def _unit_columns(matrix: np.ndarray):
+    """(owner, colval) when every column of ``matrix`` has at most one nonzero.
+
+    Then ``g @ matrix == g[:, owner] * colval`` exactly: each entry of the
+    product adds zeros to its one term. None for any other matrix.
+    """
+    nonzero = matrix != 0
+    if nonzero.sum(axis=0).max(initial=0) > 1:
+        return None
+    owner = nonzero.argmax(axis=0)
+    return owner, matrix[owner, np.arange(matrix.shape[1])]
+
+
 def _mc_second_moment(dim: int, matrix: np.ndarray | None, space: SpaceDescriptor,
                       samples: int, seed, complex_normals: bool,
                       method: str) -> NormEstimate:
     """(E ||g @ matrix||^2)^(1/2) over standard Gaussian rows g of length dim.
 
     ``matrix`` is (dim, space.flat_dim), or None for the identity (no
-    product is formed). Chunk k draws from ``substream(seed, k)`` and the
-    sums run in chunk order. The value is a Monte Carlo estimate, so it is
-    ``lower`` with a standard error (delta method on the square root).
+    product is formed). A matrix with at most one nonzero per column (every
+    unit family ``summing._family`` builds) is applied by gathering columns
+    of g and scaling them, which gives the product exactly and keeps real
+    rows real; any other matrix takes the dense product. Chunk k draws from
+    ``substream(seed, k)`` and the sums run in chunk order. The value is a
+    Monte Carlo estimate, so it is ``lower`` with a standard error (delta
+    method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
     complex_rows = complex_normals or (matrix is not None and np.iscomplexobj(matrix))
-    check_array_bytes("Monte Carlo chunk", (min(MC_CHUNK, samples), space.flat_dim),
+    # norms_of_stack holds the chunk, a scaled copy and a Gram (or magnitude)
+    # stack at once, and the conjugate of the scaled copy for complex rows
+    check_array_bytes("Monte Carlo chunk working set",
+                      (4 if complex_rows else 3, min(MC_CHUNK, samples), space.flat_dim),
                       np.complex128 if complex_rows else np.float64)
+    units = None if matrix is None else _unit_columns(matrix)
+    if matrix is not None and units is None:
+        matrix = np.ascontiguousarray(matrix)
     total = 0.0
     total_sq = 0.0
     for index, start in enumerate(range(0, samples, MC_CHUNK)):
         count = min(MC_CHUNK, samples - start)
-        g = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
-        q = norms_of_stack(g if matrix is None else g @ matrix, space) ** 2
+        rows = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
+        if units is not None:
+            owner, colval = units
+            rows = np.take(rows.astype(np.result_type(rows, colval), copy=False), owner, axis=1)
+            rows *= colval
+        elif matrix is not None:
+            rows = rows @ matrix
+        q = norms_of_stack(rows, space) ** 2
         total += float(q.sum())
         total_sq += float((q * q).sum())
     mean = total / samples
@@ -235,7 +264,8 @@ def second_moment(system: OrthonormalSystem, elements: np.ndarray,
     average exactly over the group (certified). The Gaussian system uses
     chunked Monte Carlo with a reported standard error, except for two
     exact shortcuts: a Hilbert codomain, where independence gives
-    (sum_i ||y_i||^2)^(1/2) exactly, and a single-element family.
+    (sum_i ||y_i||^2)^(1/2) exactly, and a single-element family. A family
+    with no imaginary part goes on as real, so its norms take real kernels.
     """
     elements = np.asarray(elements, dtype=np.complex128)
     m = elements.shape[0]
@@ -255,6 +285,8 @@ def second_moment(system: OrthonormalSystem, elements: np.ndarray,
     if space.exponent.is_hilbert:
         value = lp_norm(flat, Exponent(0.5))
         return NormEstimate(value, Certainty.EXACT, method="gaussian-orthogonality")
+    if not flat.imag.any():
+        flat = flat.real  # real rows take real norm kernels
     if m == 1:
         value = float(norms_of_stack(flat, space)[0])
         return NormEstimate(value, Certainty.EXACT, method="single-element")

@@ -227,10 +227,13 @@ def test_fit_non_finite_point_is_usage_error(capsys, points):
     ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]],
                   system={"generator": "lacunry"}),
      "config error: unknown generator 'lacunry'"),
-], ids=["thm1-restarts", "interp-audit-samples", "low-p-grid", "unknown-generator"])
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], samples=10, n_grid=[4, 4, 8]),
+     "config error: the size grid must be strictly ascending"),
+], ids=["thm1-restarts", "interp-audit-samples", "low-p-grid", "unknown-generator",
+        "duplicate-sizes"])
 def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, needle):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(seed=1, n_grid=[4, 8, 12], **over)))
+    path.write_text(json.dumps({"seed": 1, "n_grid": [4, 8, 12], **over}))
     t0 = time.perf_counter()
     _assert_usage_error(capsys, [command, "--config", str(path)], needle)
     assert time.perf_counter() - t0 < 1.0
@@ -269,7 +272,10 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
      "candidate family"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
-], ids=["kp-character-matrix", "thm2-grid-family", "lnorm-mc-chunk"])
+    # a 1.2 GiB chunk, but the S_4 Gram path holds three chunk-sized arrays
+    (["lnorm", "--space", "s2:200", "--target", "s4:200",
+      "--samples", "4096", "--seed", "1"], "Monte Carlo chunk working set"),
+], ids=["kp-character-matrix", "thm2-grid-family", "lnorm-mc-chunk", "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
     # the projected size is checked against the byte cap before allocating
     _assert_usage_error(capsys, argv, needle)

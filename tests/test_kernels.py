@@ -231,10 +231,28 @@ def test_schatten_batch_oracle():
         assert out[i] == pytest.approx(sv.sum(), rel=1e-10)
 
 
+def _svd_schatten(mat, p):
+    # per-matrix SVD, reduced with the top singular value factored out
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s[0] == 0.0 or p == np.inf:
+        return s[0]
+    return s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p)
+
+
 def test_schatten_batch_matches_per_matrix_svd():
     rng = np.random.default_rng(3)
-    mats = rng.standard_normal((64, 6, 6))
-    for p in (1.0, 2.0, 4.0, np.inf):
-        sv = [np.linalg.svd(mat, compute_uv=False) for mat in mats]
-        ref = [s[0] if p == np.inf else np.sum(s ** p) ** (1.0 / p) for s in sv]
-        assert np.allclose(kernels.schatten_norm_batch(mats, p), ref, rtol=1e-12)
+    real = rng.standard_normal((64, 6, 6))
+    cplx = real + 1j * rng.standard_normal((64, 6, 6))
+    u, v = rng.standard_normal(6), rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    zero_rank_one = np.stack([np.zeros((6, 6)), np.outer(u, v), np.outer(v, u.conj())])
+    stacks = (real, cplx, rng.standard_normal((8, 1, 1)), cplx[:8, :1, :1], zero_rank_one)
+    for mats in stacks:
+        for p in (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, np.inf):
+            ref = [_svd_schatten(mat, p) for mat in mats]
+            assert np.allclose(kernels.schatten_norm_batch(mats, p), ref, rtol=1e-12, atol=0.0)
+        for scale in (1e200, 1e-200):
+            # the Gram paths, on entries whose plain Gram would overflow or underflow
+            for p in (4.0, np.inf):
+                ref = [_svd_schatten(mat, p) for mat in mats * scale]
+                out = kernels.schatten_norm_batch(mats * scale, p)
+                assert np.allclose(out, ref, rtol=1e-12, atol=0.0)

@@ -10,6 +10,9 @@ from summinglab import (Certainty, CharacterSet, FamilyStructure,
                         identity_map, kp_summing_bound, schatten_space,
                         sequence_space, second_moment, summing_norm_lower,
                         summing_norm_search)
+from summinglab import kernels, spaces, systems
+from summinglab.rng import make_rng, standard_gaussians, substream
+from summinglab.summing import _schatten_candidates, _sequence_candidates
 from summinglab.systems import MC_CHUNK, AscentConfig
 
 
@@ -120,6 +123,67 @@ def test_ell_norm_and_second_moment_share_one_loop():
     assert ell.certainty is mom.certainty is Certainty.LOWER
     assert ell.value == pytest.approx(mom.value, rel=1e-12)
     assert ell.stderr == pytest.approx(mom.stderr, rel=1e-12)
+
+
+def _unit_families():
+    # every candidate family the searches build, with non-Hilbert codomains
+    # on each side of the Schatten kernel's path choice (S_4 and S_inf take
+    # the Gram, S_3 the SVD)
+    seq = [(fam, sequence_space(v, 8))
+           for _, fam in _sequence_candidates(sequence_space(1, 8), 1 << 30)
+           for v in (4, "inf")]
+    sch = [(fam, schatten_space(v, 4))
+           for _, fam in _schatten_candidates(schatten_space(1, 4), 1 << 30)
+           for v in (3, 4, "inf")]
+    return seq + sch
+
+
+def test_unit_family_gather_matches_dense_product(monkeypatch):
+    # the gather on the real rows second_moment passes, against the dense
+    # g @ flat on the complex-stored family, over a partial last chunk
+    samples = 2 * MC_CHUNK + 1
+    for fam, space in _unit_families():
+        flat = fam.elements.reshape(fam.size, -1)
+        assert systems._unit_columns(flat.real) is not None
+        gathered = systems._mc_second_moment(fam.size, flat.real, space, samples, 31,
+                                             False, "mc")
+        with monkeypatch.context() as patch:
+            patch.setattr(systems, "_unit_columns", lambda matrix: None)
+            dense = systems._mc_second_moment(fam.size, flat, space, samples, 31,
+                                              False, "mc")
+        assert gathered.value == pytest.approx(dense.value, rel=1e-12)
+        assert gathered.stderr == pytest.approx(dense.stderr, rel=1e-12)
+
+
+def test_generic_family_takes_dense_product():
+    rng = np.random.default_rng(8)
+    n, m, samples = 3, 4, 10
+    matrix = rng.standard_normal((m, n * n))
+    assert systems._unit_columns(matrix) is None
+    space = schatten_space(4, n)
+    est = systems._mc_second_moment(m, matrix, space, samples, 17, False, "mc")
+    g = standard_gaussians(make_rng(substream(17, 0)), (samples, m), False)
+    q = np.array([np.sum(np.linalg.svd(row.reshape(n, n), compute_uv=False) ** 4) ** 0.5
+                  for row in g @ matrix])
+    assert est.value == pytest.approx(np.sqrt(q.mean()), rel=1e-12)
+
+
+def test_real_families_take_real_norm_kernels(monkeypatch):
+    # candidate families are stored complex; real-valued ones must reach the
+    # Schatten kernel as real stacks (single-element and Monte Carlo paths)
+    seen = []
+
+    def spy(mats, p):
+        seen.append(np.iscomplexobj(mats))
+        return kernels.schatten_norm_batch(mats, p)
+
+    monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
+    space = schatten_space(4, 4)
+    for _, fam in _schatten_candidates(schatten_space(1, 4), 1 << 30):
+        second_moment(gaussian_system(), fam.elements, space, samples=100, seed=3)
+    assert seen and not any(seen)
+    second_moment(gaussian_system(), 1j * fam.elements, space, samples=100, seed=3)
+    assert seen[-1]
 
 
 def test_lower_bound_domain_mismatch():
