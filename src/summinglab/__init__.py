@@ -17,8 +17,8 @@ from .limit_order import (ConvexityReport, ExponentFit, fit_exponent,
                           gaussian_limit_order, limit_order_convexity_check,
                           limit_order_table, pi2_limit_order,
                           schatten_gaussian_exponent)
-from .spaces import (Exponent, FamilyStructure, SpaceDescriptor, SpaceKind,
-                     SpaceMap, VectorSystem, identity_map, inclusion_norm,
+from .spaces import (Exponent, SpaceDescriptor, SpaceKind, SpaceMap,
+                     UnitFamily, VectorSystem, identity_map, inclusion_norm,
                      lp_norm, parse_exponent, parse_space, schatten_space,
                      sequence_space, weak_l2_norm)
 from .summing import (SearchConfig, ell_norm_mc, factorization_upper,

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -49,6 +50,11 @@ ROW_FIELDS = ("n", "u_recip", "v_recip", "kind", "ideal", "value", "stderr",
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
+
+
+def _finite_real(value) -> bool:
+    """A JSON number that is finite: an int or float, not a bool or a string."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,17 @@ class ExperimentConfig:
             raise ConfigError("theta must lie strictly inside (0, 1)")
         if self.control not in ("match", "exceed"):
             raise ConfigError("control must be 'match' or 'exceed'")
+        if not (self.fit_tol is None or (_finite_real(self.fit_tol) and self.fit_tol >= 0)):
+            raise ConfigError(f"fit_tol must be null or a finite real >= 0, got {self.fit_tol!r}")
+        if not _finite_real(self.exceed_threshold):
+            raise ConfigError(f"exceed_threshold must be a finite real, "
+                              f"got {self.exceed_threshold!r}")
+        if not (_finite_real(self.junge_constant) and self.junge_constant > 0):
+            raise ConfigError(f"junge_constant must be a finite real > 0, "
+                              f"got {self.junge_constant!r}")
+        if type(self.complex_normals) is not bool:
+            raise ConfigError(f"complex_normals must be true or false, "
+                              f"got {self.complex_normals!r}")
         if self.kind in ("schatten-scaling", "character-scaling") and not self.pairs:
             raise ConfigError("scaling experiments need exponent pairs")
         for pair in self.pairs:

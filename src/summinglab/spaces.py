@@ -1,15 +1,15 @@
 """Finite-dimensional sequence and Schatten spaces and their norms.
 
 Exponents live on the reciprocal scale (``recip = 1/u``, with ``u = inf``
-stored as 0) so that duality and interpolation arithmetic are plain linear
-operations and the infinite endpoint is exact. Spaces are ``l_u^n`` over
+stored as 0) so that interpolation and weak-l2 exponent arithmetic are plain
+linear operations and the infinite endpoint is exact. Spaces are ``l_u^n`` over
 complex coordinates and the Schatten classes ``S_u^n`` of n x n complex
 matrices normed by the l_u norm of their singular values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -56,10 +56,6 @@ class Exponent:
     @property
     def is_hilbert(self) -> bool:
         return self.recip == 0.5
-
-    def dual(self) -> "Exponent":
-        """Conjugate exponent: 1/u + 1/u' = 1 (reciprocal complement)."""
-        return Exponent(1.0 - self.recip)
 
     def __repr__(self):
         return f"Exponent(u={format_exponent(self)})"
@@ -198,12 +194,11 @@ class SpaceMap:
         if self.domain.kind != self.codomain.kind or self.domain.dim != self.codomain.dim:
             raise ValueError("identity map requires matching kind and dimension")
 
-    def apply_stack(self, elements: np.ndarray) -> np.ndarray:
-        """Map a stack (m, *domain_shape) into the codomain: the same coordinates."""
-        elements = np.asarray(elements)
-        if elements.shape[1:] != self.domain.element_shape:
-            raise ValueError("elements do not conform to the map's domain")
-        return elements
+    def apply_stack(self, family):
+        """Map a family of the domain into the codomain: the same coordinates."""
+        if family.space != self.domain:
+            raise ValueError("family does not live in the map's domain")
+        return replace(family, space=self.codomain)
 
 
 def identity_map(domain: SpaceDescriptor, codomain: SpaceDescriptor) -> SpaceMap:
@@ -214,99 +209,109 @@ def identity_map(domain: SpaceDescriptor, codomain: SpaceDescriptor) -> SpaceMap
 # vector families and their weak-l2 norms
 # ---------------------------------------------------------------------------
 
-class FamilyStructure(str, Enum):
-    GENERIC = "generic"
-    DISJOINT = "disjoint-support"
-    RANK_ONE = "rank-one"
-
-
 @dataclass(frozen=True)
-class VectorSystem:
-    """A finite family x_1..x_m in one space, with a structure tag.
+class UnitFamily:
+    """Elements x_1..x_m that are 1 on disjoint supports and 0 elsewhere.
 
-    Structured tags unlock exact weak-l2 norms: DISJOINT requires pairwise
-    disjoint supports (sequence spaces), RANK_ONE requires every element to
-    be a scalar multiple of a distinct e_j e_k* pattern (Schatten spaces).
+    ``elements`` is an int array of shape (m, s): row i lists the s flat
+    coordinates where x_i is 1. Read row by row, the coordinates strictly
+    increase, which makes the supports disjoint and is checked in one pass.
+    A Schatten family has s = 1: each element is a matrix unit e_jk. Every
+    candidate family of the searches except the comb has this form, and
+    its weak-l2 norm has a closed form.
     """
 
     space: SpaceDescriptor
     elements: np.ndarray
-    structure: FamilyStructure = FamilyStructure.GENERIC
+
+    def __post_init__(self):
+        idx = np.asarray(self.elements)
+        if idx.ndim != 2 or 0 in idx.shape or idx.dtype.kind not in "iu":
+            raise ValueError("unit family elements must be a non-empty (m, s) integer array")
+        if self.space.kind is SpaceKind.SCHATTEN and idx.shape[1] != 1:
+            raise ValueError("a Schatten unit family holds one matrix unit per element")
+        flat = idx.ravel()
+        if flat[0] < 0 or flat[-1] >= self.space.flat_dim or not np.all(flat[1:] > flat[:-1]):
+            raise ValueError("unit family coordinates must strictly increase inside the space")
+        object.__setattr__(self, "elements", idx)
+
+    @property
+    def size(self) -> int:
+        return self.elements.shape[0]
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Rows sum_i coeffs[r, i] x_i, flattened: a column take on the owner map.
+
+        Coordinate c of row r is coeffs[r, i] when x_i owns c, and 0 when no
+        element does; the zeros are written only if such a coordinate exists.
+        """
+        owner = np.full(self.space.flat_dim, -1, dtype=np.intp)
+        owner[self.elements] = np.arange(self.size)[:, None]
+        out = np.take(coeffs, owner, axis=1)  # -1 takes the last column, masked below
+        unowned = owner < 0
+        if unowned.any():
+            out[:, unowned] = 0
+        return out
+
+
+@dataclass(frozen=True)
+class VectorSystem:
+    """A dense family x_1..x_m in one space, shape (m,) + element shape."""
+
+    space: SpaceDescriptor
+    elements: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.elements, dtype=np.complex128)
         if arr.ndim != 1 + len(self.space.element_shape) or arr.shape[1:] != self.space.element_shape:
             raise ValueError(f"family elements must have shape (m,)+{self.space.element_shape}")
         object.__setattr__(self, "elements", arr)
-        if self.structure is FamilyStructure.DISJOINT:
-            if self.space.kind is not SpaceKind.SEQUENCE:
-                raise ValueError("disjoint-support structure applies to sequence spaces")
-            occupied = (np.abs(arr) > 0).sum(axis=0)
-            if occupied.max(initial=0) > 1:
-                raise ValueError("supports are not pairwise disjoint")
-        elif self.structure is FamilyStructure.RANK_ONE:
-            if self.space.kind is not SpaceKind.SCHATTEN:
-                raise ValueError("rank-one structure applies to Schatten spaces")
-            flat = arr.reshape(arr.shape[0], -1)
-            nz = np.abs(flat) > 0
-            if not np.all(nz.sum(axis=1) == 1):
-                raise ValueError("each rank-one element must have exactly one nonzero entry")
-            pos = nz.argmax(axis=1)
-            if len(set(pos.tolist())) != len(pos):
-                raise ValueError("rank-one patterns must be distinct")
 
     @property
     def size(self) -> int:
         return self.elements.shape[0]
 
-
-def synthesis_matrix(family: VectorSystem) -> np.ndarray:
-    """Matrix of the synthesis map l_2^m -> E, e_i -> x_i (columns = vec x_i)."""
-    return family.elements.reshape(family.size, -1).T.copy()
-
-
-def _rank_one_data(family: VectorSystem):
-    flat = family.elements.reshape(family.size, -1)
-    pos = np.abs(flat).argmax(axis=1)
-    weights = np.abs(flat[np.arange(family.size), pos])
-    rows, cols = np.divmod(pos, family.space.dim)
-    return rows, cols, weights
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Rows sum_i coeffs[r, i] x_i, flattened: the dense product."""
+        return coeffs @ self.elements.reshape(self.size, -1)
 
 
-def weak_l2_norm(family: VectorSystem) -> NormEstimate:
+def _ones_norm(count: int, exponent: Exponent) -> float:
+    """l_u norm of ``count`` ones, count^(1/u), bit for bit as ``lp_norms`` reduces it."""
+    return float(count) ** (1.0 / exponent.value)
+
+
+def weak_l2_norm(family: UnitFamily | VectorSystem) -> NormEstimate:
     """Weak-l2 norm of a family: the norm of its synthesis map l_2^m -> E.
 
-    Exact closed forms for the structured tags; for generic families the
-    value is exact on Hilbert spaces (largest singular value) and a
-    certified upper bound otherwise. A 0-norm family raises.
+    Unit families have exact closed forms, read from their supports. With
+    1/r = max(0, 1/u - 1/2): m disjoint sequence elements of norm s^(1/u)
+    give s^(1/u) m^(1/r); matrix units in distinct rows and columns give
+    m^(1/r), and the full grid of R rows by C columns min(R, C)^(1/r). Any
+    other unit pattern raises. A dense family is exact on Hilbert spaces
+    (largest singular value) and a certified upper bound otherwise.
     """
     u = family.space.exponent
-    weight_recip = max(0.0, u.recip - 0.5)
-    if family.structure is FamilyStructure.DISJOINT:
-        weights = norms_of_stack(family.elements.reshape(family.size, -1), family.space)
-        value = lp_norm(weights, Exponent(weight_recip))
-        return NormEstimate(value, Certainty.EXACT, method="disjoint-support closed form")
-    if family.structure is FamilyStructure.RANK_ONE:
-        rows, cols, weights = _rank_one_data(family)
-        bi_disjoint = (len(set(rows.tolist())) == family.size
-                       and len(set(cols.tolist())) == family.size)
-        if bi_disjoint:
-            value = lp_norm(weights, Exponent(weight_recip))
-            return NormEstimate(value, Certainty.EXACT, method="bi-disjoint rank-one closed form")
-        row_set, col_set = sorted(set(rows.tolist())), sorted(set(cols.tolist()))
-        is_grid = family.size == len(row_set) * len(col_set)
-        w0 = weights[0]
-        if is_grid and w0 > 0 and np.allclose(weights, w0, rtol=1e-9, atol=0.0):
-            rank = min(len(row_set), len(col_set))
-            value = w0 * rank ** weight_recip
+    weight = Exponent(max(0.0, u.recip - 0.5))
+    if isinstance(family, UnitFamily):
+        m, s = family.elements.shape
+        if family.space.kind is SpaceKind.SEQUENCE:
+            value = _ones_norm(s, u) * _ones_norm(m, weight)
+            return NormEstimate(value, Certainty.EXACT, method="disjoint-support closed form")
+        rows, cols = np.divmod(family.elements[:, 0], family.space.dim)
+        n_rows, n_cols = np.unique(rows).size, np.unique(cols).size
+        if n_rows == n_cols == m:
+            return NormEstimate(_ones_norm(m, weight), Certainty.EXACT,
+                                method="bi-disjoint rank-one closed form")
+        if n_rows * n_cols == m:  # m distinct units inside rows x cols fill it
+            value = min(n_rows, n_cols) ** weight.recip
             return NormEstimate(value, Certainty.EXACT, method="uniform rank-one grid closed form")
-        raise ValueError(
-            "rank-one family admits no closed form (need bi-disjoint patterns "
-            "or a uniform-weight grid); tag it generic instead")
-    # generic
-    smax = float(np.linalg.svd(synthesis_matrix(family), compute_uv=False)[0])
+        raise ValueError("matrix-unit family admits no closed form (need distinct rows "
+                         "and columns, or a full grid)")
+    flat = family.elements.reshape(family.size, -1)
+    smax = float(np.linalg.svd(flat.T, compute_uv=False)[0])
     if u.is_hilbert:
         return NormEstimate(smax, Certainty.EXACT, method="synthesis operator norm")
-    elem_norms = norms_of_stack(family.elements.reshape(family.size, -1), family.space)
-    upper = min(family.space.dim ** weight_recip * smax, lp_norm(elem_norms, Exponent(0.5)))
+    elem_norms = norms_of_stack(flat, family.space)
+    upper = min(family.space.dim ** weight.recip * smax, lp_norm(elem_norms, Exponent(0.5)))
     return NormEstimate(upper, Certainty.UPPER, method="exponent-comparison upper bound")

@@ -12,12 +12,13 @@ norm is known in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
 from .rng import substream
-from .spaces import (FamilyStructure, SpaceDescriptor, SpaceKind, SpaceMap,
+from .spaces import (SpaceDescriptor, SpaceKind, SpaceMap, UnitFamily,
                      VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
 from .systems import (OrthonormalSystem, _mc_second_moment, check_array_bytes,
@@ -53,19 +54,17 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
 # ---------------------------------------------------------------------------
 
 def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
-                       family: VectorSystem, *, samples: int = 100_000,
+                       family: UnitFamily | VectorSystem, *, samples: int = 100_000,
                        seed=None) -> NormEstimate:
     """Lower bound: second moment of the mapped family / weak-l2 of the family.
 
     ``lower`` only when the numerator is exact or a lower bound and the
-    denominator exact or an upper bound (structured families, or any family
-    on a Hilbert domain); ``heuristic`` otherwise. The numerator contributes
-    a standard error on Monte Carlo paths.
+    denominator exact or an upper bound (unit families, or any family on a
+    Hilbert domain); ``heuristic`` otherwise. The numerator contributes a
+    standard error on Monte Carlo paths.
     """
-    if family.space != space_map.domain:
-        raise ValueError("family does not live in the map's domain")
-    mapped = space_map.apply_stack(family.elements)
-    num = second_moment(system, mapped, space_map.codomain, samples=samples, seed=seed)
+    mapped = space_map.apply_stack(family)
+    num = second_moment(system, mapped, samples=samples, seed=seed)
     den = weak_l2_norm(family)
     if den.value <= 0:
         raise ValueError("family has zero weak-l2 norm")
@@ -96,43 +95,32 @@ class SearchConfig:
     samples: int = 4000
 
 
-def _family(domain: SpaceDescriptor, count: int, entries, structure) -> VectorSystem:
-    """``count`` elements, each 1 at its (element, flat coordinate) pairs in ``entries``."""
-    shape = (count,) + domain.element_shape
-    check_array_bytes("candidate family", shape, np.complex128)
-    fam = np.zeros((count, domain.flat_dim), dtype=np.complex128)
-    fam[entries] = 1.0
-    return VectorSystem(domain, fam.reshape(shape), structure)
+def _family(domain: SpaceDescriptor, count: int, size: int, stride: int = 1) -> UnitFamily:
+    """``count`` elements of ``size`` ones each, on the first count*size multiples of ``stride``."""
+    check_array_bytes("candidate family", (count, size), np.intp)
+    return UnitFamily(domain, np.arange(0, count * size * stride, stride).reshape(count, size))
 
 
 def _sequence_candidates(domain: SpaceDescriptor, max_size):
     n = domain.dim
-    idx = np.arange(n)
-    disjoint = FamilyStructure.DISJOINT
-    out = [("singleton", _family(domain, 1, (0, 0), disjoint)),
-           ("ones", _family(domain, 1, (0, idx), disjoint))]
+    yield "singleton", _family(domain, 1, 1)
+    yield "ones", _family(domain, 1, n)
     if n <= max_size:
-        out.append(("basis", _family(domain, n, (idx, idx), disjoint)))
+        yield "basis", _family(domain, n, 1)
     block = 2
     while block < n:
         if n % block == 0 and n // block <= max_size:
-            out.append((f"blocks:{block}",
-                        _family(domain, n // block, (idx // block, idx), disjoint)))
+            yield f"blocks:{block}", _family(domain, n // block, block)
         block *= 2
-    return out
 
 
 def _schatten_candidates(domain: SpaceDescriptor, max_size):
     n = domain.dim
-    idx = np.arange(n)
-    rank_one = FamilyStructure.RANK_ONE
-    out = [("singleton", _family(domain, 1, (0, 0), rank_one))]
+    yield "singleton", _family(domain, 1, 1)
     if n <= max_size:
-        out.append(("diag", _family(domain, n, (idx, idx * (n + 1)), rank_one)))
+        yield "diag", _family(domain, n, 1, stride=n + 1)
     if n * n <= max_size:
-        grid = np.arange(n * n)
-        out.append(("grid", _family(domain, n * n, (grid, grid), rank_one)))
-    return out
+        yield "grid", _family(domain, n * n, 1)
 
 
 def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_size):
@@ -144,18 +132,18 @@ def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_siz
     witnesses the failure of a uniform Lambda(p) constant.
     """
     if system.kind != "characters" or not domain.exponent.is_hilbert:
-        return []
+        return
     cset = system.charset
     m = domain.dim
     count = min(cset.size, max_size)
     if count < 1 or len(cset.group.factors) != 1:
-        return []
+        return
     order = cset.group.order
     translates = (np.arange(m) * (order // m)) % order if order >= m else np.arange(m) % order
     basis = cset.matrix()
     rows = basis[translates, :count]          # (m, count): gamma_i(t_r)
     fam = np.ascontiguousarray(rows.T)        # x_i = (gamma_i(t_r))_r in l_2^m
-    return [("comb", VectorSystem(domain, fam, FamilyStructure.GENERIC))]
+    yield "comb", VectorSystem(domain, fam)
 
 
 def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
@@ -165,28 +153,31 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
     Sequence domains try a singleton, the all-ones vector, the coordinate
     basis, dyadic blocks and (character systems on l_2) translate combs;
     Schatten domains a singleton, the diagonal units and the full unit
-    grid. Deterministic given the seed: candidates are enumerated in that
-    fixed order, each scored with its own derived substream, and the winner
-    is re-evaluated on a fresh one.
+    grid. Deterministic given the seed: candidates are built and scored one
+    at a time in that fixed order, each with its own derived substream, the
+    first highest score leads, and the leader is re-evaluated on a fresh
+    substream. Only the leader and the candidate in hand are kept.
     """
     domain = space_map.domain
     max_size = system.charset.size if system.kind == "characters" else 1 << 30
     if domain.kind is SpaceKind.SEQUENCE:
-        candidates = (_sequence_candidates(domain, max_size)
-                      + _comb_candidates(domain, system, max_size))
+        candidates = chain(_sequence_candidates(domain, max_size),
+                           _comb_candidates(domain, system, max_size))
     else:
         candidates = _schatten_candidates(domain, max_size)
 
-    scored = []
-    for i, (tag, fam) in enumerate(candidates):
-        est = summing_norm_lower(space_map, system, fam,
-                                 samples=cfg.samples, seed=substream(cfg.seed, i))
-        scored.append((est.value, tag, fam))
-    scored.sort(key=lambda t: t[0], reverse=True)
-    _, best_tag, best_fam = scored[0]
+    best = None  # (value, tag, family)
+    scored = 0
+    for tag, fam in candidates:
+        value = summing_norm_lower(space_map, system, fam, samples=cfg.samples,
+                                   seed=substream(cfg.seed, scored)).value
+        scored += 1
+        if best is None or value > best[0]:
+            best = (value, tag, fam)
+        del fam  # the next candidate is built before the loop rebinds this name
+    _, best_tag, best_fam = best
     final = summing_norm_lower(space_map, system, best_fam,
-                               samples=cfg.samples,
-                               seed=substream(cfg.seed, len(candidates)))
+                               samples=cfg.samples, seed=substream(cfg.seed, scored))
     return NormEstimate(final.value, final.certainty, stderr=final.stderr,
                         method=f"family-search[{best_tag}]", witness=best_fam)
 

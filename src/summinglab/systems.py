@@ -18,11 +18,11 @@ import numpy as np
 from .estimates import Certainty, NormEstimate
 from .kernels import lp_ascent, ratio_ascent
 from .rng import make_rng, standard_gaussians, substream
-from .spaces import (Exponent, SpaceDescriptor, lp_norm, norms_of_stack,
-                     parse_exponent)
+from .spaces import (Exponent, SpaceDescriptor, UnitFamily, VectorSystem,
+                     _ones_norm, lp_norm, norms_of_stack, parse_exponent)
 
-# Largest array a configuration may make the lab allocate, in bytes: 8x the
-# complex n=64 grid family of the README's thm2 suite. Not a setting.
+# Largest array a configuration may make the lab allocate, in bytes (2 GiB).
+# Not a setting.
 MAX_ARRAY_BYTES = 2 ** 31
 
 
@@ -194,57 +194,34 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
 MC_CHUNK = 4096
 
 
-def _unit_columns(matrix: np.ndarray):
-    """(owner, colval) when every column of ``matrix`` has at most one nonzero.
-
-    Then ``g @ matrix == g[:, owner] * colval`` exactly: each entry of the
-    product adds zeros to its one term. None for any other matrix.
-    """
-    nonzero = matrix != 0
-    if nonzero.sum(axis=0).max(initial=0) > 1:
-        return None
-    owner = nonzero.argmax(axis=0)
-    return owner, matrix[owner, np.arange(matrix.shape[1])]
-
-
-def _mc_second_moment(dim: int, matrix: np.ndarray | None, space: SpaceDescriptor,
+def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescriptor,
                       samples: int, seed, complex_normals: bool,
                       method: str) -> NormEstimate:
-    """(E ||g @ matrix||^2)^(1/2) over standard Gaussian rows g of length dim.
+    """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g of length dim.
 
-    ``matrix`` is (dim, space.flat_dim), or None for the identity (no
-    product is formed). A matrix with at most one nonzero per column (every
-    unit family ``summing._family`` builds) is applied by gathering columns
-    of g and scaling them, which gives the product exactly and keeps real
-    rows real; any other matrix takes the dense product. Chunk k draws from
-    ``substream(seed, k)`` and the sums run in chunk order. The value is a
-    Monte Carlo estimate, so it is ``lower`` with a standard error (delta
-    method on the square root).
+    ``family`` is a unit family of ``dim`` elements in ``space``, applied to
+    each chunk by its gather (``UnitFamily.synthesize``), which keeps real
+    rows real; or None for the identity, whose rows are the coordinates
+    themselves. Chunk k draws from ``substream(seed, k)`` and the sums run
+    in chunk order. The value is a Monte Carlo estimate, so it is ``lower``
+    with a standard error (delta method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
-    complex_rows = complex_normals or (matrix is not None and np.iscomplexobj(matrix))
     # norms_of_stack holds the chunk, a scaled copy and a Gram (or magnitude)
     # stack at once, and the conjugate of the scaled copy for complex rows
     check_array_bytes("Monte Carlo chunk working set",
-                      (4 if complex_rows else 3, min(MC_CHUNK, samples), space.flat_dim),
-                      np.complex128 if complex_rows else np.float64)
-    units = None if matrix is None else _unit_columns(matrix)
-    if matrix is not None and units is None:
-        matrix = np.ascontiguousarray(matrix)
+                      (4 if complex_normals else 3, min(MC_CHUNK, samples), space.flat_dim),
+                      np.complex128 if complex_normals else np.float64)
     total = 0.0
     total_sq = 0.0
     for index, start in enumerate(range(0, samples, MC_CHUNK)):
         count = min(MC_CHUNK, samples - start)
         rows = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
-        if units is not None:
-            owner, colval = units
-            rows = np.take(rows.astype(np.result_type(rows, colval), copy=False), owner, axis=1)
-            rows *= colval
-        elif matrix is not None:
-            rows = rows @ matrix
+        if family is not None:
+            rows = family.synthesize(rows)
         q = norms_of_stack(rows, space) ** 2
         total += float(q.sum())
         total_sq += float((q * q).sum())
@@ -255,42 +232,37 @@ def _mc_second_moment(dim: int, matrix: np.ndarray | None, space: SpaceDescripto
     return NormEstimate(value, Certainty.LOWER, stderr=stderr, method=method)
 
 
-def second_moment(system: OrthonormalSystem, elements: np.ndarray,
-                  space: SpaceDescriptor, *, samples: int = 100_000,
-                  seed=None) -> NormEstimate:
-    """(average of ||sum_i b_i(omega) y_i||^2)^(1/2) over the system.
+def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, *,
+                  samples: int = 100_000, seed=None) -> NormEstimate:
+    """(average of ||sum_i b_i(omega) y_i||^2)^(1/2) over the system, y = family.
 
     Character systems pair y_i with the first m characters of the set and
-    average exactly over the group (certified). The Gaussian system uses
-    chunked Monte Carlo with a reported standard error, except for two
-    exact shortcuts: a Hilbert codomain, where independence gives
-    (sum_i ||y_i||^2)^(1/2) exactly, and a single-element family. A family
-    with no imaginary part goes on as real, so its norms take real kernels.
+    average exactly over the group (certified). The Gaussian system takes
+    unit families: chunked Monte Carlo with a reported standard error,
+    except for two closed forms. On a Hilbert codomain independence gives
+    (sum_i ||y_i||^2)^(1/2) = (m s)^(1/2), and a single element has norm
+    s^(1/v) (1 for a matrix unit).
     """
-    elements = np.asarray(elements, dtype=np.complex128)
-    m = elements.shape[0]
-    flat = elements.reshape(m, -1)
-    if flat.shape[1] != space.flat_dim:
-        raise ValueError("elements do not conform to the codomain space")
-
+    space, m = family.space, family.size
     if system.kind == "characters":
         cset = system.charset
         if m > cset.size:
             raise ValueError(f"family size {m} exceeds the character set ({cset.size})")
-        basis = cset.matrix()[:, :m]
-        vals = basis @ flat
+        check_array_bytes("group-average values", (cset.group.order, space.flat_dim),
+                          np.complex128)
+        vals = family.synthesize(cset.matrix()[:, :m])
         value = lp_norm(norms_of_stack(vals, space), Exponent(0.5)) / math.sqrt(len(vals))
         return NormEstimate(value, Certainty.EXACT, method="group-average")
 
+    if not isinstance(family, UnitFamily):
+        raise ValueError("the Gaussian system integrates unit families")
     if space.exponent.is_hilbert:
-        value = lp_norm(flat, Exponent(0.5))
+        value = _ones_norm(family.elements.size, space.exponent)
         return NormEstimate(value, Certainty.EXACT, method="gaussian-orthogonality")
-    if not flat.imag.any():
-        flat = flat.real  # real rows take real norm kernels
     if m == 1:
-        value = float(norms_of_stack(flat, space)[0])
+        value = _ones_norm(family.elements.shape[1], space.exponent)
         return NormEstimate(value, Certainty.EXACT, method="single-element")
-    return _mc_second_moment(m, flat, space, samples, seed, system.complex_normals,
+    return _mc_second_moment(m, family, space, samples, seed, system.complex_normals,
                              "mc-gaussian")
 
 

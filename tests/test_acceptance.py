@@ -67,11 +67,7 @@ def test_criterion_3_schatten_row_trace_class_domain():
     values = []
     for n in ns:
         dom, cod = sl.schatten_space(1, n), sl.schatten_space(2, n)
-        elems = np.zeros((n * n, n, n))
-        for j in range(n):
-            for k in range(n):
-                elems[j * n + k, j, k] = 1.0
-        fam = sl.VectorSystem(dom, elems, sl.FamilyStructure.RANK_ONE)
+        fam = sl.UnitFamily(dom, np.arange(n * n)[:, None])  # every matrix unit
         est = sl.summing_norm_lower(sl.identity_map(dom, cod), sl.gaussian_system(), fam)
         assert est.certainty is sl.Certainty.LOWER
         assert est.stderr is None

@@ -16,11 +16,7 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # Known test-only names awaiting their own removal. Each entry needs a reason;
 # the list may only shrink.
-KNOWN_UNREACHED = {
-    # conjugate exponent; only the exponent tests call it, and deleting it
-    # deletes those tests, which is a change of its own
-    "spaces.Exponent.dual",
-}
+KNOWN_UNREACHED: set[str] = set()
 
 
 def _public_definitions(tree):

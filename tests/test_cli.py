@@ -229,8 +229,18 @@ def test_fit_non_finite_point_is_usage_error(capsys, points):
      "config error: unknown generator 'lacunry'"),
     ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], samples=10, n_grid=[4, 4, 8]),
      "config error: the size grid must be strictly ascending"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], fit_tol="0.1"),
+     "config error: fit_tol must be null or a finite real >= 0, got '0.1'"),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], control="exceed",
+                  exceed_threshold="0.2"),
+     "config error: exceed_threshold must be a finite real, got '0.2'"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], complex_normals="no"),
+     "config error: complex_normals must be true or false, got 'no'"),
+    ("interp-audit", dict(kind="interp-audit", junge_constant="nan"),
+     "config error: junge_constant must be a finite real > 0, got 'nan'"),
 ], ids=["thm1-restarts", "interp-audit-samples", "low-p-grid", "unknown-generator",
-        "duplicate-sizes"])
+        "duplicate-sizes", "fit-tol-string", "exceed-threshold-string",
+        "complex-normals-string", "junge-constant-nan"])
 def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1, "n_grid": [4, 8, 12], **over}))
@@ -268,17 +278,33 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
 @pytest.mark.parametrize("argv,needle", [
     (["kp", "--group", "100000000", "--freqs", "1,2,3", "--p", "4", "--seed", "1"],
      "character matrix"),
-    (["thm2", "--seed", "1", "--n-grid", "8,16,160", "--pairs", "1:2", "--samples", "10"],
+    # the unit grid of S_1^20000 has 4 * 10^8 indices
+    (["pib", "--space", "s1:20000", "--target", "s2:20000", "--seed", "1"],
      "candidate family"),
+    # the singleton's values on Z_1000000, one row of 20000 coordinates per point
+    (["pib", "--space", "l1:20000", "--target", "l4:20000", "--system", "characters",
+      "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"], "group-average values"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
     # a 1.2 GiB chunk, but the S_4 Gram path holds three chunk-sized arrays
     (["lnorm", "--space", "s2:200", "--target", "s4:200",
       "--samples", "4096", "--seed", "1"], "Monte Carlo chunk working set"),
-], ids=["kp-character-matrix", "thm2-grid-family", "lnorm-mc-chunk", "lnorm-gram-working-set"])
+], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
+        "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
     # the projected size is checked against the byte cap before allocating
     _assert_usage_error(capsys, argv, needle)
+
+
+def test_thm2_grid_family_is_closed_form(capsys):
+    # 25600 matrix units at n = 160: index rows, exact ratios sqrt(n), no product
+    t0 = time.perf_counter()
+    assert main(["thm2", "--seed", "1", "--n-grid", "8,16,160", "--pairs", "1:2",
+                 "--samples", "10", "--json"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    lower = {row["n"]: row["value"] for row in rows if row["kind"] == "lower"}
+    assert lower == pytest.approx({n: np.sqrt(n) for n in (8, 16, 160)}, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summinglab import (Certainty, Exponent, FamilyStructure, VectorSystem,
+from summinglab import (Certainty, Exponent, UnitFamily, VectorSystem,
                         identity_map, inclusion_norm, lp_norm, parse_exponent,
                         schatten_space, sequence_space, weak_l2_norm)
 from summinglab.kernels import lp_norms, schatten_norm_batch
@@ -29,18 +29,6 @@ def _random_unitary(n, rng):
 # ---------------------------------------------------------------------------
 # exponents
 # ---------------------------------------------------------------------------
-
-def test_dual_exponent_examples():
-    assert parse_exponent(2).dual().value == 2
-    assert parse_exponent(1).dual().value == np.inf
-    assert parse_exponent("4/3").dual().value == 4
-
-
-@given(st.integers(min_value=0, max_value=2 ** 20))
-def test_dual_involution_exact_on_dyadics(k):
-    e = Exponent(k / 2 ** 20)
-    assert e.dual().dual().recip == e.recip
-
 
 def test_exponent_validation():
     with pytest.raises(ValueError):
@@ -228,25 +216,33 @@ def test_inclusion_norm_attained_schatten():
 # weak-l2 norms
 # ---------------------------------------------------------------------------
 
+def _units(space, elements):
+    return UnitFamily(space, np.asarray(elements))
+
+
+def _dense(family):
+    """The family's elements as a dense (m, flat_dim) array."""
+    dense = np.zeros((family.size, family.space.flat_dim))
+    for i, row in enumerate(family.elements):
+        dense[i, row] = 1.0
+    return dense
+
+
 def test_weak_l2_orthonormal_coordinates():
-    fam = VectorSystem(sequence_space(2, 6), np.eye(6)[:4], FamilyStructure.DISJOINT)
+    fam = _units(sequence_space(2, 6), np.arange(4)[:, None])
     est = weak_l2_norm(fam)
     assert est.certainty is Certainty.EXACT
     assert est.value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weak_l2_coordinates_in_linf():
-    fam = VectorSystem(sequence_space("inf", 5), np.eye(5), FamilyStructure.DISJOINT)
+    fam = _units(sequence_space("inf", 5), np.arange(5)[:, None])
     assert weak_l2_norm(fam).value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_weak_l2_rank_one_grid_s1():
     n = 4
-    elems = np.zeros((n * n, n, n))
-    for j in range(n):
-        for k in range(n):
-            elems[j * n + k, j, k] = 1.0
-    fam = VectorSystem(schatten_space(1, n), elems, FamilyStructure.RANK_ONE)
+    fam = _units(schatten_space(1, n), np.arange(n * n)[:, None])
     est = weak_l2_norm(fam)
     assert est.value == pytest.approx(np.sqrt(n), rel=1e-12)
     # brute-force oracle: no random coefficient direction beats sup ||A||_S1
@@ -262,44 +258,41 @@ def test_weak_l2_rank_one_grid_s1():
 
 
 def test_weak_l2_disjoint_weight_formula():
-    # disjoint weights c in l_v: ||c||_inf for v >= 2, ||c||_{2v/(2-v)} for v < 2
-    space = sequence_space("4/3", 6)
-    elems = np.zeros((3, 6))
-    weights = [1.0, 2.0, 0.5]
-    for i, w in enumerate(weights):
-        elems[i, 2 * i] = w
-    fam = VectorSystem(space, elems, FamilyStructure.DISJOINT)
+    # m disjoint elements of norm w in l_v: w for v >= 2, w m^(1/v - 1/2) for v < 2
+    elems = np.arange(6).reshape(3, 2)
     w_exp = 1.0 / (0.75 - 0.5)
-    expected = lp_norm(np.array(weights), parse_exponent(w_exp))
-    assert weak_l2_norm(fam).value == pytest.approx(expected, rel=1e-12)
-
-    space2 = sequence_space(4, 6)
-    fam2 = VectorSystem(space2, elems, FamilyStructure.DISJOINT)
-    assert weak_l2_norm(fam2).value == pytest.approx(max(weights), rel=1e-12)
+    for space, expected in ((sequence_space("4/3", 6), 2 ** 0.75 * 3 ** (1 / w_exp)),
+                            (sequence_space(4, 6), 2 ** 0.25)):
+        fam = _units(space, elems)
+        weights = norms_of_stack(_dense(fam), space)
+        assert weak_l2_norm(fam).value == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(
+            lp_norm(weights, Exponent(max(0.0, space.exponent.recip - 0.5))), rel=1e-12)
 
 
 def test_weak_l2_certified_dominates_sampled_ratios():
+    # the closed form bounds every sampled unit coefficient vector and is
+    # attained: by equal coefficients for v <= 2, by one coefficient for v >= 2
     rng = _rng(9)
     n = 6
-    elems = np.zeros((3, n))
-    elems[0, :2] = [1.0, -0.5]
-    elems[1, 2:4] = [0.25, 2.0]
-    elems[2, 4:] = [1.5, 1.0]
     for u in ("4/3", 2, 4):
         space = sequence_space(u, n)
-        fam = VectorSystem(space, elems, FamilyStructure.DISJOINT)
+        fam = _units(space, np.arange(n).reshape(3, 2))
         bound = weak_l2_norm(fam).value
+        dense = _dense(fam)
         coeffs = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        combos = coeffs @ elems
+        combos = coeffs @ dense
         ratios = norms_of_stack(combos, space)
         assert ratios.max() <= bound * (1 + 1e-10)
+        extremal = np.vstack([np.ones((1, 3)) / np.sqrt(3), np.eye(3)[:1]]) @ dense
+        assert norms_of_stack(extremal, space).max() == pytest.approx(bound, rel=1e-12)
 
 
 def test_weak_l2_generic_hilbert_exact():
     rng = _rng(10)
     elems = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    fam = VectorSystem(sequence_space(2, 6), elems, FamilyStructure.GENERIC)
+    fam = VectorSystem(sequence_space(2, 6), elems)
     est = weak_l2_norm(fam)
     assert est.certainty is Certainty.EXACT
     oracle = np.linalg.svd(elems.T, compute_uv=False)[0]
@@ -311,7 +304,7 @@ def test_weak_l2_generic_upper_vs_heuristic_lower():
     # vectors, each attained by its combination of the family
     rng = _rng(11)
     elems = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    fam = VectorSystem(sequence_space(1, 5), elems, FamilyStructure.GENERIC)
+    fam = VectorSystem(sequence_space(1, 5), elems)
     upper = weak_l2_norm(fam)
     assert upper.certainty is Certainty.UPPER
     coeffs = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
@@ -322,21 +315,20 @@ def test_weak_l2_generic_upper_vs_heuristic_lower():
 
 def test_vector_system_validation():
     with pytest.raises(ValueError):
-        VectorSystem(sequence_space(2, 4), np.ones((2, 4)), FamilyStructure.DISJOINT)
-    with pytest.raises(ValueError):
-        VectorSystem(schatten_space(1, 3), np.ones((1, 3, 3)), FamilyStructure.RANK_ONE)
-    elems = np.zeros((2, 3, 3))
-    elems[0, 0, 0] = 1.0
-    elems[1, 0, 1] = 1.0
-    fam = VectorSystem(schatten_space(1, 3), elems, FamilyStructure.RANK_ONE)
-    # same row, distinct columns: neither bi-disjoint nor a full grid with
-    # two complete rows -> row pattern {0} x {0,1} IS a 1x2 grid, so allowed
+        VectorSystem(sequence_space(2, 4), np.ones((2, 5)))
+    for space, bad in ((sequence_space(2, 4), [[0, 1], [1, 2]]),    # shared coordinate
+                       (sequence_space(2, 4), [[2], [1]]),           # not increasing
+                       (sequence_space(2, 4), [[3, 4]]),             # outside l_2^4
+                       (sequence_space(2, 4), [[-1]]),
+                       (sequence_space(2, 4), [[0.0]]),              # not integer
+                       (sequence_space(2, 4), np.zeros((0, 1), dtype=int)),
+                       (schatten_space(1, 3), [[0, 1]])):            # two units in one element
+        with pytest.raises(ValueError):
+            _units(space, bad)
+    # same row, distinct columns: the 1x2 grid {0} x {0, 1}
+    fam = _units(schatten_space(1, 3), [[0], [1]])
     assert weak_l2_norm(fam).value == pytest.approx(1.0, rel=1e-12)
-    elems3 = np.zeros((3, 3, 3))
-    elems3[0, 0, 0] = 1.0
-    elems3[1, 0, 1] = 1.0
-    elems3[2, 1, 0] = 1.0
-    bad = VectorSystem(schatten_space(1, 3), elems3, FamilyStructure.RANK_ONE)
+    bad = _units(schatten_space(1, 3), [[0], [1], [3]])
     with pytest.raises(ValueError):
         weak_l2_norm(bad)  # L-shaped pattern has no closed form
 

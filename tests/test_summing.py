@@ -1,27 +1,30 @@
 """ell-norm estimation, certified family bounds, family search, factorization."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from summinglab import (Certainty, CharacterSet, FamilyStructure,
-                        NormEstimate, SearchConfig, VectorSystem,
-                        character_system, cyclic_group,
+from summinglab import (Certainty, CharacterSet, NormEstimate, SearchConfig,
+                        UnitFamily, VectorSystem, character_system, cyclic_group,
                         ell_norm_mc, factorization_upper, gaussian_system,
                         identity_map, kp_summing_bound, schatten_space,
                         sequence_space, second_moment, summing_norm_lower,
                         summing_norm_search)
-from summinglab import kernels, spaces, systems
+from summinglab import kernels, spaces, summing
+from summinglab.spaces import norms_of_stack
 from summinglab.rng import make_rng, standard_gaussians, substream
 from summinglab.summing import _schatten_candidates, _sequence_candidates
 from summinglab.systems import MC_CHUNK, AscentConfig
 
 
 def _grid_family(space, n):
-    elems = np.zeros((n * n, n, n))
-    for j in range(n):
-        for k in range(n):
-            elems[j * n + k, j, k] = 1.0
-    return VectorSystem(space, elems, FamilyStructure.RANK_ONE)
+    return UnitFamily(space, np.arange(n * n)[:, None])
+
+
+def _basis(space):
+    return UnitFamily(space, np.arange(space.dim)[:, None])
 
 
 def _power_iteration_opnorm(mat, iters=40):
@@ -75,7 +78,7 @@ def test_ell_norm_linf_log_growth():
 
 def test_lower_bound_gaussian_coordinate_basis():
     n = 9
-    fam = VectorSystem(sequence_space(2, n), np.eye(n), FamilyStructure.DISJOINT)
+    fam = _basis(sequence_space(2, n))
     est = summing_norm_lower(identity_map(sequence_space(2, n), sequence_space(2, n)),
                              gaussian_system(), fam)
     assert est.certainty is Certainty.LOWER
@@ -92,7 +95,7 @@ def test_lower_bound_rank_one_grid_matches_reference():
 
 def test_lower_bound_characters_exact():
     cs = CharacterSet(cyclic_group(4), ((0,), (1,)))
-    fam = VectorSystem(sequence_space(2, 2), np.eye(2), FamilyStructure.DISJOINT)
+    fam = _basis(sequence_space(2, 2))
     est = summing_norm_lower(identity_map(sequence_space(2, 2), sequence_space(2, 2)),
                              character_system(cs), fam)
     assert est.value == pytest.approx(np.sqrt(2), abs=1e-12)
@@ -105,7 +108,7 @@ def test_lower_bound_heuristic_numerator_stays_heuristic(monkeypatch):
     monkeypatch.setattr(summing, "second_moment",
                         lambda *a, **k: NormEstimate(2.0, Certainty.HEURISTIC, method="guess"))
     n = 4
-    fam = VectorSystem(sequence_space(2, n), np.eye(n), FamilyStructure.DISJOINT)
+    fam = _basis(sequence_space(2, n))
     est = summing_norm_lower(identity_map(sequence_space(2, n), sequence_space(4, n)),
                              gaussian_system(), fam)
     assert est.certainty is Certainty.HEURISTIC
@@ -118,7 +121,7 @@ def test_ell_norm_and_second_moment_share_one_loop():
     samples = 2 * MC_CHUNK + 1
     ell = ell_norm_mc(identity_map(sequence_space(2, n), sequence_space("inf", n)),
                       samples=samples, seed=29)
-    mom = second_moment(gaussian_system(), np.eye(n), sequence_space("inf", n),
+    mom = second_moment(gaussian_system(), _basis(sequence_space("inf", n)),
                         samples=samples, seed=29)
     assert ell.certainty is mom.certainty is Certainty.LOWER
     assert ell.value == pytest.approx(mom.value, rel=1e-12)
@@ -138,39 +141,61 @@ def _unit_families():
     return seq + sch
 
 
-def test_unit_family_gather_matches_dense_product(monkeypatch):
-    # the gather on the real rows second_moment passes, against the dense
-    # g @ flat on the complex-stored family, over a partial last chunk
+def _materialize(family):
+    """The family's elements as a dense real (m, flat_dim) array."""
+    dense = np.zeros((family.size, family.space.flat_dim))
+    for i, row in enumerate(family.elements):
+        dense[i, row] = 1.0
+    return dense
+
+
+def _dense_second_moment(dense, space, samples, seed):
+    """Chunked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
+    q = np.concatenate([
+        norms_of_stack(standard_gaussians(make_rng(substream(seed, k)),
+                                          (min(MC_CHUNK, samples - start), dense.shape[0]),
+                                          False) @ dense, space) ** 2
+        for k, start in enumerate(range(0, samples, MC_CHUNK))])
+    value = np.sqrt(q.mean())
+    return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
+
+
+def test_unit_family_gather_matches_dense_product():
+    # every unit candidate's second moment (gather, or closed form for one
+    # element) against the dense product on the materialized family, over a
+    # partial last chunk
     samples = 2 * MC_CHUNK + 1
     for fam, space in _unit_families():
-        flat = fam.elements.reshape(fam.size, -1)
-        assert systems._unit_columns(flat.real) is not None
-        gathered = systems._mc_second_moment(fam.size, flat.real, space, samples, 31,
-                                             False, "mc")
-        with monkeypatch.context() as patch:
-            patch.setattr(systems, "_unit_columns", lambda matrix: None)
-            dense = systems._mc_second_moment(fam.size, flat, space, samples, 31,
-                                              False, "mc")
-        assert gathered.value == pytest.approx(dense.value, rel=1e-12)
-        assert gathered.stderr == pytest.approx(dense.stderr, rel=1e-12)
+        est = second_moment(gaussian_system(), replace(fam, space=space),
+                            samples=samples, seed=31)
+        dense = _materialize(fam)
+        if fam.size == 1:
+            assert est.certainty is Certainty.EXACT
+            assert est.value == pytest.approx(norms_of_stack(dense, space)[0], rel=1e-12)
+            continue
+        value, stderr = _dense_second_moment(dense, space, samples, 31)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_generic_family_takes_dense_product():
-    rng = np.random.default_rng(8)
-    n, m, samples = 3, 4, 10
-    matrix = rng.standard_normal((m, n * n))
-    assert systems._unit_columns(matrix) is None
-    space = schatten_space(4, n)
-    est = systems._mc_second_moment(m, matrix, space, samples, 17, False, "mc")
-    g = standard_gaussians(make_rng(substream(17, 0)), (samples, m), False)
-    q = np.array([np.sum(np.linalg.svd(row.reshape(n, n), compute_uv=False) ** 4) ** 0.5
-                  for row in g @ matrix])
-    assert est.value == pytest.approx(np.sqrt(q.mean()), rel=1e-12)
+    # the comb is the one dense family: its character average is the dense
+    # product of the character table with its elements
+    cs = CharacterSet(cyclic_group(16), tuple((k,) for k in range(8)))
+    system = character_system(cs)
+    space = sequence_space(4, 8)
+    (tag, comb), = summing._comb_candidates(sequence_space(2, 8), system, cs.size)
+    assert tag == "comb" and isinstance(comb, VectorSystem)
+    est = second_moment(system, replace(comb, space=space))
+    vals = cs.matrix() @ comb.elements
+    oracle = np.sqrt(np.mean(np.sum(np.abs(vals) ** 4, axis=1) ** 0.5))
+    assert est.certainty is Certainty.EXACT
+    assert est.value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_real_families_take_real_norm_kernels(monkeypatch):
-    # candidate families are stored complex; real-valued ones must reach the
-    # Schatten kernel as real stacks (single-element and Monte Carlo paths)
+    # unit families are real: with real normals they reach the Schatten
+    # kernel as real stacks, with complex normals as complex ones
     seen = []
 
     def spy(mats, p):
@@ -180,14 +205,27 @@ def test_real_families_take_real_norm_kernels(monkeypatch):
     monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
     space = schatten_space(4, 4)
     for _, fam in _schatten_candidates(schatten_space(1, 4), 1 << 30):
-        second_moment(gaussian_system(), fam.elements, space, samples=100, seed=3)
+        second_moment(gaussian_system(), replace(fam, space=space), samples=100, seed=3)
     assert seen and not any(seen)
-    second_moment(gaussian_system(), 1j * fam.elements, space, samples=100, seed=3)
+    second_moment(gaussian_system(True), replace(fam, space=space), samples=100, seed=3)
     assert seen[-1]
 
 
+def test_search_family_memory_is_index_sized():
+    # S_1^64 -> S_2^64: the grid of 4096 units is 32 KiB of indices
+    tracemalloc.start()
+    try:
+        est = summing_norm_search(identity_map(schatten_space(1, 64), schatten_space(2, 64)),
+                                  gaussian_system(), SearchConfig(seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.value == 8.0
+    assert peak < 8 * 2 ** 20
+
+
 def test_lower_bound_domain_mismatch():
-    fam = VectorSystem(sequence_space(2, 4), np.eye(4), FamilyStructure.DISJOINT)
+    fam = _basis(sequence_space(2, 4))
     with pytest.raises(ValueError):
         summing_norm_lower(identity_map(sequence_space(1, 4), sequence_space(2, 4)),
                            gaussian_system(), fam)
@@ -314,7 +352,7 @@ def test_three_estimators_agree_on_hilbert_identity():
     n = 4
     mapping = identity_map(sequence_space(2, n), sequence_space(2, n))
     ell = ell_norm_mc(mapping)
-    fam = VectorSystem(sequence_space(2, n), np.eye(n), FamilyStructure.DISJOINT)
+    fam = _basis(sequence_space(2, n))
     gauss = summing_norm_lower(mapping, gaussian_system(), fam)
     cs = CharacterSet(cyclic_group(16), tuple((k,) for k in range(n)))
     chars = summing_norm_lower(mapping, character_system(cs), fam)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from summinglab import (AscentConfig, Certainty, CharacterGroup, CharacterSet,
-                        SpanElement, character_system, cyclic_group,
+                        SpanElement, UnitFamily, character_system, cyclic_group,
                         full_character_set, gaussian_system,
                         kp_constant_lower, kp_growth_profile,
                         lacunary_character_set, lp_norm_of_span,
@@ -18,6 +18,11 @@ FAST = AscentConfig(seed=7, restarts=24, steps=250)
 
 def _charset(n, freqs):
     return CharacterSet(cyclic_group(n), tuple((f,) for f in freqs))
+
+
+def _basis(space, m):
+    """The first m coordinate vectors of a sequence space."""
+    return UnitFamily(space, np.arange(m)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +170,18 @@ def test_parseval_500_random_span_elements():
 
 def test_second_moment_single_element():
     cs = _charset(8, [1])
-    est = second_moment(character_system(cs), np.eye(4)[:1], sequence_space(2, 4))
+    est = second_moment(character_system(cs), _basis(sequence_space(2, 4), 1))
     assert est.value == pytest.approx(1.0, rel=1e-12)
-    est_g = second_moment(gaussian_system(), np.eye(4)[:1], sequence_space(2, 4))
+    est_g = second_moment(gaussian_system(), _basis(sequence_space(2, 4), 1))
     assert est_g.certainty is Certainty.EXACT
     assert est_g.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_second_moment_mc_needs_two_samples():
     # a reported stderr needs at least two samples; the exact paths need none
-    family = np.eye(4)[:2]
     with pytest.raises(ValueError, match="samples"):
-        second_moment(gaussian_system(), family, sequence_space("inf", 4), samples=1, seed=3)
-    est = second_moment(gaussian_system(), family, sequence_space(2, 4), samples=1, seed=3)
+        second_moment(gaussian_system(), _basis(sequence_space("inf", 4), 2), samples=1, seed=3)
+    est = second_moment(gaussian_system(), _basis(sequence_space(2, 4), 2), samples=1, seed=3)
     assert est.certainty is Certainty.EXACT
 
 
@@ -194,18 +198,18 @@ def test_ascent_config_rejects_empty_budgets():
 def test_second_moment_characters_orthonormal_basis():
     # cross terms average to zero by orthogonality, so the answer is sqrt(m)
     cs = _charset(8, [0, 1, 2])
-    est = second_moment(character_system(cs), np.eye(3), sequence_space(2, 3))
+    est = second_moment(character_system(cs), _basis(sequence_space(2, 3), 3))
     assert est.certainty is Certainty.EXACT
     assert est.value == pytest.approx(np.sqrt(3), abs=1e-12)
 
 
 def test_second_moment_gaussian_exact_and_mc():
     n = 6
-    exact = second_moment(gaussian_system(), np.eye(n), sequence_space(2, n))
+    space = sequence_space(2, n)
+    exact = second_moment(gaussian_system(), _basis(space, n))
     assert exact.certainty is Certainty.EXACT
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
-    mc = _mc_second_moment(n, np.eye(n, dtype=complex), sequence_space(2, n),
-                           20_000, 5, False, "mc-gaussian")
+    mc = _mc_second_moment(n, _basis(space, n), space, 20_000, 5, False, "mc-gaussian")
     assert mc.certainty is Certainty.LOWER
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(mc.value - np.sqrt(n)) <= 3 * mc.stderr
@@ -214,13 +218,13 @@ def test_second_moment_gaussian_exact_and_mc():
 def test_second_moment_family_too_large():
     cs = _charset(8, [0, 1])
     with pytest.raises(ValueError):
-        second_moment(character_system(cs), np.eye(3), sequence_space(2, 3))
+        second_moment(character_system(cs), _basis(sequence_space(2, 3), 3))
 
 
 def test_second_moment_complex_normals_flag():
     n = 5
-    est = _mc_second_moment(n, np.eye(n, dtype=complex), sequence_space(2, n),
-                            20_000, 9, True, "mc-gaussian")
+    space = sequence_space(2, n)
+    est = _mc_second_moment(n, _basis(space, n), space, 20_000, 9, True, "mc-gaussian")
     assert abs(est.value - np.sqrt(n)) <= 4 * est.stderr
 
 
