@@ -31,7 +31,7 @@ def _estimate_payload(est: NormEstimate) -> dict:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -198,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Summing-norm and scaling-exponent laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p):
+    def add_json_flag(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--csv", action="store_true", help="emit CSV rows")
 
     p = sub.add_parser("lnorm", help="Monte Carlo ell-norm of an identity map")
     p.add_argument("--space", required=True, help="domain, e.g. l2:16 or s2:8")
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--complex-normals", action="store_true")
-    add_output_flags(p)
+    add_json_flag(p)
     p.set_defaults(func=_cmd_lnorm)
 
     p = sub.add_parser("pib", help="certified summing-norm lower bound by family search")
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--complex-normals", action="store_true")
-    add_output_flags(p)
+    add_json_flag(p)
     p.set_defaults(func=_cmd_pib)
 
     p = sub.add_parser("kp", help="Lambda(p) constant lower bound")
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
-    add_output_flags(p)
+    add_json_flag(p)
     p.set_defaults(func=_cmd_kp)
 
     p = sub.add_parser("sidon", help="Sidon constant lower bound")
@@ -239,19 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
-    add_output_flags(p)
+    add_json_flag(p)
     p.set_defaults(func=_cmd_sidon)
 
     p = sub.add_parser("limit-order", help="closed-form limit-order table")
     p.add_argument("--ideal", choices=("gamma", "pi2"), default="gamma")
     p.add_argument("--grid", required=True, help="comma list of exponents, e.g. 1,2,inf")
     p.add_argument("--v-grid", default=None)
-    add_output_flags(p)
+    add_json_flag(p)
     p.set_defaults(func=_cmd_limit_order)
 
     p = sub.add_parser("fit", help="log-log exponent fit of n:value points")
     p.add_argument("--points", required=True, help="e.g. 4:2,16:4,64:8")
-    add_output_flags(p)
+    add_json_flag(p)
     p.set_defaults(func=_cmd_fit)
 
     experiment_specs = (
@@ -275,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--generator", choices=("lacunary", "full"), default=None)
             p.add_argument("--control", choices=("match", "exceed"), default=None)
         p.add_argument("--out", default=None, help="report base path (.json/.csv)")
-        add_output_flags(p)
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="emit the JSON report")
+        output.add_argument("--csv", action="store_true", help="emit the CSV rows")
         p.set_defaults(func=lambda a, k=kind: _run_and_report(a, k))
 
     return parser

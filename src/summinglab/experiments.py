@@ -31,18 +31,25 @@ from .spaces import (SpaceKind, identity_map, parse_exponent, schatten_space,
 from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
                       kp_summing_bound, summing_norm_search)
 from .systems import (AscentConfig, CharacterSet, character_system,
-                      cyclic_group, full_character_set, gaussian_system,
-                      kp_growth_profile, lacunary_character_set)
+                      full_character_set, gaussian_system, kp_growth_profile,
+                      lacunary_character_set)
 
 SCHEMA_VERSION = 1
 
 EXPERIMENT_KINDS = ("schatten-scaling", "character-scaling", "interp-audit",
                     "kp-profile")
 
-GENERATORS = ("lacunary", "full", "explicit")
+GENERATORS = ("lacunary", "full")
 
 # slack allowed below zero in the convexity row of fitted exponents
 CONVEXITY_TOL = 0.05
+
+# interpolation point of the couple [l_1, l_2] -> [l_2, l_inf] that the
+# convexity rows and the interpolation audit measure
+THETA = 0.5
+
+# fitted slope a negative control ('exceed') must reach
+EXCEED_SLOPE = 0.2
 
 ROW_FIELDS = ("n", "u_recip", "v_recip", "kind", "ideal", "value", "stderr",
               "cert", "slope", "ref_exponent", "slack", "verdict")
@@ -61,57 +68,35 @@ def _finite_real(value) -> bool:
 class SystemSpec:
     """Which character frequencies an experiment uses and how the group grows.
 
-    For sparse generators the group size obeys N = smallest power of two
-    with at least ``m`` admissible frequencies and N >= 4 m^2, which keeps
-    lacunary frequencies distinct and aliasing harmless at desk scale. The
-    ``full`` generator means the whole dual group, so there N = m.
+    The ``lacunary`` generator takes the powers of two 1, 2, ..., 2^(m-1) in
+    Z_N with N the smallest power of two that holds them and N >= 4 m^2,
+    which keeps aliasing harmless at desk scale. The ``full`` generator
+    means the whole dual group, so there N = m.
     """
 
-    generator: str = "lacunary"          # lacunary | full | explicit
-    ratio: int = 2
-    freqs: tuple[int, ...] = ()
+    generator: str = "lacunary"          # lacunary | full
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r} "
                               f"(choose from {', '.join(GENERATORS)})")
-        if type(self.ratio) is not int or self.ratio < 2:
-            # ratio 1 would never leave the group-size search
-            raise ConfigError(f"lacunary ratio must be an integer >= 2, got {self.ratio!r}")
 
     def group_size(self, m: int) -> int:
         if self.generator == "full":
             return m
-        if self.generator == "explicit" and len(set(self.freqs)) < m:
-            raise ConfigError(f"explicit frequency list yields fewer than {m} frequencies")
         n = 2
-        while True:
-            if n >= 4 * m * m and self._available(n) >= m:
-                return n
+        # Z_n with n a power of two holds log2(n) powers of two
+        while n < 4 * m * m or n.bit_length() - 1 < m:
             if n > 1 << 40:
                 raise ConfigError("group size coupling exceeds the desk-scale cap")
             n *= 2
-
-    def _available(self, n: int) -> int:
-        if self.generator == "lacunary":
-            count = 0
-            f = 1
-            while f < n:
-                count += 1
-                f *= self.ratio
-            return count
-        return sum(1 for f in self.freqs if f < n)
+        return n
 
     def charset(self, m: int) -> CharacterSet:
         n = self.group_size(m)
         if self.generator == "full":
             return full_character_set(n)
-        if self.generator == "lacunary":
-            return lacunary_character_set(n, m, self.ratio)
-        chosen = [f for f in self.freqs if f < n][:m]
-        if len(chosen) < m:
-            raise ConfigError(f"explicit frequency list yields fewer than {m} frequencies")
-        return CharacterSet(cyclic_group(n), tuple((f,) for f in chosen))
+        return lacunary_character_set(n, m)
 
 
 @dataclass(frozen=True)
@@ -124,40 +109,23 @@ class ExperimentConfig:
     pairs: tuple[tuple[str, str], ...] = ()
     system: SystemSpec = field(default_factory=SystemSpec)
     samples: int = 20_000
-    theta: float = 0.5
-    junge_constant: float = 2.0
     fit_tol: float | None = None
     control: str = "match"               # match | exceed
-    exceed_threshold: float = 0.2
-    restarts: int = 64
-    steps: int = 500
     p_grid: tuple[float, ...] = ()
-    complex_normals: bool = False
     output: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r} "
                               f"(choose from {', '.join(EXPERIMENT_KINDS)})")
-        if self.seed is None:
-            raise ConfigError("a seed is mandatory")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("the size grid must be strictly ascending")
-        if not (0.0 < self.theta < 1.0):
-            raise ConfigError("theta must lie strictly inside (0, 1)")
         if self.control not in ("match", "exceed"):
             raise ConfigError("control must be 'match' or 'exceed'")
         if not (self.fit_tol is None or (_finite_real(self.fit_tol) and self.fit_tol >= 0)):
             raise ConfigError(f"fit_tol must be null or a finite real >= 0, got {self.fit_tol!r}")
-        if not _finite_real(self.exceed_threshold):
-            raise ConfigError(f"exceed_threshold must be a finite real, "
-                              f"got {self.exceed_threshold!r}")
-        if not (_finite_real(self.junge_constant) and self.junge_constant > 0):
-            raise ConfigError(f"junge_constant must be a finite real > 0, "
-                              f"got {self.junge_constant!r}")
-        if type(self.complex_normals) is not bool:
-            raise ConfigError(f"complex_normals must be true or false, "
-                              f"got {self.complex_normals!r}")
+        if not (self.output is None or (type(self.output) is str and self.output)):
+            raise ConfigError(f"output must be null or a non-empty string, got {self.output!r}")
         if self.kind in ("schatten-scaling", "character-scaling") and not self.pairs:
             raise ConfigError("scaling experiments need exponent pairs")
         for pair in self.pairs:
@@ -178,7 +146,7 @@ class ExperimentConfig:
                 and len(self.n_grid) < 3:
             raise ConfigError("scaling and audit experiments need a grid of at least 3 sizes")
         # samples >= 2 so that every Monte Carlo value carries a stderr
-        for name, low in (("samples", 2), ("restarts", 1), ("steps", 0)):
+        for name, low in (("seed", 0), ("samples", 2)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -198,10 +166,7 @@ class ExperimentConfig:
             data["pairs"] = tuple((str(a), str(b)) for a, b in data["pairs"])
         try:
             if "system" in data and isinstance(data["system"], dict):
-                sysd = dict(data["system"])
-                if "freqs" in sysd:
-                    sysd["freqs"] = tuple(sysd["freqs"])
-                data["system"] = SystemSpec(**sysd)
+                data["system"] = SystemSpec(**data["system"])
             return ExperimentConfig(**data)
         except TypeError as exc:  # unknown or missing keys
             raise ConfigError(str(exc)) from None
@@ -316,13 +281,11 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
             mapping = identity_map(dom, cod)
             if u.is_hilbert:
                 lower = ell_norm_mc(mapping, samples=config.samples,
-                                    seed=substream(config.seed, task),
-                                    complex_normals=config.complex_normals)
+                                    seed=substream(config.seed, task))
             else:
                 search = SearchConfig(seed=substream(config.seed, task),
                                       samples=config.samples)
-                lower = summing_norm_search(mapping, gaussian_system(config.complex_normals),
-                                            search)
+                lower = summing_norm_search(mapping, gaussian_system(), search)
             task += 1
             pivot = schatten_space(2, n)
             upper = factorization_upper(mapping, [dom, pivot, pivot, cod],
@@ -387,8 +350,7 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
                 # domains with u >= 2); a reduced ascent budget is plenty
                 # and keeps large-group runs fast
                 ascent = AscentConfig(seed=substream(config.seed, task),
-                                      restarts=min(config.restarts, 12),
-                                      steps=min(config.steps, 150))
+                                      restarts=12, steps=150)
                 task += 1
                 template = kp_summing_bound(charset, v, m, ascent)
                 consistent = lower.value <= template.value * 1.05
@@ -401,8 +363,8 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
         slopes[(u.recip, v.recip)] = slope
         tol = config.fit_tol if config.fit_tol is not None else 0.05
         if config.control == "exceed":
-            ok = slope >= config.exceed_threshold
-            slack = slope - config.exceed_threshold
+            ok = slope >= EXCEED_SLOPE
+            slack = slope - EXCEED_SLOPE
         else:
             ok = abs(slope - ref) <= tol
             slack = tol - abs(slope - ref)
@@ -422,13 +384,12 @@ def _convexity_rows(config: ExperimentConfig, slopes) -> list[dict]:
     key1 = (0.5, 0.0)
     if key0 not in slopes or key1 not in slopes:
         return []
-    theta = config.theta
-    u_mid = interp_exponent("1", "2", theta)
-    v_mid = interp_exponent("2", "inf", theta)
+    u_mid = interp_exponent("1", "2", THETA)
+    v_mid = interp_exponent("2", "inf", THETA)
     key_mid = (u_mid.recip, v_mid.recip)
     if key_mid not in slopes:
         return []
-    report = limit_order_convexity_check(pair0, pair1, theta, slopes[key0],
+    report = limit_order_convexity_check(pair0, pair1, THETA, slopes[key0],
                                          slopes[key1], slopes[key_mid],
                                          tol=CONVEXITY_TOL)
     return [_row(u_recip=u_mid.recip, v_recip=v_mid.recip, kind="convexity",
@@ -439,39 +400,37 @@ def _convexity_rows(config: ExperimentConfig, slopes) -> list[dict]:
 def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
     """Interpolation-inequality audits for sequence and Schatten couples.
 
-    For the couple [X_1, X_2] -> [X_2, X_inf] at the configured theta, the
+    For the couple [X_1, X_2] -> [X_2, X_inf] at theta = THETA, the
     midpoint map gets a certified lower bound by family search and each
     endpoint a certified factorization upper bound through the Hilbert
     pivot; the audit then checks lower <= dtheta * uppers within 3 stderr.
     A closed-form convexity row for the same configuration is appended.
     """
-    theta = config.theta
-    u_mid = interp_exponent("1", "2", theta)
-    v_mid = interp_exponent("2", "inf", theta)
+    u_mid = interp_exponent("1", "2", THETA)
+    v_mid = interp_exponent("2", "inf", THETA)
     rows = []
     task = 0
     for kind in (SpaceKind.SEQUENCE, SpaceKind.SCHATTEN):
         make = sequence_space if kind is SpaceKind.SEQUENCE else schatten_space
-        dtheta = dtheta_lookup(kind, 1, 2, schatten_s1_s2=config.junge_constant)
+        dtheta = dtheta_lookup(kind, 1, 2)
         for n in config.n_grid:
             dom, cod = make(u_mid, n), make(v_mid, n)
             search = SearchConfig(seed=substream(config.seed, task), samples=config.samples)
             task += 1
-            lower = summing_norm_search(identity_map(dom, cod),
-                                        gaussian_system(config.complex_normals), search)
+            lower = summing_norm_search(identity_map(dom, cod), gaussian_system(), search)
             pivot = make(2, n)
             base_est = ell_norm_mc(identity_map(pivot, pivot))
             upper0 = factorization_upper(identity_map(make(1, n), pivot),
                                          [make(1, n), pivot, pivot], base_est, 1)
             upper1 = factorization_upper(identity_map(pivot, make("inf", n)),
                                          [pivot, pivot, make("inf", n)], base_est, 0)
-            audit = interpolation_audit(lower, upper0, upper1, theta, dtheta)
+            audit = interpolation_audit(lower, upper0, upper1, THETA, dtheta)
             rows.append(_row(n=n, u_recip=u_mid.recip, v_recip=v_mid.recip,
                              kind=f"audit-{kind.value}", ideal="gamma",
                              value=lower.value, stderr=audit.stderr,
                              cert=_cert(lower), slack=audit.slack,
                              verdict="PASS" if audit.passed else "FAIL"))
-    closed = limit_order_convexity_check(("1", "2"), ("2", "inf"), theta,
+    closed = limit_order_convexity_check(("1", "2"), ("2", "inf"), THETA,
                                          gaussian_limit_order(1, 2),
                                          gaussian_limit_order(2, "inf"),
                                          gaussian_limit_order(u_mid, v_mid))
@@ -489,7 +448,7 @@ def run_kp_profile(config: ExperimentConfig) -> RunReport:
         raise ConfigError("the profile experiment runs at a single set size")
     m = config.n_grid[0]
     charset = config.system.charset(m)
-    ascent = AscentConfig(seed=config.seed, restarts=config.restarts, steps=config.steps)
+    ascent = AscentConfig(seed=config.seed)
     rows = []
     for entry in kp_growth_profile(charset, config.p_grid, ascent):
         est = entry["estimate"]

@@ -16,6 +16,10 @@ from .estimates import Certainty, NormEstimate
 from .spaces import Exponent, SpaceKind, parse_exponent
 
 
+# Assumed constant of the [S_1, S_2] couple: finite, but no value is published.
+SCHATTEN_S1_S2 = 2.0
+
+
 class CertificationError(ValueError):
     """An audit input carries the wrong certification kind."""
 
@@ -47,13 +51,12 @@ class DThetaBound:
             raise ValueError("a provenance note is required")
 
 
-def dtheta_lookup(kind: SpaceKind, e0, e1,
-                  schatten_s1_s2: float = 2.0) -> DThetaBound:
+def dtheta_lookup(kind: SpaceKind, e0, e1) -> DThetaBound:
     """Registered constant of the couple [X_e0, X_e1] of spaces of ``kind``.
 
     Trivial couples give 1. Sequence couples with both endpoints <= 2 give
     sqrt(2) exactly. The [S_1, S_2] couple is finite with no published
-    value; a configurable default of 2.0 is used and echoed in the note.
+    value; SCHATTEN_S1_S2 is used and echoed in the note.
     Anything else (in particular sequence couples with an endpoint > 2) is
     rejected rather than guessed.
     """
@@ -64,9 +67,9 @@ def dtheta_lookup(kind: SpaceKind, e0, e1,
         return DThetaBound(math.sqrt(2.0), True,
                            "sequence couples with both endpoints <= 2")
     if kind is SpaceKind.SCHATTEN and {r0, r1} == {1.0, 0.5}:
-        return DThetaBound(float(schatten_s1_s2), False,
+        return DThetaBound(SCHATTEN_S1_S2, False,
                            f"finite but unpublished constant for the trace-class/Hilbert-Schmidt "
-                           f"couple; configurable value {schatten_s1_s2:g} in use")
+                           f"couple; assumed value {SCHATTEN_S1_S2:g}")
     raise UnregisteredCoupleError(
         f"no registered couple constant for [{kind.value}, "
         f"1/p0={r0:g}, 1/p1={r1:g}]")

@@ -288,12 +288,12 @@ def weak_l2_norm(family: UnitFamily | VectorSystem) -> NormEstimate:
     1/r = max(0, 1/u - 1/2): m disjoint sequence elements of norm s^(1/u)
     give s^(1/u) m^(1/r); matrix units in distinct rows and columns give
     m^(1/r), and the full grid of R rows by C columns min(R, C)^(1/r). Any
-    other unit pattern raises. A dense family is exact on Hilbert spaces
-    (largest singular value) and a certified upper bound otherwise.
+    other unit pattern raises. A dense family must lie in a Hilbert space,
+    where the norm is its largest singular value, exactly; elsewhere it raises.
     """
     u = family.space.exponent
-    weight = Exponent(max(0.0, u.recip - 0.5))
     if isinstance(family, UnitFamily):
+        weight = Exponent(max(0.0, u.recip - 0.5))
         m, s = family.elements.shape
         if family.space.kind is SpaceKind.SEQUENCE:
             value = _ones_norm(s, u) * _ones_norm(m, weight)
@@ -308,10 +308,8 @@ def weak_l2_norm(family: UnitFamily | VectorSystem) -> NormEstimate:
             return NormEstimate(value, Certainty.EXACT, method="uniform rank-one grid closed form")
         raise ValueError("matrix-unit family admits no closed form (need distinct rows "
                          "and columns, or a full grid)")
+    if not u.is_hilbert:
+        raise ValueError("dense families are taken only on Hilbert spaces")
     flat = family.elements.reshape(family.size, -1)
     smax = float(np.linalg.svd(flat.T, compute_uv=False)[0])
-    if u.is_hilbert:
-        return NormEstimate(smax, Certainty.EXACT, method="synthesis operator norm")
-    elem_norms = norms_of_stack(flat, family.space)
-    upper = min(family.space.dim ** weight.recip * smax, lp_norm(elem_norms, Exponent(0.5)))
-    return NormEstimate(upper, Certainty.UPPER, method="exponent-comparison upper bound")
+    return NormEstimate(smax, Certainty.EXACT, method="synthesis operator norm")

@@ -119,9 +119,9 @@ def full_character_set(n: int) -> CharacterSet:
     return CharacterSet(cyclic_group(n), tuple((k,) for k in range(n)))
 
 
-def lacunary_character_set(n: int, count: int, ratio: int = 2) -> CharacterSet:
-    """Geometric frequencies ratio^0, ratio^1, ... inside Z_n."""
-    freqs = [pow(ratio, k) for k in range(count)]
+def lacunary_character_set(n: int, count: int) -> CharacterSet:
+    """Lacunary (Sidon) frequencies 2^0, 2^1, ..., 2^(count-1) inside Z_n."""
+    freqs = [2 ** k for k in range(count)]
     if max(freqs) >= n:
         raise ValueError("group too small to keep lacunary frequencies distinct")
     return CharacterSet(cyclic_group(n), tuple((f,) for f in freqs))
@@ -270,6 +270,11 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
 # Lambda(p) and Sidon constant estimation
 # ---------------------------------------------------------------------------
 
+# Initial step and convergence tolerance of the projected-gradient ascents.
+ASCENT_STEP_SIZE = 0.1
+ASCENT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class AscentConfig:
     """Projected-gradient-ascent budget (defaults: 64 restarts, 500 steps)."""
@@ -277,17 +282,12 @@ class AscentConfig:
     seed: int
     restarts: int = 64
     steps: int = 500
-    step_size: float = 0.1
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"ascent restarts must be >= 1, got {self.restarts}")
         if self.steps < 0:
             raise ValueError(f"ascent steps must be >= 0, got {self.steps}")
-        if not self.step_size > 0:
-            # a zero step never improves and never shrinks below 1e-7 * itself
-            raise ValueError(f"ascent step size must be > 0, got {self.step_size}")
 
 
 def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -316,7 +316,7 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     pv = np.inf if e.recip == 0.0 else 1.0 / e.recip
     vals, coeffs = lp_ascent(basis, basis_h, 1.0 / basis.shape[0], pv, starts,
-                             cfg.steps, cfg.step_size, cfg.tol)
+                             cfg.steps, ASCENT_STEP_SIZE, ASCENT_TOL)
     best = int(np.argmax(vals))
     witness = coeffs[best]
     f = SpanElement(charset, witness)
@@ -338,7 +338,8 @@ def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstima
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     starts[0] = 0.0
     starts[0, 0] = 1.0  # singleton witness: ratio exactly 1
-    vals, coeffs = ratio_ascent(basis, basis_h, starts, cfg.steps, cfg.step_size, cfg.tol)
+    vals, coeffs = ratio_ascent(basis, basis_h, starts, cfg.steps, ASCENT_STEP_SIZE,
+                                ASCENT_TOL)
     best = int(np.argmax(vals))
     witness = coeffs[best]
     f = SpanElement(charset, witness)

@@ -192,8 +192,7 @@ def test_criterion_8_character_scaling_controls():
 
     neg = ExperimentConfig.from_dict(dict(
         kind="character-scaling", seed=88, n_grid=(4, 8, 16, 32),
-        pairs=(("2", "inf"),), system={"generator": "full"}, control="exceed",
-        exceed_threshold=0.2))
+        pairs=(("2", "inf"),), system={"generator": "full"}, control="exceed"))
     neg_report = run_experiment(neg)
     neg_fit = [r for r in neg_report.rows if r["kind"] == "lower-fit"][0]
     assert neg_fit["slope"] >= 0.2

@@ -100,21 +100,20 @@ def test_interp_audit_command(capsys):
     assert "PASS" in out
 
 
-def test_exit_code_on_failure(capsys, tmp_path):
-    # a tiny couple constant renders the Schatten audit unsatisfiable
-    cfg = dict(kind="interp-audit", seed=5, n_grid=[8, 16, 32], samples=2000,
-               junge_constant=1e-3)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["interp-audit", "--config", str(path)])
+def test_exit_code_on_failure(capsys):
+    # lacunary sets grow like the Gaussian limit order, so a negative
+    # control asking them to exceed it fails
+    rc = main(["thm1", "--seed", "5", "--n-grid", "4,8,12,16", "--pairs", "2:inf",
+               "--generator", "lacunary", "--control", "exceed"])
     assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] lower-fit" in out and "(violated: slack=-" in out
 
 
 def test_exit_code_on_config_error(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(kind="interp-audit", seed=1,
-                                    n_grid=[8, 16, 32], theta=2.0)))
+                                    n_grid=[8, 16, 32], control="sideways")))
     assert main(["interp-audit", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -190,8 +189,12 @@ def test_zero_denominator_exponent_is_usage_error(capsys):
      "unrecognized arguments: --pairs 1:inf"),
     (["thm1", "--seed", "1", "--n-grid", "4,8,12", "--pairs", "1:1", "--samples", "100"],
      "unrecognized arguments: --samples 100"),
+    (["lnorm", "--space", "l2:4", "--target", "l4:4", "--samples", "100", "--seed", "1",
+      "--csv"], "unrecognized arguments: --csv"),
+    (["thm2", "--seed", "1", "--n-grid", "8,16,32", "--pairs", "2:2", "--json", "--csv"],
+     "argument --csv: not allowed with argument --json"),
 ], ids=["bad-int", "unknown-flag", "missing-required", "removed-pib-budget",
-        "interp-audit-pairs", "thm1-samples"])
+        "interp-audit-pairs", "thm1-samples", "lnorm-csv", "json-csv"])
 def test_argparse_usage_error_is_one_line(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -218,9 +221,11 @@ def test_fit_non_finite_point_is_usage_error(capsys, points):
     _assert_usage_error(capsys, ["fit", "--points", points], "finite")
 
 
+def _unknown(key, owner="ExperimentConfig"):
+    return f"config error: {owner}.__init__() got an unexpected keyword argument '{key}'"
+
+
 @pytest.mark.parametrize("command,over,needle", [
-    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], restarts=0),
-     "config error: restarts"),
     ("interp-audit", dict(kind="interp-audit", samples=1), "config error: samples"),
     ("thm1", dict(kind="kp-profile", p_grid=[4.0, 1.0]),
      "config error: p_grid entries must be exponents >= 2, got 1.0"),
@@ -231,16 +236,45 @@ def test_fit_non_finite_point_is_usage_error(capsys, points):
      "config error: the size grid must be strictly ascending"),
     ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], fit_tol="0.1"),
      "config error: fit_tol must be null or a finite real >= 0, got '0.1'"),
+    # removed settings are unknown keys
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], restarts=0),
+     _unknown("restarts")),
     ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], control="exceed",
-                  exceed_threshold="0.2"),
-     "config error: exceed_threshold must be a finite real, got '0.2'"),
+                  exceed_threshold="0.2"), _unknown("exceed_threshold")),
     ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], complex_normals="no"),
-     "config error: complex_normals must be true or false, got 'no'"),
+     _unknown("complex_normals")),
     ("interp-audit", dict(kind="interp-audit", junge_constant="nan"),
-     "config error: junge_constant must be a finite real > 0, got 'nan'"),
-], ids=["thm1-restarts", "interp-audit-samples", "low-p-grid", "unknown-generator",
-        "duplicate-sizes", "fit-tol-string", "exceed-threshold-string",
-        "complex-normals-string", "junge-constant-nan"])
+     _unknown("junge_constant")),
+    ("interp-audit", dict(kind="interp-audit", theta=0.5), _unknown("theta")),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], steps=500),
+     _unknown("steps")),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]],
+                  system={"generator": "lacunary", "ratio": 2}),
+     _unknown("ratio", "SystemSpec")),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]],
+                  system={"generator": "lacunary", "freqs": [1, 3, 5]}),
+     _unknown("freqs", "SystemSpec")),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]],
+                  system={"generator": "explicit"}),
+     "config error: unknown generator 'explicit' (choose from lacunary, full)"),
+    # seed and output are checked on load, not when first used
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], seed=1.5),
+     "config error: seed must be an integer >= 0, got 1.5"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], seed=True),
+     "config error: seed must be an integer >= 0, got True"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], seed="x"),
+     "config error: seed must be an integer >= 0, got 'x'"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], seed=-3),
+     "config error: seed must be an integer >= 0, got -3"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], output=5),
+     "config error: output must be null or a non-empty string, got 5"),
+    ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], output=""),
+     "config error: output must be null or a non-empty string, got ''"),
+], ids=["interp-audit-samples", "low-p-grid", "unknown-generator", "duplicate-sizes",
+        "fit-tol-string", "thm1-restarts", "exceed-threshold-string",
+        "complex-normals-string", "junge-constant-nan", "theta", "steps", "system-ratio",
+        "system-freqs", "explicit-generator", "seed-float", "seed-bool", "seed-string",
+        "seed-negative", "output-int", "output-empty"])
 def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1, "n_grid": [4, 8, 12], **over}))

@@ -99,14 +99,11 @@ def test_dtheta_trivial_couple():
     assert dtheta_lookup(SpaceKind.SCHATTEN, 4, 4).value == 1.0
 
 
-def test_dtheta_schatten_configurable():
+def test_dtheta_schatten_assumed_value():
     bound = dtheta_lookup(SpaceKind.SCHATTEN, 1, 2)
     assert not bound.exact
     assert bound.value == 2.0
-    assert bound.note
-    custom = dtheta_lookup(SpaceKind.SCHATTEN, 1, 2, schatten_s1_s2=3.5)
-    assert custom.value == 3.5
-    assert "3.5" in custom.note
+    assert "assumed value 2" in bound.note
 
 
 def test_dtheta_unregistered_couples():

@@ -190,8 +190,6 @@ def test_ascent_config_rejects_empty_budgets():
         AscentConfig(seed=1, restarts=0)
     with pytest.raises(ValueError, match="steps"):
         AscentConfig(seed=1, steps=-1)
-    with pytest.raises(ValueError, match="step size"):
-        AscentConfig(seed=1, step_size=0.0)
     assert AscentConfig(seed=1, restarts=1, steps=0).steps == 0
 
 
