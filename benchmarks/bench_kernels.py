@@ -1,10 +1,11 @@
-"""Micro-benchmark of the public hot kernels.
+"""Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
 Times ``lp_ascent``, ``ratio_ascent`` and ``schatten_norm_batch`` from
-``summinglab.kernels`` on fixed inputs and seeds, and prints the median
-and quartiles of the wall time over ``--repeats`` calls, plus the best
-value each call returned (a change that moves it changed the numbers, not
-just the speed). Usage:
+``summinglab.kernels``, and ``summing.ell_norm_mc`` (the one Monte Carlo
+loop: chunks drawn in order, norms reduced on a thread pool), on fixed
+inputs and seeds, and prints the median and quartiles of the wall time
+over ``--repeats`` calls, plus the best value each call returned (a change
+that moves it changed the numbers, not just the speed). Usage:
 
     python benchmarks/bench_kernels.py [--repeats N]
 
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 
-from summinglab import kernels
+from summinglab import identity_map, kernels, schatten_space, summing
 from summinglab.systems import lacunary_character_set
 
 
@@ -66,6 +67,16 @@ def cases():
     mats = np.random.default_rng(6).standard_normal((4096, 32, 32)).astype(np.complex128)
     yield ("schatten_norm_batch p=4 complex, zero imaginary part (4096 x 32x32)",
            kernels.schatten_norm_batch, (mats, 4.0))
+
+    # the whole loop at the README's largest thm2 size: draws, norms, sums
+    for v in ("inf", 4):
+        space_map = identity_map(schatten_space(2, 64), schatten_space(v, 64))
+        yield (f"ell_norm_mc s2:64 -> s{v}:64 (20000 samples, seed 11)", _ell_norm_value,
+               (space_map,))
+
+
+def _ell_norm_value(space_map):
+    return summing.ell_norm_mc(space_map, samples=20_000, seed=11).value
 
 
 def _time(fn, args, repeats):

@@ -118,6 +118,10 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r} "
                               f"(choose from {', '.join(EXPERIMENT_KINDS)})")
+        if not isinstance(self.system, SystemSpec):
+            raise ConfigError(f"system must be an object with a generator, got {self.system!r}")
+        if not all(type(n) is int and n >= 1 for n in self.n_grid):
+            raise ConfigError(f"n_grid entries must be integers >= 1, got {list(self.n_grid)!r}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("the size grid must be strictly ascending")
         if self.control not in ("match", "exceed"):
@@ -138,7 +142,7 @@ class ExperimentConfig:
         for p in self.p_grid:
             try:
                 ok = parse_exponent(p).recip <= 0.5
-            except (ValueError, ArithmeticError):
+            except (TypeError, ValueError, ArithmeticError):
                 ok = False
             if not ok:
                 raise ConfigError(f"p_grid entries must be exponents >= 2, got {p!r}")
@@ -158,11 +162,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
-        for key in ("n_grid", "p_grid"):
-            if key in data and data[key] is not None:
+        for key in ("n_grid", "p_grid", "pairs"):
+            if data.get(key) is not None:
+                if not isinstance(data[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
-        if "pairs" in data and data["pairs"] is not None:
+        if data.get("pairs") is not None:
+            for pair in data["pairs"]:
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ConfigError(f"bad exponent pair {pair!r}: a pair is a list [u, v]")
             data["pairs"] = tuple((str(a), str(b)) for a, b in data["pairs"])
         try:
             if "system" in data and isinstance(data["system"], dict):

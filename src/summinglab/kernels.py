@@ -2,9 +2,11 @@
 
 ``schatten_norm_batch`` picks its path from the exponent: the Gram
 Frobenius norm at S_4, the Gram's top eigenvalue at S_inf, and one batched
-SVD reduced by ``lp_norms`` at every other exponent. Its Monte Carlo
-caller, ``systems._mc_second_moment``, gathers the columns of unit families
-instead of multiplying, so real Gaussian rows reach it as real stacks.
+SVD reduced by ``lp_norms`` at every other exponent; the two Gram paths
+run block by block, which keeps their temporaries in cache. Its Monte
+Carlo caller, ``systems._mc_second_moment``, gathers the columns of unit
+families instead of multiplying, so real Gaussian rows reach it as real
+stacks, and calls it from pool threads, one chunk per call.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -171,6 +173,12 @@ def lp_norms(mags, p):
     return peak[..., 0] * scaled.sum(axis=-1) ** (1.0 / p)
 
 
+# Matrices per block of the Gram paths: a block's scaled copy and Gram fit
+# in a few MB of cache even at n = 64, where a whole 4096-matrix chunk
+# does not.
+GRAM_BLOCK = 256
+
+
 def schatten_norm_batch(mats, p):
     """Schatten p-norms of a (count, n, n) stack. ``p`` may be ``np.inf``.
 
@@ -178,20 +186,32 @@ def schatten_norm_batch(mats, p):
     at p = inf, ||A|| = sqrt of the top eigenvalue of A^H A (``eigvalsh``).
     Both scale each matrix by its peak |entry| before forming the Gram and
     multiply it back after, so no entry of the Gram overflows or underflows.
-    Any other p takes one batched LAPACK SVD (numpy's gufunc reuses workspace
-    across the stack), then ``lp_norms`` of each matrix's singular values.
-    The Gram paths hold the stack, its scaled copy and the Gram at once
-    (and, for complex stacks, the conjugate of the scaled copy).
+    Both run over blocks of ``GRAM_BLOCK`` matrices; every step is per
+    matrix, so the values are those of the whole stack at once, and the
+    temporaries stay a few blocks in size. Any other p takes one batched
+    LAPACK SVD (numpy's gufunc reuses workspace across the stack), then
+    ``lp_norms`` of each matrix's singular values.
     """
     p = float(p)
     if p != 4.0 and p != np.inf:
         return lp_norms(np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False), p)
     mats = np.asarray(mats)
+    out = np.empty(len(mats))
+    for start in range(0, len(mats), GRAM_BLOCK):
+        _gram_norms(mats[start:start + GRAM_BLOCK], p, out[start:start + GRAM_BLOCK])
+    return out
+
+
+def _gram_norms(mats, p, out):
+    # S_4 or S_inf norms of one block, written into out; a private name, so
+    # that a wrapper around schatten_norm_batch sees one call per stack
     peak = np.abs(mats).max(axis=(-2, -1), initial=0.0)
     peak[peak == 0.0] = 1.0  # zero matrices
     scaled = mats / peak[:, None, None]
     gram = scaled.swapaxes(-2, -1).conj() @ scaled
     del scaled  # the reduction below needs only the Gram
     if p == np.inf:
-        return peak * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-    return peak * np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram.conj()).real))
+        np.multiply(peak, np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), out=out)
+    else:
+        np.multiply(peak, np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram.conj()).real)),
+                    out=out)

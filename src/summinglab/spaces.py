@@ -244,7 +244,12 @@ class UnitFamily:
 
         Coordinate c of row r is coeffs[r, i] when x_i owns c, and 0 when no
         element does; the zeros are written only if such a coordinate exists.
+        A family of flat_dim elements (the full grid or basis) owns every
+        coordinate in order, so its gather is the identity and returns
+        ``coeffs`` itself.
         """
+        if self.size == self.space.flat_dim:
+            return coeffs
         owner = np.full(self.space.flat_dim, -1, dtype=np.intp)
         owner[self.elements] = np.arange(self.size)[:, None]
         out = np.take(coeffs, owner, axis=1)  # -1 takes the last column, masked below

@@ -1,24 +1,29 @@
 """Orthonormal systems: Gaussian sequences and characters on finite abelian groups.
 
 Character systems integrate exactly (normalized counting average over the
-group); the Gaussian system integrates by seeded Monte Carlo. On top of
-the systems sit the Lambda(p)-constant and Sidon-constant estimators,
-which are nonconvex maximizations shipped as ascent-with-restarts giving
-certified lower bounds.
+group); the Gaussian system integrates by seeded Monte Carlo, in one loop
+that draws its chunks in order on the calling thread, reduces their norms
+on a pool of ``MC_WIDTH`` threads and adds the sums in chunk order, so the
+result does not depend on the core count. On top of the systems sit the
+Lambda(p)-constant and Sidon-constant estimators, which are nonconvex
+maximizations shipped as ascent-with-restarts giving certified lower
+bounds.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import lp_ascent, ratio_ascent
+from .kernels import GRAM_BLOCK, lp_ascent, ratio_ascent
 from .rng import make_rng, standard_gaussians, substream
-from .spaces import (Exponent, SpaceDescriptor, UnitFamily, VectorSystem,
+from .spaces import (Exponent, SpaceDescriptor, SpaceKind, UnitFamily, VectorSystem,
                      _ones_norm, lp_norm, norms_of_stack, parse_exponent)
 
 # Largest array a configuration may make the lab allocate, in bytes (2 GiB).
@@ -193,6 +198,18 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
 # Gaussian rows per Monte Carlo chunk. Fixed, so that a seed fixes every draw.
 MC_CHUNK = 4096
 
+# Threads that reduce Monte Carlo chunks: the CPU count this process may
+# run on. Not a setting.
+MC_WIDTH = len(os.sched_getaffinity(0))
+
+
+def _chunk_sums(box: list, space: SpaceDescriptor) -> tuple[float, float]:
+    # The chunk comes in a one-item list that this empties: the pool keeps a
+    # task's arguments until after its result is set, and the chunk must be
+    # freed before the caller, woken by that result, draws the next one.
+    q = norms_of_stack(box.pop(), space) ** 2
+    return float(q.sum()), float((q * q).sum())
+
 
 def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescriptor,
                       samples: int, seed, complex_normals: bool,
@@ -202,29 +219,52 @@ def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescripto
     ``family`` is a unit family of ``dim`` elements in ``space``, applied to
     each chunk by its gather (``UnitFamily.synthesize``), which keeps real
     rows real; or None for the identity, whose rows are the coordinates
-    themselves. Chunk k draws from ``substream(seed, k)`` and the sums run
-    in chunk order. The value is a Monte Carlo estimate, so it is ``lower``
-    with a standard error (delta method on the square root).
+    themselves. Chunk k draws from ``substream(seed, k)``. The calling
+    thread draws and gathers the chunks in order; a pool of ``MC_WIDTH``
+    threads reduces them to norms (numpy's Philox fill, ``matmul`` and
+    LAPACK release the GIL), at most ``MC_WIDTH`` chunks at a time, and the
+    two sums are added in chunk order. So the result is the same float
+    however the reductions interleave. The value is a Monte Carlo estimate,
+    so it is ``lower`` with a standard error (delta method on the square
+    root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
-    # norms_of_stack holds the chunk, a scaled copy and a Gram (or magnitude)
-    # stack at once, and the conjugate of the scaled copy for complex rows
-    check_array_bytes("Monte Carlo chunk working set",
-                      (4 if complex_normals else 3, min(MC_CHUNK, samples), space.flat_dim),
+    # In flight at once, in chunk-length rows: MC_WIDTH chunks in reduction,
+    # each with its kernel's temporaries (three GRAM_BLOCK-matrix blocks on
+    # Schatten spaces, a magnitude and a scaled copy of the chunk on sequence
+    # spaces), the chunk being drawn and, unless the gather is the identity
+    # (dim == flat_dim), its gathered copy.
+    rows = min(MC_CHUNK, samples)
+    temps = 3 * min(GRAM_BLOCK, rows) if space.kind is SpaceKind.SCHATTEN else 2 * rows
+    inflight = MC_WIDTH * (rows + temps) + rows * (2 if dim < space.flat_dim else 1)
+    check_array_bytes("Monte Carlo chunk working set", (inflight, space.flat_dim),
                       np.complex128 if complex_normals else np.float64)
+    # imported here: concurrent.futures loads logging, about 5 ms of start-up
+    # that the commands without Monte Carlo need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    sums = []
+    reducing = deque()
+    with ThreadPoolExecutor(MC_WIDTH) as pool:
+        for index, start in enumerate(range(0, samples, MC_CHUNK)):
+            if len(reducing) == MC_WIDTH:
+                sums.append(reducing.popleft().result())
+            count = min(MC_CHUNK, samples - start)
+            chunk = standard_gaussians(make_rng(substream(seed, index)), (count, dim),
+                                       complex_normals)
+            if family is not None:
+                chunk = family.synthesize(chunk)
+            reducing.append(pool.submit(_chunk_sums, [chunk], space))
+            del chunk  # from here on only its reduction holds it
+        sums.extend(future.result() for future in reducing)
     total = 0.0
     total_sq = 0.0
-    for index, start in enumerate(range(0, samples, MC_CHUNK)):
-        count = min(MC_CHUNK, samples - start)
-        rows = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
-        if family is not None:
-            rows = family.synthesize(rows)
-        q = norms_of_stack(rows, space) ** 2
-        total += float(q.sum())
-        total_sq += float((q * q).sum())
+    for s, s2 in sums:
+        total += s
+        total_sq += s2
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     value = float(np.sqrt(mean))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summinglab import systems
 from summinglab.cli import main
 
 
@@ -270,17 +271,32 @@ def _unknown(key, owner="ExperimentConfig"):
      "config error: output must be null or a non-empty string, got 5"),
     ("thm2", dict(kind="schatten-scaling", pairs=[["2", "4"]], output=""),
      "config error: output must be null or a non-empty string, got ''"),
+    # value types are checked on load too
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], system="lacunary"),
+     "config error: system must be an object with a generator, got 'lacunary'"),
+    ("thm1", dict(kind="character-scaling", pairs=[["1", "1"]], n_grid=[4.5, 8, 12]),
+     "config error: n_grid entries must be integers >= 1, got [4.5, 8, 12]"),
+    ("thm1", dict(kind="character-scaling", pairs=[["1"]]),
+     "config error: bad exponent pair ['1']: a pair is a list [u, v]"),
 ], ids=["interp-audit-samples", "low-p-grid", "unknown-generator", "duplicate-sizes",
         "fit-tol-string", "thm1-restarts", "exceed-threshold-string",
         "complex-normals-string", "junge-constant-nan", "theta", "steps", "system-ratio",
         "system-freqs", "explicit-generator", "seed-float", "seed-bool", "seed-string",
-        "seed-negative", "output-int", "output-empty"])
+        "seed-negative", "output-int", "output-empty", "system-string", "n-grid-float",
+        "pair-one-entry"])
 def test_config_budgets_checked_before_work(capsys, tmp_path, command, over, needle):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1, "n_grid": [4, 8, 12], **over}))
     t0 = time.perf_counter()
     _assert_usage_error(capsys, [command, "--config", str(path)], needle)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_config_that_is_not_an_object_is_config_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    _assert_usage_error(capsys, ["thm1", "--config", str(path)],
+                        "config error: a config must be a JSON object, got list")
 
 
 @pytest.mark.parametrize("pairs", ["2:inf,2:x", "2"])
@@ -328,6 +344,22 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
     # the projected size is checked against the byte cap before allocating
     _assert_usage_error(capsys, argv, needle)
+
+
+def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
+    # one S_inf^144 chunk is 170 MB: three of them (the one-thread loop's
+    # chunk, scaled copy and Gram) fit under the 2 GiB cap, but two chunks
+    # in reduction, their Gram blocks and the chunk being drawn do not
+    def draw(*args):
+        raise AssertionError("drew normals before the working-set check")
+
+    monkeypatch.setattr(systems, "MC_WIDTH", 2)
+    monkeypatch.setattr(systems, "standard_gaussians", draw)
+    rows, flat = systems.MC_CHUNK, 144 * 144
+    assert 3 * rows * flat * 8 < systems.MAX_ARRAY_BYTES
+    _assert_usage_error(capsys, ["lnorm", "--space", "s2:144", "--target", "sinf:144",
+                                 "--samples", str(rows), "--seed", "1"],
+                        "Monte Carlo chunk working set of shape (13824, 20736)")
 
 
 def test_thm2_grid_family_is_closed_form(capsys):

@@ -256,3 +256,19 @@ def test_schatten_batch_matches_per_matrix_svd():
                 ref = [_svd_schatten(mat, p) for mat in mats * scale]
                 out = kernels.schatten_norm_batch(mats * scale, p)
                 assert np.allclose(out, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("count", [1, kernels.GRAM_BLOCK - 1, kernels.GRAM_BLOCK,
+                                   kernels.GRAM_BLOCK + 1, 600])
+def test_schatten_gram_blocks_match_per_matrix_loop(count):
+    # the Gram paths reduce the stack block by block; every step is per
+    # matrix, so the values equal one-matrix calls exactly, zero matrices too
+    rng = np.random.default_rng(count)
+    real = rng.standard_normal((count, 5, 5))
+    real[::7] = 0.0
+    cplx = real + 1j * rng.standard_normal((count, 5, 5))
+    cplx[::7] = 0.0
+    for mats in (real, cplx):
+        for p in (4.0, np.inf):
+            loop = [kernels.schatten_norm_batch(mat[None], p)[0] for mat in mats]
+            assert np.array_equal(kernels.schatten_norm_batch(mats, p), loop)

@@ -1,5 +1,9 @@
 """Character systems, exact moments, Lambda(p) and Sidon constants."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,11 @@ from summinglab import (AscentConfig, Certainty, CharacterGroup, CharacterSet,
                         full_character_set, gaussian_system,
                         kp_constant_lower, kp_growth_profile,
                         lacunary_character_set, lp_norm_of_span,
-                        parse_exponent, second_moment, sequence_space,
-                        sidon_constant_lower)
-from summinglab.systems import _mc_second_moment
+                        parse_exponent, schatten_space, second_moment, sequence_space,
+                        sidon_constant_lower, systems)
+from summinglab.rng import make_rng, standard_gaussians, substream
+from summinglab.spaces import norms_of_stack
+from summinglab.systems import MC_CHUNK, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
 FAST = AscentConfig(seed=7, restarts=24, steps=250)
@@ -224,6 +230,98 @@ def test_second_moment_complex_normals_flag():
     space = sequence_space(2, n)
     est = _mc_second_moment(n, _basis(space, n), space, 20_000, 9, True, "mc-gaussian")
     assert abs(est.value - np.sqrt(n)) <= 4 * est.stderr
+
+
+def _serial_second_moment(dim, family, space, samples, seed, complex_normals):
+    """The one-thread Monte Carlo loop: draw, gather and reduce each chunk in turn."""
+    total = 0.0
+    total_sq = 0.0
+    for index, start in enumerate(range(0, samples, MC_CHUNK)):
+        count = min(MC_CHUNK, samples - start)
+        rows = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
+        if family is not None:
+            rows = family.synthesize(rows)
+        q = norms_of_stack(rows, space) ** 2
+        total += float(q.sum())
+        total_sq += float((q * q).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    value = float(np.sqrt(mean))
+    stderr = float(np.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
+    return value, stderr
+
+
+@pytest.mark.parametrize("space,family,complex_normals,samples", [
+    (schatten_space(4, 6), None, False, 2 * MC_CHUNK + 1),
+    (schatten_space("inf", 6), None, False, 2 * MC_CHUNK + 1),
+    (schatten_space("4/3", 6), None, False, 2 * MC_CHUNK + 1),
+    (sequence_space("inf", 6), None, False, 2 * MC_CHUNK + 1),
+    (schatten_space(4, 5), None, True, MC_CHUNK + 3),
+    (schatten_space("inf", 5), None, True, 3 * MC_CHUNK),
+    (schatten_space("inf", 6), "diag", False, 2 * MC_CHUNK + 1),
+    (schatten_space(4, 6), "grid", False, 2 * MC_CHUNK + 1),
+    (schatten_space(4, 6), "grid", False, 5),
+], ids=["s4", "sinf", "s4-3-svd", "linf", "s4-complex", "sinf-complex-3-chunks",
+        "sinf-diag", "s4-grid", "s4-grid-one-chunk"])
+def test_pooled_mc_loop_equals_serial_loop(space, family, complex_normals, samples):
+    # draws in order on the caller, reductions on the pool, sums in chunk
+    # order: the same floats as the one-thread loop, value and stderr
+    n = space.dim
+    if family == "diag":
+        family = UnitFamily(space, (np.arange(n) * (n + 1))[:, None])
+    elif family == "grid":
+        family = UnitFamily(space, np.arange(n * n)[:, None])
+    dim = space.flat_dim if family is None else family.size
+    est = _mc_second_moment(dim, family, space, samples, 13, complex_normals, "mc-gaussian")
+    value, stderr = _serial_second_moment(dim, family, space, samples, 13, complex_normals)
+    assert (est.value, est.stderr) == (value, stderr)
+
+
+def test_pooled_mc_loop_with_more_threads_than_cores(monkeypatch):
+    # four reducing threads and a short switch interval: the in-order sums
+    # still give the one-thread floats
+    monkeypatch.setattr(systems, "MC_WIDTH", 4)
+    space = schatten_space("inf", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = _mc_second_moment(36, None, space, 6 * MC_CHUNK + 7, 17, False, "mc-gaussian")
+    finally:
+        sys.setswitchinterval(interval)
+    assert (est.value, est.stderr) == _serial_second_moment(36, None, space, 6 * MC_CHUNK + 7,
+                                                            17, False)
+
+
+def test_full_grid_gather_is_the_identity():
+    space = schatten_space(4, 3)
+    coeffs = np.arange(18.0).reshape(2, 9)
+    assert UnitFamily(space, np.arange(9)[:, None]).synthesize(coeffs) is coeffs
+    diag = UnitFamily(space, np.array([[0], [4], [8]])).synthesize(coeffs[:, :3])
+    assert np.array_equal(diag, [[0, 0, 0, 0, 1, 0, 0, 0, 2], [9, 0, 0, 0, 10, 0, 0, 0, 11]])
+
+
+def test_pool_worker_error_reaches_caller(monkeypatch):
+    # a RuntimeWarning (an error under the test settings) raised while a
+    # pool thread reduces a chunk is the exception the caller sees,
+    # and every pool thread has ended when the call returns
+    raised = []
+
+    def norms(rows, space):
+        if len(raised) == 0 and threading.current_thread() is not threading.main_thread():
+            try:
+                warnings.warn("overflow in the reduction", RuntimeWarning)
+            except RuntimeWarning as exc:
+                raised.append(exc)
+                raise
+        return norms_of_stack(rows, space)
+
+    monkeypatch.setattr(systems, "norms_of_stack", norms)
+    space = sequence_space("inf", 4)
+    before = threading.active_count()
+    with pytest.raises(RuntimeWarning) as info:
+        _mc_second_moment(4, None, space, 3 * MC_CHUNK, 3, False, "mc-gaussian")
+    assert raised and info.value is raised[0]
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
