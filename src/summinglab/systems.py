@@ -3,8 +3,8 @@
 Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
 that draws its chunks in order on the calling thread, reduces their norms
-on a pool of ``MC_WIDTH`` threads and adds the sums in chunk order, so the
-result does not depend on the core count. On top of the systems sit the
+on a pool of at most ``MC_WIDTH`` threads and adds the sums in chunk order,
+so the result does not depend on the core count. On top of the systems sit the
 Lambda(p)-constant and Sidon-constant estimators, which are nonconvex
 maximizations shipped as ascent-with-restarts giving certified lower
 bounds.
@@ -198,9 +198,11 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
 # Gaussian rows per Monte Carlo chunk. Fixed, so that a seed fixes every draw.
 MC_CHUNK = 4096
 
-# Threads that reduce Monte Carlo chunks: the CPU count this process may
-# run on. Not a setting.
-MC_WIDTH = len(os.sched_getaffinity(0))
+# Most threads that reduce Monte Carlo chunks: the CPU count this process
+# may run on (the whole machine's where the OS cannot say). Not a setting;
+# each loop narrows it to what its working set leaves room for.
+MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _chunk_sums(box: list, space: SpaceDescriptor) -> tuple[float, float]:
@@ -209,6 +211,29 @@ def _chunk_sums(box: list, space: SpaceDescriptor) -> tuple[float, float]:
     # freed before the caller, woken by that result, draws the next one.
     q = norms_of_stack(box.pop(), space) ** 2
     return float(q.sum()), float((q * q).sum())
+
+
+def _mc_width(dim: int, space: SpaceDescriptor, samples: int, complex_normals: bool) -> int:
+    """Threads for one Monte Carlo loop, checked against MAX_ARRAY_BYTES first.
+
+    In flight at once, in chunk-length rows: ``width`` chunks in reduction,
+    each with its kernel's temporaries (three GRAM_BLOCK-matrix blocks on
+    Schatten spaces, a magnitude and a scaled copy of the chunk on sequence
+    spaces), the chunk being drawn and, unless the gather is the identity
+    (dim == flat_dim), its gathered copy. The width is the largest that
+    fits under the cap, at most MC_WIDTH and the chunk count; a working set
+    over the cap even at width 1 is refused before any draw.
+    """
+    rows = min(MC_CHUNK, samples)
+    temps = 3 * min(GRAM_BLOCK, rows) if space.kind is SpaceKind.SCHATTEN else 2 * rows
+    reducing = rows + temps
+    drawing = rows * (2 if dim < space.flat_dim else 1)
+    dtype = np.complex128 if complex_normals else np.float64
+    fits = (MAX_ARRAY_BYTES // (space.flat_dim * np.dtype(dtype).itemsize) - drawing) // reducing
+    width = max(1, min(MC_WIDTH, -(-samples // MC_CHUNK), fits))
+    check_array_bytes("Monte Carlo chunk working set",
+                      (width * reducing + drawing, space.flat_dim), dtype)
+    return width
 
 
 def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescriptor,
@@ -220,10 +245,10 @@ def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescripto
     each chunk by its gather (``UnitFamily.synthesize``), which keeps real
     rows real; or None for the identity, whose rows are the coordinates
     themselves. Chunk k draws from ``substream(seed, k)``. The calling
-    thread draws and gathers the chunks in order; a pool of ``MC_WIDTH``
+    thread draws and gathers the chunks in order; a pool of ``_mc_width``
     threads reduces them to norms (numpy's Philox fill, ``matmul`` and
-    LAPACK release the GIL), at most ``MC_WIDTH`` chunks at a time, and the
-    two sums are added in chunk order. So the result is the same float
+    LAPACK release the GIL), that many chunks at a time, and the two sums
+    are added in chunk order. So the result is the same float
     however the reductions interleave. The value is a Monte Carlo estimate,
     so it is ``lower`` with a standard error (delta method on the square
     root).
@@ -232,25 +257,16 @@ def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescripto
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
-    # In flight at once, in chunk-length rows: MC_WIDTH chunks in reduction,
-    # each with its kernel's temporaries (three GRAM_BLOCK-matrix blocks on
-    # Schatten spaces, a magnitude and a scaled copy of the chunk on sequence
-    # spaces), the chunk being drawn and, unless the gather is the identity
-    # (dim == flat_dim), its gathered copy.
-    rows = min(MC_CHUNK, samples)
-    temps = 3 * min(GRAM_BLOCK, rows) if space.kind is SpaceKind.SCHATTEN else 2 * rows
-    inflight = MC_WIDTH * (rows + temps) + rows * (2 if dim < space.flat_dim else 1)
-    check_array_bytes("Monte Carlo chunk working set", (inflight, space.flat_dim),
-                      np.complex128 if complex_normals else np.float64)
+    width = _mc_width(dim, space, samples, complex_normals)
     # imported here: concurrent.futures loads logging, about 5 ms of start-up
     # that the commands without Monte Carlo need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     sums = []
     reducing = deque()
-    with ThreadPoolExecutor(MC_WIDTH) as pool:
+    with ThreadPoolExecutor(width) as pool:
         for index, start in enumerate(range(0, samples, MC_CHUNK)):
-            if len(reducing) == MC_WIDTH:
+            if len(reducing) == width:
                 sums.append(reducing.popleft().result())
             count = min(MC_CHUNK, samples - start)
             chunk = standard_gaussians(make_rng(substream(seed, index)), (count, dim),

@@ -347,19 +347,31 @@ def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
 
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
-    # one S_inf^144 chunk is 170 MB: three of them (the one-thread loop's
-    # chunk, scaled copy and Gram) fit under the 2 GiB cap, but two chunks
-    # in reduction, their Gram blocks and the chunk being drawn do not
+    # one l_inf^20000 chunk is 655 MB: three of them (the one-thread loop's
+    # chunk, magnitude and scaled copy) fit under the 2 GiB cap, but one
+    # chunk in reduction with its two temporaries and the chunk being drawn
+    # do not, so even a one-thread pool is refused before any draw
     def draw(*args):
         raise AssertionError("drew normals before the working-set check")
 
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     monkeypatch.setattr(systems, "standard_gaussians", draw)
-    rows, flat = systems.MC_CHUNK, 144 * 144
+    rows, flat = systems.MC_CHUNK, 20000
     assert 3 * rows * flat * 8 < systems.MAX_ARRAY_BYTES
-    _assert_usage_error(capsys, ["lnorm", "--space", "s2:144", "--target", "sinf:144",
-                                 "--samples", str(rows), "--seed", "1"],
-                        "Monte Carlo chunk working set of shape (13824, 20736)")
+    _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
+                                 "--samples", str(3 * rows), "--seed", "1"],
+                        "Monte Carlo chunk working set of shape (16384, 20000)")
+
+
+def test_mc_pool_narrows_to_the_cap_on_many_cores(capsys, monkeypatch):
+    # sixteen CPUs: the pool narrows (here to the one chunk; the narrowing
+    # to the cap is test_systems' _mc_width test) instead of refusing a
+    # command that runs on two
+    monkeypatch.setattr(systems, "MC_WIDTH", 16)
+    rc = main(["lnorm", "--space", "s2:64", "--target", "sinf:64",
+               "--samples", "4096", "--seed", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("ell-norm s2:64 -> sinf:64: ")
 
 
 def test_thm2_grid_family_is_closed_form(capsys):

@@ -251,45 +251,52 @@ def _serial_second_moment(dim, family, space, samples, seed, complex_normals):
     return value, stderr
 
 
-@pytest.mark.parametrize("space,family,complex_normals,samples", [
-    (schatten_space(4, 6), None, False, 2 * MC_CHUNK + 1),
-    (schatten_space("inf", 6), None, False, 2 * MC_CHUNK + 1),
-    (schatten_space("4/3", 6), None, False, 2 * MC_CHUNK + 1),
-    (sequence_space("inf", 6), None, False, 2 * MC_CHUNK + 1),
-    (schatten_space(4, 5), None, True, MC_CHUNK + 3),
-    (schatten_space("inf", 5), None, True, 3 * MC_CHUNK),
-    (schatten_space("inf", 6), "diag", False, 2 * MC_CHUNK + 1),
-    (schatten_space(4, 6), "grid", False, 2 * MC_CHUNK + 1),
-    (schatten_space(4, 6), "grid", False, 5),
+@pytest.mark.parametrize("space,family,complex_normals,samples,width", [
+    (schatten_space(4, 6), None, False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space("inf", 6), None, False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space("4/3", 6), None, False, 2 * MC_CHUNK + 1, 2),
+    (sequence_space("inf", 6), None, False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 5), None, True, MC_CHUNK + 3, 2),
+    (schatten_space("inf", 5), None, True, 3 * MC_CHUNK, 2),
+    (schatten_space("inf", 6), "diag", False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 6), "grid", False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 6), "grid", False, 5, 2),
+    (schatten_space("inf", 6), None, False, 6 * MC_CHUNK + 7, 4),
 ], ids=["s4", "sinf", "s4-3-svd", "linf", "s4-complex", "sinf-complex-3-chunks",
-        "sinf-diag", "s4-grid", "s4-grid-one-chunk"])
-def test_pooled_mc_loop_equals_serial_loop(space, family, complex_normals, samples):
+        "sinf-diag", "s4-grid", "s4-grid-one-chunk", "sinf-4-threads"])
+def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_normals,
+                                           samples, width):
     # draws in order on the caller, reductions on the pool, sums in chunk
-    # order: the same floats as the one-thread loop, value and stderr
+    # order: the same floats as the one-thread loop, value and stderr, also
+    # with more reducing threads than cores and a short switch interval
+    monkeypatch.setattr(systems, "MC_WIDTH", width)
     n = space.dim
     if family == "diag":
         family = UnitFamily(space, (np.arange(n) * (n + 1))[:, None])
     elif family == "grid":
         family = UnitFamily(space, np.arange(n * n)[:, None])
     dim = space.flat_dim if family is None else family.size
-    est = _mc_second_moment(dim, family, space, samples, 13, complex_normals, "mc-gaussian")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = _mc_second_moment(dim, family, space, samples, 13, complex_normals, "mc-gaussian")
+    finally:
+        sys.setswitchinterval(interval)
     value, stderr = _serial_second_moment(dim, family, space, samples, 13, complex_normals)
     assert (est.value, est.stderr) == (value, stderr)
 
 
-def test_pooled_mc_loop_with_more_threads_than_cores(monkeypatch):
-    # four reducing threads and a short switch interval: the in-order sums
-    # still give the one-thread floats
-    monkeypatch.setattr(systems, "MC_WIDTH", 4)
-    space = schatten_space("inf", 6)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        est = _mc_second_moment(36, None, space, 6 * MC_CHUNK + 7, 17, False, "mc-gaussian")
-    finally:
-        sys.setswitchinterval(interval)
-    assert (est.value, est.stderr) == _serial_second_moment(36, None, space, 6 * MC_CHUNK + 7,
-                                                            17, False)
+def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
+    # at S_inf^64 a chunk in reduction with its Gram blocks is 4864 rows of
+    # 32 KiB (159 MB) and the chunk being drawn 134 MB: twelve reductions fit
+    # under the 2 GiB cap, thirteen do not, whatever the CPU count
+    space = schatten_space("inf", 64)
+    monkeypatch.setattr(systems, "MC_WIDTH", 16)
+    assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 12
+    assert systems._mc_width(4096, space, 5 * MC_CHUNK, False) == 5  # one per chunk
+    assert systems._mc_width(4096, space, MC_CHUNK, False) == 1
+    monkeypatch.setattr(systems, "MC_WIDTH", 2)
+    assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 2
 
 
 def test_full_grid_gather_is_the_identity():
