@@ -24,9 +24,9 @@ from .spaces import (Exponent, SpaceDescriptor, SpaceKind, SpaceMap,
 from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
                       kp_summing_bound, summing_norm_lower,
                       summing_norm_search)
-from .systems import (AscentConfig, CharacterGroup, CharacterSet,
-                      OrthonormalSystem, SpanElement, character_system,
-                      cyclic_group, full_character_set, gaussian_system,
+from .systems import (AscentConfig, CharacterSet, OrthonormalSystem,
+                      SpanElement, character_system, full_character_set,
+                      gaussian_system,
                       kp_constant_lower, kp_growth_profile,
                       lacunary_character_set, lp_norm_of_span, second_moment,
                       sidon_constant_lower)

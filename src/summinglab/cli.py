@@ -17,12 +17,25 @@ from .experiments import (ConfigError, ExperimentConfig, RunReport,
 from .limit_order import fit_exponent, limit_order_table
 from .spaces import identity_map, parse_space
 from .summing import SearchConfig, ell_norm_mc, summing_norm_search
-from .systems import (AscentConfig, CharacterSet, cyclic_group,
-                      character_system, full_character_set, gaussian_system,
-                      kp_constant_lower, sidon_constant_lower)
+from .systems import (AscentConfig, CharacterSet, character_system,
+                      full_character_set, gaussian_system, kp_constant_lower,
+                      sidon_constant_lower)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int >= low, refused with a message naming the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _estimate_payload(est: NormEstimate) -> dict:
@@ -38,11 +51,9 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _parse_charset(args) -> CharacterSet:
-    group = cyclic_group(args.group)
     if args.freqs.strip().lower() == "full":
         return full_character_set(args.group)
-    freqs = tuple((int(f),) for f in args.freqs.split(","))
-    return CharacterSet(group, freqs)
+    return CharacterSet(args.group, tuple(int(f) for f in args.freqs.split(",")))
 
 
 def _cmd_lnorm(args) -> int:
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help="domain, e.g. l2:16 or s2:8")
     p.add_argument("--target", required=True, help="codomain, e.g. linf:16")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--complex-normals", action="store_true")
     add_json_flag(p)
     p.set_defaults(func=_cmd_lnorm)
@@ -214,30 +225,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--system", choices=("gaussian", "characters"), default="gaussian")
-    p.add_argument("--group", type=int, default=0, help="cyclic group order (characters)")
+    p.add_argument("--group", type=_int_at_least(1), default=None,
+                   help="cyclic group order (characters)")
     p.add_argument("--freqs", default="full", help="comma list or 'full' (characters)")
     p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--complex-normals", action="store_true")
     add_json_flag(p)
     p.set_defaults(func=_cmd_pib)
 
     p = sub.add_parser("kp", help="Lambda(p) constant lower bound")
-    p.add_argument("--group", type=int, required=True)
+    p.add_argument("--group", type=_int_at_least(1), required=True)
     p.add_argument("--freqs", default="full")
     p.add_argument("--p", required=True)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     add_json_flag(p)
     p.set_defaults(func=_cmd_kp)
 
     p = sub.add_parser("sidon", help="Sidon constant lower bound")
-    p.add_argument("--group", type=int, required=True)
+    p.add_argument("--group", type=_int_at_least(1), required=True)
     p.add_argument("--freqs", default="full")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     add_json_flag(p)
     p.set_defaults(func=_cmd_sidon)
 
@@ -285,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "system", None) == "characters" and args.group is None:
+        parser.error("argument --group: required with --system characters")
     try:
         return args.func(args)
     except ConfigError as exc:

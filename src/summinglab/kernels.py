@@ -4,9 +4,10 @@
 Frobenius norm at S_4, the Gram's top eigenvalue at S_inf, and one batched
 SVD reduced by ``lp_norms`` at every other exponent; the two Gram paths
 run block by block, which keeps their temporaries in cache. Its Monte
-Carlo caller, ``systems._mc_second_moment``, gathers the columns of unit
-families instead of multiplying, so real Gaussian rows reach it as real
-stacks, and calls it from pool threads, one chunk per call.
+Carlo caller, ``systems._mc_second_moment``, applies every family (the
+ell-norm's coordinate basis included) by gathering columns instead of
+multiplying, so real Gaussian rows reach it as real stacks, and calls it
+from pool threads, one chunk per call.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each

@@ -1,12 +1,12 @@
 """Operator-ideal norm estimators.
 
 For an identity with Hilbert domain the Gaussian-summing norm is computed as
-the ell-norm (E ||id g||^2)^(1/2) (operational definition; exact Frobenius
-shortcut onto Hilbert codomains, Monte Carlo otherwise). For other domains
-the module produces certified lower bounds from structured vector families
-(exact numerator over character systems, exact closed-form denominators)
-and certified upper bounds by factorization through a pivot leg whose ideal
-norm is known in closed form.
+the ell-norm (E ||id g||^2)^(1/2) (operational definition), the Gaussian
+second moment of the coordinate basis: exact onto Hilbert codomains, Monte
+Carlo otherwise. For other domains the module produces certified lower
+bounds from structured vector families (exact numerator over character
+systems, exact closed-form denominators) and certified upper bounds by
+factorization through a pivot leg whose ideal norm is known in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .rng import substream
 from .spaces import (SpaceDescriptor, SpaceKind, SpaceMap, UnitFamily,
                      VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
-from .systems import (OrthonormalSystem, _mc_second_moment, check_array_bytes,
+from .systems import (OrthonormalSystem, check_array_bytes, gaussian_system,
                       kp_constant_lower, second_moment)
 
 
@@ -33,20 +33,17 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
                 complex_normals: bool = False) -> NormEstimate:
     """(E ||id g||^2)^(1/2) for an identity with Hilbert domain (l_2^n or S_2^n).
 
-    When the codomain is Hilbert as well the value is the Frobenius norm of
-    the identity, sqrt(flat dimension), returned exactly. Otherwise chunked
-    Monte Carlo with a standard error; the result doubles as a lower bound
-    for the Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
+    The Gaussian second moment of the coordinate basis in the codomain,
+    whose gather is the identity: exactly sqrt(flat dimension) when the
+    codomain is Hilbert as well, otherwise chunked Monte Carlo with a
+    standard error. The result doubles as a lower bound for the
+    Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
     """
-    domain = space_map.domain
-    if not domain.exponent.is_hilbert:
+    if not space_map.domain.exponent.is_hilbert:
         raise ValueError("the ell-norm needs a Hilbert domain (exponent 2)")
     codomain = space_map.codomain
-    d = domain.flat_dim
-    if codomain.exponent.is_hilbert:
-        return NormEstimate(float(np.sqrt(d)), Certainty.EXACT, method="frobenius")
-    return _mc_second_moment(d, None, codomain, samples, seed, complex_normals,
-                             "mc-gaussian-ell")
+    return second_moment(gaussian_system(complex_normals),
+                         _family(codomain, codomain.flat_dim, 1), samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +133,9 @@ def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_siz
     cset = system.charset
     m = domain.dim
     count = min(cset.size, max_size)
-    if count < 1 or len(cset.group.factors) != 1:
+    if count < 1:
         return
-    order = cset.group.order
+    order = cset.order
     translates = (np.arange(m) * (order // m)) % order if order >= m else np.arange(m) % order
     basis = cset.matrix()
     rows = basis[translates, :count]          # (m, count): gamma_i(t_r)

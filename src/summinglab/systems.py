@@ -1,4 +1,4 @@
-"""Orthonormal systems: Gaussian sequences and characters on finite abelian groups.
+"""Orthonormal systems: Gaussian sequences and characters on the cyclic group Z_N.
 
 Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
@@ -41,58 +41,24 @@ def check_array_bytes(what: str, shape, dtype) -> None:
 
 
 # ---------------------------------------------------------------------------
-# finite abelian groups and their characters
+# characters of the cyclic group Z_N
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CharacterGroup:
-    """Product of cyclic groups Z_{N_1} x ... x Z_{N_k}."""
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        factors = tuple(int(f) for f in self.factors)
-        if not factors or any(f < 1 for f in factors):
-            raise ValueError("group factors must be positive integers")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
-
-    def points(self) -> np.ndarray:
-        """All group elements, shape (order, num_factors), fixed enumeration."""
-        grids = np.meshgrid(*[np.arange(f) for f in self.factors], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def cyclic_group(n: int) -> CharacterGroup:
-    return CharacterGroup((n,))
-
-
-def _normalize_freq(freq, factors) -> tuple[int, ...]:
-    if isinstance(freq, (int, np.integer)):
-        freq = (int(freq),)
-    freq = tuple(int(f) for f in freq)
-    if len(freq) != len(factors):
-        raise ValueError("frequency tuple length must match the number of group factors")
-    return tuple(f % n for f, n in zip(freq, factors))
-
-
-@dataclass(frozen=True)
 class CharacterSet:
-    """A finite set of distinct frequencies, i.e. characters of the group."""
+    """Distinct frequencies k of Z_N: the characters x -> exp(2 pi i k x / N)."""
 
-    group: CharacterGroup
-    freqs: tuple[tuple[int, ...], ...]
+    order: int
+    freqs: tuple[int, ...]
 
     def __post_init__(self):
-        freqs = tuple(_normalize_freq(f, self.group.factors) for f in self.freqs)
+        order = int(self.order)
+        if order < 1:
+            raise ValueError(f"the group order must be a positive integer, got {order}")
+        freqs = tuple(int(k) % order for k in self.freqs)
         if len(set(freqs)) != len(freqs):
-            raise ValueError("frequencies must be distinct modulo the group")
+            raise ValueError("frequencies must be distinct modulo the group order")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "freqs", freqs)
 
     @property
@@ -101,27 +67,21 @@ class CharacterSet:
 
     def matrix(self) -> np.ndarray:
         """Character table slice, shape (order, size): column k = gamma_k(x)."""
-        return _character_matrix(self.group.factors, self.freqs)
+        return _character_matrix(self.order, self.freqs)
 
 
 @lru_cache(maxsize=64)
-def _character_matrix(factors: tuple[int, ...], freqs) -> np.ndarray:
-    group = CharacterGroup(factors)
-    check_array_bytes("character matrix", (group.order, len(freqs)), np.complex128)
-    pts = group.points()
+def _character_matrix(order: int, freqs: tuple[int, ...]) -> np.ndarray:
+    check_array_bytes("character matrix", (order, len(freqs)), np.complex128)
+    # phases as exact integer residues, then one exp call
     k = np.asarray(freqs, dtype=np.int64)
-    n = np.asarray(factors, dtype=np.int64)
-    # phases as exact integer residues over each factor, then one exp call
-    phase = np.zeros((group.order, len(freqs)))
-    for j, nj in enumerate(n):
-        phase += ((np.outer(pts[:, j], k[:, j])) % nj) / nj
-    mat = np.exp(2j * np.pi * phase)
+    mat = np.exp(2j * np.pi * ((np.outer(np.arange(order), k) % order) / order))
     mat.flags.writeable = False
     return mat
 
 
 def full_character_set(n: int) -> CharacterSet:
-    return CharacterSet(cyclic_group(n), tuple((k,) for k in range(n)))
+    return CharacterSet(n, tuple(range(n)))
 
 
 def lacunary_character_set(n: int, count: int) -> CharacterSet:
@@ -129,7 +89,7 @@ def lacunary_character_set(n: int, count: int) -> CharacterSet:
     freqs = [2 ** k for k in range(count)]
     if max(freqs) >= n:
         raise ValueError("group too small to keep lacunary frequencies distinct")
-    return CharacterSet(cyclic_group(n), tuple((f,) for f in freqs))
+    return CharacterSet(n, tuple(freqs))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +179,21 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int, complex_normals: b
     In flight at once, in chunk-length rows: ``width`` chunks in reduction,
     each with its kernel's temporaries (three GRAM_BLOCK-matrix blocks on
     Schatten spaces, a magnitude and a scaled copy of the chunk on sequence
-    spaces), the chunk being drawn and, unless the gather is the identity
-    (dim == flat_dim), its gathered copy. The width is the largest that
-    fits under the cap, at most MC_WIDTH and the chunk count; a working set
-    over the cap even at width 1 is refused before any draw.
+    spaces), and the chunk being drawn with, at its peak, either the real
+    buffer a complex draw fills it from (half a chunk) or, unless the
+    gather is the identity (dim == flat_dim), its gathered copy. The width
+    is the largest that fits under the cap, at most MC_WIDTH and the chunk
+    count; a working set over the cap even at width 1 is refused before
+    any draw.
     """
     rows = min(MC_CHUNK, samples)
     temps = 3 * min(GRAM_BLOCK, rows) if space.kind is SpaceKind.SCHATTEN else 2 * rows
     reducing = rows + temps
-    drawing = rows * (2 if dim < space.flat_dim else 1)
+    drawing = rows
+    if dim < space.flat_dim:
+        drawing += rows
+    elif complex_normals:
+        drawing += -(-rows // 2)
     dtype = np.complex128 if complex_normals else np.float64
     fits = (MAX_ARRAY_BYTES // (space.flat_dim * np.dtype(dtype).itemsize) - drawing) // reducing
     width = max(1, min(MC_WIDTH, -(-samples // MC_CHUNK), fits))
@@ -236,27 +202,26 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int, complex_normals: b
     return width
 
 
-def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescriptor,
-                      samples: int, seed, complex_normals: bool,
-                      method: str) -> NormEstimate:
-    """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g of length dim.
+def _mc_second_moment(family: UnitFamily, samples: int, seed,
+                      complex_normals: bool) -> NormEstimate:
+    """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
-    ``family`` is a unit family of ``dim`` elements in ``space``, applied to
-    each chunk by its gather (``UnitFamily.synthesize``), which keeps real
-    rows real; or None for the identity, whose rows are the coordinates
-    themselves. Chunk k draws from ``substream(seed, k)``. The calling
-    thread draws and gathers the chunks in order; a pool of ``_mc_width``
-    threads reduces them to norms (numpy's Philox fill, ``matmul`` and
-    LAPACK release the GIL), that many chunks at a time, and the two sums
-    are added in chunk order. So the result is the same float
-    however the reductions interleave. The value is a Monte Carlo estimate,
-    so it is ``lower`` with a standard error (delta method on the square
-    root).
+    Each chunk of rows is applied to the family by its gather
+    (``UnitFamily.synthesize``), which keeps real rows real and is the
+    identity on a full basis or grid. Chunk k draws from
+    ``substream(seed, k)``. The calling thread draws and gathers the chunks
+    in order; a pool of ``_mc_width`` threads reduces them to norms (numpy's
+    Philox fill, ``matmul`` and LAPACK release the GIL), that many chunks at
+    a time, and the two sums are added in chunk order. So the result is the
+    same float however the reductions interleave. The value is a Monte
+    Carlo estimate, so it is ``lower`` with a standard error (delta method
+    on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
+    space, dim = family.space, family.size
     width = _mc_width(dim, space, samples, complex_normals)
     # imported here: concurrent.futures loads logging, about 5 ms of start-up
     # that the commands without Monte Carlo need not pay
@@ -269,10 +234,8 @@ def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescripto
             if len(reducing) == width:
                 sums.append(reducing.popleft().result())
             count = min(MC_CHUNK, samples - start)
-            chunk = standard_gaussians(make_rng(substream(seed, index)), (count, dim),
-                                       complex_normals)
-            if family is not None:
-                chunk = family.synthesize(chunk)
+            chunk = family.synthesize(standard_gaussians(make_rng(substream(seed, index)),
+                                                         (count, dim), complex_normals))
             reducing.append(pool.submit(_chunk_sums, [chunk], space))
             del chunk  # from here on only its reduction holds it
         sums.extend(future.result() for future in reducing)
@@ -285,7 +248,7 @@ def _mc_second_moment(dim: int, family: UnitFamily | None, space: SpaceDescripto
     var = max(total_sq / samples - mean * mean, 0.0)
     value = float(np.sqrt(mean))
     stderr = float(np.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
-    return NormEstimate(value, Certainty.LOWER, stderr=stderr, method=method)
+    return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian")
 
 
 def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, *,
@@ -304,7 +267,7 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
         cset = system.charset
         if m > cset.size:
             raise ValueError(f"family size {m} exceeds the character set ({cset.size})")
-        check_array_bytes("group-average values", (cset.group.order, space.flat_dim),
+        check_array_bytes("group-average values", (cset.order, space.flat_dim),
                           np.complex128)
         vals = family.synthesize(cset.matrix()[:, :m])
         value = lp_norm(norms_of_stack(vals, space), Exponent(0.5)) / math.sqrt(len(vals))
@@ -313,13 +276,12 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     if not isinstance(family, UnitFamily):
         raise ValueError("the Gaussian system integrates unit families")
     if space.exponent.is_hilbert:
-        value = _ones_norm(family.elements.size, space.exponent)
+        value = math.sqrt(family.elements.size)
         return NormEstimate(value, Certainty.EXACT, method="gaussian-orthogonality")
     if m == 1:
         value = _ones_norm(family.elements.shape[1], space.exponent)
         return NormEstimate(value, Certainty.EXACT, method="single-element")
-    return _mc_second_moment(m, family, space, samples, seed, system.complex_normals,
-                             "mc-gaussian")
+    return _mc_second_moment(family, samples, seed, system.complex_normals)
 
 
 # ---------------------------------------------------------------------------

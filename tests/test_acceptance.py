@@ -30,9 +30,9 @@ def test_criterion_1_exact_ell_norm_hilbert():
     for n in (4, 16, 64):
         mapping = sl.identity_map(sl.sequence_space(2, n), sl.sequence_space(2, n))
         exact = sl.ell_norm_mc(mapping)
-        assert exact.value == math.sqrt(n)  # bit-exact Frobenius shortcut
-        mc = _mc_second_moment(n, None, mapping.codomain, 100_000, 101 + n, False,
-                               "mc-gaussian-ell")
+        assert exact.value == math.sqrt(n)  # bit-exact closed form
+        basis = sl.UnitFamily(mapping.codomain, np.arange(n)[:, None])
+        mc = _mc_second_moment(basis, 100_000, 101 + n, False)
         assert abs(mc.value - math.sqrt(n)) <= 0.01 * math.sqrt(n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -154,7 +154,7 @@ def test_criterion_6_interpolation_audit():
 def test_criterion_7_lambda_p_constants():
     cfg = sl.AscentConfig(seed=77)
     single = sl.kp_constant_lower(
-        sl.CharacterSet(sl.cyclic_group(16), ((3,),)), 4, cfg)
+        sl.CharacterSet(16, (3,)), 4, cfg)
     assert single.value == 1.0
     worst = 0.0
     for n in (8, 16):
@@ -167,8 +167,8 @@ def test_criterion_7_lambda_p_constants():
     rng = np.random.default_rng(7)
     for _ in range(100):
         size = int(rng.integers(1, 9))
-        freqs = tuple((int(f),) for f in rng.choice(64, size=size, replace=False))
-        est = sl.kp_constant_lower(sl.CharacterSet(sl.cyclic_group(64), freqs), 2, cfg)
+        freqs = tuple(int(f) for f in rng.choice(64, size=size, replace=False))
+        est = sl.kp_constant_lower(sl.CharacterSet(64, freqs), 2, cfg)
         assert est.value == 1.0
     print(f"\n[PASS] criterion 7: K_p singleton exact, full sets within 5% "
           f"(worst rel err {worst:.2e}), K_2 == 1 on 100 random sets")

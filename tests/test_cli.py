@@ -194,8 +194,15 @@ def test_zero_denominator_exponent_is_usage_error(capsys):
       "--csv"], "unrecognized arguments: --csv"),
     (["thm2", "--seed", "1", "--n-grid", "8,16,32", "--pairs", "2:2", "--json", "--csv"],
      "argument --csv: not allowed with argument --json"),
+    (["lnorm", "--space", "l2:4", "--target", "l4:4", "--seed", "-1"],
+     "argument --seed: must be >= 0, got -1"),
+    (["sidon", "--group", "8", "--seed", "-3"], "argument --seed: must be >= 0, got -3"),
+    (["kp", "--group", "0", "--p", "4", "--seed", "1"], "argument --group: must be >= 1, got 0"),
+    (["pib", "--space", "l2:4", "--target", "l4:4", "--system", "characters", "--seed", "1"],
+     "argument --group: required with --system characters"),
 ], ids=["bad-int", "unknown-flag", "missing-required", "removed-pib-budget",
-        "interp-audit-pairs", "thm1-samples", "lnorm-csv", "json-csv"])
+        "interp-audit-pairs", "thm1-samples", "lnorm-csv", "json-csv", "lnorm-negative-seed",
+        "sidon-negative-seed", "kp-zero-group", "pib-characters-without-group"])
 def test_argparse_usage_error_is_one_line(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -426,21 +433,25 @@ _SIZES = _TOKEN | (st.lists(st.integers(-1, 4), max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(["lnorm", "fit", "limit-order", "kp", "sidon",
+@given(command=st.sampled_from(["lnorm", "pib", "fit", "limit-order", "kp", "sidon",
                                 "thm2", "thm1", "interp-audit"]),
-       a=_TOKEN, b=_TOKEN, group=_TOKEN | st.integers(-1, 32).map(str),
-       pairs=_PAIRS, sizes=_SIZES)
-def test_arbitrary_arguments_never_escape_main(command, a, b, group, pairs, sizes):
+       a=_TOKEN, b=_TOKEN, group=st.none() | _TOKEN | st.integers(-1, 32).map(str),
+       seed=_TOKEN | st.integers(-2, 3).map(str), pairs=_PAIRS, sizes=_SIZES)
+def test_arbitrary_arguments_never_escape_main(command, a, b, group, seed, pairs, sizes):
     # most values are separate argv items, so that argparse itself refuses
-    # some examples: a value that looks like a flag, a --group that is no int
+    # some examples: a value that looks like a flag, a --group or --seed
+    # that is no int or out of range, a character system without --group
+    group_flag = [] if group is None else ["--group", group]
     argv = {
-        "lnorm": ["lnorm", "--space", a, f"--target={b}", "--samples", "16", "--seed", "1"],
+        "lnorm": ["lnorm", "--space", a, f"--target={b}", "--samples", "16", "--seed", seed],
+        "pib": ["pib", "--space", a, f"--target={b}", "--system", "characters", *group_flag,
+                "--samples", "16", "--seed", seed],
         "fit": ["fit", "--points", a],
         "limit-order": ["limit-order", "--grid", a, f"--v-grid={b}"],
-        "kp": ["kp", "--group", group, "--freqs", a, "--p", b,
-               "--restarts", "2", "--steps", "5", "--seed", "1"],
-        "sidon": ["sidon", "--group", group, f"--freqs={a}",
-                  "--restarts", "2", "--steps", "5", "--seed", "1"],
+        "kp": ["kp", *group_flag, "--freqs", a, "--p", b,
+               "--restarts", "2", "--steps", "5", "--seed", seed],
+        "sidon": ["sidon", *group_flag, f"--freqs={a}",
+                  "--restarts", "2", "--steps", "5", "--seed", seed],
         "thm2": ["thm2", "--seed", "1", "--n-grid", sizes, "--pairs", pairs,
                  "--samples", "16"],
         "thm1": ["thm1", "--seed", "1", "--n-grid", sizes, "--pairs", pairs],

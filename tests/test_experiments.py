@@ -88,7 +88,7 @@ def test_group_size_coupling():
     assert full.group_size(4) == 4        # the whole dual group
     assert full.charset(4).size == 4
     cs = lac.charset(4)
-    assert [f[0] for f in cs.freqs] == [1, 2, 4, 8]
+    assert cs.freqs == (1, 2, 4, 8)
 
 
 # ---------------------------------------------------------------------------

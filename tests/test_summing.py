@@ -1,5 +1,6 @@
 """ell-norm estimation, certified family bounds, family search, factorization."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from summinglab import (Certainty, CharacterSet, NormEstimate, SearchConfig,
-                        UnitFamily, VectorSystem, character_system, cyclic_group,
+                        UnitFamily, VectorSystem, character_system,
                         ell_norm_mc, factorization_upper, gaussian_system,
                         identity_map, kp_summing_bound, schatten_space,
                         sequence_space, second_moment, summing_norm_lower,
@@ -44,6 +45,16 @@ def test_ell_norm_hilbert_identity_exact():
     est = ell_norm_mc(identity_map(sequence_space(2, 4), sequence_space(2, 4)))
     assert est.certainty is Certainty.EXACT
     assert est.value == 2.0
+
+
+def test_one_hilbert_closed_form():
+    # the ell-norm and the basis family's second moment share one closed
+    # form, math.sqrt(m s); 2921 ** 0.5 is one ulp below it
+    space = sequence_space(2, 2921)
+    ell = ell_norm_mc(identity_map(space, space))
+    basis = second_moment(gaussian_system(), UnitFamily(space, np.arange(2921)[:, None]))
+    assert ell.value == basis.value == math.sqrt(2921)
+    assert ell.method == basis.method == "gaussian-orthogonality"
 
 
 def test_ell_norm_requires_hilbert_domain():
@@ -94,7 +105,7 @@ def test_lower_bound_rank_one_grid_matches_reference():
 
 
 def test_lower_bound_characters_exact():
-    cs = CharacterSet(cyclic_group(4), ((0,), (1,)))
+    cs = CharacterSet(4, (0, 1))
     fam = _basis(sequence_space(2, 2))
     est = summing_norm_lower(identity_map(sequence_space(2, 2), sequence_space(2, 2)),
                              character_system(cs), fam)
@@ -181,7 +192,7 @@ def test_unit_family_gather_matches_dense_product():
 def test_generic_family_takes_dense_product():
     # the comb is the one dense family: its character average is the dense
     # product of the character table with its elements
-    cs = CharacterSet(cyclic_group(16), tuple((k,) for k in range(8)))
+    cs = CharacterSet(16, tuple(range(8)))
     system = character_system(cs)
     space = sequence_space(4, 8)
     (tag, comb), = summing._comb_candidates(sequence_space(2, 8), system, cs.size)
@@ -354,7 +365,7 @@ def test_three_estimators_agree_on_hilbert_identity():
     ell = ell_norm_mc(mapping)
     fam = _basis(sequence_space(2, n))
     gauss = summing_norm_lower(mapping, gaussian_system(), fam)
-    cs = CharacterSet(cyclic_group(16), tuple((k,) for k in range(n)))
+    cs = CharacterSet(16, tuple(range(n)))
     chars = summing_norm_lower(mapping, character_system(cs), fam)
     assert ell.value == pytest.approx(2.0, rel=1e-12)
     assert gauss.value == pytest.approx(2.0, rel=1e-12)
@@ -366,20 +377,20 @@ def test_three_estimators_agree_on_hilbert_identity():
 # ---------------------------------------------------------------------------
 
 def test_kp_template_singleton():
-    cs = CharacterSet(cyclic_group(8), ((1,),))
+    cs = CharacterSet(8, (1,))
     est = kp_summing_bound(cs, 4, 16, AscentConfig(seed=1, restarts=8, steps=100))
     assert est.value == pytest.approx(2.0, rel=1e-12)
     assert est.certainty is Certainty.HEURISTIC
 
 
 def test_kp_template_full_set():
-    cs = CharacterSet(cyclic_group(8), tuple((k,) for k in range(8)))
+    cs = CharacterSet(8, tuple(range(8)))
     est = kp_summing_bound(cs, 4, 8, AscentConfig(seed=1))
     assert est.value == pytest.approx(np.sqrt(8), rel=0.05)
 
 
 def test_kp_template_infinite_v():
-    cs = CharacterSet(cyclic_group(8), ((1,), (2,)))
+    cs = CharacterSet(8, (1, 2))
     cfg = AscentConfig(seed=1, restarts=16, steps=200)
     est = kp_summing_bound(cs, "inf", 64, cfg)
     from summinglab import kp_constant_lower
@@ -387,6 +398,6 @@ def test_kp_template_infinite_v():
 
 
 def test_kp_template_rejects_small_v():
-    cs = CharacterSet(cyclic_group(8), ((1,),))
+    cs = CharacterSet(8, (1,))
     with pytest.raises(ValueError):
         kp_summing_bound(cs, 2, 8, AscentConfig(seed=1))

@@ -2,14 +2,15 @@
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from summinglab import (AscentConfig, Certainty, CharacterGroup, CharacterSet,
-                        SpanElement, UnitFamily, character_system, cyclic_group,
-                        full_character_set, gaussian_system,
+from summinglab import (AscentConfig, Certainty, CharacterSet, SpanElement,
+                        UnitFamily, character_system, full_character_set,
+                        gaussian_system,
                         kp_constant_lower, kp_growth_profile,
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
@@ -23,11 +24,11 @@ FAST = AscentConfig(seed=7, restarts=24, steps=250)
 
 
 def _charset(n, freqs):
-    return CharacterSet(cyclic_group(n), tuple((f,) for f in freqs))
+    return CharacterSet(n, tuple(freqs))
 
 
 def _basis(space, m):
-    """The first m coordinate vectors of a sequence space."""
+    """The first m coordinate vectors (matrix units, row by row, on a Schatten space)."""
     return UnitFamily(space, np.arange(m)[:, None])
 
 
@@ -99,18 +100,13 @@ def test_characters_unimodular_and_orthonormal():
     cs = full_character_set(12)
     mat = cs.matrix()
     assert np.allclose(np.abs(mat), 1.0, atol=1e-12)
-    gram = mat.conj().T @ mat / cs.group.order
+    gram = mat.conj().T @ mat / cs.order
     assert np.allclose(gram, np.eye(cs.size), atol=1e-10)
 
 
 def test_product_group_enumeration_and_orthonormality():
-    cs = CharacterSet(cyclic_group(6), ((0,), (1,), (5,)))
-    assert cs.group.order == 6
-    two_factor = CharacterSet(CharacterGroup((2, 4)), ((0, 1), (1, 2), (1, 3)))
-    mat = two_factor.matrix()
-    assert mat.shape == (8, 3)
-    gram = mat.conj().T @ mat / 8
-    assert np.allclose(gram, np.eye(3), atol=1e-10)
+    cs = CharacterSet(6, (0, 1, 5))
+    assert cs.order == 6
 
 
 def test_duplicate_frequencies_rejected():
@@ -122,7 +118,7 @@ def test_lacunary_set_requires_room():
     with pytest.raises(ValueError):
         lacunary_character_set(8, 5)
     cs = lacunary_character_set(64, 5)
-    assert [f[0] for f in cs.freqs] == [1, 2, 4, 8, 16]
+    assert cs.freqs == (1, 2, 4, 8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ def test_second_moment_gaussian_exact_and_mc():
     exact = second_moment(gaussian_system(), _basis(space, n))
     assert exact.certainty is Certainty.EXACT
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
-    mc = _mc_second_moment(n, _basis(space, n), space, 20_000, 5, False, "mc-gaussian")
+    mc = _mc_second_moment(_basis(space, n), 20_000, 5, False)
     assert mc.certainty is Certainty.LOWER
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(mc.value - np.sqrt(n)) <= 3 * mc.stderr
@@ -228,20 +224,51 @@ def test_second_moment_family_too_large():
 def test_second_moment_complex_normals_flag():
     n = 5
     space = sequence_space(2, n)
-    est = _mc_second_moment(n, _basis(space, n), space, 20_000, 9, True, "mc-gaussian")
+    est = _mc_second_moment(_basis(space, n), 20_000, 9, True)
     assert abs(est.value - np.sqrt(n)) <= 4 * est.stderr
 
 
-def _serial_second_moment(dim, family, space, samples, seed, complex_normals):
+def _old_complex_gaussians(rng, shape):
+    """The complex draw as first written: both parts, then one expression."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("seed,shape", [(0, (1,)), (1, (7, 3)), (5, (4096, 16)),
+                                        (11, (33, 65)), (20261, (2, 3, 4))])
+def test_complex_gaussians_match_the_one_expression_draw(seed, shape):
+    z = standard_gaussians(make_rng(seed), shape, True)
+    ref = _old_complex_gaussians(make_rng(seed), shape)
+    assert z.dtype == np.complex128 and z.shape == shape
+    assert np.array_equal(z.view(np.float64), ref.view(np.float64))
+
+
+def test_complex_gaussians_peak_at_one_and_a_half_outputs():
+    # the output plus one real buffer; the one-expression draw holds two
+    # outputs at once
+    shape = (1024, 512)
+    nbytes = 16 * shape[0] * shape[1]
+    peaks = []
+    for draw in (lambda: standard_gaussians(make_rng(3), shape, True),
+                 lambda: _old_complex_gaussians(make_rng(3), shape)):
+        tracemalloc.start()
+        try:
+            draw()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 * nbytes + 65536
+    assert peaks[1] >= 2 * nbytes
+
+
+def _serial_second_moment(family, samples, seed, complex_normals):
     """The one-thread Monte Carlo loop: draw, gather and reduce each chunk in turn."""
     total = 0.0
     total_sq = 0.0
     for index, start in enumerate(range(0, samples, MC_CHUNK)):
         count = min(MC_CHUNK, samples - start)
-        rows = standard_gaussians(make_rng(substream(seed, index)), (count, dim), complex_normals)
-        if family is not None:
-            rows = family.synthesize(rows)
-        q = norms_of_stack(rows, space) ** 2
+        rows = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
+                                  complex_normals)
+        q = norms_of_stack(family.synthesize(rows), family.space) ** 2
         total += float(q.sum())
         total_sq += float((q * q).sum())
     mean = total / samples
@@ -252,16 +279,16 @@ def _serial_second_moment(dim, family, space, samples, seed, complex_normals):
 
 
 @pytest.mark.parametrize("space,family,complex_normals,samples,width", [
-    (schatten_space(4, 6), None, False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space("inf", 6), None, False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space("4/3", 6), None, False, 2 * MC_CHUNK + 1, 2),
-    (sequence_space("inf", 6), None, False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space(4, 5), None, True, MC_CHUNK + 3, 2),
-    (schatten_space("inf", 5), None, True, 3 * MC_CHUNK, 2),
+    (schatten_space(4, 6), "basis", False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space("inf", 6), "basis", False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space("4/3", 6), "basis", False, 2 * MC_CHUNK + 1, 2),
+    (sequence_space("inf", 6), "basis", False, 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 5), "basis", True, MC_CHUNK + 3, 2),
+    (schatten_space("inf", 5), "basis", True, 3 * MC_CHUNK, 2),
     (schatten_space("inf", 6), "diag", False, 2 * MC_CHUNK + 1, 2),
     (schatten_space(4, 6), "grid", False, 2 * MC_CHUNK + 1, 2),
     (schatten_space(4, 6), "grid", False, 5, 2),
-    (schatten_space("inf", 6), None, False, 6 * MC_CHUNK + 7, 4),
+    (schatten_space("inf", 6), "basis", False, 6 * MC_CHUNK + 7, 4),
 ], ids=["s4", "sinf", "s4-3-svd", "linf", "s4-complex", "sinf-complex-3-chunks",
         "sinf-diag", "s4-grid", "s4-grid-one-chunk", "sinf-4-threads"])
 def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_normals,
@@ -273,16 +300,15 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_n
     n = space.dim
     if family == "diag":
         family = UnitFamily(space, (np.arange(n) * (n + 1))[:, None])
-    elif family == "grid":
-        family = UnitFamily(space, np.arange(n * n)[:, None])
-    dim = space.flat_dim if family is None else family.size
+    else:  # the full basis or grid: every coordinate, a gather that is the identity
+        family = _basis(space, space.flat_dim)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        est = _mc_second_moment(dim, family, space, samples, 13, complex_normals, "mc-gaussian")
+        est = _mc_second_moment(family, samples, 13, complex_normals)
     finally:
         sys.setswitchinterval(interval)
-    value, stderr = _serial_second_moment(dim, family, space, samples, 13, complex_normals)
+    value, stderr = _serial_second_moment(family, samples, 13, complex_normals)
     assert (est.value, est.stderr) == (value, stderr)
 
 
@@ -295,6 +321,11 @@ def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
     assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 12
     assert systems._mc_width(4096, space, 5 * MC_CHUNK, False) == 5  # one per chunk
     assert systems._mc_width(4096, space, MC_CHUNK, False) == 1
+    # a complex chunk of l_inf^4538 is 297 MB and a reduction three chunks:
+    # two reductions and the chunk being drawn fit under the cap, but not
+    # with the half-chunk real buffer the complex draw fills the chunk from
+    seq = sequence_space("inf", 4538)
+    assert systems._mc_width(4538, seq, 20 * MC_CHUNK, True) == 1
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 2
 
@@ -326,7 +357,7 @@ def test_pool_worker_error_reaches_caller(monkeypatch):
     space = sequence_space("inf", 4)
     before = threading.active_count()
     with pytest.raises(RuntimeWarning) as info:
-        _mc_second_moment(4, None, space, 3 * MC_CHUNK, 3, False, "mc-gaussian")
+        _mc_second_moment(_basis(space, 4), 3 * MC_CHUNK, 3, False)
     assert raised and info.value is raised[0]
     assert threading.active_count() == before
 
@@ -411,7 +442,7 @@ def test_kp_rejects_bad_input():
     with pytest.raises(ValueError):
         kp_constant_lower(_charset(8, [1]), 1.5, CFG)
     with pytest.raises(ValueError):
-        kp_constant_lower(CharacterSet(cyclic_group(8), ()), 4, CFG)
+        kp_constant_lower(CharacterSet(8, ()), 4, CFG)
 
 
 def test_kp_inf_full_set():
