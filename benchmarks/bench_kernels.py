@@ -1,11 +1,12 @@
 """Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
 Times ``lp_ascent``, ``ratio_ascent`` and ``schatten_norm_batch`` from
-``summinglab.kernels``, and ``summing.ell_norm_mc`` (the one Monte Carlo
-loop: chunks drawn in order, norms reduced on a thread pool), on fixed
-inputs and seeds, and prints the median and quartiles of the wall time
-over ``--repeats`` calls, plus the best value each call returned (a change
-that moves it changed the numbers, not just the speed). Usage:
+``summinglab.kernels``, and the one Monte Carlo loop (chunks drawn,
+gathered and reduced on a thread pool) through ``summing.ell_norm_mc`` and
+``systems.second_moment`` on a gathered family, on fixed inputs and seeds,
+and prints the median and quartiles of the wall time over ``--repeats``
+calls, plus the best value each call returned to 17 digits (a change that
+moves it changed the numbers, not just the speed). Usage:
 
     python benchmarks/bench_kernels.py [--repeats N]
 
@@ -19,7 +20,8 @@ import time
 
 import numpy as np
 
-from summinglab import identity_map, kernels, schatten_space, summing
+from summinglab import (UnitFamily, gaussian_system, identity_map, kernels,
+                        schatten_space, second_moment, summing)
 from summinglab.systems import lacunary_character_set
 
 
@@ -72,11 +74,22 @@ def cases():
     for v in ("inf", 4):
         space_map = identity_map(schatten_space(2, 64), schatten_space(v, 64))
         yield (f"ell_norm_mc s2:64 -> s{v}:64 (20000 samples, seed 11)", _ell_norm_value,
-               (space_map,))
+               (space_map, 20_000))
+    # one chunk, whose reduction tasks share the pool
+    yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, one chunk, seed 11)", _ell_norm_value,
+           (identity_map(schatten_space(2, 64), schatten_space("inf", 64)), 4096))
+    # a gathered family: interp-audit's S_4^32 diagonal matrix units
+    space = schatten_space(4, 32)
+    diag = UnitFamily(space, (np.arange(32) * 33)[:, None])
+    yield ("second_moment s4:32 diag (20000 samples, seed 11)", _second_moment_value, (diag,))
 
 
-def _ell_norm_value(space_map):
-    return summing.ell_norm_mc(space_map, samples=20_000, seed=11).value
+def _ell_norm_value(space_map, samples):
+    return summing.ell_norm_mc(space_map, samples=samples, seed=11).value
+
+
+def _second_moment_value(family):
+    return second_moment(gaussian_system(), family, samples=20_000, seed=11).value
 
 
 def _time(fn, args, repeats):
@@ -100,10 +113,10 @@ def main():
     rows = [(label, *_time(fn, fn_args, args.repeats)) for label, fn, fn_args in cases()]
     width = max(len(label) for label, _, _ in rows)
     print(f"backend {kernels.active_backend()}, {args.repeats} repeats\n")
-    print(f"{'kernel':<{width}}  {'median':>10}  {'q25':>10}  {'q75':>10}  {'best value':>18}")
+    print(f"{'kernel':<{width}}  {'median':>10}  {'q25':>10}  {'q75':>10}  {'best value':>24}")
     for label, (q25, med, q75), best in rows:
         print(f"{label:<{width}}  {med * 1e3:8.1f}ms  {q25 * 1e3:8.1f}ms  "
-              f"{q75 * 1e3:8.1f}ms  {best:18.15g}")
+              f"{q75 * 1e3:8.1f}ms  {best:24.17g}")
 
 
 if __name__ == "__main__":

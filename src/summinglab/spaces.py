@@ -240,20 +240,23 @@ class UnitFamily:
     def size(self) -> int:
         return self.elements.shape[0]
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows sum_i coeffs[r, i] x_i, flattened: a column take on the owner map.
 
         Coordinate c of row r is coeffs[r, i] when x_i owns c, and 0 when no
         element does; the zeros are written only if such a coordinate exists.
-        A family of flat_dim elements (the full grid or basis) owns every
-        coordinate in order, so its gather is the identity and returns
-        ``coeffs`` itself.
+        Given ``out`` (contiguous, shape (rows, flat_dim), the dtype of
+        ``coeffs``), the rows are written into it in place. A family of
+        flat_dim elements (the full grid or basis) owns every coordinate in
+        order, so its gather is the identity and returns ``coeffs`` itself.
         """
         if self.size == self.space.flat_dim:
             return coeffs
         owner = np.full(self.space.flat_dim, -1, dtype=np.intp)
         owner[self.elements] = np.arange(self.size)[:, None]
-        out = np.take(coeffs, owner, axis=1)  # -1 takes the last column, masked below
+        # 'wrap' takes -1 to the last column, masked below; the default 'raise'
+        # would stage a whole copy of the result before writing it to out
+        out = np.take(coeffs, owner, axis=1, out=out, mode="wrap")
         unowned = owner < 0
         if unowned.any():
             out[:, unowned] = 0

@@ -21,8 +21,9 @@ from .rng import substream
 from .spaces import (SpaceDescriptor, SpaceKind, SpaceMap, UnitFamily,
                      VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
-from .systems import (OrthonormalSystem, check_array_bytes, gaussian_system,
-                      kp_constant_lower, second_moment)
+from .systems import (OrthonormalSystem, _mc_width, check_array_bytes,
+                      gaussian_closed_form, gaussian_system, kp_constant_lower,
+                      second_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +43,15 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
     if not space_map.domain.exponent.is_hilbert:
         raise ValueError("the ell-norm needs a Hilbert domain (exponent 2)")
     codomain = space_map.codomain
-    return second_moment(gaussian_system(complex_normals),
-                         _family(codomain, codomain.flat_dim, 1), samples=samples, seed=seed)
+    n = codomain.flat_dim
+    # the basis takes 8 bytes a coordinate: answer by a closed form, or refuse
+    # an oversized Monte Carlo working set, before it is built
+    exact = gaussian_closed_form(codomain, n, 1)
+    if exact is not None:
+        return exact
+    _mc_width(n, codomain, samples, complex_normals)
+    return second_moment(gaussian_system(complex_normals), _family(codomain, n, 1),
+                         samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
-that draws its chunks in order on the calling thread, reduces their norms
-on a pool of at most ``MC_WIDTH`` threads and adds the sums in chunk order,
-so the result does not depend on the core count. On top of the systems sit the
+whose chunks are drawn, gathered and reduced on a pool of at most
+``MC_WIDTH`` threads, each from its own substream, and whose sums are added
+in chunk order, so the result does not depend on the core count. On top of the systems sit the
 Lambda(p)-constant and Sidon-constant estimators, which are nonconvex
 maximizations shipped as ascent-with-restarts giving certified lower
 bounds.
@@ -81,6 +81,8 @@ def _character_matrix(order: int, freqs: tuple[int, ...]) -> np.ndarray:
 
 
 def full_character_set(n: int) -> CharacterSet:
+    # every use takes the n x n table: refuse it before the n frequencies exist
+    check_array_bytes("character matrix", (n, n), np.complex128)
     return CharacterSet(n, tuple(range(n)))
 
 
@@ -158,64 +160,99 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
 # Gaussian rows per Monte Carlo chunk. Fixed, so that a seed fixes every draw.
 MC_CHUNK = 4096
 
-# Most threads that reduce Monte Carlo chunks: the CPU count this process
-# may run on (the whole machine's where the OS cannot say). Not a setting;
-# each loop narrows it to what its working set leaves room for.
+# Most threads in one Monte Carlo loop: the CPU count this process may run
+# on (the whole machine's where the OS cannot say). Not a setting; each loop
+# narrows it to what its work and its working set leave room for.
 MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _chunk_sums(box: list, space: SpaceDescriptor) -> tuple[float, float]:
-    # The chunk comes in a one-item list that this empties: the pool keeps a
-    # task's arguments until after its result is set, and the chunk must be
-    # freed before the caller, woken by that result, draws the next one.
-    q = norms_of_stack(box.pop(), space) ** 2
-    return float(q.sum()), float((q * q).sum())
+def _mc_working_set(width: int, dim: int, space: SpaceDescriptor, samples: int,
+                    complex_normals: bool) -> int:
+    """Rows of flat_dim entries that a Monte Carlo loop on ``width`` threads holds.
+
+    One chunk slot per thread, at most one per chunk, each holding a chunk's
+    squared norms and the chunk-length rows the kernel reads: drawn there
+    when the gather is the identity (dim == flat_dim), otherwise gathered
+    from the slot's own (rows, dim) coefficients; and, while a complex chunk
+    is drawn, the half-size real buffer it is filled from. Each thread also
+    holds one reduction task's temporaries: three GRAM_BLOCK-matrix blocks
+    on Schatten spaces, a magnitude and a scaled copy of a GRAM_BLOCK-row
+    block on sequence spaces. Each part is rounded up to whole rows.
+    """
+    rows = min(MC_CHUNK, samples)
+    flat = space.flat_dim
+    itemsize = 16 if complex_normals else 8
+    slot = rows + -(-rows * 8 // (flat * itemsize))
+    if dim < flat:
+        slot += -(-rows * dim // flat)
+    if complex_normals:
+        slot += -(-rows * dim // (2 * flat))
+    temps = (3 if space.kind is SpaceKind.SCHATTEN else 2) * min(GRAM_BLOCK, rows)
+    return min(width, -(-samples // MC_CHUNK)) * slot + width * temps
 
 
 def _mc_width(dim: int, space: SpaceDescriptor, samples: int, complex_normals: bool) -> int:
     """Threads for one Monte Carlo loop, checked against MAX_ARRAY_BYTES first.
 
-    In flight at once, in chunk-length rows: ``width`` chunks in reduction,
-    each with its kernel's temporaries (three GRAM_BLOCK-matrix blocks on
-    Schatten spaces, a magnitude and a scaled copy of the chunk on sequence
-    spaces), and the chunk being drawn with, at its peak, either the real
-    buffer a complex draw fills it from (half a chunk) or, unless the
-    gather is the identity (dim == flat_dim), its gathered copy. The width
-    is the largest that fits under the cap, at most MC_WIDTH and the chunk
-    count; a working set over the cap even at width 1 is refused before
-    any draw.
+    The widest pool whose working set (``_mc_working_set``) fits under the
+    cap, at most MC_WIDTH and the number of GRAM_BLOCK-row reduction tasks;
+    a working set over the cap even at width 1 is refused before any
+    allocation.
     """
-    rows = min(MC_CHUNK, samples)
-    temps = 3 * min(GRAM_BLOCK, rows) if space.kind is SpaceKind.SCHATTEN else 2 * rows
-    reducing = rows + temps
-    drawing = rows
-    if dim < space.flat_dim:
-        drawing += rows
-    elif complex_normals:
-        drawing += -(-rows // 2)
     dtype = np.complex128 if complex_normals else np.float64
-    fits = (MAX_ARRAY_BYTES // (space.flat_dim * np.dtype(dtype).itemsize) - drawing) // reducing
-    width = max(1, min(MC_WIDTH, -(-samples // MC_CHUNK), fits))
+    cap = MAX_ARRAY_BYTES // (space.flat_dim * np.dtype(dtype).itemsize)
+    width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK)))
+    while width > 1 and _mc_working_set(width, dim, space, samples, complex_normals) > cap:
+        width -= 1
     check_array_bytes("Monte Carlo chunk working set",
-                      (width * reducing + drawing, space.flat_dim), dtype)
+                      (_mc_working_set(width, dim, space, samples, complex_normals),
+                       space.flat_dim), dtype)
     return width
+
+
+def _run_chunk(pool, family: UnitFamily, seed, index: int, count: int, slot,
+               complex_normals: bool) -> list:
+    # On a pool thread: draw chunk ``index`` into its slot, gather it there
+    # unless the gather is the identity, and submit its reduction as tasks
+    # of GRAM_BLOCK rows. Returns those tasks' futures.
+    rows, coeffs, q = slot
+    drawn = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
+                               complex_normals,
+                               out=(rows if coeffs is None else coeffs)[:count])
+    chunk = family.synthesize(drawn, out=rows[:count])
+    return [pool.submit(_reduce_block, chunk[start:start + GRAM_BLOCK], family.space,
+                        q[start:min(start + GRAM_BLOCK, count)])
+            for start in range(0, count, GRAM_BLOCK)]
+
+
+def _reduce_block(rows: np.ndarray, space: SpaceDescriptor, q: np.ndarray) -> None:
+    np.square(norms_of_stack(rows, space), out=q)
+
+
+def _chunk_sums(run, q: np.ndarray) -> tuple[float, float]:
+    # wait for a chunk's draw, then for every task of its reduction
+    for block in run.result():
+        block.result()
+    return float(q.sum()), float((q * q).sum())
 
 
 def _mc_second_moment(family: UnitFamily, samples: int, seed,
                       complex_normals: bool) -> NormEstimate:
     """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
-    Each chunk of rows is applied to the family by its gather
-    (``UnitFamily.synthesize``), which keeps real rows real and is the
-    identity on a full basis or grid. Chunk k draws from
-    ``substream(seed, k)``. The calling thread draws and gathers the chunks
-    in order; a pool of ``_mc_width`` threads reduces them to norms (numpy's
-    Philox fill, ``matmul`` and LAPACK release the GIL), that many chunks at
-    a time, and the two sums are added in chunk order. So the result is the
-    same float however the reductions interleave. The value is a Monte
-    Carlo estimate, so it is ``lower`` with a standard error (delta method
-    on the square root).
+    Chunk k draws its rows from ``substream(seed, k)`` and applies them to
+    the family by its gather (``UnitFamily.synthesize``), which keeps real
+    rows real and is the identity on a full basis or grid. A pool of
+    ``_mc_width`` threads does all of a chunk's work: one task draws and
+    gathers the chunk into a preallocated slot, then submits its norm
+    reduction as tasks of GRAM_BLOCK rows that write its squared norms
+    (numpy's Philox fill, ``take``, ``matmul`` and LAPACK release the GIL).
+    There are at most ``width`` slots, reused chunk after chunk, so nothing
+    chunk-sized is allocated inside the loop. The caller adds each chunk's
+    two sums in chunk order, so the result is the same float however the
+    tasks interleave. The value is a Monte Carlo estimate, so it is
+    ``lower`` with a standard error (delta method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
@@ -227,18 +264,27 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed,
     # that the commands without Monte Carlo need not pay
     from concurrent.futures import ThreadPoolExecutor
 
+    rows = min(MC_CHUNK, samples)
+    dtype = np.complex128 if complex_normals else np.float64
+    slots = [(np.empty((rows, space.flat_dim), dtype),
+              np.empty((rows, dim), dtype) if dim < space.flat_dim else None,
+              np.empty(rows))
+             for _ in range(min(width, -(-samples // MC_CHUNK)))]
     sums = []
-    reducing = deque()
-    with ThreadPoolExecutor(width) as pool:
+    running = deque()  # (draw task, its chunk's squared norms), in chunk order
+    pool = ThreadPoolExecutor(width)
+    try:
         for index, start in enumerate(range(0, samples, MC_CHUNK)):
-            if len(reducing) == width:
-                sums.append(reducing.popleft().result())
+            if len(running) == len(slots):
+                sums.append(_chunk_sums(*running.popleft()))
             count = min(MC_CHUNK, samples - start)
-            chunk = family.synthesize(standard_gaussians(make_rng(substream(seed, index)),
-                                                         (count, dim), complex_normals))
-            reducing.append(pool.submit(_chunk_sums, [chunk], space))
-            del chunk  # from here on only its reduction holds it
-        sums.extend(future.result() for future in reducing)
+            slot = slots[index % len(slots)]
+            running.append((pool.submit(_run_chunk, pool, family, seed, index, count, slot,
+                                        complex_normals), slot[2][:count]))
+        sums.extend(_chunk_sums(*chunk) for chunk in running)
+    finally:
+        # after an error, drop the queued tasks; the running ones end first
+        pool.shutdown(cancel_futures=True)
     total = 0.0
     total_sq = 0.0
     for s, s2 in sums:
@@ -258,9 +304,7 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     Character systems pair y_i with the first m characters of the set and
     average exactly over the group (certified). The Gaussian system takes
     unit families: chunked Monte Carlo with a reported standard error,
-    except for two closed forms. On a Hilbert codomain independence gives
-    (sum_i ||y_i||^2)^(1/2) = (m s)^(1/2), and a single element has norm
-    s^(1/v) (1 for a matrix unit).
+    except where ``gaussian_closed_form`` gives the value.
     """
     space, m = family.space, family.size
     if system.kind == "characters":
@@ -275,13 +319,26 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
 
     if not isinstance(family, UnitFamily):
         raise ValueError("the Gaussian system integrates unit families")
-    if space.exponent.is_hilbert:
-        value = math.sqrt(family.elements.size)
-        return NormEstimate(value, Certainty.EXACT, method="gaussian-orthogonality")
-    if m == 1:
-        value = _ones_norm(family.elements.shape[1], space.exponent)
-        return NormEstimate(value, Certainty.EXACT, method="single-element")
+    exact = gaussian_closed_form(space, *family.elements.shape)
+    if exact is not None:
+        return exact
     return _mc_second_moment(family, samples, seed, system.complex_normals)
+
+
+def gaussian_closed_form(space: SpaceDescriptor, count: int, size: int) -> NormEstimate | None:
+    """The Gaussian second moment of ``count`` disjoint unit elements of ``size`` ones, if closed.
+
+    On a Hilbert space independence gives (count size)^(1/2); a single
+    element has norm size^(1/v) (1 for a matrix unit). None otherwise. It
+    reads only the family's shape, so a caller can ask before building it.
+    """
+    if space.exponent.is_hilbert:
+        return NormEstimate(math.sqrt(count * size), Certainty.EXACT,
+                            method="gaussian-orthogonality")
+    if count == 1:
+        return NormEstimate(_ones_norm(size, space.exponent), Certainty.EXACT,
+                            method="single-element")
+    return None
 
 
 # ---------------------------------------------------------------------------

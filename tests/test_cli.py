@@ -343,8 +343,8 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
       "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"], "group-average values"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
-    # a 1.2 GiB chunk, but the S_4 Gram path holds three chunk-sized arrays
-    (["lnorm", "--space", "s2:200", "--target", "s4:200",
+    # a 1.76 GiB chunk, and the S_4 Gram path's three blocks take it over the cap
+    (["lnorm", "--space", "s2:240", "--target", "s4:240",
       "--samples", "4096", "--seed", "1"], "Monte Carlo chunk working set"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
@@ -354,26 +354,26 @@ def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
 
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
-    # one l_inf^20000 chunk is 655 MB: three of them (the one-thread loop's
-    # chunk, magnitude and scaled copy) fit under the 2 GiB cap, but one
-    # chunk in reduction with its two temporaries and the chunk being drawn
-    # do not, so even a one-thread pool is refused before any draw
-    def draw(*args):
+    # one l_inf^60000 chunk is 1.83 GiB, under the 2 GiB cap, but its slot
+    # with one reduction task's magnitude and scaled blocks is not: the pool
+    # narrows to one thread, and that is refused before any draw
+    def draw(*args, **kwargs):
         raise AssertionError("drew normals before the working-set check")
 
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     monkeypatch.setattr(systems, "standard_gaussians", draw)
-    rows, flat = systems.MC_CHUNK, 20000
-    assert 3 * rows * flat * 8 < systems.MAX_ARRAY_BYTES
+    rows, flat = systems.MC_CHUNK, 60000
+    assert rows * flat * 8 < systems.MAX_ARRAY_BYTES
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],
-                        "Monte Carlo chunk working set of shape (16384, 20000)")
+                        "Monte Carlo chunk working set of shape (4609, 60000)")
 
 
 def test_mc_pool_narrows_to_the_cap_on_many_cores(capsys, monkeypatch):
-    # sixteen CPUs: the pool narrows (here to the one chunk; the narrowing
-    # to the cap is test_systems' _mc_width test) instead of refusing a
-    # command that runs on two
+    # sixteen CPUs: the pool takes what fits (here sixteen threads share the
+    # one chunk's sixteen reduction tasks; the narrowing to the cap is
+    # test_systems' _mc_width test) instead of refusing a command that runs
+    # on two
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
     rc = main(["lnorm", "--space", "s2:64", "--target", "sinf:64",
                "--samples", "4096", "--seed", "1"])

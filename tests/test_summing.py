@@ -10,7 +10,7 @@ import pytest
 from summinglab import (Certainty, CharacterSet, NormEstimate, SearchConfig,
                         UnitFamily, VectorSystem, character_system,
                         ell_norm_mc, factorization_upper, gaussian_system,
-                        identity_map, kp_summing_bound, schatten_space,
+                        identity_map, kp_summing_bound, parse_space, schatten_space,
                         sequence_space, second_moment, summing_norm_lower,
                         summing_norm_search)
 from summinglab import kernels, spaces, summing
@@ -55,6 +55,24 @@ def test_one_hilbert_closed_form():
     basis = second_moment(gaussian_system(), UnitFamily(space, np.arange(2921)[:, None]))
     assert ell.value == basis.value == math.sqrt(2921)
     assert ell.method == basis.method == "gaussian-orthogonality"
+
+
+@pytest.mark.parametrize("target", ["l2", "linf"])
+def test_huge_ell_norm_is_settled_before_the_basis_is_built(target):
+    # l_2^(10^8) -> l_v^(10^8): the exact value, or the refused Monte Carlo
+    # working set, comes before the 800 MB coordinate basis exists
+    space_map = identity_map(sequence_space(2, 10 ** 8), parse_space(f"{target}:100000000"))
+    tracemalloc.start()
+    try:
+        if target == "l2":
+            assert ell_norm_mc(space_map, samples=16, seed=1).value == 10000.0
+        else:
+            with pytest.raises(ValueError, match="Monte Carlo chunk working set"):
+                ell_norm_mc(space_map, samples=16, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_ell_norm_requires_hilbert_domain():

@@ -17,6 +17,7 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpanElement,
                         sidon_constant_lower, systems)
 from summinglab.rng import make_rng, standard_gaussians, substream
 from summinglab.spaces import norms_of_stack
+from summinglab.kernels import GRAM_BLOCK
 from summinglab.systems import MC_CHUNK, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
@@ -112,6 +113,23 @@ def test_product_group_enumeration_and_orthonormality():
 def test_duplicate_frequencies_rejected():
     with pytest.raises(ValueError):
         _charset(8, [1, 9])  # 9 = 1 mod 8
+
+
+def test_huge_full_character_set_is_refused_before_its_frequencies_exist():
+    # Z_(8 * 10^6): the character-matrix refusal, the message the table
+    # itself would raise, before the 8 * 10^6 frequencies are built
+    order = 8_000_000
+    with pytest.raises(ValueError) as table:
+        systems.check_array_bytes("character matrix", (order, order), np.complex128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            full_character_set(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == str(table.value)
+    assert peak < 64 * 2 ** 20
 
 
 def test_lacunary_set_requires_room():
@@ -260,6 +278,17 @@ def test_complex_gaussians_peak_at_one_and_a_half_outputs():
     assert peaks[1] >= 2 * nbytes
 
 
+def _mc_family(space, kind):
+    """The full basis or grid (its gather is the identity), the diagonal
+    matrix units, or pairs of ones on the even coordinates of a sequence
+    space (a gather that leaves the odd ones zero)."""
+    if kind == "diag":
+        return UnitFamily(space, (np.arange(space.dim) * (space.dim + 1))[:, None])
+    if kind == "blocks":
+        return UnitFamily(space, np.arange(0, space.flat_dim, 2).reshape(-1, 2))
+    return _basis(space, space.flat_dim)
+
+
 def _serial_second_moment(family, samples, seed, complex_normals):
     """The one-thread Monte Carlo loop: draw, gather and reduce each chunk in turn."""
     total = 0.0
@@ -289,19 +318,19 @@ def _serial_second_moment(family, samples, seed, complex_normals):
     (schatten_space(4, 6), "grid", False, 2 * MC_CHUNK + 1, 2),
     (schatten_space(4, 6), "grid", False, 5, 2),
     (schatten_space("inf", 6), "basis", False, 6 * MC_CHUNK + 7, 4),
+    (schatten_space("inf", 6), "basis", False, MC_CHUNK, 2),
+    (schatten_space(4, 6), "basis", False, MC_CHUNK + GRAM_BLOCK // 2, 2),
+    (sequence_space(4, 12), "blocks", True, 2 * MC_CHUNK + 1, 2),
 ], ids=["s4", "sinf", "s4-3-svd", "linf", "s4-complex", "sinf-complex-3-chunks",
-        "sinf-diag", "s4-grid", "s4-grid-one-chunk", "sinf-4-threads"])
+        "sinf-diag", "s4-grid", "s4-grid-one-chunk", "sinf-4-threads",
+        "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block", "l4-blocks-complex"])
 def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_normals,
                                            samples, width):
-    # draws in order on the caller, reductions on the pool, sums in chunk
+    # draws, gathers and GRAM_BLOCK-row reductions on the pool, sums in chunk
     # order: the same floats as the one-thread loop, value and stderr, also
-    # with more reducing threads than cores and a short switch interval
+    # with more threads than cores and a short switch interval
     monkeypatch.setattr(systems, "MC_WIDTH", width)
-    n = space.dim
-    if family == "diag":
-        family = UnitFamily(space, (np.arange(n) * (n + 1))[:, None])
-    else:  # the full basis or grid: every coordinate, a gather that is the identity
-        family = _basis(space, space.flat_dim)
+    family = _mc_family(space, family)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -313,21 +342,47 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_n
 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
-    # at S_inf^64 a chunk in reduction with its Gram blocks is 4864 rows of
-    # 32 KiB (159 MB) and the chunk being drawn 134 MB: twelve reductions fit
-    # under the 2 GiB cap, thirteen do not, whatever the CPU count
+    # at S_inf^64 a chunk slot (the chunk and its squared norms) with one
+    # reduction's three Gram blocks is 4865 rows of 32 KiB (159 MB): thirteen
+    # threads fit under the 2 GiB cap, fourteen do not, whatever the CPU count
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 12
-    assert systems._mc_width(4096, space, 5 * MC_CHUNK, False) == 5  # one per chunk
-    assert systems._mc_width(4096, space, MC_CHUNK, False) == 1
-    # a complex chunk of l_inf^4538 is 297 MB and a reduction three chunks:
-    # two reductions and the chunk being drawn fit under the cap, but not
-    # with the half-chunk real buffer the complex draw fills the chunk from
+    assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 13
+    # threads beyond the chunk count hold no slot, only a reduction's blocks,
+    # so five chunks or one keep all sixteen; one reduction task keeps one
+    assert systems._mc_width(4096, space, 5 * MC_CHUNK, False) == 16
+    assert systems._mc_width(4096, space, MC_CHUNK, False) == 16
+    assert systems._mc_width(4096, space, GRAM_BLOCK, False) == 1
+    # a complex slot of l_inf^4538 is 297 MB, and 149 MB more for the real
+    # buffer a complex draw fills it from: four threads fit under the cap,
+    # where six would without that buffer
     seq = sequence_space("inf", 4538)
-    assert systems._mc_width(4538, seq, 20 * MC_CHUNK, True) == 1
+    assert systems._mc_width(4538, seq, 20 * MC_CHUNK, True) == 4
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 2
+
+
+@pytest.mark.parametrize("space,family,complex_normals,samples", [
+    (schatten_space("inf", 64), "basis", False, MC_CHUNK + GRAM_BLOCK + 1),
+    (schatten_space(4, 32), "diag", False, 2 * MC_CHUNK + 1),
+    (sequence_space("inf", 512), "blocks", True, 2 * MC_CHUNK + 1),
+], ids=["sinf64-basis", "s4-32-diag", "linf-blocks-complex"])
+def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, complex_normals,
+                                                 samples):
+    # what numpy allocates during the loop, on every thread, stays under the
+    # working set _mc_width checks against the cap, and holds at least one slot
+    monkeypatch.setattr(systems, "MC_WIDTH", 2)
+    family = _mc_family(space, family)
+    itemsize = 16 if complex_normals else 8
+    width = systems._mc_width(family.size, space, samples, complex_normals)
+    projected = systems._mc_working_set(width, family.size, space, samples, complex_normals)
+    tracemalloc.start()
+    try:
+        _mc_second_moment(family, samples, 5, complex_normals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert MC_CHUNK * space.flat_dim * itemsize <= peak <= projected * space.flat_dim * itemsize
 
 
 def test_full_grid_gather_is_the_identity():
