@@ -230,7 +230,7 @@ def _reduce_block(rows: np.ndarray, space: SpaceDescriptor, q: np.ndarray) -> No
     np.square(norms_of_stack(rows, space), out=q)
 
 
-def _chunk_sums(run, q: np.ndarray) -> tuple[float, float]:
+def _finished_sums(run, q: np.ndarray) -> tuple[float, float]:
     # wait for a chunk's draw, then for every task of its reduction
     for block in run.result():
         block.result()
@@ -276,12 +276,12 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed,
     try:
         for index, start in enumerate(range(0, samples, MC_CHUNK)):
             if len(running) == len(slots):
-                sums.append(_chunk_sums(*running.popleft()))
+                sums.append(_finished_sums(*running.popleft()))
             count = min(MC_CHUNK, samples - start)
             slot = slots[index % len(slots)]
             running.append((pool.submit(_run_chunk, pool, family, seed, index, count, slot,
                                         complex_normals), slot[2][:count]))
-        sums.extend(_chunk_sums(*chunk) for chunk in running)
+        sums.extend(_finished_sums(*chunk) for chunk in running)
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
