@@ -266,10 +266,11 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed,
 
     rows = min(MC_CHUNK, samples)
     dtype = np.complex128 if complex_normals else np.float64
-    slots = [(np.empty((rows, space.flat_dim), dtype),
-              np.empty((rows, dim), dtype) if dim < space.flat_dim else None,
-              np.empty(rows))
-             for _ in range(min(width, -(-samples // MC_CHUNK)))]
+    # one array per part for all slots: slot i is (rows, coefficients, squared norms)[i]
+    n_slots = min(width, -(-samples // MC_CHUNK))
+    kernel_rows = np.empty((n_slots, rows, space.flat_dim), dtype)
+    coeffs = np.empty((n_slots, rows, dim), dtype) if dim < space.flat_dim else [None] * n_slots
+    slots = list(zip(kernel_rows, coeffs, np.empty((n_slots, rows))))
     sums = []
     running = deque()  # (draw task, its chunk's squared norms), in chunk order
     pool = ThreadPoolExecutor(width)
