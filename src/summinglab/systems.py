@@ -4,10 +4,10 @@ Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
 whose chunks are drawn, gathered and reduced on a pool of at most
 ``MC_WIDTH`` threads, each from its own substream, and whose sums are added
-in chunk order, so the result does not depend on the core count. On top of the systems sit the
-Lambda(p)-constant and Sidon-constant estimators, which are nonconvex
-maximizations shipped as ascent-with-restarts giving certified lower
-bounds.
+in chunk order, so the result does not depend on the core count. On top of
+the systems sit the Lambda(p)-constant and Sidon-constant estimators, which
+are nonconvex maximizations shipped as ascent-with-restarts giving
+certified lower bounds.
 """
 
 from __future__ import annotations
