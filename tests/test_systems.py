@@ -15,9 +15,9 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpanElement,
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
                         sidon_constant_lower, systems)
+from summinglab.kernels import GRAM_BLOCK
 from summinglab.rng import make_rng, standard_gaussians, substream
 from summinglab.spaces import norms_of_stack
-from summinglab.kernels import GRAM_BLOCK
 from summinglab.systems import MC_CHUNK, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
