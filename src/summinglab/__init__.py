@@ -21,9 +21,8 @@ from .spaces import (Exponent, SpaceDescriptor, SpaceKind, SpaceMap,
                      UnitFamily, VectorSystem, identity_map, inclusion_norm,
                      lp_norm, parse_exponent, parse_space, schatten_space,
                      sequence_space, weak_l2_norm)
-from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
-                      kp_summing_bound, summing_norm_lower,
-                      summing_norm_search)
+from .summing import (ell_norm_mc, kp_summing_bound, pivot_upper,
+                      summing_norm_lower, summing_norm_search)
 from .systems import (AscentConfig, CharacterSet, OrthonormalSystem,
                       SpanElement, character_system, full_character_set,
                       gaussian_system,

@@ -16,7 +16,7 @@ from .experiments import (ConfigError, ExperimentConfig, RunReport,
                           SystemSpec, run_experiment)
 from .limit_order import fit_exponent, limit_order_table
 from .spaces import identity_map, parse_space
-from .summing import SearchConfig, ell_norm_mc, summing_norm_search
+from .summing import ell_norm_mc, summing_norm_search
 from .systems import (AscentConfig, CharacterSet, character_system,
                       full_character_set, gaussian_system, kp_constant_lower,
                       sidon_constant_lower)
@@ -59,8 +59,7 @@ def _parse_charset(args) -> CharacterSet:
 def _cmd_lnorm(args) -> int:
     domain = parse_space(args.space)
     codomain = parse_space(args.target)
-    est = ell_norm_mc(identity_map(domain, codomain), samples=args.samples,
-                      seed=args.seed, complex_normals=args.complex_normals)
+    est = ell_norm_mc(identity_map(domain, codomain), samples=args.samples, seed=args.seed)
     _emit(args, _estimate_payload(est),
           f"ell-norm {args.space} -> {args.target}: {est.value:.6g}"
           + (f" +- {est.stderr:.2g}" if est.stderr else " (exact)"))
@@ -71,11 +70,11 @@ def _cmd_pib(args) -> int:
     domain = parse_space(args.space)
     codomain = parse_space(args.target)
     if args.system == "gaussian":
-        system = gaussian_system(args.complex_normals)
+        system = gaussian_system()
     else:
         system = character_system(_parse_charset(args))
-    cfg = SearchConfig(seed=args.seed, samples=args.samples)
-    est = summing_norm_search(identity_map(domain, codomain), system, cfg)
+    est = summing_norm_search(identity_map(domain, codomain), system, samples=args.samples,
+                              seed=args.seed)
     _emit(args, _estimate_payload(est),
           f"summing-norm lower bound {args.space} -> {args.target} "
           f"[{args.system}]: {est.value:.6g}"
@@ -215,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lnorm", help="Monte Carlo ell-norm of an identity map")
     p.add_argument("--space", required=True, help="domain, e.g. l2:16 or s2:8")
     p.add_argument("--target", required=True, help="codomain, e.g. linf:16")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_int_at_least(2), default=100_000)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--complex-normals", action="store_true")
     add_json_flag(p)
     p.set_defaults(func=_cmd_lnorm)
 
@@ -228,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=_int_at_least(1), default=None,
                    help="cyclic group order (characters)")
     p.add_argument("--freqs", default="full", help="comma list or 'full' (characters)")
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=_int_at_least(2), default=20_000)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--complex-normals", action="store_true")
     add_json_flag(p)
     p.set_defaults(func=_cmd_pib)
 
@@ -238,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=_int_at_least(1), required=True)
     p.add_argument("--freqs", default="full")
     p.add_argument("--p", required=True)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--restarts", type=_int_at_least(1), default=64)
+    p.add_argument("--steps", type=_int_at_least(0), default=500)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     add_json_flag(p)
     p.set_defaults(func=_cmd_kp)
@@ -247,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sidon", help="Sidon constant lower bound")
     p.add_argument("--group", type=_int_at_least(1), required=True)
     p.add_argument("--freqs", default="full")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--restarts", type=_int_at_least(1), default=64)
+    p.add_argument("--steps", type=_int_at_least(0), default=500)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     add_json_flag(p)
     p.set_defaults(func=_cmd_sidon)
@@ -304,7 +301,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: the report could not be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -22,7 +22,7 @@ class NormEstimate:
 
     ``stderr`` reports statistical error for Monte Carlo paths and is
     absent on exact values. ``witness`` records whatever achieved the
-    value (coefficients, a vector family, a factorization route).
+    value (coefficients, a vector family).
     """
 
     value: float
@@ -38,10 +38,3 @@ class NormEstimate:
             raise ValueError("exact estimates carry no standard error")
         if self.stderr is not None and self.stderr < 0:
             raise ValueError("stderr must be >= 0")
-
-    def scaled(self, factor: float) -> "NormEstimate":
-        """Multiply value (and stderr) by a positive constant."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        err = None if self.stderr is None else self.stderr * factor
-        return replace(self, value=self.value * factor, stderr=err)

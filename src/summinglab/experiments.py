@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -28,8 +29,8 @@ from .limit_order import (fit_exponent, gaussian_limit_order,
 from .rng import substream
 from .spaces import (SpaceKind, identity_map, parse_exponent, schatten_space,
                      sequence_space)
-from .summing import (SearchConfig, ell_norm_mc, factorization_upper,
-                      kp_summing_bound, summing_norm_search)
+from .summing import (ell_norm_mc, kp_summing_bound, pivot_upper,
+                      summing_norm_search)
 from .systems import (AscentConfig, CharacterSet, character_system,
                       full_character_set, gaussian_system, kp_growth_profile,
                       lacunary_character_set)
@@ -130,6 +131,9 @@ class ExperimentConfig:
             raise ConfigError(f"fit_tol must be null or a finite real >= 0, got {self.fit_tol!r}")
         if not (self.output is None or (type(self.output) is str and self.output)):
             raise ConfigError(f"output must be null or a non-empty string, got {self.output!r}")
+        # the report is written after every measurement: refuse a path it cannot take first
+        if self.output is not None and not os.path.isdir(os.path.dirname(self.output) or "."):
+            raise ConfigError(f"output directory {os.path.dirname(self.output)!r} does not exist")
         if self.kind in ("schatten-scaling", "character-scaling") and not self.pairs:
             raise ConfigError("scaling experiments need exponent pairs")
         for pair in self.pairs:
@@ -273,8 +277,8 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
     """Scaling of the Gaussian-summing norm of Schatten identities.
 
     Per pair (u, v) and size n: a certified lower bound (Monte Carlo
-    ell-norm for Hilbert domains, rank-one families otherwise) and a
-    certified factorization upper bound through the Hilbert pivot. Fitted
+    ell-norm for Hilbert domains, rank-one families otherwise) and the
+    closed-form upper bound through the Hilbert pivot (``pivot_upper``). Fitted
     exponents of both columns are checked against the reference exponent:
     the lower fit must not exceed it and the upper fit must not fall below
     it (within tolerance); Hilbert-domain rows, where the Monte Carlo value
@@ -288,19 +292,15 @@ def run_schatten_scaling(config: ExperimentConfig) -> RunReport:
         exact_path = u.is_hilbert and v.is_hilbert
         lower_vals, upper_vals = [], []
         for n in config.n_grid:
-            dom, cod = schatten_space(u, n), schatten_space(v, n)
-            mapping = identity_map(dom, cod)
+            mapping = identity_map(schatten_space(u, n), schatten_space(v, n))
             if u.is_hilbert:
                 lower = ell_norm_mc(mapping, samples=config.samples,
                                     seed=substream(config.seed, task))
             else:
-                search = SearchConfig(seed=substream(config.seed, task),
-                                      samples=config.samples)
-                lower = summing_norm_search(mapping, gaussian_system(), search)
+                lower = summing_norm_search(mapping, gaussian_system(), samples=config.samples,
+                                            seed=substream(config.seed, task))
             task += 1
-            pivot = schatten_space(2, n)
-            upper = factorization_upper(mapping, [dom, pivot, pivot, cod],
-                                        ell_norm_mc(identity_map(pivot, pivot)), 1)
+            upper = pivot_upper(mapping)
             lower_vals.append(lower.value)
             upper_vals.append(upper.value)
             rows.append(_row(n=n, u_recip=u.recip, v_recip=v.recip, kind="lower",
@@ -349,9 +349,9 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
             charset = config.system.charset(m)
             system = character_system(charset)
             mapping = identity_map(sequence_space(u, m), sequence_space(v, m))
-            cfg = SearchConfig(seed=substream(config.seed, task), samples=config.samples)
+            lower = summing_norm_search(mapping, system, samples=config.samples,
+                                        seed=substream(config.seed, task))
             task += 1
-            lower = summing_norm_search(mapping, system, cfg)
             values.append(lower.value)
             rows.append(_row(n=m, u_recip=u.recip, v_recip=v.recip, kind="lower",
                              ideal="lambda", value=lower.value, stderr=lower.stderr,
@@ -413,8 +413,8 @@ def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
 
     For the couple [X_1, X_2] -> [X_2, X_inf] at theta = THETA, the
     midpoint map gets a certified lower bound by family search and each
-    endpoint a certified factorization upper bound through the Hilbert
-    pivot; the audit then checks lower <= dtheta * uppers within 3 stderr.
+    endpoint the closed-form upper bound through the Hilbert pivot
+    (``pivot_upper``); the audit then checks lower <= dtheta * uppers within 3 stderr.
     A closed-form convexity row for the same configuration is appended.
     """
     u_mid = interp_exponent("1", "2", THETA)
@@ -425,16 +425,12 @@ def run_interpolation_audit(config: ExperimentConfig) -> RunReport:
         make = sequence_space if kind is SpaceKind.SEQUENCE else schatten_space
         dtheta = dtheta_lookup(kind, 1, 2)
         for n in config.n_grid:
-            dom, cod = make(u_mid, n), make(v_mid, n)
-            search = SearchConfig(seed=substream(config.seed, task), samples=config.samples)
+            lower = summing_norm_search(identity_map(make(u_mid, n), make(v_mid, n)),
+                                        gaussian_system(), samples=config.samples,
+                                        seed=substream(config.seed, task))
             task += 1
-            lower = summing_norm_search(identity_map(dom, cod), gaussian_system(), search)
-            pivot = make(2, n)
-            base_est = ell_norm_mc(identity_map(pivot, pivot))
-            upper0 = factorization_upper(identity_map(make(1, n), pivot),
-                                         [make(1, n), pivot, pivot], base_est, 1)
-            upper1 = factorization_upper(identity_map(pivot, make("inf", n)),
-                                         [pivot, pivot, make("inf", n)], base_est, 0)
+            upper0 = pivot_upper(identity_map(make(1, n), make(2, n)))
+            upper1 = pivot_upper(identity_map(make(2, n), make("inf", n)))
             audit = interpolation_audit(lower, upper0, upper1, THETA, dtheta)
             rows.append(_row(n=n, u_recip=u_mid.recip, v_recip=v_mid.recip,
                              kind=f"audit-{kind.value}", ideal="gamma",

@@ -30,21 +30,11 @@ def substream(seed, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (index,))
 
 
-def standard_gaussians(rng: np.random.Generator, shape, complex_normals: bool, out=None):
-    """Unit-variance real (default) or complex normals of the given shape.
+def standard_gaussians(rng: np.random.Generator, shape, out=None):
+    """Unit-variance real normals of the given shape.
 
-    Given ``out`` (contiguous, of that shape and the draw's dtype), the
-    normals are written into it and it is returned; no array of the
-    output's size is allocated for a real draw. A complex draw takes its
-    real parts, then its imaginary parts, through one reused real buffer,
-    so it allocates half its output (one and a half outputs without
-    ``out``); the values are those of ``(a + 1j * b) / sqrt(2)``.
+    Given ``out`` (contiguous float64, of that shape), the normals are
+    written into it and it is returned; no array of the output's size is
+    allocated.
     """
-    if not complex_normals:
-        return rng.standard_normal(shape, out=out)
-    z = np.empty(shape, dtype=np.complex128) if out is None else out
-    buf = np.empty(shape)
-    z.real = rng.standard_normal(out=buf)
-    z.imag = rng.standard_normal(out=buf)
-    z /= np.sqrt(2.0)
-    return z
+    return rng.standard_normal(shape, out=out)

@@ -6,20 +6,20 @@ second moment of the coordinate basis: exact onto Hilbert codomains, Monte
 Carlo otherwise. For other domains the module produces certified lower
 bounds from structured vector families (exact numerator over character
 systems, exact closed-form denominators) and certified upper bounds by
-factorization through a pivot leg whose ideal norm is known in closed form.
+factoring the identity through the Hilbert pivot, whose ell-norm is a
+closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
 from .rng import substream
-from .spaces import (SpaceDescriptor, SpaceKind, SpaceMap, UnitFamily,
-                     VectorSystem, inclusion_norm, parse_exponent,
+from .spaces import (Exponent, SpaceDescriptor, SpaceKind, SpaceMap,
+                     UnitFamily, VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
 from .systems import (OrthonormalSystem, _mc_width, check_array_bytes,
                       gaussian_closed_form, gaussian_system, kp_constant_lower,
@@ -30,8 +30,7 @@ from .systems import (OrthonormalSystem, _mc_width, check_array_bytes,
 # ell-norm (Gaussian-summing norm on Hilbert domains)
 # ---------------------------------------------------------------------------
 
-def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
-                complex_normals: bool = False) -> NormEstimate:
+def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None) -> NormEstimate:
     """(E ||id g||^2)^(1/2) for an identity with Hilbert domain (l_2^n or S_2^n).
 
     The Gaussian second moment of the coordinate basis in the codomain,
@@ -49,9 +48,8 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None,
     exact = gaussian_closed_form(codomain, n, 1)
     if exact is not None:
         return exact
-    _mc_width(n, codomain, samples, complex_normals)
-    return second_moment(gaussian_system(complex_normals), _family(codomain, n, 1),
-                         samples=samples, seed=seed)
+    _mc_width(n, codomain, samples)
+    return second_moment(gaussian_system(), _family(codomain, n, 1), samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +86,6 @@ def summing_norm_lower(space_map: SpaceMap, system: OrthonormalSystem,
 # ---------------------------------------------------------------------------
 # family search
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Family-search budget for certified lower bounds.
-
-    ``samples`` is the Monte Carlo sample count of every evaluation.
-    """
-
-    seed: int
-    samples: int = 4000
-
 
 def _family(domain: SpaceDescriptor, count: int, size: int, stride: int = 1) -> UnitFamily:
     """``count`` elements of ``size`` ones each, on the first count*size multiples of ``stride``."""
@@ -151,8 +138,8 @@ def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_siz
     yield "comb", VectorSystem(domain, fam)
 
 
-def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
-                        cfg: SearchConfig) -> NormEstimate:
+def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem, *, samples: int,
+                        seed) -> NormEstimate:
     """Best certified lower bound over the structured candidate families.
 
     Sequence domains try a singleton, the all-ones vector, the coordinate
@@ -161,7 +148,8 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
     grid. Deterministic given the seed: candidates are built and scored one
     at a time in that fixed order, each with its own derived substream, the
     first highest score leads, and the leader is re-evaluated on a fresh
-    substream. Only the leader and the candidate in hand are kept.
+    substream. Only the leader and the candidate in hand are kept. Every
+    evaluation takes ``samples`` Monte Carlo samples.
     """
     domain = space_map.domain
     max_size = system.charset.size if system.kind == "characters" else 1 << 30
@@ -174,51 +162,37 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem,
     best = None  # (value, tag, family)
     scored = 0
     for tag, fam in candidates:
-        value = summing_norm_lower(space_map, system, fam, samples=cfg.samples,
-                                   seed=substream(cfg.seed, scored)).value
+        value = summing_norm_lower(space_map, system, fam, samples=samples,
+                                   seed=substream(seed, scored)).value
         scored += 1
         if best is None or value > best[0]:
             best = (value, tag, fam)
         del fam  # the next candidate is built before the loop rebinds this name
     _, best_tag, best_fam = best
     final = summing_norm_lower(space_map, system, best_fam,
-                               samples=cfg.samples, seed=substream(cfg.seed, scored))
+                               samples=samples, seed=substream(seed, scored))
     return NormEstimate(final.value, final.certainty, stderr=final.stderr,
                         method=f"family-search[{best_tag}]", witness=best_fam)
 
 
 # ---------------------------------------------------------------------------
-# factorization upper bounds
+# upper bound through the Hilbert pivot
 # ---------------------------------------------------------------------------
 
-def factorization_upper(space_map: SpaceMap, route: list[SpaceDescriptor],
-                        base: NormEstimate, base_leg: int) -> NormEstimate:
-    """Upper bound by factoring the identity through a route of inclusions.
+def pivot_upper(space_map: SpaceMap) -> NormEstimate:
+    """Upper bound n ||id: X_u -> X_2|| ||id: X_2 -> X_v|| (sqrt(n) on sequence spaces).
 
-    Exactly one leg (``base_leg``) carries the ideal norm; every other leg
-    contributes its inclusion operator norm. Certified iff the base is.
+    The identity factors as X_u -> X_2 -> X_2 -> X_v: the middle leg's
+    Gaussian-summing norm is its ell-norm, the closed form sqrt(flat
+    dimension), and each outer leg contributes its inclusion operator norm.
+    Exact closed forms, so the bound is ``upper`` with no standard error.
     """
-    if len(route) < 2:
-        raise ValueError("a route needs at least two descriptors")
-    if route[0] != space_map.domain or route[-1] != space_map.codomain:
-        raise ValueError("route endpoints must match the map")
-    dims = {(d.kind, d.dim) for d in route}
-    if len(dims) != 1:
-        raise ValueError("route legs must share kind and dimension")
-    legs = len(route) - 1
-    if not (0 <= base_leg < legs):
-        raise ValueError("base leg index outside the route")
-    factor = 1.0
-    for i in range(legs):
-        if i == base_leg:
-            continue
-        factor *= inclusion_norm(route[i].exponent, route[i + 1].exponent, route[i].dim)
-    certainty = Certainty.UPPER if base.certainty in (Certainty.EXACT, Certainty.UPPER) \
-        else Certainty.HEURISTIC
-    scaled = base.scaled(factor)
-    return NormEstimate(scaled.value, certainty, stderr=scaled.stderr,
-                        method=f"factorization x{factor:g} ({base.method})",
-                        witness=[str(d) for d in route])
+    u, v = space_map.domain.exponent, space_map.codomain.exponent
+    n = space_map.domain.dim
+    pivot = SpaceDescriptor(space_map.domain.kind, n, Exponent(0.5))
+    factor = inclusion_norm(u, pivot.exponent, n) * inclusion_norm(pivot.exponent, v, n)
+    value = gaussian_closed_form(pivot, pivot.flat_dim, 1).value * factor
+    return NormEstimate(value, Certainty.UPPER, method=f"hilbert pivot x{factor:g}")
 
 
 # ---------------------------------------------------------------------------

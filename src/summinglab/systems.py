@@ -136,7 +136,6 @@ class OrthonormalSystem:
 
     kind: str
     charset: CharacterSet | None = None
-    complex_normals: bool = False
 
     def __post_init__(self):
         if self.kind == "characters":
@@ -149,8 +148,8 @@ class OrthonormalSystem:
             raise ValueError(f"unknown system kind {self.kind!r}")
 
 
-def gaussian_system(complex_normals: bool = False) -> OrthonormalSystem:
-    return OrthonormalSystem("gaussian", None, complex_normals)
+def gaussian_system() -> OrthonormalSystem:
+    return OrthonormalSystem("gaussian")
 
 
 def character_system(charset: CharacterSet) -> OrthonormalSystem:
@@ -167,32 +166,27 @@ MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _mc_working_set(width: int, dim: int, space: SpaceDescriptor, samples: int,
-                    complex_normals: bool) -> int:
-    """Rows of flat_dim entries that a Monte Carlo loop on ``width`` threads holds.
+def _mc_working_set(width: int, dim: int, space: SpaceDescriptor, samples: int) -> int:
+    """Rows of flat_dim float64 entries that a Monte Carlo loop on ``width`` threads holds.
 
     One chunk slot per thread, at most one per chunk, each holding a chunk's
     squared norms and the chunk-length rows the kernel reads: drawn there
     when the gather is the identity (dim == flat_dim), otherwise gathered
-    from the slot's own (rows, dim) coefficients; and, while a complex chunk
-    is drawn, the half-size real buffer it is filled from. Each thread also
-    holds one reduction task's temporaries: three GRAM_BLOCK-matrix blocks
-    on Schatten spaces, a magnitude and a scaled copy of a GRAM_BLOCK-row
+    from the slot's own (rows, dim) coefficients. Each thread also holds
+    one reduction task's temporaries: three GRAM_BLOCK-matrix blocks on
+    Schatten spaces, a magnitude and a scaled copy of a GRAM_BLOCK-row
     block on sequence spaces. Each part is rounded up to whole rows.
     """
     rows = min(MC_CHUNK, samples)
     flat = space.flat_dim
-    itemsize = 16 if complex_normals else 8
-    slot = rows + -(-rows * 8 // (flat * itemsize))
+    slot = rows + -(-rows // flat)
     if dim < flat:
         slot += -(-rows * dim // flat)
-    if complex_normals:
-        slot += -(-rows * dim // (2 * flat))
     temps = (3 if space.kind is SpaceKind.SCHATTEN else 2) * min(GRAM_BLOCK, rows)
     return min(width, -(-samples // MC_CHUNK)) * slot + width * temps
 
 
-def _mc_width(dim: int, space: SpaceDescriptor, samples: int, complex_normals: bool) -> int:
+def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> int:
     """Threads for one Monte Carlo loop, checked against MAX_ARRAY_BYTES first.
 
     The widest pool whose working set (``_mc_working_set``) fits under the
@@ -200,25 +194,21 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int, complex_normals: b
     a working set over the cap even at width 1 is refused before any
     allocation.
     """
-    dtype = np.complex128 if complex_normals else np.float64
-    cap = MAX_ARRAY_BYTES // (space.flat_dim * np.dtype(dtype).itemsize)
+    cap = MAX_ARRAY_BYTES // (space.flat_dim * 8)
     width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK)))
-    while width > 1 and _mc_working_set(width, dim, space, samples, complex_normals) > cap:
+    while width > 1 and _mc_working_set(width, dim, space, samples) > cap:
         width -= 1
     check_array_bytes("Monte Carlo chunk working set",
-                      (_mc_working_set(width, dim, space, samples, complex_normals),
-                       space.flat_dim), dtype)
+                      (_mc_working_set(width, dim, space, samples), space.flat_dim), np.float64)
     return width
 
 
-def _run_chunk(pool, family: UnitFamily, seed, index: int, count: int, slot,
-               complex_normals: bool) -> list:
+def _run_chunk(pool, family: UnitFamily, seed, index: int, count: int, slot) -> list:
     # On a pool thread: draw chunk ``index`` into its slot, gather it there
     # unless the gather is the identity, and submit its reduction as tasks
     # of GRAM_BLOCK rows. Returns those tasks' futures.
     rows, coeffs, q = slot
     drawn = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
-                               complex_normals,
                                out=(rows if coeffs is None else coeffs)[:count])
     chunk = family.synthesize(drawn, out=rows[:count])
     return [pool.submit(_reduce_block, chunk[start:start + GRAM_BLOCK], family.space,
@@ -237,8 +227,7 @@ def _finished_sums(run, q: np.ndarray) -> tuple[float, float]:
     return float(q.sum()), float((q * q).sum())
 
 
-def _mc_second_moment(family: UnitFamily, samples: int, seed,
-                      complex_normals: bool) -> NormEstimate:
+def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
     Chunk k draws its rows from ``substream(seed, k)`` and applies them to
@@ -259,17 +248,16 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed,
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
     space, dim = family.space, family.size
-    width = _mc_width(dim, space, samples, complex_normals)
+    width = _mc_width(dim, space, samples)
     # imported here: concurrent.futures loads logging, about 5 ms of start-up
     # that the commands without Monte Carlo need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     rows = min(MC_CHUNK, samples)
-    dtype = np.complex128 if complex_normals else np.float64
     # one array per part for all slots: slot i is (rows, coefficients, squared norms)[i]
     n_slots = min(width, -(-samples // MC_CHUNK))
-    kernel_rows = np.empty((n_slots, rows, space.flat_dim), dtype)
-    coeffs = np.empty((n_slots, rows, dim), dtype) if dim < space.flat_dim else [None] * n_slots
+    kernel_rows = np.empty((n_slots, rows, space.flat_dim))
+    coeffs = np.empty((n_slots, rows, dim)) if dim < space.flat_dim else [None] * n_slots
     slots = list(zip(kernel_rows, coeffs, np.empty((n_slots, rows))))
     sums = []
     running = deque()  # (draw task, its chunk's squared norms), in chunk order
@@ -280,8 +268,8 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed,
                 sums.append(_finished_sums(*running.popleft()))
             count = min(MC_CHUNK, samples - start)
             slot = slots[index % len(slots)]
-            running.append((pool.submit(_run_chunk, pool, family, seed, index, count, slot,
-                                        complex_normals), slot[2][:count]))
+            running.append((pool.submit(_run_chunk, pool, family, seed, index, count, slot),
+                            slot[2][:count]))
         sums.extend(_finished_sums(*chunk) for chunk in running)
     finally:
         # after an error, drop the queued tasks; the running ones end first
@@ -323,7 +311,7 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     exact = gaussian_closed_form(space, *family.elements.shape)
     if exact is not None:
         return exact
-    return _mc_second_moment(family, samples, seed, system.complex_normals)
+    return _mc_second_moment(family, samples, seed)
 
 
 def gaussian_closed_form(space: SpaceDescriptor, count: int, size: int) -> NormEstimate | None:
@@ -370,6 +358,22 @@ def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
+def _ascent_bases(charset: CharacterSet, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The character matrix and its contiguous conjugate transpose, for an ascent.
+
+    Checked first against MAX_ARRAY_BYTES: the matrix alone, then all the
+    ascent holds, in rows of ``order`` complex entries: the two bases (m
+    rows each; building the matrix takes no more), and per restart
+    ``kernels._sphere_ascent``'s trial values of two rounds and the
+    magnitudes of both (half a row each).
+    """
+    check_array_bytes("character matrix", (charset.order, charset.size), np.complex128)
+    check_array_bytes("ascent working set", (2 * charset.size + 3 * restarts, charset.order),
+                      np.complex128)
+    basis = charset.matrix()
+    return basis, np.conj(basis.T, order="C")
+
+
 def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstimate:
     """Best found ratio ||f||_p / ||f||_2 over span(charset), p >= 2.
 
@@ -387,8 +391,7 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
         coeffs = np.zeros(m, dtype=np.complex128)
         coeffs[0] = 1.0
         return NormEstimate(1.0, Certainty.EXACT, method="parseval", witness=coeffs)
-    basis = np.ascontiguousarray(charset.matrix())
-    basis_h = np.ascontiguousarray(basis.conj().T)
+    basis, basis_h = _ascent_bases(charset, cfg.restarts)
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     pv = np.inf if e.recip == 0.0 else 1.0 / e.recip
     vals, coeffs = lp_ascent(basis, basis_h, 1.0 / basis.shape[0], pv, starts,
@@ -409,8 +412,7 @@ def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstima
     if charset.size == 0:
         raise ValueError("empty character set")
     m = charset.size
-    basis = np.ascontiguousarray(charset.matrix())
-    basis_h = np.ascontiguousarray(basis.conj().T)
+    basis, basis_h = _ascent_bases(charset, cfg.restarts)
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     starts[0] = 0.0
     starts[0, 0] = 1.0  # singleton witness: ratio exactly 1

@@ -32,7 +32,7 @@ def test_criterion_1_exact_ell_norm_hilbert():
         exact = sl.ell_norm_mc(mapping)
         assert exact.value == math.sqrt(n)  # bit-exact closed form
         basis = sl.UnitFamily(mapping.codomain, np.arange(n)[:, None])
-        mc = _mc_second_moment(basis, 100_000, 101 + n, False)
+        mc = _mc_second_moment(basis, 100_000, 101 + n)
         assert abs(mc.value - math.sqrt(n)) <= 0.01 * math.sqrt(n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -135,14 +135,10 @@ def test_criterion_6_interpolation_audit():
     for n in (8, 16, 32):
         lower = sl.summing_norm_search(
             sl.identity_map(sl.sequence_space("4/3", n), sl.sequence_space(4, n)),
-            sl.gaussian_system(),
-            sl.SearchConfig(seed=600 + n, samples=20_000))
+            sl.gaussian_system(), samples=20_000, seed=600 + n)
         seq = sl.sequence_space
-        base_est = sl.ell_norm_mc(sl.identity_map(seq(2, n), seq(2, n)))
-        upper0 = sl.factorization_upper(sl.identity_map(seq(1, n), seq(2, n)),
-                                        [seq(1, n), seq(2, n), seq(2, n)], base_est, 1)
-        upper1 = sl.factorization_upper(sl.identity_map(seq(2, n), seq("inf", n)),
-                                        [seq(2, n), seq(2, n), seq("inf", n)], base_est, 0)
+        upper0 = sl.pivot_upper(sl.identity_map(seq(1, n), seq(2, n)))
+        upper1 = sl.pivot_upper(sl.identity_map(seq(2, n), seq("inf", n)))
         dtheta = sl.DThetaBound(math.sqrt(2), True, "sequence couple, endpoints <= 2")
         report = sl.interpolation_audit(lower, upper0, upper1, 0.5, dtheta)
         assert report.passed

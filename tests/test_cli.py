@@ -3,16 +3,20 @@
 import contextlib
 import io
 import json
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summinglab import systems
-from summinglab.cli import main
+from summinglab import experiments, systems
+from summinglab.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_limit_order_table_output(capsys):
@@ -149,29 +153,75 @@ def _assert_usage_error(capsys, argv, needle):
     assert needle in captured.err
 
 
+def _assert_argparse_error(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("summinglab") and needle in lines[0]
+
+
 def test_kp_zero_restarts_is_usage_error(capsys):
-    _assert_usage_error(capsys, ["kp", "--group", "8", "--freqs", "1,2", "--p", "4",
-                                 "--restarts", "0", "--seed", "3"], "restarts")
+    _assert_argparse_error(capsys, ["kp", "--group", "8", "--freqs", "1,2", "--p", "4",
+                                    "--restarts", "0", "--seed", "3"],
+                           "argument --restarts: must be >= 1, got 0")
 
 
 def test_sidon_zero_restarts_is_usage_error(capsys):
-    _assert_usage_error(capsys, ["sidon", "--group", "8", "--freqs", "1,2,4",
-                                 "--restarts", "0", "--seed", "3"], "restarts")
+    _assert_argparse_error(capsys, ["sidon", "--group", "8", "--freqs", "1,2,4",
+                                    "--restarts", "0", "--seed", "3"],
+                           "argument --restarts: must be >= 1, got 0")
 
 
 def test_kp_negative_steps_is_usage_error(capsys):
-    _assert_usage_error(capsys, ["kp", "--group", "8", "--freqs", "1,2", "--p", "4",
-                                 "--steps", "-3", "--seed", "3"], "steps")
+    _assert_argparse_error(capsys, ["kp", "--group", "8", "--freqs", "1,2", "--p", "4",
+                                    "--steps", "-3", "--seed", "3"],
+                           "argument --steps: must be >= 0, got -3")
 
 
 def test_lnorm_zero_samples_is_usage_error(capsys):
-    _assert_usage_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
-                                 "--samples", "0", "--seed", "7"], "samples")
+    _assert_argparse_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
+                                    "--samples", "0", "--seed", "7"],
+                           "argument --samples: must be >= 2, got 0")
 
 
 def test_lnorm_negative_samples_is_usage_error(capsys):
-    _assert_usage_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
-                                 "--samples", "-5", "--seed", "7"], "samples")
+    _assert_argparse_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
+                                    "--samples", "-5", "--seed", "7"],
+                           "argument --samples: must be >= 2, got -5")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["lnorm", "--space", "l2:4", "--target", "l2:4", "--samples", "-5", "--seed", "1"],
+     "argument --samples: must be >= 2, got -5"),
+    (["pib", "--space", "s1:4", "--target", "s2:4", "--samples", "0", "--seed", "1"],
+     "argument --samples: must be >= 2, got 0"),
+], ids=["lnorm-closed-form", "pib-closed-form"])
+def test_samples_out_of_range_is_usage_error_on_closed_forms(capsys, argv, needle):
+    # the closed form never reads samples, so only the flag's own check refuses it
+    _assert_argparse_error(capsys, argv, needle)
+
+
+def test_out_in_missing_directory_is_config_error_before_work(capsys, monkeypatch, tmp_path):
+    def run(config):
+        raise AssertionError("measured before the output path was checked")
+
+    monkeypatch.setitem(experiments.RUNNERS, "schatten-scaling", run)
+    missing = tmp_path / "absent"
+    _assert_usage_error(capsys, ["thm2", "--seed", "1", "--n-grid", "4,8,16", "--pairs", "2:2",
+                                 "--out", str(missing / "x")],
+                        f"config error: output directory {str(missing)!r} does not exist")
+
+
+def test_unwritable_report_is_one_error_line(capsys, tmp_path):
+    # the directory exists, but the report's .json path is a directory
+    (tmp_path / "rep.json").mkdir()
+    _assert_usage_error(capsys, ["thm2", "--seed", "1", "--n-grid", "4,8,16", "--pairs", "2:2",
+                                 "--out", str(tmp_path / "rep")], "rep.json")
 
 
 def test_zero_denominator_exponent_is_usage_error(capsys):
@@ -200,18 +250,24 @@ def test_zero_denominator_exponent_is_usage_error(capsys):
     (["kp", "--group", "0", "--p", "4", "--seed", "1"], "argument --group: must be >= 1, got 0"),
     (["pib", "--space", "l2:4", "--target", "l4:4", "--system", "characters", "--seed", "1"],
      "argument --group: required with --system characters"),
+    (["lnorm", "--space", "l2:4", "--target", "l4:4", "--seed", "1", "--complex-normals"],
+     "unrecognized arguments: --complex-normals"),
 ], ids=["bad-int", "unknown-flag", "missing-required", "removed-pib-budget",
         "interp-audit-pairs", "thm1-samples", "lnorm-csv", "json-csv", "lnorm-negative-seed",
-        "sidon-negative-seed", "kp-zero-group", "pib-characters-without-group"])
+        "sidon-negative-seed", "kp-zero-group", "pib-characters-without-group",
+        "removed-complex-normals"])
 def test_argparse_usage_error_is_one_line(capsys, argv, needle):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("summinglab") and needle in lines[0]
+    _assert_argparse_error(capsys, argv, needle)
+
+
+def test_readme_commands_parse():
+    # a removed or renamed flag cannot leave a README command behind
+    commands = [shlex.split(line)[1:] for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("summinglab ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_kp_huge_p_reaches_point_mass(capsys):
@@ -351,6 +407,19 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
     # the projected size is checked against the byte cap before allocating
     _assert_usage_error(capsys, argv, needle)
+
+
+def test_ascent_working_set_refused_before_the_matrix(capsys, monkeypatch):
+    # 21 lacunary characters of Z_(2^22): the 1.3 GiB matrix is under the
+    # 2 GiB cap, but with its conjugate transpose and 64 restarts' trial
+    # values the ascent would hold 14.6 GiB; refused by the projection alone
+    def build(*args):
+        raise AssertionError("built the character matrix before the working-set check")
+
+    monkeypatch.setattr(systems, "_character_matrix", build)
+    freqs = ",".join(str(2 ** k) for k in range(21))
+    _assert_usage_error(capsys, ["kp", "--group", str(2 ** 22), "--freqs", freqs, "--p", "4",
+                                 "--seed", "1"], "ascent working set of shape (234, 4194304)")
 
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):

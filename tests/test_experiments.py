@@ -45,6 +45,14 @@ def test_config_validation():
             ExperimentConfig(kind="interp-audit", seed=1, n_grid=(8, 16, 32), **bad)
 
 
+def test_config_output_needs_an_existing_directory(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="output directory .* does not exist"):
+        _character_cfg(output=str(tmp_path / "absent" / "report"))
+    assert _character_cfg(output=str(tmp_path / "report")).output == str(tmp_path / "report")
+    monkeypatch.chdir(tmp_path)  # a bare base name goes to the working directory
+    assert _character_cfg(output="report").output == "report"
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "kp-profile", "seed": 1, "bogus": 2})
@@ -106,6 +114,10 @@ def test_schatten_scaling_run():
     rank_one = [r for r in report.rows
                 if r["kind"] == "lower-fit" and r["u_recip"] == 1.0]
     assert rank_one[0]["slope"] == pytest.approx(0.5, abs=1e-10)
+    # the Hilbert-pivot bound: n for both pairs (v = 2, u <= 2), proven, no stderr
+    uppers = [r for r in report.rows if r["kind"] == "upper"]
+    assert [(r["n"], r["value"], r["cert"], r["stderr"]) for r in uppers] == \
+        [(n, float(n), "upper", None) for n in (8, 16, 32)] * 2
 
 
 def test_character_scaling_run_positive():

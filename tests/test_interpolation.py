@@ -173,17 +173,9 @@ def test_audit_proof_configuration_at_fixed_size():
     n = 16
     lower = sl.summing_norm_search(
         sl.identity_map(sl.sequence_space("4/3", n), sl.sequence_space(4, n)),
-        sl.gaussian_system(),
-        sl.SearchConfig(seed=5, samples=4000))
-    base_est = sl.ell_norm_mc(sl.identity_map(sl.sequence_space(2, n), sl.sequence_space(2, n)))
-    u0 = sl.factorization_upper(
-        sl.identity_map(sl.sequence_space(1, n), sl.sequence_space(2, n)),
-        [sl.sequence_space(1, n), sl.sequence_space(2, n), sl.sequence_space(2, n)],
-        base_est, 1)
-    u1 = sl.factorization_upper(
-        sl.identity_map(sl.sequence_space(2, n), sl.sequence_space("inf", n)),
-        [sl.sequence_space(2, n), sl.sequence_space(2, n), sl.sequence_space("inf", n)],
-        base_est, 0)
+        sl.gaussian_system(), samples=4000, seed=5)
+    u0 = sl.pivot_upper(sl.identity_map(sl.sequence_space(1, n), sl.sequence_space(2, n)))
+    u1 = sl.pivot_upper(sl.identity_map(sl.sequence_space(2, n), sl.sequence_space("inf", n)))
     report = interpolation_audit(lower, u0, u1, 0.5, dtheta_lookup(SpaceKind.SEQUENCE, 1, 2))
     assert report.passed
     assert report.bound == pytest.approx(np.sqrt(2) * np.sqrt(n), rel=1e-12)

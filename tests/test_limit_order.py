@@ -123,7 +123,7 @@ def test_fit_recovers_mc_hilbert_slope():
     points = []
     for i, n in enumerate(ns):
         basis = UnitFamily(sequence_space(2, n), np.arange(n)[:, None])
-        est = _mc_second_moment(basis, 20_000, 100 + i, False)
+        est = _mc_second_moment(basis, 20_000, 100 + i)
         points.append((n, est.value))
     fit = fit_exponent(points)
     assert fit.slope == pytest.approx(0.5, abs=0.02)

@@ -1,4 +1,4 @@
-"""ell-norm estimation, certified family bounds, family search, factorization."""
+"""ell-norm estimation, certified family bounds, family search, the Hilbert-pivot bound."""
 
 import math
 import tracemalloc
@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from summinglab import (Certainty, CharacterSet, NormEstimate, SearchConfig,
-                        UnitFamily, VectorSystem, character_system,
-                        ell_norm_mc, factorization_upper, gaussian_system,
-                        identity_map, kp_summing_bound, parse_space, schatten_space,
+from summinglab import (Certainty, CharacterSet, NormEstimate, UnitFamily,
+                        VectorSystem, character_system, ell_norm_mc,
+                        gaussian_system, identity_map, kp_summing_bound,
+                        parse_space, pivot_upper, schatten_space,
                         sequence_space, second_moment, summing_norm_lower,
                         summing_norm_search)
 from summinglab import kernels, spaces, summing
@@ -182,8 +182,8 @@ def _dense_second_moment(dense, space, samples, seed):
     """Chunked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
     q = np.concatenate([
         norms_of_stack(standard_gaussians(make_rng(substream(seed, k)),
-                                          (min(MC_CHUNK, samples - start), dense.shape[0]),
-                                          False) @ dense, space) ** 2
+                                          (min(MC_CHUNK, samples - start), dense.shape[0]))
+                       @ dense, space) ** 2
         for k, start in enumerate(range(0, samples, MC_CHUNK))])
     value = np.sqrt(q.mean())
     return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
@@ -224,7 +224,7 @@ def test_generic_family_takes_dense_product():
 
 def test_real_families_take_real_norm_kernels(monkeypatch):
     # unit families are real: with real normals they reach the Schatten
-    # kernel as real stacks, with complex normals as complex ones
+    # kernel as real stacks
     seen = []
 
     def spy(mats, p):
@@ -236,8 +236,6 @@ def test_real_families_take_real_norm_kernels(monkeypatch):
     for _, fam in _schatten_candidates(schatten_space(1, 4), 1 << 30):
         second_moment(gaussian_system(), replace(fam, space=space), samples=100, seed=3)
     assert seen and not any(seen)
-    second_moment(gaussian_system(True), replace(fam, space=space), samples=100, seed=3)
-    assert seen[-1]
 
 
 def test_search_family_memory_is_index_sized():
@@ -245,7 +243,7 @@ def test_search_family_memory_is_index_sized():
     tracemalloc.start()
     try:
         est = summing_norm_search(identity_map(schatten_space(1, 64), schatten_space(2, 64)),
-                                  gaussian_system(), SearchConfig(seed=1))
+                                  gaussian_system(), samples=4000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -266,25 +264,22 @@ def test_lower_bound_domain_mismatch():
 
 def test_search_hilbert_identity_reaches_sqrt_n():
     n = 8
-    cfg = SearchConfig(seed=2)
     est = summing_norm_search(identity_map(sequence_space(2, n), sequence_space(2, n)),
-                              gaussian_system(), cfg)
+                              gaussian_system(), samples=4000, seed=2)
     assert est.value >= np.sqrt(n) * (1 - 1e-9)
 
 
 def test_search_includes_all_ones_singleton():
     # for linf^4 -> l4^4 the all-ones singleton gives exactly 4^(1/4)
-    cfg = SearchConfig(seed=2, samples=4000)
     est = summing_norm_search(identity_map(sequence_space("inf", 4), sequence_space(4, 4)),
-                              gaussian_system(), cfg)
+                              gaussian_system(), samples=4000, seed=2)
     assert est.value >= 4 ** 0.25 * (1 - 1e-9)
 
 
 def test_search_zero_budget_equals_best_seed_family():
     n = 6
-    cfg = SearchConfig(seed=4, samples=2000)
     mapping = identity_map(sequence_space(2, n), sequence_space(2, n))
-    est = summing_norm_search(mapping, gaussian_system(), cfg)
+    est = summing_norm_search(mapping, gaussian_system(), samples=2000, seed=4)
     # enumerate the same seed families by hand: basis wins with sqrt(n)
     assert est.value == pytest.approx(np.sqrt(n), rel=1e-12)
     assert "basis" in est.method
@@ -292,76 +287,44 @@ def test_search_zero_budget_equals_best_seed_family():
 
 def test_search_deterministic_given_seed():
     n = 6
-    cfg = SearchConfig(seed=9, samples=2000)
     mapping = identity_map(sequence_space(2, n), sequence_space(4, n))
-    a = summing_norm_search(mapping, gaussian_system(), cfg)
-    b = summing_norm_search(mapping, gaussian_system(), cfg)
+    a = summing_norm_search(mapping, gaussian_system(), samples=2000, seed=9)
+    b = summing_norm_search(mapping, gaussian_system(), samples=2000, seed=9)
     assert a.value == b.value
 
 
 # ---------------------------------------------------------------------------
-# factorization upper bounds
+# Hilbert-pivot upper bound
 # ---------------------------------------------------------------------------
-
-def _exact(value, method="ref"):
-    return NormEstimate(value, Certainty.EXACT, method=method)
-
 
 def test_factorization_unit_first_leg():
     n = 8
-    dom, mid, cod = sequence_space(1, n), sequence_space(2, n), sequence_space(2, n)
-    est = factorization_upper(identity_map(dom, cod), [dom, mid, cod],
-                              _exact(np.sqrt(n)), 1)
+    dom, cod = sequence_space(1, n), sequence_space(2, n)
+    est = pivot_upper(identity_map(dom, cod))
     assert est.certainty is Certainty.UPPER
     assert est.value == pytest.approx(np.sqrt(n), rel=1e-12)
 
 
-def test_factorization_pivot_example():
-    # l_{4/3} -> l_inf through the exponent with 1/v = 1/u - 1/2 costs nothing
-    m = 16
-    dom = sequence_space("4/3", m)
-    mid = sequence_space(4, m)
-    cod = sequence_space("inf", m)
-    base = _exact(7.7, "pivot-leg")
-    est = factorization_upper(identity_map(dom, cod), [dom, mid, cod], base, 0)
-    # the second leg l_4 -> l_inf contributes m^max(0, 0 - 1/4) = 1
-    assert est.value == pytest.approx(7.7, rel=1e-12)
-
-
-def test_factorization_monotone_under_unit_extension():
+@pytest.mark.parametrize("space,u,v", [
+    (schatten_space, 1, 2), (schatten_space, 2, 1), (schatten_space, "inf", 4),
+    (schatten_space, "4/3", "inf"), (sequence_space, 1, "inf"), (sequence_space, 4, 1),
+])
+def test_pivot_upper_closed_form(space, u, v):
+    # sqrt(flat dim) n^max(0, 1/2 - 1/u) n^max(0, 1/v - 1/2), in that order
     n = 8
-    dom, cod = schatten_space(2, n), schatten_space(4, n)
-    base = _exact(float(n))
-    short = factorization_upper(identity_map(dom, cod), [dom, cod], base, 0)
-    extended = factorization_upper(identity_map(dom, cod), [dom, dom, cod], base, 1)
-    assert extended.value <= short.value * (1 + 1e-12)
+    dom, cod = space(u, n), space(v, n)
+    est = pivot_upper(identity_map(dom, cod))
+    factor = n ** max(0.0, 0.5 - dom.exponent.recip) * n ** max(0.0, cod.exponent.recip - 0.5)
+    assert est.value == math.sqrt(dom.flat_dim) * factor
+    assert est.certainty is Certainty.UPPER and est.stderr is None
 
 
 def test_factorization_upper_dominates_direct_mc():
     n = 8
     dom, cod = schatten_space(2, n), schatten_space(4, n)
-    pivot = schatten_space(2, n)
-    upper = factorization_upper(identity_map(dom, cod), [dom, pivot, cod],
-                                _exact(float(n)), 0)
+    upper = pivot_upper(identity_map(dom, cod))
     direct = ell_norm_mc(identity_map(dom, cod), samples=4000, seed=17)
     assert upper.value >= direct.value - 3 * (direct.stderr or 0.0)
-
-
-def test_factorization_route_validation():
-    n = 4
-    dom, cod = sequence_space(1, n), sequence_space(2, n)
-    mapping = identity_map(dom, cod)
-    with pytest.raises(ValueError):
-        factorization_upper(mapping, [dom], _exact(1.0), 0)
-    with pytest.raises(ValueError):
-        factorization_upper(mapping, [cod, dom], _exact(1.0), 0)
-    with pytest.raises(ValueError):
-        factorization_upper(mapping, [dom, sequence_space(2, n + 1), cod], _exact(1.0), 0)
-    with pytest.raises(ValueError):
-        factorization_upper(mapping, [dom, cod], _exact(1.0), 5)
-    heuristic = NormEstimate(1.0, Certainty.HEURISTIC, method="guess")
-    est = factorization_upper(mapping, [dom, cod], heuristic, 0)
-    assert est.certainty is Certainty.HEURISTIC
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +335,7 @@ def test_sandwich_lower_below_upper():
     n = 8
     dom, cod = schatten_space(2, n), schatten_space(4, n)
     lower = ell_norm_mc(identity_map(dom, cod), samples=4000, seed=19)
-    upper = factorization_upper(identity_map(dom, cod), [dom, dom, cod],
-                                _exact(float(n)), 0)
+    upper = pivot_upper(identity_map(dom, cod))
     assert lower.value <= upper.value * (1 + 3 * (lower.stderr or 0.0))
 
 

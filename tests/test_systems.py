@@ -227,7 +227,7 @@ def test_second_moment_gaussian_exact_and_mc():
     exact = second_moment(gaussian_system(), _basis(space, n))
     assert exact.certainty is Certainty.EXACT
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
-    mc = _mc_second_moment(_basis(space, n), 20_000, 5, False)
+    mc = _mc_second_moment(_basis(space, n), 20_000, 5)
     assert mc.certainty is Certainty.LOWER
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(mc.value - np.sqrt(n)) <= 3 * mc.stderr
@@ -237,45 +237,6 @@ def test_second_moment_family_too_large():
     cs = _charset(8, [0, 1])
     with pytest.raises(ValueError):
         second_moment(character_system(cs), _basis(sequence_space(2, 3), 3))
-
-
-def test_second_moment_complex_normals_flag():
-    n = 5
-    space = sequence_space(2, n)
-    est = _mc_second_moment(_basis(space, n), 20_000, 9, True)
-    assert abs(est.value - np.sqrt(n)) <= 4 * est.stderr
-
-
-def _old_complex_gaussians(rng, shape):
-    """The complex draw as first written: both parts, then one expression."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-@pytest.mark.parametrize("seed,shape", [(0, (1,)), (1, (7, 3)), (5, (4096, 16)),
-                                        (11, (33, 65)), (20261, (2, 3, 4))])
-def test_complex_gaussians_match_the_one_expression_draw(seed, shape):
-    z = standard_gaussians(make_rng(seed), shape, True)
-    ref = _old_complex_gaussians(make_rng(seed), shape)
-    assert z.dtype == np.complex128 and z.shape == shape
-    assert np.array_equal(z.view(np.float64), ref.view(np.float64))
-
-
-def test_complex_gaussians_peak_at_one_and_a_half_outputs():
-    # the output plus one real buffer; the one-expression draw holds two
-    # outputs at once
-    shape = (1024, 512)
-    nbytes = 16 * shape[0] * shape[1]
-    peaks = []
-    for draw in (lambda: standard_gaussians(make_rng(3), shape, True),
-                 lambda: _old_complex_gaussians(make_rng(3), shape)):
-        tracemalloc.start()
-        try:
-            draw()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= 1.5 * nbytes + 65536
-    assert peaks[1] >= 2 * nbytes
 
 
 def _mc_family(space, kind):
@@ -289,14 +250,13 @@ def _mc_family(space, kind):
     return _basis(space, space.flat_dim)
 
 
-def _serial_second_moment(family, samples, seed, complex_normals):
+def _serial_second_moment(family, samples, seed):
     """The one-thread Monte Carlo loop: draw, gather and reduce each chunk in turn."""
     total = 0.0
     total_sq = 0.0
     for index, start in enumerate(range(0, samples, MC_CHUNK)):
         count = min(MC_CHUNK, samples - start)
-        rows = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
-                                  complex_normals)
+        rows = standard_gaussians(make_rng(substream(seed, index)), (count, family.size))
         q = norms_of_stack(family.synthesize(rows), family.space) ** 2
         total += float(q.sum())
         total_sq += float((q * q).sum())
@@ -307,25 +267,22 @@ def _serial_second_moment(family, samples, seed, complex_normals):
     return value, stderr
 
 
-@pytest.mark.parametrize("space,family,complex_normals,samples,width", [
-    (schatten_space(4, 6), "basis", False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space("inf", 6), "basis", False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space("4/3", 6), "basis", False, 2 * MC_CHUNK + 1, 2),
-    (sequence_space("inf", 6), "basis", False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space(4, 5), "basis", True, MC_CHUNK + 3, 2),
-    (schatten_space("inf", 5), "basis", True, 3 * MC_CHUNK, 2),
-    (schatten_space("inf", 6), "diag", False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space(4, 6), "grid", False, 2 * MC_CHUNK + 1, 2),
-    (schatten_space(4, 6), "grid", False, 5, 2),
-    (schatten_space("inf", 6), "basis", False, 6 * MC_CHUNK + 7, 4),
-    (schatten_space("inf", 6), "basis", False, MC_CHUNK, 2),
-    (schatten_space(4, 6), "basis", False, MC_CHUNK + GRAM_BLOCK // 2, 2),
-    (sequence_space(4, 12), "blocks", True, 2 * MC_CHUNK + 1, 2),
-], ids=["s4", "sinf", "s4-3-svd", "linf", "s4-complex", "sinf-complex-3-chunks",
-        "sinf-diag", "s4-grid", "s4-grid-one-chunk", "sinf-4-threads",
-        "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block", "l4-blocks-complex"])
-def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_normals,
-                                           samples, width):
+@pytest.mark.parametrize("space,family,samples,width", [
+    (schatten_space(4, 6), "basis", 2 * MC_CHUNK + 1, 2),
+    (schatten_space("inf", 6), "basis", 2 * MC_CHUNK + 1, 2),
+    (schatten_space("4/3", 6), "basis", 2 * MC_CHUNK + 1, 2),
+    (sequence_space("inf", 6), "basis", 2 * MC_CHUNK + 1, 2),
+    (schatten_space("inf", 6), "diag", 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 6), "grid", 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 6), "grid", 5, 2),
+    (schatten_space("inf", 6), "basis", 6 * MC_CHUNK + 7, 4),
+    (schatten_space("inf", 6), "basis", MC_CHUNK, 2),
+    (schatten_space(4, 6), "basis", MC_CHUNK + GRAM_BLOCK // 2, 2),
+    (sequence_space(4, 12), "blocks", 2 * MC_CHUNK + 1, 2),
+], ids=["s4", "sinf", "s4-3-svd", "linf", "sinf-diag", "s4-grid", "s4-grid-one-chunk",
+        "sinf-4-threads", "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block",
+        "l4-blocks"])
+def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, width):
     # draws, gathers and GRAM_BLOCK-row reductions on the pool, sums in chunk
     # order: the same floats as the one-thread loop, value and stderr, also
     # with more threads than cores and a short switch interval
@@ -334,10 +291,10 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, complex_n
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        est = _mc_second_moment(family, samples, 13, complex_normals)
+        est = _mc_second_moment(family, samples, 13)
     finally:
         sys.setswitchinterval(interval)
-    value, stderr = _serial_second_moment(family, samples, 13, complex_normals)
+    value, stderr = _serial_second_moment(family, samples, 13)
     assert (est.value, est.stderr) == (value, stderr)
 
 
@@ -347,42 +304,35 @@ def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
     # threads fit under the 2 GiB cap, fourteen do not, whatever the CPU count
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 13
+    assert systems._mc_width(4096, space, 20 * MC_CHUNK) == 13
     # threads beyond the chunk count hold no slot, only a reduction's blocks,
     # so five chunks or one keep all sixteen; one reduction task keeps one
-    assert systems._mc_width(4096, space, 5 * MC_CHUNK, False) == 16
-    assert systems._mc_width(4096, space, MC_CHUNK, False) == 16
-    assert systems._mc_width(4096, space, GRAM_BLOCK, False) == 1
-    # a complex slot of l_inf^4538 is 297 MB, and 149 MB more for the real
-    # buffer a complex draw fills it from: four threads fit under the cap,
-    # where six would without that buffer
-    seq = sequence_space("inf", 4538)
-    assert systems._mc_width(4538, seq, 20 * MC_CHUNK, True) == 4
+    assert systems._mc_width(4096, space, 5 * MC_CHUNK) == 16
+    assert systems._mc_width(4096, space, MC_CHUNK) == 16
+    assert systems._mc_width(4096, space, GRAM_BLOCK) == 1
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    assert systems._mc_width(4096, space, 20 * MC_CHUNK, False) == 2
+    assert systems._mc_width(4096, space, 20 * MC_CHUNK) == 2
 
 
-@pytest.mark.parametrize("space,family,complex_normals,samples", [
-    (schatten_space("inf", 64), "basis", False, MC_CHUNK + GRAM_BLOCK + 1),
-    (schatten_space(4, 32), "diag", False, 2 * MC_CHUNK + 1),
-    (sequence_space("inf", 512), "blocks", True, 2 * MC_CHUNK + 1),
-], ids=["sinf64-basis", "s4-32-diag", "linf-blocks-complex"])
-def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, complex_normals,
-                                                 samples):
+@pytest.mark.parametrize("space,family,samples", [
+    (schatten_space("inf", 64), "basis", MC_CHUNK + GRAM_BLOCK + 1),
+    (schatten_space(4, 32), "diag", 2 * MC_CHUNK + 1),
+    (sequence_space("inf", 512), "blocks", 2 * MC_CHUNK + 1),
+], ids=["sinf64-basis", "s4-32-diag", "linf-blocks"])
+def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
     # what numpy allocates during the loop, on every thread, stays under the
     # working set _mc_width checks against the cap, and holds at least one slot
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     family = _mc_family(space, family)
-    itemsize = 16 if complex_normals else 8
-    width = systems._mc_width(family.size, space, samples, complex_normals)
-    projected = systems._mc_working_set(width, family.size, space, samples, complex_normals)
+    width = systems._mc_width(family.size, space, samples)
+    projected = systems._mc_working_set(width, family.size, space, samples)
     tracemalloc.start()
     try:
-        _mc_second_moment(family, samples, 5, complex_normals)
+        _mc_second_moment(family, samples, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert MC_CHUNK * space.flat_dim * itemsize <= peak <= projected * space.flat_dim * itemsize
+    assert MC_CHUNK * space.flat_dim * 8 <= peak <= projected * space.flat_dim * 8
 
 
 def test_full_grid_gather_is_the_identity():
@@ -412,7 +362,7 @@ def test_pool_worker_error_reaches_caller(monkeypatch):
     space = sequence_space("inf", 4)
     before = threading.active_count()
     with pytest.raises(RuntimeWarning) as info:
-        _mc_second_moment(_basis(space, 4), 3 * MC_CHUNK, 3, False)
+        _mc_second_moment(_basis(space, 4), 3 * MC_CHUNK, 3)
     assert raised and info.value is raised[0]
     assert threading.active_count() == before
 
@@ -555,6 +505,50 @@ def test_sidon_scaling_invariance():
     alpha = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     ratio = lambda a: np.abs(a).sum() / lp_norm_of_span(SpanElement(cs, a), "inf")
     assert ratio(alpha) == pytest.approx(ratio(0.2 * np.exp(1.3j) * alpha), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# ascent working set
+# ---------------------------------------------------------------------------
+
+_ASCENTS = {"kp": lambda cs, cfg: kp_constant_lower(cs, 4, cfg),
+            "sidon": sidon_constant_lower}
+
+
+@pytest.mark.parametrize("ascent", sorted(_ASCENTS))
+def test_ascent_peak_stays_under_its_projection(monkeypatch, ascent):
+    # what numpy allocates in one ascent, the character matrix built included,
+    # holds the two bases and a round's trial values and magnitudes, and the
+    # working-set check refuses a cap just under it
+    run = _ASCENTS[ascent]
+    cs = lacunary_character_set(4096, 8)
+    cfg = AscentConfig(seed=3, restarts=16, steps=30)
+    run(cs, cfg)  # modules imported on first use are not the ascent's
+    systems._character_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        run(cs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = cs.order * 16
+    assert peak >= (2 * cs.size + 2 * cfg.restarts) * row
+    monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", peak - 1)
+    with pytest.raises(ValueError, match="ascent working set"):
+        run(cs, cfg)
+
+
+@pytest.mark.parametrize("ascent", sorted(_ASCENTS))
+def test_ascent_refused_before_the_matrix_or_the_kernel(monkeypatch, ascent):
+    # a cap that holds the 512 KiB matrix but not the ascent's working set
+    def touched(*args, **kwargs):
+        raise AssertionError("touched the matrix or the kernel before the working-set check")
+
+    for name in ("_character_matrix", "lp_ascent", "ratio_ascent"):
+        monkeypatch.setattr(systems, name, touched)
+    monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", 2 ** 20)
+    with pytest.raises(ValueError, match=r"ascent working set of shape \(64, 4096\)"):
+        _ASCENTS[ascent](lacunary_character_set(4096, 8), AscentConfig(seed=3, restarts=16))
 
 
 # ---------------------------------------------------------------------------
