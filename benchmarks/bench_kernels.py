@@ -1,12 +1,13 @@
 """Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
 Times ``lp_ascent``, ``ratio_ascent`` and ``schatten_norm_batch`` from
-``summinglab.kernels``, and the one Monte Carlo loop (chunks drawn,
-gathered and reduced on a thread pool) through ``summing.ell_norm_mc`` and
-``systems.second_moment`` on a gathered family, on fixed inputs and seeds,
-and prints the median and quartiles of the wall time over ``--repeats``
-calls, plus the best value each call returned to 17 digits (a change that
-moves it changed the numbers, not just the speed). Usage:
+``summinglab.kernels``, and the one Monte Carlo loop (256-row blocks
+drawn, gathered and reduced on a thread pool) through
+``summing.ell_norm_mc`` and ``systems.second_moment`` on a gathered
+family, on fixed inputs and seeds, and prints the median and quartiles of
+the wall time over ``--repeats`` calls, plus the best value each call
+returned to 17 digits (a change that moves it changed the numbers, not
+just the speed). Usage:
 
     python benchmarks/bench_kernels.py [--repeats N]
 
@@ -75,8 +76,8 @@ def cases():
         space_map = identity_map(schatten_space(2, 64), schatten_space(v, 64))
         yield (f"ell_norm_mc s2:64 -> s{v}:64 (20000 samples, seed 11)", _ell_norm_value,
                (space_map, 20_000))
-    # one chunk, whose reduction tasks share the pool
-    yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, one chunk, seed 11)", _ell_norm_value,
+    # sixteen blocks, a few per thread
+    yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, 16 blocks, seed 11)", _ell_norm_value,
            (identity_map(schatten_space(2, 64), schatten_space("inf", 64)), 4096))
     # a gathered family: interp-audit's S_4^32 diagonal matrix units
     space = schatten_space(4, 32)

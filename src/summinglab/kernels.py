@@ -7,7 +7,7 @@ run block by block, which keeps their temporaries in cache. Its Monte
 Carlo caller, ``systems._mc_second_moment``, applies every family (the
 ell-norm's coordinate basis included) by gathering columns instead of
 multiplying, so real Gaussian rows reach it as real stacks, and calls it
-from pool threads, one ``GRAM_BLOCK``-row block of a chunk per call.
+from pool threads, one ``GRAM_BLOCK``-row Monte Carlo block per call.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -175,9 +175,9 @@ def lp_norms(mags, p):
 
 
 # Matrices per block of the Gram paths: a block's scaled copy and Gram fit
-# in a few MB of cache even at n = 64, where a whole 4096-matrix chunk
-# does not. Also the rows of one Monte Carlo reduction task, so that the
-# tasks cut a chunk where the Gram paths cut it.
+# in a few MB of cache even at n = 64, where a stack of thousands does not.
+# Also the Gaussian rows of one Monte Carlo block, the loop's one unit of
+# draws and of work, so that the kernel gets one block per call.
 GRAM_BLOCK = 256
 
 

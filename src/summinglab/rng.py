@@ -1,7 +1,7 @@
 """Deterministic counter-based random streams.
 
 All stochastic estimators take an explicit seed. ``substream`` is the one
-way to derive further seeds (per task, candidate or Monte Carlo chunk), and
+way to derive further seeds (per task, candidate or Monte Carlo block), and
 results reduce in a fixed order, so they are a pure function of
 (inputs, seed) no matter how work is scheduled.
 """

@@ -152,10 +152,11 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     Sequence spaces and S_2 (the Frobenius norm, no SVD) reduce the entry
     magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, which
     takes one of three paths: the Gram Frobenius norm at S_4, the Gram's top
-    eigenvalue at S_inf, singular values otherwise. Every Monte Carlo row it
-    receives is a unit family's gather of Gaussian coefficients, not a
-    product; for a full basis or grid, the coefficients themselves (see
-    ``systems._mc_second_moment``).
+    eigenvalue at S_inf, singular values otherwise. The Monte Carlo loop
+    (``systems._mc_second_moment``) calls it once per GRAM_BLOCK-row block,
+    on a pool thread; every row is a unit family's gather of Gaussian
+    coefficients, not a product, and for a full basis or grid the
+    coefficients themselves.
     """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:

@@ -2,12 +2,12 @@
 
 Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
-whose chunks are drawn, gathered and reduced on a pool of at most
-``MC_WIDTH`` threads, each from its own substream, and whose sums are added
-in chunk order, so the result does not depend on the core count. On top of
-the systems sit the Lambda(p)-constant and Sidon-constant estimators, which
-are nonconvex maximizations shipped as ascent-with-restarts giving
-certified lower bounds.
+whose GRAM_BLOCK-row blocks are drawn, gathered and reduced on a pool of at
+most ``MC_WIDTH`` threads, each from its own substream, and whose sums are
+added in block order, so the result does not depend on the core count. On
+top of the systems sit the Lambda(p)-constant and Sidon-constant
+estimators, which are nonconvex maximizations shipped as
+ascent-with-restarts giving certified lower bounds.
 """
 
 from __future__ import annotations
@@ -156,9 +156,6 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
     return OrthonormalSystem("characters", charset)
 
 
-# Gaussian rows per Monte Carlo chunk. Fixed, so that a seed fixes every draw.
-MC_CHUNK = 4096
-
 # Most threads in one Monte Carlo loop: the CPU count this process may run
 # on (the whole machine's where the OS cannot say). Not a setting; each loop
 # narrows it to what its work and its working set leave room for.
@@ -166,82 +163,69 @@ MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _mc_working_set(width: int, dim: int, space: SpaceDescriptor, samples: int) -> int:
-    """Rows of flat_dim float64 entries that a Monte Carlo loop on ``width`` threads holds.
+def _mc_working_set(dim: int, space: SpaceDescriptor) -> int:
+    """Rows of flat_dim float64 entries that one Monte Carlo thread holds.
 
-    One chunk slot per thread, at most one per chunk, each holding a chunk's
-    squared norms and the chunk-length rows the kernel reads: drawn there
-    when the gather is the identity (dim == flat_dim), otherwise gathered
-    from the slot's own (rows, dim) coefficients. Each thread also holds
-    one reduction task's temporaries: three GRAM_BLOCK-matrix blocks on
-    Schatten spaces, a magnitude and a scaled copy of a GRAM_BLOCK-row
-    block on sequence spaces. Each part is rounded up to whole rows.
+    Its slot: a GRAM_BLOCK-row block of the rows the kernel reads, drawn
+    there when the gather is the identity (dim == flat_dim), otherwise
+    gathered from the slot's own (GRAM_BLOCK, dim) coefficients; the
+    block's squared norms; and the kernel's temporaries, three
+    GRAM_BLOCK-matrix blocks on Schatten spaces, a magnitude and a scaled
+    copy of the block on sequence spaces. Each part is rounded up to whole
+    rows.
     """
-    rows = min(MC_CHUNK, samples)
     flat = space.flat_dim
-    slot = rows + -(-rows // flat)
+    rows = GRAM_BLOCK + -(-GRAM_BLOCK // flat)
     if dim < flat:
-        slot += -(-rows * dim // flat)
-    temps = (3 if space.kind is SpaceKind.SCHATTEN else 2) * min(GRAM_BLOCK, rows)
-    return min(width, -(-samples // MC_CHUNK)) * slot + width * temps
+        rows += -(-GRAM_BLOCK * dim // flat)
+    return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * GRAM_BLOCK
 
 
 def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> int:
     """Threads for one Monte Carlo loop, checked against MAX_ARRAY_BYTES first.
 
-    The widest pool whose working set (``_mc_working_set``) fits under the
-    cap, at most MC_WIDTH and the number of GRAM_BLOCK-row reduction tasks;
-    a working set over the cap even at width 1 is refused before any
-    allocation.
+    At most MC_WIDTH, the number of GRAM_BLOCK-row blocks, and as many
+    threads as ``_mc_working_set`` fits under the cap; a working set over
+    the cap even at width 1 is refused before any allocation.
     """
+    per_thread = _mc_working_set(dim, space)
     cap = MAX_ARRAY_BYTES // (space.flat_dim * 8)
-    width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK)))
-    while width > 1 and _mc_working_set(width, dim, space, samples) > cap:
-        width -= 1
-    check_array_bytes("Monte Carlo chunk working set",
-                      (_mc_working_set(width, dim, space, samples), space.flat_dim), np.float64)
+    width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK), cap // per_thread))
+    check_array_bytes("Monte Carlo chunk working set", (width * per_thread, space.flat_dim),
+                      np.float64)
     return width
 
 
-def _run_chunk(pool, family: UnitFamily, seed, index: int, count: int, slot) -> list:
-    # On a pool thread: draw chunk ``index`` into its slot, gather it there
-    # unless the gather is the identity, and submit its reduction as tasks
-    # of GRAM_BLOCK rows. Returns those tasks' futures.
-    rows, coeffs, q = slot
-    drawn = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
-                               out=(rows if coeffs is None else coeffs)[:count])
-    chunk = family.synthesize(drawn, out=rows[:count])
-    return [pool.submit(_reduce_block, chunk[start:start + GRAM_BLOCK], family.space,
-                        q[start:min(start + GRAM_BLOCK, count)])
-            for start in range(0, count, GRAM_BLOCK)]
-
-
-def _reduce_block(rows: np.ndarray, space: SpaceDescriptor, q: np.ndarray) -> None:
-    np.square(norms_of_stack(rows, space), out=q)
-
-
-def _finished_sums(run, q: np.ndarray) -> tuple[float, float]:
-    # wait for a chunk's draw, then for every task of its reduction
-    for block in run.result():
-        block.result()
-    return float(q.sum()), float((q * q).sum())
+def _block_sums(family: UnitFamily, seed, index: int, count: int, slots) -> tuple[float, float]:
+    # On a pool thread: draw block ``index`` into a free slot, gather it there
+    # unless the gather is the identity, and reduce it to its two sums. The
+    # pool's threads are as many as the slots, so get() never waits.
+    slot = rows, coeffs = slots.get()
+    try:
+        drawn = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
+                                   out=(rows if coeffs is None else coeffs)[:count])
+        q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), family.space)
+        np.square(q, out=q)
+        return float(q.sum()), float((q * q).sum())
+    finally:
+        slots.put(slot)
 
 
 def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
-    Chunk k draws its rows from ``substream(seed, k)`` and applies them to
-    the family by its gather (``UnitFamily.synthesize``), which keeps real
-    rows real and is the identity on a full basis or grid. A pool of
-    ``_mc_width`` threads does all of a chunk's work: one task draws and
-    gathers the chunk into a preallocated slot, then submits its norm
-    reduction as tasks of GRAM_BLOCK rows that write its squared norms
-    (numpy's Philox fill, ``take``, ``matmul`` and LAPACK release the GIL).
-    There are at most ``width`` slots, reused chunk after chunk, so nothing
-    chunk-sized is allocated inside the loop. The caller adds each chunk's
-    two sums in chunk order, so the result is the same float however the
-    tasks interleave. The value is a Monte Carlo estimate, so it is
-    ``lower`` with a standard error (delta method on the square root).
+    Block k is GRAM_BLOCK rows drawn from ``substream(seed, k)`` and
+    applied to the family by its gather (``UnitFamily.synthesize``), which
+    keeps real rows real and is the identity on a full basis or grid. One
+    pool task per block, on ``_mc_width`` threads, draws and gathers it
+    into a free slot and reduces it to its two sums (numpy's Philox fill,
+    ``take``, ``matmul`` and LAPACK release the GIL). There is one slot per
+    thread, allocated once per call, so nothing block-sized is allocated
+    inside the loop. The caller keeps at most two tasks per thread in
+    flight and adds each block's sums in block order, so the result is the
+    same float however the tasks interleave. The value is a Monte Carlo
+    estimate, so it is ``lower`` with a standard error (delta method on the
+    square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
@@ -249,28 +233,27 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
     space, dim = family.space, family.size
     width = _mc_width(dim, space, samples)
-    # imported here: concurrent.futures loads logging, about 5 ms of start-up
-    # that the commands without Monte Carlo need not pay
+    # imported here: concurrent.futures loads logging and queue, about 5 ms
+    # of start-up that the commands without Monte Carlo need not pay
+    import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = min(MC_CHUNK, samples)
-    # one array per part for all slots: slot i is (rows, coefficients, squared norms)[i]
-    n_slots = min(width, -(-samples // MC_CHUNK))
-    kernel_rows = np.empty((n_slots, rows, space.flat_dim))
-    coeffs = np.empty((n_slots, rows, dim)) if dim < space.flat_dim else [None] * n_slots
-    slots = list(zip(kernel_rows, coeffs, np.empty((n_slots, rows))))
+    # one array per part for all slots: slot i is (kernel rows, coefficients)[i]
+    kernel_rows = np.empty((width, GRAM_BLOCK, space.flat_dim))
+    coeffs = np.empty((width, GRAM_BLOCK, dim)) if dim < space.flat_dim else [None] * width
+    slots = queue.SimpleQueue()
+    for slot in zip(kernel_rows, coeffs):
+        slots.put(slot)
     sums = []
-    running = deque()  # (draw task, its chunk's squared norms), in chunk order
+    running = deque()  # each block's task, in block order
     pool = ThreadPoolExecutor(width)
     try:
-        for index, start in enumerate(range(0, samples, MC_CHUNK)):
-            if len(running) == len(slots):
-                sums.append(_finished_sums(*running.popleft()))
-            count = min(MC_CHUNK, samples - start)
-            slot = slots[index % len(slots)]
-            running.append((pool.submit(_run_chunk, pool, family, seed, index, count, slot),
-                            slot[2][:count]))
-        sums.extend(_finished_sums(*chunk) for chunk in running)
+        for index, start in enumerate(range(0, samples, GRAM_BLOCK)):
+            if len(running) == 2 * width:
+                sums.append(running.popleft().result())
+            running.append(pool.submit(_block_sums, family, seed, index,
+                                       min(GRAM_BLOCK, samples - start), slots))
+        sums.extend(run.result() for run in running)
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
@@ -292,7 +275,7 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
 
     Character systems pair y_i with the first m characters of the set and
     average exactly over the group (certified). The Gaussian system takes
-    unit families: chunked Monte Carlo with a reported standard error,
+    unit families: blocked Monte Carlo with a reported standard error,
     except where ``gaussian_closed_form`` gives the value.
     """
     space, m = family.space, family.size

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from summinglab import experiments, systems
 from summinglab.cli import build_parser, main
+from summinglab.kernels import GRAM_BLOCK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -399,8 +400,9 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
       "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"], "group-average values"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
-    # a 1.76 GiB chunk, and the S_4 Gram path's three blocks take it over the cap
-    (["lnorm", "--space", "s2:240", "--target", "s4:240",
+    # one S_4^520 block is 0.55 GB; with its squared norms and the Gram path's
+    # three blocks a thread holds 1025 rows of 270400 (2.07 GiB), over the cap
+    (["lnorm", "--space", "s2:520", "--target", "s4:520",
       "--samples", "4096", "--seed", "1"], "Monte Carlo chunk working set"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
@@ -423,26 +425,26 @@ def test_ascent_working_set_refused_before_the_matrix(capsys, monkeypatch):
 
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
-    # one l_inf^60000 chunk is 1.83 GiB, under the 2 GiB cap, but its slot
-    # with one reduction task's magnitude and scaled blocks is not: the pool
-    # narrows to one thread, and that is refused before any draw
+    # one l_inf^400000 block is 0.82 GB, under the 2 GiB cap, but a thread's
+    # working set, the block with its squared norms and the reduction's
+    # magnitude and scaled copy, is not: the pool narrows to one thread, and
+    # that is refused before any draw
     def draw(*args, **kwargs):
         raise AssertionError("drew normals before the working-set check")
 
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     monkeypatch.setattr(systems, "standard_gaussians", draw)
-    rows, flat = systems.MC_CHUNK, 60000
+    rows, flat = GRAM_BLOCK, 400000
     assert rows * flat * 8 < systems.MAX_ARRAY_BYTES
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],
-                        "Monte Carlo chunk working set of shape (4609, 60000)")
+                        "Monte Carlo chunk working set of shape (769, 400000)")
 
 
 def test_mc_pool_narrows_to_the_cap_on_many_cores(capsys, monkeypatch):
-    # sixteen CPUs: the pool takes what fits (here sixteen threads share the
-    # one chunk's sixteen reduction tasks; the narrowing to the cap is
-    # test_systems' _mc_width test) instead of refusing a command that runs
-    # on two
+    # sixteen CPUs: the pool takes what fits (here sixteen threads for the
+    # sixteen blocks; the narrowing to the cap is test_systems' _mc_width
+    # test) instead of refusing a command that runs on two
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
     rc = main(["lnorm", "--space", "s2:64", "--target", "sinf:64",
                "--samples", "4096", "--seed", "1"])

@@ -14,10 +14,11 @@ from summinglab import (Certainty, CharacterSet, NormEstimate, UnitFamily,
                         sequence_space, second_moment, summing_norm_lower,
                         summing_norm_search)
 from summinglab import kernels, spaces, summing
+from summinglab.kernels import GRAM_BLOCK
 from summinglab.spaces import norms_of_stack
 from summinglab.rng import make_rng, standard_gaussians, substream
 from summinglab.summing import _schatten_candidates, _sequence_candidates
-from summinglab.systems import MC_CHUNK, AscentConfig
+from summinglab.systems import AscentConfig
 
 
 def _grid_family(space, n):
@@ -145,9 +146,9 @@ def test_lower_bound_heuristic_numerator_stays_heuristic(monkeypatch):
 
 
 def test_ell_norm_and_second_moment_share_one_loop():
-    # a partial last chunk; the identity map draws the same rows as the basis family
+    # a partial last block; the identity map draws the same rows as the basis family
     n = 6
-    samples = 2 * MC_CHUNK + 1
+    samples = 32 * GRAM_BLOCK + 1
     ell = ell_norm_mc(identity_map(sequence_space(2, n), sequence_space("inf", n)),
                       samples=samples, seed=29)
     mom = second_moment(gaussian_system(), _basis(sequence_space("inf", n)),
@@ -179,12 +180,12 @@ def _materialize(family):
 
 
 def _dense_second_moment(dense, space, samples, seed):
-    """Chunked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
+    """Blocked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
     q = np.concatenate([
         norms_of_stack(standard_gaussians(make_rng(substream(seed, k)),
-                                          (min(MC_CHUNK, samples - start), dense.shape[0]))
+                                          (min(GRAM_BLOCK, samples - start), dense.shape[0]))
                        @ dense, space) ** 2
-        for k, start in enumerate(range(0, samples, MC_CHUNK))])
+        for k, start in enumerate(range(0, samples, GRAM_BLOCK))])
     value = np.sqrt(q.mean())
     return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
 
@@ -192,8 +193,8 @@ def _dense_second_moment(dense, space, samples, seed):
 def test_unit_family_gather_matches_dense_product():
     # every unit candidate's second moment (gather, or closed form for one
     # element) against the dense product on the materialized family, over a
-    # partial last chunk
-    samples = 2 * MC_CHUNK + 1
+    # partial last block
+    samples = 32 * GRAM_BLOCK + 1
     for fam, space in _unit_families():
         est = second_moment(gaussian_system(), replace(fam, space=space),
                             samples=samples, seed=31)

@@ -1,5 +1,7 @@
 """Character systems, exact moments, Lambda(p) and Sidon constants."""
 
+import concurrent.futures
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -18,7 +20,7 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpanElement,
 from summinglab.kernels import GRAM_BLOCK
 from summinglab.rng import make_rng, standard_gaussians, substream
 from summinglab.spaces import norms_of_stack
-from summinglab.systems import MC_CHUNK, _mc_second_moment
+from summinglab.systems import _mc_second_moment
 
 CFG = AscentConfig(seed=7)
 FAST = AscentConfig(seed=7, restarts=24, steps=250)
@@ -251,11 +253,11 @@ def _mc_family(space, kind):
 
 
 def _serial_second_moment(family, samples, seed):
-    """The one-thread Monte Carlo loop: draw, gather and reduce each chunk in turn."""
+    """The one-thread Monte Carlo loop: draw, gather and reduce each block in turn."""
     total = 0.0
     total_sq = 0.0
-    for index, start in enumerate(range(0, samples, MC_CHUNK)):
-        count = min(MC_CHUNK, samples - start)
+    for index, start in enumerate(range(0, samples, GRAM_BLOCK)):
+        count = min(GRAM_BLOCK, samples - start)
         rows = standard_gaussians(make_rng(substream(seed, index)), (count, family.size))
         q = norms_of_stack(family.synthesize(rows), family.space) ** 2
         total += float(q.sum())
@@ -267,25 +269,29 @@ def _serial_second_moment(family, samples, seed):
     return value, stderr
 
 
+# Samples in blocks: a partial last block of one row (33 blocks, odd, so
+# not a multiple of the width), under one block, 97 blocks on four threads,
+# exactly one block, a last block of half the rows, and one thread.
 @pytest.mark.parametrize("space,family,samples,width", [
-    (schatten_space(4, 6), "basis", 2 * MC_CHUNK + 1, 2),
-    (schatten_space("inf", 6), "basis", 2 * MC_CHUNK + 1, 2),
-    (schatten_space("4/3", 6), "basis", 2 * MC_CHUNK + 1, 2),
-    (sequence_space("inf", 6), "basis", 2 * MC_CHUNK + 1, 2),
-    (schatten_space("inf", 6), "diag", 2 * MC_CHUNK + 1, 2),
-    (schatten_space(4, 6), "grid", 2 * MC_CHUNK + 1, 2),
+    (schatten_space(4, 6), "basis", 32 * GRAM_BLOCK + 1, 2),
+    (schatten_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
+    (schatten_space("4/3", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
+    (sequence_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
+    (schatten_space("inf", 6), "diag", 32 * GRAM_BLOCK + 1, 2),
+    (schatten_space(4, 6), "grid", 32 * GRAM_BLOCK + 1, 2),
     (schatten_space(4, 6), "grid", 5, 2),
-    (schatten_space("inf", 6), "basis", 6 * MC_CHUNK + 7, 4),
-    (schatten_space("inf", 6), "basis", MC_CHUNK, 2),
-    (schatten_space(4, 6), "basis", MC_CHUNK + GRAM_BLOCK // 2, 2),
-    (sequence_space(4, 12), "blocks", 2 * MC_CHUNK + 1, 2),
+    (schatten_space("inf", 6), "basis", 96 * GRAM_BLOCK + 7, 4),
+    (schatten_space("inf", 6), "basis", GRAM_BLOCK, 2),
+    (schatten_space(4, 6), "basis", GRAM_BLOCK + GRAM_BLOCK // 2, 2),
+    (sequence_space(4, 12), "blocks", 32 * GRAM_BLOCK + 1, 2),
+    (schatten_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 1),
 ], ids=["s4", "sinf", "s4-3-svd", "linf", "sinf-diag", "s4-grid", "s4-grid-one-chunk",
         "sinf-4-threads", "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block",
-        "l4-blocks"])
+        "l4-blocks", "sinf-1-thread"])
 def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, width):
-    # draws, gathers and GRAM_BLOCK-row reductions on the pool, sums in chunk
-    # order: the same floats as the one-thread loop, value and stderr, also
-    # with more threads than cores and a short switch interval
+    # one pool task per GRAM_BLOCK-row block, sums in block order: the same
+    # floats as the one-thread loop, value and stderr, also with more
+    # threads than cores and a short switch interval
     monkeypatch.setattr(systems, "MC_WIDTH", width)
     family = _mc_family(space, family)
     interval = sys.getswitchinterval()
@@ -299,40 +305,41 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
-    # at S_inf^64 a chunk slot (the chunk and its squared norms) with one
-    # reduction's three Gram blocks is 4865 rows of 32 KiB (159 MB): thirteen
-    # threads fit under the 2 GiB cap, fourteen do not, whatever the CPU count
+    # a thread holds a block, its squared norms and the Gram path's three
+    # blocks: at S_inf^64 that is 1025 rows of 32 KiB (34 MB), so all sixteen
+    # threads fit under the 2 GiB cap; at S_inf^180 it is 1025 rows of
+    # 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_width(4096, space, 20 * MC_CHUNK) == 13
-    # threads beyond the chunk count hold no slot, only a reduction's blocks,
-    # so five chunks or one keep all sixteen; one reduction task keeps one
-    assert systems._mc_width(4096, space, 5 * MC_CHUNK) == 16
-    assert systems._mc_width(4096, space, MC_CHUNK) == 16
+    assert systems._mc_working_set(4096, space) == 1025
+    assert systems._mc_width(4096, space, 320 * GRAM_BLOCK) == 16
+    assert systems._mc_width(180 ** 2, schatten_space("inf", 180), 320 * GRAM_BLOCK) == 8
+    # never more threads than blocks
+    assert systems._mc_width(4096, space, 5 * GRAM_BLOCK) == 5
     assert systems._mc_width(4096, space, GRAM_BLOCK) == 1
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    assert systems._mc_width(4096, space, 20 * MC_CHUNK) == 2
+    assert systems._mc_width(4096, space, 320 * GRAM_BLOCK) == 2
 
 
 @pytest.mark.parametrize("space,family,samples", [
-    (schatten_space("inf", 64), "basis", MC_CHUNK + GRAM_BLOCK + 1),
-    (schatten_space(4, 32), "diag", 2 * MC_CHUNK + 1),
-    (sequence_space("inf", 512), "blocks", 2 * MC_CHUNK + 1),
+    (schatten_space("inf", 64), "basis", 17 * GRAM_BLOCK + 1),
+    (schatten_space(4, 32), "diag", 32 * GRAM_BLOCK + 1),
+    (sequence_space("inf", 512), "blocks", 32 * GRAM_BLOCK + 1),
 ], ids=["sinf64-basis", "s4-32-diag", "linf-blocks"])
 def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
     # what numpy allocates during the loop, on every thread, stays under the
-    # working set _mc_width checks against the cap, and holds at least one slot
+    # working set _mc_width checks against the cap, and holds at least one block
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     family = _mc_family(space, family)
     width = systems._mc_width(family.size, space, samples)
-    projected = systems._mc_working_set(width, family.size, space, samples)
+    projected = width * systems._mc_working_set(family.size, space)
     tracemalloc.start()
     try:
         _mc_second_moment(family, samples, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert MC_CHUNK * space.flat_dim * 8 <= peak <= projected * space.flat_dim * 8
+    assert GRAM_BLOCK * space.flat_dim * 8 <= peak <= projected * space.flat_dim * 8
 
 
 def test_full_grid_gather_is_the_identity():
@@ -343,14 +350,15 @@ def test_full_grid_gather_is_the_identity():
     assert np.array_equal(diag, [[0, 0, 0, 0, 1, 0, 0, 0, 2], [9, 0, 0, 0, 10, 0, 0, 0, 11]])
 
 
-def test_pool_worker_error_reaches_caller(monkeypatch):
-    # a RuntimeWarning (an error under the test settings) raised while a
-    # pool thread reduces a chunk is the exception the caller sees,
-    # and every pool thread has ended when the call returns
+def _fail_reduction(monkeypatch, at_call):
+    """Make the at_call-th norm reduction off the main thread raise a
+    RuntimeWarning (an error under the test settings); returns the list
+    that the raised exception is put in."""
     raised = []
+    calls = itertools.count()
 
     def norms(rows, space):
-        if len(raised) == 0 and threading.current_thread() is not threading.main_thread():
+        if threading.current_thread() is not threading.main_thread() and next(calls) == at_call:
             try:
                 warnings.warn("overflow in the reduction", RuntimeWarning)
             except RuntimeWarning as exc:
@@ -359,12 +367,77 @@ def test_pool_worker_error_reaches_caller(monkeypatch):
         return norms_of_stack(rows, space)
 
     monkeypatch.setattr(systems, "norms_of_stack", norms)
+    return raised
+
+
+def test_pool_worker_error_reaches_caller(monkeypatch):
+    # a RuntimeWarning raised while a pool thread reduces a block is the
+    # exception the caller sees, and every pool thread has ended when the
+    # call returns
+    raised = _fail_reduction(monkeypatch, 0)
     space = sequence_space("inf", 4)
     before = threading.active_count()
     with pytest.raises(RuntimeWarning) as info:
-        _mc_second_moment(_basis(space, 4), 3 * MC_CHUNK, 3)
+        _mc_second_moment(_basis(space, 4), 48 * GRAM_BLOCK, 3)
     assert raised and info.value is raised[0]
     assert threading.active_count() == before
+
+
+def test_pool_worker_error_on_a_late_block_ends_the_call(monkeypatch):
+    # the 41st of 64 block reductions fails while 2 * width blocks are in
+    # flight and every slot has been reused: the call raises that error, no
+    # task waits on a slot, and every pool thread has ended
+    monkeypatch.setattr(systems, "MC_WIDTH", 2)
+    raised = _fail_reduction(monkeypatch, 40)
+    caught = []
+
+    def call():
+        try:
+            _mc_second_moment(_basis(sequence_space("inf", 4), 4), 64 * GRAM_BLOCK, 3)
+        except RuntimeWarning as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the Monte Carlo call hung after a pool error"
+    assert raised and len(caught) == 1 and caught[0] is raised[0]
+    assert threading.active_count() == before
+
+
+def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
+    # a block is in flight from its submit until the caller takes its sums;
+    # a loop that submitted every block at once (as Executor.map does) would
+    # have all 64 in flight, and hold all their futures
+    in_flight = set()
+    peak = [0]
+
+    class Taken:
+        def __init__(self, future):
+            self.future = future
+
+        def result(self, timeout=None):
+            in_flight.discard(self)
+            return self.future.result(timeout)
+
+        def __getattr__(self, name):
+            return getattr(self.future, name)
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            task = Taken(super().submit(fn, *args, **kwargs))
+            in_flight.add(task)
+            peak[0] = max(peak[0], len(in_flight))
+            return task
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(systems, "MC_WIDTH", 2)
+    family = _mc_family(sequence_space("inf", 6), "basis")
+    est = _mc_second_moment(family, 64 * GRAM_BLOCK, 3)
+    assert not in_flight
+    assert 1 <= peak[0] <= 2 * 2  # 2 * width
+    assert (est.value, est.stderr) == _serial_second_moment(family, 64 * GRAM_BLOCK, 3)
 
 
 # ---------------------------------------------------------------------------
