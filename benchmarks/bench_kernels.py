@@ -26,13 +26,8 @@ from summinglab import (UnitFamily, gaussian_system, identity_map, kernels,
 from summinglab.systems import lacunary_character_set
 
 
-def _pair(mat):
-    mat = np.ascontiguousarray(mat)
-    return mat, np.ascontiguousarray(mat.conj().T)
-
-
 def _dft(group, m):
-    return _pair(np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group))
+    return np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group)
 
 
 def _starts(restarts, m, seed):
@@ -43,20 +38,17 @@ def _starts(restarts, m, seed):
 def cases():
     """(label, kernel, args) triples; inputs are built outside the timed calls."""
     group, m, restarts = 256, 32, 32
-    basis, basis_h = _dft(group, m)
     yield (f"lp_ascent p=4 (G={group}, m={m}, R={restarts})", kernels.lp_ascent,
-           (basis, basis_h, 1.0 / group, 4.0, _starts(restarts, m, 0), 300, 0.1, 1e-8))
+           (_dft(group, m), 4.0, _starts(restarts, m, 0), 300))
 
     group, m, restarts = 65536, 16, 12
-    basis, basis_h = _pair(lacunary_character_set(group, m).matrix())
     yield (f"lp_ascent p=4 tall lacunary (G={group}, m={m}, R={restarts})",
            kernels.lp_ascent,
-           (basis, basis_h, 1.0 / group, 4.0, _starts(restarts, m, 3), 150, 0.1, 1e-8))
+           (lacunary_character_set(group, m).matrix(), 4.0, _starts(restarts, m, 3), 150))
 
     group, m, restarts = 128, 16, 32
-    basis, basis_h = _dft(group, m)
     yield (f"ratio_ascent (G={group}, m={m}, R={restarts})", kernels.ratio_ascent,
-           (basis, basis_h, _starts(restarts, m, 2), 300, 0.1, 1e-8))
+           (_dft(group, m), _starts(restarts, m, 2), 300))
 
     mats = np.random.default_rng(1).standard_normal((2048, 16, 16))
     yield "schatten_norm_batch p=4 (2048 x 16x16)", kernels.schatten_norm_batch, (mats, 4.0)

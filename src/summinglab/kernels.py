@@ -16,8 +16,9 @@ values. Each restart follows the same iteration as a single-restart loop
 would; only the grouping of the products differs, so values agree with such
 a loop to floating-point roundoff. The one exception is a sup objective
 with exactly tied maxima (a singleton start on a full group), where roundoff
-decides which tied point's subgradient is followed. The objectives (L_p mean
-or sup, and l1 / sup) are small value/gradient pairs.
+decides which tied point's subgradient is followed. The objectives (l_p
+norm or sup, and l1 / sup) are small value/gradient pairs that read the
+``(N, m)`` basis alone, with no conjugate-transpose copy.
 ``benchmarks/bench_kernels.py`` times the public kernels.
 """
 
@@ -39,17 +40,22 @@ def _row_norms(rows):
     return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
 
 
-def _sphere_ascent(basis_t, starts, value, gradient, max_steps, step0, tol):
-    # basis_t: (npoints, m) synthesis columns; starts: (nrestarts, m) complex.
-    # value(coeffs, mags) -> (R,) objective, where mags = |coeffs @ basis_t.T|;
+# Initial step and convergence tolerance of the projected-gradient ascents.
+ASCENT_STEP_SIZE = 0.1
+ASCENT_TOL = 1e-8
+
+
+def _sphere_ascent(basis, starts, value, gradient, max_steps):
+    # basis: (npoints, m) synthesis columns; starts: (nrestarts, m) complex.
+    # value(coeffs, mags) -> (R,) objective, where mags = |coeffs @ basis.T|;
     # gradient(coeffs, vals, mags) -> (R, m) ascent direction; it may overwrite
     # vals and mags, which are the current round's scratch. Each restart
     # maximizes value over ||a||_2 = 1 with one backtracking line search per
     # step: an improving trial is accepted and the step grows by 1.25, else
-    # the step halves until it drops below 1e-7 * step0. A restart stops
-    # after max_steps accepted steps, a relative gain <= tol, a zero
-    # gradient, or a failed line search.
-    synth = basis_t.T
+    # the step halves until it drops below 1e-7 * ASCENT_STEP_SIZE. A restart
+    # stops after max_steps accepted steps, a relative gain <= ASCENT_TOL, a
+    # zero gradient, or a failed line search.
+    synth = basis.T
     coeffs = starts / _row_norms(starts)[:, None]
     vals = coeffs @ synth
     mags = np.abs(vals)
@@ -57,9 +63,9 @@ def _sphere_ascent(basis_t, starts, value, gradient, max_steps, step0, tol):
     grad = gradient(coeffs, vals, mags)
     gnorm = _row_norms(grad)
     searching = (gnorm != 0.0) & (max_steps > 0)
-    step = np.full(len(coeffs), step0)
+    step = np.full(len(coeffs), ASCENT_STEP_SIZE)
     taken = np.zeros(len(coeffs), dtype=np.int64)
-    min_step = 1e-7 * step0
+    min_step = 1e-7 * ASCENT_STEP_SIZE
     while searching.any():
         rows = np.flatnonzero(searching)
         trial = coeffs[rows] + (step[rows] / gnorm[rows])[:, None] * grad[rows]
@@ -77,7 +83,7 @@ def _sphere_ascent(basis_t, starts, value, gradient, max_steps, step0, tol):
         step[won] *= 1.25
         taken[won] += 1
         more = up.copy()
-        more[up] = (gain > tol) & (taken[won] < max_steps)
+        more[up] = (gain > ASCENT_TOL) & (taken[won] < max_steps)
         searching[won] = False
         if more.any():
             # gather the (R, N) trial values only when some rows stop here
@@ -89,49 +95,50 @@ def _sphere_ascent(basis_t, starts, value, gradient, max_steps, step0, tol):
     return best, coeffs
 
 
-def _sup_gradient(basis_h, vals, mags):
-    # subgradient of max_x |f(x)|: conj(basis_t[x*]) * phase(f(x*)), plus |f(x*)|
+def _sup_gradient(basis, vals, mags):
+    # subgradient of max_x |f(x)|: conj(basis[x*]) * phase(f(x*)), plus |f(x*)|
     at = np.arange(len(vals))
     idx = np.argmax(mags, axis=1)
     top = mags[at, idx]
-    return basis_h[:, idx].T * (vals[at, idx] / top)[:, None], top
+    return basis[idx].conj() * (vals[at, idx] / top)[:, None], top
 
 
-def lp_ascent(basis_t, basis_h, weight, p, starts, max_steps, step0, tol):
-    """Maximize (weight * sum |basis_t @ a|^p)^(1/p) over ||a||_2 = 1.
+def lp_ascent(basis, p, starts, max_steps):
+    """Maximize the l_p norm (sum |basis @ a|^p)^(1/p) over ||a||_2 = 1.
 
-    ``basis_h`` is the contiguous conjugate transpose of ``basis_t``; one
-    ascent runs from each row of ``starts``. Returns per-restart (values,
-    coefficient rows). ``p`` may be ``np.inf`` (the sup of |basis_t @ a|).
+    One ascent runs from each row of ``starts``, for at most ``max_steps``
+    accepted steps. Returns per-restart (values, coefficient rows). ``p``
+    may be ``np.inf`` (the sup of |basis @ a|). The L_p mean over the
+    points has the same maximizers; a caller recomputes it from the rows.
     """
     if np.isfinite(p):
         p = float(p)
-        scale = weight ** (1.0 / p)
 
         def value(coeffs, mags):
-            return scale * lp_norms(mags, p)
+            return lp_norms(mags, p)
 
         def gradient(coeffs, vals, mags):
             # (|v| / peak)^(p-2) v: |v|^(p-2) v over a positive per-row factor,
             # which the normalised step ignores; no power overflows at huge p.
-            # Built in the caller's scratch rows (tall bases).
+            # Built in the caller's scratch rows (tall bases), conjugated there
+            # to take w @ conj(basis) as conj(conj(w) @ basis).
             peak = mags.max(axis=1, keepdims=True)
             peak[peak == 0.0] = 1.0
             np.divide(mags, peak, out=mags)
             np.power(mags, p - 2.0, out=mags)
-            return np.multiply(mags, vals, out=vals) @ basis_h.T
+            np.multiply(mags, vals, out=vals)
+            return np.conj(np.conj(vals, out=vals) @ basis)
     else:
         def value(coeffs, mags):
             return np.max(mags, axis=1)
 
         def gradient(coeffs, vals, mags):
-            return _sup_gradient(basis_h, vals, mags)[0]
-    return _sphere_ascent(basis_t, starts, value, gradient, int(max_steps),
-                          float(step0), float(tol))
+            return _sup_gradient(basis, vals, mags)[0]
+    return _sphere_ascent(basis, starts, value, gradient, int(max_steps))
 
 
-def ratio_ascent(basis_t, basis_h, starts, max_steps, step0, tol):
-    """Maximize (sum_k |a_k|) / (max_x |(basis_t @ a)(x)|) over ||a||_2 = 1."""
+def ratio_ascent(basis, starts, max_steps):
+    """Maximize (sum_k |a_k|) / (max_x |(basis @ a)(x)|) over ||a||_2 = 1, as ``lp_ascent``."""
 
     def value(coeffs, mags):
         return np.sum(np.abs(coeffs), axis=1) / np.max(mags, axis=1)
@@ -140,12 +147,11 @@ def ratio_ascent(basis_t, basis_h, starts, max_steps, step0, tol):
         # quotient rule: d(num)/d(conj a_k) ~ phase(a_k), d(den) from the sup
         size = np.abs(coeffs)
         phase = np.divide(coeffs, size, out=np.zeros_like(coeffs), where=size > 1e-14)
-        gden, den = _sup_gradient(basis_h, vals, mags)
+        gden, den = _sup_gradient(basis, vals, mags)
         num = np.sum(size, axis=1)
         return phase / den[:, None] - (num / (den * den))[:, None] * gden
 
-    return _sphere_ascent(basis_t, starts, value, gradient, int(max_steps),
-                          float(step0), float(tol))
+    return _sphere_ascent(basis, starts, value, gradient, int(max_steps))
 
 
 # ---------------------------------------------------------------------------

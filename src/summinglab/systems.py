@@ -317,11 +317,6 @@ def gaussian_closed_form(space: SpaceDescriptor, count: int, size: int) -> NormE
 # Lambda(p) and Sidon constant estimation
 # ---------------------------------------------------------------------------
 
-# Initial step and convergence tolerance of the projected-gradient ascents.
-ASCENT_STEP_SIZE = 0.1
-ASCENT_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class AscentConfig:
     """Projected-gradient-ascent budget (defaults: 64 restarts, 500 steps)."""
@@ -341,20 +336,18 @@ def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
-def _ascent_bases(charset: CharacterSet, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """The character matrix and its contiguous conjugate transpose, for an ascent.
+def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:
+    """The character matrix, for an ascent.
 
     Checked first against MAX_ARRAY_BYTES: the matrix alone, then all the
-    ascent holds, in rows of ``order`` complex entries: the two bases (m
-    rows each; building the matrix takes no more), and per restart
-    ``kernels._sphere_ascent``'s trial values of two rounds and the
-    magnitudes of both (half a row each).
+    ascent holds, in rows of ``order`` complex entries: the matrix (m rows;
+    building it takes no more), and per restart ``kernels._sphere_ascent``'s
+    trial values of two rounds and the magnitudes of both (half a row each).
     """
     check_array_bytes("character matrix", (charset.order, charset.size), np.complex128)
-    check_array_bytes("ascent working set", (2 * charset.size + 3 * restarts, charset.order),
+    check_array_bytes("ascent working set", (charset.size + 3 * restarts, charset.order),
                       np.complex128)
-    basis = charset.matrix()
-    return basis, np.conj(basis.T, order="C")
+    return charset.matrix()
 
 
 def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstimate:
@@ -374,11 +367,10 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
         coeffs = np.zeros(m, dtype=np.complex128)
         coeffs[0] = 1.0
         return NormEstimate(1.0, Certainty.EXACT, method="parseval", witness=coeffs)
-    basis, basis_h = _ascent_bases(charset, cfg.restarts)
+    basis = _ascent_basis(charset, cfg.restarts)
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     pv = np.inf if e.recip == 0.0 else 1.0 / e.recip
-    vals, coeffs = lp_ascent(basis, basis_h, 1.0 / basis.shape[0], pv, starts,
-                             cfg.steps, ASCENT_STEP_SIZE, ASCENT_TOL)
+    vals, coeffs = lp_ascent(basis, pv, starts=starts, max_steps=cfg.steps)
     best = int(np.argmax(vals))
     witness = coeffs[best]
     f = SpanElement(charset, witness)
@@ -389,22 +381,21 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
 def sidon_constant_lower(charset: CharacterSet, cfg: AscentConfig) -> NormEstimate:
     """Best found ratio sum_k |a_k| / sup_G |f| over span(charset).
 
-    Certified lower bound for the Sidon constant; always >= 1 because the
-    single-coefficient witness is included among the starts.
+    Certified lower bound for the Sidon constant, floored at 1, which a single
+    character attains exactly (|gamma_k(x)| may round above 1).
     """
     if charset.size == 0:
         raise ValueError("empty character set")
     m = charset.size
-    basis, basis_h = _ascent_bases(charset, cfg.restarts)
+    basis = _ascent_basis(charset, cfg.restarts)
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
     starts[0] = 0.0
-    starts[0, 0] = 1.0  # singleton witness: ratio exactly 1
-    vals, coeffs = ratio_ascent(basis, basis_h, starts, cfg.steps, ASCENT_STEP_SIZE,
-                                ASCENT_TOL)
+    starts[0, 0] = 1.0  # singleton witness
+    vals, coeffs = ratio_ascent(basis, starts=starts, max_steps=cfg.steps)
     best = int(np.argmax(vals))
     witness = coeffs[best]
     f = SpanElement(charset, witness)
-    value = lp_norm(witness, Exponent(1.0)) / lp_norm_of_span(f, "inf")
+    value = max(1.0, lp_norm(witness, Exponent(1.0)) / lp_norm_of_span(f, "inf"))
     return NormEstimate(value, Certainty.LOWER, method="projected-ascent", witness=witness)
 
 

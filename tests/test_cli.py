@@ -413,15 +413,15 @@ def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
 
 def test_ascent_working_set_refused_before_the_matrix(capsys, monkeypatch):
     # 21 lacunary characters of Z_(2^22): the 1.3 GiB matrix is under the
-    # 2 GiB cap, but with its conjugate transpose and 64 restarts' trial
-    # values the ascent would hold 14.6 GiB; refused by the projection alone
+    # 2 GiB cap, but with 64 restarts' trial values the ascent would hold
+    # 13.3 GiB; refused by the projection alone
     def build(*args):
         raise AssertionError("built the character matrix before the working-set check")
 
     monkeypatch.setattr(systems, "_character_matrix", build)
     freqs = ",".join(str(2 ** k) for k in range(21))
     _assert_usage_error(capsys, ["kp", "--group", str(2 ** 22), "--freqs", freqs, "--p", "4",
-                                 "--seed", "1"], "ascent working set of shape (234, 4194304)")
+                                 "--seed", "1"], "ascent working set of shape (213, 4194304)")
 
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):

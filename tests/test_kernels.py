@@ -1,5 +1,9 @@
 """Restart-batched ascents against a single-restart reference loop."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,12 +15,11 @@ from summinglab.systems import lacunary_character_set
 # single-restart reference loops (the oracle the batched kernels must match)
 # ---------------------------------------------------------------------------
 
-def _lp_ascent_impl(basis_t, basis_h, weight, p, p_is_max, starts, max_steps,
-                    step0, tol):
-    # basis_t: (npoints, m) synthesis columns, basis_h its conjugate transpose
-    # (contiguous). starts: (nrestarts, m) complex. Maximizes
-    # (weight * sum |basis_t @ a|^p)^(1/p)  (or max |.| when p_is_max)
+def _lp_ascent_impl(basis_t, p, p_is_max, starts, max_steps, step0, tol):
+    # basis_t: (npoints, m) synthesis columns. starts: (nrestarts, m) complex.
+    # Maximizes (sum |basis_t @ a|^p)^(1/p)  (or max |.| when p_is_max)
     # over the unit sphere ||a||_2 = 1, one backtracking line search per step.
+    basis_h = basis_t.conj().T
     nrest, m = starts.shape
     out_vals = np.empty(nrest)
     out_coeffs = np.empty_like(starts)
@@ -26,7 +29,7 @@ def _lp_ascent_impl(basis_t, basis_h, weight, p, p_is_max, starts, max_steps,
         a /= np.sqrt(np.sum(np.abs(a) ** 2))
         v = basis_t @ a
         av = np.abs(v)
-        val = np.max(av) if p_is_max else (weight * np.sum(av ** p)) ** (1.0 / p)
+        val = np.max(av) if p_is_max else np.sum(av ** p) ** (1.0 / p)
         step = step0
         for _ in range(max_steps):
             if p_is_max:
@@ -44,7 +47,7 @@ def _lp_ascent_impl(basis_t, basis_h, weight, p, p_is_max, starts, max_steps,
                 trial /= np.sqrt(np.sum(np.abs(trial) ** 2))
                 tv = basis_t @ trial
                 tav = np.abs(tv)
-                tval = np.max(tav) if p_is_max else (weight * np.sum(tav ** p)) ** (1.0 / p)
+                tval = np.max(tav) if p_is_max else np.sum(tav ** p) ** (1.0 / p)
                 if tval > val:
                     gain = (tval - val) / val
                     a = trial
@@ -62,7 +65,8 @@ def _lp_ascent_impl(basis_t, basis_h, weight, p, p_is_max, starts, max_steps,
     return out_vals, out_coeffs
 
 
-def _ratio_ascent_impl(basis_t, basis_h, starts, max_steps, step0, tol):
+def _ratio_ascent_impl(basis_t, starts, max_steps, step0, tol):
+    basis_h = basis_t.conj().T
     nrest, m = starts.shape
     out_vals = np.empty(nrest)
     out_coeffs = np.empty_like(starts)
@@ -124,13 +128,8 @@ def _ratio_ascent_impl(basis_t, basis_h, starts, max_steps, step0, tol):
 # inputs
 # ---------------------------------------------------------------------------
 
-def _pair(mat):
-    mat = np.ascontiguousarray(mat)
-    return mat, np.ascontiguousarray(mat.conj().T)
-
-
 def _dft(group, m):
-    return _pair(np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group))
+    return np.exp(2j * np.pi * np.outer(np.arange(group), np.arange(m)) / group)
 
 
 def _starts(restarts, m, seed=0):
@@ -148,74 +147,88 @@ def _agree(batched, oracle):
 # ---------------------------------------------------------------------------
 
 def test_lp_ascent_matches_single_restart_p4():
-    basis, basis_h = _dft(64, 8)
+    basis = _dft(64, 8)
     starts = _starts(16, 8)
-    _agree(kernels.lp_ascent(basis, basis_h, 1.0 / 64, 4.0, starts, 200, 0.1, 1e-8),
-           _lp_ascent_impl(basis, basis_h, 1.0 / 64, 4.0, False, starts, 200, 0.1, 1e-8))
+    _agree(kernels.lp_ascent(basis, 4.0, starts, 200),
+           _lp_ascent_impl(basis, 4.0, False, starts, 200, 0.1, 1e-8))
 
 
 def test_lp_ascent_matches_single_restart_sup():
-    basis, basis_h = _dft(32, 6)
+    basis = _dft(32, 6)
     starts = _starts(8, 6, seed=1)
-    _agree(kernels.lp_ascent(basis, basis_h, 1.0 / 32, np.inf, starts, 150, 0.1, 1e-8),
-           _lp_ascent_impl(basis, basis_h, 1.0 / 32, 0.0, True, starts, 150, 0.1, 1e-8))
+    _agree(kernels.lp_ascent(basis, np.inf, starts, 150),
+           _lp_ascent_impl(basis, 0.0, True, starts, 150, 0.1, 1e-8))
 
 
 def test_ratio_ascent_matches_single_restart():
-    basis, basis_h = _dft(32, 5)
+    basis = _dft(32, 5)
     starts = _starts(8, 5, seed=2)
-    _agree(kernels.ratio_ascent(basis, basis_h, starts, 150, 0.1, 1e-8),
-           _ratio_ascent_impl(basis, basis_h, starts, 150, 0.1, 1e-8))
+    _agree(kernels.ratio_ascent(basis, starts, 150),
+           _ratio_ascent_impl(basis, starts, 150, 0.1, 1e-8))
 
 
 def test_ratio_ascent_singleton_start():
     # the Sidon estimator's first start is e_0; its phase gradient is e_0 alone
-    basis, basis_h = _dft(8, 8)
+    basis = _dft(8, 8)
     starts = _starts(6, 8, seed=3)
     starts[0] = 0.0
     starts[0, 0] = 1.0
-    batched = kernels.ratio_ascent(basis, basis_h, starts, 200, 0.1, 1e-8)
-    _agree(batched, _ratio_ascent_impl(basis, basis_h, starts, 200, 0.1, 1e-8))
+    batched = kernels.ratio_ascent(basis, starts, 200)
+    _agree(batched, _ratio_ascent_impl(basis, starts, 200, 0.1, 1e-8))
     assert batched[0][0] >= 1.0
 
 
-def test_restarts_stop_at_different_steps():
+def test_restarts_stop_at_different_steps(monkeypatch):
     # a tiny budget, a loose tolerance and a zero-step budget: rows leave the
     # lockstep loop at different rounds, and each matches its own loop
-    basis, basis_h = _dft(64, 8)
+    basis = _dft(64, 8)
     starts = _starts(12, 8, seed=4)
     for steps, tol in ((0, 1e-8), (1, 1e-8), (7, 1e-8), (300, 1e-3)):
-        batched = kernels.lp_ascent(basis, basis_h, 1.0 / 64, 6.0, starts, steps, 0.1, tol)
-        _agree(batched, _lp_ascent_impl(basis, basis_h, 1.0 / 64, 6.0, False, starts,
-                                        steps, 0.1, tol))
-    vals0, coeffs0 = kernels.lp_ascent(basis, basis_h, 1.0 / 64, 6.0, starts, 0, 0.1, 1e-8)
+        monkeypatch.setattr(kernels, "ASCENT_TOL", tol)
+        _agree(kernels.lp_ascent(basis, 6.0, starts, steps),
+               _lp_ascent_impl(basis, 6.0, False, starts, steps, 0.1, tol))
+    vals0, coeffs0 = kernels.lp_ascent(basis, 6.0, starts, 0)
     assert np.allclose(coeffs0, starts / np.linalg.norm(starts, axis=1)[:, None])
 
 
 def test_lp_ascent_tall_lacunary_basis():
-    charset = lacunary_character_set(65536, 16)
-    basis, basis_h = _pair(charset.matrix())
+    basis = lacunary_character_set(65536, 16).matrix()
     starts = _starts(4, 16, seed=5)
     for p, p_arg, p_is_max in ((4.0, 4.0, False), (np.inf, 0.0, True)):
-        _agree(kernels.lp_ascent(basis, basis_h, 1.0 / 65536, p, starts, 25, 0.1, 1e-8),
-               _lp_ascent_impl(basis, basis_h, 1.0 / 65536, p_arg, p_is_max, starts,
-                               25, 0.1, 1e-8))
+        _agree(kernels.lp_ascent(basis, p, starts, 25),
+               _lp_ascent_impl(basis, p_arg, p_is_max, starts, 25, 0.1, 1e-8))
 
 
 def test_dispatch_matches_active_backend():
     assert kernels.active_backend() == "numpy"
-    basis, basis_h = _dft(16, 3)
+    basis = _dft(16, 3)
     starts = _starts(4, 3, seed=5)
-    vals, coeffs = kernels.lp_ascent(basis, basis_h, 1.0 / 16, 4.0, starts, 50, 0.1, 1e-8)
+    vals, coeffs = kernels.lp_ascent(basis, 4.0, starts, 50)
     assert vals.shape == (4,)
     assert coeffs.shape == (4, 3)
-    assert np.all(vals >= 1.0 - 1e-12)
+    # the l_4 norm over 16 points of a unit span element is at least 16^(1/4)
+    assert np.all(vals >= 2.0 - 1e-12)
     assert np.allclose(np.linalg.norm(coeffs, axis=1), 1.0)
 
 
 def test_numpy_backend_end_to_end():
     est = kp_constant_lower(full_character_set(8), 4, AscentConfig(seed=7, restarts=16, steps=200))
     assert est.value == pytest.approx(8 ** 0.25, rel=1e-6)
+
+
+def test_micro_benchmark_cases_bind_to_their_kernels():
+    # nothing else runs benchmarks/bench_kernels.py, so a kernel whose
+    # signature changed would break it silently; every case's arguments must
+    # bind to its kernel, and every timed kernel keeps a case
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    timed = set()
+    for label, fn, args in bench.cases():
+        inspect.signature(fn).bind(*args)
+        timed.add(fn)
+    assert {kernels.lp_ascent, kernels.ratio_ascent, kernels.schatten_norm_batch} <= timed
 
 
 # ---------------------------------------------------------------------------
