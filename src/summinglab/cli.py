@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .estimates import NormEstimate
@@ -97,9 +98,11 @@ def _cmd_sidon(args) -> int:
     charset = _parse_charset(args)
     cfg = AscentConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
     est = sidon_constant_lower(charset, cfg)
-    _emit(args, _estimate_payload(est),
-          f"Sidon-constant lower bound for {charset.size} characters on "
-          f"Z_{args.group}: {est.value:.6g}")
+    # S <= sqrt(m): sum|a_k| <= sqrt(m) ||f||_2 <= sqrt(m) ||f||_inf (Cauchy-Schwarz)
+    upper = math.sqrt(charset.size)
+    _emit(args, {**_estimate_payload(est), "upper": upper},
+          f"Sidon constant for {charset.size} characters on Z_{args.group}: "
+          f"{est.value:.6g} <= S <= {upper:.6g}")
     return 0
 
 
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json_flag(p)
     p.set_defaults(func=_cmd_kp)
 
-    p = sub.add_parser("sidon", help="Sidon constant lower bound")
+    p = sub.add_parser("sidon", help="Sidon constant: ascent lower bound, sqrt(m) ceiling")
     p.add_argument("--group", type=_int_at_least(1), required=True)
     p.add_argument("--freqs", default="full")
     p.add_argument("--restarts", type=_int_at_least(1), default=64)

@@ -358,8 +358,9 @@ def run_character_scaling(config: ExperimentConfig) -> RunReport:
                              cert=_cert(lower)))
             if v.recip < 0.5 and u.recip <= 0.5:
                 # informational consistency rows (the template only covers
-                # domains with u >= 2); a reduced ascent budget is plenty
-                # and keeps large-group runs fast
+                # domains with u >= 2); K_inf is closed form, and at finite v
+                # a reduced ascent budget keeps large-group runs fast. The
+                # task counter moves at every v, so no other substream moves.
                 ascent = AscentConfig(seed=substream(config.seed, task),
                                       restarts=12, steps=150)
                 task += 1

@@ -14,10 +14,10 @@ every restart in lockstep: each round takes one backtracking trial for each
 restart still searching, with one ``(R, m) @ (m, N)`` product for all trial
 values. Each restart follows the same iteration as a single-restart loop
 would; only the grouping of the products differs, so values agree with such
-a loop to floating-point roundoff. The one exception is a sup objective
-with exactly tied maxima (a singleton start on a full group), where roundoff
-decides which tied point's subgradient is followed. The objectives (l_p
-norm or sup, and l1 / sup) are small value/gradient pairs that read the
+a loop to floating-point roundoff. The one exception is ``ratio_ascent``'s
+sup with exactly tied maxima (a singleton start on a full group), where
+roundoff decides which tied point's subgradient is followed. The objectives
+(finite l_p; l1/sup) are small value/gradient pairs that read the
 ``(N, m)`` basis alone, with no conjugate-transpose copy.
 ``benchmarks/bench_kernels.py`` times the public kernels.
 """
@@ -95,45 +95,31 @@ def _sphere_ascent(basis, starts, value, gradient, max_steps):
     return best, coeffs
 
 
-def _sup_gradient(basis, vals, mags):
-    # subgradient of max_x |f(x)|: conj(basis[x*]) * phase(f(x*)), plus |f(x*)|
-    at = np.arange(len(vals))
-    idx = np.argmax(mags, axis=1)
-    top = mags[at, idx]
-    return basis[idx].conj() * (vals[at, idx] / top)[:, None], top
-
-
 def lp_ascent(basis, p, starts, max_steps):
-    """Maximize the l_p norm (sum |basis @ a|^p)^(1/p) over ||a||_2 = 1.
+    """Maximize the l_p norm (sum |basis @ a|^p)^(1/p) over ||a||_2 = 1, 2 < p < inf.
 
     One ascent runs from each row of ``starts``, for at most ``max_steps``
-    accepted steps. Returns per-restart (values, coefficient rows). ``p``
-    may be ``np.inf`` (the sup of |basis @ a|). The L_p mean over the
-    points has the same maximizers; a caller recomputes it from the rows.
+    accepted steps. Returns per-restart (values, coefficient rows). The L_p
+    mean over the points has the same maximizers; a caller recomputes it
+    from the rows.
     """
-    if np.isfinite(p):
-        p = float(p)
+    p = float(p)
 
-        def value(coeffs, mags):
-            return lp_norms(mags, p)
+    def value(coeffs, mags):
+        return lp_norms(mags, p)
 
-        def gradient(coeffs, vals, mags):
-            # (|v| / peak)^(p-2) v: |v|^(p-2) v over a positive per-row factor,
-            # which the normalised step ignores; no power overflows at huge p.
-            # Built in the caller's scratch rows (tall bases), conjugated there
-            # to take w @ conj(basis) as conj(conj(w) @ basis).
-            peak = mags.max(axis=1, keepdims=True)
-            peak[peak == 0.0] = 1.0
-            np.divide(mags, peak, out=mags)
-            np.power(mags, p - 2.0, out=mags)
-            np.multiply(mags, vals, out=vals)
-            return np.conj(np.conj(vals, out=vals) @ basis)
-    else:
-        def value(coeffs, mags):
-            return np.max(mags, axis=1)
+    def gradient(coeffs, vals, mags):
+        # (|v| / peak)^(p-2) v: |v|^(p-2) v over a positive per-row factor,
+        # which the normalised step ignores; no power overflows at huge p.
+        # Built in the caller's scratch rows (tall bases), conjugated there
+        # to take w @ conj(basis) as conj(conj(w) @ basis).
+        peak = mags.max(axis=1, keepdims=True)
+        peak[peak == 0.0] = 1.0
+        np.divide(mags, peak, out=mags)
+        np.power(mags, p - 2.0, out=mags)
+        np.multiply(mags, vals, out=vals)
+        return np.conj(np.conj(vals, out=vals) @ basis)
 
-        def gradient(coeffs, vals, mags):
-            return _sup_gradient(basis, vals, mags)[0]
     return _sphere_ascent(basis, starts, value, gradient, int(max_steps))
 
 
@@ -144,10 +130,13 @@ def ratio_ascent(basis, starts, max_steps):
         return np.sum(np.abs(coeffs), axis=1) / np.max(mags, axis=1)
 
     def gradient(coeffs, vals, mags):
-        # quotient rule: d(num)/d(conj a_k) ~ phase(a_k), d(den) from the sup
+        # quotient rule: d(num) ~ phase(a_k), d(den) ~ conj(basis[x*]) * phase(f(x*))
         size = np.abs(coeffs)
         phase = np.divide(coeffs, size, out=np.zeros_like(coeffs), where=size > 1e-14)
-        gden, den = _sup_gradient(basis, vals, mags)
+        at = np.arange(len(vals))
+        idx = np.argmax(mags, axis=1)
+        den = mags[at, idx]
+        gden = basis[idx].conj() * (vals[at, idx] / den)[:, None]
         num = np.sum(size, axis=1)
         return phase / den[:, None] - (num / (den * den))[:, None] * gden
 

@@ -355,7 +355,9 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
 
     A certified lower bound for the Lambda(p) constant: every evaluated
     ratio of exact group averages is attained by its witness coefficients.
-    p = 2 returns 1 exactly (Parseval).
+    p = 2 returns 1 exactly (Parseval), and p = inf sqrt(m), with no ascent or
+    character matrix: sup|f| <= sum|a_k| <= sqrt(m) ||f||_2 (Cauchy-Schwarz),
+    with equality at a = 1, x = 0.
     """
     if charset.size == 0:
         raise ValueError("empty character set")
@@ -367,10 +369,12 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
         coeffs = np.zeros(m, dtype=np.complex128)
         coeffs[0] = 1.0
         return NormEstimate(1.0, Certainty.EXACT, method="parseval", witness=coeffs)
+    if e.recip == 0.0:
+        return NormEstimate(math.sqrt(m), Certainty.LOWER, method="cauchy-schwarz-attained",
+                            witness=np.full(m, 1.0 / math.sqrt(m), dtype=np.complex128))
     basis = _ascent_basis(charset, cfg.restarts)
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
-    pv = np.inf if e.recip == 0.0 else 1.0 / e.recip
-    vals, coeffs = lp_ascent(basis, pv, starts=starts, max_steps=cfg.steps)
+    vals, coeffs = lp_ascent(basis, 1.0 / e.recip, starts=starts, max_steps=cfg.steps)
     best = int(np.argmax(vals))
     witness = coeffs[best]
     f = SpanElement(charset, witness)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import time
 import warnings
@@ -77,6 +78,52 @@ def test_kp_and_sidon_commands(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["upper"] == 1.0
+
+
+def test_sidon_bracket_on_random_sets(capsys):
+    # the ascent's lower bound never passes the sqrt(m) ceiling
+    rng = np.random.default_rng(8)
+    for m in (2, 3, 5, 7):
+        freqs = ",".join(str(k) for k in rng.choice(16, size=m, replace=False))
+        argv = ["sidon", "--group", "16", "--freqs", freqs, "--restarts", "8",
+                "--steps", "50", "--seed", "3"]
+        assert main([*argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cert"] == "lower"
+        assert doc["upper"] == math.sqrt(m)
+        assert 1.0 <= doc["value"] <= doc["upper"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert f"{doc['value']:.6g} <= S <= {math.sqrt(7):.6g}" in text
+
+
+@pytest.mark.parametrize("group,freqs,value", [
+    (8, "full", 2.8284271247461903),
+    # Z_(2^40): three characters' matrix alone would take 4.92e4 GiB
+    (2 ** 40, "1,2,5", 1.7320508075688772),
+])
+def test_kp_inf_is_sqrt_m_without_the_character_matrix(capsys, monkeypatch, group, freqs,
+                                                       value):
+    def touched(*args, **kwargs):
+        raise AssertionError("built the character matrix")
+
+    monkeypatch.setattr(systems, "_character_matrix", touched)
+    assert main(["kp", "--group", str(group), "--freqs", freqs, "--p", "inf",
+                 "--seed", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == value
+    assert doc["cert"] == "lower"
+
+
+def test_thm1_kp_bound_rows_are_sqrt_m_at_v_inf(capsys):
+    rc = main(["thm1", "--seed", "5", "--n-grid", "4,8,12", "--pairs", "2:inf",
+               "--generator", "lacunary", "--json"])
+    assert rc == 0
+    rows = [r for r in json.loads(capsys.readouterr().out)["rows"] if r["kind"] == "kp-bound"]
+    assert [r["n"] for r in rows] == [4, 8, 12]
+    for row in rows:
+        assert row["value"] == math.sqrt(row["n"])
 
 
 def test_thm1_command_reports(capsys, tmp_path):

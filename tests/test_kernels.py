@@ -15,10 +15,10 @@ from summinglab.systems import lacunary_character_set
 # single-restart reference loops (the oracle the batched kernels must match)
 # ---------------------------------------------------------------------------
 
-def _lp_ascent_impl(basis_t, p, p_is_max, starts, max_steps, step0, tol):
+def _lp_ascent_impl(basis_t, p, starts, max_steps, step0, tol):
     # basis_t: (npoints, m) synthesis columns. starts: (nrestarts, m) complex.
-    # Maximizes (sum |basis_t @ a|^p)^(1/p)  (or max |.| when p_is_max)
-    # over the unit sphere ||a||_2 = 1, one backtracking line search per step.
+    # Maximizes (sum |basis_t @ a|^p)^(1/p) over the unit sphere ||a||_2 = 1,
+    # one backtracking line search per step.
     basis_h = basis_t.conj().T
     nrest, m = starts.shape
     out_vals = np.empty(nrest)
@@ -29,15 +29,11 @@ def _lp_ascent_impl(basis_t, p, p_is_max, starts, max_steps, step0, tol):
         a /= np.sqrt(np.sum(np.abs(a) ** 2))
         v = basis_t @ a
         av = np.abs(v)
-        val = np.max(av) if p_is_max else np.sum(av ** p) ** (1.0 / p)
+        val = np.sum(av ** p) ** (1.0 / p)
         step = step0
         for _ in range(max_steps):
-            if p_is_max:
-                idx = np.argmax(av)
-                g = basis_h[:, idx] * (v[idx] / av[idx])
-            else:
-                w = av ** (p - 2.0) * v
-                g = basis_h @ w
+            w = av ** (p - 2.0) * v
+            g = basis_h @ w
             gn = np.sqrt(np.sum(np.abs(g) ** 2))
             if gn == 0.0:
                 break
@@ -47,7 +43,7 @@ def _lp_ascent_impl(basis_t, p, p_is_max, starts, max_steps, step0, tol):
                 trial /= np.sqrt(np.sum(np.abs(trial) ** 2))
                 tv = basis_t @ trial
                 tav = np.abs(tv)
-                tval = np.max(tav) if p_is_max else np.sum(tav ** p) ** (1.0 / p)
+                tval = np.sum(tav ** p) ** (1.0 / p)
                 if tval > val:
                     gain = (tval - val) / val
                     a = trial
@@ -150,14 +146,7 @@ def test_lp_ascent_matches_single_restart_p4():
     basis = _dft(64, 8)
     starts = _starts(16, 8)
     _agree(kernels.lp_ascent(basis, 4.0, starts, 200),
-           _lp_ascent_impl(basis, 4.0, False, starts, 200, 0.1, 1e-8))
-
-
-def test_lp_ascent_matches_single_restart_sup():
-    basis = _dft(32, 6)
-    starts = _starts(8, 6, seed=1)
-    _agree(kernels.lp_ascent(basis, np.inf, starts, 150),
-           _lp_ascent_impl(basis, 0.0, True, starts, 150, 0.1, 1e-8))
+           _lp_ascent_impl(basis, 4.0, starts, 200, 0.1, 1e-8))
 
 
 def test_ratio_ascent_matches_single_restart():
@@ -186,7 +175,7 @@ def test_restarts_stop_at_different_steps(monkeypatch):
     for steps, tol in ((0, 1e-8), (1, 1e-8), (7, 1e-8), (300, 1e-3)):
         monkeypatch.setattr(kernels, "ASCENT_TOL", tol)
         _agree(kernels.lp_ascent(basis, 6.0, starts, steps),
-               _lp_ascent_impl(basis, 6.0, False, starts, steps, 0.1, tol))
+               _lp_ascent_impl(basis, 6.0, starts, steps, 0.1, tol))
     vals0, coeffs0 = kernels.lp_ascent(basis, 6.0, starts, 0)
     assert np.allclose(coeffs0, starts / np.linalg.norm(starts, axis=1)[:, None])
 
@@ -194,9 +183,8 @@ def test_restarts_stop_at_different_steps(monkeypatch):
 def test_lp_ascent_tall_lacunary_basis():
     basis = lacunary_character_set(65536, 16).matrix()
     starts = _starts(4, 16, seed=5)
-    for p, p_arg, p_is_max in ((4.0, 4.0, False), (np.inf, 0.0, True)):
-        _agree(kernels.lp_ascent(basis, p, starts, 25),
-               _lp_ascent_impl(basis, p_arg, p_is_max, starts, 25, 0.1, 1e-8))
+    _agree(kernels.lp_ascent(basis, 4.0, starts, 25),
+           _lp_ascent_impl(basis, 4.0, starts, 25, 0.1, 1e-8))
 
 
 def test_dispatch_matches_active_backend():

@@ -9,10 +9,10 @@ import pytest
 
 from summinglab import (Certainty, CharacterSet, NormEstimate, UnitFamily,
                         VectorSystem, character_system, ell_norm_mc,
-                        gaussian_system, identity_map, kp_summing_bound,
-                        parse_space, pivot_upper, schatten_space,
-                        sequence_space, second_moment, summing_norm_lower,
-                        summing_norm_search)
+                        gaussian_system, identity_map, kp_constant_lower,
+                        kp_summing_bound, parse_space, pivot_upper,
+                        schatten_space, sequence_space, second_moment,
+                        summing_norm_lower, summing_norm_search)
 from summinglab import kernels, spaces, summing
 from summinglab.kernels import GRAM_BLOCK
 from summinglab.spaces import norms_of_stack
@@ -374,8 +374,8 @@ def test_kp_template_infinite_v():
     cs = CharacterSet(8, (1, 2))
     cfg = AscentConfig(seed=1, restarts=16, steps=200)
     est = kp_summing_bound(cs, "inf", 64, cfg)
-    from summinglab import kp_constant_lower
-    assert est.value == pytest.approx(kp_constant_lower(cs, "inf", cfg).value, rel=1e-12)
+    assert est.value == math.sqrt(2)
+    assert est.value == kp_constant_lower(cs, "inf", cfg).value
 
 
 def test_kp_template_rejects_small_v():

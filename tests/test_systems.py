@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -514,8 +515,36 @@ def test_kp_rejects_bad_input():
 
 
 def test_kp_inf_full_set():
-    est = kp_constant_lower(full_character_set(8), "inf", CFG)
-    assert est.value == pytest.approx(np.sqrt(8), rel=1e-6)
+    # K_inf = sqrt(m) for any m characters, attained at a = 1, x = 0; the
+    # full group Z_8 and kp-profile's lacunary set of 12 on Z_4096
+    for cs in (full_character_set(8), lacunary_character_set(4096, 12)):
+        est = kp_constant_lower(cs, "inf", CFG)
+        assert est.value == math.sqrt(cs.size)
+        assert est.certainty is Certainty.LOWER
+        f = SpanElement(cs, est.witness)
+        attained = lp_norm_of_span(f, "inf") / lp_norm_of_span(f, 2)
+        assert attained == pytest.approx(est.value, rel=1e-12)
+
+
+def test_kp_inf_builds_no_character_matrix(monkeypatch):
+    # three characters of Z_(2^40): the matrix alone would take 4.92e4 GiB
+    def touched(*args, **kwargs):
+        raise AssertionError("built the character matrix or ran an ascent")
+
+    for name in ("_character_matrix", "lp_ascent"):
+        monkeypatch.setattr(systems, name, touched)
+    est = kp_constant_lower(_charset(2 ** 40, [1, 2, 5]), "inf", CFG)
+    assert est.value == math.sqrt(3)
+
+
+def test_kp_finite_p_at_most_k_inf():
+    # ||f||_p <= ||f||_inf on a probability space, so K_p <= K_inf = sqrt(m)
+    rng = np.random.default_rng(6)
+    for m in (2, 3, 5, 8):
+        cs = _charset(32, rng.choice(32, size=m, replace=False).tolist())
+        ceiling = kp_constant_lower(cs, "inf", FAST).value
+        for p in (3, 4, 8):
+            assert kp_constant_lower(cs, p, FAST).value <= ceiling
 
 
 # ---------------------------------------------------------------------------
