@@ -1,8 +1,9 @@
 """Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
-Times ``lp_ascent``, ``ratio_ascent`` and ``schatten_norm_batch`` from
-``summinglab.kernels``, and the one Monte Carlo loop (256-row blocks
-drawn, gathered and reduced on a thread pool) through
+Times ``lp_ascent``, ``ratio_ascent``, ``schatten_norm_batch`` and
+``bidiagonal_schatten_norms`` from ``summinglab.kernels``, and the one
+Monte Carlo loop (256-sample blocks drawn, gathered and reduced on a
+thread pool) through
 ``summing.ell_norm_mc`` and ``systems.second_moment`` on a gathered
 family, on fixed inputs and seeds, and prints the median and quartiles of
 the wall time over ``--repeats`` calls, plus the best value each call
@@ -23,6 +24,7 @@ import numpy as np
 
 from summinglab import (UnitFamily, gaussian_system, identity_map, kernels,
                         schatten_space, second_moment, summing)
+from summinglab.rng import gaussian_bidiagonal, make_rng
 from summinglab.systems import lacunary_character_set
 
 
@@ -62,6 +64,16 @@ def cases():
     mats = np.random.default_rng(6).standard_normal((4096, 32, 32)).astype(np.complex128)
     yield ("schatten_norm_batch p=4 complex, zero imaginary part (4096 x 32x32)",
            kernels.schatten_norm_batch, (mats, 4.0))
+
+    # one Monte Carlo block at the README's largest thm2 size, both routes:
+    # 256 dense Gaussian matrices, and the bidiagonals the full grid draws
+    mats = np.random.default_rng(7).standard_normal((kernels.GRAM_BLOCK, 64, 64))
+    yield ("schatten_norm_batch p=inf (256 x 64x64, one block)", kernels.schatten_norm_batch,
+           (mats, np.inf))
+    chis = gaussian_bidiagonal(make_rng(7), kernels.GRAM_BLOCK, 64)
+    for p in (np.inf, 4.0):
+        yield (f"bidiagonal_schatten_norms p={p:g} (256 x n=64, one block)",
+               kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], p))
 
     # the whole loop at the README's largest thm2 size: draws, norms, sums
     for v in ("inf", 4):

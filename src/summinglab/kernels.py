@@ -4,10 +4,15 @@
 Frobenius norm at S_4, the Gram's top eigenvalue at S_inf, and one batched
 SVD reduced by ``lp_norms`` at every other exponent; the two Gram paths
 run block by block, which keeps their temporaries in cache. Its Monte
-Carlo caller, ``systems._mc_second_moment``, applies every family (the
-ell-norm's coordinate basis included) by gathering columns instead of
+Carlo caller, ``systems._mc_second_moment``, applies every family except
+the full grid of matrix units by gathering columns instead of
 multiplying, so real Gaussian rows reach it as real stacks, and calls it
 from pool threads, one ``GRAM_BLOCK``-row Monte Carlo block per call.
+``bidiagonal_schatten_norms`` reduces the full grid's blocks: upper-bidiagonal
+matrices with the singular values of a Gaussian matrix, given by their
+2n - 1 entries; in O(n) per matrix at S_4 (a closed form) and S_inf (a
+safeguarded Laguerre iteration on the tridiagonal B^T B), and through
+``schatten_norm_batch`` on the materialized matrices at every other exponent.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -212,3 +217,128 @@ def _gram_norms(mats, p, out):
     else:
         np.multiply(peak, np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram.conj()).real)),
                     out=out)
+
+
+# Relative tolerance of the top eigenvalue in ``_tridiagonal_top``, the cap
+# on its iterations, and the shift that keeps its pivots off exact zero.
+TRIDIAGONAL_TOL = 1e-14
+TRIDIAGONAL_MAX_ITER = 200
+_PIVMIN = np.finfo(float).eps ** 2
+
+
+def bidiagonal_schatten_norms(diag, sup, p):
+    """Schatten p-norms of upper-bidiagonal real matrices. ``p`` may be ``np.inf``.
+
+    Row r of ``diag`` (count, n) is the diagonal a of matrix r and row r of
+    ``sup`` (count, n - 1) its superdiagonal b. Each row is divided by its
+    peak |entry| first and multiplied back after, so no square overflows or
+    underflows. With T = B^T B, tridiagonal with diagonal a_k^2 + b_(k-1)^2
+    and off-diagonal a_k b_k: at p = 4, ||B||_(S_4)^4 = ||T||_F^2 =
+    sum_k (a_k^2 + b_(k-1)^2)^2 + 2 sum_k a_k^2 b_k^2; at p = inf, ||B|| is
+    the square root of T's top eigenvalue (``_tridiagonal_top``). Both take
+    O(n) per matrix. Any other p materializes the (count, n, n) stack for
+    ``schatten_norm_batch``.
+    """
+    diag = np.asarray(diag, dtype=float)
+    sup = np.asarray(sup, dtype=float)
+    p = float(p)
+    count, n = diag.shape
+    if p != 4.0 and p != np.inf:
+        mats = np.zeros((count, n, n))
+        on = np.arange(n)
+        mats[:, on, on] = diag
+        mats[:, on[:-1], on[1:]] = sup
+        return schatten_norm_batch(mats, p)
+    peak = np.maximum(np.abs(diag).max(axis=1, initial=0.0), np.abs(sup).max(axis=1, initial=0.0))
+    peak[peak == 0.0] = 1.0  # zero matrices
+    a = diag / peak[:, None]
+    b = sup / peak[:, None]
+    c = a * a
+    c[:, 1:] += b * b
+    t = a[:, :-1] * b
+    del a, b
+    if p == 4.0:
+        return peak * np.sqrt(np.sqrt(np.einsum("ij,ij->i", c, c)
+                                      + 2.0 * np.einsum("ij,ij->i", t, t)))
+    return peak * np.sqrt(_tridiagonal_top(c, t))
+
+
+def _tridiagonal_top(c, t):
+    # Top eigenvalue of each symmetric tridiagonal T, diagonal c (count, n) and
+    # off-diagonal t (count, n - 1), all rows at once. Laguerre's method on
+    # det(T - lam), from the Gershgorin bound, falls monotonically to the top
+    # root of a real-rooted polynomial, cubically at a simple root. The LDL^T
+    # pivots d_k of T - lam give the step (p'/p = sum d_k'/d_k and the
+    # derivative of that sum, by the pivot recurrence) and a Sturm count: the
+    # negative pivots count the eigenvalues below lam. Each row keeps a certified
+    # bracket lo <= top <= hi, from max_k c_k and the Gershgorin bound, and
+    # every count narrows it. A Laguerre step is taken only inside the bracket
+    # and only from where the count says it heads for the top root (above it,
+    # or between it and the next one); otherwise, and once a step shrinks by
+    # less than half near the root (a multiple top root converges linearly),
+    # the row bisects. A row is done when a step or its bracket falls below
+    # TRIDIAGONAL_TOL relative, and stays as it is from then on, so its value
+    # does not depend on the other rows.
+    count, n = c.shape
+    bound = c.copy()
+    t = np.abs(t)
+    bound[:, :-1] += t
+    bound[:, 1:] += t
+    lo = c.max(axis=1)
+    hi = bound.max(axis=1) * (1.0 + 16.0 * np.finfo(float).eps)  # rounded up
+    del bound
+    diag_t = np.ascontiguousarray(c.T)  # (n, count): row k is every matrix's c_k
+    off2 = np.zeros((n, count))
+    off2[1:] = (t * t).T  # off2[k] = t_(k-1)^2
+    shift = np.empty((n, count))
+    piv = np.empty((n, count))   # d_k
+    dlog = np.empty((n, count))  # d_k' / d_k
+    curv = np.empty((n, count))  # d_k'' / d_k
+    curv[0] = 0.0
+    # row views made once: the recurrence below is n steps of (count,) ufuncs
+    rows = list(zip(shift[1:], off2[1:], piv, piv[1:], dlog, dlog[1:], curv, curv[1:]))
+    r, q, tmp = np.empty(count), np.empty(count), np.empty(count)
+    done = hi - lo <= TRIDIAGONAL_TOL * hi
+    lam = np.where(done, lo, hi)
+    prev = np.full(count, np.inf)
+    degree = float(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(TRIDIAGONAL_MAX_ITER):
+            if done.all():
+                break
+            np.subtract(diag_t, lam, out=shift)
+            np.subtract(shift[0], _PIVMIN, out=piv[0])
+            np.divide(-1.0, piv[0], out=dlog[0])
+            for s_k, e_k, d_prev, d, g_prev, g, h_prev, h in rows:
+                # d_k = c_k - lam - r with r = t^2 / d_(k-1), and with q = r / d_k:
+                # d_k'/d_k = (r d_(k-1)'/d_(k-1) - 1) / d_k and
+                # d_k''/d_k = q (d_(k-1)''/d_(k-1) - 2 (d_(k-1)'/d_(k-1))^2)
+                np.divide(e_k, d_prev, out=r)
+                np.subtract(s_k, r, out=d)
+                d -= _PIVMIN  # an exact zero pivot counts as negative
+                np.divide(r, d, out=q)
+                np.multiply(g_prev, g_prev, out=tmp)
+                tmp *= -2.0
+                tmp += h_prev
+                np.multiply(q, tmp, out=h)
+                np.multiply(r, g_prev, out=tmp)
+                tmp -= 1.0
+                np.divide(tmp, d, out=g)
+            below = np.count_nonzero(piv < 0.0, axis=0)
+            grad = dlog.sum(axis=0)  # p'/p
+            hess = np.einsum("ij,ij->j", dlog, dlog) - curv.sum(axis=0)  # -(p'/p)'
+            above = below == n
+            hi = np.where(above, lam, hi)
+            lo = np.where(above, lo, lam)
+            root = np.sqrt(np.maximum((degree - 1.0) * (degree * hess - grad * grad), 0.0))
+            x = lam - degree / (grad + np.copysign(root, grad))
+            step = np.abs(x - lam)
+            # from above, down to the bracket (rounding may cross lo); from
+            # between the top two roots, up
+            ok = np.where(above, x >= lo * (1.0 - TRIDIAGONAL_TOL), (below == n - 1) & (x >= lam))
+            ok &= (x <= hi) & ((step <= 0.5 * prev) | (step > 1e-3 * x))
+            converged = (ok & (step <= TRIDIAGONAL_TOL * x)) | (hi - lo <= TRIDIAGONAL_TOL * hi)
+            lam = np.where(done, lam, np.where(ok, np.maximum(x, lo), 0.5 * (lo + hi)))
+            prev = np.where(ok, step, np.inf)
+            done |= converged
+    return lam

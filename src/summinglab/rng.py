@@ -38,3 +38,22 @@ def standard_gaussians(rng: np.random.Generator, shape, out=None):
     allocated.
     """
     return rng.standard_normal(shape, out=out)
+
+
+def gaussian_bidiagonal(rng: np.random.Generator, count: int, n: int, out=None):
+    """Upper-bidiagonal matrices with the singular values of n x n real Gaussian matrices.
+
+    Row r holds one matrix's diagonal chi_n, chi_(n-1), ..., chi_1 followed
+    by its superdiagonal chi_(n-1), ..., chi_1: 2n - 1 independent chi
+    variates, each sqrt(2 Gamma(k/2)) for its k degrees of freedom. Golub-Kahan
+    bidiagonalization of a matrix of standard normals by Householder
+    reflections gives this law (J. Silverstein, J. Multivariate Anal. 1985;
+    Dumitriu and Edelman, J. Math. Phys. 43, 2002), and the reflections keep
+    the singular values, so every Schatten norm has the Gaussian matrix's law.
+    Given ``out`` (contiguous float64, shape (count, 2n - 1)), the entries are
+    written into it and it is returned.
+    """
+    shapes = np.concatenate((np.arange(n, 0, -1), np.arange(n - 1, 0, -1))) / 2.0
+    out = rng.standard_gamma(shapes, size=(count, 2 * n - 1), out=out)
+    out *= 2.0
+    return np.sqrt(out, out=out)

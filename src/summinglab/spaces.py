@@ -155,8 +155,10 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     eigenvalue at S_inf, singular values otherwise. The Monte Carlo loop
     (``systems._mc_second_moment``) calls it once per GRAM_BLOCK-row block,
     on a pool thread; every row is a unit family's gather of Gaussian
-    coefficients, not a product, and for a full basis or grid the
-    coefficients themselves.
+    coefficients, not a product, and for a full sequence basis the
+    coefficients themselves. A Schatten space's full grid does not come
+    here: its blocks are bidiagonal chi draws, reduced by
+    ``kernels.bidiagonal_schatten_norms``.
     """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:

@@ -4,7 +4,9 @@ Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
 whose GRAM_BLOCK-row blocks are drawn, gathered and reduced on a pool of at
 most ``MC_WIDTH`` threads, each from its own substream, and whose sums are
-added in block order, so the result does not depend on the core count. On
+added in block order, so the result does not depend on the core count. A
+Schatten space's full grid of matrix units draws each sample as the 2n - 1
+chi entries of a bidiagonal matrix with a Gaussian matrix's singular values. On
 top of the systems sit the Lambda(p)-constant and Sidon-constant
 estimators, which are nonconvex maximizations shipped as
 ascent-with-restarts giving certified lower bounds.
@@ -21,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import GRAM_BLOCK, lp_ascent, ratio_ascent
-from .rng import make_rng, standard_gaussians, substream
+from .kernels import GRAM_BLOCK, bidiagonal_schatten_norms, lp_ascent, ratio_ascent
+from .rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, UnitFamily, VectorSystem,
                      _ones_norm, lp_norm, norms_of_stack, parse_exponent)
 
@@ -163,22 +165,45 @@ MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _mc_working_set(dim: int, space: SpaceDescriptor) -> int:
-    """Rows of flat_dim float64 entries that one Monte Carlo thread holds.
+def _draws_bidiagonal(dim: int, space: SpaceDescriptor) -> bool:
+    """Whether a Monte Carlo block of a ``dim``-element unit family draws bidiagonals.
 
-    Its slot: a GRAM_BLOCK-row block of the rows the kernel reads, drawn
-    there when the gather is the identity (dim == flat_dim), otherwise
-    gathered from the slot's own (GRAM_BLOCK, dim) coefficients; the
-    block's squared norms; and the kernel's temporaries, three
-    GRAM_BLOCK-matrix blocks on Schatten spaces, a magnitude and a scaled
-    copy of the block on sequence spaces. Each part is rounded up to whole
-    rows.
+    The full grid of matrix units of a Schatten space turns a Gaussian row
+    into an n x n Gaussian matrix, whose Schatten norms depend on its
+    singular values alone; ``rng.gaussian_bidiagonal`` draws them in 2n - 1
+    chi variates instead of n^2 normals.
+    """
+    return space.kind is SpaceKind.SCHATTEN and dim == space.flat_dim
+
+
+def _mc_working_set(dim: int, space: SpaceDescriptor) -> tuple[int, int]:
+    """(rows, row length) of the float64 entries that one Monte Carlo thread holds.
+
+    Its slot, a GRAM_BLOCK-row block of what it draws; the block's squared
+    norms; and the kernel's temporaries, each part rounded up to whole rows.
+    A family that gathers holds rows of flat_dim: the block of the rows the
+    kernel reads, drawn there when the gather is the identity (dim ==
+    flat_dim), otherwise gathered from the slot's own (GRAM_BLOCK, dim)
+    coefficients, and three GRAM_BLOCK-matrix blocks on Schatten spaces, a
+    magnitude and a scaled copy of the block on sequence spaces. A family
+    that draws bidiagonals holds rows of its 2n - 1 chi entries at S_4 and
+    S_inf, where ``bidiagonal_schatten_norms`` holds at most twelve n-entry
+    arrays and 32 more entries per matrix; at any other exponent, rows of
+    flat_dim for the draws, the materialized block and the three blocks of
+    ``schatten_norm_batch``.
     """
     flat = space.flat_dim
+    if _draws_bidiagonal(dim, space):
+        n, entries = space.dim, 2 * space.dim - 1
+        if space.exponent.value in (4.0, np.inf):
+            return (GRAM_BLOCK + -(-GRAM_BLOCK // entries)
+                    + -(-(12 * n + 32) * GRAM_BLOCK // entries)), entries
+        return (-(-GRAM_BLOCK * entries // flat) + -(-GRAM_BLOCK // flat)
+                + 4 * GRAM_BLOCK), flat
     rows = GRAM_BLOCK + -(-GRAM_BLOCK // flat)
     if dim < flat:
         rows += -(-GRAM_BLOCK * dim // flat)
-    return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * GRAM_BLOCK
+    return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * GRAM_BLOCK, flat
 
 
 def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> int:
@@ -188,23 +213,29 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> int:
     threads as ``_mc_working_set`` fits under the cap; a working set over
     the cap even at width 1 is refused before any allocation.
     """
-    per_thread = _mc_working_set(dim, space)
-    cap = MAX_ARRAY_BYTES // (space.flat_dim * 8)
-    width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK), cap // per_thread))
-    check_array_bytes("Monte Carlo chunk working set", (width * per_thread, space.flat_dim),
-                      np.float64)
+    rows, length = _mc_working_set(dim, space)
+    cap = MAX_ARRAY_BYTES // (length * 8)
+    width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK), cap // rows))
+    check_array_bytes("Monte Carlo chunk working set", (width * rows, length), np.float64)
     return width
 
 
 def _block_sums(family: UnitFamily, seed, index: int, count: int, slots) -> tuple[float, float]:
-    # On a pool thread: draw block ``index`` into a free slot, gather it there
-    # unless the gather is the identity, and reduce it to its two sums. The
-    # pool's threads are as many as the slots, so get() never waits.
+    # On a pool thread: draw block ``index`` into a free slot, as bidiagonals
+    # or as coefficients gathered there unless the gather is the identity, and
+    # reduce it to its two sums. The pool's threads are as many as the slots,
+    # so get() never waits.
     slot = rows, coeffs = slots.get()
     try:
-        drawn = standard_gaussians(make_rng(substream(seed, index)), (count, family.size),
-                                   out=(rows if coeffs is None else coeffs)[:count])
-        q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), family.space)
+        rng, space = make_rng(substream(seed, index)), family.space
+        if _draws_bidiagonal(family.size, space):
+            n = space.dim
+            chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
+            q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value)
+        else:
+            drawn = standard_gaussians(rng, (count, family.size),
+                                       out=(rows if coeffs is None else coeffs)[:count])
+            q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), space)
         np.square(q, out=q)
         return float(q.sum()), float((q * q).sum())
     finally:
@@ -214,18 +245,22 @@ def _block_sums(family: UnitFamily, seed, index: int, count: int, slots) -> tupl
 def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
-    Block k is GRAM_BLOCK rows drawn from ``substream(seed, k)`` and
-    applied to the family by its gather (``UnitFamily.synthesize``), which
-    keeps real rows real and is the identity on a full basis or grid. One
-    pool task per block, on ``_mc_width`` threads, draws and gathers it
+    Block k is GRAM_BLOCK samples drawn from ``substream(seed, k)``. A
+    family that gathers draws GRAM_BLOCK Gaussian rows and applies them by
+    its gather (``UnitFamily.synthesize``), which keeps real rows real and
+    is the identity on a full basis or grid. The full grid of a Schatten
+    space (``_draws_bidiagonal``) draws instead, per sample, the 2n - 1 chi
+    entries of a bidiagonal with the singular values of the Gaussian
+    matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``. One
+    pool task per block, on ``_mc_width`` threads, draws (and gathers) it
     into a free slot and reduces it to its two sums (numpy's Philox fill,
     ``take``, ``matmul`` and LAPACK release the GIL). There is one slot per
     thread, allocated once per call, so nothing block-sized is allocated
-    inside the loop. The caller keeps at most two tasks per thread in
-    flight and adds each block's sums in block order, so the result is the
-    same float however the tasks interleave. The value is a Monte Carlo
-    estimate, so it is ``lower`` with a standard error (delta method on the
-    square root).
+    inside the loop but the kernel's temporaries. The caller keeps at most
+    two tasks per thread in flight and adds each block's sums in block
+    order, so the result is the same float however the tasks interleave.
+    The value is a Monte Carlo estimate, so it is ``lower`` with a standard
+    error (delta method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
@@ -238,8 +273,9 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    # one array per part for all slots: slot i is (kernel rows, coefficients)[i]
-    kernel_rows = np.empty((width, GRAM_BLOCK, space.flat_dim))
+    # one array per part for all slots: slot i is (drawn or kernel rows, coefficients)[i]
+    row = 2 * space.dim - 1 if _draws_bidiagonal(dim, space) else space.flat_dim
+    kernel_rows = np.empty((width, GRAM_BLOCK, row))
     coeffs = np.empty((width, GRAM_BLOCK, dim)) if dim < space.flat_dim else [None] * width
     slots = queue.SimpleQueue()
     for slot in zip(kernel_rows, coeffs):

@@ -447,10 +447,11 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
       "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"], "group-average values"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
-    # one S_4^520 block is 0.55 GB; with its squared norms and the Gram path's
-    # three blocks a thread holds 1025 rows of 270400 (2.07 GiB), over the cap
-    (["lnorm", "--space", "s2:520", "--target", "s4:520",
-      "--samples", "4096", "--seed", "1"], "Monte Carlo chunk working set"),
+    # one S_4^520 block is 0.55 GB; with its squared norms, the diagonal
+    # candidate's coefficients and the Gram path's three blocks a thread holds
+    # 1026 rows of 270400 (2.07 GiB), over the cap
+    (["pib", "--space", "s1:520", "--target", "s4:520", "--samples", "4096", "--seed", "1"],
+     "Monte Carlo chunk working set of shape (1026, 270400)"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
@@ -486,6 +487,23 @@ def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],
                         "Monte Carlo chunk working set of shape (769, 400000)")
+
+
+def test_bidiagonal_ell_norm_runs_where_dense_blocks_would_not(capsys):
+    # S_2^512 -> S_inf^512: a dense block of Gaussian matrices would be
+    # 537 MB and a thread's working set 2 GiB; the full grid draws 1023 chi
+    # entries a sample instead, and the command runs
+    assert main(["lnorm", "--space", "s2:512", "--target", "sinf:512",
+                 "--samples", "512", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("ell-norm s2:512 -> sinf:512: ")
+
+
+def test_oversized_grid_family_is_still_refused(capsys):
+    # the bidiagonal working set of S_inf^20000 fits, but the grid's 4 * 10^8
+    # indices do not: refused before they are built
+    _assert_usage_error(capsys, ["lnorm", "--space", "s2:20000", "--target", "sinf:20000",
+                                 "--samples", "512", "--seed", "1"],
+                        "candidate family of shape (400000000, 1)")
 
 
 def test_mc_pool_narrows_to_the_cap_on_many_cores(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from summinglab import AscentConfig, full_character_set, kernels, kp_constant_lower
+from summinglab.rng import gaussian_bidiagonal, make_rng
 from summinglab.systems import lacunary_character_set
 
 
@@ -216,7 +217,8 @@ def test_micro_benchmark_cases_bind_to_their_kernels():
     for label, fn, args in bench.cases():
         inspect.signature(fn).bind(*args)
         timed.add(fn)
-    assert {kernels.lp_ascent, kernels.ratio_ascent, kernels.schatten_norm_batch} <= timed
+    assert {kernels.lp_ascent, kernels.ratio_ascent, kernels.schatten_norm_batch,
+            kernels.bidiagonal_schatten_norms} <= timed
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +275,98 @@ def test_schatten_gram_blocks_match_per_matrix_loop(count):
         for p in (4.0, np.inf):
             loop = [kernels.schatten_norm_batch(mat[None], p)[0] for mat in mats]
             assert np.array_equal(kernels.schatten_norm_batch(mats, p), loop)
+
+
+# ---------------------------------------------------------------------------
+# Schatten norms of bidiagonal matrices
+# ---------------------------------------------------------------------------
+
+def _materialize_bidiagonal(diag, sup):
+    count, n = diag.shape
+    mats = np.zeros((count, n, n))
+    on = np.arange(n)
+    mats[:, on, on] = diag
+    mats[:, on[:-1], on[1:]] = sup
+    return mats
+
+
+def _svd_bidiagonal_norms(diag, sup, p):
+    # LAPACK SVD of the materialized matrices, 1000 at a time, reduced with
+    # the top singular value factored out
+    out = []
+    for start in range(0, len(diag), 1000):
+        s = np.linalg.svd(_materialize_bidiagonal(diag[start:start + 1000],
+                                                  sup[start:start + 1000]), compute_uv=False)
+        top = s[:, 0]
+        if p == np.inf:
+            out.append(top)
+            continue
+        scale = np.where(top > 0.0, top, 1.0)[:, None]
+        out.append(top * np.sum((s / scale) ** p, axis=1) ** (1.0 / p))
+    return np.concatenate(out)
+
+
+def _assert_bidiagonal_norms_match_svd(diag, sup, p):
+    # 1000 rows a call: the SVD fallback materializes its matrices
+    out = np.concatenate([kernels.bidiagonal_schatten_norms(diag[start:start + 1000],
+                                                            sup[start:start + 1000], p)
+                          for start in range(0, len(diag), 1000)])
+    ref = _svd_bidiagonal_norms(diag, sup, p)
+    assert np.all(np.isfinite(out))
+    err = np.abs(out - ref)
+    assert np.all(err <= 1e-13 * ref), float(np.max(err / np.where(ref > 0, ref, 1.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("p", [3.0, 4.0, np.inf], ids=["svd-p3", "closed-p4", "laguerre-inf"])
+def test_bidiagonal_norms_match_dense_svd(n, p):
+    # 10^4 draws of the Monte Carlo loop's chi entries, against a dense SVD
+    chis = gaussian_bidiagonal(make_rng(n), 10_000, n)
+    _assert_bidiagonal_norms_match_svd(chis[:, :n], chis[:, n:], p)
+
+
+def _edge_bidiagonals(n):
+    """Named (diag, sup) stacks: zero superdiagonals (diagonal matrices, and
+    blocks with a repeated top eigenvalue), equal entries, zero matrices,
+    signs, and entries near 1e+-150 (alone and mixed in one matrix)."""
+    rng = np.random.default_rng(n)
+    diag, sup = rng.random((200, n)), rng.random((200, n - 1))
+    sparse = sup * (rng.random(sup.shape) < 0.5)
+    alternate = np.ones(n - 1)
+    alternate[1::2] = 0.0
+    mixed = np.where(rng.random((200, n)) < 0.5, 1e150, 1e-150)
+    yield "zero-superdiagonal", diag, np.zeros_like(sup)
+    yield "some-zero-superdiagonal", diag, sparse
+    yield "zero-diagonal-entries", diag * (rng.random(diag.shape) < 0.5), sparse
+    yield "equal-blocks", np.ones((1, n)), alternate[None]
+    yield "all-equal", np.full((1, n), 2.0), np.full((1, n - 1), 2.0)
+    yield "equal-diagonal", np.ones((1, n)), np.zeros((1, n - 1))
+    yield "zero", np.zeros((1, n)), np.zeros((1, n - 1))
+    yield "signs", diag * rng.choice([-1.0, 1.0], diag.shape), -sup
+    yield "near-1e150", diag * 1e150, sup * 1e150
+    yield "near-1e-150", diag * 1e-150, sup * 1e-150
+    yield "mixed-1e+-150", diag * mixed, sup * mixed[:, 1:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_bidiagonal_norms_edge_cases(n):
+    # finite, and within 1e-13 of the dense SVD, at every exponent path
+    for name, diag, sup in _edge_bidiagonals(n):
+        for p in (3.0, 4.0, np.inf):
+            try:
+                _assert_bidiagonal_norms_match_svd(diag, sup, p)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}, p = {p}: {exc}") from None
+
+
+def test_bidiagonal_rows_do_not_depend_on_their_block():
+    # every row iterates alone and stops alone: a block's values equal
+    # one-row calls exactly, rows with a repeated top eigenvalue included
+    chis = gaussian_bidiagonal(make_rng(5), 300, 16)
+    chis[::7, 16::2] = 0.0
+    chis[::7, :16] = 1.0
+    diag, sup = chis[:, :16], chis[:, 16:]
+    for p in (4.0, np.inf):
+        loop = [kernels.bidiagonal_schatten_norms(diag[i:i + 1], sup[i:i + 1], p)[0]
+                for i in range(len(diag))]
+        assert np.array_equal(kernels.bidiagonal_schatten_norms(diag, sup, p), loop)

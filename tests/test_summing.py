@@ -16,7 +16,7 @@ from summinglab import (Certainty, CharacterSet, NormEstimate, UnitFamily,
 from summinglab import kernels, spaces, summing
 from summinglab.kernels import GRAM_BLOCK
 from summinglab.spaces import norms_of_stack
-from summinglab.rng import make_rng, standard_gaussians, substream
+from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.summing import _schatten_candidates, _sequence_candidates
 from summinglab.systems import AscentConfig
 
@@ -190,10 +190,29 @@ def _dense_second_moment(dense, space, samples, seed):
     return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
 
 
+def _bidiagonal_second_moment(space, samples, seed):
+    """Blocked (E ||B||^2)^(1/2) and its stderr, with the bidiagonal B drawn as the
+    Monte Carlo loop draws a full grid's, materialized and reduced by ``norms_of_stack``."""
+    n = space.dim
+    on = np.arange(n)
+    q = []
+    for k, start in enumerate(range(0, samples, GRAM_BLOCK)):
+        count = min(GRAM_BLOCK, samples - start)
+        chis = gaussian_bidiagonal(make_rng(substream(seed, k)), count, n)
+        dense = np.zeros((count, n, n))
+        dense[:, on, on] = chis[:, :n]
+        dense[:, on[:-1], on[1:]] = chis[:, n:]
+        q.append(norms_of_stack(dense.reshape(count, -1), space) ** 2)
+    q = np.concatenate(q)
+    value = np.sqrt(q.mean())
+    return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
+
+
 def test_unit_family_gather_matches_dense_product():
     # every unit candidate's second moment (gather, or closed form for one
     # element) against the dense product on the materialized family, over a
-    # partial last block
+    # partial last block; the full grid of a Schatten space draws bidiagonals,
+    # so its reference reduces the same draws as dense matrices
     samples = 32 * GRAM_BLOCK + 1
     for fam, space in _unit_families():
         est = second_moment(gaussian_system(), replace(fam, space=space),
@@ -203,9 +222,26 @@ def test_unit_family_gather_matches_dense_product():
             assert est.certainty is Certainty.EXACT
             assert est.value == pytest.approx(norms_of_stack(dense, space)[0], rel=1e-12)
             continue
-        value, stderr = _dense_second_moment(dense, space, samples, 31)
+        if space.kind.value == "schatten" and fam.size == space.flat_dim:
+            value, stderr = _bidiagonal_second_moment(space, samples, 31)
+        else:
+            value, stderr = _dense_second_moment(dense, space, samples, 31)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("v", [3, 4, "inf"])
+def test_bidiagonal_draws_match_dense_gaussian_matrices(n, v):
+    # the full grid's bidiagonal draws against n x n matrices of normals
+    # reduced densely: two estimates of one second moment, on disjoint seeds,
+    # within four combined standard errors
+    space = schatten_space(v, n)
+    samples = 32 * GRAM_BLOCK + 1
+    est = second_moment(gaussian_system(), _grid_family(space, n), samples=samples, seed=37)
+    assert est.method == "mc-gaussian"
+    value, stderr = _dense_second_moment(np.eye(n * n), space, samples, 41)
+    assert abs(est.value - value) <= 4.0 * math.hypot(est.stderr, stderr)
 
 
 def test_generic_family_takes_dense_product():

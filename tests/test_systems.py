@@ -18,8 +18,8 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpanElement,
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
                         sidon_constant_lower, systems)
-from summinglab.kernels import GRAM_BLOCK
-from summinglab.rng import make_rng, standard_gaussians, substream
+from summinglab.kernels import GRAM_BLOCK, bidiagonal_schatten_norms
+from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.spaces import norms_of_stack
 from summinglab.systems import _mc_second_moment
 
@@ -254,13 +254,21 @@ def _mc_family(space, kind):
 
 
 def _serial_second_moment(family, samples, seed):
-    """The one-thread Monte Carlo loop: draw, gather and reduce each block in turn."""
+    """The one-thread Monte Carlo loop: draw, gather and reduce each block in
+    turn; a Schatten space's full grid draws bidiagonal chi entries instead."""
+    space = family.space
     total = 0.0
     total_sq = 0.0
     for index, start in enumerate(range(0, samples, GRAM_BLOCK)):
         count = min(GRAM_BLOCK, samples - start)
-        rows = standard_gaussians(make_rng(substream(seed, index)), (count, family.size))
-        q = norms_of_stack(family.synthesize(rows), family.space) ** 2
+        rng = make_rng(substream(seed, index))
+        if space.kind.value == "schatten" and family.size == space.flat_dim:
+            n = space.dim
+            chis = gaussian_bidiagonal(rng, count, n)
+            q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value) ** 2
+        else:
+            rows = standard_gaussians(rng, (count, family.size))
+            q = norms_of_stack(family.synthesize(rows), space) ** 2
         total += float(q.sum())
         total_sq += float((q * q).sum())
     mean = total / samples
@@ -306,41 +314,62 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
-    # a thread holds a block, its squared norms and the Gram path's three
-    # blocks: at S_inf^64 that is 1025 rows of 32 KiB (34 MB), so all sixteen
-    # threads fit under the 2 GiB cap; at S_inf^180 it is 1025 rows of
+    # a thread that gathers holds a block, its squared norms, the
+    # coefficients it gathers from and the Gram path's three blocks: for the
+    # diagonal units of S_inf^64 that is 1029 rows of 32 KiB (34 MB), so all
+    # sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1027 rows of
     # 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_working_set(4096, space) == 1025
-    assert systems._mc_width(4096, space, 320 * GRAM_BLOCK) == 16
-    assert systems._mc_width(180 ** 2, schatten_space("inf", 180), 320 * GRAM_BLOCK) == 8
+    assert systems._mc_working_set(64, space) == (1029, 4096)
+    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == 16
+    assert systems._mc_width(180, schatten_space("inf", 180), 320 * GRAM_BLOCK) == 8
     # never more threads than blocks
-    assert systems._mc_width(4096, space, 5 * GRAM_BLOCK) == 5
-    assert systems._mc_width(4096, space, GRAM_BLOCK) == 1
+    assert systems._mc_width(64, space, 5 * GRAM_BLOCK) == 5
+    assert systems._mc_width(64, space, GRAM_BLOCK) == 1
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    assert systems._mc_width(4096, space, 320 * GRAM_BLOCK) == 2
+    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == 2
+
+
+def test_mc_working_set_of_the_bidiagonal_route():
+    # the full grid draws rows of 2n - 1 chi entries: at S_4 and S_inf a
+    # block of them, its squared norms and 12n + 32 entries per matrix
+    # (1872 rows of 127 at n = 64; 1803 rows of 1023, 14.8 MB, at n = 512,
+    # where the dense block alone would be 537 MB); any other exponent
+    # materializes the block, in rows of n^2 as the gather route counts
+    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1872, 127)
+    assert systems._mc_working_set(4096, schatten_space(4, 64)) == (1872, 127)
+    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (1803, 1023)
+    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (1033, 4096)
+    # a sequence space's full basis still draws its rows
+    assert systems._mc_working_set(64, sequence_space("inf", 64)) == (772, 64)
 
 
 @pytest.mark.parametrize("space,family,samples", [
     (schatten_space("inf", 64), "basis", 17 * GRAM_BLOCK + 1),
     (schatten_space(4, 32), "diag", 32 * GRAM_BLOCK + 1),
     (sequence_space("inf", 512), "blocks", 32 * GRAM_BLOCK + 1),
-], ids=["sinf64-basis", "s4-32-diag", "linf-blocks"])
+    (schatten_space(4, 64), "basis", 17 * GRAM_BLOCK + 1),
+    (schatten_space("inf", 2), "basis", 17 * GRAM_BLOCK + 1),
+    (schatten_space(3, 16), "basis", 17 * GRAM_BLOCK + 1),
+], ids=["sinf64-basis", "s4-32-diag", "linf-blocks", "s4-64-basis", "sinf2-basis",
+        "s3-16-basis"])
 def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
     # what numpy allocates during the loop, on every thread, stays under the
-    # working set _mc_width checks against the cap, and holds at least one block
+    # working set _mc_width checks against the cap, and holds at least one
+    # block of the rows the route draws or reduces
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     family = _mc_family(space, family)
     width = systems._mc_width(family.size, space, samples)
-    projected = width * systems._mc_working_set(family.size, space)
+    rows, length = systems._mc_working_set(family.size, space)
+    _mc_second_moment(family, 2, 5)  # imports on first use are not the loop's
     tracemalloc.start()
     try:
         _mc_second_moment(family, samples, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert GRAM_BLOCK * space.flat_dim * 8 <= peak <= projected * space.flat_dim * 8
+    assert GRAM_BLOCK * length * 8 <= peak <= width * rows * length * 8
 
 
 def test_full_grid_gather_is_the_identity():
