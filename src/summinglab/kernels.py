@@ -293,11 +293,11 @@ def _tridiagonal_top(c, t):
     shift = np.empty((n, count))
     piv = np.empty((n, count))   # d_k
     dlog = np.empty((n, count))  # d_k' / d_k
-    curv = np.empty((n, count))  # d_k'' / d_k
+    curv = np.empty((n, count))  # d_k'' / (2 d_k)
     curv[0] = 0.0
     # row views made once: the recurrence below is n steps of (count,) ufuncs
     rows = list(zip(shift[1:], off2[1:], piv, piv[1:], dlog, dlog[1:], curv, curv[1:]))
-    r, q, tmp = np.empty(count), np.empty(count), np.empty(count)
+    r, tmp = np.empty(count), np.empty(count)
     done = hi - lo <= TRIDIAGONAL_TOL * hi
     lam = np.where(done, lo, hi)
     prev = np.full(count, np.inf)
@@ -310,23 +310,22 @@ def _tridiagonal_top(c, t):
             np.subtract(shift[0], _PIVMIN, out=piv[0])
             np.divide(-1.0, piv[0], out=dlog[0])
             for s_k, e_k, d_prev, d, g_prev, g, h_prev, h in rows:
-                # d_k = c_k - lam - r with r = t^2 / d_(k-1), and with q = r / d_k:
+                # d_k = c_k - lam - r with r = t^2 / d_(k-1);
                 # d_k'/d_k = (r d_(k-1)'/d_(k-1) - 1) / d_k and
-                # d_k''/d_k = q (d_(k-1)''/d_(k-1) - 2 (d_(k-1)'/d_(k-1))^2)
+                # d_k''/(2 d_k) = r (d_(k-1)''/(2 d_(k-1)) - (d_(k-1)'/d_(k-1))^2) / d_k
                 np.divide(e_k, d_prev, out=r)
                 np.subtract(s_k, r, out=d)
                 d -= _PIVMIN  # an exact zero pivot counts as negative
-                np.divide(r, d, out=q)
                 np.multiply(g_prev, g_prev, out=tmp)
-                tmp *= -2.0
-                tmp += h_prev
-                np.multiply(q, tmp, out=h)
+                np.subtract(h_prev, tmp, out=tmp)
+                tmp *= r
+                np.divide(tmp, d, out=h)
                 np.multiply(r, g_prev, out=tmp)
                 tmp -= 1.0
                 np.divide(tmp, d, out=g)
             below = np.count_nonzero(piv < 0.0, axis=0)
             grad = dlog.sum(axis=0)  # p'/p
-            hess = np.einsum("ij,ij->j", dlog, dlog) - curv.sum(axis=0)  # -(p'/p)'
+            hess = np.einsum("ij,ij->j", dlog, dlog) - 2.0 * curv.sum(axis=0)  # -(p'/p)'
             above = below == n
             hi = np.where(above, lam, hi)
             lo = np.where(above, lo, lam)

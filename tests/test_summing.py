@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from summinglab import (Certainty, CharacterSet, NormEstimate, UnitFamily,
+from summinglab import (Certainty, CharacterSet, NormEstimate, SpaceKind, UnitFamily,
                         VectorSystem, character_system, ell_norm_mc,
                         gaussian_system, identity_map, kp_constant_lower,
                         kp_summing_bound, parse_space, pivot_upper,
@@ -222,7 +222,7 @@ def test_unit_family_gather_matches_dense_product():
             assert est.certainty is Certainty.EXACT
             assert est.value == pytest.approx(norms_of_stack(dense, space)[0], rel=1e-12)
             continue
-        if space.kind.value == "schatten" and fam.size == space.flat_dim:
+        if space.kind is SpaceKind.SCHATTEN and fam.size == space.flat_dim:
             value, stderr = _bidiagonal_second_moment(space, samples, 31)
         else:
             value, stderr = _dense_second_moment(dense, space, samples, 31)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from summinglab import (AscentConfig, Certainty, CharacterSet, SpanElement,
+from summinglab import (AscentConfig, Certainty, CharacterSet, SpaceKind, SpanElement,
                         UnitFamily, character_system, full_character_set,
                         gaussian_system,
                         kp_constant_lower, kp_growth_profile,
@@ -262,7 +262,7 @@ def _serial_second_moment(family, samples, seed):
     for index, start in enumerate(range(0, samples, GRAM_BLOCK)):
         count = min(GRAM_BLOCK, samples - start)
         rng = make_rng(substream(seed, index))
-        if space.kind.value == "schatten" and family.size == space.flat_dim:
+        if space.kind is SpaceKind.SCHATTEN and family.size == space.flat_dim:
             n = space.dim
             chis = gaussian_bidiagonal(rng, count, n)
             q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value) ** 2
