@@ -1,9 +1,9 @@
 """Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
-Times ``lp_ascent``, ``ratio_ascent``, ``schatten_norm_batch`` and
-``bidiagonal_schatten_norms`` from ``summinglab.kernels``, and the one
-Monte Carlo loop (256-sample blocks drawn, gathered and reduced on a
-thread pool) through
+Times ``lp_ascent``, ``ratio_ascent``, ``schatten_norm_batch``,
+``bidiagonal_schatten_norms`` and a ``SpectralRun`` from
+``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
+blocks drawn, gathered and reduced on a thread pool) through
 ``summing.ell_norm_mc`` and ``systems.second_moment`` on a gathered
 family, on fixed inputs and seeds, and prints the median and quartiles of
 the wall time over ``--repeats`` calls, plus the best value each call
@@ -74,6 +74,10 @@ def cases():
     for p in (np.inf, 4.0):
         yield (f"bidiagonal_schatten_norms p={p:g} (256 x n=64, one block)",
                kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], p))
+    # the S_inf reduction of one run of eight such blocks, appended block by
+    # block and reduced in one Laguerre pass
+    chis = gaussian_bidiagonal(make_rng(8), 8 * kernels.GRAM_BLOCK, 64)
+    yield ("SpectralRun p=inf (2048 x n=64, one 8-block run)", _spectral_run_norms, (chis, 64))
 
     # the whole loop at the README's largest thm2 size: draws, norms, sums
     for v in ("inf", 4):
@@ -87,6 +91,14 @@ def cases():
     space = schatten_space(4, 32)
     diag = UnitFamily(space, (np.arange(32) * 33)[:, None])
     yield ("second_moment s4:32 diag (20000 samples, seed 11)", _second_moment_value, (diag,))
+
+
+def _spectral_run_norms(chis, n):
+    run = kernels.SpectralRun(n, len(chis))
+    for start in range(0, len(chis), kernels.GRAM_BLOCK):
+        block = chis[start:start + kernels.GRAM_BLOCK]
+        run.append(block[:, :n], block[:, n:])
+    return run.norms()
 
 
 def _ell_norm_value(space_map, samples):

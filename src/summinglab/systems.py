@@ -3,19 +3,22 @@
 Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
 whose GRAM_BLOCK-row blocks are drawn, gathered and reduced on a pool of at
-most ``MC_WIDTH`` threads, each from its own substream, and whose sums are
-added in block order, so the result does not depend on the core count. A
-Schatten space's full grid of matrix units draws each sample as the 2n - 1
-chi entries of a bidiagonal matrix with a Gaussian matrix's singular values. On
-top of the systems sit the Lambda(p)-constant and Sidon-constant
-estimators, which are nonconvex maximizations shipped as
-ascent-with-restarts giving certified lower bounds.
+most ``MC_WIDTH`` threads, each from its own substream, one pool task per
+run of consecutive blocks, and whose sums are added in block order, so the
+result depends neither on the core count nor on how blocks are grouped in
+runs. A Schatten space's full grid of matrix units draws each sample as the
+2n - 1 chi entries of a bidiagonal matrix with a Gaussian matrix's singular
+values; at S_inf a run's blocks are reduced together. On top of the systems
+sit the Lambda(p)-constant and Sidon-constant estimators, which are
+nonconvex maximizations shipped as ascent-with-restarts giving certified
+lower bounds.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -23,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import GRAM_BLOCK, bidiagonal_schatten_norms, lp_ascent, ratio_ascent
+from .kernels import (GRAM_BLOCK, SpectralRun, bidiagonal_schatten_norms, lp_ascent,
+                      ratio_ascent)
 from .rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, UnitFamily, VectorSystem,
                      _ones_norm, lp_norm, norms_of_stack, parse_exponent)
@@ -176,26 +180,57 @@ def _draws_bidiagonal(dim: int, space: SpaceDescriptor) -> bool:
     return space.kind is SpaceKind.SCHATTEN and dim == space.flat_dim
 
 
-def _mc_working_set(dim: int, space: SpaceDescriptor) -> tuple[int, int]:
+# Bytes to which taking more blocks per pool task may grow a thread's
+# projected working set: four S_inf bidiagonal blocks at n = 64 (1.97 MB),
+# whose iteration then acts on about a thousand rows a numpy call. Not a
+# setting.
+MC_RUN_BYTES = 2 ** 21
+
+
+def _runs_spectral(dim: int, space: SpaceDescriptor) -> bool:
+    """Whether a run of blocks is reduced at once, by one ``kernels.SpectralRun``.
+
+    So it is for bidiagonal draws at S_inf, whose Laguerre iteration makes a
+    dozen numpy calls per matrix entry and iteration, on vectors as long as
+    the rows it reduces at once; every other route reduces each block as it
+    is drawn.
+    """
+    return _draws_bidiagonal(dim, space) and space.exponent.value == np.inf
+
+
+def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
     """(rows, row length) of the float64 entries that one Monte Carlo thread holds.
 
-    Its slot, a GRAM_BLOCK-row block of what it draws; the block's squared
-    norms; and the kernel's temporaries, each part rounded up to whole rows.
-    A family that gathers holds rows of flat_dim: the block of the rows the
-    kernel reads, drawn there when the gather is the identity (dim ==
-    flat_dim), otherwise gathered from the slot's own (GRAM_BLOCK, dim)
-    coefficients, and three GRAM_BLOCK-matrix blocks on Schatten spaces, a
-    magnitude and a scaled copy of the block on sequence spaces. A family
-    that draws bidiagonals holds rows of its 2n - 1 chi entries at S_4 and
-    S_inf, where ``bidiagonal_schatten_norms`` holds at most twelve n-entry
-    arrays and 32 more entries per matrix; at any other exponent, rows of
-    flat_dim for the draws, the materialized block and the three blocks of
-    ``schatten_norm_batch``.
+    For a pool task of ``run`` blocks: its slot, a GRAM_BLOCK-row block of
+    what it draws; the block's squared norms; and the kernel's arrays,
+    rounded up to whole rows. A family that gathers holds rows of
+    flat_dim: the block of the rows the kernel reads, drawn there when the
+    gather is the identity (dim == flat_dim), otherwise gathered from the
+    slot's own (GRAM_BLOCK, dim) coefficients, and three GRAM_BLOCK-matrix
+    blocks on Schatten spaces, a magnitude and a scaled copy of the block on
+    sequence spaces. A family that draws bidiagonals holds rows of its 2n - 1
+    chi entries at S_4 and S_inf. At S_4, ``bidiagonal_schatten_norms`` holds
+    at most twelve n-entry arrays and 32 more entries per matrix. At S_inf,
+    the ``SpectralRun`` holds 2n + 1 entries per matrix of the run, and on
+    top either the temporaries of appending a block (3n + 128 entries per
+    matrix of the block: three n-entry arrays, and numpy's buffers for the
+    strided operands) or the Laguerre iteration's (48 + n/8 entries per
+    matrix of the run for its vectors and pivot signs, and 200 per matrix
+    entry for the views it makes once), never both at once. At any other
+    exponent, rows of flat_dim for the draws, the materialized block and the
+    three blocks of ``schatten_norm_batch``. Only the S_inf route grows with
+    ``run``: the others reduce each block in the slot before they draw the
+    next.
     """
     flat = space.flat_dim
     if _draws_bidiagonal(dim, space):
         n, entries = space.dim, 2 * space.dim - 1
-        if space.exponent.value in (4.0, np.inf):
+        if _runs_spectral(dim, space):
+            columns = (2 * n + 1) * run * GRAM_BLOCK
+            append = (3 * n + 128) * GRAM_BLOCK
+            iterate = (48 + -(-n // 8)) * run * GRAM_BLOCK + 200 * n
+            return GRAM_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
+        if space.exponent.value == 4.0:
             return (GRAM_BLOCK + -(-GRAM_BLOCK // entries)
                     + -(-(12 * n + 32) * GRAM_BLOCK // entries)), entries
         return (-(-GRAM_BLOCK * entries // flat) + -(-GRAM_BLOCK // flat)
@@ -206,38 +241,66 @@ def _mc_working_set(dim: int, space: SpaceDescriptor) -> tuple[int, int]:
     return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * GRAM_BLOCK, flat
 
 
-def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> int:
-    """Threads for one Monte Carlo loop, checked against MAX_ARRAY_BYTES first.
+def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]:
+    """(threads, blocks per pool task) for one Monte Carlo loop, checked against MAX_ARRAY_BYTES.
 
-    At most MC_WIDTH, the number of GRAM_BLOCK-row blocks, and as many
-    threads as ``_mc_working_set`` fits under the cap; a working set over
-    the cap even at width 1 is refused before any allocation.
+    Threads: at most MC_WIDTH, the number of GRAM_BLOCK-row blocks, and as
+    many as ``_mc_working_set`` of one block fits under the cap; a working
+    set over the cap even at width 1 is refused before any allocation. A
+    task then takes a run of as many consecutive blocks as keep its working
+    set within MC_RUN_BYTES (at least one), and at most a 2 * width-th of
+    the blocks, so that every thread gets work.
     """
+    blocks = -(-samples // GRAM_BLOCK)
     rows, length = _mc_working_set(dim, space)
     cap = MAX_ARRAY_BYTES // (length * 8)
-    width = max(1, min(MC_WIDTH, -(-samples // GRAM_BLOCK), cap // rows))
-    check_array_bytes("Monte Carlo chunk working set", (width * rows, length), np.float64)
-    return width
+    width = max(1, min(MC_WIDTH, blocks, cap // rows))
+    run = 1
+    while (run < -(-blocks // (2 * width))
+           and _mc_working_set(dim, space, run + 1)[0] * length * 8 <= MC_RUN_BYTES):
+        run += 1
+    check_array_bytes("Monte Carlo chunk working set",
+                      (width * _mc_working_set(dim, space, run)[0], length), np.float64)
+    return width, run
 
 
-def _block_sums(family: UnitFamily, seed, index: int, count: int, slots) -> tuple[float, float]:
-    # On a pool thread: draw block ``index`` into a free slot, as bidiagonals
-    # or as coefficients gathered there unless the gather is the identity, and
-    # reduce it to its two sums. The pool's threads are as many as the slots,
+def _two_sums(q) -> tuple[float, float]:
+    # a block's sum of squared norms and of their squares; q is overwritten
+    np.square(q, out=q)
+    return float(q.sum()), float((q * q).sum())
+
+
+def _run_sums(family: UnitFamily, seed, first: int, counts, slots,
+              one_pass) -> list[tuple[float, float]]:
+    # On a pool thread: draw blocks first, first + 1, ... (counts[i] rows for
+    # block first + i) into a free slot in turn, as bidiagonals or as
+    # coefficients gathered there unless the gather is the identity, and
+    # reduce each to its two sums. At S_inf the bidiagonal blocks go to the
+    # slot's SpectralRun instead, which reduces them all at once while it
+    # holds the one_pass lock. The pool's threads are as many as the slots,
     # so get() never waits.
-    slot = rows, coeffs = slots.get()
+    slot = rows, coeffs, spectral = slots.get()
     try:
-        rng, space = make_rng(substream(seed, index)), family.space
-        if _draws_bidiagonal(family.size, space):
-            n = space.dim
-            chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
-            q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value)
-        else:
-            drawn = standard_gaussians(rng, (count, family.size),
-                                       out=(rows if coeffs is None else coeffs)[:count])
-            q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), space)
-        np.square(q, out=q)
-        return float(q.sum()), float((q * q).sum())
+        space, sums = family.space, []
+        for index, count in enumerate(counts, first):
+            rng = make_rng(substream(seed, index))
+            if _draws_bidiagonal(family.size, space):
+                n = space.dim
+                chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
+                if spectral is not None:
+                    spectral.append(chis[:, :n], chis[:, n:])
+                    continue
+                q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value)
+            else:
+                drawn = standard_gaussians(rng, (count, family.size),
+                                           out=(rows if coeffs is None else coeffs)[:count])
+                q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), space)
+            sums.append(_two_sums(q))
+        if spectral is not None:
+            with one_pass:
+                q = spectral.norms()
+            sums = [_two_sums(part) for part in np.split(q, np.cumsum(counts[:-1]))]
+        return sums
     finally:
         slots.put(slot)
 
@@ -251,45 +314,61 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     is the identity on a full basis or grid. The full grid of a Schatten
     space (``_draws_bidiagonal``) draws instead, per sample, the 2n - 1 chi
     entries of a bidiagonal with the singular values of the Gaussian
-    matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``. One
-    pool task per block, on ``_mc_width`` threads, draws (and gathers) it
-    into a free slot and reduces it to its two sums (numpy's Philox fill,
-    ``take``, ``matmul`` and LAPACK release the GIL). There is one slot per
-    thread, allocated once per call, so nothing block-sized is allocated
-    inside the loop but the kernel's temporaries. The caller keeps at most
-    two tasks per thread in flight and adds each block's sums in block
-    order, so the result is the same float however the tasks interleave.
-    The value is a Monte Carlo estimate, so it is ``lower`` with a standard
-    error (delta method on the square root).
+    matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``, or at
+    S_inf by a ``kernels.SpectralRun``. One pool task per run of
+    consecutive blocks, on ``_mc_width`` threads with its run length, draws
+    (and gathers) each block into a free slot and reduces it to its two
+    sums; at S_inf it appends each bidiagonal block to the slot's
+    SpectralRun and reduces the run in one Laguerre pass, whose numpy calls
+    then act on the run's rows instead of one block's (numpy's Philox and
+    gamma fills, ``take``, ``matmul`` and LAPACK release the GIL). There is
+    one slot per thread, allocated once per call, so nothing block-sized is
+    allocated inside the loop but the kernel's temporaries. The caller keeps
+    at most two tasks per thread in flight and adds each block's sums in
+    block order, so the result is the same float however the tasks
+    interleave and however the blocks are grouped into runs. The value is a
+    Monte Carlo estimate, so it is ``lower`` with a standard error (delta
+    method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
     space, dim = family.space, family.size
-    width = _mc_width(dim, space, samples)
+    width, run = _mc_width(dim, space, samples)
     # imported here: concurrent.futures loads logging and queue, about 5 ms
     # of start-up that the commands without Monte Carlo need not pay
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    # one array per part for all slots: slot i is (drawn or kernel rows, coefficients)[i]
+    # one array per part for all slots: slot i is (drawn or kernel rows,
+    # coefficients, S_inf run)[i]
     row = 2 * space.dim - 1 if _draws_bidiagonal(dim, space) else space.flat_dim
     kernel_rows = np.empty((width, GRAM_BLOCK, row))
     coeffs = np.empty((width, GRAM_BLOCK, dim)) if dim < space.flat_dim else [None] * width
+    spectral = ([SpectralRun(space.dim, run * GRAM_BLOCK) for _ in range(width)]
+                if _runs_spectral(dim, space) else [None] * width)
     slots = queue.SimpleQueue()
-    for slot in zip(kernel_rows, coeffs):
+    for slot in zip(kernel_rows, coeffs, spectral):
         slots.put(slot)
+    # One Laguerre pass at a time: a pass is thousands of short numpy calls,
+    # each of which drops and retakes the GIL on vectors of over 500 rows,
+    # so two passes at once mostly hand the GIL to each other; the other
+    # threads draw and append their next blocks meanwhile.
+    one_pass = threading.Lock()
+    blocks = -(-samples // GRAM_BLOCK)
     sums = []
-    running = deque()  # each block's task, in block order
+    running = deque()  # each run's task, in block order
     pool = ThreadPoolExecutor(width)
     try:
-        for index, start in enumerate(range(0, samples, GRAM_BLOCK)):
+        for first in range(0, blocks, run):
             if len(running) == 2 * width:
-                sums.append(running.popleft().result())
-            running.append(pool.submit(_block_sums, family, seed, index,
-                                       min(GRAM_BLOCK, samples - start), slots))
-        sums.extend(run.result() for run in running)
+                sums.extend(running.popleft().result())
+            counts = [min(GRAM_BLOCK, samples - index * GRAM_BLOCK)
+                      for index in range(first, min(first + run, blocks))]
+            running.append(pool.submit(_run_sums, family, seed, first, counts, slots, one_pass))
+        for task in running:
+            sums.extend(task.result())
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
@@ -377,8 +456,10 @@ def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:
 
     Checked first against MAX_ARRAY_BYTES: the matrix alone, then all the
     ascent holds, in rows of ``order`` complex entries: the matrix (m rows;
-    building it takes no more), and per restart ``kernels._sphere_ascent``'s
-    trial values of two rounds and the magnitudes of both (half a row each).
+    building it takes no more), and three rows per restart for a round of
+    ``kernels._sphere_ascent``: its trial values (a row) and their
+    magnitudes (half a row), and as much again for the copies its gradient
+    takes of them (the last round's are dropped before the next product).
     """
     check_array_bytes("character matrix", (charset.order, charset.size), np.complex128)
     check_array_bytes("ascent working set", (charset.size + 3 * restarts, charset.order),

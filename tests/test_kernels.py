@@ -370,3 +370,19 @@ def test_bidiagonal_rows_do_not_depend_on_their_block():
         loop = [kernels.bidiagonal_schatten_norms(diag[i:i + 1], sup[i:i + 1], p)[0]
                 for i in range(len(diag))]
         assert np.array_equal(kernels.bidiagonal_schatten_norms(diag, sup, p), loop)
+    # a 1024-row run at n = 64, appended block by block from the Monte Carlo
+    # loop's one-block slot, equals each block's own call, and the run is
+    # empty again after norms()
+    n, block = 64, kernels.GRAM_BLOCK
+    run = kernels.SpectralRun(n, 4 * block)
+    slot = np.empty((block, 2 * n - 1))
+    per_block = []
+    for k in range(4):
+        chis = gaussian_bidiagonal(make_rng(k), block, n, out=slot)
+        if k == 2:
+            chis[::5, n::3] = 0.0  # rows with decoupled blocks
+        per_block.append(kernels.bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], np.inf))
+        run.append(chis[:, :n], chis[:, n:])
+    assert np.array_equal(run.norms(), np.concatenate(per_block))
+    run.append(slot[:3, :n], slot[:3, n:])
+    assert np.array_equal(run.norms(), per_block[-1][:3])

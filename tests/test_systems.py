@@ -280,7 +280,10 @@ def _serial_second_moment(family, samples, seed):
 
 # Samples in blocks: a partial last block of one row (33 blocks, odd, so
 # not a multiple of the width), under one block, 97 blocks on four threads,
-# exactly one block, a last block of half the rows, and one thread.
+# exactly one block, a last block of half the rows, and one thread. The
+# S_inf^16 grid draws bidiagonals reduced in runs of several blocks (11,
+# 6 and 3 at widths 1, 2 and 4) whose last run is short and ends in a block
+# of three rows.
 @pytest.mark.parametrize("space,family,samples,width", [
     (schatten_space(4, 6), "basis", 32 * GRAM_BLOCK + 1, 2),
     (schatten_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
@@ -294,15 +297,22 @@ def _serial_second_moment(family, samples, seed):
     (schatten_space(4, 6), "basis", GRAM_BLOCK + GRAM_BLOCK // 2, 2),
     (sequence_space(4, 12), "blocks", 32 * GRAM_BLOCK + 1, 2),
     (schatten_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 1),
+    (schatten_space("inf", 16), "basis", 22 * GRAM_BLOCK + 3, 1),
+    (schatten_space("inf", 16), "basis", 22 * GRAM_BLOCK + 3, 2),
+    (schatten_space("inf", 16), "basis", 22 * GRAM_BLOCK + 3, 4),
 ], ids=["s4", "sinf", "s4-3-svd", "linf", "sinf-diag", "s4-grid", "s4-grid-one-chunk",
         "sinf-4-threads", "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block",
-        "l4-blocks", "sinf-1-thread"])
+        "l4-blocks", "sinf-1-thread", "sinf16-runs-1-thread", "sinf16-runs-2-threads",
+        "sinf16-runs-4-threads"])
 def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, width):
-    # one pool task per GRAM_BLOCK-row block, sums in block order: the same
-    # floats as the one-thread loop, value and stderr, also with more
-    # threads than cores and a short switch interval
+    # one pool task per run of GRAM_BLOCK-row blocks, sums in block order:
+    # the same floats as the one-thread loop, value and stderr, also with
+    # more threads than cores and a short switch interval
     monkeypatch.setattr(systems, "MC_WIDTH", width)
     family = _mc_family(space, family)
+    if space.dim == 16:
+        runs = {1: 11, 2: 6, 4: 3}[width]
+        assert systems._mc_width(family.size, space, samples) == (width, runs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -319,27 +329,51 @@ def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
     # diagonal units of S_inf^64 that is 1029 rows of 32 KiB (34 MB), so all
     # sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1027 rows of
     # 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
+    # (such working sets are far above MC_RUN_BYTES, so each task takes one
+    # block)
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
     assert systems._mc_working_set(64, space) == (1029, 4096)
-    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == 16
-    assert systems._mc_width(180, schatten_space("inf", 180), 320 * GRAM_BLOCK) == 8
+    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == (16, 1)
+    assert systems._mc_width(180, schatten_space("inf", 180), 320 * GRAM_BLOCK) == (8, 1)
     # never more threads than blocks
-    assert systems._mc_width(64, space, 5 * GRAM_BLOCK) == 5
-    assert systems._mc_width(64, space, GRAM_BLOCK) == 1
+    assert systems._mc_width(64, space, 5 * GRAM_BLOCK) == (5, 1)
+    assert systems._mc_width(64, space, GRAM_BLOCK) == (1, 1)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == 2
+    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == (2, 1)
+
+
+def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
+    # a task takes as many blocks as keep its working set within
+    # MC_RUN_BYTES, and at most a 2 * width-th of them: at S_inf^64 four
+    # blocks (1942 rows of 127 entries, 1.97 MB; five would be 2.24 MB),
+    # at S_inf^16 eleven; a working set that does not grow with the run
+    # (a sequence space's basis) takes the 2 * width-th whenever one block
+    # fits (one that does not takes one block: the test above)
+    monkeypatch.setattr(systems, "MC_WIDTH", 2)
+    sinf64, sinf16 = schatten_space("inf", 64), schatten_space("inf", 16)
+    assert systems._mc_width(4096, sinf64, 20_000) == (2, 4)
+    assert systems._mc_working_set(4096, sinf64, 4) == (1942, 127)
+    assert systems._mc_working_set(4096, sinf64, 5)[0] * 127 * 8 > systems.MC_RUN_BYTES
+    assert systems._mc_width(256, sinf16, 20_000) == (2, 11)
+    assert systems._mc_width(256, sinf16, 9 * GRAM_BLOCK) == (2, 3)
+    assert systems._mc_width(16, sequence_space("inf", 16), 100_000) == (2, 98)
 
 
 def test_mc_working_set_of_the_bidiagonal_route():
-    # the full grid draws rows of 2n - 1 chi entries: at S_4 and S_inf a
-    # block of them, its squared norms and 12n + 32 entries per matrix
-    # (1872 rows of 127 at n = 64; 1803 rows of 1023, 14.8 MB, at n = 512,
-    # where the dense block alone would be 537 MB); any other exponent
-    # materializes the block, in rows of n^2 as the gather route counts
-    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1872, 127)
+    # the full grid draws rows of 2n - 1 chi entries: at S_4 a block of
+    # them, its squared norms and 12n + 32 entries per matrix (1872 rows of
+    # 127 at n = 64); at S_inf a block of them, 2n + 1 entries per matrix of
+    # the run, and the larger of 3n + 128 per matrix of the block and what
+    # the iteration holds (1162 rows of 127 for a one-block run at n = 64;
+    # 929 rows of 1023, 7.6 MB, at n = 512, where the dense block alone would
+    # be 537 MB); any other exponent materializes the block, in rows of n^2
+    # as the gather route counts
+    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1162, 127)
+    assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1942, 127)
     assert systems._mc_working_set(4096, schatten_space(4, 64)) == (1872, 127)
-    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (1803, 1023)
+    assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (1872, 127)
+    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (929, 1023)
     assert systems._mc_working_set(4096, schatten_space(3, 64)) == (1033, 4096)
     # a sequence space's full basis still draws its rows
     assert systems._mc_working_set(64, sequence_space("inf", 64)) == (772, 64)
@@ -352,16 +386,18 @@ def test_mc_working_set_of_the_bidiagonal_route():
     (schatten_space(4, 64), "basis", 17 * GRAM_BLOCK + 1),
     (schatten_space("inf", 2), "basis", 17 * GRAM_BLOCK + 1),
     (schatten_space(3, 16), "basis", 17 * GRAM_BLOCK + 1),
+    (schatten_space("inf", 16), "basis", 52 * GRAM_BLOCK + 1),
 ], ids=["sinf64-basis", "s4-32-diag", "linf-blocks", "s4-64-basis", "sinf2-basis",
-        "s3-16-basis"])
+        "s3-16-basis", "sinf16-long-runs"])
 def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
     # what numpy allocates during the loop, on every thread, stays under the
-    # working set _mc_width checks against the cap, and holds at least one
-    # block of the rows the route draws or reduces
+    # working set _mc_width checks against the cap for its run length (11
+    # blocks a task for the S_inf^16 grid), and holds at least one block of
+    # the rows the route draws or reduces
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     family = _mc_family(space, family)
-    width = systems._mc_width(family.size, space, samples)
-    rows, length = systems._mc_working_set(family.size, space)
+    width, run = systems._mc_width(family.size, space, samples)
+    rows, length = systems._mc_working_set(family.size, space, run)
     _mc_second_moment(family, 2, 5)  # imports on first use are not the loop's
     tracemalloc.start()
     try:
@@ -403,9 +439,9 @@ def _fail_reduction(monkeypatch, at_call):
 @pytest.mark.parametrize("at_call", [0, 40], ids=["first-block", "late-block"])
 def test_pool_worker_error_ends_the_call(monkeypatch, at_call):
     # a RuntimeWarning raised while a pool thread reduces a block, the first
-    # or the 41st of 64 (2 * width blocks in flight, every slot reused), is
-    # the exception the caller sees; no task waits on a slot, and every pool
-    # thread has ended when the call returns. The call runs in a thread
+    # or the 41st of 64 (runs of 16, all four tasks in flight, every slot
+    # reused), is the exception the caller sees; no task waits on a slot,
+    # and every pool thread has ended when the call returns. The call runs in a thread
     # joined with a deadline, so a hang fails this test alone.
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     raised = _fail_reduction(monkeypatch, at_call)
@@ -427,9 +463,10 @@ def test_pool_worker_error_ends_the_call(monkeypatch, at_call):
 
 
 def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
-    # a block is in flight from its submit until the caller takes its sums;
-    # a loop that submitted every block at once (as Executor.map does) would
-    # have all 64 in flight, and hold all their futures
+    # a task is in flight from its submit until the caller takes its sums;
+    # a loop that submitted every task at once (as Executor.map does) would
+    # have all 64 in flight, and hold all their futures. The S_4^32 diagonal
+    # units' working set is above MC_RUN_BYTES, so each task is one block
     in_flight = set()
     peak = [0]
 
@@ -453,7 +490,8 @@ def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    family = _mc_family(sequence_space("inf", 6), "basis")
+    family = _mc_family(schatten_space(4, 32), "diag")
+    assert systems._mc_width(family.size, family.space, 64 * GRAM_BLOCK) == (2, 1)
     est = _mc_second_moment(family, 64 * GRAM_BLOCK, 3)
     assert not in_flight
     assert 1 <= peak[0] <= 2 * 2  # 2 * width
