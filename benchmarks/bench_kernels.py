@@ -4,8 +4,8 @@ Times ``lp_ascent``, ``ratio_ascent``, ``schatten_norm_batch``,
 ``bidiagonal_schatten_norms`` and a ``SpectralRun`` from
 ``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
 blocks drawn, gathered and reduced on a thread pool) through
-``summing.ell_norm_mc`` and ``systems.second_moment`` on a gathered
-family, on fixed inputs and seeds, and prints the median and quartiles of
+``summing.ell_norm_mc`` and ``systems.second_moment`` on diagonal
+matrix units, on fixed inputs and seeds, and prints the median and quartiles of
 the wall time over ``--repeats`` calls, plus the best value each call
 returned to 17 digits (a change that moves it changed the numbers, not
 just the speed). Usage:
@@ -25,7 +25,7 @@ import numpy as np
 from summinglab import (UnitFamily, gaussian_system, identity_map, kernels,
                         schatten_space, second_moment, summing)
 from summinglab.rng import gaussian_bidiagonal, make_rng
-from summinglab.systems import lacunary_character_set
+from summinglab.systems import MC_BLOCK, lacunary_character_set
 
 
 def _dft(group, m):
@@ -55,28 +55,23 @@ def cases():
     mats = np.random.default_rng(1).standard_normal((2048, 16, 16))
     yield "schatten_norm_batch p=4 (2048 x 16x16)", kernels.schatten_norm_batch, (mats, 4.0)
 
-    # the Gram paths at the README's largest thm2 size, and a complex-stored
-    # stack with zero imaginary part (what a unit family used to feed it)
+    # the SVD at the README's largest thm2 size
     mats = np.random.default_rng(5).standard_normal((4096, 64, 64))
-    yield "schatten_norm_batch p=4 (4096 x 64x64)", kernels.schatten_norm_batch, (mats, 4.0)
     yield ("schatten_norm_batch p=inf (4096 x 64x64)", kernels.schatten_norm_batch,
            (mats, np.inf))
-    mats = np.random.default_rng(6).standard_normal((4096, 32, 32)).astype(np.complex128)
-    yield ("schatten_norm_batch p=4 complex, zero imaginary part (4096 x 32x32)",
-           kernels.schatten_norm_batch, (mats, 4.0))
 
     # one Monte Carlo block at the README's largest thm2 size, both routes:
     # 256 dense Gaussian matrices, and the bidiagonals the full grid draws
-    mats = np.random.default_rng(7).standard_normal((kernels.GRAM_BLOCK, 64, 64))
+    mats = np.random.default_rng(7).standard_normal((MC_BLOCK, 64, 64))
     yield ("schatten_norm_batch p=inf (256 x 64x64, one block)", kernels.schatten_norm_batch,
            (mats, np.inf))
-    chis = gaussian_bidiagonal(make_rng(7), kernels.GRAM_BLOCK, 64)
+    chis = gaussian_bidiagonal(make_rng(7), MC_BLOCK, 64)
     for p in (np.inf, 4.0):
         yield (f"bidiagonal_schatten_norms p={p:g} (256 x n=64, one block)",
                kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], p))
     # the S_inf reduction of one run of eight such blocks, appended block by
     # block and reduced in one Laguerre pass
-    chis = gaussian_bidiagonal(make_rng(8), 8 * kernels.GRAM_BLOCK, 64)
+    chis = gaussian_bidiagonal(make_rng(8), 8 * MC_BLOCK, 64)
     yield ("SpectralRun p=inf (2048 x n=64, one 8-block run)", _spectral_run_norms, (chis, 64))
 
     # the whole loop at the README's largest thm2 size: draws, norms, sums
@@ -87,16 +82,17 @@ def cases():
     # sixteen blocks, a few per thread
     yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, 16 blocks, seed 11)", _ell_norm_value,
            (identity_map(schatten_space(2, 64), schatten_space("inf", 64)), 4096))
-    # a gathered family: interp-audit's S_4^32 diagonal matrix units
+    # interp-audit's S_4^32 diagonal matrix units, reduced as the l_4^32 basis
     space = schatten_space(4, 32)
     diag = UnitFamily(space, (np.arange(32) * 33)[:, None])
-    yield ("second_moment s4:32 diag (20000 samples, seed 11)", _second_moment_value, (diag,))
+    yield ("second_moment s4:32 diag as l4:32 (20000 samples, seed 11)", _second_moment_value,
+           (diag,))
 
 
 def _spectral_run_norms(chis, n):
     run = kernels.SpectralRun(n, len(chis))
-    for start in range(0, len(chis), kernels.GRAM_BLOCK):
-        block = chis[start:start + kernels.GRAM_BLOCK]
+    for start in range(0, len(chis), MC_BLOCK):
+        block = chis[start:start + MC_BLOCK]
         run.append(block[:, :n], block[:, n:])
     return run.norms()
 

@@ -1,22 +1,20 @@
 """Hot numeric kernels: coefficient-sphere ascents, l_p norms, batched Schatten norms.
 
-``schatten_norm_batch`` picks its path from the exponent: the Gram
-Frobenius norm at S_4, the Gram's top eigenvalue at S_inf, and one batched
-SVD reduced by ``lp_norms`` at every other exponent; the two Gram paths
-run block by block, which keeps their temporaries in cache. Its Monte
-Carlo caller, ``systems._mc_second_moment``, applies every family except
-the full grid of matrix units by gathering columns instead of
-multiplying, so real Gaussian rows reach it as real stacks, and calls it
-from pool threads, one ``GRAM_BLOCK``-row Monte Carlo block per call.
-``bidiagonal_schatten_norms`` reduces the full grid's blocks: upper-bidiagonal
-matrices with the singular values of a Gaussian matrix, given by their
-2n - 1 entries; in O(n) per matrix at S_4 (a closed form) and S_inf (a
-safeguarded Laguerre iteration on the tridiagonal B^T B), and through
-``schatten_norm_batch`` on the materialized matrices at every other exponent.
-At S_inf the Monte Carlo loop appends a run of consecutive blocks to a
-``SpectralRun`` instead, which reduces the whole run in one iteration: its
-numpy calls, a dozen per matrix entry and iteration, then act on the run's
-rows instead of one block's, so fewer of them carry the same work.
+``schatten_norm_batch`` reduces a dense stack by one batched SVD and
+``lp_norms`` of the singular values, at every exponent. Its Monte Carlo
+caller, ``systems._mc_second_moment``, sends it only families that still
+gather into matrices: units in distinct rows and columns are reduced as the
+l_u^m sequences they span (``spaces.sequence_copy``), and the full grid of
+matrix units draws bidiagonals. ``bidiagonal_schatten_norms`` reduces the
+full grid's blocks: upper-bidiagonal matrices with the singular values of a
+Gaussian matrix, given by their 2n - 1 entries; in O(n) per matrix at S_4
+(a closed form) and S_inf (a safeguarded Laguerre iteration on the
+tridiagonal B^T B), and through ``schatten_norm_batch`` on the materialized
+matrices at every other exponent. At S_inf the Monte Carlo loop appends a
+run of consecutive blocks to a ``SpectralRun`` instead, which reduces the
+whole run in one iteration: its numpy calls, a dozen per matrix entry and
+iteration, then act on the run's rows instead of one block's, so fewer of
+them carry the same work.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -181,8 +179,8 @@ def lp_norms(mags, p):
     The max at p = inf and the plain sum at p = 1; any other p sums
     (mags / peak)^p with each row's peak factored out, so that no exponent
     overflows or underflows. An empty row has norm 0. Every sequence and span
-    norm of the lab, and every Schatten norm off the S_4 and S_inf Gram
-    paths, is this reduction of some magnitudes.
+    norm of the lab, and every Schatten norm of a dense stack, is this
+    reduction of some magnitudes.
     """
     mags = np.asarray(mags)
     p = float(p)
@@ -197,49 +195,14 @@ def lp_norms(mags, p):
     return peak[..., 0] * scaled.sum(axis=-1) ** (1.0 / p)
 
 
-# Matrices per block of the Gram paths: a block's scaled copy and Gram fit
-# in a few MB of cache even at n = 64, where a stack of thousands does not.
-# Also the Gaussian rows of one Monte Carlo block, the loop's one unit of
-# draws and of work, so that the kernel gets one block per call.
-GRAM_BLOCK = 256
-
-
 def schatten_norm_batch(mats, p):
     """Schatten p-norms of a (count, n, n) stack. ``p`` may be ``np.inf``.
 
-    The path follows the exponent. At p = 4, ||A||_{S_4} = ||A^H A||_F^(1/2);
-    at p = inf, ||A|| = sqrt of the top eigenvalue of A^H A (``eigvalsh``).
-    Both scale each matrix by its peak |entry| before forming the Gram and
-    multiply it back after, so no entry of the Gram overflows or underflows.
-    Both run over blocks of ``GRAM_BLOCK`` matrices; every step is per
-    matrix, so the values are those of the whole stack at once, and the
-    temporaries stay a few blocks in size. Any other p takes one batched
-    LAPACK SVD (numpy's gufunc reuses workspace across the stack), then
-    ``lp_norms`` of each matrix's singular values.
+    One batched LAPACK SVD (numpy's gufunc reuses workspace across the
+    stack, and LAPACK scales a matrix whose entries would overflow or
+    underflow), then ``lp_norms`` of each matrix's singular values.
     """
-    p = float(p)
-    if p != 4.0 and p != np.inf:
-        return lp_norms(np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False), p)
-    mats = np.asarray(mats)
-    out = np.empty(len(mats))
-    for start in range(0, len(mats), GRAM_BLOCK):
-        _gram_norms(mats[start:start + GRAM_BLOCK], p, out[start:start + GRAM_BLOCK])
-    return out
-
-
-def _gram_norms(mats, p, out):
-    # S_4 or S_inf norms of one block, written into out; a private name, so
-    # that a wrapper around schatten_norm_batch sees one call per stack
-    peak = np.abs(mats).max(axis=(-2, -1), initial=0.0)
-    peak[peak == 0.0] = 1.0  # zero matrices
-    scaled = mats / peak[:, None, None]
-    gram = scaled.swapaxes(-2, -1).conj() @ scaled
-    del scaled  # the reduction below needs only the Gram
-    if p == np.inf:
-        np.multiply(peak, np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), out=out)
-    else:
-        np.multiply(peak, np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram.conj()).real)),
-                    out=out)
+    return lp_norms(np.linalg.svd(np.ascontiguousarray(mats), compute_uv=False), p)
 
 
 # Relative tolerance of the top eigenvalue in ``_tridiagonal_top``, the cap

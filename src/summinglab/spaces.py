@@ -150,15 +150,14 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     """Norms of many elements given as rows of vectorized coordinates.
 
     Sequence spaces and S_2 (the Frobenius norm, no SVD) reduce the entry
-    magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, which
-    takes one of three paths: the Gram Frobenius norm at S_4, the Gram's top
-    eigenvalue at S_inf, singular values otherwise. The Monte Carlo loop
-    (``systems._mc_second_moment``) calls it once per GRAM_BLOCK-row block,
-    on a pool thread; every row is a unit family's gather of Gaussian
-    coefficients, not a product, and for a full sequence basis the
-    coefficients themselves. A Schatten space's full grid does not come
-    here: its blocks are bidiagonal chi draws, reduced by
-    ``kernels.bidiagonal_schatten_norms``.
+    magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, one
+    batched SVD. The Monte Carlo loop (``systems._mc_second_moment``) calls
+    it once per MC_BLOCK-row block, on a pool thread; every row is a unit
+    family's gather of Gaussian coefficients, not a product, and for a full
+    sequence basis the coefficients themselves. Units in distinct rows and
+    columns do not come here as matrices (``sequence_copy`` makes them the
+    l_u^m basis), and neither does a Schatten space's full grid: its blocks
+    are bidiagonal chi draws, reduced by ``kernels.bidiagonal_schatten_norms``.
     """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:
@@ -293,16 +292,37 @@ def _ones_norm(count: int, exponent: Exponent) -> float:
     return float(count) ** (1.0 / exponent.value)
 
 
+def sequence_copy(family: UnitFamily | VectorSystem) -> UnitFamily | VectorSystem:
+    """The l_u^m basis that m matrix units in distinct rows and columns span, else the family.
+
+    sum_i g_i e_(r_i c_i) has the singular values |g_i|, so its S_u norm is
+    ||g||_u: such units are an isometric copy of the basis of l_u^m (element
+    i to coordinate i). Any other family comes back as it is; more than n
+    units cannot lie in distinct rows, which the shape says before any index.
+    """
+    space = family.space
+    if (not isinstance(family, UnitFamily) or space.kind is not SpaceKind.SCHATTEN
+            or family.size > space.dim):
+        return family
+    m = family.size
+    rows, cols = np.divmod(family.elements[:, 0], space.dim)
+    if np.unique(rows).size < m or np.unique(cols).size < m:
+        return family
+    return UnitFamily(sequence_space(space.exponent, m), np.arange(m)[:, None])
+
+
 def weak_l2_norm(family: UnitFamily | VectorSystem) -> NormEstimate:
     """Weak-l2 norm of a family: the norm of its synthesis map l_2^m -> E.
 
     Unit families have exact closed forms, read from their supports. With
     1/r = max(0, 1/u - 1/2): m disjoint sequence elements of norm s^(1/u)
-    give s^(1/u) m^(1/r); matrix units in distinct rows and columns give
-    m^(1/r), and the full grid of R rows by C columns min(R, C)^(1/r). Any
-    other unit pattern raises. A dense family must lie in a Hilbert space,
-    where the norm is its largest singular value, exactly; elsewhere it raises.
+    give s^(1/u) m^(1/r), and so do matrix units in distinct rows and
+    columns (s = 1), as the l_u^m basis of ``sequence_copy``; the full grid
+    of R rows by C columns gives min(R, C)^(1/r). Any other unit pattern
+    raises. A dense family must lie in a Hilbert space, where the norm is
+    its largest singular value, exactly; elsewhere it raises.
     """
+    family = sequence_copy(family)
     u = family.space.exponent
     if isinstance(family, UnitFamily):
         weight = Exponent(max(0.0, u.recip - 0.5))
@@ -312,9 +332,6 @@ def weak_l2_norm(family: UnitFamily | VectorSystem) -> NormEstimate:
             return NormEstimate(value, Certainty.EXACT, method="disjoint-support closed form")
         rows, cols = np.divmod(family.elements[:, 0], family.space.dim)
         n_rows, n_cols = np.unique(rows).size, np.unique(cols).size
-        if n_rows == n_cols == m:
-            return NormEstimate(_ones_norm(m, weight), Certainty.EXACT,
-                                method="bi-disjoint rank-one closed form")
         if n_rows * n_cols == m:  # m distinct units inside rows x cols fill it
             value = min(n_rows, n_cols) ** weight.recip
             return NormEstimate(value, Certainty.EXACT, method="uniform rank-one grid closed form")

@@ -35,7 +35,7 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None) -> No
 
     The Gaussian second moment of the coordinate basis in the codomain,
     whose gather is the identity: exactly sqrt(flat dimension) when the
-    codomain is Hilbert as well, otherwise Monte Carlo in GRAM_BLOCK-row
+    codomain is Hilbert as well, otherwise Monte Carlo in MC_BLOCK-row
     blocks with a standard error. The result doubles as a lower bound for
     the Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
     """

@@ -2,7 +2,7 @@
 
 Character systems integrate exactly (normalized counting average over the
 group); the Gaussian system integrates by seeded Monte Carlo, in one loop
-whose GRAM_BLOCK-row blocks are drawn, gathered and reduced on a pool of at
+whose MC_BLOCK-row blocks are drawn, gathered and reduced on a pool of at
 most ``MC_WIDTH`` threads, each from its own substream, one pool task per
 run of consecutive blocks, and whose sums are added in block order, so the
 result depends neither on the core count nor on how blocks are grouped in
@@ -26,11 +26,10 @@ from functools import lru_cache
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import (GRAM_BLOCK, SpectralRun, bidiagonal_schatten_norms, lp_ascent,
-                      ratio_ascent)
+from .kernels import SpectralRun, bidiagonal_schatten_norms, lp_ascent, ratio_ascent
 from .rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, UnitFamily, VectorSystem,
-                     _ones_norm, lp_norm, norms_of_stack, parse_exponent)
+                     _ones_norm, lp_norm, norms_of_stack, parse_exponent, sequence_copy)
 
 # Largest array a configuration may make the lab allocate, in bytes (2 GiB).
 # Not a setting.
@@ -162,6 +161,10 @@ def character_system(charset: CharacterSet) -> OrthonormalSystem:
     return OrthonormalSystem("characters", charset)
 
 
+# Gaussian samples per Monte Carlo block, the loop's one unit of draws and
+# of work, drawn from its own substream; the kernel gets one block per call.
+MC_BLOCK = 256
+
 # Most threads in one Monte Carlo loop: the CPU count this process may run
 # on (the whole machine's where the OS cannot say). Not a setting; each loop
 # narrows it to what its work and its working set leave room for.
@@ -201,24 +204,26 @@ def _runs_spectral(dim: int, space: SpaceDescriptor) -> bool:
 def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
     """(rows, row length) of the float64 entries that one Monte Carlo thread holds.
 
-    For a pool task of ``run`` blocks: its slot, a GRAM_BLOCK-row block of
+    For a pool task of ``run`` blocks: its slot, an MC_BLOCK-row block of
     what it draws; the block's squared norms; and the kernel's arrays,
     rounded up to whole rows. A family that gathers holds rows of
     flat_dim: the block of the rows the kernel reads, drawn there when the
     gather is the identity (dim == flat_dim), otherwise gathered from the
-    slot's own (GRAM_BLOCK, dim) coefficients, and three GRAM_BLOCK-matrix
-    blocks on Schatten spaces, a magnitude and a scaled copy of the block on
-    sequence spaces. A family that draws bidiagonals holds rows of its 2n - 1
-    chi entries at S_4 and S_inf. At S_4, ``bidiagonal_schatten_norms`` holds
-    at most twelve n-entry arrays and 32 more entries per matrix. At S_inf,
-    the ``SpectralRun`` holds 2n + 1 entries per matrix of the run, and on
-    top either the temporaries of appending a block (3n + 128 entries per
-    matrix of the block: three n-entry arrays, and numpy's buffers for the
-    strided operands) or the Laguerre iteration's (48 + n/8 entries per
-    matrix of the run for its vectors and pivot signs, and 200 per matrix
-    entry for the views it makes once), never both at once. At any other
-    exponent, rows of flat_dim for the draws, the materialized block and the
-    three blocks of ``schatten_norm_batch``. Only the S_inf route grows with
+    slot's own (MC_BLOCK, dim) coefficients, and three blocks more on
+    Schatten spaces (a bound on the SVD's singular values, their scaled
+    copy and its one-matrix workspace), a magnitude and a scaled copy of the
+    block on sequence spaces. A family that draws bidiagonals holds rows of
+    its 2n - 1 chi entries at S_4 and S_inf. At S_4,
+    ``bidiagonal_schatten_norms`` holds at most twelve n-entry arrays and 32
+    more entries per matrix. At S_inf, the ``SpectralRun`` holds 2n + 1
+    entries per matrix of the run, and on top either the temporaries of
+    appending a block (3n + 128 entries per matrix of the block: three
+    n-entry arrays, and numpy's buffers for the strided operands) or the
+    Laguerre iteration's (48 + n/8 entries per matrix of the run for its
+    vectors and pivot signs, and 200 per matrix entry for the views it
+    makes once), never both at once. At any other exponent, rows of
+    flat_dim for the draws, the materialized block and the three blocks
+    more of ``schatten_norm_batch``. Only the S_inf route grows with
     ``run``: the others reduce each block in the slot before they draw the
     next.
     """
@@ -226,32 +231,32 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     if _draws_bidiagonal(dim, space):
         n, entries = space.dim, 2 * space.dim - 1
         if _runs_spectral(dim, space):
-            columns = (2 * n + 1) * run * GRAM_BLOCK
-            append = (3 * n + 128) * GRAM_BLOCK
-            iterate = (48 + -(-n // 8)) * run * GRAM_BLOCK + 200 * n
-            return GRAM_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
+            columns = (2 * n + 1) * run * MC_BLOCK
+            append = (3 * n + 128) * MC_BLOCK
+            iterate = (48 + -(-n // 8)) * run * MC_BLOCK + 200 * n
+            return MC_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
         if space.exponent.value == 4.0:
-            return (GRAM_BLOCK + -(-GRAM_BLOCK // entries)
-                    + -(-(12 * n + 32) * GRAM_BLOCK // entries)), entries
-        return (-(-GRAM_BLOCK * entries // flat) + -(-GRAM_BLOCK // flat)
-                + 4 * GRAM_BLOCK), flat
-    rows = GRAM_BLOCK + -(-GRAM_BLOCK // flat)
+            return (MC_BLOCK + -(-MC_BLOCK // entries)
+                    + -(-(12 * n + 32) * MC_BLOCK // entries)), entries
+        return (-(-MC_BLOCK * entries // flat) + -(-MC_BLOCK // flat)
+                + 4 * MC_BLOCK), flat
+    rows = MC_BLOCK + -(-MC_BLOCK // flat)
     if dim < flat:
-        rows += -(-GRAM_BLOCK * dim // flat)
-    return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * GRAM_BLOCK, flat
+        rows += -(-MC_BLOCK * dim // flat)
+    return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * MC_BLOCK, flat
 
 
 def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]:
     """(threads, blocks per pool task) for one Monte Carlo loop, checked against MAX_ARRAY_BYTES.
 
-    Threads: at most MC_WIDTH, the number of GRAM_BLOCK-row blocks, and as
+    Threads: at most MC_WIDTH, the number of MC_BLOCK-row blocks, and as
     many as ``_mc_working_set`` of one block fits under the cap; a working
     set over the cap even at width 1 is refused before any allocation. A
     task then takes a run of as many consecutive blocks as keep its working
     set within MC_RUN_BYTES (at least one), and at most a 2 * width-th of
     the blocks, so that every thread gets work.
     """
-    blocks = -(-samples // GRAM_BLOCK)
+    blocks = -(-samples // MC_BLOCK)
     rows, length = _mc_working_set(dim, space)
     cap = MAX_ARRAY_BYTES // (length * 8)
     width = max(1, min(MC_WIDTH, blocks, cap // rows))
@@ -308,8 +313,8 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots,
 def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
-    Block k is GRAM_BLOCK samples drawn from ``substream(seed, k)``. A
-    family that gathers draws GRAM_BLOCK Gaussian rows and applies them by
+    Block k is MC_BLOCK samples drawn from ``substream(seed, k)``. A
+    family that gathers draws MC_BLOCK Gaussian rows and applies them by
     its gather (``UnitFamily.synthesize``), which keeps real rows real and
     is the identity on a full basis or grid. The full grid of a Schatten
     space (``_draws_bidiagonal``) draws instead, per sample, the 2n - 1 chi
@@ -344,9 +349,9 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     # one array per part for all slots: slot i is (drawn or kernel rows,
     # coefficients, S_inf run)[i]
     row = 2 * space.dim - 1 if _draws_bidiagonal(dim, space) else space.flat_dim
-    kernel_rows = np.empty((width, GRAM_BLOCK, row))
-    coeffs = np.empty((width, GRAM_BLOCK, dim)) if dim < space.flat_dim else [None] * width
-    spectral = ([SpectralRun(space.dim, run * GRAM_BLOCK) for _ in range(width)]
+    kernel_rows = np.empty((width, MC_BLOCK, row))
+    coeffs = np.empty((width, MC_BLOCK, dim)) if dim < space.flat_dim else [None] * width
+    spectral = ([SpectralRun(space.dim, run * MC_BLOCK) for _ in range(width)]
                 if _runs_spectral(dim, space) else [None] * width)
     slots = queue.SimpleQueue()
     for slot in zip(kernel_rows, coeffs, spectral):
@@ -356,7 +361,7 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     # so two passes at once mostly hand the GIL to each other; the other
     # threads draw and append their next blocks meanwhile.
     one_pass = threading.Lock()
-    blocks = -(-samples // GRAM_BLOCK)
+    blocks = -(-samples // MC_BLOCK)
     sums = []
     running = deque()  # each run's task, in block order
     pool = ThreadPoolExecutor(width)
@@ -364,7 +369,7 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
         for first in range(0, blocks, run):
             if len(running) == 2 * width:
                 sums.extend(running.popleft().result())
-            counts = [min(GRAM_BLOCK, samples - index * GRAM_BLOCK)
+            counts = [min(MC_BLOCK, samples - index * MC_BLOCK)
                       for index in range(first, min(first + run, blocks))]
             running.append(pool.submit(_run_sums, family, seed, first, counts, slots, one_pass))
         for task in running:
@@ -388,11 +393,14 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
                   samples: int = 100_000, seed=None) -> NormEstimate:
     """(average of ||sum_i b_i(omega) y_i||^2)^(1/2) over the system, y = family.
 
-    Character systems pair y_i with the first m characters of the set and
-    average exactly over the group (certified). The Gaussian system takes
+    Matrix units in distinct rows and columns are taken as the l_u^m basis
+    they span (``spaces.sequence_copy``), with no matrix formed. Character
+    systems pair y_i with the first m characters of the set and average
+    exactly over the group (certified). The Gaussian system takes
     unit families: blocked Monte Carlo with a reported standard error,
     except where ``gaussian_closed_form`` gives the value.
     """
+    family = sequence_copy(family)
     space, m = family.space, family.size
     if system.kind == "characters":
         cset = system.charset

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from summinglab import experiments, systems
 from summinglab.cli import build_parser, main
-from summinglab.kernels import GRAM_BLOCK
+from summinglab.systems import MC_BLOCK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -447,16 +447,28 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
       "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"], "group-average values"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
-    # one S_4^520 block is 0.55 GB; with its squared norms, the diagonal
-    # candidate's coefficients and the Gram path's three blocks a thread holds
-    # 1026 rows of 270400 (2.07 GiB), over the cap
-    (["pib", "--space", "s1:520", "--target", "s4:520", "--samples", "4096", "--seed", "1"],
+    # the S_3^520 grid materializes its bidiagonal draws: one block is 0.55
+    # GB, and with the chi rows, the squared norms and the three blocks more
+    # allowed to the SVD a thread holds 1026 rows of 270400 (2.07 GiB), over
+    # the cap
+    (["lnorm", "--space", "s2:520", "--target", "s3:520", "--samples", "4096", "--seed", "1"],
      "Monte Carlo chunk working set of shape (1026, 270400)"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
     # the projected size is checked against the byte cap before allocating
     _assert_usage_error(capsys, argv, needle)
+
+
+def test_diagonal_candidate_of_a_large_schatten_space_runs(capsys):
+    # S_1^520 -> S_4^520: the diagonal units are 520 coefficients of l_4^520,
+    # not gathered 520 x 520 matrices (a thread's working set of those would
+    # be 2.07 GiB), and the grid draws bidiagonals, so the search runs
+    assert main(["pib", "--space", "s1:520", "--target", "s4:520", "--samples", "4096",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("summing-norm lower bound s1:520 -> s4:520 [gaussian]: ")
+    assert out.rstrip().endswith("(family-search[grid])")
 
 
 def test_ascent_working_set_refused_before_the_matrix(capsys, monkeypatch):
@@ -482,7 +494,7 @@ def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
 
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     monkeypatch.setattr(systems, "standard_gaussians", draw)
-    rows, flat = GRAM_BLOCK, 400000
+    rows, flat = MC_BLOCK, 400000
     assert rows * flat * 8 < systems.MAX_ARRAY_BYTES
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],

@@ -9,7 +9,7 @@ import pytest
 
 from summinglab import AscentConfig, full_character_set, kernels, kp_constant_lower
 from summinglab.rng import gaussian_bidiagonal, make_rng
-from summinglab.systems import lacunary_character_set
+from summinglab.systems import MC_BLOCK, lacunary_character_set
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +254,24 @@ def test_schatten_batch_matches_per_matrix_svd():
             ref = [_svd_schatten(mat, p) for mat in mats]
             assert np.allclose(kernels.schatten_norm_batch(mats, p), ref, rtol=1e-12, atol=0.0)
         for scale in (1e200, 1e-200):
-            # the Gram paths, on entries whose plain Gram would overflow or underflow
+            # entries whose squares would overflow or underflow
             for p in (4.0, np.inf):
                 ref = [_svd_schatten(mat, p) for mat in mats * scale]
                 out = kernels.schatten_norm_batch(mats * scale, p)
                 assert np.allclose(out, ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("count", [1, kernels.GRAM_BLOCK - 1, kernels.GRAM_BLOCK,
-                                   kernels.GRAM_BLOCK + 1, 600])
-def test_schatten_gram_blocks_match_per_matrix_loop(count):
-    # the Gram paths reduce the stack block by block; every step is per
-    # matrix, so the values equal one-matrix calls exactly, zero matrices too
+@pytest.mark.parametrize("count", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 600])
+def test_schatten_batch_matches_one_matrix_calls(count):
+    # one batched SVD reduces every matrix on its own, so a stack's values
+    # equal one-matrix calls exactly, zero matrices too
     rng = np.random.default_rng(count)
     real = rng.standard_normal((count, 5, 5))
     real[::7] = 0.0
     cplx = real + 1j * rng.standard_normal((count, 5, 5))
     cplx[::7] = 0.0
     for mats in (real, cplx):
-        for p in (4.0, np.inf):
+        for p in (1.0, 4.0 / 3.0, 3.0, 4.0, np.inf):
             loop = [kernels.schatten_norm_batch(mat[None], p)[0] for mat in mats]
             assert np.array_equal(kernels.schatten_norm_batch(mats, p), loop)
 
@@ -373,7 +372,7 @@ def test_bidiagonal_rows_do_not_depend_on_their_block():
     # a 1024-row run at n = 64, appended block by block from the Monte Carlo
     # loop's one-block slot, equals each block's own call, and the run is
     # empty again after norms()
-    n, block = 64, kernels.GRAM_BLOCK
+    n, block = 64, MC_BLOCK
     run = kernels.SpectralRun(n, 4 * block)
     slot = np.empty((block, 2 * n - 1))
     per_block = []

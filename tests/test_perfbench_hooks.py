@@ -26,10 +26,9 @@ import tracing
 tracer = tracing.Tracer()
 tracer.install()
 commands = [
-    # schatten-mc; 1:inf's diagonal candidate is what still reaches the
-    # dense S_inf path, since full grids draw bidiagonals. On n = 8..32 the
-    # 2:inf lower slope sits about 0.06 above the closed form 0.5 (0.1 allowed);
-    # on 4..16 it sat 0.11 above, and 64 samples passed or failed by the draw.
+    # schatten-mc. On n = 8..32 the 2:inf lower slope sits about 0.06 above
+    # the closed form 0.5 (0.1 allowed); on 4..16 it sat 0.11 above, and 64
+    # samples passed or failed by the draw.
     ["thm2", "--seed", "1", "--n-grid", "8,16,32", "--pairs", "2:2,2:4,2:inf,1:2,1:inf",
      "--samples", "64", "--out", out + "/thm2"],
     ["lnorm", "--space", "l2:8", "--target", "linf:8", "--samples", "64", "--seed", "1",
@@ -42,6 +41,13 @@ commands = [
     ["thm1", "--seed", "1", "--n-grid", "4,8,16", "--pairs", "2:inf", "--generator", "full",
      "--control", "exceed", "--out", out + "/thm1-full-exceed"],
     ["sidon", "--group", "8", "--freqs", "full", "--restarts", "4", "--steps", "20",
+     "--seed", "1", "--json"],
+    # the dense Schatten kernel: full grids draw bidiagonals and diagonal
+    # units are sequences under the Gaussian system, so only a character
+    # system's grid, complex, gathers matrices for it, at S_4 and S_inf
+    ["pib", "--space", "s2:3", "--target", "s4:3", "--system", "characters", "--group", "9",
+     "--seed", "1", "--json"],
+    ["pib", "--space", "s2:3", "--target", "sinf:3", "--system", "characters", "--group", "9",
      "--seed", "1", "--json"],
 ]
 codes = []
@@ -63,12 +69,11 @@ def test_tracer_measures_every_declared_layer(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 7
+    assert result["codes"] == [0] * 9
     layers = result["layers"]
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = {m["name"] for m in json.load(fh)["per_layer"]}
     # the run harness takes the tracing overhead from traced and untraced runs
     assert set(layers) == declared - {"trace_overhead_s"}
-    # experiments draw real normals, so no complex matrix reaches the kernel
     zero = {name for name, value in layers.items() if value == 0}
-    assert zero == {"kernels.schatten_norm_batch.complex_matrices"}
+    assert zero == set()

@@ -9,7 +9,7 @@ from summinglab import (Certainty, Exponent, UnitFamily, VectorSystem,
                         identity_map, inclusion_norm, lp_norm, parse_exponent,
                         schatten_space, sequence_space, weak_l2_norm)
 from summinglab.kernels import lp_norms, schatten_norm_batch
-from summinglab.spaces import norms_of_stack, parse_space
+from summinglab.spaces import _ones_norm, norms_of_stack, parse_space, sequence_copy
 
 
 def _rng(seed=0):
@@ -325,6 +325,45 @@ def test_vector_system_validation():
     bad = _units(schatten_space(1, 3), [[0], [1], [3]])
     with pytest.raises(ValueError):
         weak_l2_norm(bad)  # L-shaped pattern has no closed form
+
+
+# matrix units in distinct rows and columns: the diagonal of S^5, the
+# anti-diagonal permutation, and three units of a partial permutation
+BI_DISJOINT = {"diag": [[0], [6], [12], [18], [24]],
+               "anti-diag": [[4], [8], [12], [16], [20]],
+               "partial": [[4], [11], [15]]}
+
+
+@pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
+@pytest.mark.parametrize("kind", sorted(BI_DISJOINT))
+def test_bi_disjoint_units_are_a_sequence_basis(kind, u):
+    # sum_i g_i e_(r_i c_i) has singular values |g_i|: the family is the
+    # l_u^m basis, and its weak-l2 norm is the value the closed form for
+    # such units gave, m^(1/r), bit for bit
+    fam = _units(schatten_space(u, 5), BI_DISJOINT[kind])
+    m = fam.size
+    copy = sequence_copy(fam)
+    assert copy.space == sequence_space(u, m)
+    assert np.array_equal(copy.elements, np.arange(m)[:, None])
+    coeffs = _rng(12).standard_normal((6, m)) + 1j * _rng(13).standard_normal((6, m))
+    mats = coeffs @ _dense(fam)
+    assert np.allclose(norms_of_stack(mats, fam.space), norms_of_stack(coeffs, copy.space),
+                       rtol=1e-12, atol=0.0)
+    est = weak_l2_norm(fam)
+    weight = Exponent(max(0.0, fam.space.exponent.recip - 0.5))
+    assert est.value == _ones_norm(m, weight)
+    assert est.certainty is Certainty.EXACT and est.method == "disjoint-support closed form"
+
+
+def test_other_families_are_not_sequence_copies():
+    # a shared row, a shared column, the full grid (more units than rows),
+    # a sequence family and a dense one come back as they are
+    space = schatten_space(4, 3)
+    dense = VectorSystem(sequence_space(2, 3), np.eye(3))
+    for fam in (_units(space, [[0], [1], [5]]), _units(space, [[1], [4]]),
+                _units(space, np.arange(9)[:, None]), _units(sequence_space(4, 3), [[0], [2]]),
+                dense):
+        assert sequence_copy(fam) is fam
 
 
 def test_identity_map_requires_matching_shape():

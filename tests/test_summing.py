@@ -14,7 +14,7 @@ from summinglab import (Certainty, CharacterSet, NormEstimate, SpaceKind, UnitFa
                         schatten_space, sequence_space, second_moment,
                         summing_norm_lower, summing_norm_search)
 from summinglab import kernels, spaces, summing
-from summinglab.kernels import GRAM_BLOCK
+from summinglab.systems import MC_BLOCK
 from summinglab.spaces import norms_of_stack
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.summing import _schatten_candidates, _sequence_candidates
@@ -148,7 +148,7 @@ def test_lower_bound_heuristic_numerator_stays_heuristic(monkeypatch):
 def test_ell_norm_and_second_moment_share_one_loop():
     # a partial last block; the identity map draws the same rows as the basis family
     n = 6
-    samples = 32 * GRAM_BLOCK + 1
+    samples = 32 * MC_BLOCK + 1
     ell = ell_norm_mc(identity_map(sequence_space(2, n), sequence_space("inf", n)),
                       samples=samples, seed=29)
     mom = second_moment(gaussian_system(), _basis(sequence_space("inf", n)),
@@ -160,8 +160,8 @@ def test_ell_norm_and_second_moment_share_one_loop():
 
 def _unit_families():
     # every candidate family the searches build, with non-Hilbert codomains
-    # on each side of the Schatten kernel's path choice (S_4 and S_inf take
-    # the Gram, S_3 the SVD)
+    # on each side of the bidiagonal route's choice (S_4 and S_inf reduce in
+    # O(n), S_3 materializes for the SVD)
     seq = [(fam, sequence_space(v, 8))
            for _, fam in _sequence_candidates(sequence_space(1, 8), 1 << 30)
            for v in (4, "inf")]
@@ -183,9 +183,9 @@ def _dense_second_moment(dense, space, samples, seed):
     """Blocked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
     q = np.concatenate([
         norms_of_stack(standard_gaussians(make_rng(substream(seed, k)),
-                                          (min(GRAM_BLOCK, samples - start), dense.shape[0]))
+                                          (min(MC_BLOCK, samples - start), dense.shape[0]))
                        @ dense, space) ** 2
-        for k, start in enumerate(range(0, samples, GRAM_BLOCK))])
+        for k, start in enumerate(range(0, samples, MC_BLOCK))])
     value = np.sqrt(q.mean())
     return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
 
@@ -196,8 +196,8 @@ def _bidiagonal_second_moment(space, samples, seed):
     n = space.dim
     on = np.arange(n)
     q = []
-    for k, start in enumerate(range(0, samples, GRAM_BLOCK)):
-        count = min(GRAM_BLOCK, samples - start)
+    for k, start in enumerate(range(0, samples, MC_BLOCK)):
+        count = min(MC_BLOCK, samples - start)
         chis = gaussian_bidiagonal(make_rng(substream(seed, k)), count, n)
         dense = np.zeros((count, n, n))
         dense[:, on, on] = chis[:, :n]
@@ -213,7 +213,7 @@ def test_unit_family_gather_matches_dense_product():
     # element) against the dense product on the materialized family, over a
     # partial last block; the full grid of a Schatten space draws bidiagonals,
     # so its reference reduces the same draws as dense matrices
-    samples = 32 * GRAM_BLOCK + 1
+    samples = 32 * MC_BLOCK + 1
     for fam, space in _unit_families():
         est = second_moment(gaussian_system(), replace(fam, space=space),
                             samples=samples, seed=31)
@@ -237,7 +237,7 @@ def test_bidiagonal_draws_match_dense_gaussian_matrices(n, v):
     # reduced densely: two estimates of one second moment, on disjoint seeds,
     # within four combined standard errors
     space = schatten_space(v, n)
-    samples = 32 * GRAM_BLOCK + 1
+    samples = 32 * MC_BLOCK + 1
     est = second_moment(gaussian_system(), _grid_family(space, n), samples=samples, seed=37)
     assert est.method == "mc-gaussian"
     value, stderr = _dense_second_moment(np.eye(n * n), space, samples, 41)
@@ -261,7 +261,9 @@ def test_generic_family_takes_dense_product():
 
 def test_real_families_take_real_norm_kernels(monkeypatch):
     # unit families are real: with real normals they reach the Schatten
-    # kernel as real stacks
+    # kernel as real stacks. No search candidate gathers into matrices any
+    # more (diagonals are sequences, grids draw bidiagonals), so the 2 x 2
+    # sub-grid of S_4^4 in rows and columns {0, 1} stands in for them
     seen = []
 
     def spy(mats, p):
@@ -269,9 +271,8 @@ def test_real_families_take_real_norm_kernels(monkeypatch):
         return kernels.schatten_norm_batch(mats, p)
 
     monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
-    space = schatten_space(4, 4)
-    for _, fam in _schatten_candidates(schatten_space(1, 4), 1 << 30):
-        second_moment(gaussian_system(), replace(fam, space=space), samples=100, seed=3)
+    fam = UnitFamily(schatten_space(4, 4), np.array([[0], [1], [4], [5]]))
+    second_moment(gaussian_system(), fam, samples=100, seed=3)
     assert seen and not any(seen)
 
 

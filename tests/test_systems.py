@@ -17,11 +17,11 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpaceKind, SpanEl
                         kp_constant_lower, kp_growth_profile,
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
-                        sidon_constant_lower, systems)
-from summinglab.kernels import GRAM_BLOCK, bidiagonal_schatten_norms
+                        sidon_constant_lower, kernels, spaces, systems)
+from summinglab.kernels import bidiagonal_schatten_norms
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.spaces import norms_of_stack
-from summinglab.systems import _mc_second_moment
+from summinglab.systems import MC_BLOCK, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
 FAST = AscentConfig(seed=7, restarts=24, steps=250)
@@ -242,6 +242,90 @@ def test_second_moment_family_too_large():
         second_moment(character_system(cs), _basis(sequence_space(2, 3), 3))
 
 
+# matrix units in distinct rows and columns of S^5: the diagonal, the
+# anti-diagonal permutation, and three units of a partial permutation
+BI_DISJOINT = {"diag": [[0], [6], [12], [18], [24]],
+               "anti-diag": [[4], [8], [12], [16], [20]],
+               "partial": [[4], [11], [15]]}
+
+
+def _unit_matrices(family, coeffs):
+    """The (rows, n, n) matrices sum_i coeffs[r, i] x_i, gathered densely."""
+    n = family.space.dim
+    rows, cols = np.divmod(family.elements[:, 0], n)
+    mats = np.zeros((len(coeffs), n, n), dtype=coeffs.dtype)
+    mats[:, rows, cols] = coeffs
+    return mats
+
+
+def _svd_norms(mats, u):
+    """Schatten u-norms, one np.linalg.svd call per matrix."""
+    p = parse_exponent(u).value
+    out = []
+    for mat in mats:
+        s = np.linalg.svd(mat, compute_uv=False)
+        out.append(s[0] if p == np.inf else np.sum(s ** p) ** (1.0 / p))
+    return np.array(out)
+
+
+def _gathered_moment(family, u, samples, seed):
+    """(value, stderr) of the Monte Carlo loop's Gaussian rows, gathered into
+    dense matrices block by block and reduced by ``_svd_norms``."""
+    q = np.concatenate([
+        _svd_norms(_unit_matrices(family, standard_gaussians(
+            make_rng(substream(seed, k)), (min(MC_BLOCK, samples - start), family.size))), u) ** 2
+        for k, start in enumerate(range(0, samples, MC_BLOCK))])
+    value = np.sqrt(q.mean())
+    return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
+
+
+@pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
+@pytest.mark.parametrize("kind", sorted(BI_DISJOINT))
+def test_gaussian_moment_of_bi_disjoint_units_is_a_sequence_moment(kind, u):
+    # the same coefficient rows from the same substreams, reduced as l_u^m
+    # sequences: equal to the l_u^m basis call bit for bit, and within 1e-12
+    # of the matrices gathered densely and reduced one SVD at a time
+    samples, seed = 3 * MC_BLOCK + 5, 17
+    fam = UnitFamily(schatten_space(u, 5), np.array(BI_DISJOINT[kind]))
+    est = second_moment(gaussian_system(), fam, samples=samples, seed=seed)
+    seq = second_moment(gaussian_system(), _basis(sequence_space(u, fam.size), fam.size),
+                        samples=samples, seed=seed)
+    assert (est.value, est.stderr, est.method) == (seq.value, seq.stderr, seq.method)
+    value, stderr = _gathered_moment(fam, u, samples, seed)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
+@pytest.mark.parametrize("kind", sorted(BI_DISJOINT))
+def test_character_moment_of_bi_disjoint_units_is_the_group_average(kind, u):
+    # the exact group average of the first m characters, as l_u^m
+    # sequences, against the dense matrices' average
+    cs = _charset(12, [0, 1, 3, 4, 7, 9])
+    fam = UnitFamily(schatten_space(u, 5), np.array(BI_DISJOINT[kind]))
+    est = second_moment(character_system(cs), fam)
+    norms = _svd_norms(_unit_matrices(fam, cs.matrix()[:, :fam.size]), u)
+    assert est.certainty is Certainty.EXACT
+    assert est.value == pytest.approx(np.sqrt(np.mean(norms ** 2)), rel=1e-12)
+
+
+def test_units_sharing_a_row_reach_the_dense_kernel(monkeypatch):
+    # two units in row 0: no sequence copy, so the gathered matrices go to
+    # the Schatten kernel, and the moment still matches the dense reduction
+    seen = []
+
+    def spy(mats, p):
+        seen.append(mats.shape)
+        return kernels.schatten_norm_batch(mats, p)
+
+    monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
+    fam = UnitFamily(schatten_space(4, 3), np.array([[0], [1], [5]]))
+    samples, seed = MC_BLOCK + 3, 19
+    est = second_moment(gaussian_system(), fam, samples=samples, seed=seed)
+    assert seen and all(shape[1:] == (3, 3) for shape in seen)
+    assert est.value == pytest.approx(_gathered_moment(fam, 4, samples, seed)[0], rel=1e-12)
+
+
 def _mc_family(space, kind):
     """The full basis or grid (its gather is the identity), the diagonal
     matrix units, or pairs of ones on the even coordinates of a sequence
@@ -259,8 +343,8 @@ def _serial_second_moment(family, samples, seed):
     space = family.space
     total = 0.0
     total_sq = 0.0
-    for index, start in enumerate(range(0, samples, GRAM_BLOCK)):
-        count = min(GRAM_BLOCK, samples - start)
+    for index, start in enumerate(range(0, samples, MC_BLOCK)):
+        count = min(MC_BLOCK, samples - start)
         rng = make_rng(substream(seed, index))
         if space.kind is SpaceKind.SCHATTEN and family.size == space.flat_dim:
             n = space.dim
@@ -285,27 +369,27 @@ def _serial_second_moment(family, samples, seed):
 # 6 and 3 at widths 1, 2 and 4) whose last run is short and ends in a block
 # of three rows.
 @pytest.mark.parametrize("space,family,samples,width", [
-    (schatten_space(4, 6), "basis", 32 * GRAM_BLOCK + 1, 2),
-    (schatten_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
-    (schatten_space("4/3", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
-    (sequence_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 2),
-    (schatten_space("inf", 6), "diag", 32 * GRAM_BLOCK + 1, 2),
-    (schatten_space(4, 6), "grid", 32 * GRAM_BLOCK + 1, 2),
+    (schatten_space(4, 6), "basis", 32 * MC_BLOCK + 1, 2),
+    (schatten_space("inf", 6), "basis", 32 * MC_BLOCK + 1, 2),
+    (schatten_space("4/3", 6), "basis", 32 * MC_BLOCK + 1, 2),
+    (sequence_space("inf", 6), "basis", 32 * MC_BLOCK + 1, 2),
+    (schatten_space("inf", 6), "diag", 32 * MC_BLOCK + 1, 2),
+    (schatten_space(4, 6), "grid", 32 * MC_BLOCK + 1, 2),
     (schatten_space(4, 6), "grid", 5, 2),
-    (schatten_space("inf", 6), "basis", 96 * GRAM_BLOCK + 7, 4),
-    (schatten_space("inf", 6), "basis", GRAM_BLOCK, 2),
-    (schatten_space(4, 6), "basis", GRAM_BLOCK + GRAM_BLOCK // 2, 2),
-    (sequence_space(4, 12), "blocks", 32 * GRAM_BLOCK + 1, 2),
-    (schatten_space("inf", 6), "basis", 32 * GRAM_BLOCK + 1, 1),
-    (schatten_space("inf", 16), "basis", 22 * GRAM_BLOCK + 3, 1),
-    (schatten_space("inf", 16), "basis", 22 * GRAM_BLOCK + 3, 2),
-    (schatten_space("inf", 16), "basis", 22 * GRAM_BLOCK + 3, 4),
+    (schatten_space("inf", 6), "basis", 96 * MC_BLOCK + 7, 4),
+    (schatten_space("inf", 6), "basis", MC_BLOCK, 2),
+    (schatten_space(4, 6), "basis", MC_BLOCK + MC_BLOCK // 2, 2),
+    (sequence_space(4, 12), "blocks", 32 * MC_BLOCK + 1, 2),
+    (schatten_space("inf", 6), "basis", 32 * MC_BLOCK + 1, 1),
+    (schatten_space("inf", 16), "basis", 22 * MC_BLOCK + 3, 1),
+    (schatten_space("inf", 16), "basis", 22 * MC_BLOCK + 3, 2),
+    (schatten_space("inf", 16), "basis", 22 * MC_BLOCK + 3, 4),
 ], ids=["s4", "sinf", "s4-3-svd", "linf", "sinf-diag", "s4-grid", "s4-grid-one-chunk",
         "sinf-4-threads", "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block",
         "l4-blocks", "sinf-1-thread", "sinf16-runs-1-thread", "sinf16-runs-2-threads",
         "sinf16-runs-4-threads"])
 def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, width):
-    # one pool task per run of GRAM_BLOCK-row blocks, sums in block order:
+    # one pool task per run of MC_BLOCK-row blocks, sums in block order:
     # the same floats as the one-thread loop, value and stderr, also with
     # more threads than cores and a short switch interval
     monkeypatch.setattr(systems, "MC_WIDTH", width)
@@ -325,8 +409,8 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
     # a thread that gathers holds a block, its squared norms, the
-    # coefficients it gathers from and the Gram path's three blocks: for the
-    # diagonal units of S_inf^64 that is 1029 rows of 32 KiB (34 MB), so all
+    # coefficients it gathers from and three blocks for the SVD kernel: for
+    # 64 units of S_inf^64 that is 1029 rows of 32 KiB (34 MB), so all
     # sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1027 rows of
     # 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
     # (such working sets are far above MC_RUN_BYTES, so each task takes one
@@ -334,13 +418,13 @@ def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
     assert systems._mc_working_set(64, space) == (1029, 4096)
-    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == (16, 1)
-    assert systems._mc_width(180, schatten_space("inf", 180), 320 * GRAM_BLOCK) == (8, 1)
+    assert systems._mc_width(64, space, 320 * MC_BLOCK) == (16, 1)
+    assert systems._mc_width(180, schatten_space("inf", 180), 320 * MC_BLOCK) == (8, 1)
     # never more threads than blocks
-    assert systems._mc_width(64, space, 5 * GRAM_BLOCK) == (5, 1)
-    assert systems._mc_width(64, space, GRAM_BLOCK) == (1, 1)
+    assert systems._mc_width(64, space, 5 * MC_BLOCK) == (5, 1)
+    assert systems._mc_width(64, space, MC_BLOCK) == (1, 1)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    assert systems._mc_width(64, space, 320 * GRAM_BLOCK) == (2, 1)
+    assert systems._mc_width(64, space, 320 * MC_BLOCK) == (2, 1)
 
 
 def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
@@ -356,7 +440,7 @@ def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
     assert systems._mc_working_set(4096, sinf64, 4) == (1942, 127)
     assert systems._mc_working_set(4096, sinf64, 5)[0] * 127 * 8 > systems.MC_RUN_BYTES
     assert systems._mc_width(256, sinf16, 20_000) == (2, 11)
-    assert systems._mc_width(256, sinf16, 9 * GRAM_BLOCK) == (2, 3)
+    assert systems._mc_width(256, sinf16, 9 * MC_BLOCK) == (2, 3)
     assert systems._mc_width(16, sequence_space("inf", 16), 100_000) == (2, 98)
 
 
@@ -380,13 +464,13 @@ def test_mc_working_set_of_the_bidiagonal_route():
 
 
 @pytest.mark.parametrize("space,family,samples", [
-    (schatten_space("inf", 64), "basis", 17 * GRAM_BLOCK + 1),
-    (schatten_space(4, 32), "diag", 32 * GRAM_BLOCK + 1),
-    (sequence_space("inf", 512), "blocks", 32 * GRAM_BLOCK + 1),
-    (schatten_space(4, 64), "basis", 17 * GRAM_BLOCK + 1),
-    (schatten_space("inf", 2), "basis", 17 * GRAM_BLOCK + 1),
-    (schatten_space(3, 16), "basis", 17 * GRAM_BLOCK + 1),
-    (schatten_space("inf", 16), "basis", 52 * GRAM_BLOCK + 1),
+    (schatten_space("inf", 64), "basis", 17 * MC_BLOCK + 1),
+    (schatten_space(4, 32), "diag", 32 * MC_BLOCK + 1),
+    (sequence_space("inf", 512), "blocks", 32 * MC_BLOCK + 1),
+    (schatten_space(4, 64), "basis", 17 * MC_BLOCK + 1),
+    (schatten_space("inf", 2), "basis", 17 * MC_BLOCK + 1),
+    (schatten_space(3, 16), "basis", 17 * MC_BLOCK + 1),
+    (schatten_space("inf", 16), "basis", 52 * MC_BLOCK + 1),
 ], ids=["sinf64-basis", "s4-32-diag", "linf-blocks", "s4-64-basis", "sinf2-basis",
         "s3-16-basis", "sinf16-long-runs"])
 def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
@@ -405,7 +489,7 @@ def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, sam
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert GRAM_BLOCK * length * 8 <= peak <= width * rows * length * 8
+    assert MC_BLOCK * length * 8 <= peak <= width * rows * length * 8
 
 
 def test_full_grid_gather_is_the_identity():
@@ -449,7 +533,7 @@ def test_pool_worker_error_ends_the_call(monkeypatch, at_call):
 
     def call():
         try:
-            _mc_second_moment(_basis(sequence_space("inf", 4), 4), 64 * GRAM_BLOCK, 3)
+            _mc_second_moment(_basis(sequence_space("inf", 4), 4), 64 * MC_BLOCK, 3)
         except RuntimeWarning as exc:
             caught.append(exc)
 
@@ -491,11 +575,11 @@ def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     family = _mc_family(schatten_space(4, 32), "diag")
-    assert systems._mc_width(family.size, family.space, 64 * GRAM_BLOCK) == (2, 1)
-    est = _mc_second_moment(family, 64 * GRAM_BLOCK, 3)
+    assert systems._mc_width(family.size, family.space, 64 * MC_BLOCK) == (2, 1)
+    est = _mc_second_moment(family, 64 * MC_BLOCK, 3)
     assert not in_flight
     assert 1 <= peak[0] <= 2 * 2  # 2 * width
-    assert (est.value, est.stderr) == _serial_second_moment(family, 64 * GRAM_BLOCK, 3)
+    assert (est.value, est.stderr) == _serial_second_moment(family, 64 * MC_BLOCK, 3)
 
 
 # ---------------------------------------------------------------------------
