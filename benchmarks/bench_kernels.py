@@ -1,8 +1,8 @@
 """Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
-Times ``lp_ascent``, ``ratio_ascent``, ``schatten_norm_batch``,
-``bidiagonal_schatten_norms`` and a ``SpectralRun`` from
-``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
+Times ``lp_ascent`` (on a character matrix and on sumset tables),
+``ratio_ascent``, ``schatten_norm_batch``, ``bidiagonal_schatten_norms``
+and a ``SpectralRun`` from ``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
 blocks drawn, gathered and reduced on a thread pool) through
 ``summing.ell_norm_mc`` and ``systems.second_moment`` on diagonal
 matrix units, on fixed inputs and seeds, and prints the median and quartiles of
@@ -25,7 +25,7 @@ import numpy as np
 from summinglab import (UnitFamily, gaussian_system, identity_map, kernels,
                         schatten_space, second_moment, summing)
 from summinglab.rng import gaussian_bidiagonal, make_rng
-from summinglab.systems import MC_BLOCK, lacunary_character_set
+from summinglab.systems import MC_BLOCK, _sumsets, lacunary_character_set
 
 
 def _dft(group, m):
@@ -47,6 +47,12 @@ def cases():
     yield (f"lp_ascent p=4 tall lacunary (G={group}, m={m}, R={restarts})",
            kernels.lp_ascent,
            (lacunary_character_set(group, m).matrix(), 4.0, _starts(restarts, m, 3), 150))
+    # the same ascent on the coefficient side: the set's 2-fold sumset
+    # tables, whose values are the dense ones over G^(1/4)
+    yield (f"lp_ascent p=4 tall lacunary, sumsets (G={group}, m={m}, R={restarts})",
+           kernels.lp_ascent,
+           (_sumsets(lacunary_character_set(group, m), 2, restarts), 4.0,
+            _starts(restarts, m, 3), 150))
 
     group, m, restarts = 128, 16, 32
     yield (f"ratio_ascent (G={group}, m={m}, R={restarts})", kernels.ratio_ascent,

@@ -18,18 +18,30 @@ them carry the same work.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
-restart still searching, with one ``(R, m) @ (m, N)`` product for all trial
-values. Each restart follows the same iteration as a single-restart loop
-would; only the grouping of the products differs, so values agree with such
-a loop to floating-point roundoff. The one exception is ``ratio_ascent``'s
-sup with exactly tied maxima (a singleton start on a full group), where
-roundoff decides which tied point's subgradient is followed. A round drops
-the last round's ``(R, N)`` values before it forms the next product. The
-objectives are small value/gradient pairs that read the ``(N, m)`` basis
-alone, with no conjugate-transpose copy; the finite l_p value leaves
-(|v| / peak)^(p - 2) in the round's magnitude scratch for the gradient, so
-a round takes one peak and one power (repeated multiplication at integer p
-up to 10). ``benchmarks/bench_kernels.py`` times the public kernels.
+restart still searching, and asks an objective for all the trials' values
+at once, and for the directions of the rows that go on. Each restart
+follows the same iteration as a single-restart loop would; only the
+grouping of the work differs, so values agree with such a loop to
+floating-point roundoff. The one exception is ``ratio_ascent``'s sup with
+exactly tied maxima (a singleton start on a full group), where roundoff
+decides which tied point's subgradient is followed. The objective takes
+one of two routes:
+
+- on the group's points (``ratio_ascent``, and ``lp_ascent`` on an
+  ``(N, m)`` basis): one ``(R, m) @ (m, N)`` product gives all trial
+  values, and a round drops the last round's ``(R, N)`` values before it
+  forms the next. The value/gradient pairs read the basis alone, with no
+  conjugate-transpose copy; the finite l_p value leaves (|v| / peak)^(p - 2)
+  in the round's magnitude scratch for the gradient, so a round takes one
+  peak and one power (repeated multiplication at integer p up to 10);
+- on the coefficients (``lp_ascent`` on ``Sumsets``, p = 2k): the k-fold
+  convolution of the coefficients over the sumset tables gives
+  ||f||_2k^2k = ||f^k||_2^2 (Rudin), in about sum_(i<k) |L_i| m products
+  per restart instead of N values. ``systems.kp_constant_lower`` takes it
+  where that count is at most N. A restart's values there do not depend on
+  the other restarts, bit for bit.
+
+``benchmarks/bench_kernels.py`` times the public kernels.
 """
 
 from __future__ import annotations
@@ -55,24 +67,20 @@ ASCENT_STEP_SIZE = 0.1
 ASCENT_TOL = 1e-8
 
 
-def _sphere_ascent(basis, starts, value, gradient, max_steps):
-    # basis: (npoints, m) synthesis columns; starts: (nrestarts, m) complex.
-    # value(coeffs, mags) -> (R,) objective, where mags = |coeffs @ basis.T|;
-    # it may leave in mags what gradient needs of it instead.
-    # gradient(coeffs, vals, mags) -> (R, m) ascent direction, for rows of the
-    # vals and mags that value saw; it may overwrite both, which are the
-    # current round's scratch. Each restart maximizes value over
-    # ||a||_2 = 1 with one backtracking line search per
-    # step: an improving trial is accepted and the step grows by 1.25, else
-    # the step halves until it drops below 1e-7 * ASCENT_STEP_SIZE. A restart
-    # stops after max_steps accepted steps, a relative gain <= ASCENT_TOL, a
-    # zero gradient, or a failed line search.
-    synth = basis.T
+def _sphere_ascent(starts, evaluate, max_steps):
+    # starts: (nrestarts, m) complex. evaluate(coeffs) -> (values (R,),
+    # direction) for rows of coefficients, where direction(keep) is the
+    # (R', m) ascent direction of the rows that keep (a slice or a mask)
+    # selects; it holds the round's scratch, so it is dropped before the next
+    # evaluation. Each restart maximizes the value over ||a||_2 = 1 with one
+    # backtracking line search per step: an improving trial is accepted and
+    # the step grows by 1.25, else the step halves until it drops below
+    # 1e-7 * ASCENT_STEP_SIZE. A restart stops after max_steps accepted
+    # steps, a relative gain <= ASCENT_TOL, a zero gradient, or a failed
+    # line search.
     coeffs = starts / _row_norms(starts)[:, None]
-    vals = coeffs @ synth
-    mags = np.abs(vals)
-    best = value(coeffs, mags)
-    grad = gradient(coeffs, vals, mags)
+    best, direction = evaluate(coeffs)
+    grad = direction(slice(None))
     gnorm = _row_norms(grad)
     searching = (gnorm != 0.0) & (max_steps > 0)
     step = np.full(len(coeffs), ASCENT_STEP_SIZE)
@@ -82,10 +90,8 @@ def _sphere_ascent(basis, starts, value, gradient, max_steps):
         rows = np.flatnonzero(searching)
         trial = coeffs[rows] + (step[rows] / gnorm[rows])[:, None] * grad[rows]
         trial /= _row_norms(trial)[:, None]
-        del vals, mags  # the last round's (R, N) scratch, before the next product
-        vals = trial @ synth
-        mags = np.abs(vals)
-        tbest = value(trial, mags)
+        del direction  # the last round's scratch, before the next evaluation
+        tbest, direction = evaluate(trial)
         up = tbest > best[rows]
         lost, won = rows[~up], rows[up]
         step[lost] *= 0.5
@@ -99,13 +105,86 @@ def _sphere_ascent(basis, starts, value, gradient, max_steps):
         more[up] = (gain > ASCENT_TOL) & (taken[won] < max_steps)
         searching[won] = False
         if more.any():
-            # gather the (R, N) trial values only when some rows stop here
-            keep = slice(None) if more.all() else more
+            # gather the round's scratch only when some rows stop here
             nxt = rows[more]
-            grad[nxt] = gradient(trial[keep], vals[keep], mags[keep])
+            grad[nxt] = direction(slice(None) if more.all() else more)
             gnorm[nxt] = _row_norms(grad[nxt])
             searching[nxt] = gnorm[nxt] != 0.0
     return best, coeffs
+
+
+def _on_points(basis, value, gradient):
+    # The dense objective: one (R, m) @ (m, N) product gives the values
+    # v = coeffs @ basis.T at the N points. value(coeffs, mags) -> (R,)
+    # objective, where mags = |v|; it may leave in mags what gradient needs of
+    # it instead. gradient(coeffs, vals, mags) -> (R, m) ascent direction, for
+    # rows of the vals and mags that value saw; it may overwrite both, which
+    # are the round's scratch (views of it when every row is kept).
+    synth = basis.T
+
+    def evaluate(coeffs):
+        vals = coeffs @ synth
+        mags = np.abs(vals)
+        return value(coeffs, mags), lambda keep: gradient(coeffs[keep], vals[keep], mags[keep])
+
+    return evaluate
+
+
+class Sumsets:
+    """Index tables of the k-fold sumsets of m distinct frequencies of Z_N.
+
+    L_1 is the frequencies in their order and L_(i+1) the sorted residues of
+    L_i + Lambda mod N. ``gathers[i - 1]`` (rmax, |L_(i+1)|), for the steps
+    i = 1, ..., k - 1, holds the flat indices t * m + j of the pairs
+    (t in L_i, lambda_j) that sum to each element of L_(i+1), in increasing
+    order, padded with |L_i| * m (a zero row past the products).
+    ``positions`` (|L_(k-1)|, m) holds the index of t + lambda_j in L_k.
+    ``systems`` builds them.
+    """
+
+    def __init__(self, gathers, positions):
+        self.gathers, self.positions = tuple(gathers), positions
+
+    @property
+    def k(self) -> int:
+        return len(self.gathers) + 1
+
+
+def _on_sumsets(sumsets):
+    # The coefficient-space objective at p = 2k (Rudin): f^k has the
+    # coefficients c_k = a * ... * a (k-fold convolution), supported on L_k,
+    # and ||f||_2k^2k = sum_s |c_k[s]|^2 over the normalized group, so the
+    # value (sum_s |c_k[s]|^2)^(1/p) is the dense one over N^(1/p). Levels
+    # are (support, R) columns: c_(i+1) sums the padded columns of the
+    # products c_i (x) a, and the direction of a_j is
+    # sum_t c_k[t + lambda_j] conj(c_(k-1)[t]), the dense one over N. Every
+    # reduction sums along the first axis over at least two trailing entries
+    # (the value's over the real and imaginary parts), so numpy adds in
+    # order, never pairwise, whatever the number of restarts, and a
+    # restart's arithmetic does not depend on the other restarts.
+    p = 2.0 * sumsets.k
+
+    def evaluate(coeffs):
+        a = coeffs.T.copy()
+        prev, level = None, a
+        for gather in sumsets.gathers:
+            rows = level.shape[0] * a.shape[0]
+            products = np.empty((rows + 1, a.shape[1]), dtype=complex)
+            products[rows] = 0.0
+            np.multiply(level[:, None, :], a, out=products[:rows].reshape(level.shape[0], *a.shape))
+            prev, level = level, products[gather].sum(axis=0)
+            del products  # before the next step's
+        power = np.square(level.view(float)).sum(axis=0)
+        value = (power[0::2] + power[1::2]) ** (1.0 / p)
+
+        def direction(keep):
+            grad = level[:, keep][sumsets.positions]
+            grad *= np.conj(prev[:, keep])[:, None, :]
+            return np.ascontiguousarray(grad.sum(axis=0).T)
+
+        return value, direction
+
+    return evaluate
 
 
 def lp_ascent(basis, p, starts, max_steps):
@@ -114,9 +193,15 @@ def lp_ascent(basis, p, starts, max_steps):
     One ascent runs from each row of ``starts``, for at most ``max_steps``
     accepted steps. Returns per-restart (values, coefficient rows). The L_p
     mean over the points has the same maximizers; a caller recomputes it
-    from the rows.
+    from the rows. ``basis`` is the (N, m) character matrix, or at p = 2k
+    the ``Sumsets`` of the m frequencies, whose values are the L_p means
+    themselves (the l_p norms over N^(1/p)), from coefficients alone.
     """
     p = float(p)
+    if isinstance(basis, Sumsets):
+        if p != 2.0 * basis.k:
+            raise ValueError(f"sumsets of {basis.k}-fold sums give p = {2 * basis.k}, not {p:g}")
+        return _sphere_ascent(starts, _on_sumsets(basis), int(max_steps))
     # p - 2 = 2 halves + odd: w = s^odd (s^2)^halves by multiplication for
     # integer p up to 10, where it costs less than one generic np.power
     halves, odd = divmod(int(p) - 2, 2) if p.is_integer() and p <= 10.0 else (None, None)
@@ -146,7 +231,7 @@ def lp_ascent(basis, p, starts, max_steps):
         np.multiply(mags, vals, out=vals)
         return np.conj(np.conj(vals, out=vals) @ basis)
 
-    return _sphere_ascent(basis, starts, value, gradient, int(max_steps))
+    return _sphere_ascent(starts, _on_points(basis, value, gradient), int(max_steps))
 
 
 def ratio_ascent(basis, starts, max_steps):
@@ -166,7 +251,7 @@ def ratio_ascent(basis, starts, max_steps):
         num = np.sum(size, axis=1)
         return phase / den[:, None] - (num / (den * den))[:, None] * gden
 
-    return _sphere_ascent(basis, starts, value, gradient, int(max_steps))
+    return _sphere_ascent(starts, _on_points(basis, value, gradient), int(max_steps))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import SpectralRun, bidiagonal_schatten_norms, lp_ascent, ratio_ascent
+from .kernels import (SpectralRun, Sumsets, bidiagonal_schatten_norms, lp_ascent,
+                      ratio_ascent)
 from .rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, UnitFamily, VectorSystem,
                      _ones_norm, lp_norm, norms_of_stack, parse_exponent, sequence_copy)
@@ -475,6 +476,54 @@ def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:
     return charset.matrix()
 
 
+def _sumsets(charset: CharacterSet, k: int, restarts: int) -> Sumsets | None:
+    """The ``kernels.Sumsets`` of an L_2k ascent, or None where the dense route is due.
+
+    The levels are built one at a time, and the dense route is due as soon
+    as the products that one evaluation forms per restart,
+    sum_(i<k) |L_i| m, pass N, the points it takes on the dense route, or
+    where m^2k, the bound on a direction's squared norm for a unit
+    coefficient vector (m^k bounds sum_s |c_k[s]|^2), is not a finite float,
+    or where sums of residues may leave int64. Each
+    table is checked against MAX_ARRAY_BYTES before it is made, and then all
+    the ascent holds, in complex entries: per restart, six rows of m (the
+    starts, coefficients, trials and directions ``kernels._sphere_ascent``
+    keeps, and two to spare for its per-restart scalars), every level (a
+    round's coefficients, the level it gathers from and the one it gathers
+    into), and the largest step's products with their padded gather (the
+    direction's gather and product take no more); and an entry per table
+    index.
+    """
+    order, m = charset.order, charset.size
+    if 2 * k * math.log2(m) >= 1024 or order > 2 ** 62:
+        return None
+    freqs = np.asarray(charset.freqs, dtype=np.int64)
+    level, gathers, products = freqs, [], 0
+    for _ in range(k - 1):
+        products += len(level) * m
+        if products > order:
+            return None
+        check_array_bytes("sumset table", (len(level), m), np.int64)
+        sums = np.add.outer(level, freqs)
+        sums %= order
+        level, positions = np.unique(sums, return_inverse=True)
+        positions = positions.reshape(sums.shape)
+        counts = np.bincount(positions.ravel())
+        check_array_bytes("sumset table", (counts.max(), len(level)), np.int64)
+        # pair t * m + j of each sum, in increasing order, padded with the zero row
+        gather = np.full((counts.max(), len(level)), sums.size)
+        rank = np.arange(sums.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        gather[rank, np.repeat(np.arange(len(level)), counts)] = np.argsort(positions.ravel(),
+                                                                             kind="stable")
+        gathers.append(gather)
+    sizes = [m] + [g.shape[1] for g in gathers]
+    step = max(size * m + 1 + g.size for size, g in zip(sizes, gathers))
+    indices = positions.size + sum(g.size for g in gathers)
+    check_array_bytes("ascent working set", (restarts * (6 * m + sum(sizes) + step) + indices,),
+                      np.complex128)
+    return Sumsets(gathers, positions)
+
+
 def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstimate:
     """Best found ratio ||f||_p / ||f||_2 over span(charset), p >= 2.
 
@@ -482,7 +531,11 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
     ratio of exact group averages is attained by its witness coefficients.
     p = 2 returns 1 exactly (Parseval), and p = inf sqrt(m), with no ascent or
     character matrix: sup|f| <= sum|a_k| <= sqrt(m) ||f||_2 (Cauchy-Schwarz),
-    with equality at a = 1, x = 0.
+    with equality at a = 1, x = 0. At p = 2k, where ``_sumsets`` takes the
+    coefficient side, the ascent runs on the k-fold sumsets and the ratio
+    (sum_s |c_k[s]|^2)^(1/p) / ||a||_2 comes from the witness's coefficients
+    (Parseval on Z_N makes it the exact group average), so no character
+    matrix is built; every other p takes the ascent on the group's points.
     """
     if charset.size == 0:
         raise ValueError("empty character set")
@@ -497,11 +550,21 @@ def kp_constant_lower(charset: CharacterSet, p, cfg: AscentConfig) -> NormEstima
     if e.recip == 0.0:
         return NormEstimate(math.sqrt(m), Certainty.LOWER, method="cauchy-schwarz-attained",
                             witness=np.full(m, 1.0 / math.sqrt(m), dtype=np.complex128))
-    basis = _ascent_basis(charset, cfg.restarts)
+    # p = 2k when the stored reciprocal is 1 / (2k) (1 / (1 / 98) is not 98)
+    even = round(e.value)
+    sumsets = (_sumsets(charset, even // 2, cfg.restarts)
+               if even % 2 == 0 and e.recip == 1.0 / even else None)
+    if sumsets is None:
+        basis, pv = _ascent_basis(charset, cfg.restarts), 1.0 / e.recip
+    else:
+        basis, pv = sumsets, even
     starts = _random_starts(make_rng(cfg.seed), cfg.restarts, m)
-    vals, coeffs = lp_ascent(basis, 1.0 / e.recip, starts=starts, max_steps=cfg.steps)
+    vals, coeffs = lp_ascent(basis, pv, starts=starts, max_steps=cfg.steps)
     best = int(np.argmax(vals))
     witness = coeffs[best]
+    if sumsets is not None:
+        return NormEstimate(float(vals[best] / np.linalg.norm(witness)), Certainty.LOWER,
+                            method="projected-ascent[sumsets]", witness=witness)
     f = SpanElement(charset, witness)
     value = lp_norm_of_span(f, e) / lp_norm_of_span(f, 2)
     return NormEstimate(value, Certainty.LOWER, method="projected-ascent", witness=witness)

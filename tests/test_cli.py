@@ -437,7 +437,8 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["kp", "--group", "100000000", "--freqs", "1,2,3", "--p", "4", "--seed", "1"],
+    # p = 3 takes the dense route (at p = 4 the set takes its sumsets)
+    (["kp", "--group", "100000000", "--freqs", "1,2,3", "--p", "3", "--seed", "1"],
      "character matrix"),
     # the unit grid of S_1^20000 has 4 * 10^8 indices
     (["pib", "--space", "s1:20000", "--target", "s2:20000", "--seed", "1"],
@@ -472,16 +473,28 @@ def test_diagonal_candidate_of_a_large_schatten_space_runs(capsys):
 
 
 def test_ascent_working_set_refused_before_the_matrix(capsys, monkeypatch):
-    # 21 lacunary characters of Z_(2^22): the 1.3 GiB matrix is under the
-    # 2 GiB cap, but with 64 restarts' trial values the ascent would hold
-    # 13.3 GiB; refused by the projection alone
+    # 21 lacunary characters of Z_(2^22) at p = 3, the dense route: the 1.3
+    # GiB matrix is under the 2 GiB cap, but with 64 restarts' trial values
+    # the ascent would hold 13.3 GiB; refused by the projection alone
     def build(*args):
         raise AssertionError("built the character matrix before the working-set check")
 
     monkeypatch.setattr(systems, "_character_matrix", build)
     freqs = ",".join(str(2 ** k) for k in range(21))
-    _assert_usage_error(capsys, ["kp", "--group", str(2 ** 22), "--freqs", freqs, "--p", "4",
+    _assert_usage_error(capsys, ["kp", "--group", str(2 ** 22), "--freqs", freqs, "--p", "3",
                                  "--seed", "1"], "ascent working set of shape (213, 4194304)")
+
+
+def test_kp_even_p_on_a_huge_group_runs(capsys, monkeypatch):
+    # three characters of Z_(10^8) at p = 4: the sumsets hold 3 + 5 residues
+    # and the ascent builds no character matrix, so the command runs
+    def build(*args):
+        raise AssertionError("built the character matrix")
+
+    monkeypatch.setattr(systems, "_character_matrix", build)
+    assert main(["kp", "--group", "100000000", "--freqs", "1,2,3", "--p", "4",
+                 "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("K_4 lower bound for 3 characters on Z_100000000: ")
 
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from summinglab import AscentConfig, full_character_set, kernels, kp_constant_lower
+from summinglab import (AscentConfig, CharacterSet, full_character_set, kernels,
+                        kp_constant_lower, systems)
 from summinglab.rng import gaussian_bidiagonal, make_rng
 from summinglab.systems import MC_BLOCK, lacunary_character_set
 
@@ -385,3 +386,104 @@ def test_bidiagonal_rows_do_not_depend_on_their_block():
     assert np.array_equal(run.norms(), np.concatenate(per_block))
     run.append(slot[:3, :n], slot[:3, n:])
     assert np.array_equal(run.norms(), per_block[-1][:3])
+
+
+# ---------------------------------------------------------------------------
+# the even-p sumset route against the dense one
+# ---------------------------------------------------------------------------
+
+def _sumsets_by_dicts(order, freqs, k):
+    # the tables by dictionaries: L_1 = freqs, L_(i+1) = sorted (L_i + freqs) mod order
+    m, level, gathers = len(freqs), list(freqs), []
+    for _ in range(k - 1):
+        pairs = {}
+        for t, x in enumerate(level):
+            for j, lam in enumerate(freqs):
+                pairs.setdefault((x + lam) % order, []).append(t * m + j)
+        nxt = sorted(pairs)
+        index = {s: i for i, s in enumerate(nxt)}
+        positions = np.array([[index[(x + lam) % order] for lam in freqs] for x in level])
+        rmax = max(len(flat) for flat in pairs.values())
+        gathers.append(np.array([[pairs[s][r] if r < len(pairs[s]) else len(level) * m
+                                  for s in nxt] for r in range(rmax)]))
+        level = nxt
+    return kernels.Sumsets(gathers, positions)
+
+
+_RANDOM = np.random.default_rng(12)
+# kp-profile's lacunary set, random sets of Z_4096, and a set whose sums wrap mod 64
+_SUMSET_CASES = {
+    "lacunary-12": (4096, tuple(2 ** j for j in range(12))),
+    "random-6": (4096, tuple(_RANDOM.choice(4096, 6, replace=False).tolist())),
+    "random-12": (4096, tuple(_RANDOM.choice(4096, 12, replace=False).tolist())),
+    "wrapping": (64, (1, 31, 33, 62)),
+}
+
+
+def _unit_starts(restarts, m, seed):
+    starts = _starts(restarts, m, seed)
+    return starts / np.linalg.norm(starts, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+@pytest.mark.parametrize("case", sorted(_SUMSET_CASES))
+def test_sumset_objective_is_the_dense_one_over_the_group(case, p):
+    # value * N^(1/p) = (sum_x |f|^p)^(1/p), and the direction is
+    # sum_x |f|^(p-2) f conj(gamma_j) / N
+    order, freqs = _SUMSET_CASES[case]
+    coeffs = _unit_starts(5, len(freqs), seed=p)
+    value, direction = kernels._on_sumsets(_sumsets_by_dicts(order, freqs, p // 2))(coeffs)
+    vals = coeffs @ CharacterSet(order, freqs).matrix().T
+    mags = np.abs(vals)
+    assert np.allclose(value * order ** (1.0 / p), np.sum(mags ** p, axis=1) ** (1.0 / p),
+                       rtol=1e-12, atol=0)
+    dense = (mags ** (p - 2) * vals) @ CharacterSet(order, freqs).matrix().conj() / order
+    got = direction(slice(None))
+    scale = np.linalg.norm(dense, axis=1)[:, None]
+    assert np.allclose(got / scale, dense / scale, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_sumset_tables_match_the_dictionaries(p):
+    for order, freqs in _SUMSET_CASES.values():
+        built = systems._sumsets(CharacterSet(order, freqs), p // 2, 8)
+        if built is None:  # the dense route's
+            continue
+        oracle = _sumsets_by_dicts(order, freqs, p // 2)
+        assert np.array_equal(built.positions, oracle.positions)
+        assert len(built.gathers) == len(oracle.gathers)
+        for got, want in zip(built.gathers, oracle.gathers):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("case", ["lacunary-12", "wrapping"])
+def test_lp_ascent_takes_the_same_steps_on_both_routes(case, p):
+    order, freqs = _SUMSET_CASES[case]
+    starts = _starts(12, len(freqs), seed=9)
+    dense = kernels.lp_ascent(CharacterSet(order, freqs).matrix(), p, starts=starts,
+                              max_steps=200)
+    coeff = kernels.lp_ascent(_sumsets_by_dicts(order, freqs, p // 2), p, starts=starts,
+                              max_steps=200)
+    assert np.allclose(coeff[0] * order ** (1.0 / p), dense[0], rtol=1e-12, atol=0)
+    assert np.allclose(coeff[1], dense[1], rtol=0, atol=1e-12)
+
+
+def test_sumset_restart_does_not_depend_on_the_batch():
+    # every reduction runs down the support, so a restart alone takes the
+    # same floating-point steps as inside a batch of any size
+    for case, p in (("lacunary-12", 6), ("wrapping", 4), ("random-12", 4)):
+        order, freqs = _SUMSET_CASES[case]
+        sumsets = _sumsets_by_dicts(order, freqs, p // 2)
+        starts = _starts(9, len(freqs), seed=4)
+        vals, coeffs = kernels.lp_ascent(sumsets, p, starts=starts, max_steps=120)
+        for rows in (slice(0, 1), slice(4, 5), slice(7, 9)):
+            part = kernels.lp_ascent(sumsets, p, starts=starts[rows], max_steps=120)
+            assert np.array_equal(part[0], vals[rows])
+            assert np.array_equal(part[1], coeffs[rows])
+
+
+def test_sumsets_give_one_exponent():
+    sumsets = _sumsets_by_dicts(64, (1, 31, 33, 62), 2)
+    with pytest.raises(ValueError, match="give p = 4, not 6"):
+        kernels.lp_ascent(sumsets, 6.0, starts=_starts(2, 4), max_steps=5)

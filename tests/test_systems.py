@@ -758,7 +758,8 @@ def test_sidon_scaling_invariance():
 # ascent working set
 # ---------------------------------------------------------------------------
 
-_ASCENTS = {"kp": lambda cs, cfg: kp_constant_lower(cs, 4, cfg),
+# the dense route: at p = 4 these lacunary sets take their sumsets
+_ASCENTS = {"kp": lambda cs, cfg: kp_constant_lower(cs, 3, cfg),
             "sidon": sidon_constant_lower}
 
 
@@ -796,6 +797,94 @@ def test_ascent_refused_before_the_matrix_or_the_kernel(monkeypatch, ascent):
     monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", 2 ** 20)
     with pytest.raises(ValueError, match=r"ascent working set of shape \(56, 4096\)"):
         _ASCENTS[ascent](lacunary_character_set(4096, 8), AscentConfig(seed=3, restarts=16))
+
+
+def test_sumset_ascent_peak_stays_under_its_projection(monkeypatch):
+    # what numpy allocates in an ascent on the sumsets holds every level and
+    # the largest step's products and gather per restart, and the
+    # working-set check refuses a cap just under it
+    cs = lacunary_character_set(4096, 12)
+    cfg = AscentConfig(seed=3, restarts=16, steps=30)
+    assert kp_constant_lower(cs, 6, cfg).method == "projected-ascent[sumsets]"
+    tracemalloc.start()
+    try:
+        kp_constant_lower(cs, 6, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gathers = systems._sumsets(cs, 3, cfg.restarts).gathers
+    levels = cs.size + sum(g.shape[1] for g in gathers)
+    step = gathers[0].shape[1] * cs.size + 1 + gathers[1].size
+    assert peak >= cfg.restarts * (levels + step) * 16
+    monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", peak - 1)
+    with pytest.raises(ValueError, match="ascent working set"):
+        kp_constant_lower(cs, 6, cfg)
+
+
+def test_sumset_tables_refused_before_they_are_made(monkeypatch):
+    # 400 characters of Z_(2^40) at p = 4: the first table, 400 x 400
+    # indices, is 1.22 MiB; under a 1 MiB cap it is refused in one line
+    # before any table, matrix or ascent
+    def touched(*args, **kwargs):
+        raise AssertionError("built the character matrix or ran an ascent")
+
+    for name in ("_character_matrix", "lp_ascent"):
+        monkeypatch.setattr(systems, name, touched)
+    monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", 2 ** 20)
+    cs = _charset(2 ** 40, range(1, 401))
+    cfg = AscentConfig(seed=1, restarts=4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^sumset table of shape \(400, 400\) would take "
+                                             r"[^\n]* GiB cap$"):
+            kp_constant_lower(cs, 4, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 400 * 8 // 4
+
+
+# ---------------------------------------------------------------------------
+# the even-p route rule
+# ---------------------------------------------------------------------------
+
+def test_sumsets_are_taken_where_they_form_at_most_n_products():
+    # sum_(i<k) |L_i| m against N = 4096: 144 (p = 4), 1080 (p = 6) and
+    # 4668 (p = 8) for kp-profile's lacunary set of 12
+    lac = lacunary_character_set(4096, 12)
+    assert systems._sumsets(lac, 2, 64) is not None
+    assert systems._sumsets(lac, 3, 64) is not None
+    assert systems._sumsets(lac, 4, 64) is None
+    assert systems._sumsets(full_character_set(256), 2, 64) is None  # 256^2 > 256
+    fast = AscentConfig(seed=2, restarts=2, steps=5)
+    sumsets, points = "projected-ascent[sumsets]", "projected-ascent"
+    for cs, p, method in ((lac, 4, sumsets), (lac, 6, sumsets), (lac, 8, points),
+                          (full_character_set(256), 4, points), (lac, 3, points),
+                          (lac, "5/2", points)):
+        assert kp_constant_lower(cs, p, fast).method == method
+    # p = 98 is stored as the reciprocal 1 / 98, whose inverse is not 98
+    pair = _charset(2 ** 40, [1, 2])
+    assert kp_constant_lower(pair, 98, fast).method == "projected-ascent[sumsets]"
+    # a direction's squared norm is bounded by m^p = 2^p: finite up to p = 1022
+    assert systems._sumsets(pair, 511, 2) is not None
+    assert systems._sumsets(pair, 512, 2) is None
+
+
+def test_kp_even_p_builds_no_character_matrix(monkeypatch):
+    # three characters of Z_(2^40) at p = 4; on Z_64 the same sums arise
+    # (none wraps), and there the ratio is the dense group average's
+    small = kp_constant_lower(_charset(64, [1, 2, 5]), 4, CFG)
+    f = SpanElement(_charset(64, [1, 2, 5]), small.witness)
+    assert small.value == pytest.approx(lp_norm_of_span(f, 4) / lp_norm_of_span(f, 2), rel=1e-12)
+
+    def touched(*args, **kwargs):
+        raise AssertionError("built the character matrix")
+
+    monkeypatch.setattr(systems, "_character_matrix", touched)
+    est = kp_constant_lower(_charset(2 ** 40, [1, 2, 5]), 4, CFG)
+    assert 1.0 <= est.value <= math.sqrt(3)
+    assert est.value == pytest.approx(small.value, rel=1e-12)
+    assert est.certainty is Certainty.LOWER
 
 
 # ---------------------------------------------------------------------------
