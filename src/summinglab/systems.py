@@ -1,17 +1,19 @@
 """Orthonormal systems: Gaussian sequences and characters on the cyclic group Z_N.
 
-Character systems integrate exactly (normalized counting average over the
-group); the Gaussian system integrates by seeded Monte Carlo, in one loop
-whose MC_BLOCK-row blocks are drawn, gathered and reduced on a pool of at
-most ``MC_WIDTH`` threads, each from its own substream, one pool task per
-run of consecutive blocks, and whose sums are added in block order, so the
-result depends neither on the core count nor on how blocks are grouped in
-runs. A Schatten space's full grid of matrix units draws each sample as the
-2n - 1 chi entries of a bidiagonal matrix with a Gaussian matrix's singular
-values; at S_inf a run's blocks are reduced together. On top of the systems
-sit the Lambda(p)-constant and Sidon-constant estimators, which are
-nonconvex maximizations shipped as ascent-with-restarts giving certified
-lower bounds.
+Character systems integrate exactly: a unit family on a sequence space
+(matrix units that ``spaces.sequence_copy`` takes as one included) by the
+modulus-one closed form, any other family by the normalized counting
+average over the group. The Gaussian system integrates by seeded Monte
+Carlo, in one loop whose MC_BLOCK-row blocks are drawn, gathered and
+reduced on a pool of at most ``MC_WIDTH`` threads, each from its own
+substream, one pool task per run of consecutive blocks, and whose sums are
+added in block order, so the result depends neither on the core count nor
+on how blocks are grouped in runs. A Schatten space's full grid of matrix
+units draws each sample as the 2n - 1 chi entries of a bidiagonal matrix
+with a Gaussian matrix's singular values; at S_inf a run's blocks are
+reduced together. On top of the systems sit the Lambda(p)-constant and
+Sidon-constant estimators, which are nonconvex maximizations shipped as
+ascent-with-restarts giving certified lower bounds.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def lp_norm_of_span(f: SpanElement, p) -> float:
 class OrthonormalSystem:
     """Gaussian system (Monte Carlo integration) or character system (exact).
 
-    Character systems always integrate by exact group averages; the
+    Character systems integrate exactly (see ``second_moment``); the
     Gaussian system takes its sample count and seed per call.
     """
 
@@ -223,8 +225,8 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     Laguerre iteration's (48 + n/8 entries per matrix of the run for its
     vectors and pivot signs, and 200 per matrix entry for the views it
     makes once), never both at once. At any other exponent, rows of
-    flat_dim for the draws, the materialized block and the three blocks
-    more of ``schatten_norm_batch``. Only the S_inf route grows with
+    flat_dim for the draws, the materialized block and one block more for
+    the copy of it that the SVD takes. Only the S_inf route grows with
     ``run``: the others reduce each block in the slot before they draw the
     next.
     """
@@ -240,7 +242,7 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
             return (MC_BLOCK + -(-MC_BLOCK // entries)
                     + -(-(12 * n + 32) * MC_BLOCK // entries)), entries
         return (-(-MC_BLOCK * entries // flat) + -(-MC_BLOCK // flat)
-                + 4 * MC_BLOCK), flat
+                + 2 * MC_BLOCK), flat
     rows = MC_BLOCK + -(-MC_BLOCK // flat)
     if dim < flat:
         rows += -(-MC_BLOCK * dim // flat)
@@ -396,8 +398,11 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
 
     Matrix units in distinct rows and columns are taken as the l_u^m basis
     they span (``spaces.sequence_copy``), with no matrix formed. Character
-    systems pair y_i with the first m characters of the set and average
-    exactly over the group (certified). The Gaussian system takes
+    systems pair y_i with the first m characters of the set, exactly
+    (certified): a unit family on a sequence space, such a copy included,
+    by the closed form (ms)^(1/v), since sum_i gamma_i(x) y_i has ms
+    entries of modulus one and zeros elsewhere at every x; any other
+    family by the average over the group's N points. The Gaussian system takes
     unit families: blocked Monte Carlo with a reported standard error,
     except where ``gaussian_closed_form`` gives the value.
     """
@@ -407,6 +412,10 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
         cset = system.charset
         if m > cset.size:
             raise ValueError(f"family size {m} exceeds the character set ({cset.size})")
+        if isinstance(family, UnitFamily) and space.kind is SpaceKind.SEQUENCE:
+            # gamma_i(x) of modulus one on disjoint supports: the same norm at every x
+            return NormEstimate(_ones_norm(family.elements.size, space.exponent),
+                                Certainty.EXACT, method="modulus-one closed form")
         check_array_bytes("group-average values", (cset.order, space.flat_dim),
                           np.complex128)
         vals = family.synthesize(cset.matrix()[:, :m])

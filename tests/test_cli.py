@@ -443,22 +443,33 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
     # the unit grid of S_1^20000 has 4 * 10^8 indices
     (["pib", "--space", "s1:20000", "--target", "s2:20000", "--seed", "1"],
      "candidate family"),
-    # the singleton's values on Z_1000000, one row of 20000 coordinates per point
-    (["pib", "--space", "l1:20000", "--target", "l4:20000", "--system", "characters",
-      "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"], "group-average values"),
+    # the comb's values on Z_1000000, one row of 20000 coordinates per point
+    # (the unit families before it take the closed form and allocate nothing)
+    (["pib", "--space", "l2:20000", "--target", "l4:20000", "--system", "characters",
+      "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"],
+     "group-average values of shape (1000000, 20000)"),
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
-    # the S_3^520 grid materializes its bidiagonal draws: one block is 0.55
-    # GB, and with the chi rows, the squared norms and the three blocks more
-    # allowed to the SVD a thread holds 1026 rows of 270400 (2.07 GiB), over
-    # the cap
-    (["lnorm", "--space", "s2:520", "--target", "s3:520", "--samples", "4096", "--seed", "1"],
-     "Monte Carlo chunk working set of shape (1026, 270400)"),
+    # the S_3^1024 grid materializes its bidiagonal draws: one block is 2.1
+    # GB, and with the chi rows, the squared norms and the block more for
+    # the SVD's copy a thread holds 514 rows of 1048576 (4.02 GiB), over the
+    # cap (S_3^520 fits: test_systems' bidiagonal working set)
+    (["lnorm", "--space", "s2:1024", "--target", "s3:1024", "--samples", "4096", "--seed", "1"],
+     "Monte Carlo chunk working set of shape (514, 1048576)"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
     # the projected size is checked against the byte cap before allocating
     _assert_usage_error(capsys, argv, needle)
+
+
+def test_unit_families_on_a_large_group_run(capsys):
+    # l_1 domains have no comb, and unit families of characters take the
+    # modulus-one closed form: no (1000000, 20000) table of values is made
+    assert main(["pib", "--space", "l1:20000", "--target", "l4:20000", "--system",
+                 "characters", "--group", "1000000", "--freqs", "1,2,3", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == ("summing-norm lower bound l1:20000 -> l4:20000 "
+                                       "[characters]: 1 (family-search[singleton])\n")
 
 
 def test_diagonal_candidate_of_a_large_schatten_space_runs(capsys):

@@ -323,6 +323,37 @@ def test_search_zero_budget_equals_best_seed_family():
     assert "basis" in est.method
 
 
+def test_character_search_of_unit_families_makes_no_group_table(monkeypatch):
+    # l_1^16 -> l_2^16 over the lacunary 16 of Z_65536 has no comb, and its
+    # unit families take the closed form: nothing gathers N rows of values
+    def synthesize(*args, **kwargs):
+        raise AssertionError("gathered a unit family's values over the group")
+
+    monkeypatch.setattr(UnitFamily, "synthesize", synthesize)
+    cs = CharacterSet(65536, tuple(2 ** k for k in range(16)))
+    est = summing_norm_search(identity_map(sequence_space(1, 16), sequence_space(2, 16)),
+                              character_system(cs), samples=2, seed=1)
+    assert est.value == 1.0
+
+
+def test_character_comb_still_takes_the_group_average(monkeypatch):
+    # on an l_2 domain the comb is dense: its values at the group's points
+    # are still the character table times its elements
+    shapes = []
+    synthesize = VectorSystem.synthesize
+
+    def spy(self, coeffs):
+        shapes.append(coeffs.shape)
+        return synthesize(self, coeffs)
+
+    monkeypatch.setattr(VectorSystem, "synthesize", spy)
+    cs = CharacterSet(4096, tuple(2 ** k for k in range(12)))
+    est = summing_norm_search(identity_map(sequence_space(2, 12), sequence_space(4, 12)),
+                              character_system(cs), samples=2, seed=1)
+    assert est.certainty is Certainty.LOWER
+    assert shapes and all(shape == (4096, 12) for shape in shapes)
+
+
 def test_search_deterministic_given_seed():
     n = 6
     mapping = identity_map(sequence_space(2, n), sequence_space(4, n))

@@ -242,6 +242,35 @@ def test_second_moment_family_too_large():
         second_moment(character_system(cs), _basis(sequence_space(2, 3), 3))
 
 
+# the search's unit families on l_u^8 (count, size) and the diagonal units
+# of S_u^8, which it takes as the l_u^8 basis
+UNIT_FAMILIES = {"singleton": (1, 1), "ones": (1, 8), "basis": (8, 1),
+                 "blocks:2": (4, 2), "blocks:4": (2, 4), "diag": (8, 1)}
+
+CLOSED_FORM_SETS = {"lacunary": lacunary_character_set(1024, 8),
+                    "full": full_character_set(8),
+                    "random": _charset(97, make_rng(5).choice(97, 10, replace=False))}
+
+
+@pytest.mark.parametrize("cset", sorted(CLOSED_FORM_SETS))
+@pytest.mark.parametrize("u", [1, "4/3", 2, 4, "inf"])
+def test_character_moment_of_unit_families_is_the_closed_form(u, cset):
+    # the first m characters gathered onto each family's coordinates at
+    # every point of the group, reduced by norms_of_stack and averaged
+    cs = CLOSED_FORM_SETS[cset]
+    for kind, (count, size) in UNIT_FAMILIES.items():
+        if kind == "diag":
+            fam = UnitFamily(schatten_space(u, 8), (np.arange(8) * 9)[:, None])
+        else:
+            fam = UnitFamily(sequence_space(u, 8), np.arange(count * size).reshape(count, size))
+        est = second_moment(character_system(cs), fam)
+        vals = np.zeros((cs.order, fam.space.flat_dim), dtype=np.complex128)
+        vals[:, fam.elements] = cs.matrix()[:, :count, None]
+        oracle = np.sqrt(np.mean(norms_of_stack(vals, fam.space) ** 2))
+        assert est.certainty is Certainty.EXACT, kind
+        assert est.value == pytest.approx(oracle, rel=1e-12), kind
+
+
 # matrix units in distinct rows and columns of S^5: the diagonal, the
 # anti-diagonal permutation, and three units of a partial permutation
 BI_DISJOINT = {"diag": [[0], [6], [12], [18], [24]],
@@ -299,8 +328,8 @@ def test_gaussian_moment_of_bi_disjoint_units_is_a_sequence_moment(kind, u):
 @pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
 @pytest.mark.parametrize("kind", sorted(BI_DISJOINT))
 def test_character_moment_of_bi_disjoint_units_is_the_group_average(kind, u):
-    # the exact group average of the first m characters, as l_u^m
-    # sequences, against the dense matrices' average
+    # the modulus-one closed form of the l_u^m copy against the dense
+    # matrices' group average over the first m characters
     cs = _charset(12, [0, 1, 3, 4, 7, 9])
     fam = UnitFamily(schatten_space(u, 5), np.array(BI_DISJOINT[kind]))
     est = second_moment(character_system(cs), fam)
@@ -451,14 +480,18 @@ def test_mc_working_set_of_the_bidiagonal_route():
     # the run, and the larger of 3n + 128 per matrix of the block and what
     # the iteration holds (1162 rows of 127 for a one-block run at n = 64;
     # 929 rows of 1023, 7.6 MB, at n = 512, where the dense block alone would
-    # be 537 MB); any other exponent materializes the block, in rows of n^2
-    # as the gather route counts
+    # be 537 MB); any other exponent materializes the block, in rows of n^2,
+    # and holds one block more for the SVD's copy of it
     assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1162, 127)
     assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1942, 127)
     assert systems._mc_working_set(4096, schatten_space(4, 64)) == (1872, 127)
     assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (1872, 127)
     assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (929, 1023)
-    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (1033, 4096)
+    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (521, 4096)
+    # so one thread of the S_3^520 grid holds 514 rows of 270400 (1.04 GiB),
+    # under the cap
+    assert systems._mc_working_set(520 ** 2, schatten_space(3, 520)) == (514, 520 ** 2)
+    assert systems._mc_width(520 ** 2, schatten_space(3, 520), 4096) == (1, 1)
     # a sequence space's full basis still draws its rows
     assert systems._mc_working_set(64, sequence_space("inf", 64)) == (772, 64)
 
@@ -470,9 +503,11 @@ def test_mc_working_set_of_the_bidiagonal_route():
     (schatten_space(4, 64), "basis", 17 * MC_BLOCK + 1),
     (schatten_space("inf", 2), "basis", 17 * MC_BLOCK + 1),
     (schatten_space(3, 16), "basis", 17 * MC_BLOCK + 1),
+    (schatten_space(3, 32), "basis", 5 * MC_BLOCK + 1),
+    (schatten_space(3, 64), "basis", 5 * MC_BLOCK + 1),
     (schatten_space("inf", 16), "basis", 52 * MC_BLOCK + 1),
 ], ids=["sinf64-basis", "s4-32-diag", "linf-blocks", "s4-64-basis", "sinf2-basis",
-        "s3-16-basis", "sinf16-long-runs"])
+        "s3-16-basis", "s3-32-basis", "s3-64-basis", "sinf16-long-runs"])
 def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
     # what numpy allocates during the loop, on every thread, stays under the
     # working set _mc_width checks against the cap for its run length (11
