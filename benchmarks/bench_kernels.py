@@ -8,7 +8,8 @@ blocks drawn, gathered and reduced on a thread pool) through
 matrix units, on fixed inputs and seeds, and prints the median and quartiles of
 the wall time over ``--repeats`` calls, plus the best value each call
 returned to 17 digits (a change that moves it changed the numbers, not
-just the speed). Usage:
+just the speed) and, for a Monte Carlo case, its standard error (a change
+that moves it changed the precision). Usage:
 
     python benchmarks/bench_kernels.py [--repeats N]
 
@@ -22,7 +23,7 @@ import time
 
 import numpy as np
 
-from summinglab import (UnitFamily, gaussian_system, identity_map, kernels,
+from summinglab import (NormEstimate, UnitFamily, gaussian_system, identity_map, kernels,
                         schatten_space, second_moment, summing)
 from summinglab.rng import gaussian_bidiagonal, make_rng
 from summinglab.systems import MC_BLOCK, _sumsets, lacunary_character_set
@@ -83,15 +84,15 @@ def cases():
     # the whole loop at the README's largest thm2 size: draws, norms, sums
     for v in ("inf", 4):
         space_map = identity_map(schatten_space(2, 64), schatten_space(v, 64))
-        yield (f"ell_norm_mc s2:64 -> s{v}:64 (20000 samples, seed 11)", _ell_norm_value,
+        yield (f"ell_norm_mc s2:64 -> s{v}:64 (20000 samples, seed 11)", _ell_norm,
                (space_map, 20_000))
     # sixteen blocks, a few per thread
-    yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, 16 blocks, seed 11)", _ell_norm_value,
+    yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, 16 blocks, seed 11)", _ell_norm,
            (identity_map(schatten_space(2, 64), schatten_space("inf", 64)), 4096))
     # interp-audit's S_4^32 diagonal matrix units, reduced as the l_4^32 basis
     space = schatten_space(4, 32)
     diag = UnitFamily(space, (np.arange(32) * 33)[:, None])
-    yield ("second_moment s4:32 diag as l4:32 (20000 samples, seed 11)", _second_moment_value,
+    yield ("second_moment s4:32 diag as l4:32 (20000 samples, seed 11)", _second_moment,
            (diag,))
 
 
@@ -103,22 +104,26 @@ def _spectral_run_norms(chis, n):
     return run.norms()
 
 
-def _ell_norm_value(space_map, samples):
-    return summing.ell_norm_mc(space_map, samples=samples, seed=11).value
+def _ell_norm(space_map, samples):
+    return summing.ell_norm_mc(space_map, samples=samples, seed=11)
 
 
-def _second_moment_value(family):
-    return second_moment(gaussian_system(), family, samples=20_000, seed=11).value
+def _second_moment(family):
+    return second_moment(gaussian_system(), family, samples=20_000, seed=11)
 
 
 def _time(fn, args, repeats):
+    # (quartiles of the wall time, best value, stderr or None)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         out = fn(*args)
         times.append(time.perf_counter() - t0)
+    quartiles = np.percentile(times, [25, 50, 75])
+    if isinstance(out, NormEstimate):
+        return quartiles, out.value, out.stderr
     values = out[0] if isinstance(out, tuple) else out
-    return np.percentile(times, [25, 50, 75]), float(np.max(values))
+    return quartiles, float(np.max(values)), None
 
 
 def main():
@@ -130,12 +135,13 @@ def main():
         parser.error("--repeats must be >= 1")
 
     rows = [(label, *_time(fn, fn_args, args.repeats)) for label, fn, fn_args in cases()]
-    width = max(len(label) for label, _, _ in rows)
+    width = max(len(label) for label, *_ in rows)
     print(f"backend {kernels.active_backend()}, {args.repeats} repeats\n")
-    print(f"{'kernel':<{width}}  {'median':>10}  {'q25':>10}  {'q75':>10}  {'best value':>24}")
-    for label, (q25, med, q75), best in rows:
+    print(f"{'kernel':<{width}}  {'median':>10}  {'q25':>10}  {'q75':>10}  {'best value':>24}"
+          f"  {'stderr':>9}")
+    for label, (q25, med, q75), best, stderr in rows:
         print(f"{label:<{width}}  {med * 1e3:8.1f}ms  {q25 * 1e3:8.1f}ms  "
-              f"{q75 * 1e3:8.1f}ms  {best:24.17g}")
+              f"{q75 * 1e3:8.1f}ms  {best:24.17g}  {'' if stderr is None else f'{stderr:.3g}':>9}")
 
 
 if __name__ == "__main__":

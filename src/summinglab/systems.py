@@ -8,7 +8,11 @@ Carlo, in one loop whose MC_BLOCK-row blocks are drawn, gathered and
 reduced on a pool of at most ``MC_WIDTH`` threads, each from its own
 substream, one pool task per run of consecutive blocks, and whose sums are
 added in block order, so the result depends neither on the core count nor
-on how blocks are grouped in runs. A Schatten space's full grid of matrix
+on how blocks are grouped in runs. Each sample's squared Frobenius norm,
+whose mean is known exactly, is its control variate: the estimate is the
+sample mean corrected along the fitted regression on it, and the plain
+sample mean under 3 samples, for a constant control or where the corrected
+mean is not positive. A Schatten space's full grid of matrix
 units draws each sample as the 2n - 1 chi entries of a bidiagonal matrix
 with a Gaussian matrix's singular values; at S_inf a run's blocks are
 reduced together. On top of the systems sit the Lambda(p)-constant and
@@ -81,9 +85,12 @@ class CharacterSet:
 @lru_cache(maxsize=64)
 def _character_matrix(order: int, freqs: tuple[int, ...]) -> np.ndarray:
     check_array_bytes("character matrix", (order, len(freqs)), np.complex128)
-    # phases as exact integer residues, then one exp call
-    k = np.asarray(freqs, dtype=np.int64)
-    mat = np.exp(2j * np.pi * ((np.outer(np.arange(order), k) % order) / order))
+    # the N-th roots of unity from one exp call at exact integer residues,
+    # gathered at the residues (x k) % N
+    roots = np.exp(2j * np.pi * (np.arange(order) / order))
+    residues = np.outer(np.arange(order), np.asarray(freqs, dtype=np.int64))
+    residues %= order
+    mat = roots[residues]
     mat.flags.writeable = False
     return mat
 
@@ -187,7 +194,7 @@ def _draws_bidiagonal(dim: int, space: SpaceDescriptor) -> bool:
 
 
 # Bytes to which taking more blocks per pool task may grow a thread's
-# projected working set: four S_inf bidiagonal blocks at n = 64 (1.97 MB),
+# projected working set: four S_inf bidiagonal blocks at n = 64 (1.98 MB),
 # whose iteration then acts on about a thousand rows a numpy call. Not a
 # setting.
 MC_RUN_BYTES = 2 ** 21
@@ -208,8 +215,8 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     """(rows, row length) of the float64 entries that one Monte Carlo thread holds.
 
     For a pool task of ``run`` blocks: its slot, an MC_BLOCK-row block of
-    what it draws; the block's squared norms; and the kernel's arrays,
-    rounded up to whole rows. A family that gathers holds rows of
+    what it draws and the block's Frobenius controls; the block's squared
+    norms; and the kernel's arrays, rounded up to whole rows. A family that gathers holds rows of
     flat_dim: the block of the rows the kernel reads, drawn there when the
     gather is the identity (dim == flat_dim), otherwise gathered from the
     slot's own (MC_BLOCK, dim) coefficients, and three blocks more on
@@ -219,10 +226,11 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     its 2n - 1 chi entries at S_4 and S_inf. At S_4,
     ``bidiagonal_schatten_norms`` holds at most twelve n-entry arrays and 32
     more entries per matrix. At S_inf, the ``SpectralRun`` holds 2n + 1
-    entries per matrix of the run, and on top either the temporaries of
-    appending a block (3n + 128 entries per matrix of the block: three
-    n-entry arrays, and numpy's buffers for the strided operands) or the
-    Laguerre iteration's (48 + n/8 entries per matrix of the run for its
+    entries per matrix of the run and the slot one control per matrix of
+    the run, until the run's norms are taken; on top, either the
+    temporaries of appending a block (3n + 128 entries per matrix of the
+    block: three n-entry arrays, and numpy's buffers for the strided
+    operands) or the Laguerre iteration's (48 + n/8 entries per matrix of the run for its
     vectors and pivot signs, and 200 per matrix entry for the views it
     makes once), never both at once. At any other exponent, rows of
     flat_dim for the draws, the materialized block and one block more for
@@ -234,16 +242,16 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     if _draws_bidiagonal(dim, space):
         n, entries = space.dim, 2 * space.dim - 1
         if _runs_spectral(dim, space):
-            columns = (2 * n + 1) * run * MC_BLOCK
+            columns = (2 * n + 2) * run * MC_BLOCK
             append = (3 * n + 128) * MC_BLOCK
             iterate = (48 + -(-n // 8)) * run * MC_BLOCK + 200 * n
             return MC_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
         if space.exponent.value == 4.0:
-            return (MC_BLOCK + -(-MC_BLOCK // entries)
+            return (MC_BLOCK + 2 * -(-MC_BLOCK // entries)
                     + -(-(12 * n + 32) * MC_BLOCK // entries)), entries
-        return (-(-MC_BLOCK * entries // flat) + -(-MC_BLOCK // flat)
+        return (-(-MC_BLOCK * entries // flat) + 2 * -(-MC_BLOCK // flat)
                 + 2 * MC_BLOCK), flat
-    rows = MC_BLOCK + -(-MC_BLOCK // flat)
+    rows = MC_BLOCK + 2 * -(-MC_BLOCK // flat)
     if dim < flat:
         rows += -(-MC_BLOCK * dim // flat)
     return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * MC_BLOCK, flat
@@ -272,45 +280,75 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]
     return width, run
 
 
-def _two_sums(q) -> tuple[float, float]:
-    # a block's sum of squared norms and of their squares; q is overwritten
+def _block_sums(q, c) -> tuple[float, float, float, float, float]:
+    # a block's sums of Y, Y^2, C, C^2 and Y C, for its norms q (overwritten
+    # by Y = q^2) and its controls c
     np.square(q, out=q)
-    return float(q.sum()), float((q * q).sum())
+    return (float(q.sum()), float((q * q).sum()), float(c.sum()), float((c * c).sum()),
+            float((q * c).sum()))
 
 
 def _run_sums(family: UnitFamily, seed, first: int, counts, slots,
-              one_pass) -> list[tuple[float, float]]:
+              one_pass) -> list[tuple[float, float, float, float, float]]:
     # On a pool thread: draw blocks first, first + 1, ... (counts[i] rows for
     # block first + i) into a free slot in turn, as bidiagonals or as
-    # coefficients gathered there unless the gather is the identity, and
-    # reduce each to its two sums. At S_inf the bidiagonal blocks go to the
+    # coefficients gathered there unless the gather is the identity, take
+    # each row's control C (the squared Frobenius norm: the chi row's sum of
+    # squares, or the element size times the coefficient row's), and reduce
+    # each block to its five sums. At S_inf the bidiagonal blocks go to the
     # slot's SpectralRun instead, which reduces them all at once while it
-    # holds the one_pass lock. The pool's threads are as many as the slots,
-    # so get() never waits.
-    slot = rows, coeffs, spectral = slots.get()
+    # holds the one_pass lock; their controls wait in the slot. The pool's
+    # threads are as many as the slots, so get() never waits.
+    slot = rows, coeffs, spectral, controls = slots.get()
     try:
-        space, sums = family.space, []
+        space, sums, held = family.space, [], 0
         for index, count in enumerate(counts, first):
             rng = make_rng(substream(seed, index))
+            c = controls[held:held + count]
             if _draws_bidiagonal(family.size, space):
                 n = space.dim
                 chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
+                np.einsum("ij,ij->i", chis, chis, out=c)
                 if spectral is not None:
                     spectral.append(chis[:, :n], chis[:, n:])
+                    held += count
                     continue
                 q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value)
             else:
                 drawn = standard_gaussians(rng, (count, family.size),
                                            out=(rows if coeffs is None else coeffs)[:count])
+                np.einsum("ij,ij->i", drawn, drawn, out=c)
+                c *= family.elements.shape[1]
                 q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), space)
-            sums.append(_two_sums(q))
+            sums.append(_block_sums(q, c))
         if spectral is not None:
             with one_pass:
                 q = spectral.norms()
-            sums = [_two_sums(part) for part in np.split(q, np.cumsum(counts[:-1]))]
+            cuts = np.cumsum(counts[:-1])
+            sums = [_block_sums(*block)
+                    for block in zip(np.split(q, cuts), np.split(controls[:held], cuts))]
         return sums
     finally:
         slots.put(slot)
+
+
+def _controlled_moment(sums, samples: int, mu: float) -> tuple[float, float]:
+    """(mean, stderr of the mean) of Y from the five summed sums, C of known mean mu.
+
+    The estimator and its guard are ``_mc_second_moment``'s; beta = 0
+    leaves the plain sample mean and the variance over the samples.
+    """
+    s_y, s_yy, s_c, s_cc, s_yc = sums
+    mean_y, mean_c = s_y / samples, s_c / samples
+    var_y = s_yy / samples - mean_y * mean_y
+    var_c = s_cc / samples - mean_c * mean_c
+    cov = s_yc / samples - mean_y * mean_c
+    beta, fitted = 0.0, 0
+    if samples >= 3 and var_c > 0 and mean_y - cov / var_c * (mean_c - mu) > 0:
+        beta, fitted = cov / var_c, 2
+    mean = mean_y - beta * (mean_c - mu)
+    var = max(var_y - beta * cov, 0.0) * (samples / (samples - fitted))
+    return mean, math.sqrt(var / samples)
 
 
 def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
@@ -325,18 +363,31 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``, or at
     S_inf by a ``kernels.SpectralRun``. One pool task per run of
     consecutive blocks, on ``_mc_width`` threads with its run length, draws
-    (and gathers) each block into a free slot and reduces it to its two
-    sums; at S_inf it appends each bidiagonal block to the slot's
-    SpectralRun and reduces the run in one Laguerre pass, whose numpy calls
+    (and gathers) each block into a free slot and reduces it to five sums:
+    of Y = ||sum_i g_i x_i||^2, of its control C, the squared Frobenius
+    norm, of their squares and of YC. Each row's C comes from what the slot
+    already holds (the chi row's sum of squares, or the element size times
+    the coefficient row's) before the kernel runs. At S_inf the task appends
+    each bidiagonal block to the slot's SpectralRun, keeps its controls in
+    the slot, and reduces the run in one Laguerre pass, whose numpy calls
     then act on the run's rows instead of one block's (numpy's Philox and
     gamma fills, ``take``, ``matmul`` and LAPACK release the GIL). There is
     one slot per thread, allocated once per call, so nothing block-sized is
     allocated inside the loop but the kernel's temporaries. The caller keeps
     at most two tasks per thread in flight and adds each block's sums in
     block order, so the result is the same float however the tasks
-    interleave and however the blocks are grouped into runs. The value is a
-    Monte Carlo estimate, so it is ``lower`` with a standard error (delta
-    method on the square root).
+    interleave and however the blocks are grouped into runs. C has the
+    exact mean mu = sum_i ||x_i||_2^2 (``family.elements.size``; n^2 for a
+    grid, whose bidiagonal keeps the Frobenius norm), so the mean of Y is
+    estimated as Ybar - beta (Cbar - mu), beta = Cov(Y, C) / Var(C) fitted
+    from the same sums, with the regression's residual variance over
+    samples - 2 (Glasserman, Monte Carlo Methods in Financial Engineering,
+    2003, section 4.1). beta is 0, which leaves the plain mean and variance,
+    under 3 samples (a line through two points leaves no residual, so the
+    stderr would read 0), when C does not vary, or when the controlled mean
+    is not positive (``_controlled_moment``). The value is a Monte Carlo
+    estimate, so it is ``lower`` with a standard error (delta method on the
+    square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
@@ -350,14 +401,16 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     from concurrent.futures import ThreadPoolExecutor
 
     # one array per part for all slots: slot i is (drawn or kernel rows,
-    # coefficients, S_inf run)[i]
+    # coefficients, S_inf run, controls)[i]
     row = 2 * space.dim - 1 if _draws_bidiagonal(dim, space) else space.flat_dim
     kernel_rows = np.empty((width, MC_BLOCK, row))
     coeffs = np.empty((width, MC_BLOCK, dim)) if dim < space.flat_dim else [None] * width
-    spectral = ([SpectralRun(space.dim, run * MC_BLOCK) for _ in range(width)]
+    held = run * MC_BLOCK if _runs_spectral(dim, space) else MC_BLOCK
+    spectral = ([SpectralRun(space.dim, held) for _ in range(width)]
                 if _runs_spectral(dim, space) else [None] * width)
+    controls = np.empty((width, held))
     slots = queue.SimpleQueue()
-    for slot in zip(kernel_rows, coeffs, spectral):
+    for slot in zip(kernel_rows, coeffs, spectral, controls):
         slots.put(slot)
     # One Laguerre pass at a time: a pass is thousands of short numpy calls,
     # each of which drops and retakes the GIL on vectors of over 500 rows,
@@ -380,15 +433,13 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in sums:
-        total += s
-        total_sq += s2
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+    totals = [0.0] * 5
+    for block in sums:
+        for i, s in enumerate(block):
+            totals[i] += s
+    mean, stderr = _controlled_moment(totals, samples, float(family.elements.size))
     value = float(np.sqrt(mean))
-    stderr = float(np.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
+    stderr = float(stderr / (2.0 * value)) if value > 0 else 0.0
     return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian")
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from summinglab import experiments, systems
 from summinglab.cli import build_parser, main
+from summinglab.rng import make_rng, standard_gaussians, substream
 from summinglab.systems import MC_BLOCK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,6 +50,24 @@ def test_lnorm_command(capsys):
     ratio = doc["value"] / np.sqrt(2 * np.log(16))
     assert 0.9 <= ratio <= 1.1
     assert doc["stderr"] > 0
+
+
+@pytest.mark.parametrize("samples", [2, 3])
+def test_lnorm_few_samples_keep_a_stderr(capsys, samples):
+    # a line through two points leaves no residual, so under 3 samples the
+    # Frobenius control is not fitted: value and stderr are the plain
+    # estimator's from the same two rows; 3 samples leave the fit one
+    # degree of freedom
+    assert main(["lnorm", "--space", "l2:4", "--target", "linf:4",
+                 "--samples", str(samples), "--seed", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stderr"] > 0
+    if samples == 2:
+        y = np.abs(standard_gaussians(make_rng(substream(1, 0)), (2, 4))).max(axis=1) ** 2
+        mean = float(y.sum()) / 2
+        var = float((y * y).sum()) / 2 - mean * mean
+        assert doc["value"] == math.sqrt(mean)
+        assert doc["stderr"] == math.sqrt(var / 2) / (2.0 * doc["value"])
 
 
 def test_lnorm_exact_path(capsys):
@@ -451,11 +470,11 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
     # the S_3^1024 grid materializes its bidiagonal draws: one block is 2.1
-    # GB, and with the chi rows, the squared norms and the block more for
-    # the SVD's copy a thread holds 514 rows of 1048576 (4.02 GiB), over the
-    # cap (S_3^520 fits: test_systems' bidiagonal working set)
+    # GB, and with the chi rows, the squared norms, the controls and the
+    # block more for the SVD's copy a thread holds 515 rows of 1048576 (4.02
+    # GiB), over the cap (S_3^520 fits: test_systems' bidiagonal working set)
     (["lnorm", "--space", "s2:1024", "--target", "s3:1024", "--samples", "4096", "--seed", "1"],
-     "Monte Carlo chunk working set of shape (514, 1048576)"),
+     "Monte Carlo chunk working set of shape (515, 1048576)"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
@@ -510,9 +529,9 @@ def test_kp_even_p_on_a_huge_group_runs(capsys, monkeypatch):
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     # one l_inf^400000 block is 0.82 GB, under the 2 GiB cap, but a thread's
-    # working set, the block with its squared norms and the reduction's
-    # magnitude and scaled copy, is not: the pool narrows to one thread, and
-    # that is refused before any draw
+    # working set, the block with its squared norms and controls and the
+    # reduction's magnitude and scaled copy, is not: the pool narrows to one
+    # thread, and that is refused before any draw
     def draw(*args, **kwargs):
         raise AssertionError("drew normals before the working-set check")
 
@@ -522,7 +541,7 @@ def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     assert rows * flat * 8 < systems.MAX_ARRAY_BYTES
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],
-                        "Monte Carlo chunk working set of shape (769, 400000)")
+                        "Monte Carlo chunk working set of shape (770, 400000)")
 
 
 def test_bidiagonal_ell_norm_runs_where_dense_blocks_would_not(capsys):

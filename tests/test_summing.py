@@ -179,15 +179,30 @@ def _materialize(family):
     return dense
 
 
+def _controlled_moment(rows, space, mu):
+    """(value, stderr) of (E ||row||^2)^(1/2) over the materialized rows,
+    controlled by their squared Frobenius norms, of mean mu: the
+    least-squares line of the one on the other (beta = 0 under 3 samples,
+    for a constant control or where the controlled mean is not positive)."""
+    y, c = norms_of_stack(rows, space) ** 2, np.sum(rows ** 2, axis=1)
+    samples = len(y)
+    dy, dc = y - y.mean(), c - c.mean()
+    beta = dy @ dc / (dc @ dc) if samples >= 3 and dc @ dc > 0 else 0.0
+    if y.mean() - beta * (c.mean() - mu) <= 0:
+        beta = 0.0
+    resid = dy - beta * dc
+    value = np.sqrt(y.mean() - beta * (c.mean() - mu))
+    var = resid @ resid / (samples - (2 if beta else 0))
+    return value, np.sqrt(var / samples) / (2 * value)
+
+
 def _dense_second_moment(dense, space, samples, seed):
     """Blocked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
-    q = np.concatenate([
-        norms_of_stack(standard_gaussians(make_rng(substream(seed, k)),
-                                          (min(MC_BLOCK, samples - start), dense.shape[0]))
-                       @ dense, space) ** 2
+    rows = np.concatenate([
+        standard_gaussians(make_rng(substream(seed, k)),
+                           (min(MC_BLOCK, samples - start), dense.shape[0])) @ dense
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
-    value = np.sqrt(q.mean())
-    return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
+    return _controlled_moment(rows, space, np.sum(dense ** 2))
 
 
 def _bidiagonal_second_moment(space, samples, seed):
@@ -195,17 +210,13 @@ def _bidiagonal_second_moment(space, samples, seed):
     Monte Carlo loop draws a full grid's, materialized and reduced by ``norms_of_stack``."""
     n = space.dim
     on = np.arange(n)
-    q = []
+    dense = np.zeros((samples, n, n))
     for k, start in enumerate(range(0, samples, MC_BLOCK)):
         count = min(MC_BLOCK, samples - start)
         chis = gaussian_bidiagonal(make_rng(substream(seed, k)), count, n)
-        dense = np.zeros((count, n, n))
-        dense[:, on, on] = chis[:, :n]
-        dense[:, on[:-1], on[1:]] = chis[:, n:]
-        q.append(norms_of_stack(dense.reshape(count, -1), space) ** 2)
-    q = np.concatenate(q)
-    value = np.sqrt(q.mean())
-    return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
+        dense[start:start + count, on, on] = chis[:, :n]
+        dense[start:start + count, on[:-1], on[1:]] = chis[:, n:]
+    return _controlled_moment(dense.reshape(samples, -1), space, n * n)
 
 
 def test_unit_family_gather_matches_dense_product():
@@ -228,6 +239,29 @@ def test_unit_family_gather_matches_dense_product():
             value, stderr = _dense_second_moment(dense, space, samples, 31)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("samples", [2, 3, MC_BLOCK + 1])
+def test_no_monte_carlo_numerator_has_a_zero_stderr(monkeypatch, samples):
+    # summing_norm_lower drops a zero stderr, so a Monte Carlo row with one
+    # would read as if it had none; a control fitted through two points
+    # leaves no residual, and every candidate of the Gaussian searches here
+    # (gathers, sequence copies, S_4 and S_inf grids, the S_3 SVD) keeps a
+    # positive stderr at 2, 3 and more samples
+    seen = []
+
+    def spy(*args, **kwargs):
+        est = second_moment(*args, **kwargs)
+        if est.method == "mc-gaussian":
+            seen.append(est.stderr)
+        return est
+
+    monkeypatch.setattr(summing, "second_moment", spy)
+    for u, v in [("l2:6", "linf:6"), ("l1:6", "l4:6"), ("s2:3", "sinf:3"), ("s1:3", "s4:3"),
+                 ("s2:3", "s3:3")]:
+        summing_norm_search(identity_map(parse_space(u), parse_space(v)), gaussian_system(),
+                            samples=samples, seed=5)
+    assert len(seen) >= 10 and all(s > 0 for s in seen)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

@@ -135,6 +135,18 @@ def test_huge_full_character_set_is_refused_before_its_frequencies_exist():
     assert peak < 64 * 2 ** 20
 
 
+@pytest.mark.parametrize("order,freqs", [
+    (1, (0,)), (32, tuple(range(32))), (97, (0, 5, 96)),
+    (4096, tuple(2 ** k for k in range(12))), (65536, tuple(2 ** k for k in range(16))),
+    (65536, tuple(range(40)))])
+def test_character_table_is_the_exp_of_its_phases(order, freqs):
+    # the table gathered from the N roots of unity is, bit for bit, the exp
+    # of every entry's phase at its exact integer residue
+    k = np.asarray(freqs, dtype=np.int64)
+    phases = np.exp(2j * np.pi * ((np.outer(np.arange(order), k) % order) / order))
+    assert _charset(order, freqs).matrix().tobytes() == phases.tobytes()
+
+
 def test_lacunary_set_requires_room():
     with pytest.raises(ValueError):
         lacunary_character_set(8, 5)
@@ -230,10 +242,20 @@ def test_second_moment_gaussian_exact_and_mc():
     exact = second_moment(gaussian_system(), _basis(space, n))
     assert exact.certainty is Certainty.EXACT
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
+    # on l_2 the squared norm is its own Frobenius control, so the
+    # controlled mean is n up to rounding
     mc = _mc_second_moment(_basis(space, n), 20_000, 5)
     assert mc.certainty is Certainty.LOWER
-    assert mc.stderr is not None and mc.stderr > 0
-    assert abs(mc.value - np.sqrt(n)) <= 3 * mc.stderr
+    assert mc.value == pytest.approx(np.sqrt(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_second_moment_gaussian_linf2_is_its_closed_form(seed):
+    # E max(g_1^2, g_2^2) = 1 + E|g_1^2 - g_2^2| / 2 = 1 + 2/pi; the control
+    # g_1^2 + g_2^2 is not the squared norm, so a stderr is left
+    mc = _mc_second_moment(_basis(sequence_space("inf", 2), 2), 20_000, seed)
+    assert mc.stderr > 0
+    assert abs(mc.value - math.sqrt(1 + 2 / math.pi)) <= 3 * mc.stderr
 
 
 def test_second_moment_family_too_large():
@@ -297,15 +319,33 @@ def _svd_norms(mats, u):
     return np.array(out)
 
 
+def _controlled_moment(y, c, mu):
+    """(value, stderr) of (E Y)^(1/2) from the samples of Y and of a control
+    C of mean mu: the least-squares line of Y on C, with beta = 0 (and the
+    plain variance over the samples) under 3 samples, for a constant C or
+    where the controlled mean is not positive."""
+    samples = len(y)
+    dy, dc = y - y.mean(), c - c.mean()
+    beta = dy @ dc / (dc @ dc) if samples >= 3 and dc @ dc > 0 else 0.0
+    if y.mean() - beta * (c.mean() - mu) <= 0:
+        beta = 0.0
+    mean = y.mean() - beta * (c.mean() - mu)
+    resid = dy - beta * dc
+    var = resid @ resid / (samples - (2 if beta else 0))
+    value = np.sqrt(mean)
+    return value, np.sqrt(var / samples) / (2 * value)
+
+
 def _gathered_moment(family, u, samples, seed):
     """(value, stderr) of the Monte Carlo loop's Gaussian rows, gathered into
-    dense matrices block by block and reduced by ``_svd_norms``."""
-    q = np.concatenate([
-        _svd_norms(_unit_matrices(family, standard_gaussians(
-            make_rng(substream(seed, k)), (min(MC_BLOCK, samples - start), family.size))), u) ** 2
+    dense matrices block by block, reduced by ``_svd_norms`` and controlled
+    by the matrices' squared Frobenius norms."""
+    mats = np.concatenate([
+        _unit_matrices(family, standard_gaussians(
+            make_rng(substream(seed, k)), (min(MC_BLOCK, samples - start), family.size)))
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
-    value = np.sqrt(q.mean())
-    return value, np.sqrt(max((q * q).mean() - q.mean() ** 2, 0.0) / samples) / (2 * value)
+    return _controlled_moment(_svd_norms(mats, u) ** 2, np.sum(mats ** 2, axis=(1, 2)),
+                              family.size)
 
 
 @pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
@@ -368,26 +408,40 @@ def _mc_family(space, kind):
 
 def _serial_second_moment(family, samples, seed):
     """The one-thread Monte Carlo loop: draw, gather and reduce each block in
-    turn; a Schatten space's full grid draws bidiagonal chi entries instead."""
+    turn, with each row's squared Frobenius norm as its control; a Schatten
+    space's full grid draws bidiagonal chi entries instead. The controlled
+    estimate is written out in the loop's own float order."""
     space = family.space
-    total = 0.0
-    total_sq = 0.0
+    s_y = s_yy = s_c = s_cc = s_yc = 0.0
     for index, start in enumerate(range(0, samples, MC_BLOCK)):
         count = min(MC_BLOCK, samples - start)
         rng = make_rng(substream(seed, index))
         if space.kind is SpaceKind.SCHATTEN and family.size == space.flat_dim:
             n = space.dim
             chis = gaussian_bidiagonal(rng, count, n)
+            c = np.einsum("ij,ij->i", chis, chis)
             q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value) ** 2
         else:
             rows = standard_gaussians(rng, (count, family.size))
+            c = np.einsum("ij,ij->i", rows, rows) * family.elements.shape[1]
             q = norms_of_stack(family.synthesize(rows), space) ** 2
-        total += float(q.sum())
-        total_sq += float((q * q).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+        s_y += float(q.sum())
+        s_yy += float((q * q).sum())
+        s_c += float(c.sum())
+        s_cc += float((c * c).sum())
+        s_yc += float((q * c).sum())
+    mean_y, mean_c = s_y / samples, s_c / samples
+    var_y = s_yy / samples - mean_y * mean_y
+    var_c = s_cc / samples - mean_c * mean_c
+    cov = s_yc / samples - mean_y * mean_c
+    mu = float(family.elements.size)
+    beta, fitted = 0.0, 0
+    if samples >= 3 and var_c > 0 and mean_y - cov / var_c * (mean_c - mu) > 0:
+        beta, fitted = cov / var_c, 2
+    mean = mean_y - beta * (mean_c - mu)
+    var = max(var_y - beta * cov, 0.0) * (samples / (samples - fitted))
     value = float(np.sqrt(mean))
-    stderr = float(np.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
+    stderr = float(math.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
     return value, stderr
 
 
@@ -436,17 +490,65 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
     assert (est.value, est.stderr) == (value, stderr)
 
 
+@pytest.mark.parametrize("space,elements", [
+    (schatten_space(4, 3), [[0], [1], [5]]),
+    (sequence_space(4, 12), "blocks"),
+    (schatten_space("inf", 5), "diag"),
+    (schatten_space(4, 6), "basis"),
+    (schatten_space("inf", 16), "basis"),
+    (schatten_space(3, 6), "basis"),
+], ids=["gather", "l4-blocks", "sequence-copy", "s4-bidiagonal", "sinf-run", "s3-svd"])
+def test_control_never_widens_the_stderr(monkeypatch, space, elements):
+    # on every route, the controlled stderr of the mean is positive and at
+    # most the plain one, sqrt(Var(Y) / samples), from the same five sums
+    seen = []
+
+    def spy(sums, samples, mu):
+        out = controlled(sums, samples, mu)
+        seen.append((sums, samples, out))
+        return out
+
+    controlled = systems._controlled_moment
+    monkeypatch.setattr(systems, "_controlled_moment", spy)
+    family = (UnitFamily(space, np.array(elements)) if isinstance(elements, list)
+              else _mc_family(space, elements))
+    second_moment(gaussian_system(), family, samples=8 * MC_BLOCK + 5, seed=7)
+    ((s_y, s_yy, *_), samples, (_, stderr)), = seen
+    plain = math.sqrt((s_yy / samples - (s_y / samples) ** 2) / samples)
+    assert 0 < stderr <= plain
+
+
+def test_controlled_moment_falls_back_to_the_plain_mean():
+    # beta = 0 leaves the plain mean and variance over the samples: under 3
+    # samples, for a constant control, and where the corrected mean is not
+    # positive; otherwise the fit of Y = C / 10 is exact and leaves no residual
+    y = np.array([1.0, 2.0, 4.0])
+
+    def moment(c, mu, samples=3):
+        sums = [float(x.sum()) for x in (y[:samples], y[:samples] ** 2, c[:samples],
+                                         c[:samples] ** 2, y[:samples] * c[:samples])]
+        return systems._controlled_moment(sums, samples, mu)
+
+    for samples in (2, 3):
+        plain = (y[:samples].mean(), math.sqrt(y[:samples].var() / samples))
+        if samples == 2:
+            assert moment(10 * y, 20.0, 2) == pytest.approx(plain, rel=1e-12)
+        assert moment(np.full(3, 5.0), 5.0, samples) == pytest.approx(plain, rel=1e-12)
+    assert moment(10 * y, -100.0) == pytest.approx((y.mean(), math.sqrt(y.var() / 3)))
+    assert moment(10 * y, 20.0) == pytest.approx((2.0, 0.0), abs=1e-12)
+
+
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
-    # a thread that gathers holds a block, its squared norms, the
-    # coefficients it gathers from and three blocks for the SVD kernel: for
-    # 64 units of S_inf^64 that is 1029 rows of 32 KiB (34 MB), so all
-    # sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1027 rows of
+    # a thread that gathers holds a block, its squared norms and controls,
+    # the coefficients it gathers from and three blocks for the SVD kernel:
+    # for 64 units of S_inf^64 that is 1030 rows of 32 KiB (34 MB), so all
+    # sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1028 rows of
     # 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
     # (such working sets are far above MC_RUN_BYTES, so each task takes one
     # block)
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_working_set(64, space) == (1029, 4096)
+    assert systems._mc_working_set(64, space) == (1030, 4096)
     assert systems._mc_width(64, space, 320 * MC_BLOCK) == (16, 1)
     assert systems._mc_width(180, schatten_space("inf", 180), 320 * MC_BLOCK) == (8, 1)
     # never more threads than blocks
@@ -459,14 +561,14 @@ def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
 def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
     # a task takes as many blocks as keep its working set within
     # MC_RUN_BYTES, and at most a 2 * width-th of them: at S_inf^64 four
-    # blocks (1942 rows of 127 entries, 1.97 MB; five would be 2.24 MB),
+    # blocks (1950 rows of 127 entries, 1.98 MB; five would be 2.27 MB),
     # at S_inf^16 eleven; a working set that does not grow with the run
     # (a sequence space's basis) takes the 2 * width-th whenever one block
     # fits (one that does not takes one block: the test above)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     sinf64, sinf16 = schatten_space("inf", 64), schatten_space("inf", 16)
     assert systems._mc_width(4096, sinf64, 20_000) == (2, 4)
-    assert systems._mc_working_set(4096, sinf64, 4) == (1942, 127)
+    assert systems._mc_working_set(4096, sinf64, 4) == (1950, 127)
     assert systems._mc_working_set(4096, sinf64, 5)[0] * 127 * 8 > systems.MC_RUN_BYTES
     assert systems._mc_width(256, sinf16, 20_000) == (2, 11)
     assert systems._mc_width(256, sinf16, 9 * MC_BLOCK) == (2, 3)
@@ -475,25 +577,26 @@ def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
 
 def test_mc_working_set_of_the_bidiagonal_route():
     # the full grid draws rows of 2n - 1 chi entries: at S_4 a block of
-    # them, its squared norms and 12n + 32 entries per matrix (1872 rows of
-    # 127 at n = 64); at S_inf a block of them, 2n + 1 entries per matrix of
-    # the run, and the larger of 3n + 128 per matrix of the block and what
-    # the iteration holds (1162 rows of 127 for a one-block run at n = 64;
-    # 929 rows of 1023, 7.6 MB, at n = 512, where the dense block alone would
-    # be 537 MB); any other exponent materializes the block, in rows of n^2,
-    # and holds one block more for the SVD's copy of it
-    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1162, 127)
-    assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1942, 127)
-    assert systems._mc_working_set(4096, schatten_space(4, 64)) == (1872, 127)
-    assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (1872, 127)
-    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (929, 1023)
-    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (521, 4096)
-    # so one thread of the S_3^520 grid holds 514 rows of 270400 (1.04 GiB),
+    # them, its squared norms and controls and 12n + 32 entries per matrix
+    # (1875 rows of 127 at n = 64); at S_inf a block of them, 2n + 2 entries
+    # per matrix of the run (its tridiagonal, peak, bound and control), and
+    # the larger of 3n + 128 per matrix of the block and what the iteration
+    # holds (1164 rows of 127 for a one-block run at n = 64; 930 rows of
+    # 1023, 7.6 MB, at n = 512, where the dense block alone would be 537
+    # MB); any other exponent materializes the block, in rows of n^2, and
+    # holds one block more for the SVD's copy of it
+    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1164, 127)
+    assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1950, 127)
+    assert systems._mc_working_set(4096, schatten_space(4, 64)) == (1875, 127)
+    assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (1875, 127)
+    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (930, 1023)
+    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (522, 4096)
+    # so one thread of the S_3^520 grid holds 515 rows of 270400 (1.04 GiB),
     # under the cap
-    assert systems._mc_working_set(520 ** 2, schatten_space(3, 520)) == (514, 520 ** 2)
+    assert systems._mc_working_set(520 ** 2, schatten_space(3, 520)) == (515, 520 ** 2)
     assert systems._mc_width(520 ** 2, schatten_space(3, 520), 4096) == (1, 1)
     # a sequence space's full basis still draws its rows
-    assert systems._mc_working_set(64, sequence_space("inf", 64)) == (772, 64)
+    assert systems._mc_working_set(64, sequence_space("inf", 64)) == (776, 64)
 
 
 @pytest.mark.parametrize("space,family,samples", [
