@@ -55,6 +55,13 @@ def cases():
            (_sumsets(lacunary_character_set(group, m), 2, restarts), 4.0,
             _starts(restarts, m, 3), 150))
 
+    # kp-profile's p = 8 ascent, on the points: the set's 4-fold sums would
+    # take more products than the group has points
+    group, m, restarts = 4096, 12, 64
+    yield (f"lp_ascent p=8 kp-profile lacunary (G={group}, m={m}, R={restarts})",
+           kernels.lp_ascent,
+           (lacunary_character_set(group, m).matrix(), 8.0, _starts(restarts, m, 4), 500))
+
     group, m, restarts = 128, 16, 32
     yield (f"ratio_ascent (G={group}, m={m}, R={restarts})", kernels.ratio_ascent,
            (_dft(group, m), _starts(restarts, m, 2), 300))

@@ -28,23 +28,30 @@ decides which tied point's subgradient is followed. The objective takes
 one of two routes:
 
 - on the group's points (``ratio_ascent``, and ``lp_ascent`` on an
-  ``(N, m)`` basis): one ``(R, m) @ (m, N)`` product gives all trial
-  values, and a round drops the last round's ``(R, N)`` values before it
-  forms the next. The value/gradient pairs read the basis alone, with no
-  conjugate-transpose copy; the finite l_p value leaves (|v| / peak)^(p - 2)
-  in the round's magnitude scratch for the gradient, so a round takes one
-  peak and one power (repeated multiplication at integer p up to 10);
+  ``(N, m)`` basis): one pass over the points in blocks of POINT_BLOCK,
+  each an ``(R, m) @ (m, POINT_BLOCK)`` product into scratch allocated
+  once per ascent, so no round allocates a row of N values. The finite l_p
+  objective keeps a running per-row peak of |v|^2 (taken from the real and
+  imaginary parts), rescales its running sums when a block raises it, and
+  takes every trial row's direction in the same pass, as
+  ``conj(conj(w v) @ basis[block])``, with no copy of the basis. Its
+  blocks do not depend on R, and a lone row is evaluated as a batch of
+  two, so a restart's values do not depend on the other restarts, bit for
+  bit. The sup ratio keeps the first point of largest |v| over the blocks;
 - on the coefficients (``lp_ascent`` on ``Sumsets``, p = 2k): the k-fold
   convolution of the coefficients over the sumset tables gives
   ||f||_2k^2k = ||f^k||_2^2 (Rudin), in about sum_(i<k) |L_i| m products
-  per restart instead of N values. ``systems.kp_constant_lower`` takes it
-  where that count is at most N. A restart's values there do not depend on
-  the other restarts, bit for bit.
+  per restart instead of N values, formed in buffers allocated once per
+  ascent. ``systems.kp_constant_lower`` takes it where that count is at
+  most N. A restart's values there do not depend on the other restarts,
+  bit for bit.
 
 ``benchmarks/bench_kernels.py`` times the public kernels.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,6 +64,11 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 # projected gradient ascent on the coefficient sphere, all restarts at once
 # ---------------------------------------------------------------------------
+
+def _carve(buf, shape):
+    # a contiguous view of the first prod(shape) entries of a flat buffer
+    return buf[:math.prod(shape)].reshape(shape)
+
 
 def _row_norms(rows):
     return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
@@ -71,13 +83,13 @@ def _sphere_ascent(starts, evaluate, max_steps):
     # starts: (nrestarts, m) complex. evaluate(coeffs) -> (values (R,),
     # direction) for rows of coefficients, where direction(keep) is the
     # (R', m) ascent direction of the rows that keep (a slice or a mask)
-    # selects; it holds the round's scratch, so it is dropped before the next
-    # evaluation. Each restart maximizes the value over ||a||_2 = 1 with one
-    # backtracking line search per step: an improving trial is accepted and
-    # the step grows by 1.25, else the step halves until it drops below
-    # 1e-7 * ASCENT_STEP_SIZE. A restart stops after max_steps accepted
-    # steps, a relative gain <= ASCENT_TOL, a zero gradient, or a failed
-    # line search.
+    # selects; it may read the round's scratch, which the next evaluation
+    # overwrites, so it is called before that. Each restart maximizes the
+    # value over ||a||_2 = 1 with one backtracking line search per step: an
+    # improving trial is accepted and the step grows by 1.25, else the step
+    # halves until it drops below 1e-7 * ASCENT_STEP_SIZE. A restart stops
+    # after max_steps accepted steps, a relative gain <= ASCENT_TOL, a zero
+    # gradient, or a failed line search.
     coeffs = starts / _row_norms(starts)[:, None]
     best, direction = evaluate(coeffs)
     grad = direction(slice(None))
@@ -90,7 +102,6 @@ def _sphere_ascent(starts, evaluate, max_steps):
         rows = np.flatnonzero(searching)
         trial = coeffs[rows] + (step[rows] / gnorm[rows])[:, None] * grad[rows]
         trial /= _row_norms(trial)[:, None]
-        del direction  # the last round's scratch, before the next evaluation
         tbest, direction = evaluate(trial)
         up = tbest > best[rows]
         lost, won = rows[~up], rows[up]
@@ -113,19 +124,121 @@ def _sphere_ascent(starts, evaluate, max_steps):
     return best, coeffs
 
 
-def _on_points(basis, value, gradient):
-    # The dense objective: one (R, m) @ (m, N) product gives the values
-    # v = coeffs @ basis.T at the N points. value(coeffs, mags) -> (R,)
-    # objective, where mags = |v|; it may leave in mags what gradient needs of
-    # it instead. gradient(coeffs, vals, mags) -> (R, m) ascent direction, for
-    # rows of the vals and mags that value saw; it may overwrite both, which
-    # are the round's scratch (views of it when every row is kept).
-    synth = basis.T
+# Points a block of the dense ascents' pass over the group holds. Fixed, not
+# sized by the restarts, so that a restart's arithmetic does not depend on
+# how many others share its rounds. Not a setting.
+POINT_BLOCK = 2048
+
+
+def _on_points(basis, rows):
+    # The dense pass over the group's points: blocks(coeffs) yields
+    # (start, part, vals) for POINT_BLOCK points at a time, with
+    # part = basis[start:start + POINT_BLOCK] and vals = coeffs @ part.T, an
+    # (R, len(part)) view carved whole (so contiguous) from scratch allocated
+    # once for `rows` rows and overwritten by the next block.
+    npoints = len(basis)
+    width = min(npoints, POINT_BLOCK)
+    scratch = np.empty(rows * width, dtype=complex)
+
+    def blocks(coeffs):
+        for start in range(0, npoints, width):
+            part = basis[start:start + width]
+            vals = _carve(scratch, (len(coeffs), len(part)))
+            yield start, part, np.matmul(coeffs, part.T, out=vals)
+
+    return width, blocks
+
+
+def _lp_on_points(basis, p, rows):
+    # The finite l_p objective on the points, with the direction of every
+    # trial row taken in the same pass (most go on to take a step). Per row
+    # it keeps the running peak of s = |v|^2 (from the real and imaginary
+    # parts: no complex abs), the sum of (s / peak)^(p/2), and the sum of
+    # conj(w v) @ basis with w = (s / peak)^(p/2 - 1), the direction's
+    # conjugate: numpy's matmul takes no conjugated operand, and so no copy
+    # of the basis is needed. When a block raises a row's peak from old to
+    # new, the sums are rescaled by (old / new)^(p/2) and (old / new)^(p/2 - 1),
+    # so nothing overflows at huge p. For integer p up to 10, w takes
+    # multiplications (and a square root at odd p), which cost less than one
+    # generic np.power.
+    rows = max(rows, 2)  # a lone row is evaluated as two
+    width, blocks = _on_points(basis, rows)
+    sq, wt = np.empty(rows * width), np.empty(rows * width)
+    half = p / 2.0
+    whole, odd = divmod(int(p) - 2, 2) if p.is_integer() and 2.0 < p <= 10.0 else (None, None)
+
+    def values(coeffs):
+        count, m = coeffs.shape
+        peak = np.full(count, np.finfo(float).tiny)  # no 0 / 0 on an all-zero row
+        total = np.zeros(count)
+        acc = np.zeros((count, m), dtype=complex)
+        for _, part, vals in blocks(coeffs):
+            s, w = _carve(sq, vals.shape), _carve(wt, vals.shape)
+            np.square(vals.real, out=s)
+            s += np.square(vals.imag, out=w)
+            new = np.maximum(peak, s.max(axis=1))
+            shrink = peak / new  # exactly 1 where the peak holds
+            total *= shrink ** half
+            acc *= (shrink ** (half - 1.0))[:, None]
+            peak = new
+            s /= peak[:, None]
+            if whole is None:
+                np.power(s, half - 1.0, out=w)
+            elif odd or whole > 1:
+                (np.sqrt if odd else np.square)(s, out=w)
+                for _ in range(whole if odd else whole - 2):
+                    w *= s
+            else:
+                w = s  # p = 4
+            total += np.einsum("ij,ij->i", w, s)
+            vals *= w
+            acc += np.conj(vals, out=vals) @ part
+        return np.sqrt(peak) * total ** (1.0 / p), np.conj(acc)
 
     def evaluate(coeffs):
-        vals = coeffs @ synth
-        mags = np.abs(vals)
-        return value(coeffs, mags), lambda keep: gradient(coeffs[keep], vals[keep], mags[keep])
+        # numpy sends a one-row product to gemv, whose sums round otherwise
+        # than gemm's: a lone row is evaluated twice over, so that every row
+        # takes gemm's arithmetic whatever the batch
+        lone = len(coeffs) == 1
+        value, grad = values(np.repeat(coeffs, 2, axis=0) if lone else coeffs)
+        if lone:
+            value, grad = value[:1], grad[:1]
+        return value, grad.__getitem__
+
+    return evaluate
+
+
+def _ratio_on_points(basis, rows):
+    # The Sidon ratio on the points: per row, the first point of largest
+    # |v| over the blocks (np.argmax's within a block, the earlier block's
+    # on a tie between blocks, so the first maximum over the group) and v
+    # there, from which the direction of the rows that go on is taken.
+    width, blocks = _on_points(basis, rows)
+    scratch = np.empty(rows * width)
+
+    def evaluate(coeffs):
+        count = len(coeffs)
+        at = np.arange(count)
+        den = np.full(count, -1.0)
+        idx = np.zeros(count, dtype=np.intp)
+        top = np.zeros(count, dtype=complex)
+        for start, part, vals in blocks(coeffs):
+            mags = np.abs(vals, out=_carve(scratch, vals.shape))
+            first = np.argmax(mags, axis=1)
+            peak = mags[at, first]
+            up = peak > den
+            den[up], idx[up], top[up] = peak[up], start + first[up], vals[at[up], first[up]]
+        size = np.abs(coeffs)
+        num = np.sum(size, axis=1)
+
+        def direction(keep):
+            # quotient rule: d(num) ~ phase(a_k), d(den) ~ conj(basis[x*]) * phase(f(x*))
+            a, d = coeffs[keep], den[keep]
+            phase = np.divide(a, size[keep], out=np.zeros_like(a), where=size[keep] > 1e-14)
+            gden = basis[idx[keep]].conj() * (top[keep] / d)[:, None]
+            return phase / d[:, None] - (num[keep] / (d * d))[:, None] * gden
+
+        return num / den, direction
 
     return evaluate
 
@@ -150,7 +263,7 @@ class Sumsets:
         return len(self.gathers) + 1
 
 
-def _on_sumsets(sumsets):
+def _on_sumsets(sumsets, rows):
     # The coefficient-space objective at p = 2k (Rudin): f^k has the
     # coefficients c_k = a * ... * a (k-fold convolution), supported on L_k,
     # and ||f||_2k^2k = sum_s |c_k[s]|^2 over the normalized group, so the
@@ -161,26 +274,51 @@ def _on_sumsets(sumsets):
     # reduction sums along the first axis over at least two trailing entries
     # (the value's over the real and imaginary parts), so numpy adds in
     # order, never pairwise, whatever the number of restarts, and a
-    # restart's arithmetic does not depend on the other restarts.
+    # restart's arithmetic does not depend on the other restarts. The
+    # levels, products and gathers are views carved whole from buffers
+    # allocated once for `rows` restarts: one per level, and one for the
+    # largest step's products followed by their gather. A product's
+    # broadcast operand is first copied out whole, into the gather's room
+    # (the direction's, into the room after its gather), because numpy's
+    # broadcasting multiply stages its operands in buffers of up to 8192
+    # entries each, which this working set does not count.
     p = 2.0 * sumsets.k
+    m = sumsets.positions.shape[1]
+    sizes = [m] + [gather.shape[1] for gather in sumsets.gathers]
+    levels = [np.empty(size * rows, dtype=complex) for size in sizes]
+    work = np.empty(max(size * m + 1 + gather.size
+                        for size, gather in zip(sizes, sumsets.gathers)) * rows, dtype=complex)
 
     def evaluate(coeffs):
-        a = coeffs.T.copy()
+        count = len(coeffs)
+        a = _carve(levels[0], (m, count))
+        np.copyto(a, coeffs.T)
         prev, level = None, a
-        for gather in sumsets.gathers:
-            rows = level.shape[0] * a.shape[0]
-            products = np.empty((rows + 1, a.shape[1]), dtype=complex)
-            products[rows] = 0.0
-            np.multiply(level[:, None, :], a, out=products[:rows].reshape(level.shape[0], *a.shape))
-            prev, level = level, products[gather].sum(axis=0)
-            del products  # before the next step's
-        power = np.square(level.view(float)).sum(axis=0)
+        for gather, into in zip(sumsets.gathers, levels[1:]):
+            pairs = level.shape[0] * m
+            products = _carve(work, (pairs + 1, count))
+            products[pairs] = 0.0
+            pair = products[:pairs].reshape(len(level), m, count)
+            tiled = _carve(work[products.size:], pair.shape)
+            np.copyto(pair, level[:, None, :])
+            np.copyto(tiled, a)
+            np.multiply(pair, tiled, out=pair)
+            # every index is in range; 'wrap' skips the copy 'raise' would stage
+            taken = np.take(products, gather, axis=0, mode="wrap",
+                            out=_carve(work[products.size:], (*gather.shape, count)))
+            prev, level = level, taken.sum(axis=0, out=_carve(into, (gather.shape[1], count)))
+        squares = _carve(work[products.size:].view(float), (len(level), 2 * count))  # the gather's
+        power = np.square(level.view(float), out=squares).sum(axis=0)
         value = (power[0::2] + power[1::2]) ** (1.0 / p)
 
         def direction(keep):
-            grad = level[:, keep][sumsets.positions]
-            grad *= np.conj(prev[:, keep])[:, None, :]
-            return np.ascontiguousarray(grad.sum(axis=0).T)
+            # every trial row's, then the kept columns: most rows go on
+            grad = np.take(level, sumsets.positions, axis=0, mode="wrap",
+                           out=_carve(work, (*sumsets.positions.shape, count)))
+            conj = _carve(work[grad.size:], grad.shape)
+            np.copyto(conj, prev[:, None, :])
+            np.multiply(grad, np.conj(conj, out=conj), out=grad)
+            return np.ascontiguousarray(grad.sum(axis=0)[:, keep].T)
 
         return value, direction
 
@@ -201,57 +339,13 @@ def lp_ascent(basis, p, starts, max_steps):
     if isinstance(basis, Sumsets):
         if p != 2.0 * basis.k:
             raise ValueError(f"sumsets of {basis.k}-fold sums give p = {2 * basis.k}, not {p:g}")
-        return _sphere_ascent(starts, _on_sumsets(basis), int(max_steps))
-    # p - 2 = 2 halves + odd: w = s^odd (s^2)^halves by multiplication for
-    # integer p up to 10, where it costs less than one generic np.power
-    halves, odd = divmod(int(p) - 2, 2) if p.is_integer() and p <= 10.0 else (None, None)
-
-    def value(coeffs, mags):
-        # ||v||_p = peak (sum_x w s^2)^(1/p), with s = |v| / peak and
-        # w = s^(p - 2) left in mags for gradient: one peak and one power a
-        # round, and no power overflows at huge p
-        peak = mags.max(axis=1, keepdims=True)
-        peak[peak == 0.0] = 1.0
-        np.divide(mags, peak, out=mags)
-        sq = mags * mags
-        if halves is None:
-            np.power(mags, p - 2.0, out=mags)
-        else:
-            if not odd:
-                np.copyto(mags, sq)
-            for _ in range(halves - 1 + odd):
-                mags *= sq
-        return peak[:, 0] * np.einsum("ij,ij->i", mags, sq) ** (1.0 / p)
-
-    def gradient(coeffs, vals, mags):
-        # w v = |v|^(p-2) v over a positive per-row factor, which the
-        # normalised step ignores. Built in the caller's scratch rows (tall
-        # bases), conjugated there to take w @ conj(basis) as
-        # conj(conj(w) @ basis): numpy's matmul takes no conjugated operand.
-        np.multiply(mags, vals, out=vals)
-        return np.conj(np.conj(vals, out=vals) @ basis)
-
-    return _sphere_ascent(starts, _on_points(basis, value, gradient), int(max_steps))
+        return _sphere_ascent(starts, _on_sumsets(basis, len(starts)), int(max_steps))
+    return _sphere_ascent(starts, _lp_on_points(basis, p, len(starts)), int(max_steps))
 
 
 def ratio_ascent(basis, starts, max_steps):
     """Maximize (sum_k |a_k|) / (max_x |(basis @ a)(x)|) over ||a||_2 = 1, as ``lp_ascent``."""
-
-    def value(coeffs, mags):
-        return np.sum(np.abs(coeffs), axis=1) / np.max(mags, axis=1)
-
-    def gradient(coeffs, vals, mags):
-        # quotient rule: d(num) ~ phase(a_k), d(den) ~ conj(basis[x*]) * phase(f(x*))
-        size = np.abs(coeffs)
-        phase = np.divide(coeffs, size, out=np.zeros_like(coeffs), where=size > 1e-14)
-        at = np.arange(len(vals))
-        idx = np.argmax(mags, axis=1)
-        den = mags[at, idx]
-        gden = basis[idx].conj() * (vals[at, idx] / den)[:, None]
-        num = np.sum(size, axis=1)
-        return phase / den[:, None] - (num / (den * den))[:, None] * gden
-
-    return _sphere_ascent(starts, _on_points(basis, value, gradient), int(max_steps))
+    return _sphere_ascent(starts, _ratio_on_points(basis, len(starts)), int(max_steps))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .rng import substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, SpaceMap,
                      UnitFamily, VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
-from .systems import (OrthonormalSystem, _mc_width, check_array_bytes,
-                      gaussian_closed_form, gaussian_system, kp_constant_lower,
-                      second_moment)
+from .systems import (OrthonormalSystem, _characters_at, _mc_width, _roots_of_unity,
+                      check_array_bytes, gaussian_closed_form, gaussian_system,
+                      kp_constant_lower, second_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +131,10 @@ def _comb_candidates(domain: SpaceDescriptor, system: OrthonormalSystem, max_siz
     if count < 1:
         return
     order = cset.order
+    # capped as the whole character table would be; only its m translate rows are formed
+    check_array_bytes("character matrix", (order, cset.size), np.complex128)
     translates = (np.arange(m) * (order // m)) % order if order >= m else np.arange(m) % order
-    basis = cset.matrix()
-    rows = basis[translates, :count]          # (m, count): gamma_i(t_r)
+    rows = _characters_at(_roots_of_unity(order), cset.freqs[:count], translates)
     fam = np.ascontiguousarray(rows.T)        # x_i = (gamma_i(t_r))_r in l_2^m
     yield "comb", VectorSystem(domain, fam)
 

@@ -82,15 +82,26 @@ class CharacterSet:
         return _character_matrix(self.order, self.freqs)
 
 
+def _roots_of_unity(order: int) -> np.ndarray:
+    """The N-th roots of unity exp(2 pi i r / N), r = 0..N-1, from one exp call."""
+    return np.exp(2j * np.pi * (np.arange(order) / order))
+
+
+def _characters_at(roots: np.ndarray, freqs, points) -> np.ndarray:
+    """gamma_k(x) for rows x of ``points`` and columns k of ``freqs``.
+
+    ``roots`` holds the N-th roots of unity (``_roots_of_unity``), gathered
+    at the exact integer residues (x k) % N.
+    """
+    residues = np.outer(np.asarray(points, dtype=np.int64), np.asarray(freqs, dtype=np.int64))
+    residues %= len(roots)
+    return roots[residues]
+
+
 @lru_cache(maxsize=64)
 def _character_matrix(order: int, freqs: tuple[int, ...]) -> np.ndarray:
     check_array_bytes("character matrix", (order, len(freqs)), np.complex128)
-    # the N-th roots of unity from one exp call at exact integer residues,
-    # gathered at the residues (x k) % N
-    roots = np.exp(2j * np.pi * (np.arange(order) / order))
-    residues = np.outer(np.arange(order), np.asarray(freqs, dtype=np.int64))
-    residues %= order
-    mat = roots[residues]
+    mat = _characters_at(_roots_of_unity(order), freqs, np.arange(order))
     mat.flags.writeable = False
     return mat
 
@@ -453,7 +464,10 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     (certified): a unit family on a sequence space, such a copy included,
     by the closed form (ms)^(1/v), since sum_i gamma_i(x) y_i has ms
     entries of modulus one and zeros elsewhere at every x; any other
-    family by the average over the group's N points. The Gaussian system takes
+    family by the average over the group's N points, computed block by
+    block (``_group_norms``). The caps on the (N, flat_dim) values and the
+    (N, size) character table bound what the average computes, a block at
+    a time; neither table is formed whole. The Gaussian system takes
     unit families: blocked Monte Carlo with a reported standard error,
     except where ``gaussian_closed_form`` gives the value.
     """
@@ -469,8 +483,9 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
                                 Certainty.EXACT, method="modulus-one closed form")
         check_array_bytes("group-average values", (cset.order, space.flat_dim),
                           np.complex128)
-        vals = family.synthesize(cset.matrix()[:, :m])
-        value = lp_norm(norms_of_stack(vals, space), Exponent(0.5)) / math.sqrt(len(vals))
+        # and capped as the whole character table would be
+        check_array_bytes("character matrix", (cset.order, cset.size), np.complex128)
+        value = lp_norm(_group_norms(cset, family), Exponent(0.5)) / math.sqrt(cset.order)
         return NormEstimate(value, Certainty.EXACT, method="group-average")
 
     if not isinstance(family, UnitFamily):
@@ -479,6 +494,30 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     if exact is not None:
         return exact
     return _mc_second_moment(family, samples, seed)
+
+
+# Complex entries in the wider table of a block of the group average, the
+# characters or the values it synthesizes. Not a setting.
+GROUP_BLOCK_ENTRIES = 2 ** 15
+
+
+def _group_norms(cset: CharacterSet, family: UnitFamily | VectorSystem) -> np.ndarray:
+    """||sum_i gamma_i(x) y_i|| at every point x of the group, for the first m characters.
+
+    Block by block, each of as many points as fit GROUP_BLOCK_ENTRIES, so
+    neither the (N, m) characters nor the (N, flat_dim) values are formed
+    whole.
+    """
+    space, order = family.space, cset.order
+    freqs = cset.freqs[:family.size]
+    roots = _roots_of_unity(order)
+    width = max(1, GROUP_BLOCK_ENTRIES // max(space.flat_dim, len(freqs)))
+    norms = np.empty(order)
+    for start in range(0, order, width):
+        points = np.arange(start, min(start + width, order))
+        vals = family.synthesize(_characters_at(roots, freqs, points))
+        norms[start:start + len(points)] = norms_of_stack(vals, space)
+    return norms
 
 
 def gaussian_closed_form(space: SpaceDescriptor, count: int, size: int) -> NormEstimate | None:
@@ -523,12 +562,14 @@ def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
 def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:
     """The character matrix, for an ascent.
 
-    Checked first against MAX_ARRAY_BYTES: the matrix alone, then all the
-    ascent holds, in rows of ``order`` complex entries: the matrix (m rows;
-    building it takes no more), and three rows per restart for a round of
-    ``kernels._sphere_ascent``: its trial values (a row) and their
-    magnitudes (half a row), and as much again for the copies its gradient
-    takes of them (the last round's are dropped before the next product).
+    Checked first against MAX_ARRAY_BYTES: the matrix alone, then a bound on
+    all the ascent holds, in rows of ``order`` complex entries: the matrix
+    (m rows; building it takes no more) and three rows per restart. The
+    ascent computes its values block by block (``kernels.POINT_BLOCK``
+    points), so it holds at most two complex entries per restart and block
+    point besides the matrix (the values, and the objective's magnitudes or
+    squares and weights): the bound holds with room to spare wherever N is
+    larger than a block.
     """
     check_array_bytes("character matrix", (charset.order, charset.size), np.complex128)
     check_array_bytes("ascent working set", (charset.size + 3 * restarts, charset.order),

@@ -189,6 +189,38 @@ def test_lp_ascent_tall_lacunary_basis():
            _lp_ascent_impl(basis, 4.0, starts, 25, 0.1, 1e-8))
 
 
+def _rising_blocks(blocks, m, seed):
+    # unimodular rows scaled by 1, 2, 3, ... block by block (the last block
+    # half full): each row's peak |v| first appears in a later block, so
+    # every block raises it and rescales the running sums
+    rng = np.random.default_rng(seed)
+    npoints = (blocks - 1) * kernels.POINT_BLOCK + kernels.POINT_BLOCK // 2
+    scale = 1.0 + np.arange(npoints) // kernels.POINT_BLOCK
+    return np.exp(2j * np.pi * rng.random((npoints, m))) * scale[:, None]
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0, 3.0, 2.5])
+def test_lp_ascent_over_blocks_matches_single_restart(p):
+    basis = _rising_blocks(3, 6, seed=int(4 * p))
+    starts = _starts(5, 6, seed=6)
+    _agree(kernels.lp_ascent(basis, p, starts, 40),
+           _lp_ascent_impl(basis, p, starts, 40, 0.1, 1e-8))
+
+
+def test_ratio_ascent_singleton_start_over_blocks():
+    # the singleton start's values are gamma_3 itself, of modulus 1 or one
+    # rounding above it at points of every block: the first maximum over the
+    # group, across blocks, gives the single-restart loop's subgradient
+    order = 2 * kernels.POINT_BLOCK + 300
+    basis = CharacterSet(order, (3, 5, 11, 17, 40)).matrix()
+    starts = _starts(6, 5, seed=8)
+    starts[0] = 0.0
+    starts[0, 0] = 1.0
+    batched = kernels.ratio_ascent(basis, starts, 150)
+    _agree(batched, _ratio_ascent_impl(basis, starts, 150, 0.1, 1e-8))
+    assert batched[0][0] >= 1.0
+
+
 def test_dispatch_matches_active_backend():
     assert kernels.active_backend() == "numpy"
     basis = _dft(16, 3)
@@ -432,7 +464,8 @@ def test_sumset_objective_is_the_dense_one_over_the_group(case, p):
     # sum_x |f|^(p-2) f conj(gamma_j) / N
     order, freqs = _SUMSET_CASES[case]
     coeffs = _unit_starts(5, len(freqs), seed=p)
-    value, direction = kernels._on_sumsets(_sumsets_by_dicts(order, freqs, p // 2))(coeffs)
+    sumsets = _sumsets_by_dicts(order, freqs, p // 2)
+    value, direction = kernels._on_sumsets(sumsets, len(coeffs))(coeffs)
     vals = coeffs @ CharacterSet(order, freqs).matrix().T
     mags = np.abs(vals)
     assert np.allclose(value * order ** (1.0 / p), np.sum(mags ** p, axis=1) ** (1.0 / p),
@@ -479,6 +512,21 @@ def test_sumset_restart_does_not_depend_on_the_batch():
         vals, coeffs = kernels.lp_ascent(sumsets, p, starts=starts, max_steps=120)
         for rows in (slice(0, 1), slice(4, 5), slice(7, 9)):
             part = kernels.lp_ascent(sumsets, p, starts=starts[rows], max_steps=120)
+            assert np.array_equal(part[0], vals[rows])
+            assert np.array_equal(part[1], coeffs[rows])
+
+
+def test_dense_restart_does_not_depend_on_the_batch():
+    # the dense route's twin: blocks of a fixed number of points, and a lone
+    # row evaluated as in a batch, so a restart alone takes the same
+    # floating-point steps as inside a batch of any size
+    cases = [(CharacterSet(*_SUMSET_CASES[case]).matrix(), p)
+             for case, p in (("lacunary-12", 6), ("wrapping", 4), ("random-12", 3))]
+    for basis, p in [*cases, (_rising_blocks(3, 6, seed=2), 2.5)]:
+        starts = _starts(9, basis.shape[1], seed=4)
+        vals, coeffs = kernels.lp_ascent(basis, p, starts=starts, max_steps=120)
+        for rows in (slice(0, 1), slice(4, 5), slice(7, 9)):
+            part = kernels.lp_ascent(basis, p, starts=starts[rows], max_steps=120)
             assert np.array_equal(part[0], vals[rows])
             assert np.array_equal(part[1], coeffs[rows])
 

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from summinglab import (AscentConfig, Certainty, CharacterSet, SpaceKind, SpanElement,
-                        UnitFamily, character_system, full_character_set,
+                        UnitFamily, VectorSystem, character_system, full_character_set,
                         gaussian_system,
                         kp_constant_lower, kp_growth_profile,
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
-                        sidon_constant_lower, kernels, spaces, systems)
+                        sidon_constant_lower, kernels, spaces, summing, systems)
 from summinglab.kernels import bidiagonal_schatten_norms
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
-from summinglab.spaces import norms_of_stack
+from summinglab.spaces import lp_norm, norms_of_stack
 from summinglab.systems import MC_BLOCK, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
@@ -291,6 +291,57 @@ def test_character_moment_of_unit_families_is_the_closed_form(u, cset):
         oracle = np.sqrt(np.mean(norms_of_stack(vals, fam.space) ** 2))
         assert est.certainty is Certainty.EXACT, kind
         assert est.value == pytest.approx(oracle, rel=1e-12), kind
+
+
+def _one_table_average(cs, fam):
+    # the group average from the whole (N, m) character table and the whole
+    # (N, flat_dim) table of values
+    vals = fam.synthesize(cs.matrix()[:, :fam.size])
+    return lp_norm(norms_of_stack(vals, fam.space), parse_exponent(2)) / math.sqrt(cs.order)
+
+
+def _comb(cs, v):
+    # the comb on l_2^m that thm1 scores, as a family of l_v^m
+    system = character_system(cs)
+    ((_, comb),) = summing._comb_candidates(sequence_space(2, cs.size), system, cs.size)
+    return system, VectorSystem(sequence_space(v, cs.size), comb.elements)
+
+
+@pytest.mark.parametrize("v", [4, "inf"])
+def test_blocked_comb_average_is_the_one_table_reduction(v):
+    # lacunary 16 of Z_65536, thm1's largest comb: 32 blocks of 2048 points
+    cs = lacunary_character_set(65536, 16)
+    system, fam = _comb(cs, v)
+    est = second_moment(system, fam)
+    assert est.certainty is Certainty.EXACT
+    assert est.value == pytest.approx(_one_table_average(cs, fam), rel=1e-12)
+
+
+def test_blocked_schatten_grid_average_is_the_one_table_reduction():
+    # the complex matrices of the S_3^4 unit grid at the points of Z_10007,
+    # 16 characters: 5 blocks of 2048 points, the last one partial
+    cs = _charset(10007, [1, 3, 8, 20, 55, 144, 377, 987, 2584, 6765, 17, 99, 500,
+                          1234, 4321, 9999])
+    fam = UnitFamily(schatten_space(3, 4), np.arange(16)[:, None])
+    est = second_moment(character_system(cs), fam)
+    assert est.certainty is Certainty.EXACT
+    assert est.value == pytest.approx(_one_table_average(cs, fam), rel=1e-12)
+
+
+def test_comb_average_builds_no_group_table():
+    # the (65536, 16) complex table of characters or values is 16.8 MB; the
+    # blocked average holds the N roots of unity and the N norms, and a
+    # block's tables
+    cs = lacunary_character_set(65536, 16)
+    system, fam = _comb(cs, "inf")
+    second_moment(system, fam)  # modules imported on first use are not the average's
+    tracemalloc.start()
+    try:
+        second_moment(system, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cs.order * cs.size * 16 // 4
 
 
 # matrix units in distinct rows and columns of S^5: the diagonal, the
@@ -904,8 +955,12 @@ _ASCENTS = {"kp": lambda cs, cfg: kp_constant_lower(cs, 3, cfg),
 @pytest.mark.parametrize("ascent", sorted(_ASCENTS))
 def test_ascent_peak_stays_under_its_projection(monkeypatch, ascent):
     # what numpy allocates in one ascent, the character matrix built included,
-    # holds the matrix and a round's trial values and magnitudes, and the
-    # working-set check refuses a cap just under it
+    # stays under the working-set projection and under the matrix plus the
+    # blocked scratch: two complex entries a restart per point of a block
+    # (its values, and the objective's magnitudes or squares and weights)
+    # and numpy's staging buffers for one broadcasting operation (8192
+    # entries of two complex operands). The working-set check still refuses
+    # a cap just under the peak.
     run = _ASCENTS[ascent]
     cs = lacunary_character_set(4096, 8)
     cfg = AscentConfig(seed=3, restarts=16, steps=30)
@@ -918,7 +973,9 @@ def test_ascent_peak_stays_under_its_projection(monkeypatch, ascent):
     finally:
         tracemalloc.stop()
     row = cs.order * 16
-    assert peak >= (cs.size + 2 * cfg.restarts) * row
+    assert peak <= (cs.size + 3 * cfg.restarts) * row
+    width = min(cs.order, kernels.POINT_BLOCK)
+    assert peak <= cs.size * row + (2 * cfg.restarts * width + 2 * 8192) * 16
     monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", peak - 1)
     with pytest.raises(ValueError, match="ascent working set"):
         run(cs, cfg)
