@@ -9,10 +9,11 @@ reduced on a pool of at most ``MC_WIDTH`` threads, each from its own
 substream, one pool task per run of consecutive blocks, and whose sums are
 added in block order, so the result depends neither on the core count nor
 on how blocks are grouped in runs. Each sample's squared Frobenius norm,
-whose mean is known exactly, is its control variate: the estimate is the
-sample mean corrected along the fitted regression on it, and the plain
-sample mean under 3 samples, for a constant control or where the corrected
-mean is not positive. A Schatten space's full grid of matrix
+whose mean is known exactly, is its control variate, and so is its
+||x||_v^v on sequence spaces up to v = 4 and at S_4, where that mean is
+closed too: the estimate is the sample mean corrected along the fitted
+regression on them, with fallbacks to one control and to the plain mean
+(``_mc_second_moment``). A Schatten space's full grid of matrix
 units draws each sample as the 2n - 1 chi entries of a bidiagonal matrix
 with a Gaussian matrix's singular values; at S_inf a run's blocks are
 reduced together. On top of the systems sit the Lambda(p)-constant and
@@ -291,22 +292,81 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]
     return width, run
 
 
-def _block_sums(q, c) -> tuple[float, float, float, float, float]:
+# Fewest samples from which the Monte Carlo loop fits its second control. A
+# fit of two controls has a bias of order 1/samples against a standard error
+# of order samples^(-1/2): in repeated fits on l_4^8, S_4^3 and S_4^8, 16
+# samples left a bias of 0.4-0.5 standard deviations and a stderr 30-40% too
+# small, 256 a bias of 0.14-0.2, and from 1024 on the two-sigma coverage
+# matched the one-control fit's (0.945-0.952 against 0.953-0.955). Not a
+# setting.
+MC_SECOND_CONTROL_SAMPLES = 1024
+
+
+def _gaussian_abs_moment(v: float) -> float:
+    """E |g|^v of a standard Gaussian g: 2^(v/2) Gamma((v + 1)/2) / sqrt(pi).
+
+    At even v it is the integer (v - 1)!!, taken exactly.
+    """
+    if v % 2 == 0:
+        return float(math.prod(range(1, int(v), 2)))
+    return 2.0 ** (v / 2) * math.gamma((v + 1) / 2) / math.sqrt(math.pi)
+
+
+def _power_mean(family: UnitFamily) -> float | None:
+    """E ||sum_i g_i x_i||_v^v over standard Gaussian g, the loop's second control's mean, or None.
+
+    On a sequence space the power is s sum_i |g_i|^v, of mean ``size``
+    E|g|^v (3 size at v = 4). On a Schatten space at v = 4 it is
+    tr (X X^T)^2, whose mean counts the pairings that survive:
+    sum_j c_j^2 + sum_i r_i^2 + m, for the m units' column and row counts c_j
+    and r_i (n^2 (2n + 1) for the full grid, whose bidiagonal keeps the
+    singular values). None at any other Schatten exponent, and on sequence
+    spaces above v = 4: there the mean rests on ever rarer large draws, and
+    at 2000 samples the fit's bias measured 0.17-0.2 standard deviations at
+    v = 6 and 8 for a variance cut of 1.5x and 1.2x, and its two-sigma
+    coverage 0.8 at v = 16.
+    """
+    space = family.space
+    v = space.exponent.value
+    if space.kind is SpaceKind.SEQUENCE and v <= 4:
+        return family.elements.size * _gaussian_abs_moment(v)
+    if space.kind is SpaceKind.SCHATTEN and v == 4:
+        rows, cols = np.divmod(family.elements[:, 0], space.dim)
+        return float(np.sum(np.bincount(rows) ** 2) + np.sum(np.bincount(cols) ** 2)
+                     + family.size)
+    return None
+
+
+def _block_sums(q, c, shifts=None) -> tuple[float, ...]:
     # a block's sums of Y, Y^2, C, C^2 and Y C, for its norms q (overwritten
-    # by Y = q^2) and its controls c
+    # by Y = q^2) and its controls c. Given shifts (y0, mu_C, mu_Z, v), those
+    # of A = Y - y0, A^2, B = C - mu_C, B^2 and A B instead (q and c are
+    # overwritten by A and B), then of D = Z - mu_Z, D^2, B D and A D for the
+    # second control Z = Y^(v/2) = ||x||_v^v: deviations from known shifts
+    # keep the digits that raw moments would cancel.
     np.square(q, out=q)
+    if shifts is None:
+        return (float(q.sum()), float((q * q).sum()), float(c.sum()), float((c * c).sum()),
+                float((q * c).sum()))
+    y0, mu_c, mu_z, v = shifts
+    d = q ** (v / 2)
+    d -= mu_z
+    q -= y0
+    c -= mu_c
     return (float(q.sum()), float((q * q).sum()), float(c.sum()), float((c * c).sum()),
-            float((q * c).sum()))
+            float((q * c).sum()), float(d.sum()), float((d * d).sum()), float((c * d).sum()),
+            float((q * d).sum()))
 
 
-def _run_sums(family: UnitFamily, seed, first: int, counts, slots,
-              one_pass) -> list[tuple[float, float, float, float, float]]:
+def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass,
+              shifts=None) -> list[tuple[float, ...]]:
     # On a pool thread: draw blocks first, first + 1, ... (counts[i] rows for
     # block first + i) into a free slot in turn, as bidiagonals or as
     # coefficients gathered there unless the gather is the identity, take
     # each row's control C (the squared Frobenius norm: the chi row's sum of
     # squares, or the element size times the coefficient row's), and reduce
-    # each block to its five sums. At S_inf the bidiagonal blocks go to the
+    # each block to its sums (``_block_sums`` with ``shifts``, the second
+    # control's where it has one). At S_inf the bidiagonal blocks go to the
     # slot's SpectralRun instead, which reduces them all at once while it
     # holds the one_pass lock; their controls wait in the slot. The pool's
     # threads are as many as the slots, so get() never waits.
@@ -331,7 +391,7 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots,
                 np.einsum("ij,ij->i", drawn, drawn, out=c)
                 c *= family.elements.shape[1]
                 q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), space)
-            sums.append(_block_sums(q, c))
+            sums.append(_block_sums(q, c, shifts))
         if spectral is not None:
             with one_pass:
                 q = spectral.norms()
@@ -343,23 +403,43 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots,
         slots.put(slot)
 
 
-def _controlled_moment(sums, samples: int, mu: float) -> tuple[float, float]:
-    """(mean, stderr of the mean) of Y from the five summed sums, C of known mean mu.
+def _controlled_moment(sums, samples: int, mu: float, shift: float = 0.0) -> tuple[float, float]:
+    """(mean, stderr of the mean) of Y from the summed block sums, C of known mean mu.
 
-    The estimator and its guard are ``_mc_second_moment``'s; beta = 0
-    leaves the plain sample mean and the variance over the samples.
+    Five sums (``_block_sums`` without shifts) are those of Y, Y^2, C, C^2
+    and YC. Nine are those of A = Y - shift, A^2, B = C - mu, B^2, AB, and
+    of the second control's deviation D = Z - mu_Z, D^2, BD and AD. The
+    estimator and its fallbacks are ``_mc_second_moment``'s; the variance
+    is over the samples less the parameters fitted, the mean counted.
     """
-    s_y, s_yy, s_c, s_cc, s_yc = sums
-    mean_y, mean_c = s_y / samples, s_c / samples
-    var_y = s_yy / samples - mean_y * mean_y
-    var_c = s_cc / samples - mean_c * mean_c
-    cov = s_yc / samples - mean_y * mean_c
-    beta, fitted = 0.0, 0
-    if samples >= 3 and var_c > 0 and mean_y - cov / var_c * (mean_c - mu) > 0:
-        beta, fitted = cov / var_c, 2
-    mean = mean_y - beta * (mean_c - mu)
-    var = max(var_y - beta * cov, 0.0) * (samples / (samples - fitted))
-    return mean, math.sqrt(var / samples)
+    n = samples
+    s_a, s_aa, s_b, s_bb, s_ab = sums[:5]
+    mean_a, mean_b = s_a / n, s_b / n
+    var_a = s_aa / n - mean_a * mean_a
+    var_b = s_bb / n - mean_b * mean_b
+    cov_ab = s_ab / n - mean_a * mean_b
+    off_b = mean_b - mu if len(sums) == 5 else mean_b
+    if len(sums) == 9 and n >= MC_SECOND_CONTROL_SAMPLES:
+        s_d, s_dd, s_bd, s_ad = sums[5:]
+        mean_d = s_d / n
+        var_d = s_dd / n - mean_d * mean_d
+        cov_bd = s_bd / n - mean_b * mean_d
+        cov_ad = s_ad / n - mean_a * mean_d
+        det = var_b * var_d - cov_bd * cov_bd
+        # positive definite, and not only by rounding: Z not a line in C
+        if var_b > 0 and det > 1e-9 * var_b * var_d:
+            beta_b = (var_d * cov_ab - cov_bd * cov_ad) / det
+            beta_d = (var_b * cov_ad - cov_bd * cov_ab) / det
+            mean = shift + (mean_a - beta_b * off_b - beta_d * mean_d)
+            if mean > 0:
+                var = max(var_a - beta_b * cov_ab - beta_d * cov_ad, 0.0) * (n / (n - 3))
+                return mean, math.sqrt(var / n)
+    beta, fitted = 0.0, 1
+    if n >= 3 and var_b > 0 and shift + (mean_a - cov_ab / var_b * off_b) > 0:
+        beta, fitted = cov_ab / var_b, 2
+    mean = shift + (mean_a - beta * off_b)
+    var = max(var_a - beta * cov_ab, 0.0) * (n / (n - fitted))
+    return mean, math.sqrt(var / n)
 
 
 def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
@@ -374,11 +454,15 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``, or at
     S_inf by a ``kernels.SpectralRun``. One pool task per run of
     consecutive blocks, on ``_mc_width`` threads with its run length, draws
-    (and gathers) each block into a free slot and reduces it to five sums:
-    of Y = ||sum_i g_i x_i||^2, of its control C, the squared Frobenius
-    norm, of their squares and of YC. Each row's C comes from what the slot
+    (and gathers) each block into a free slot and reduces it to its sums
+    (``_block_sums``): of Y = ||sum_i g_i x_i||^2, of its control C, the
+    squared Frobenius norm, of their squares and of YC, and, where the
+    second control Z = ||sum_i g_i x_i||_v^v has a closed-form mean
+    (``_power_mean``), of Z, Z^2, CZ and YZ, as deviations from known
+    shifts. Each row's C comes from what the slot
     already holds (the chi row's sum of squares, or the element size times
-    the coefficient row's) before the kernel runs. At S_inf the task appends
+    the coefficient row's) before the kernel runs, and Z is the power v/2
+    of Y. At S_inf the task appends
     each bidiagonal block to the slot's SpectralRun, keeps its controls in
     the slot, and reduces the run in one Laguerre pass, whose numpy calls
     then act on the run's rows instead of one block's (numpy's Philox and
@@ -393,10 +477,18 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     estimated as Ybar - beta (Cbar - mu), beta = Cov(Y, C) / Var(C) fitted
     from the same sums, with the regression's residual variance over
     samples - 2 (Glasserman, Monte Carlo Methods in Financial Engineering,
-    2003, section 4.1). beta is 0, which leaves the plain mean and variance,
-    under 3 samples (a line through two points leaves no residual, so the
-    stderr would read 0), when C does not vary, or when the controlled mean
-    is not positive (``_controlled_moment``). The value is a Monte Carlo
+    2003, section 4.1). Where Z has a mean mu_Z, the sums are taken as
+    deviations of C and Z from their means and of Y from mu_Z^(2/v), and
+    the two coefficients of Y on (C, Z) come from the 2 x 2 normal
+    equations: Ybar - beta_C (Cbar - mu) - beta_Z (Zbar - mu_Z), with the
+    residual variance over samples - 3. That fit falls back to the one
+    control's under MC_SECOND_CONTROL_SAMPLES samples, where the
+    covariance of (C, Z) is not positive definite (Z a line in C), or where
+    its mean is not positive; the one-control fit falls back to beta = 0,
+    the plain mean with its variance over samples - 1, under 3 samples (a
+    line through two points leaves no residual, so the stderr would read
+    0), when C does not vary, or when its mean is not positive
+    (``_controlled_moment``). The value is a Monte Carlo
     estimate, so it is ``lower`` with a standard error (delta method on the
     square root).
     """
@@ -406,6 +498,9 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
     space, dim = family.space, family.size
     width, run = _mc_width(dim, space, samples)
+    mu_c, mu_z = float(family.elements.size), _power_mean(family)
+    v = space.exponent.value
+    shifts = None if mu_z is None else (mu_z ** (2 / v), mu_c, mu_z, v)
     # imported here: concurrent.futures loads logging and queue, about 5 ms
     # of start-up that the commands without Monte Carlo need not pay
     import queue
@@ -438,17 +533,18 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
                 sums.extend(running.popleft().result())
             counts = [min(MC_BLOCK, samples - index * MC_BLOCK)
                       for index in range(first, min(first + run, blocks))]
-            running.append(pool.submit(_run_sums, family, seed, first, counts, slots, one_pass))
+            running.append(pool.submit(_run_sums, family, seed, first, counts, slots, one_pass,
+                                       shifts))
         for task in running:
             sums.extend(task.result())
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
-    totals = [0.0] * 5
+    totals = [0.0] * len(sums[0])
     for block in sums:
         for i, s in enumerate(block):
             totals[i] += s
-    mean, stderr = _controlled_moment(totals, samples, float(family.elements.size))
+    mean, stderr = _controlled_moment(totals, samples, mu_c, 0.0 if shifts is None else shifts[0])
     value = float(np.sqrt(mean))
     stderr = float(stderr / (2.0 * value)) if value > 0 else 0.0
     return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian")

@@ -56,8 +56,8 @@ def test_lnorm_command(capsys):
 def test_lnorm_few_samples_keep_a_stderr(capsys, samples):
     # a line through two points leaves no residual, so under 3 samples the
     # Frobenius control is not fitted: value and stderr are the plain
-    # estimator's from the same two rows; 3 samples leave the fit one
-    # degree of freedom
+    # estimator's from the same two rows, its variance over samples - 1;
+    # 3 samples leave the fit one degree of freedom
     assert main(["lnorm", "--space", "l2:4", "--target", "linf:4",
                  "--samples", str(samples), "--seed", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -65,7 +65,7 @@ def test_lnorm_few_samples_keep_a_stderr(capsys, samples):
     if samples == 2:
         y = np.abs(standard_gaussians(make_rng(substream(1, 0)), (2, 4))).max(axis=1) ** 2
         mean = float(y.sum()) / 2
-        var = float((y * y).sum()) / 2 - mean * mean
+        var = (float((y * y).sum()) / 2 - mean * mean) * (2 / 1)
         assert doc["value"] == math.sqrt(mean)
         assert doc["stderr"] == math.sqrt(var / 2) / (2.0 * doc["value"])
 
@@ -604,6 +604,17 @@ def test_lnorm_every_valid_exponent_is_finite(kind, n, v):
     doc = json.loads(out.getvalue())
     assert np.isfinite(doc["value"])
     assert doc["stderr"] is None or np.isfinite(doc["stderr"])
+
+
+@pytest.mark.parametrize("v", ["700", "1e300"])
+def test_lnorm_huge_exponent_is_finite(capsys, v):
+    # far above v = 4, where ||x||_v^v is no control and E|g|^v leaves the
+    # float range, the one-control fit gives a finite value and stderr
+    assert main(["lnorm", "--space", "l2:8", "--target", f"l{v}:8",
+                 "--samples", "2000", "--seed", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert np.isfinite(doc["value"]) and doc["value"] > 0
+    assert np.isfinite(doc["stderr"]) and doc["stderr"] > 0
 
 
 # arbitrary text, plus near-misses of the accepted forms so parsing gets past

@@ -13,9 +13,9 @@ from summinglab import (Certainty, CharacterSet, NormEstimate, SpaceKind, UnitFa
                         kp_summing_bound, parse_space, pivot_upper,
                         schatten_space, sequence_space, second_moment,
                         summing_norm_lower, summing_norm_search)
-from summinglab import kernels, spaces, summing
-from summinglab.systems import MC_BLOCK
-from summinglab.spaces import norms_of_stack
+from summinglab import kernels, spaces, summing, systems
+from summinglab.systems import MC_BLOCK, MC_SECOND_CONTROL_SAMPLES
+from summinglab.spaces import norms_of_stack, sequence_copy
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.summing import _schatten_candidates, _sequence_candidates
 from summinglab.systems import AscentConfig
@@ -179,30 +179,42 @@ def _materialize(family):
     return dense
 
 
-def _controlled_moment(rows, space, mu):
+def _controlled_moment(rows, space, mu, mu_z=None):
     """(value, stderr) of (E ||row||^2)^(1/2) over the materialized rows,
-    controlled by their squared Frobenius norms, of mean mu: the
-    least-squares line of the one on the other (beta = 0 under 3 samples,
-    for a constant control or where the controlled mean is not positive)."""
-    y, c = norms_of_stack(rows, space) ** 2, np.sum(rows ** 2, axis=1)
-    samples = len(y)
+    controlled by their squared Frobenius norms, of mean mu, and given mu_z
+    by their ||row||_v^v too: from MC_SECOND_CONTROL_SAMPLES rows on, the
+    least-squares fit on both (``np.linalg.lstsq``, intercept and residual
+    variance over samples - 3), unless it is rank deficient or its intercept
+    not positive; otherwise the least-squares line on the first (beta = 0,
+    the plain variance over samples - 1, under 3 samples, for a constant
+    control or where the controlled mean is not positive)."""
+    norms, c = norms_of_stack(rows, space), np.sum(rows ** 2, axis=1)
+    y, samples = norms ** 2, len(norms)
+    if mu_z is not None and samples >= MC_SECOND_CONTROL_SAMPLES:
+        design = np.column_stack([np.ones(samples), c - mu,
+                                  norms ** space.exponent.value - mu_z])
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank == 3 and coef[0] > 0:
+            resid = y - design @ coef
+            value = np.sqrt(coef[0])
+            return value, np.sqrt(resid @ resid / (samples - 3) / samples) / (2 * value)
     dy, dc = y - y.mean(), c - c.mean()
     beta = dy @ dc / (dc @ dc) if samples >= 3 and dc @ dc > 0 else 0.0
     if y.mean() - beta * (c.mean() - mu) <= 0:
         beta = 0.0
     resid = dy - beta * dc
     value = np.sqrt(y.mean() - beta * (c.mean() - mu))
-    var = resid @ resid / (samples - (2 if beta else 0))
+    var = resid @ resid / (samples - (2 if beta else 1))
     return value, np.sqrt(var / samples) / (2 * value)
 
 
-def _dense_second_moment(dense, space, samples, seed):
+def _dense_second_moment(dense, space, samples, seed, mu_z=None):
     """Blocked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
     rows = np.concatenate([
         standard_gaussians(make_rng(substream(seed, k)),
                            (min(MC_BLOCK, samples - start), dense.shape[0])) @ dense
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
-    return _controlled_moment(rows, space, np.sum(dense ** 2))
+    return _controlled_moment(rows, space, np.sum(dense ** 2), mu_z)
 
 
 def _bidiagonal_second_moment(space, samples, seed):
@@ -216,7 +228,8 @@ def _bidiagonal_second_moment(space, samples, seed):
         chis = gaussian_bidiagonal(make_rng(substream(seed, k)), count, n)
         dense[start:start + count, on, on] = chis[:, :n]
         dense[start:start + count, on[:-1], on[1:]] = chis[:, n:]
-    return _controlled_moment(dense.reshape(samples, -1), space, n * n)
+    return _controlled_moment(dense.reshape(samples, -1), space, n * n,
+                              systems._power_mean(_grid_family(space, n)))
 
 
 def test_unit_family_gather_matches_dense_product():
@@ -236,7 +249,8 @@ def test_unit_family_gather_matches_dense_product():
         if space.kind is SpaceKind.SCHATTEN and fam.size == space.flat_dim:
             value, stderr = _bidiagonal_second_moment(space, samples, 31)
         else:
-            value, stderr = _dense_second_moment(dense, space, samples, 31)
+            mu_z = systems._power_mean(sequence_copy(replace(fam, space=space)))
+            value, stderr = _dense_second_moment(dense, space, samples, 31, mu_z)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
@@ -274,7 +288,8 @@ def test_bidiagonal_draws_match_dense_gaussian_matrices(n, v):
     samples = 32 * MC_BLOCK + 1
     est = second_moment(gaussian_system(), _grid_family(space, n), samples=samples, seed=37)
     assert est.method == "mc-gaussian"
-    value, stderr = _dense_second_moment(np.eye(n * n), space, samples, 41)
+    value, stderr = _dense_second_moment(np.eye(n * n), space, samples, 41,
+                                         systems._power_mean(_grid_family(space, n)))
     assert abs(est.value - value) <= 4.0 * math.hypot(est.stderr, stderr)
 
 

@@ -21,7 +21,7 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpaceKind, SpanEl
 from summinglab.kernels import bidiagonal_schatten_norms
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.spaces import lp_norm, norms_of_stack
-from summinglab.systems import MC_BLOCK, _mc_second_moment
+from summinglab.systems import MC_BLOCK, MC_SECOND_CONTROL_SAMPLES, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
 FAST = AscentConfig(seed=7, restarts=24, steps=250)
@@ -370,19 +370,31 @@ def _svd_norms(mats, u):
     return np.array(out)
 
 
-def _controlled_moment(y, c, mu):
-    """(value, stderr) of (E Y)^(1/2) from the samples of Y and of a control
-    C of mean mu: the least-squares line of Y on C, with beta = 0 (and the
-    plain variance over the samples) under 3 samples, for a constant C or
-    where the controlled mean is not positive."""
+def _controlled_moment(y, c, mu, z=None, mu_z=None):
+    """(value, stderr) of (E Y)^(1/2) from the samples of Y and of its controls:
+    C of mean mu and, given, Z of mean mu_z. From MC_SECOND_CONTROL_SAMPLES
+    samples on, the least-squares fit of Y on (1, C - mu, Z - mu_z)
+    (``np.linalg.lstsq`` on the raw samples), whose intercept is the
+    controlled mean, with the residual variance over samples - 3; where that
+    design is rank deficient or the intercept not positive, and without Z,
+    the least-squares line of Y on C, with beta = 0 (the plain variance over
+    samples - 1) under 3 samples, for a constant C or where the controlled
+    mean is not positive."""
     samples = len(y)
+    if z is not None and samples >= MC_SECOND_CONTROL_SAMPLES:
+        design = np.column_stack([np.ones(samples), c - mu, z - mu_z])
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank == 3 and coef[0] > 0:
+            resid = y - design @ coef
+            value = np.sqrt(coef[0])
+            return value, np.sqrt(resid @ resid / (samples - 3) / samples) / (2 * value)
     dy, dc = y - y.mean(), c - c.mean()
     beta = dy @ dc / (dc @ dc) if samples >= 3 and dc @ dc > 0 else 0.0
     if y.mean() - beta * (c.mean() - mu) <= 0:
         beta = 0.0
     mean = y.mean() - beta * (c.mean() - mu)
     resid = dy - beta * dc
-    var = resid @ resid / (samples - (2 if beta else 0))
+    var = resid @ resid / (samples - (2 if beta else 1))
     value = np.sqrt(mean)
     return value, np.sqrt(var / samples) / (2 * value)
 
@@ -390,13 +402,17 @@ def _controlled_moment(y, c, mu):
 def _gathered_moment(family, u, samples, seed):
     """(value, stderr) of the Monte Carlo loop's Gaussian rows, gathered into
     dense matrices block by block, reduced by ``_svd_norms`` and controlled
-    by the matrices' squared Frobenius norms."""
+    by the matrices' squared Frobenius norms and, where the family (or the
+    l_u^m basis it is a copy of) has a closed-form E ||X||_u^u, by the sum
+    of the singular values' u-th powers."""
     mats = np.concatenate([
         _unit_matrices(family, standard_gaussians(
             make_rng(substream(seed, k)), (min(MC_BLOCK, samples - start), family.size)))
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
-    return _controlled_moment(_svd_norms(mats, u) ** 2, np.sum(mats ** 2, axis=(1, 2)),
-                              family.size)
+    norms, p = _svd_norms(mats, u), parse_exponent(u).value
+    mu_z = systems._power_mean(spaces.sequence_copy(family))
+    return _controlled_moment(norms ** 2, np.sum(mats ** 2, axis=(1, 2)), family.size,
+                              None if mu_z is None else norms ** p, mu_z)
 
 
 @pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
@@ -404,8 +420,9 @@ def _gathered_moment(family, u, samples, seed):
 def test_gaussian_moment_of_bi_disjoint_units_is_a_sequence_moment(kind, u):
     # the same coefficient rows from the same substreams, reduced as l_u^m
     # sequences: equal to the l_u^m basis call bit for bit, and within 1e-12
-    # of the matrices gathered densely and reduced one SVD at a time
-    samples, seed = 3 * MC_BLOCK + 5, 17
+    # of the matrices gathered densely and reduced one SVD at a time (two
+    # controls at u <= 4, over enough samples for their fit)
+    samples, seed = 4 * MC_BLOCK + 5, 17
     fam = UnitFamily(schatten_space(u, 5), np.array(BI_DISJOINT[kind]))
     est = second_moment(gaussian_system(), fam, samples=samples, seed=seed)
     seq = second_moment(gaussian_system(), _basis(sequence_space(u, fam.size), fam.size),
@@ -440,10 +457,12 @@ def test_units_sharing_a_row_reach_the_dense_kernel(monkeypatch):
 
     monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
     fam = UnitFamily(schatten_space(4, 3), np.array([[0], [1], [5]]))
-    samples, seed = MC_BLOCK + 3, 19
+    samples, seed = 4 * MC_BLOCK + 3, 19
     est = second_moment(gaussian_system(), fam, samples=samples, seed=seed)
     assert seen and all(shape[1:] == (3, 3) for shape in seen)
-    assert est.value == pytest.approx(_gathered_moment(fam, 4, samples, seed)[0], rel=1e-12)
+    value, stderr = _gathered_moment(fam, 4, samples, seed)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def _mc_family(space, kind):
@@ -459,11 +478,15 @@ def _mc_family(space, kind):
 
 def _serial_second_moment(family, samples, seed):
     """The one-thread Monte Carlo loop: draw, gather and reduce each block in
-    turn, with each row's squared Frobenius norm as its control; a Schatten
-    space's full grid draws bidiagonal chi entries instead. The controlled
-    estimate is written out in the loop's own float order."""
+    turn, with each row's squared Frobenius norm as its control, and its
+    ||x||_v^v too where that has a closed-form mean, as deviations from the
+    known shifts; a Schatten space's full grid draws bidiagonal chi entries
+    instead. The controlled estimate is written out in the loop's own float
+    order."""
     space = family.space
-    s_y = s_yy = s_c = s_cc = s_yc = 0.0
+    v = space.exponent.value
+    mu, mu_z = float(family.elements.size), systems._power_mean(family)
+    totals = [0.0] * (5 if mu_z is None else 9)
     for index, start in enumerate(range(0, samples, MC_BLOCK)):
         count = min(MC_BLOCK, samples - start)
         rng = make_rng(substream(seed, index))
@@ -471,26 +494,41 @@ def _serial_second_moment(family, samples, seed):
             n = space.dim
             chis = gaussian_bidiagonal(rng, count, n)
             c = np.einsum("ij,ij->i", chis, chis)
-            q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value) ** 2
+            q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2
         else:
             rows = standard_gaussians(rng, (count, family.size))
             c = np.einsum("ij,ij->i", rows, rows) * family.elements.shape[1]
             q = norms_of_stack(family.synthesize(rows), space) ** 2
-        s_y += float(q.sum())
-        s_yy += float((q * q).sum())
-        s_c += float(c.sum())
-        s_cc += float((c * c).sum())
-        s_yc += float((q * c).sum())
-    mean_y, mean_c = s_y / samples, s_c / samples
-    var_y = s_yy / samples - mean_y * mean_y
-    var_c = s_cc / samples - mean_c * mean_c
-    cov = s_yc / samples - mean_y * mean_c
-    mu = float(family.elements.size)
-    beta, fitted = 0.0, 0
-    if samples >= 3 and var_c > 0 and mean_y - cov / var_c * (mean_c - mu) > 0:
-        beta, fitted = cov / var_c, 2
-    mean = mean_y - beta * (mean_c - mu)
-    var = max(var_y - beta * cov, 0.0) * (samples / (samples - fitted))
+        if mu_z is None:
+            block = [q, q * q, c, c * c, q * c]
+        else:
+            d = q ** (v / 2) - mu_z
+            q, c = q - mu_z ** (2 / v), c - mu
+            block = [q, q * q, c, c * c, q * c, d, d * d, c * d, q * d]
+        for i, x in enumerate(block):
+            totals[i] += float(x.sum())
+    mean_a, mean_b = totals[0] / samples, totals[2] / samples
+    var_a = totals[1] / samples - mean_a * mean_a
+    var_b = totals[3] / samples - mean_b * mean_b
+    cov_ab = totals[4] / samples - mean_a * mean_b
+    shift, off_b = (0.0, mean_b - mu) if mu_z is None else (mu_z ** (2 / v), mean_b)
+    mean = None
+    if mu_z is not None and samples >= MC_SECOND_CONTROL_SAMPLES:
+        mean_d = totals[5] / samples
+        var_d = totals[6] / samples - mean_d * mean_d
+        cov_bd = totals[7] / samples - mean_b * mean_d
+        cov_ad = totals[8] / samples - mean_a * mean_d
+        det = var_b * var_d - cov_bd * cov_bd
+        beta_b = (var_d * cov_ab - cov_bd * cov_ad) / det
+        beta_d = (var_b * cov_ad - cov_bd * cov_ab) / det
+        mean = shift + (mean_a - beta_b * off_b - beta_d * mean_d)
+        var = max(var_a - beta_b * cov_ab - beta_d * cov_ad, 0.0) * (samples / (samples - 3))
+    if mean is None or mean <= 0:
+        beta, fitted = 0.0, 1
+        if samples >= 3 and var_b > 0 and shift + (mean_a - cov_ab / var_b * off_b) > 0:
+            beta, fitted = cov_ab / var_b, 2
+        mean = shift + (mean_a - beta * off_b)
+        var = max(var_a - beta * cov_ab, 0.0) * (samples / (samples - fitted))
     value = float(np.sqrt(mean))
     stderr = float(math.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
     return value, stderr
@@ -541,22 +579,29 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
     assert (est.value, est.stderr) == (value, stderr)
 
 
-@pytest.mark.parametrize("space,elements", [
-    (schatten_space(4, 3), [[0], [1], [5]]),
-    (sequence_space(4, 12), "blocks"),
-    (schatten_space("inf", 5), "diag"),
-    (schatten_space(4, 6), "basis"),
-    (schatten_space("inf", 16), "basis"),
-    (schatten_space(3, 6), "basis"),
-], ids=["gather", "l4-blocks", "sequence-copy", "s4-bidiagonal", "sinf-run", "s3-svd"])
-def test_control_never_widens_the_stderr(monkeypatch, space, elements):
+@pytest.mark.parametrize("space,elements,controls", [
+    (schatten_space(4, 3), [[0], [1], [5]], 2),
+    (sequence_space(4, 12), "blocks", 2),
+    (sequence_space(3, 12), "basis", 2),
+    (schatten_space(4, 6), "basis", 2),
+    (schatten_space("inf", 5), "diag", 1),
+    (schatten_space("inf", 16), "basis", 1),
+    (sequence_space("inf", 12), "basis", 1),
+    (schatten_space(3, 6), "basis", 1),
+], ids=["gather", "l4-blocks", "l3-basis", "s4-bidiagonal", "sequence-copy", "sinf-run",
+        "linf-basis", "s3-svd"])
+def test_control_never_widens_the_stderr(monkeypatch, space, elements, controls):
     # on every route, the controlled stderr of the mean is positive and at
-    # most the plain one, sqrt(Var(Y) / samples), from the same five sums
+    # most the plain one, sqrt(Var(Y) / (samples - 1) / samples), from the
+    # same sums; where ||x||_v^v is a second control (S_4, l_4, l_3), the
+    # two-control stderr is at most the one-control fit's on its first five
+    # sums, and elsewhere (S_inf, l_inf, S_3) the loop sums five and nothing
+    # else
     seen = []
 
-    def spy(sums, samples, mu):
-        out = controlled(sums, samples, mu)
-        seen.append((sums, samples, out))
+    def spy(sums, samples, mu, shift=0.0):
+        out = controlled(sums, samples, mu, shift)
+        seen.append((sums, samples, shift, out))
         return out
 
     controlled = systems._controlled_moment
@@ -564,14 +609,25 @@ def test_control_never_widens_the_stderr(monkeypatch, space, elements):
     family = (UnitFamily(space, np.array(elements)) if isinstance(elements, list)
               else _mc_family(space, elements))
     second_moment(gaussian_system(), family, samples=8 * MC_BLOCK + 5, seed=7)
-    ((s_y, s_yy, *_), samples, (_, stderr)), = seen
-    plain = math.sqrt((s_yy / samples - (s_y / samples) ** 2) / samples)
-    assert 0 < stderr <= plain
+    (sums, samples, shift, (_, stderr)), = seen
+    assert len(sums) == {1: 5, 2: 9}[controls]
+    s_y, s_yy = sums[:2]
+    plain = math.sqrt((s_yy / samples - (s_y / samples) ** 2) / (samples - 1))
+    one = stderr if controls == 1 else controlled(sums[:5], samples, 0.0, shift)[1]
+    assert 0 < stderr <= one <= plain
+    if controls == 2:
+        assert stderr < one
+
+
+def _nine_sums(y, c, z, shift, mu, mu_z):
+    """The nine sums ``_block_sums`` adds, from whole sample arrays."""
+    a, b, d = y - shift, c - mu, z - mu_z
+    return [float(x.sum()) for x in (a, a * a, b, b * b, a * b, d, d * d, b * d, a * d)]
 
 
 def test_controlled_moment_falls_back_to_the_plain_mean():
-    # beta = 0 leaves the plain mean and variance over the samples: under 3
-    # samples, for a constant control, and where the corrected mean is not
+    # beta = 0 leaves the plain mean and the variance over samples - 1: under
+    # 3 samples, for a constant control, and where the corrected mean is not
     # positive; otherwise the fit of Y = C / 10 is exact and leaves no residual
     y = np.array([1.0, 2.0, 4.0])
 
@@ -581,12 +637,100 @@ def test_controlled_moment_falls_back_to_the_plain_mean():
         return systems._controlled_moment(sums, samples, mu)
 
     for samples in (2, 3):
-        plain = (y[:samples].mean(), math.sqrt(y[:samples].var() / samples))
+        plain = (y[:samples].mean(), math.sqrt(y[:samples].var(ddof=1) / samples))
         if samples == 2:
             assert moment(10 * y, 20.0, 2) == pytest.approx(plain, rel=1e-12)
         assert moment(np.full(3, 5.0), 5.0, samples) == pytest.approx(plain, rel=1e-12)
-    assert moment(10 * y, -100.0) == pytest.approx((y.mean(), math.sqrt(y.var() / 3)))
+    assert moment(10 * y, -100.0) == pytest.approx((y.mean(), math.sqrt(y.var(ddof=1) / 3)))
     assert moment(10 * y, 20.0) == pytest.approx((2.0, 0.0), abs=1e-12)
+
+
+def test_second_control_falls_back_to_the_one_control_fit():
+    # the 2 x 2 fit gives way to the line on C alone, on the same nine sums:
+    # under MC_SECOND_CONTROL_SAMPLES samples (3, and one short of it), where
+    # Z is a line in C, and where the corrected mean is not positive; at
+    # MC_SECOND_CONTROL_SAMPLES samples of a Z that is not a line in C it fits
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((MC_SECOND_CONTROL_SAMPLES, 4))
+    y = np.sum(g ** 4, axis=1) ** 0.5
+    c, z = np.sum(g ** 2, axis=1), np.sum(g ** 4, axis=1)
+    shift, mu, mu_z = 12.0 ** 0.5, 4.0, 12.0
+
+    def both(y, c, z, samples, mu_z=mu_z):
+        sums = _nine_sums(y[:samples], c[:samples], z[:samples], shift, mu, mu_z)
+        return (systems._controlled_moment(sums, samples, mu, shift),
+                systems._controlled_moment(sums[:5], samples, 0.0, shift))
+
+    for samples in (3, MC_SECOND_CONTROL_SAMPLES - 1):
+        two, one = both(y, c, z, samples)
+        assert two == one
+    two, one = both(y, c, z, MC_SECOND_CONTROL_SAMPLES)
+    assert two != one and two[1] < one[1]
+    # Z a line in C: the 2 x 2 covariance is singular, here but for rounding
+    two, one = both(y, c, 0.1 * c + 0.3, MC_SECOND_CONTROL_SAMPLES, 0.1 * mu + 0.3)
+    assert two == one
+    # a known mean far below the draws' turns the corrected mean negative
+    two, one = both(y, c, z, MC_SECOND_CONTROL_SAMPLES, -1e6)
+    assert one[0] > 0 and two == one
+
+
+@pytest.mark.parametrize("v", [1, "4/3", 3, 4, 6])
+def test_power_mean_of_sequence_families(v):
+    # E|g|^v against the mean of 400 000 fixed-seed draws of |g|^v, within 4
+    # stderr ((v - 1)!! exactly at even v); the power mean of a family of
+    # blocks of s ones is size E|g|^v up to v = 4, and none above
+    p = parse_exponent(v).value
+    draws = np.abs(np.random.default_rng(23).standard_normal(400_000)) ** p
+    moment = systems._gaussian_abs_moment(p)
+    assert abs(moment - draws.mean()) <= 4 * draws.std() / math.sqrt(draws.size)
+    if p % 2 == 0:
+        assert moment == math.prod(range(1, int(p), 2))
+    for family in (UnitFamily(sequence_space(v, 5), np.arange(5)[:, None]),
+                   UnitFamily(sequence_space(v, 12), np.arange(0, 12, 2).reshape(-1, 2))):
+        assert systems._power_mean(family) == (family.elements.size * moment if p <= 4
+                                               else None)
+    assert systems._power_mean(UnitFamily(sequence_space("inf", 5),
+                                          np.arange(5)[:, None])) is None
+
+
+def test_power_mean_of_a_block_family_is_its_monte_carlo_mean():
+    # three blocks of two ones on the even coordinates of l_4^12:
+    # ||sum_i g_i x_i||_4^4 = 2 sum_i g_i^4, of mean 2 * 3 * 3
+    family = _mc_family(sequence_space(4, 12), "blocks")
+    g = np.random.default_rng(29).standard_normal((200_000, family.size))
+    z = np.sum(np.abs(family.synthesize(g)) ** 4, axis=1)
+    assert systems._power_mean(family) == 18.0
+    assert abs(18.0 - z.mean()) <= 4 * z.std() / math.sqrt(z.size)
+
+
+@pytest.mark.parametrize("n,elements,mean", [
+    (3, [[0], [1], [5]], 11),
+    (3, [[0], [1], [3], [4]], 20),
+    (4, [[0], [5], [10], [15]], 12),
+    (3, "grid", 63),
+    (8, "grid", 1088),
+], ids=["shared-row", "2x2-block", "diagonal", "grid-3", "grid-8"])
+def test_power_mean_of_schatten_families_at_s4(n, elements, mean):
+    # sum_j c_j^2 + sum_i r_i^2 + m against the mean of ||X||_4^4 = tr (X X^T)^2
+    # over fixed-seed draws, within 4 stderr: Gaussian units gathered densely,
+    # or for the full grid (n^2 (2n + 1)) the loop's bidiagonal draws; it is
+    # closed at S_4 only
+    space = schatten_space(4, n)
+    idx = (np.arange(n * n)[:, None] if elements == "grid" else np.array(elements))
+    family = UnitFamily(space, idx)
+    assert systems._power_mean(family) == mean
+    assert systems._power_mean(UnitFamily(schatten_space(3, n), idx)) is None
+    rng = make_rng(31)
+    if elements == "grid":
+        chis = gaussian_bidiagonal(rng, 40_000, n)
+        mats = np.zeros((len(chis), n, n))
+        mats[:, np.arange(n), np.arange(n)] = chis[:, :n]
+        mats[:, np.arange(n - 1), np.arange(1, n)] = chis[:, n:]
+    else:
+        mats = _unit_matrices(family, standard_gaussians(rng, (200_000, family.size)))
+    w = mats @ mats.transpose(0, 2, 1)
+    z = np.sum(w * w, axis=(1, 2))
+    assert abs(mean - z.mean()) <= 4 * z.std() / math.sqrt(z.size)
 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
