@@ -5,7 +5,7 @@ Times ``lp_ascent`` (on a character matrix and on sumset tables),
 and a ``SpectralRun`` from ``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
 blocks drawn, gathered and reduced on a thread pool) through
 ``summing.ell_norm_mc`` and ``systems.second_moment`` on diagonal
-matrix units, on fixed inputs and seeds, and prints the median and quartiles of
+matrix units and sequence blocks, on fixed inputs and seeds, and prints the median and quartiles of
 the wall time over ``--repeats`` calls, plus the best value each call
 returned to 17 digits (a change that moves it changed the numbers, not
 just the speed) and, for a Monte Carlo case, its standard error (a change
@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from summinglab import (NormEstimate, UnitFamily, gaussian_system, identity_map, kernels,
-                        schatten_space, second_moment, summing)
+                        schatten_space, second_moment, sequence_space, summing)
 from summinglab.rng import gaussian_bidiagonal, make_rng
 from summinglab.systems import MC_BLOCK, _sumsets, lacunary_character_set
 
@@ -96,11 +96,18 @@ def cases():
     # sixteen blocks, a few per thread
     yield ("ell_norm_mc s2:64 -> sinf:64 (4096 samples, 16 blocks, seed 11)", _ell_norm,
            (identity_map(schatten_space(2, 64), schatten_space("inf", 64)), 4096))
+    # the README's smallest thm2 S_inf row, whose runs are eleven blocks long
+    yield ("ell_norm_mc s2:16 -> sinf:16 (20000 samples, seed 11)", _ell_norm,
+           (identity_map(schatten_space(2, 16), schatten_space("inf", 16)), 20_000))
     # interp-audit's S_4^32 diagonal matrix units, reduced as the l_4^32 basis
     space = schatten_space(4, 32)
     diag = UnitFamily(space, (np.arange(32) * 33)[:, None])
     yield ("second_moment s4:32 diag as l4:32 (20000 samples, seed 11)", _second_moment,
            (diag,))
+    # interp-audit's blocks:4 candidate: eight blocks of four ones in l_4^32,
+    # 4^(1/4) times the l_4^8 basis
+    blocks = UnitFamily(sequence_space(4, 32), np.arange(32).reshape(8, 4))
+    yield ("second_moment l4:32 blocks:4 (20000 samples, seed 11)", _second_moment, (blocks,))
 
 
 def _spectral_run_norms(chis, n):

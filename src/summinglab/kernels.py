@@ -8,13 +8,16 @@ l_u^m sequences they span (``spaces.sequence_copy``), and the full grid of
 matrix units draws bidiagonals. ``bidiagonal_schatten_norms`` reduces the
 full grid's blocks: upper-bidiagonal matrices with the singular values of a
 Gaussian matrix, given by their 2n - 1 entries; in O(n) per matrix at S_4
-(a closed form) and S_inf (a safeguarded Laguerre iteration on the
-tridiagonal B^T B), and through ``schatten_norm_batch`` on the materialized
-matrices at every other exponent. At S_inf the Monte Carlo loop appends a
-run of consecutive blocks to a ``SpectralRun`` instead, which reduces the
-whole run in one iteration: its numpy calls, a dozen per matrix entry and
-iteration, then act on the run's rows instead of one block's, so fewer of
-them carry the same work.
+(the square root of tr (B^T B)^2) and S_inf (a safeguarded Laguerre
+iteration on the tridiagonal B^T B), and through ``schatten_norm_batch`` on
+the materialized matrices at every other exponent. At S_inf the Monte Carlo
+loop appends a run of consecutive blocks to a ``SpectralRun`` instead, which
+reduces the whole run in one iteration: its numpy calls, a dozen per matrix
+entry and iteration, then act on the run's rows instead of one block's, so
+fewer of them carry the same work. ``bidiagonal_traces`` gives tr (B^T B)^2
+and tr (B^T B)^3 in O(n), and ``SpectralRun.append`` the same from the
+tridiagonal it forms: the loop's controls for the full grid, whose means
+are exact.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -396,9 +399,9 @@ def bidiagonal_schatten_norms(diag, sup, p):
 
     Row r of ``diag`` (count, n) is the diagonal a of matrix r and row r of
     ``sup`` (count, n - 1) its superdiagonal b. Each row is divided by its
-    peak |entry| first and multiplied back after, so no square overflows or
+    peak |entry| first and multiplied back after, so no power overflows or
     underflows. With T = B^T B, tridiagonal with diagonal a_k^2 + b_(k-1)^2
-    and off-diagonal a_k b_k: at p = 4, ||B||_(S_4)^4 = ||T||_F^2 =
+    and off-diagonal a_k b_k: at p = 4, ||B||_(S_4)^4 = tr T^2 =
     sum_k (a_k^2 + b_(k-1)^2)^2 + 2 sum_k a_k^2 b_k^2; at p = inf, ||B|| is
     the square root of T's top eigenvalue (a one-block ``SpectralRun``).
     Both take O(n) per matrix. Any other p materializes the (count, n, n)
@@ -408,25 +411,62 @@ def bidiagonal_schatten_norms(diag, sup, p):
     sup = np.asarray(sup, dtype=float)
     p = float(p)
     count, n = diag.shape
-    if p != 4.0 and p != np.inf:
-        mats = np.zeros((count, n, n))
-        on = np.arange(n)
-        mats[:, on, on] = diag
-        mats[:, on[:-1], on[1:]] = sup
-        return schatten_norm_batch(mats, p)
+    if p == 4.0:
+        peak, c, t2 = _tridiagonal(diag, sup)
+        return peak * np.sqrt(np.sqrt(np.einsum("ij,ij->i", c, c) + 2.0 * np.einsum("ij->i", t2)))
     if p == np.inf:
         run = SpectralRun(n, count)
         run.append(diag, sup)
         return run.norms()
+    mats = np.zeros((count, n, n))
+    on = np.arange(n)
+    mats[:, on, on] = diag
+    mats[:, on[:-1], on[1:]] = sup
+    return schatten_norm_batch(mats, p)
+
+
+def bidiagonal_traces(diag, sup, out=None):
+    """tr T^2 and tr T^3 of T = B^T B for upper-bidiagonal B, as the rows of a (2, count) array.
+
+    ``diag`` and ``sup`` are as for ``bidiagonal_schatten_norms``, whose
+    peak-scaled T this takes, with the scaling undone after; it is formed
+    in the same float operations as in ``SpectralRun.append``, whose traces
+    are these bit for bit. O(n) per matrix; written into ``out`` when given.
+    """
+    out = np.empty((2, len(diag))) if out is None else out
+    _traces(*_tridiagonal(np.asarray(diag, dtype=float), np.asarray(sup, dtype=float)), out)
+    return out
+
+
+def _tridiagonal(diag, sup):
+    # each bidiagonal's peak |entry|, and the diagonal c and squared
+    # off-diagonal t2 of T = B^T B for B divided by it
     peak = _row_peaks(diag, sup)
     a = diag / peak[:, None]
     b = sup / peak[:, None]
     c = a * a
-    c[:, 1:] += b * b
-    t = a[:, :-1] * b
-    del a, b
-    return peak * np.sqrt(np.sqrt(np.einsum("ij,ij->i", c, c)
-                                  + 2.0 * np.einsum("ij,ij->i", t, t)))
+    t = np.multiply(a[:, :-1], b, out=a[:, :-1])
+    b *= b
+    c[:, 1:] += b
+    t *= t
+    return peak, c, t
+
+
+def _traces(peak, c, t2, out):
+    # tr T^2 and tr T^3 into out's two rows, from T's peak-scaled diagonal c
+    # and squared off-diagonal t2, with the scaling undone; counting the
+    # closed walks on a path, tr T^2 = sum c_k^2 + 2 sum t_k^2 and
+    # tr T^3 = sum c_k^3 + 3 sum t_k^2 (c_k + c_(k+1))
+    squares, cubes = out
+    np.einsum("ij,ij->i", c, c, out=squares)
+    squares += 2.0 * np.einsum("ij->i", t2)
+    np.einsum("ij,ij,ij->i", c, c, c, out=cubes)
+    cubes += 3.0 * (np.einsum("ij,ij->i", t2, c[:, :-1]) + np.einsum("ij,ij->i", t2, c[:, 1:]))
+    scale = peak * peak
+    scale *= scale
+    squares *= scale
+    scale *= peak * peak
+    cubes *= scale
 
 
 def _row_peaks(diag, sup):
@@ -443,9 +483,11 @@ class SpectralRun:
     and writes the peak-scaled tridiagonal T = B^T B of each matrix as one
     column of two arrays, (n, capacity) for T's diagonal a_k^2 + b_(k-1)^2
     and (n - 1, capacity) for its squared off-diagonal (a_k b_k)^2, plus the
-    matrix's peak and T's Gershgorin bound. ``norms()`` returns the norms of every matrix appended
-    since the last call, in order, from one ``_tridiagonal_top`` over the
-    columns, and empties the run. No row depends on the others, so a block's
+    matrix's peak and T's Gershgorin bound; given ``traces``, it writes the
+    block's ``bidiagonal_traces`` there too, from the same T. ``norms()``
+    returns the norms of every matrix appended since the last call, in
+    order, from one ``_tridiagonal_top`` over the columns, and empties the
+    run. No row depends on the others, so a block's
     values are those of ``bidiagonal_schatten_norms(diag, sup, np.inf)``,
     bit for bit, while the iteration's numpy calls act on the whole run.
     """
@@ -457,7 +499,7 @@ class SpectralRun:
         self._hi = np.empty(capacity)
         self._size = 0
 
-    def append(self, diag, sup) -> None:
+    def append(self, diag, sup, traces=None) -> None:
         diag = np.asarray(diag, dtype=float)
         sup = np.asarray(sup, dtype=float)
         count, n = diag.shape
@@ -481,6 +523,8 @@ class SpectralRun:
         t *= t
         self._off2[:, cols] = t.T
         self._size = cols.stop
+        if traces is not None:
+            _traces(peak, c, t, traces)
 
     def norms(self) -> np.ndarray:
         size, self._size = self._size, 0

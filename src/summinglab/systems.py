@@ -8,17 +8,19 @@ Carlo, in one loop whose MC_BLOCK-row blocks are drawn, gathered and
 reduced on a pool of at most ``MC_WIDTH`` threads, each from its own
 substream, one pool task per run of consecutive blocks, and whose sums are
 added in block order, so the result depends neither on the core count nor
-on how blocks are grouped in runs. Each sample's squared Frobenius norm,
-whose mean is known exactly, is its control variate, and so is its
-||x||_v^v on sequence spaces up to v = 4 and at S_4, where that mean is
-closed too: the estimate is the sample mean corrected along the fitted
-regression on them, with fallbacks to one control and to the plain mean
-(``_mc_second_moment``). A Schatten space's full grid of matrix
-units draws each sample as the 2n - 1 chi entries of a bidiagonal matrix
-with a Gaussian matrix's singular values; at S_inf a run's blocks are
-reduced together. On top of the systems sit the Lambda(p)-constant and
-Sidon-constant estimators, which are nonconvex maximizations shipped as
-ascent-with-restarts giving certified lower bounds.
+on how blocks are grouped in runs. A Schatten space's full grid of
+matrix units draws each sample as the 2n - 1 chi entries of a bidiagonal
+matrix B with a Gaussian matrix's singular values; at S_inf a run's blocks
+are reduced together. Every control variate of a sample has an exactly
+known mean (``_controls``): its squared Frobenius norm; on the full grid
+tr T^2 and tr T^3 of T = B^T B too (real-Wishart moments), and elsewhere
+its ||x||_v^v on sequence spaces up to v = 4 and at S_4. From 1024 samples
+on, the estimate is the sample mean corrected along the least-squares
+regression on all of them, dropping the last control where the fit fails,
+and below it is the plain mean (``_mc_second_moment``). On top of the
+systems sit the Lambda(p)-constant and Sidon-constant estimators, which are
+nonconvex maximizations shipped as ascent-with-restarts giving certified
+lower bounds.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from functools import lru_cache
 import numpy as np
 
 from .estimates import Certainty, NormEstimate
-from .kernels import (SpectralRun, Sumsets, bidiagonal_schatten_norms, lp_ascent,
-                      ratio_ascent)
+from .kernels import (SpectralRun, Sumsets, bidiagonal_schatten_norms, bidiagonal_traces,
+                      lp_ascent, ratio_ascent)
 from .rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, UnitFamily, VectorSystem,
-                     _ones_norm, lp_norm, norms_of_stack, parse_exponent, sequence_copy)
+                     _ones_norm, lp_norm, norms_of_stack, parse_exponent, sequence_copy,
+                     sequence_space)
 
 # Largest array a configuration may make the lab allocate, in bytes (2 GiB).
 # Not a setting.
@@ -227,43 +230,45 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     """(rows, row length) of the float64 entries that one Monte Carlo thread holds.
 
     For a pool task of ``run`` blocks: its slot, an MC_BLOCK-row block of
-    what it draws and the block's Frobenius controls; the block's squared
-    norms; and the kernel's arrays, rounded up to whole rows. A family that gathers holds rows of
+    what it draws and, per matrix, the block's moment rows (a one, the
+    squared norm and at most three controls); and the kernel's arrays,
+    rounded up to whole rows. A family that gathers holds rows of
     flat_dim: the block of the rows the kernel reads, drawn there when the
     gather is the identity (dim == flat_dim), otherwise gathered from the
     slot's own (MC_BLOCK, dim) coefficients, and three blocks more on
     Schatten spaces (a bound on the SVD's singular values, their scaled
     copy and its one-matrix workspace), a magnitude and a scaled copy of the
     block on sequence spaces. A family that draws bidiagonals holds rows of
-    its 2n - 1 chi entries at S_4 and S_inf. At S_4,
-    ``bidiagonal_schatten_norms`` holds at most twelve n-entry arrays and 32
-    more entries per matrix. At S_inf, the ``SpectralRun`` holds 2n + 1
-    entries per matrix of the run and the slot one control per matrix of
-    the run, until the run's norms are taken; on top, either the
-    temporaries of appending a block (3n + 128 entries per matrix of the
-    block: three n-entry arrays, and numpy's buffers for the strided
-    operands) or the Laguerre iteration's (48 + n/8 entries per matrix of the run for its
-    vectors and pivot signs, and 200 per matrix entry for the views it
-    makes once), never both at once. At any other exponent, rows of
-    flat_dim for the draws, the materialized block and one block more for
-    the copy of it that the SVD takes. Only the S_inf route grows with
-    ``run``: the others reduce each block in the slot before they draw the
-    next.
+    its 2n - 1 chi entries at S_4 and S_inf, and ``bidiagonal_traces`` at
+    most three n-entry arrays and 128 more entries per matrix (numpy's
+    buffers for its reductions). At S_inf, the
+    ``SpectralRun`` holds 2n + 1 entries per matrix of the run and the slot
+    its moment rows per matrix of the run, until the run's norms are taken;
+    on top, either the temporaries of appending a block (3n + 128 entries
+    per matrix of the block: three n-entry arrays, and numpy's buffers for
+    the strided operands or the traces' reductions) or the Laguerre
+    iteration's (48 + n/8 entries per matrix of the run for its vectors and
+    pivot signs, and 200 per matrix entry for the views it makes once),
+    never both at once. At any other exponent, rows of flat_dim for the
+    draws, the traces' temporaries, the materialized block and one block
+    more for the copy of it that the SVD takes. Only the S_inf route grows
+    with ``run``: the others reduce each block in the slot before they draw
+    the next.
     """
-    flat = space.flat_dim
+    flat, moments = space.flat_dim, 2 + 3
     if _draws_bidiagonal(dim, space):
         n, entries = space.dim, 2 * space.dim - 1
+        traces = (3 * n + 128) * MC_BLOCK
         if _runs_spectral(dim, space):
-            columns = (2 * n + 2) * run * MC_BLOCK
+            columns = (2 * n + 1 + moments) * run * MC_BLOCK
             append = (3 * n + 128) * MC_BLOCK
             iterate = (48 + -(-n // 8)) * run * MC_BLOCK + 200 * n
             return MC_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
         if space.exponent.value == 4.0:
-            return (MC_BLOCK + 2 * -(-MC_BLOCK // entries)
-                    + -(-(12 * n + 32) * MC_BLOCK // entries)), entries
-        return (-(-MC_BLOCK * entries // flat) + 2 * -(-MC_BLOCK // flat)
+            return MC_BLOCK + -(-(moments * MC_BLOCK + traces) // entries), entries
+        return (-(-MC_BLOCK * entries // flat) + -(-(moments * MC_BLOCK + traces) // flat)
                 + 2 * MC_BLOCK), flat
-    rows = MC_BLOCK + 2 * -(-MC_BLOCK // flat)
+    rows = MC_BLOCK + -(-moments * MC_BLOCK // flat)
     if dim < flat:
         rows += -(-MC_BLOCK * dim // flat)
     return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * MC_BLOCK, flat
@@ -292,14 +297,16 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]
     return width, run
 
 
-# Fewest samples from which the Monte Carlo loop fits its second control. A
-# fit of two controls has a bias of order 1/samples against a standard error
-# of order samples^(-1/2): in repeated fits on l_4^8, S_4^3 and S_4^8, 16
-# samples left a bias of 0.4-0.5 standard deviations and a stderr 30-40% too
-# small, 256 a bias of 0.14-0.2, and from 1024 on the two-sigma coverage
-# matched the one-control fit's (0.945-0.952 against 0.953-0.955). Not a
+# Fewest samples from which the Monte Carlo loop fits its controls; below,
+# it takes the plain mean. A fitted control has a bias of order 1/samples
+# against a standard error of order samples^(-1/2): in repeated fits on
+# l_1^8, l_4/3^8, l_4^8 and l_4^32, one control's two-sigma interval held
+# the true value 0.885-0.909 of the time at 16 samples and 0.925-0.947 at
+# 64, against the plain mean's 0.924-0.931 and 0.946-0.953; two controls
+# on l_4^8, S_4^3 and S_4^8 left a bias of 0.14-0.2 standard deviations at
+# 256 samples, and from 1024 on the coverage was 0.945-0.952. Not a
 # setting.
-MC_SECOND_CONTROL_SAMPLES = 1024
+MC_CONTROL_SAMPLES = 1024
 
 
 def _gaussian_abs_moment(v: float) -> float:
@@ -313,14 +320,14 @@ def _gaussian_abs_moment(v: float) -> float:
 
 
 def _power_mean(family: UnitFamily) -> float | None:
-    """E ||sum_i g_i x_i||_v^v over standard Gaussian g, the loop's second control's mean, or None.
+    """E ||sum_i g_i x_i||_v^v over standard Gaussian g, the mean of a control of the loop, or None.
 
     On a sequence space the power is s sum_i |g_i|^v, of mean ``size``
     E|g|^v (3 size at v = 4). On a Schatten space at v = 4 it is
     tr (X X^T)^2, whose mean counts the pairings that survive:
     sum_j c_j^2 + sum_i r_i^2 + m, for the m units' column and row counts c_j
-    and r_i (n^2 (2n + 1) for the full grid, whose bidiagonal keeps the
-    singular values). None at any other Schatten exponent, and on sequence
+    and r_i (n^2 (2n + 1) for the full grid, E tr T^2 of ``_trace_means``).
+    None at any other Schatten exponent, and on sequence
     spaces above v = 4: there the mean rests on ever rarer large draws, and
     at 2000 samples the fit's bias measured 0.17-0.2 standard deviations at
     v = 6 and 8 for a variance cut of 1.5x and 1.2x, and its two-sigma
@@ -337,109 +344,145 @@ def _power_mean(family: UnitFamily) -> float | None:
     return None
 
 
-def _block_sums(q, c, shifts=None) -> tuple[float, ...]:
-    # a block's sums of Y, Y^2, C, C^2 and Y C, for its norms q (overwritten
-    # by Y = q^2) and its controls c. Given shifts (y0, mu_C, mu_Z, v), those
-    # of A = Y - y0, A^2, B = C - mu_C, B^2 and A B instead (q and c are
-    # overwritten by A and B), then of D = Z - mu_Z, D^2, B D and A D for the
-    # second control Z = Y^(v/2) = ||x||_v^v: deviations from known shifts
-    # keep the digits that raw moments would cancel.
-    np.square(q, out=q)
-    if shifts is None:
-        return (float(q.sum()), float((q * q).sum()), float(c.sum()), float((c * c).sum()),
-                float((q * c).sum()))
-    y0, mu_c, mu_z, v = shifts
-    d = q ** (v / 2)
-    d -= mu_z
-    q -= y0
-    c -= mu_c
-    return (float(q.sum()), float((q * q).sum()), float(c.sum()), float((c * c).sum()),
-            float((q * c).sum()), float(d.sum()), float((d * d).sum()), float((c * d).sum()),
-            float((q * d).sum()))
+def _trace_means(n: int) -> tuple[int, int, int]:
+    """E tr W, E tr W^2 and E tr W^3 of the real Wishart W = G^T G of an n x n Gaussian G.
+
+    n^2, n^2 (2n + 1) and n^2 (5n^2 + 6n + 4) (Letac and Massam, Scand. J.
+    Statist. 31, 2004), exact integers.
+    """
+    return n * n, n * n * (2 * n + 1), n * n * (5 * n * n + 6 * n + 4)
 
 
-def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass,
-              shifts=None) -> list[tuple[float, ...]]:
+def _controls(family: UnitFamily) -> tuple[float, np.ndarray]:
+    """(shift of Y, exact means of the controls) of the Monte Carlo loop on a family.
+
+    Every sample's first control is C, its squared Frobenius norm, of mean
+    ``family.elements.size``. The full grid's bidiagonal B adds tr T^2 and
+    tr T^3 of T = B^T B (``_trace_means``); Y is shifted by Gordon's
+    (2 sqrt n)^2 = 4n at S_inf and by E tr T^2 ^ (1/2) at S_4. Any other
+    family adds Z = ||x||_v^v where ``_power_mean`` closes its mean, and
+    shifts Y by that mean's power 2/v; else Y is not shifted.
+    """
+    space = family.space
+    v = space.exponent.value
+    if _draws_bidiagonal(family.size, space):
+        means = _trace_means(space.dim)
+        return ({4.0: means[1] ** 0.5, np.inf: 4.0 * space.dim}.get(v, 0.0),
+                np.array(means, dtype=float))
+    mu_c, mu_z = float(family.elements.size), _power_mean(family)
+    if mu_z is None:
+        return 0.0, np.array([mu_c])
+    return mu_z ** (2 / v), np.array([mu_c, mu_z])
+
+
+def _block_moments(block, shift: float, means) -> np.ndarray:
+    # A block's sums of the products of its rows (1, Y, controls), taken
+    # after Y is shifted by ``shift`` and each control by its exact mean in
+    # place: about known shifts, the sums keep the digits that raw moments
+    # would cancel. One einsum, no BLAS: the float does not depend on the
+    # machine's BLAS or its threads.
+    block[1] -= shift
+    block[2:] -= means[:, None]
+    return np.einsum("ik,jk->ij", block, block)
+
+
+def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shift,
+              means) -> list[np.ndarray]:
     # On a pool thread: draw blocks first, first + 1, ... (counts[i] rows for
     # block first + i) into a free slot in turn, as bidiagonals or as
-    # coefficients gathered there unless the gather is the identity, take
-    # each row's control C (the squared Frobenius norm: the chi row's sum of
-    # squares, or the element size times the coefficient row's), and reduce
-    # each block to its sums (``_block_sums`` with ``shifts``, the second
-    # control's where it has one). At S_inf the bidiagonal blocks go to the
-    # slot's SpectralRun instead, which reduces them all at once while it
-    # holds the one_pass lock; their controls wait in the slot. The pool's
-    # threads are as many as the slots, so get() never waits.
-    slot = rows, coeffs, spectral, controls = slots.get()
+    # coefficients gathered there unless the gather is the identity, and
+    # write each block's columns of the slot's moment rows (1, Y, controls):
+    # C (the chi row's sum of squares, or the element size times the
+    # coefficient row's) before the kernel runs; a bidiagonal's tr T^2 and
+    # tr T^3, whose square root at S_4 is Y; and Z = Y^(v/2) where it is a
+    # control. Each block is then reduced to its moments
+    # (``_block_moments``). At S_inf the bidiagonal blocks go to the slot's
+    # SpectralRun instead, which writes their traces and reduces them all
+    # at once while it holds the one_pass lock; their moment rows wait in
+    # the slot. The pool's threads are as many as the slots, so get() never
+    # waits.
+    slot = rows, coeffs, spectral, moments = slots.get()
     try:
         space, sums, held = family.space, [], 0
+        v = space.exponent.value
         for index, count in enumerate(counts, first):
             rng = make_rng(substream(seed, index))
-            c = controls[held:held + count]
+            block = moments[:, held:held + count]
+            y, c = block[1], block[2]
             if _draws_bidiagonal(family.size, space):
                 n = space.dim
                 chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
                 np.einsum("ij,ij->i", chis, chis, out=c)
+                diag, sup = chis[:, :n], chis[:, n:]
                 if spectral is not None:
-                    spectral.append(chis[:, :n], chis[:, n:])
+                    spectral.append(diag, sup, block[3:])
                     held += count
                     continue
-                q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], space.exponent.value)
+                bidiagonal_traces(diag, sup, out=block[3:])
+                if v == 4:
+                    np.sqrt(block[3], out=y)
+                else:
+                    np.square(bidiagonal_schatten_norms(diag, sup, v), out=y)
             else:
                 drawn = standard_gaussians(rng, (count, family.size),
                                            out=(rows if coeffs is None else coeffs)[:count])
                 np.einsum("ij,ij->i", drawn, drawn, out=c)
                 c *= family.elements.shape[1]
-                q = norms_of_stack(family.synthesize(drawn, out=rows[:count]), space)
-            sums.append(_block_sums(q, c, shifts))
+                np.square(norms_of_stack(family.synthesize(drawn, out=rows[:count]), space),
+                          out=y)
+                if len(means) == 2:
+                    np.power(y, v / 2, out=block[3])
+            sums.append(_block_moments(block, shift, means))
         if spectral is not None:
             with one_pass:
                 q = spectral.norms()
-            cuts = np.cumsum(counts[:-1])
-            sums = [_block_sums(*block)
-                    for block in zip(np.split(q, cuts), np.split(controls[:held], cuts))]
+            np.square(q, out=moments[1, :held])
+            sums = [_block_moments(moments[:, start:start + count], shift, means)
+                    for start, count in zip(np.cumsum(counts) - counts, counts)]
         return sums
     finally:
         slots.put(slot)
 
 
-def _controlled_moment(sums, samples: int, mu: float, shift: float = 0.0) -> tuple[float, float]:
-    """(mean, stderr of the mean) of Y from the summed block sums, C of known mean mu.
+def _coefficients(cov) -> np.ndarray | None:
+    # The coefficients of A on the controls from the covariance of
+    # (A, controls), or None unless the controls' covariance is positive
+    # definite, and not only by rounding: every pivot of its correlation
+    # matrix above 1e-9 (for two controls, 1 - rho^2 > 1e-9), so that no
+    # control is a line in the others
+    scale = np.sqrt(np.diag(cov)[1:])
+    if not np.all(scale > 0):
+        return None
+    corr = cov[1:, 1:] / np.outer(scale, scale)
+    try:
+        if np.diag(np.linalg.cholesky(corr)).min() ** 2 > 1e-9:
+            return np.linalg.solve(corr, cov[1:, 0] / scale) / scale
+    except np.linalg.LinAlgError:
+        pass
+    return None
 
-    Five sums (``_block_sums`` without shifts) are those of Y, Y^2, C, C^2
-    and YC. Nine are those of A = Y - shift, A^2, B = C - mu, B^2, AB, and
-    of the second control's deviation D = Z - mu_Z, D^2, BD and AD. The
-    estimator and its fallbacks are ``_mc_second_moment``'s; the variance
-    is over the samples less the parameters fitted, the mean counted.
+
+def _controlled_moment(moments, shift: float = 0.0) -> tuple[float, float]:
+    """(mean, stderr of the mean) of Y from the summed block moments.
+
+    ``moments`` is the (k + 2) x (k + 2) sum over the samples of the
+    products of (1, A, B_1, ..., B_k), with A = Y - shift and B_i the i-th
+    control less its exact mean (``_block_moments``): its corner is the
+    sample count. The estimator and its fallbacks are
+    ``_mc_second_moment``'s; the variance is over the samples less the
+    parameters fitted, the mean counted.
     """
-    n = samples
-    s_a, s_aa, s_b, s_bb, s_ab = sums[:5]
-    mean_a, mean_b = s_a / n, s_b / n
-    var_a = s_aa / n - mean_a * mean_a
-    var_b = s_bb / n - mean_b * mean_b
-    cov_ab = s_ab / n - mean_a * mean_b
-    off_b = mean_b - mu if len(sums) == 5 else mean_b
-    if len(sums) == 9 and n >= MC_SECOND_CONTROL_SAMPLES:
-        s_d, s_dd, s_bd, s_ad = sums[5:]
-        mean_d = s_d / n
-        var_d = s_dd / n - mean_d * mean_d
-        cov_bd = s_bd / n - mean_b * mean_d
-        cov_ad = s_ad / n - mean_a * mean_d
-        det = var_b * var_d - cov_bd * cov_bd
-        # positive definite, and not only by rounding: Z not a line in C
-        if var_b > 0 and det > 1e-9 * var_b * var_d:
-            beta_b = (var_d * cov_ab - cov_bd * cov_ad) / det
-            beta_d = (var_b * cov_ad - cov_bd * cov_ab) / det
-            mean = shift + (mean_a - beta_b * off_b - beta_d * mean_d)
-            if mean > 0:
-                var = max(var_a - beta_b * cov_ab - beta_d * cov_ad, 0.0) * (n / (n - 3))
-                return mean, math.sqrt(var / n)
-    beta, fitted = 0.0, 1
-    if n >= 3 and var_b > 0 and shift + (mean_a - cov_ab / var_b * off_b) > 0:
-        beta, fitted = cov_ab / var_b, 2
-    mean = shift + (mean_a - beta * off_b)
-    var = max(var_a - beta * cov_ab, 0.0) * (n / (n - fitted))
-    return mean, math.sqrt(var / n)
+    n = moments[0, 0]
+    mean = moments[0, 1:] / n
+    cov = moments[1:, 1:] / n - np.outer(mean, mean)
+    for k in range(len(mean) - 1 if n >= MC_CONTROL_SAMPLES else 0, -1, -1):
+        beta = _coefficients(cov[:k + 1, :k + 1]) if k else np.zeros(0)
+        if beta is None:
+            continue
+        value = shift + (mean[0] - beta @ mean[1:k + 1])
+        if value > 0 or not k:
+            var = max(cov[0, 0] - beta @ cov[1:k + 1, 0], 0.0) * (n / (n - k - 1))
+            return float(value), math.sqrt(var / n)
 
 
 def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
@@ -450,45 +493,39 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     its gather (``UnitFamily.synthesize``), which keeps real rows real and
     is the identity on a full basis or grid. The full grid of a Schatten
     space (``_draws_bidiagonal``) draws instead, per sample, the 2n - 1 chi
-    entries of a bidiagonal with the singular values of the Gaussian
+    entries of a bidiagonal B with the singular values of the Gaussian
     matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``, or at
     S_inf by a ``kernels.SpectralRun``. One pool task per run of
     consecutive blocks, on ``_mc_width`` threads with its run length, draws
-    (and gathers) each block into a free slot and reduces it to its sums
-    (``_block_sums``): of Y = ||sum_i g_i x_i||^2, of its control C, the
-    squared Frobenius norm, of their squares and of YC, and, where the
-    second control Z = ||sum_i g_i x_i||_v^v has a closed-form mean
-    (``_power_mean``), of Z, Z^2, CZ and YZ, as deviations from known
-    shifts. Each row's C comes from what the slot
-    already holds (the chi row's sum of squares, or the element size times
-    the coefficient row's) before the kernel runs, and Z is the power v/2
-    of Y. At S_inf the task appends
-    each bidiagonal block to the slot's SpectralRun, keeps its controls in
-    the slot, and reduces the run in one Laguerre pass, whose numpy calls
-    then act on the run's rows instead of one block's (numpy's Philox and
-    gamma fills, ``take``, ``matmul`` and LAPACK release the GIL). There is
-    one slot per thread, allocated once per call, so nothing block-sized is
-    allocated inside the loop but the kernel's temporaries. The caller keeps
-    at most two tasks per thread in flight and adds each block's sums in
-    block order, so the result is the same float however the tasks
-    interleave and however the blocks are grouped into runs. C has the
-    exact mean mu = sum_i ||x_i||_2^2 (``family.elements.size``; n^2 for a
-    grid, whose bidiagonal keeps the Frobenius norm), so the mean of Y is
-    estimated as Ybar - beta (Cbar - mu), beta = Cov(Y, C) / Var(C) fitted
-    from the same sums, with the regression's residual variance over
-    samples - 2 (Glasserman, Monte Carlo Methods in Financial Engineering,
-    2003, section 4.1). Where Z has a mean mu_Z, the sums are taken as
-    deviations of C and Z from their means and of Y from mu_Z^(2/v), and
-    the two coefficients of Y on (C, Z) come from the 2 x 2 normal
-    equations: Ybar - beta_C (Cbar - mu) - beta_Z (Zbar - mu_Z), with the
-    residual variance over samples - 3. That fit falls back to the one
-    control's under MC_SECOND_CONTROL_SAMPLES samples, where the
-    covariance of (C, Z) is not positive definite (Z a line in C), or where
-    its mean is not positive; the one-control fit falls back to beta = 0,
-    the plain mean with its variance over samples - 1, under 3 samples (a
-    line through two points leaves no residual, so the stderr would read
-    0), when C does not vary, or when its mean is not positive
-    (``_controlled_moment``). The value is a Monte Carlo
+    (and gathers) each block into a free slot, writes each sample's
+    Y = ||sum_i g_i x_i||^2 and its controls there, and reduces the block
+    to its moments (``_block_moments``). Every control has an exact mean
+    (``_controls``): the squared Frobenius norm C, of mean
+    ``family.elements.size`` (n^2 for a grid, whose bidiagonal keeps the
+    Frobenius norm); on the full grid tr T^2 and tr T^3 of T = B^T B,
+    computed in O(n) from the tridiagonal the kernels form; elsewhere
+    Z = ||x||_v^v where ``_power_mean`` closes its mean. C comes from what
+    the slot already holds (the chi row's sum of squares, or the element
+    size times the coefficient row's) before the kernel runs. At S_inf the
+    task appends each bidiagonal block to the slot's SpectralRun, keeps
+    its moment rows in the slot, and reduces the run in one Laguerre pass,
+    whose numpy calls then act on the run's rows instead of one block's
+    (numpy's Philox and gamma fills, ``take``, ``matmul`` and LAPACK
+    release the GIL). There is one slot per thread, allocated once per
+    call, so nothing block-sized is allocated inside the loop but the
+    kernel's temporaries. The caller keeps at most two tasks per thread in
+    flight and adds each block's moments in block order, so the result is
+    the same float however the tasks interleave and however the blocks are
+    grouped into runs. From MC_CONTROL_SAMPLES samples on, the mean of Y is
+    estimated as Ybar - beta . (Bbar - mu), with beta the coefficients of
+    Y on the k controls B from their k x k normal equations and the
+    regression's residual variance over samples - k - 1 (Glasserman, Monte
+    Carlo Methods in Financial Engineering, 2003, section 4.1). Where the
+    controls' covariance is not positive definite (one a line in the
+    others) or the corrected mean is not positive, the last control is
+    dropped and the fit taken again; with none left, and under
+    MC_CONTROL_SAMPLES samples, it is the plain mean with its variance over
+    samples - 1 (``_controlled_moment``). The value is a Monte Carlo
     estimate, so it is ``lower`` with a standard error (delta method on the
     square root).
     """
@@ -498,25 +535,24 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
     space, dim = family.space, family.size
     width, run = _mc_width(dim, space, samples)
-    mu_c, mu_z = float(family.elements.size), _power_mean(family)
-    v = space.exponent.value
-    shifts = None if mu_z is None else (mu_z ** (2 / v), mu_c, mu_z, v)
+    shift, means = _controls(family)
     # imported here: concurrent.futures loads logging and queue, about 5 ms
     # of start-up that the commands without Monte Carlo need not pay
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
     # one array per part for all slots: slot i is (drawn or kernel rows,
-    # coefficients, S_inf run, controls)[i]
+    # coefficients, S_inf run, moment rows)[i]
     row = 2 * space.dim - 1 if _draws_bidiagonal(dim, space) else space.flat_dim
     kernel_rows = np.empty((width, MC_BLOCK, row))
     coeffs = np.empty((width, MC_BLOCK, dim)) if dim < space.flat_dim else [None] * width
     held = run * MC_BLOCK if _runs_spectral(dim, space) else MC_BLOCK
     spectral = ([SpectralRun(space.dim, held) for _ in range(width)]
                 if _runs_spectral(dim, space) else [None] * width)
-    controls = np.empty((width, held))
+    moments = np.empty((width, 2 + len(means), held))
+    moments[:, 0] = 1.0
     slots = queue.SimpleQueue()
-    for slot in zip(kernel_rows, coeffs, spectral, controls):
+    for slot in zip(kernel_rows, coeffs, spectral, moments):
         slots.put(slot)
     # One Laguerre pass at a time: a pass is thousands of short numpy calls,
     # each of which drops and retakes the GIL on vectors of over 500 rows,
@@ -534,17 +570,16 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
             counts = [min(MC_BLOCK, samples - index * MC_BLOCK)
                       for index in range(first, min(first + run, blocks))]
             running.append(pool.submit(_run_sums, family, seed, first, counts, slots, one_pass,
-                                       shifts))
+                                       shift, means))
         for task in running:
             sums.extend(task.result())
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
-    totals = [0.0] * len(sums[0])
+    totals = np.zeros_like(sums[0])
     for block in sums:
-        for i, s in enumerate(block):
-            totals[i] += s
-    mean, stderr = _controlled_moment(totals, samples, mu_c, 0.0 if shifts is None else shifts[0])
+        totals += block
+    mean, stderr = _controlled_moment(totals, shift)
     value = float(np.sqrt(mean))
     stderr = float(stderr / (2.0 * value)) if value > 0 else 0.0
     return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian")
@@ -565,7 +600,9 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     (N, size) character table bound what the average computes, a block at
     a time; neither table is formed whole. The Gaussian system takes
     unit families: blocked Monte Carlo with a reported standard error,
-    except where ``gaussian_closed_form`` gives the value.
+    except where ``gaussian_closed_form`` gives the value. A sequence
+    family of m blocks of s ones is s^(1/v) times the l_v^m basis, whose
+    Monte Carlo value and stderr it takes, scaled.
     """
     family = sequence_copy(family)
     space, m = family.space, family.size
@@ -589,7 +626,14 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     exact = gaussian_closed_form(space, *family.elements.shape)
     if exact is not None:
         return exact
-    return _mc_second_moment(family, samples, seed)
+    if space.kind is SpaceKind.SCHATTEN:
+        return _mc_second_moment(family, samples, seed)
+    # m disjoint blocks of s ones span s^(1/v) l_v^m: the same (count, m)
+    # draws, with no gather to n columns
+    scale = _ones_norm(family.elements.shape[1], space.exponent)
+    est = _mc_second_moment(UnitFamily(sequence_space(space.exponent, m), np.arange(m)[:, None]),
+                            samples, seed)
+    return replace(est, value=scale * est.value, stderr=scale * est.stderr)
 
 
 # Complex entries in the wider table of a block of the group average, the
@@ -655,12 +699,19 @@ def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
+# Entries of numpy's ufunc staging buffers that an ascent's working set
+# allows: np.getbufsize() per operand a broadcasting or casting ufunc
+# stages, for up to three operands.
+_STAGED = 3 * np.getbufsize()
+
+
 def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:
     """The character matrix, for an ascent.
 
     Checked first against MAX_ARRAY_BYTES: the matrix alone, then a bound on
     all the ascent holds, in rows of ``order`` complex entries: the matrix
-    (m rows; building it takes no more) and three rows per restart. The
+    (m rows; building it takes no more), three rows per restart, and the
+    rows that hold numpy's ufunc staging buffers (``_STAGED`` entries). The
     ascent computes its values block by block (``kernels.POINT_BLOCK``
     points), so it holds at most two complex entries per restart and block
     point besides the matrix (the values, and the objective's magnitudes or
@@ -668,7 +719,8 @@ def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:
     larger than a block.
     """
     check_array_bytes("character matrix", (charset.order, charset.size), np.complex128)
-    check_array_bytes("ascent working set", (charset.size + 3 * restarts, charset.order),
+    check_array_bytes("ascent working set",
+                      (charset.size + 3 * restarts + -(-_STAGED // charset.order), charset.order),
                       np.complex128)
     return charset.matrix()
 
@@ -688,8 +740,8 @@ def _sumsets(charset: CharacterSet, k: int, restarts: int) -> Sumsets | None:
     keeps, and two to spare for its per-restart scalars), every level (a
     round's coefficients, the level it gathers from and the one it gathers
     into), and the largest step's products with their padded gather (the
-    direction's gather and product take no more); and an entry per table
-    index.
+    direction's gather and product take no more); an entry per table
+    index; and numpy's ufunc staging buffers (``_STAGED`` entries).
     """
     order, m = charset.order, charset.size
     if 2 * k * math.log2(m) >= 1024 or order > 2 ** 62:
@@ -716,8 +768,8 @@ def _sumsets(charset: CharacterSet, k: int, restarts: int) -> Sumsets | None:
     sizes = [m] + [g.shape[1] for g in gathers]
     step = max(size * m + 1 + g.size for size, g in zip(sizes, gathers))
     indices = positions.size + sum(g.size for g in gathers)
-    check_array_bytes("ascent working set", (restarts * (6 * m + sum(sizes) + step) + indices,),
-                      np.complex128)
+    check_array_bytes("ascent working set",
+                      (restarts * (6 * m + sum(sizes) + step) + indices + _STAGED,), np.complex128)
     return Sumsets(gathers, positions)
 
 

@@ -54,20 +54,21 @@ def test_lnorm_command(capsys):
 
 @pytest.mark.parametrize("samples", [2, 3])
 def test_lnorm_few_samples_keep_a_stderr(capsys, samples):
-    # a line through two points leaves no residual, so under 3 samples the
-    # Frobenius control is not fitted: value and stderr are the plain
-    # estimator's from the same two rows, its variance over samples - 1;
-    # 3 samples leave the fit one degree of freedom
+    # a control fitted to few samples leaves a stderr too small (a line
+    # through two points leaves none), so under MC_CONTROL_SAMPLES samples
+    # no control is fitted: value and stderr are the plain estimator's from
+    # the same rows, its variance over samples - 1, in the loop's float order
     assert main(["lnorm", "--space", "l2:4", "--target", "linf:4",
                  "--samples", str(samples), "--seed", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stderr"] > 0
-    if samples == 2:
-        y = np.abs(standard_gaussians(make_rng(substream(1, 0)), (2, 4))).max(axis=1) ** 2
-        mean = float(y.sum()) / 2
-        var = (float((y * y).sum()) / 2 - mean * mean) * (2 / 1)
-        assert doc["value"] == math.sqrt(mean)
-        assert doc["stderr"] == math.sqrt(var / 2) / (2.0 * doc["value"])
+    y = np.abs(standard_gaussians(make_rng(substream(1, 0)), (samples, 4))).max(axis=1) ** 2
+    rows = np.array([np.ones(samples), y])
+    sums = np.einsum("ik,jk->ij", rows, rows)
+    mean = sums[0, 1] / samples
+    var = (sums[1, 1] / samples - mean * mean) * (samples / (samples - 1))
+    assert doc["value"] == math.sqrt(mean)
+    assert doc["stderr"] == math.sqrt(var / samples) / (2.0 * doc["value"])
 
 
 def test_lnorm_exact_path(capsys):
@@ -470,11 +471,12 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
     (["lnorm", "--space", "l2:100000000", "--target", "linf:100000000",
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
     # the S_3^1024 grid materializes its bidiagonal draws: one block is 2.1
-    # GB, and with the chi rows, the squared norms, the controls and the
-    # block more for the SVD's copy a thread holds 515 rows of 1048576 (4.02
-    # GiB), over the cap (S_3^520 fits: test_systems' bidiagonal working set)
+    # GB, and with the chi rows, the moment rows, the traces' temporaries and
+    # the block more for the SVD's copy a thread holds 514 rows of 1048576
+    # (4.02 GiB), over the cap (S_3^520 fits: test_systems' bidiagonal
+    # working set)
     (["lnorm", "--space", "s2:1024", "--target", "s3:1024", "--samples", "4096", "--seed", "1"],
-     "Monte Carlo chunk working set of shape (515, 1048576)"),
+     "Monte Carlo chunk working set of shape (514, 1048576)"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
@@ -505,14 +507,15 @@ def test_diagonal_candidate_of_a_large_schatten_space_runs(capsys):
 def test_ascent_working_set_refused_before_the_matrix(capsys, monkeypatch):
     # 21 lacunary characters of Z_(2^22) at p = 3, the dense route: the 1.3
     # GiB matrix is under the 2 GiB cap, but with 64 restarts' trial values
-    # the ascent would hold 13.3 GiB; refused by the projection alone
+    # and a row for numpy's staging buffers the ascent would hold 13.4 GiB;
+    # refused by the projection alone
     def build(*args):
         raise AssertionError("built the character matrix before the working-set check")
 
     monkeypatch.setattr(systems, "_character_matrix", build)
     freqs = ",".join(str(2 ** k) for k in range(21))
     _assert_usage_error(capsys, ["kp", "--group", str(2 ** 22), "--freqs", freqs, "--p", "3",
-                                 "--seed", "1"], "ascent working set of shape (213, 4194304)")
+                                 "--seed", "1"], "ascent working set of shape (214, 4194304)")
 
 
 def test_kp_even_p_on_a_huge_group_runs(capsys, monkeypatch):
@@ -529,9 +532,9 @@ def test_kp_even_p_on_a_huge_group_runs(capsys, monkeypatch):
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     # one l_inf^400000 block is 0.82 GB, under the 2 GiB cap, but a thread's
-    # working set, the block with its squared norms and controls and the
-    # reduction's magnitude and scaled copy, is not: the pool narrows to one
-    # thread, and that is refused before any draw
+    # working set, the block with its moment rows and the reduction's
+    # magnitude and scaled copy, is not: the pool narrows to one thread, and
+    # that is refused before any draw
     def draw(*args, **kwargs):
         raise AssertionError("drew normals before the working-set check")
 
@@ -541,7 +544,7 @@ def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     assert rows * flat * 8 < systems.MAX_ARRAY_BYTES
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],
-                        "Monte Carlo chunk working set of shape (770, 400000)")
+                        "Monte Carlo chunk working set of shape (769, 400000)")
 
 
 def test_bidiagonal_ell_norm_runs_where_dense_blocks_would_not(capsys):

@@ -14,7 +14,7 @@ from summinglab import (Certainty, CharacterSet, NormEstimate, SpaceKind, UnitFa
                         schatten_space, sequence_space, second_moment,
                         summing_norm_lower, summing_norm_search)
 from summinglab import kernels, spaces, summing, systems
-from summinglab.systems import MC_BLOCK, MC_SECOND_CONTROL_SAMPLES
+from summinglab.systems import MC_BLOCK, MC_CONTROL_SAMPLES
 from summinglab.spaces import norms_of_stack, sequence_copy
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.summing import _schatten_candidates, _sequence_candidates
@@ -179,47 +179,46 @@ def _materialize(family):
     return dense
 
 
-def _controlled_moment(rows, space, mu, mu_z=None):
-    """(value, stderr) of (E ||row||^2)^(1/2) over the materialized rows,
-    controlled by their squared Frobenius norms, of mean mu, and given mu_z
-    by their ||row||_v^v too: from MC_SECOND_CONTROL_SAMPLES rows on, the
-    least-squares fit on both (``np.linalg.lstsq``, intercept and residual
-    variance over samples - 3), unless it is rank deficient or its intercept
-    not positive; otherwise the least-squares line on the first (beta = 0,
-    the plain variance over samples - 1, under 3 samples, for a constant
-    control or where the controlled mean is not positive)."""
-    norms, c = norms_of_stack(rows, space), np.sum(rows ** 2, axis=1)
-    y, samples = norms ** 2, len(norms)
-    if mu_z is not None and samples >= MC_SECOND_CONTROL_SAMPLES:
-        design = np.column_stack([np.ones(samples), c - mu,
-                                  norms ** space.exponent.value - mu_z])
+def _controlled_moment(y, controls, means):
+    """(value, stderr) of (E Y)^(1/2) from the samples of Y and of its
+    controls (rows of ``controls``, of exact ``means``): from
+    MC_CONTROL_SAMPLES samples on, the least-squares fit on all of them
+    (``np.linalg.lstsq``, intercept and residual variance over
+    samples - k - 1), without the last while it is rank deficient or its
+    intercept not positive; under MC_CONTROL_SAMPLES samples, and with no
+    control left, the plain mean and its variance over samples - 1."""
+    samples = len(y)
+    k = len(controls) if samples >= MC_CONTROL_SAMPLES else 0
+    for k in range(k, -1, -1):
+        design = np.column_stack([np.ones(samples)]
+                                 + [b - mu for b, mu in zip(controls[:k], means[:k])])
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank == 3 and coef[0] > 0:
+        if rank == k + 1 and (coef[0] > 0 or not k):
             resid = y - design @ coef
             value = np.sqrt(coef[0])
-            return value, np.sqrt(resid @ resid / (samples - 3) / samples) / (2 * value)
-    dy, dc = y - y.mean(), c - c.mean()
-    beta = dy @ dc / (dc @ dc) if samples >= 3 and dc @ dc > 0 else 0.0
-    if y.mean() - beta * (c.mean() - mu) <= 0:
-        beta = 0.0
-    resid = dy - beta * dc
-    value = np.sqrt(y.mean() - beta * (c.mean() - mu))
-    var = resid @ resid / (samples - (2 if beta else 1))
-    return value, np.sqrt(var / samples) / (2 * value)
+            return value, np.sqrt(resid @ resid / (samples - k - 1) / samples) / (2 * value)
 
 
 def _dense_second_moment(dense, space, samples, seed, mu_z=None):
-    """Blocked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop draws g."""
+    """Blocked (E ||g @ dense||^2)^(1/2) and its stderr, as the Monte Carlo loop
+    draws g, controlled by each row's squared Frobenius norm and, given its
+    mean mu_z, its ||row||_v^v."""
     rows = np.concatenate([
         standard_gaussians(make_rng(substream(seed, k)),
                            (min(MC_BLOCK, samples - start), dense.shape[0])) @ dense
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
-    return _controlled_moment(rows, space, np.sum(dense ** 2), mu_z)
+    norms = norms_of_stack(rows, space)
+    controls, means = [np.sum(rows ** 2, axis=1)], [np.sum(dense ** 2)]
+    if mu_z is not None:
+        controls, means = controls + [norms ** space.exponent.value], means + [mu_z]
+    return _controlled_moment(norms ** 2, controls, means)
 
 
 def _bidiagonal_second_moment(space, samples, seed):
-    """Blocked (E ||B||^2)^(1/2) and its stderr, with the bidiagonal B drawn as the
-    Monte Carlo loop draws a full grid's, materialized and reduced by ``norms_of_stack``."""
+    """Blocked (E ||B||^2)^(1/2) and its stderr, with the bidiagonal B drawn as
+    the Monte Carlo loop draws a full grid's, materialized, reduced by
+    ``norms_of_stack`` and controlled by tr T, tr T^2 and tr T^3 of the dense
+    T = B^T B."""
     n = space.dim
     on = np.arange(n)
     dense = np.zeros((samples, n, n))
@@ -228,15 +227,18 @@ def _bidiagonal_second_moment(space, samples, seed):
         chis = gaussian_bidiagonal(make_rng(substream(seed, k)), count, n)
         dense[start:start + count, on, on] = chis[:, :n]
         dense[start:start + count, on[:-1], on[1:]] = chis[:, n:]
-    return _controlled_moment(dense.reshape(samples, -1), space, n * n,
-                              systems._power_mean(_grid_family(space, n)))
+    gram = dense.transpose(0, 2, 1) @ dense
+    controls = [np.trace(np.linalg.matrix_power(gram, k), axis1=1, axis2=2) for k in (1, 2, 3)]
+    return _controlled_moment(norms_of_stack(dense.reshape(samples, -1), space) ** 2, controls,
+                              systems._trace_means(n))
 
 
 def test_unit_family_gather_matches_dense_product():
-    # every unit candidate's second moment (gather, or closed form for one
-    # element) against the dense product on the materialized family, over a
-    # partial last block; the full grid of a Schatten space draws bidiagonals,
-    # so its reference reduces the same draws as dense matrices
+    # every unit candidate's second moment (gather, scaled l_v^m basis, or
+    # closed form for one element) against the dense product on the
+    # materialized family, over a partial last block; the full grid of a
+    # Schatten space draws bidiagonals, so its reference reduces the same
+    # draws as dense matrices
     samples = 32 * MC_BLOCK + 1
     for fam, space in _unit_families():
         est = second_moment(gaussian_system(), replace(fam, space=space),

@@ -18,10 +18,10 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpaceKind, SpanEl
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
                         sidon_constant_lower, kernels, spaces, summing, systems)
-from summinglab.kernels import bidiagonal_schatten_norms
+from summinglab.kernels import bidiagonal_schatten_norms, bidiagonal_traces
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.spaces import lp_norm, norms_of_stack
-from summinglab.systems import MC_BLOCK, MC_SECOND_CONTROL_SAMPLES, _mc_second_moment
+from summinglab.systems import MC_BLOCK, MC_CONTROL_SAMPLES, _mc_second_moment
 
 CFG = AscentConfig(seed=7)
 FAST = AscentConfig(seed=7, restarts=24, steps=250)
@@ -370,33 +370,26 @@ def _svd_norms(mats, u):
     return np.array(out)
 
 
-def _controlled_moment(y, c, mu, z=None, mu_z=None):
-    """(value, stderr) of (E Y)^(1/2) from the samples of Y and of its controls:
-    C of mean mu and, given, Z of mean mu_z. From MC_SECOND_CONTROL_SAMPLES
-    samples on, the least-squares fit of Y on (1, C - mu, Z - mu_z)
-    (``np.linalg.lstsq`` on the raw samples), whose intercept is the
-    controlled mean, with the residual variance over samples - 3; where that
-    design is rank deficient or the intercept not positive, and without Z,
-    the least-squares line of Y on C, with beta = 0 (the plain variance over
-    samples - 1) under 3 samples, for a constant C or where the controlled
-    mean is not positive."""
+def _controlled_moment(y, controls, means):
+    """(value, stderr) of (E Y)^(1/2) from the samples of Y and of its
+    controls (rows of ``controls``, of exact ``means``). From
+    MC_CONTROL_SAMPLES samples on, the least-squares fit of Y on
+    (1, controls - means) (``np.linalg.lstsq`` on the raw samples), whose
+    intercept is the controlled mean, with the residual variance over
+    samples - k - 1 for k controls; where that design is rank deficient or
+    the intercept not positive, the same fit without the last control.
+    Under MC_CONTROL_SAMPLES samples, and with no control left, the plain
+    mean and its variance over samples - 1."""
     samples = len(y)
-    if z is not None and samples >= MC_SECOND_CONTROL_SAMPLES:
-        design = np.column_stack([np.ones(samples), c - mu, z - mu_z])
+    k = len(controls) if samples >= MC_CONTROL_SAMPLES else 0
+    for k in range(k, -1, -1):
+        design = np.column_stack([np.ones(samples)]
+                                 + [b - mu for b, mu in zip(controls[:k], means[:k])])
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank == 3 and coef[0] > 0:
+        if rank == k + 1 and (coef[0] > 0 or not k):
             resid = y - design @ coef
             value = np.sqrt(coef[0])
-            return value, np.sqrt(resid @ resid / (samples - 3) / samples) / (2 * value)
-    dy, dc = y - y.mean(), c - c.mean()
-    beta = dy @ dc / (dc @ dc) if samples >= 3 and dc @ dc > 0 else 0.0
-    if y.mean() - beta * (c.mean() - mu) <= 0:
-        beta = 0.0
-    mean = y.mean() - beta * (c.mean() - mu)
-    resid = dy - beta * dc
-    var = resid @ resid / (samples - (2 if beta else 1))
-    value = np.sqrt(mean)
-    return value, np.sqrt(var / samples) / (2 * value)
+            return value, np.sqrt(resid @ resid / (samples - k - 1) / samples) / (2 * value)
 
 
 def _gathered_moment(family, u, samples, seed):
@@ -411,8 +404,10 @@ def _gathered_moment(family, u, samples, seed):
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
     norms, p = _svd_norms(mats, u), parse_exponent(u).value
     mu_z = systems._power_mean(spaces.sequence_copy(family))
-    return _controlled_moment(norms ** 2, np.sum(mats ** 2, axis=(1, 2)), family.size,
-                              None if mu_z is None else norms ** p, mu_z)
+    controls, means = [np.sum(mats ** 2, axis=(1, 2))], [family.size]
+    if mu_z is not None:
+        controls, means = controls + [norms ** p], means + [mu_z]
+    return _controlled_moment(norms ** 2, controls, means)
 
 
 @pytest.mark.parametrize("u", ["4/3", 3, 4, "inf"])
@@ -478,60 +473,39 @@ def _mc_family(space, kind):
 
 def _serial_second_moment(family, samples, seed):
     """The one-thread Monte Carlo loop: draw, gather and reduce each block in
-    turn, with each row's squared Frobenius norm as its control, and its
-    ||x||_v^v too where that has a closed-form mean, as deviations from the
-    known shifts; a Schatten space's full grid draws bidiagonal chi entries
-    instead. The controlled estimate is written out in the loop's own float
-    order."""
+    turn into the rows (1, Y, controls): each row's squared Frobenius norm,
+    a bidiagonal's tr T^2 and tr T^3 (a Schatten space's full grid draws
+    bidiagonal chi entries), or ||x||_v^v where that has a closed-form mean;
+    shifted as the loop shifts them, summed block by block in the loop's own
+    float order and fitted by ``systems._controlled_moment``."""
     space = family.space
     v = space.exponent.value
-    mu, mu_z = float(family.elements.size), systems._power_mean(family)
-    totals = [0.0] * (5 if mu_z is None else 9)
+    shift, means = systems._controls(family)
+    totals = 0.0
     for index, start in enumerate(range(0, samples, MC_BLOCK)):
         count = min(MC_BLOCK, samples - start)
         rng = make_rng(substream(seed, index))
+        block = np.empty((2 + len(means), count))
+        block[0] = 1.0
         if space.kind is SpaceKind.SCHATTEN and family.size == space.flat_dim:
             n = space.dim
             chis = gaussian_bidiagonal(rng, count, n)
-            c = np.einsum("ij,ij->i", chis, chis)
-            q = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2
+            block[2] = np.einsum("ij,ij->i", chis, chis)
+            block[3:] = bidiagonal_traces(chis[:, :n], chis[:, n:])
+            block[1] = (np.sqrt(block[3]) if v == 4
+                        else bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2)
         else:
             rows = standard_gaussians(rng, (count, family.size))
-            c = np.einsum("ij,ij->i", rows, rows) * family.elements.shape[1]
-            q = norms_of_stack(family.synthesize(rows), space) ** 2
-        if mu_z is None:
-            block = [q, q * q, c, c * c, q * c]
-        else:
-            d = q ** (v / 2) - mu_z
-            q, c = q - mu_z ** (2 / v), c - mu
-            block = [q, q * q, c, c * c, q * c, d, d * d, c * d, q * d]
-        for i, x in enumerate(block):
-            totals[i] += float(x.sum())
-    mean_a, mean_b = totals[0] / samples, totals[2] / samples
-    var_a = totals[1] / samples - mean_a * mean_a
-    var_b = totals[3] / samples - mean_b * mean_b
-    cov_ab = totals[4] / samples - mean_a * mean_b
-    shift, off_b = (0.0, mean_b - mu) if mu_z is None else (mu_z ** (2 / v), mean_b)
-    mean = None
-    if mu_z is not None and samples >= MC_SECOND_CONTROL_SAMPLES:
-        mean_d = totals[5] / samples
-        var_d = totals[6] / samples - mean_d * mean_d
-        cov_bd = totals[7] / samples - mean_b * mean_d
-        cov_ad = totals[8] / samples - mean_a * mean_d
-        det = var_b * var_d - cov_bd * cov_bd
-        beta_b = (var_d * cov_ab - cov_bd * cov_ad) / det
-        beta_d = (var_b * cov_ad - cov_bd * cov_ab) / det
-        mean = shift + (mean_a - beta_b * off_b - beta_d * mean_d)
-        var = max(var_a - beta_b * cov_ab - beta_d * cov_ad, 0.0) * (samples / (samples - 3))
-    if mean is None or mean <= 0:
-        beta, fitted = 0.0, 1
-        if samples >= 3 and var_b > 0 and shift + (mean_a - cov_ab / var_b * off_b) > 0:
-            beta, fitted = cov_ab / var_b, 2
-        mean = shift + (mean_a - beta * off_b)
-        var = max(var_a - beta * cov_ab, 0.0) * (samples / (samples - fitted))
+            block[2] = np.einsum("ij,ij->i", rows, rows) * family.elements.shape[1]
+            block[1] = norms_of_stack(family.synthesize(rows), space) ** 2
+            if len(means) == 2:
+                block[3] = block[1] ** (v / 2)
+        block[1] -= shift
+        block[2:] -= means[:, None]
+        totals = totals + np.einsum("ik,jk->ij", block, block)
+    mean, stderr = systems._controlled_moment(totals, shift)
     value = float(np.sqrt(mean))
-    stderr = float(math.sqrt(var / samples) / (2.0 * value)) if value > 0 else 0.0
-    return value, stderr
+    return value, float(stderr / (2.0 * value)) if value > 0 else 0.0
 
 
 # Samples in blocks: a partial last block of one row (33 blocks, odd, so
@@ -583,25 +557,26 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
     (schatten_space(4, 3), [[0], [1], [5]], 2),
     (sequence_space(4, 12), "blocks", 2),
     (sequence_space(3, 12), "basis", 2),
-    (schatten_space(4, 6), "basis", 2),
+    (schatten_space(4, 6), "basis", 3),
     (schatten_space("inf", 5), "diag", 1),
-    (schatten_space("inf", 16), "basis", 1),
+    (schatten_space("inf", 16), "basis", 3),
+    (schatten_space("inf", 6), "basis", 3),
     (sequence_space("inf", 12), "basis", 1),
-    (schatten_space(3, 6), "basis", 1),
+    (schatten_space(3, 6), "basis", 3),
 ], ids=["gather", "l4-blocks", "l3-basis", "s4-bidiagonal", "sequence-copy", "sinf-run",
-        "linf-basis", "s3-svd"])
+        "sinf-6", "linf-basis", "s3-svd"])
 def test_control_never_widens_the_stderr(monkeypatch, space, elements, controls):
     # on every route, the controlled stderr of the mean is positive and at
     # most the plain one, sqrt(Var(Y) / (samples - 1) / samples), from the
-    # same sums; where ||x||_v^v is a second control (S_4, l_4, l_3), the
-    # two-control stderr is at most the one-control fit's on its first five
-    # sums, and elsewhere (S_inf, l_inf, S_3) the loop sums five and nothing
-    # else
+    # same sums; where there are more controls than C (||x||_v^v at S_4,
+    # l_4 and l_3; tr T^2 and tr T^3 on the full grid at S_4, S_inf and
+    # S_3), their fit's stderr is below the fit on C alone, from the first
+    # three rows of the same sums; l_inf and S_inf sub-families take C alone
     seen = []
 
-    def spy(sums, samples, mu, shift=0.0):
-        out = controlled(sums, samples, mu, shift)
-        seen.append((sums, samples, shift, out))
+    def spy(moments, shift=0.0):
+        out = controlled(moments, shift)
+        seen.append((moments, shift, out))
         return out
 
     controlled = systems._controlled_moment
@@ -609,69 +584,112 @@ def test_control_never_widens_the_stderr(monkeypatch, space, elements, controls)
     family = (UnitFamily(space, np.array(elements)) if isinstance(elements, list)
               else _mc_family(space, elements))
     second_moment(gaussian_system(), family, samples=8 * MC_BLOCK + 5, seed=7)
-    (sums, samples, shift, (_, stderr)), = seen
-    assert len(sums) == {1: 5, 2: 9}[controls]
-    s_y, s_yy = sums[:2]
+    (moments, shift, (_, stderr)), = seen
+    assert moments.shape == (controls + 2,) * 2
+    samples, s_y, s_yy = moments[0, 0], moments[0, 1], moments[1, 1]
     plain = math.sqrt((s_yy / samples - (s_y / samples) ** 2) / (samples - 1))
-    one = stderr if controls == 1 else controlled(sums[:5], samples, 0.0, shift)[1]
+    one = controlled(moments[:3, :3], shift)[1]
     assert 0 < stderr <= one <= plain
-    if controls == 2:
+    if controls > 1:
         assert stderr < one
 
 
-def _nine_sums(y, c, z, shift, mu, mu_z):
-    """The nine sums ``_block_sums`` adds, from whole sample arrays."""
-    a, b, d = y - shift, c - mu, z - mu_z
-    return [float(x.sum()) for x in (a, a * a, b, b * b, a * b, d, d * d, b * d, a * d)]
+def _moments(y, controls, shift, means):
+    """The moments ``_block_moments`` adds, from whole sample arrays."""
+    rows = np.array([np.ones_like(y), y - shift] + [b - mu for b, mu in zip(controls, means)])
+    return np.einsum("ik,jk->ij", rows, rows)
 
 
 def test_controlled_moment_falls_back_to_the_plain_mean():
-    # beta = 0 leaves the plain mean and the variance over samples - 1: under
-    # 3 samples, for a constant control, and where the corrected mean is not
-    # positive; otherwise the fit of Y = C / 10 is exact and leaves no residual
-    y = np.array([1.0, 2.0, 4.0])
+    # the plain mean and its variance over samples - 1: under
+    # MC_CONTROL_SAMPLES samples however well a control fits, for a constant
+    # control, and where the corrected mean is not positive; otherwise the
+    # fit of Y = C / 10 is exact and leaves no residual
+    y = np.random.default_rng(5).random(MC_CONTROL_SAMPLES) + 1.0
 
-    def moment(c, mu, samples=3):
-        sums = [float(x.sum()) for x in (y[:samples], y[:samples] ** 2, c[:samples],
-                                         c[:samples] ** 2, y[:samples] * c[:samples])]
-        return systems._controlled_moment(sums, samples, mu)
+    def moment(c, mu, samples=MC_CONTROL_SAMPLES):
+        return systems._controlled_moment(_moments(y[:samples], [c[:samples]], 0.0, [mu]))
 
-    for samples in (2, 3):
+    for samples in (2, 3, MC_CONTROL_SAMPLES - 1):
         plain = (y[:samples].mean(), math.sqrt(y[:samples].var(ddof=1) / samples))
-        if samples == 2:
-            assert moment(10 * y, 20.0, 2) == pytest.approx(plain, rel=1e-12)
-        assert moment(np.full(3, 5.0), 5.0, samples) == pytest.approx(plain, rel=1e-12)
-    assert moment(10 * y, -100.0) == pytest.approx((y.mean(), math.sqrt(y.var(ddof=1) / 3)))
-    assert moment(10 * y, 20.0) == pytest.approx((2.0, 0.0), abs=1e-12)
+        assert moment(10 * y, 10 * y.mean(), samples) == pytest.approx(plain, rel=1e-12)
+    plain = (y.mean(), math.sqrt(y.var(ddof=1) / y.size))
+    assert moment(np.full(y.size, 5.0), 5.0) == pytest.approx(plain, rel=1e-12)
+    assert moment(10 * y, -1e6) == pytest.approx(plain, rel=1e-12)
+    assert moment(10 * y, 15.0) == pytest.approx((1.5, 0.0), abs=1e-12)
 
 
-def test_second_control_falls_back_to_the_one_control_fit():
-    # the 2 x 2 fit gives way to the line on C alone, on the same nine sums:
-    # under MC_SECOND_CONTROL_SAMPLES samples (3, and one short of it), where
-    # Z is a line in C, and where the corrected mean is not positive; at
-    # MC_SECOND_CONTROL_SAMPLES samples of a Z that is not a line in C it fits
+def test_controls_are_dropped_until_the_fit_holds():
+    # the fit drops its last control until it holds, on the same moments:
+    # under MC_CONTROL_SAMPLES samples (3, and one short of it) none is
+    # fitted; at MC_CONTROL_SAMPLES samples of controls that are not lines
+    # in each other all three are, each narrowing the stderr; where the last
+    # is a line in the others (positive definite only by rounding), and
+    # where its known mean turns the corrected mean negative, the fit is
+    # the one on the first two
     rng = np.random.default_rng(3)
-    g = rng.standard_normal((MC_SECOND_CONTROL_SAMPLES, 4))
+    g = rng.standard_normal((MC_CONTROL_SAMPLES, 4))
     y = np.sum(g ** 4, axis=1) ** 0.5
-    c, z = np.sum(g ** 2, axis=1), np.sum(g ** 4, axis=1)
-    shift, mu, mu_z = 12.0 ** 0.5, 4.0, 12.0
+    c, z, w = np.sum(g ** 2, axis=1), np.sum(g ** 4, axis=1), np.sum(g ** 6, axis=1)
+    shift, means = 12.0 ** 0.5, [4.0, 12.0, 60.0]
 
-    def both(y, c, z, samples, mu_z=mu_z):
-        sums = _nine_sums(y[:samples], c[:samples], z[:samples], shift, mu, mu_z)
-        return (systems._controlled_moment(sums, samples, mu, shift),
-                systems._controlled_moment(sums[:5], samples, 0.0, shift))
+    def fits(last, samples=MC_CONTROL_SAMPLES, mu_last=means[2]):
+        moments = _moments(y[:samples], [c[:samples], z[:samples], last[:samples]], shift,
+                           means[:2] + [mu_last])
+        return [systems._controlled_moment(moments[:k + 2, :k + 2], shift) for k in range(4)]
 
-    for samples in (3, MC_SECOND_CONTROL_SAMPLES - 1):
-        two, one = both(y, c, z, samples)
-        assert two == one
-    two, one = both(y, c, z, MC_SECOND_CONTROL_SAMPLES)
-    assert two != one and two[1] < one[1]
-    # Z a line in C: the 2 x 2 covariance is singular, here but for rounding
-    two, one = both(y, c, 0.1 * c + 0.3, MC_SECOND_CONTROL_SAMPLES, 0.1 * mu + 0.3)
-    assert two == one
-    # a known mean far below the draws' turns the corrected mean negative
-    two, one = both(y, c, z, MC_SECOND_CONTROL_SAMPLES, -1e6)
-    assert one[0] > 0 and two == one
+    for samples in (3, MC_CONTROL_SAMPLES - 1):
+        plain, one, two, three = fits(w, samples)
+        assert one == two == three == plain
+    plain, one, two, three = fits(w)
+    assert three[1] < two[1] < one[1] < plain[1]
+    assert fits(0.1 * c - 0.2 * z + 0.3, mu_last=0.1 * 4.0 - 0.2 * 12.0 + 0.3)[3] == two
+    design = np.column_stack([np.ones(c.size), c, z, w])
+    beta_w = np.linalg.lstsq(design, y, rcond=None)[0][3]
+    assert fits(w, mu_last=-math.copysign(1e9, beta_w))[3] == two and two[0] > 0
+
+
+def test_three_control_fit_is_the_least_squares_fit():
+    # on the S_inf^6 grid's bidiagonal draws, the loop's value and stderr
+    # against np.linalg.lstsq on (1, C, tr T^2, tr T^3), within 1e-12
+    space, samples, seed = schatten_space("inf", 6), 4 * MC_BLOCK + 7, 23
+    est = second_moment(gaussian_system(), _mc_family(space, "basis"), samples=samples,
+                        seed=seed)
+    chis = np.concatenate([gaussian_bidiagonal(make_rng(substream(seed, k)),
+                                               min(MC_BLOCK, samples - start), 6)
+                           for k, start in enumerate(range(0, samples, MC_BLOCK))])
+    mats = np.zeros((samples, 6, 6))
+    mats[:, np.arange(6), np.arange(6)] = chis[:, :6]
+    mats[:, np.arange(5), np.arange(1, 6)] = chis[:, 6:]
+    gram = mats.transpose(0, 2, 1) @ mats
+    controls = [np.trace(np.linalg.matrix_power(gram, k), axis1=1, axis2=2) for k in (1, 2, 3)]
+    value, stderr = _controlled_moment(_svd_norms(mats, "inf") ** 2, controls,
+                                       systems._trace_means(6))
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,means", [(1, (1, 3, 15)), (2, (4, 20, 144))])
+def test_trace_means_of_small_wisharts(n, means):
+    assert systems._trace_means(n) == means
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_trace_means_are_the_bidiagonal_draws_means(n):
+    # E tr T, E tr T^2 and E tr T^3 of T = B^T B against the loop's
+    # bidiagonal draws (40 000, fixed seed), each within 4 stderr; the
+    # kernel's traces are those of the dense products
+    chis = gaussian_bidiagonal(make_rng(37), 40_000, n)
+    traces = bidiagonal_traces(chis[:, :n], chis[:, n:])
+    mats = np.zeros((len(chis), n, n))
+    mats[:, np.arange(n), np.arange(n)] = chis[:, :n]
+    mats[:, np.arange(n - 1), np.arange(1, n)] = chis[:, n:]
+    gram = mats.transpose(0, 2, 1) @ mats
+    for k, draws in enumerate((np.sum(chis ** 2, axis=1), *traces), 1):
+        assert draws == pytest.approx(np.trace(np.linalg.matrix_power(gram, k), axis1=1,
+                                               axis2=2), rel=1e-12)
+        mean = systems._trace_means(n)[k - 1]
+        assert abs(mean - draws.mean()) <= 4 * draws.std() / math.sqrt(draws.size)
 
 
 @pytest.mark.parametrize("v", [1, "4/3", 3, 4, 6])
@@ -734,16 +752,16 @@ def test_power_mean_of_schatten_families_at_s4(n, elements, mean):
 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
-    # a thread that gathers holds a block, its squared norms and controls,
-    # the coefficients it gathers from and three blocks for the SVD kernel:
-    # for 64 units of S_inf^64 that is 1030 rows of 32 KiB (34 MB), so all
-    # sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1028 rows of
-    # 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
+    # a thread that gathers holds a block, its moment rows (five entries a
+    # sample), the coefficients it gathers from and three blocks for the SVD
+    # kernel: for 64 units of S_inf^64 that is 1029 rows of 32 KiB (34 MB),
+    # so all sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1027
+    # rows of 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
     # (such working sets are far above MC_RUN_BYTES, so each task takes one
     # block)
     space = schatten_space("inf", 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_working_set(64, space) == (1030, 4096)
+    assert systems._mc_working_set(64, space) == (1029, 4096)
     assert systems._mc_width(64, space, 320 * MC_BLOCK) == (16, 1)
     assert systems._mc_width(180, schatten_space("inf", 180), 320 * MC_BLOCK) == (8, 1)
     # never more threads than blocks
@@ -756,14 +774,14 @@ def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
 def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
     # a task takes as many blocks as keep its working set within
     # MC_RUN_BYTES, and at most a 2 * width-th of them: at S_inf^64 four
-    # blocks (1950 rows of 127 entries, 1.98 MB; five would be 2.27 MB),
+    # blocks (1982 rows of 127 entries, 2.01 MB; five would be 2.31 MB),
     # at S_inf^16 eleven; a working set that does not grow with the run
     # (a sequence space's basis) takes the 2 * width-th whenever one block
     # fits (one that does not takes one block: the test above)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     sinf64, sinf16 = schatten_space("inf", 64), schatten_space("inf", 16)
     assert systems._mc_width(4096, sinf64, 20_000) == (2, 4)
-    assert systems._mc_working_set(4096, sinf64, 4) == (1950, 127)
+    assert systems._mc_working_set(4096, sinf64, 4) == (1982, 127)
     assert systems._mc_working_set(4096, sinf64, 5)[0] * 127 * 8 > systems.MC_RUN_BYTES
     assert systems._mc_width(256, sinf16, 20_000) == (2, 11)
     assert systems._mc_width(256, sinf16, 9 * MC_BLOCK) == (2, 3)
@@ -772,26 +790,27 @@ def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
 
 def test_mc_working_set_of_the_bidiagonal_route():
     # the full grid draws rows of 2n - 1 chi entries: at S_4 a block of
-    # them, its squared norms and controls and 12n + 32 entries per matrix
-    # (1875 rows of 127 at n = 64); at S_inf a block of them, 2n + 2 entries
-    # per matrix of the run (its tridiagonal, peak, bound and control), and
-    # the larger of 3n + 128 per matrix of the block and what the iteration
-    # holds (1164 rows of 127 for a one-block run at n = 64; 930 rows of
-    # 1023, 7.6 MB, at n = 512, where the dense block alone would be 537
-    # MB); any other exponent materializes the block, in rows of n^2, and
-    # holds one block more for the SVD's copy of it
-    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1164, 127)
-    assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1950, 127)
-    assert systems._mc_working_set(4096, schatten_space(4, 64)) == (1875, 127)
-    assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (1875, 127)
-    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (930, 1023)
-    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (522, 4096)
+    # them, its five moment rows and the traces' 3n + 128 entries per matrix
+    # (912 rows of 127 at n = 64); at S_inf a block of them, 2n + 6 entries
+    # per matrix of the run (its tridiagonal, peak, bound and moment rows),
+    # and the larger of 3n + 128 per matrix of the block and what the
+    # iteration holds (1172 rows of 127 for a one-block run at n = 64; 931
+    # rows of 1023, 7.6 MB, at n = 512, where the dense block alone would be
+    # 537 MB); any other exponent materializes the block, in rows of n^2, and
+    # holds one block more for the SVD's copy of it, and the traces'
+    # temporaries
+    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1172, 127)
+    assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1982, 127)
+    assert systems._mc_working_set(4096, schatten_space(4, 64)) == (912, 127)
+    assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (912, 127)
+    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (931, 1023)
+    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (541, 4096)
     # so one thread of the S_3^520 grid holds 515 rows of 270400 (1.04 GiB),
     # under the cap
     assert systems._mc_working_set(520 ** 2, schatten_space(3, 520)) == (515, 520 ** 2)
     assert systems._mc_width(520 ** 2, schatten_space(3, 520), 4096) == (1, 1)
     # a sequence space's full basis still draws its rows
-    assert systems._mc_working_set(64, sequence_space("inf", 64)) == (776, 64)
+    assert systems._mc_working_set(64, sequence_space("inf", 64)) == (788, 64)
 
 
 @pytest.mark.parametrize("space,family,samples", [
@@ -1134,14 +1153,15 @@ def test_ascent_refused_before_the_matrix_or_the_kernel(monkeypatch, ascent):
     for name in ("_character_matrix", "lp_ascent", "ratio_ascent"):
         monkeypatch.setattr(systems, name, touched)
     monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", 2 ** 20)
-    with pytest.raises(ValueError, match=r"ascent working set of shape \(56, 4096\)"):
+    with pytest.raises(ValueError, match=r"ascent working set of shape \(62, 4096\)"):
         _ASCENTS[ascent](lacunary_character_set(4096, 8), AscentConfig(seed=3, restarts=16))
 
 
 def test_sumset_ascent_peak_stays_under_its_projection(monkeypatch):
     # what numpy allocates in an ascent on the sumsets holds every level and
     # the largest step's products and gather per restart, and the
-    # working-set check refuses a cap just under it
+    # working-set check refuses a cap just under it, and one 128 KiB above
+    # it: the projection leaves room for a ufunc's staging buffers
     cs = lacunary_character_set(4096, 12)
     cfg = AscentConfig(seed=3, restarts=16, steps=30)
     assert kp_constant_lower(cs, 6, cfg).method == "projected-ascent[sumsets]"
@@ -1155,9 +1175,10 @@ def test_sumset_ascent_peak_stays_under_its_projection(monkeypatch):
     levels = cs.size + sum(g.shape[1] for g in gathers)
     step = gathers[0].shape[1] * cs.size + 1 + gathers[1].size
     assert peak >= cfg.restarts * (levels + step) * 16
-    monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", peak - 1)
-    with pytest.raises(ValueError, match="ascent working set"):
-        kp_constant_lower(cs, 6, cfg)
+    for cap in (peak - 1, peak + 128 * 1024):
+        monkeypatch.setattr(systems, "MAX_ARRAY_BYTES", cap)
+        with pytest.raises(ValueError, match="ascent working set"):
+            kp_constant_lower(cs, 6, cfg)
 
 
 def test_sumset_tables_refused_before_they_are_made(monkeypatch):
