@@ -1,8 +1,8 @@
 """Micro-benchmark of the public hot kernels and the Monte Carlo loop.
 
 Times ``lp_ascent`` (on a character matrix and on sumset tables),
-``ratio_ascent``, ``schatten_norm_batch``, ``bidiagonal_schatten_norms``
-and a ``SpectralRun`` from ``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
+``ratio_ascent``, ``schatten_norm_batch``, ``bidiagonal_schatten_norms``,
+``bidiagonal_traces`` and a ``SpectralRun`` from ``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
 blocks drawn, gathered and reduced on a thread pool) through
 ``summing.ell_norm_mc`` and ``systems.second_moment`` on diagonal
 matrix units and sequence blocks, on fixed inputs and seeds, and prints the median and quartiles of
@@ -80,11 +80,14 @@ def cases():
     yield ("schatten_norm_batch p=inf (256 x 64x64, one block)", kernels.schatten_norm_batch,
            (mats, np.inf))
     chis = gaussian_bidiagonal(make_rng(7), MC_BLOCK, 64)
-    for p in (np.inf, 4.0):
-        yield (f"bidiagonal_schatten_norms p={p:g} (256 x n=64, one block)",
-               kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], p))
+    yield ("bidiagonal_schatten_norms p=inf (256 x n=64, one block)",
+           kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], np.inf))
+    # the block's tr T^2 and tr T^3: the full grid's controls, and its S_4 value
+    yield ("bidiagonal_traces (256 x n=64, one block)", kernels.bidiagonal_traces,
+           (chis[:, :64], chis[:, 64:]))
     # the S_inf reduction of one run of eight such blocks, appended block by
-    # block and reduced in one Laguerre pass
+    # block with their traces, as the Monte Carlo loop appends them, and
+    # reduced in one Laguerre pass
     chis = gaussian_bidiagonal(make_rng(8), 8 * MC_BLOCK, 64)
     yield ("SpectralRun p=inf (2048 x n=64, one 8-block run)", _spectral_run_norms, (chis, 64))
 
@@ -112,9 +115,10 @@ def cases():
 
 def _spectral_run_norms(chis, n):
     run = kernels.SpectralRun(n, len(chis))
+    traces = np.empty((2, len(chis)))
     for start in range(0, len(chis), MC_BLOCK):
         block = chis[start:start + MC_BLOCK]
-        run.append(block[:, :n], block[:, n:])
+        run.append(block[:, :n], block[:, n:], traces[:, start:start + MC_BLOCK])
     return run.norms()
 
 

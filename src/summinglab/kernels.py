@@ -5,19 +5,19 @@
 caller, ``systems._mc_second_moment``, sends it only families that still
 gather into matrices: units in distinct rows and columns are reduced as the
 l_u^m sequences they span (``spaces.sequence_copy``), and the full grid of
-matrix units draws bidiagonals. ``bidiagonal_schatten_norms`` reduces the
-full grid's blocks: upper-bidiagonal matrices with the singular values of a
-Gaussian matrix, given by their 2n - 1 entries; in O(n) per matrix at S_4
-(the square root of tr (B^T B)^2) and S_inf (a safeguarded Laguerre
-iteration on the tridiagonal B^T B), and through ``schatten_norm_batch`` on
-the materialized matrices at every other exponent. At S_inf the Monte Carlo
-loop appends a run of consecutive blocks to a ``SpectralRun`` instead, which
-reduces the whole run in one iteration: its numpy calls, a dozen per matrix
-entry and iteration, then act on the run's rows instead of one block's, so
-fewer of them carry the same work. ``bidiagonal_traces`` gives tr (B^T B)^2
-and tr (B^T B)^3 in O(n), and ``SpectralRun.append`` the same from the
-tridiagonal it forms: the loop's controls for the full grid, whose means
-are exact.
+matrix units draws bidiagonals. Those are upper-bidiagonal matrices with
+the singular values of a Gaussian matrix, given by their 2n - 1 entries.
+``bidiagonal_traces`` gives tr (B^T B)^2 and tr (B^T B)^3 of each in O(n):
+the loop's controls for the full grid, whose means are exact, and at S_4
+its value, ||B||_(S_4)^4 = tr (B^T B)^2. ``bidiagonal_schatten_norms``
+reduces them at S_inf in O(n) per matrix (a safeguarded Laguerre iteration
+on the tridiagonal B^T B), and at any other exponent through
+``schatten_norm_batch`` on the materialized matrices. At S_inf the Monte
+Carlo loop appends a run of consecutive blocks to a ``SpectralRun``
+instead, which writes each block's traces as it is appended and reduces
+the whole run in one iteration: its numpy calls, a dozen per matrix entry
+and iteration, then act on the run's rows instead of one block's, so fewer
+of them carry the same work.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -398,25 +398,20 @@ def bidiagonal_schatten_norms(diag, sup, p):
     """Schatten p-norms of upper-bidiagonal real matrices. ``p`` may be ``np.inf``.
 
     Row r of ``diag`` (count, n) is the diagonal a of matrix r and row r of
-    ``sup`` (count, n - 1) its superdiagonal b. Each row is divided by its
-    peak |entry| first and multiplied back after, so no power overflows or
-    underflows. With T = B^T B, tridiagonal with diagonal a_k^2 + b_(k-1)^2
-    and off-diagonal a_k b_k: at p = 4, ||B||_(S_4)^4 = tr T^2 =
-    sum_k (a_k^2 + b_(k-1)^2)^2 + 2 sum_k a_k^2 b_k^2; at p = inf, ||B|| is
-    the square root of T's top eigenvalue (a one-block ``SpectralRun``).
-    Both take O(n) per matrix. Any other p materializes the (count, n, n)
-    stack for ``schatten_norm_batch``.
+    ``sup`` (count, n - 1) its superdiagonal b. At p = inf, ||B|| is the
+    square root of the top eigenvalue of the tridiagonal T = B^T B, in O(n)
+    per matrix (a one-block ``SpectralRun``); any other p materializes the
+    (count, n, n) stack for ``schatten_norm_batch``. (At p = 4 the Monte
+    Carlo loop takes (tr T^2)^(1/4) from ``bidiagonal_traces`` instead.)
     """
     diag = np.asarray(diag, dtype=float)
     sup = np.asarray(sup, dtype=float)
     p = float(p)
     count, n = diag.shape
-    if p == 4.0:
-        peak, c, t2 = _tridiagonal(diag, sup)
-        return peak * np.sqrt(np.sqrt(np.einsum("ij,ij->i", c, c) + 2.0 * np.einsum("ij->i", t2)))
     if p == np.inf:
         run = SpectralRun(n, count)
-        run.append(diag, sup)
+        with np.errstate(over="ignore"):  # traces past the float range, which no norm reads
+            run.append(diag, sup, np.empty((2, count)))
         return run.norms()
     mats = np.zeros((count, n, n))
     on = np.arange(n)
@@ -428,19 +423,18 @@ def bidiagonal_schatten_norms(diag, sup, p):
 def bidiagonal_traces(diag, sup, out=None):
     """tr T^2 and tr T^3 of T = B^T B for upper-bidiagonal B, as the rows of a (2, count) array.
 
-    ``diag`` and ``sup`` are as for ``bidiagonal_schatten_norms``, whose
-    peak-scaled T this takes, with the scaling undone after; it is formed
-    in the same float operations as in ``SpectralRun.append``, whose traces
-    are these bit for bit. O(n) per matrix; written into ``out`` when given.
+    ``diag`` and ``sup`` are as for ``bidiagonal_schatten_norms``. Each
+    matrix is divided by its peak |entry| first, and the scaling undone
+    after; T is formed in the same float operations as in
+    ``SpectralRun.append``, whose traces are these bit for bit. O(n) per
+    matrix; written into ``out`` when given. With T = B^T B tridiagonal, of
+    diagonal a_k^2 + b_(k-1)^2 and off-diagonal a_k b_k, tr T^2 is
+    ||B||_(S_4)^4.
     """
+    diag = np.asarray(diag, dtype=float)
+    sup = np.asarray(sup, dtype=float)
     out = np.empty((2, len(diag))) if out is None else out
-    _traces(*_tridiagonal(np.asarray(diag, dtype=float), np.asarray(sup, dtype=float)), out)
-    return out
-
-
-def _tridiagonal(diag, sup):
-    # each bidiagonal's peak |entry|, and the diagonal c and squared
-    # off-diagonal t2 of T = B^T B for B divided by it
+    # T's diagonal c and squared off-diagonal t for each B divided by its peak
     peak = _row_peaks(diag, sup)
     a = diag / peak[:, None]
     b = sup / peak[:, None]
@@ -449,7 +443,8 @@ def _tridiagonal(diag, sup):
     b *= b
     c[:, 1:] += b
     t *= t
-    return peak, c, t
+    _traces(peak, c, t, out)
+    return out
 
 
 def _traces(peak, c, t2, out):
@@ -479,17 +474,17 @@ def _row_peaks(diag, sup):
 class SpectralRun:
     """S_inf norms of a run of upper-bidiagonal blocks, reduced in one Laguerre pass.
 
-    ``append(diag, sup)`` takes a block as ``bidiagonal_schatten_norms`` does
-    and writes the peak-scaled tridiagonal T = B^T B of each matrix as one
-    column of two arrays, (n, capacity) for T's diagonal a_k^2 + b_(k-1)^2
-    and (n - 1, capacity) for its squared off-diagonal (a_k b_k)^2, plus the
-    matrix's peak and T's Gershgorin bound; given ``traces``, it writes the
-    block's ``bidiagonal_traces`` there too, from the same T. ``norms()``
-    returns the norms of every matrix appended since the last call, in
-    order, from one ``_tridiagonal_top`` over the columns, and empties the
-    run. No row depends on the others, so a block's
-    values are those of ``bidiagonal_schatten_norms(diag, sup, np.inf)``,
-    bit for bit, while the iteration's numpy calls act on the whole run.
+    ``append(diag, sup, traces)`` takes a block as ``bidiagonal_schatten_norms``
+    does and writes the peak-scaled tridiagonal T = B^T B of each matrix as
+    one column of two arrays, (n, capacity) for T's diagonal
+    a_k^2 + b_(k-1)^2 and (n - 1, capacity) for its squared off-diagonal
+    (a_k b_k)^2, plus the matrix's peak and T's Gershgorin bound, and the
+    block's ``bidiagonal_traces`` into ``traces`` (2, count), from the same
+    T. ``norms()`` returns the norms of every matrix appended since the
+    last call, in order, from one ``_tridiagonal_top`` over the columns,
+    and empties the run. No row depends on the others, so a block's values
+    are those of ``bidiagonal_schatten_norms(diag, sup, np.inf)``, bit for
+    bit, while the iteration's numpy calls act on the whole run.
     """
 
     def __init__(self, n: int, capacity: int):
@@ -499,7 +494,7 @@ class SpectralRun:
         self._hi = np.empty(capacity)
         self._size = 0
 
-    def append(self, diag, sup, traces=None) -> None:
+    def append(self, diag, sup, traces) -> None:
         diag = np.asarray(diag, dtype=float)
         sup = np.asarray(sup, dtype=float)
         count, n = diag.shape
@@ -523,8 +518,7 @@ class SpectralRun:
         t *= t
         self._off2[:, cols] = t.T
         self._size = cols.stop
-        if traces is not None:
-            _traces(peak, c, t, traces)
+        _traces(peak, c, t, traces)
 
     def norms(self) -> np.ndarray:
         size, self._size = self._size, 0

@@ -153,11 +153,12 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, one
     batched SVD. The Monte Carlo loop (``systems._mc_second_moment``) calls
     it once per MC_BLOCK-row block, on a pool thread; every row is a unit
-    family's gather of Gaussian coefficients, not a product, and for a full
-    sequence basis the coefficients themselves. Units in distinct rows and
-    columns do not come here as matrices (``sequence_copy`` makes them the
-    l_u^m basis), and neither does a Schatten space's full grid: its blocks
-    are bidiagonal chi draws, reduced by ``kernels.bidiagonal_schatten_norms``.
+    family's gather of Gaussian coefficients, not a product, and for a
+    sequence space the coefficients themselves (the loop reduces a sequence
+    family as the l_v^m basis). Units in distinct rows and columns do not
+    come here as matrices (``sequence_copy`` makes them the l_u^m basis),
+    and neither does a Schatten space's full grid: its blocks are
+    bidiagonal chi draws, reduced in ``kernels``.
     """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:

@@ -234,14 +234,15 @@ def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int
     squared norm and at most three controls); and the kernel's arrays,
     rounded up to whole rows. A family that gathers holds rows of
     flat_dim: the block of the rows the kernel reads, drawn there when the
-    gather is the identity (dim == flat_dim), otherwise gathered from the
-    slot's own (MC_BLOCK, dim) coefficients, and three blocks more on
-    Schatten spaces (a bound on the SVD's singular values, their scaled
-    copy and its one-matrix workspace), a magnitude and a scaled copy of the
-    block on sequence spaces. A family that draws bidiagonals holds rows of
-    its 2n - 1 chi entries at S_4 and S_inf, and ``bidiagonal_traces`` at
-    most three n-entry arrays and 128 more entries per matrix (numpy's
-    buffers for its reductions). At S_inf, the
+    gather is the identity (dim == flat_dim, as for every sequence family
+    the loop reduces: ``_mc_second_moment`` takes the l_v^m basis),
+    otherwise gathered from the slot's own (MC_BLOCK, dim) coefficients,
+    and three blocks more on Schatten spaces (a bound on the SVD's singular
+    values, their scaled copy and its one-matrix workspace), a magnitude and
+    a scaled copy of the block on sequence spaces. A family that draws
+    bidiagonals holds rows of its 2n - 1 chi entries at S_4 and S_inf, and
+    ``bidiagonal_traces`` at most three n-entry arrays and 128 more entries
+    per matrix (numpy's buffers for its reductions). At S_inf, the
     ``SpectralRun`` holds 2n + 1 entries per matrix of the run and the slot
     its moment rows per matrix of the run, until the run's norms are taken;
     on top, either the temporaries of appending a block (3n + 128 entries
@@ -392,10 +393,9 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shi
     # block first + i) into a free slot in turn, as bidiagonals or as
     # coefficients gathered there unless the gather is the identity, and
     # write each block's columns of the slot's moment rows (1, Y, controls):
-    # C (the chi row's sum of squares, or the element size times the
-    # coefficient row's) before the kernel runs; a bidiagonal's tr T^2 and
-    # tr T^3, whose square root at S_4 is Y; and Z = Y^(v/2) where it is a
-    # control. Each block is then reduced to its moments
+    # C (the sum of squares of the chi row, or of the coefficient row) before
+    # the kernel runs; a bidiagonal's tr T^2 and tr T^3, whose square root
+    # at S_4 is Y; and Z = Y^(v/2) where it is a control. Each block is then reduced to its moments
     # (``_block_moments``). At S_inf the bidiagonal blocks go to the slot's
     # SpectralRun instead, which writes their traces and reduces them all
     # at once while it holds the one_pass lock; their moment rows wait in
@@ -427,7 +427,6 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shi
                 drawn = standard_gaussians(rng, (count, family.size),
                                            out=(rows if coeffs is None else coeffs)[:count])
                 np.einsum("ij,ij->i", drawn, drawn, out=c)
-                c *= family.elements.shape[1]
                 np.square(norms_of_stack(family.synthesize(drawn, out=rows[:count]), space),
                           out=y)
                 if len(means) == 2:
@@ -489,26 +488,30 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
 
     Block k is MC_BLOCK samples drawn from ``substream(seed, k)``. A
-    family that gathers draws MC_BLOCK Gaussian rows and applies them by
-    its gather (``UnitFamily.synthesize``), which keeps real rows real and
-    is the identity on a full basis or grid. The full grid of a Schatten
-    space (``_draws_bidiagonal``) draws instead, per sample, the 2n - 1 chi
-    entries of a bidiagonal B with the singular values of the Gaussian
-    matrix sum_i g_i x_i, reduced by ``bidiagonal_schatten_norms``, or at
-    S_inf by a ``kernels.SpectralRun``. One pool task per run of
-    consecutive blocks, on ``_mc_width`` threads with its run length, draws
+    sequence family of m disjoint blocks of s ones spans s^(1/v) times the
+    l_v^m basis, whose value and stderr it takes, scaled: the same
+    (count, m) draws, with no gather to n columns. A Schatten family that
+    gathers draws MC_BLOCK Gaussian rows and applies them by its gather
+    (``UnitFamily.synthesize``), which keeps real rows real. The full grid
+    of a Schatten space (``_draws_bidiagonal``) draws instead, per sample,
+    the 2n - 1 chi entries of a bidiagonal B with the singular values of
+    the Gaussian matrix sum_i g_i x_i, reduced at S_4 by
+    ``bidiagonal_traces``, at S_inf by a ``kernels.SpectralRun`` and at any
+    other exponent by ``bidiagonal_schatten_norms``. One pool task per run
+    of consecutive blocks, on ``_mc_width`` threads with its run length, draws
     (and gathers) each block into a free slot, writes each sample's
     Y = ||sum_i g_i x_i||^2 and its controls there, and reduces the block
     to its moments (``_block_moments``). Every control has an exact mean
     (``_controls``): the squared Frobenius norm C, of mean
     ``family.elements.size`` (n^2 for a grid, whose bidiagonal keeps the
     Frobenius norm); on the full grid tr T^2 and tr T^3 of T = B^T B,
-    computed in O(n) from the tridiagonal the kernels form; elsewhere
-    Z = ||x||_v^v where ``_power_mean`` closes its mean. C comes from what
-    the slot already holds (the chi row's sum of squares, or the element
-    size times the coefficient row's) before the kernel runs. At S_inf the
-    task appends each bidiagonal block to the slot's SpectralRun, keeps
-    its moment rows in the slot, and reduces the run in one Laguerre pass,
+    computed in O(n) from the tridiagonal the kernels form, the S_4 value
+    being (tr T^2)^(1/2); elsewhere Z = ||x||_v^v where ``_power_mean``
+    closes its mean. C comes from what the slot already holds (the sum of
+    squares of the chi row, or of the coefficient row) before the kernel
+    runs. At S_inf the task appends each bidiagonal block to the slot's
+    SpectralRun, keeps its moment rows in the slot, and reduces the run in
+    one Laguerre pass,
     whose numpy calls then act on the run's rows instead of one block's
     (numpy's Philox and gamma fills, ``take``, ``matmul`` and LAPACK
     release the GIL). There is one slot per thread, allocated once per
@@ -533,6 +536,11 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
+    scale = 1.0
+    if family.space.kind is SpaceKind.SEQUENCE:
+        scale = _ones_norm(family.elements.shape[1], family.space.exponent)
+        family = UnitFamily(sequence_space(family.space.exponent, family.size),
+                            np.arange(family.size)[:, None])
     space, dim = family.space, family.size
     width, run = _mc_width(dim, space, samples)
     shift, means = _controls(family)
@@ -582,7 +590,8 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     mean, stderr = _controlled_moment(totals, shift)
     value = float(np.sqrt(mean))
     stderr = float(stderr / (2.0 * value)) if value > 0 else 0.0
-    return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian")
+    return NormEstimate(scale * value, Certainty.LOWER, stderr=scale * stderr,
+                        method="mc-gaussian")
 
 
 def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, *,
@@ -600,9 +609,7 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     (N, size) character table bound what the average computes, a block at
     a time; neither table is formed whole. The Gaussian system takes
     unit families: blocked Monte Carlo with a reported standard error,
-    except where ``gaussian_closed_form`` gives the value. A sequence
-    family of m blocks of s ones is s^(1/v) times the l_v^m basis, whose
-    Monte Carlo value and stderr it takes, scaled.
+    except where ``gaussian_closed_form`` gives the value.
     """
     family = sequence_copy(family)
     space, m = family.space, family.size
@@ -626,14 +633,7 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     exact = gaussian_closed_form(space, *family.elements.shape)
     if exact is not None:
         return exact
-    if space.kind is SpaceKind.SCHATTEN:
-        return _mc_second_moment(family, samples, seed)
-    # m disjoint blocks of s ones span s^(1/v) l_v^m: the same (count, m)
-    # draws, with no gather to n columns
-    scale = _ones_norm(family.elements.shape[1], space.exponent)
-    est = _mc_second_moment(UnitFamily(sequence_space(space.exponent, m), np.arange(m)[:, None]),
-                            samples, seed)
-    return replace(est, value=scale * est.value, stderr=scale * est.stderr)
+    return _mc_second_moment(family, samples, seed)
 
 
 # Complex entries in the wider table of a block of the group average, the

@@ -251,7 +251,7 @@ def test_micro_benchmark_cases_bind_to_their_kernels():
         inspect.signature(fn).bind(*args)
         timed.add(fn)
     assert {kernels.lp_ascent, kernels.ratio_ascent, kernels.schatten_norm_batch,
-            kernels.bidiagonal_schatten_norms} <= timed
+            kernels.bidiagonal_schatten_norms, kernels.bidiagonal_traces} <= timed
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +338,15 @@ def _svd_bidiagonal_norms(diag, sup, p):
     return np.concatenate(out)
 
 
-def _assert_bidiagonal_norms_match_svd(diag, sup, p):
+def _s4_from_traces(diag, sup, p):
+    # the Monte Carlo loop's S_4 value of a bidiagonal: (tr T^2)^(1/4)
+    assert p == 4.0
+    return np.sqrt(np.sqrt(kernels.bidiagonal_traces(diag, sup)[0]))
+
+
+def _assert_bidiagonal_norms_match_svd(diag, sup, p, norms=kernels.bidiagonal_schatten_norms):
     # 1000 rows a call: the SVD fallback materializes its matrices
-    out = np.concatenate([kernels.bidiagonal_schatten_norms(diag[start:start + 1000],
-                                                            sup[start:start + 1000], p)
+    out = np.concatenate([norms(diag[start:start + 1000], sup[start:start + 1000], p)
                           for start in range(0, len(diag), 1000)])
     ref = _svd_bidiagonal_norms(diag, sup, p)
     assert np.all(np.isfinite(out))
@@ -352,9 +357,12 @@ def _assert_bidiagonal_norms_match_svd(diag, sup, p):
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 @pytest.mark.parametrize("p", [3.0, 4.0, np.inf], ids=["svd-p3", "closed-p4", "laguerre-inf"])
 def test_bidiagonal_norms_match_dense_svd(n, p):
-    # 10^4 draws of the Monte Carlo loop's chi entries, against a dense SVD
+    # 10^4 draws of the Monte Carlo loop's chi entries, against a dense SVD;
+    # at S_4 the loop's closed form from bidiagonal_traces
     chis = gaussian_bidiagonal(make_rng(n), 10_000, n)
-    _assert_bidiagonal_norms_match_svd(chis[:, :n], chis[:, n:], p)
+    _assert_bidiagonal_norms_match_svd(chis[:, :n], chis[:, n:], p,
+                                       _s4_from_traces if p == 4.0
+                                       else kernels.bidiagonal_schatten_norms)
 
 
 def _edge_bidiagonals(n):
@@ -382,42 +390,54 @@ def _edge_bidiagonals(n):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 def test_bidiagonal_norms_edge_cases(n):
-    # finite, and within 1e-13 of the dense SVD, at every exponent path
+    # finite, and within 1e-13 of the dense SVD, at every exponent path; the
+    # S_4 closed form too where the sixth powers of the entries that tr T^3
+    # holds stay in range (not near 1e+-150)
     for name, diag, sup in _edge_bidiagonals(n):
-        for p in (3.0, 4.0, np.inf):
+        paths = [(3.0, kernels.bidiagonal_schatten_norms), (4.0, kernels.bidiagonal_schatten_norms),
+                 (np.inf, kernels.bidiagonal_schatten_norms)]
+        if "150" not in name:
+            paths.append((4.0, _s4_from_traces))
+        for p, norms in paths:
             try:
-                _assert_bidiagonal_norms_match_svd(diag, sup, p)
+                _assert_bidiagonal_norms_match_svd(diag, sup, p, norms)
             except AssertionError as exc:
-                raise AssertionError(f"{name}, p = {p}: {exc}") from None
+                raise AssertionError(f"{name}, p = {p}, {norms.__name__}: {exc}") from None
 
 
 def test_bidiagonal_rows_do_not_depend_on_their_block():
     # every row iterates alone and stops alone: a block's values equal
-    # one-row calls exactly, rows with a repeated top eigenvalue included
+    # one-row calls exactly, rows with a repeated top eigenvalue included,
+    # and so do its traces
     chis = gaussian_bidiagonal(make_rng(5), 300, 16)
     chis[::7, 16::2] = 0.0
     chis[::7, :16] = 1.0
     diag, sup = chis[:, :16], chis[:, 16:]
-    for p in (4.0, np.inf):
-        loop = [kernels.bidiagonal_schatten_norms(diag[i:i + 1], sup[i:i + 1], p)[0]
-                for i in range(len(diag))]
-        assert np.array_equal(kernels.bidiagonal_schatten_norms(diag, sup, p), loop)
+    loop = [kernels.bidiagonal_schatten_norms(diag[i:i + 1], sup[i:i + 1], np.inf)[0]
+            for i in range(len(diag))]
+    assert np.array_equal(kernels.bidiagonal_schatten_norms(diag, sup, np.inf), loop)
+    loop = [kernels.bidiagonal_traces(diag[i:i + 1], sup[i:i + 1])[:, 0] for i in range(len(diag))]
+    assert np.array_equal(kernels.bidiagonal_traces(diag, sup).T, loop)
     # a 1024-row run at n = 64, appended block by block from the Monte Carlo
-    # loop's one-block slot, equals each block's own call, and the run is
-    # empty again after norms()
+    # loop's one-block slot, equals each block's own call, its traces those
+    # of bidiagonal_traces, and the run is empty again after norms()
     n, block = 64, MC_BLOCK
     run = kernels.SpectralRun(n, 4 * block)
     slot = np.empty((block, 2 * n - 1))
-    per_block = []
+    traces = np.empty((2, 4 * block))
+    per_block, per_block_traces = [], []
     for k in range(4):
         chis = gaussian_bidiagonal(make_rng(k), block, n, out=slot)
         if k == 2:
             chis[::5, n::3] = 0.0  # rows with decoupled blocks
         per_block.append(kernels.bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], np.inf))
-        run.append(chis[:, :n], chis[:, n:])
+        per_block_traces.append(kernels.bidiagonal_traces(chis[:, :n], chis[:, n:]))
+        run.append(chis[:, :n], chis[:, n:], traces[:, k * block:(k + 1) * block])
     assert np.array_equal(run.norms(), np.concatenate(per_block))
-    run.append(slot[:3, :n], slot[:3, n:])
+    assert np.array_equal(traces, np.concatenate(per_block_traces, axis=1))
+    run.append(slot[:3, :n], slot[:3, n:], traces[:, :3])
     assert np.array_equal(run.norms(), per_block[-1][:3])
+    assert np.array_equal(traces[:, :3], per_block_traces[-1][:, :3])
 
 
 # ---------------------------------------------------------------------------

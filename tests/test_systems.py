@@ -477,9 +477,15 @@ def _serial_second_moment(family, samples, seed):
     a bidiagonal's tr T^2 and tr T^3 (a Schatten space's full grid draws
     bidiagonal chi entries), or ||x||_v^v where that has a closed-form mean;
     shifted as the loop shifts them, summed block by block in the loop's own
-    float order and fitted by ``systems._controlled_moment``."""
+    float order and fitted by ``systems._controlled_moment``. A sequence
+    family of m blocks of s ones is s^(1/v) times the l_v^m basis."""
     space = family.space
     v = space.exponent.value
+    if space.kind is SpaceKind.SEQUENCE and family.size < space.flat_dim:
+        value, stderr = _serial_second_moment(_basis(sequence_space(v, family.size), family.size),
+                                              samples, seed)
+        scale = float(family.elements.shape[1]) ** (1.0 / v)
+        return scale * value, scale * stderr
     shift, means = systems._controls(family)
     totals = 0.0
     for index, start in enumerate(range(0, samples, MC_BLOCK)):
@@ -496,7 +502,7 @@ def _serial_second_moment(family, samples, seed):
                         else bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2)
         else:
             rows = standard_gaussians(rng, (count, family.size))
-            block[2] = np.einsum("ij,ij->i", rows, rows) * family.elements.shape[1]
+            block[2] = np.einsum("ij,ij->i", rows, rows)
             block[1] = norms_of_stack(family.synthesize(rows), space) ** 2
             if len(means) == 2:
                 block[3] = block[1] ** (v / 2)
@@ -829,11 +835,14 @@ def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, sam
     # what numpy allocates during the loop, on every thread, stays under the
     # working set _mc_width checks against the cap for its run length (11
     # blocks a task for the S_inf^16 grid), and holds at least one block of
-    # the rows the route draws or reduces
+    # the rows the route draws or reduces; a sequence family's are those of
+    # the l_v^m basis it is reduced as
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     family = _mc_family(space, family)
-    width, run = systems._mc_width(family.size, space, samples)
-    rows, length = systems._mc_working_set(family.size, space, run)
+    reduced = (sequence_space(space.exponent, family.size)
+               if space.kind is SpaceKind.SEQUENCE else space)
+    width, run = systems._mc_width(family.size, reduced, samples)
+    rows, length = systems._mc_working_set(family.size, reduced, run)
     _mc_second_moment(family, 2, 5)  # imports on first use are not the loop's
     tracemalloc.start()
     try:
