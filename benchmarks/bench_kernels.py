@@ -2,8 +2,8 @@
 
 Times ``lp_ascent`` (on a character matrix and on sumset tables),
 ``ratio_ascent``, ``schatten_norm_batch``, ``bidiagonal_schatten_norms``,
-``bidiagonal_traces`` and a ``SpectralRun`` from ``summinglab.kernels``, and the one Monte Carlo loop (runs of 256-sample
-blocks drawn, gathered and reduced on a thread pool) through
+``bidiagonal_traces`` and a ``SpectralRun`` from ``summinglab.kernels``, and the one Monte
+Carlo loop (runs of 256-sample blocks drawn and reduced on a thread pool) through
 ``summing.ell_norm_mc`` and ``systems.second_moment`` on diagonal
 matrix units and sequence blocks, on fixed inputs and seeds, and prints the median and quartiles of
 the wall time over ``--repeats`` calls, plus the best value each call
@@ -74,14 +74,15 @@ def cases():
     yield ("schatten_norm_batch p=inf (4096 x 64x64)", kernels.schatten_norm_batch,
            (mats, np.inf))
 
-    # one Monte Carlo block at the README's largest thm2 size, both routes:
-    # 256 dense Gaussian matrices, and the bidiagonals the full grid draws
+    # one Monte Carlo block at the README's largest thm2 size: 256 dense
+    # Gaussian matrices, and the bidiagonals the full grid draws, materialized
+    # at S_3 as the loop reduces them at exponents other than 4 and inf
     mats = np.random.default_rng(7).standard_normal((MC_BLOCK, 64, 64))
     yield ("schatten_norm_batch p=inf (256 x 64x64, one block)", kernels.schatten_norm_batch,
            (mats, np.inf))
     chis = gaussian_bidiagonal(make_rng(7), MC_BLOCK, 64)
-    yield ("bidiagonal_schatten_norms p=inf (256 x n=64, one block)",
-           kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], np.inf))
+    yield ("bidiagonal_schatten_norms p=3 (256 x n=64, one block)",
+           kernels.bidiagonal_schatten_norms, (chis[:, :64], chis[:, 64:], 3.0))
     # the block's tr T^2 and tr T^3: the full grid's controls, and its S_4 value
     yield ("bidiagonal_traces (256 x n=64, one block)", kernels.bidiagonal_traces,
            (chis[:, :64], chis[:, 64:]))

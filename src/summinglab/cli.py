@@ -54,7 +54,12 @@ def _emit(args, payload: dict, text: str) -> None:
 def _parse_charset(args) -> CharacterSet:
     if args.freqs.strip().lower() == "full":
         return full_character_set(args.group)
-    return CharacterSet(args.group, tuple(int(f) for f in args.freqs.split(",")))
+    try:
+        freqs = tuple(int(f) for f in args.freqs.split(","))
+    except ValueError:
+        raise ValueError(f"--freqs takes 'full' or a comma list of integers, "
+                         f"got {args.freqs!r}") from None
+    return CharacterSet(args.group, freqs)
 
 
 def _cmd_lnorm(args) -> int:

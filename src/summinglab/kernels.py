@@ -1,23 +1,20 @@
 """Hot numeric kernels: coefficient-sphere ascents, l_p norms, batched Schatten norms.
 
 ``schatten_norm_batch`` reduces a dense stack by one batched SVD and
-``lp_norms`` of the singular values, at every exponent. Its Monte Carlo
-caller, ``systems._mc_second_moment``, sends it only families that still
-gather into matrices: units in distinct rows and columns are reduced as the
-l_u^m sequences they span (``spaces.sequence_copy``), and the full grid of
-matrix units draws bidiagonals. Those are upper-bidiagonal matrices with
-the singular values of a Gaussian matrix, given by their 2n - 1 entries.
-``bidiagonal_traces`` gives tr (B^T B)^2 and tr (B^T B)^3 of each in O(n):
-the loop's controls for the full grid, whose means are exact, and at S_4
-its value, ||B||_(S_4)^4 = tr (B^T B)^2. ``bidiagonal_schatten_norms``
-reduces them at S_inf in O(n) per matrix (a safeguarded Laguerre iteration
-on the tridiagonal B^T B), and at any other exponent through
-``schatten_norm_batch`` on the materialized matrices. At S_inf the Monte
-Carlo loop appends a run of consecutive blocks to a ``SpectralRun``
-instead, which writes each block's traces as it is appended and reduces
-the whole run in one iteration: its numpy calls, a dozen per matrix entry
-and iteration, then act on the run's rows instead of one block's, so fewer
-of them carry the same work.
+``lp_norms`` of the singular values, at every exponent. The Monte Carlo
+loop (``systems._mc_second_moment``) forms no such stack from Gaussian
+rows: its one Schatten family, the full grid of matrix units, draws
+upper-bidiagonal matrices B with the singular values of a Gaussian matrix,
+given by their 2n - 1 entries. ``bidiagonal_traces`` gives tr (B^T B)^2
+and tr (B^T B)^3 of each in O(n): the loop's controls, whose means are
+exact, and at S_4 its value, ||B||_(S_4)^4 = tr (B^T B)^2. At S_inf the
+loop appends a run of consecutive blocks to a ``SpectralRun``, which
+writes each block's traces as it is appended and reduces the whole run in
+one safeguarded Laguerre iteration on the tridiagonals B^T B, O(n) per
+matrix: its numpy calls, a dozen per matrix entry and iteration, then act
+on the run's rows instead of one block's, so fewer of them carry the same
+work. At any other exponent ``bidiagonal_schatten_norms`` materializes the
+matrices for ``schatten_norm_batch``.
 
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
@@ -395,24 +392,16 @@ _PIVMIN = np.finfo(float).eps ** 2
 
 
 def bidiagonal_schatten_norms(diag, sup, p):
-    """Schatten p-norms of upper-bidiagonal real matrices. ``p`` may be ``np.inf``.
+    """Schatten p-norms of upper-bidiagonal real matrices, from the materialized stack.
 
     Row r of ``diag`` (count, n) is the diagonal a of matrix r and row r of
-    ``sup`` (count, n - 1) its superdiagonal b. At p = inf, ||B|| is the
-    square root of the top eigenvalue of the tridiagonal T = B^T B, in O(n)
-    per matrix (a one-block ``SpectralRun``); any other p materializes the
-    (count, n, n) stack for ``schatten_norm_batch``. (At p = 4 the Monte
-    Carlo loop takes (tr T^2)^(1/4) from ``bidiagonal_traces`` instead.)
+    ``sup`` (count, n - 1) its superdiagonal b; the (count, n, n) stack goes
+    to ``schatten_norm_batch``. The Monte Carlo loop calls it at exponents
+    other than 4 and inf: at S_4 it takes (tr T^2)^(1/4) of T = B^T B from
+    ``bidiagonal_traces``, and at S_inf the O(n) ``SpectralRun``.
     """
     diag = np.asarray(diag, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    p = float(p)
     count, n = diag.shape
-    if p == np.inf:
-        run = SpectralRun(n, count)
-        with np.errstate(over="ignore"):  # traces past the float range, which no norm reads
-            run.append(diag, sup, np.empty((2, count)))
-        return run.norms()
     mats = np.zeros((count, n, n))
     on = np.arange(n)
     mats[:, on, on] = diag
@@ -483,8 +472,8 @@ class SpectralRun:
     T. ``norms()`` returns the norms of every matrix appended since the
     last call, in order, from one ``_tridiagonal_top`` over the columns,
     and empties the run. No row depends on the others, so a block's values
-    are those of ``bidiagonal_schatten_norms(diag, sup, np.inf)``, bit for
-    bit, while the iteration's numpy calls act on the whole run.
+    are those of a one-block run, bit for bit, while the iteration's numpy
+    calls act on the whole run.
     """
 
     def __init__(self, n: int, capacity: int):

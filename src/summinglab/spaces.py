@@ -152,13 +152,12 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     Sequence spaces and S_2 (the Frobenius norm, no SVD) reduce the entry
     magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, one
     batched SVD. The Monte Carlo loop (``systems._mc_second_moment``) calls
-    it once per MC_BLOCK-row block, on a pool thread; every row is a unit
-    family's gather of Gaussian coefficients, not a product, and for a
-    sequence space the coefficients themselves (the loop reduces a sequence
-    family as the l_v^m basis). Units in distinct rows and columns do not
-    come here as matrices (``sequence_copy`` makes them the l_u^m basis),
-    and neither does a Schatten space's full grid: its blocks are
-    bidiagonal chi draws, reduced in ``kernels``.
+    it once per MC_BLOCK-row block, on a pool thread, with the Gaussian
+    coefficients of the l_v^m basis it reduces a sequence family as; it
+    reduces a Schatten space's full grid, its one Schatten family, from
+    bidiagonal chi draws in ``kernels`` instead. The character average
+    (``systems._group_norms``) calls it on the full grid's or a dense
+    family's values at the group's points.
     """
     flat_rows = np.asarray(flat_rows)
     if flat_rows.shape[-1] != space.flat_dim:
@@ -243,27 +242,14 @@ class UnitFamily:
     def size(self) -> int:
         return self.elements.shape[0]
 
-    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows sum_i coeffs[r, i] x_i, flattened: a column take on the owner map.
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Rows sum_i coeffs[r, i] x_i of the full basis or grid, flattened: ``coeffs`` itself.
 
-        Coordinate c of row r is coeffs[r, i] when x_i owns c, and 0 when no
-        element does; the zeros are written only if such a coordinate exists.
-        Given ``out`` (contiguous, shape (rows, flat_dim), the dtype of
-        ``coeffs``), the rows are written into it in place. A family of
-        flat_dim elements (the full grid or basis) owns every coordinate in
-        order, so its gather is the identity and returns ``coeffs`` itself.
+        No other unit family is synthesized (see ``systems.second_moment``).
         """
-        if self.size == self.space.flat_dim:
-            return coeffs
-        owner = np.full(self.space.flat_dim, -1, dtype=np.intp)
-        owner[self.elements] = np.arange(self.size)[:, None]
-        # 'wrap' takes -1 to the last column, masked below; the default 'raise'
-        # would stage a whole copy of the result before writing it to out
-        out = np.take(coeffs, owner, axis=1, out=out, mode="wrap")
-        unowned = owner < 0
-        if unowned.any():
-            out[:, unowned] = 0
-        return out
+        if self.size != self.space.flat_dim:
+            raise ValueError("only the full basis or grid of units is synthesized")
+        return coeffs
 
 
 @dataclass(frozen=True)

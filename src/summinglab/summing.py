@@ -33,10 +33,9 @@ from .systems import (OrthonormalSystem, _characters_at, _mc_width, _roots_of_un
 def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None) -> NormEstimate:
     """(E ||id g||^2)^(1/2) for an identity with Hilbert domain (l_2^n or S_2^n).
 
-    The Gaussian second moment of the coordinate basis in the codomain,
-    whose gather is the identity: exactly sqrt(flat dimension) when the
-    codomain is Hilbert as well, otherwise Monte Carlo in MC_BLOCK-row
-    blocks with a standard error. The result doubles as a lower bound for
+    The Gaussian second moment of the coordinate basis in the codomain:
+    exactly sqrt(flat dimension) when the codomain is Hilbert as well,
+    otherwise Monte Carlo in MC_BLOCK-row blocks with a standard error. The result doubles as a lower bound for
     the Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
     """
     if not space_map.domain.exponent.is_hilbert:
@@ -48,7 +47,7 @@ def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None) -> No
     exact = gaussian_closed_form(codomain, n, 1)
     if exact is not None:
         return exact
-    _mc_width(n, codomain, samples)
+    _mc_width(codomain, samples)
     return second_moment(gaussian_system(), _family(codomain, n, 1), samples=samples, seed=seed)
 
 

@@ -1,26 +1,28 @@
 """Orthonormal systems: Gaussian sequences and characters on the cyclic group Z_N.
 
-Character systems integrate exactly: a unit family on a sequence space
-(matrix units that ``spaces.sequence_copy`` takes as one included) by the
-modulus-one closed form, any other family by the normalized counting
-average over the group. The Gaussian system integrates by seeded Monte
-Carlo, in one loop whose MC_BLOCK-row blocks are drawn, gathered and
-reduced on a pool of at most ``MC_WIDTH`` threads, each from its own
-substream, one pool task per run of consecutive blocks, and whose sums are
-added in block order, so the result depends neither on the core count nor
-on how blocks are grouped in runs. A Schatten space's full grid of
-matrix units draws each sample as the 2n - 1 chi entries of a bidiagonal
-matrix B with a Gaussian matrix's singular values; at S_inf a run's blocks
-are reduced together. Every control variate of a sample has an exactly
-known mean (``_controls``): its squared Frobenius norm; on the full grid
-tr T^2 and tr T^3 of T = B^T B too (real-Wishart moments), and elsewhere
-its ||x||_v^v on sequence spaces up to v = 4 and at S_4. From 1024 samples
-on, the estimate is the sample mean corrected along the least-squares
-regression on all of them, dropping the last control where the fit fails,
-and below it is the plain mean (``_mc_second_moment``). On top of the
-systems sit the Lambda(p)-constant and Sidon-constant estimators, which are
-nonconvex maximizations shipped as ascent-with-restarts giving certified
-lower bounds.
+``second_moment`` integrates unit families of two shapes only: sequence
+families, among them the l_u^m basis that matrix units in distinct rows
+and columns span (``spaces.sequence_copy``), and a Schatten space's full
+grid; it refuses any other Schatten unit family. Character systems
+integrate exactly: a sequence family by the modulus-one closed form, the
+full grid and dense families by the normalized counting average over the
+group. The Gaussian system integrates by seeded Monte Carlo, in one loop
+whose MC_BLOCK-row blocks are drawn and reduced on a pool of at most
+``MC_WIDTH`` threads, each from its own substream, one pool task per run
+of consecutive blocks, and whose sums are added in block order, so the
+result depends neither on the core count nor on how blocks are grouped in
+runs. A sequence family is drawn as the l_v^m basis; the full grid draws
+each sample as the 2n - 1 chi entries of a bidiagonal B with a Gaussian
+matrix's singular values, and at S_inf a run's blocks are reduced
+together. Every control variate has an exactly known mean (``_controls``):
+the squared Frobenius norm; on the full grid tr T^2 and tr T^3 of
+T = B^T B too (real-Wishart moments), and on sequence spaces up to v = 4
+||x||_v^v. From 1024 samples on, the estimate is the sample mean corrected
+along the least-squares regression on them, dropping the last control
+where the fit fails, and below it the plain mean (``_mc_second_moment``).
+On top of the systems sit the Lambda(p)-constant and Sidon-constant
+estimators: nonconvex maximizations shipped as ascent-with-restarts
+giving certified lower bounds.
 """
 
 from __future__ import annotations
@@ -197,15 +199,14 @@ MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _draws_bidiagonal(dim: int, space: SpaceDescriptor) -> bool:
-    """Whether a Monte Carlo block of a ``dim``-element unit family draws bidiagonals.
+def _draws_bidiagonal(space: SpaceDescriptor) -> bool:
+    """Whether a Monte Carlo block on ``space`` draws bidiagonals: on a Schatten space.
 
-    The full grid of matrix units of a Schatten space turns a Gaussian row
-    into an n x n Gaussian matrix, whose Schatten norms depend on its
-    singular values alone; ``rng.gaussian_bidiagonal`` draws them in 2n - 1
-    chi variates instead of n^2 normals.
+    There the loop's family is the full grid, which turns a Gaussian row
+    into an n x n Gaussian matrix; ``rng.gaussian_bidiagonal`` draws its
+    singular values in 2n - 1 chi variates instead of n^2 normals.
     """
-    return space.kind is SpaceKind.SCHATTEN and dim == space.flat_dim
+    return space.kind is SpaceKind.SCHATTEN
 
 
 # Bytes to which taking more blocks per pool task may grow a thread's
@@ -215,7 +216,7 @@ def _draws_bidiagonal(dim: int, space: SpaceDescriptor) -> bool:
 MC_RUN_BYTES = 2 ** 21
 
 
-def _runs_spectral(dim: int, space: SpaceDescriptor) -> bool:
+def _runs_spectral(space: SpaceDescriptor) -> bool:
     """Whether a run of blocks is reduced at once, by one ``kernels.SpectralRun``.
 
     So it is for bidiagonal draws at S_inf, whose Laguerre iteration makes a
@@ -223,59 +224,50 @@ def _runs_spectral(dim: int, space: SpaceDescriptor) -> bool:
     the rows it reduces at once; every other route reduces each block as it
     is drawn.
     """
-    return _draws_bidiagonal(dim, space) and space.exponent.value == np.inf
+    return _draws_bidiagonal(space) and space.exponent.value == np.inf
 
 
-def _mc_working_set(dim: int, space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
+def _mc_working_set(space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
     """(rows, row length) of the float64 entries that one Monte Carlo thread holds.
 
     For a pool task of ``run`` blocks: its slot, an MC_BLOCK-row block of
     what it draws and, per matrix, the block's moment rows (a one, the
     squared norm and at most three controls); and the kernel's arrays,
-    rounded up to whole rows. A family that gathers holds rows of
-    flat_dim: the block of the rows the kernel reads, drawn there when the
-    gather is the identity (dim == flat_dim, as for every sequence family
-    the loop reduces: ``_mc_second_moment`` takes the l_v^m basis),
-    otherwise gathered from the slot's own (MC_BLOCK, dim) coefficients,
-    and three blocks more on Schatten spaces (a bound on the SVD's singular
-    values, their scaled copy and its one-matrix workspace), a magnitude and
-    a scaled copy of the block on sequence spaces. A family that draws
-    bidiagonals holds rows of its 2n - 1 chi entries at S_4 and S_inf, and
-    ``bidiagonal_traces`` at most three n-entry arrays and 128 more entries
-    per matrix (numpy's buffers for its reductions). At S_inf, the
-    ``SpectralRun`` holds 2n + 1 entries per matrix of the run and the slot
-    its moment rows per matrix of the run, until the run's norms are taken;
-    on top, either the temporaries of appending a block (3n + 128 entries
-    per matrix of the block: three n-entry arrays, and numpy's buffers for
-    the strided operands or the traces' reductions) or the Laguerre
-    iteration's (48 + n/8 entries per matrix of the run for its vectors and
-    pivot signs, and 200 per matrix entry for the views it makes once),
-    never both at once. At any other exponent, rows of flat_dim for the
-    draws, the traces' temporaries, the materialized block and one block
-    more for the copy of it that the SVD takes. Only the S_inf route grows
-    with ``run``: the others reduce each block in the slot before they draw
-    the next.
+    rounded up to whole rows. On a sequence space, the l_v^m basis the loop
+    reduces, rows of flat_dim: the drawn block, and a magnitude and a scaled
+    copy of it for the norm. On a Schatten space, the full grid, rows of its
+    2n - 1 chi entries at S_4 and S_inf, and ``bidiagonal_traces`` at most
+    three n-entry arrays and 128 more entries per matrix (numpy's buffers
+    for its reductions). At S_inf, the ``SpectralRun`` holds 2n + 1 entries
+    per matrix of the run and the slot its moment rows per matrix of the
+    run, until the run's norms are taken; on top, either the temporaries of
+    appending a block (3n + 128 entries per matrix of the block: three
+    n-entry arrays, and numpy's buffers for the strided operands or the
+    traces' reductions) or the Laguerre iteration's (48 + n/8 entries per
+    matrix of the run for its vectors and pivot signs, and 200 per matrix
+    entry for the views it makes once), never both at once. At any other
+    exponent, rows of flat_dim for the draws, the traces' temporaries, the
+    materialized block and one block more for the copy of it that the SVD
+    takes. Only the S_inf route grows with ``run``: the others reduce each
+    block in the slot before they draw the next.
     """
     flat, moments = space.flat_dim, 2 + 3
-    if _draws_bidiagonal(dim, space):
-        n, entries = space.dim, 2 * space.dim - 1
-        traces = (3 * n + 128) * MC_BLOCK
-        if _runs_spectral(dim, space):
-            columns = (2 * n + 1 + moments) * run * MC_BLOCK
-            append = (3 * n + 128) * MC_BLOCK
-            iterate = (48 + -(-n // 8)) * run * MC_BLOCK + 200 * n
-            return MC_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
-        if space.exponent.value == 4.0:
-            return MC_BLOCK + -(-(moments * MC_BLOCK + traces) // entries), entries
-        return (-(-MC_BLOCK * entries // flat) + -(-(moments * MC_BLOCK + traces) // flat)
-                + 2 * MC_BLOCK), flat
-    rows = MC_BLOCK + -(-moments * MC_BLOCK // flat)
-    if dim < flat:
-        rows += -(-MC_BLOCK * dim // flat)
-    return rows + (3 if space.kind is SpaceKind.SCHATTEN else 2) * MC_BLOCK, flat
+    if not _draws_bidiagonal(space):
+        return MC_BLOCK + -(-moments * MC_BLOCK // flat) + 2 * MC_BLOCK, flat
+    n, entries = space.dim, 2 * space.dim - 1
+    traces = (3 * n + 128) * MC_BLOCK
+    if _runs_spectral(space):
+        columns = (2 * n + 1 + moments) * run * MC_BLOCK
+        append = (3 * n + 128) * MC_BLOCK
+        iterate = (48 + -(-n // 8)) * run * MC_BLOCK + 200 * n
+        return MC_BLOCK + -(-(columns + max(append, iterate)) // entries), entries
+    if space.exponent.value == 4.0:
+        return MC_BLOCK + -(-(moments * MC_BLOCK + traces) // entries), entries
+    return (-(-MC_BLOCK * entries // flat) + -(-(moments * MC_BLOCK + traces) // flat)
+            + 2 * MC_BLOCK), flat
 
 
-def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]:
+def _mc_width(space: SpaceDescriptor, samples: int) -> tuple[int, int]:
     """(threads, blocks per pool task) for one Monte Carlo loop, checked against MAX_ARRAY_BYTES.
 
     Threads: at most MC_WIDTH, the number of MC_BLOCK-row blocks, and as
@@ -286,15 +278,15 @@ def _mc_width(dim: int, space: SpaceDescriptor, samples: int) -> tuple[int, int]
     the blocks, so that every thread gets work.
     """
     blocks = -(-samples // MC_BLOCK)
-    rows, length = _mc_working_set(dim, space)
+    rows, length = _mc_working_set(space)
     cap = MAX_ARRAY_BYTES // (length * 8)
     width = max(1, min(MC_WIDTH, blocks, cap // rows))
     run = 1
     while (run < -(-blocks // (2 * width))
-           and _mc_working_set(dim, space, run + 1)[0] * length * 8 <= MC_RUN_BYTES):
+           and _mc_working_set(space, run + 1)[0] * length * 8 <= MC_RUN_BYTES):
         run += 1
     check_array_bytes("Monte Carlo chunk working set",
-                      (width * _mc_working_set(dim, space, run)[0], length), np.float64)
+                      (width * _mc_working_set(space, run)[0], length), np.float64)
     return width, run
 
 
@@ -321,27 +313,19 @@ def _gaussian_abs_moment(v: float) -> float:
 
 
 def _power_mean(family: UnitFamily) -> float | None:
-    """E ||sum_i g_i x_i||_v^v over standard Gaussian g, the mean of a control of the loop, or None.
+    """E ||sum_i g_i x_i||_v^v over standard Gaussian g for a sequence family, or None.
 
-    On a sequence space the power is s sum_i |g_i|^v, of mean ``size``
-    E|g|^v (3 size at v = 4). On a Schatten space at v = 4 it is
-    tr (X X^T)^2, whose mean counts the pairings that survive:
-    sum_j c_j^2 + sum_i r_i^2 + m, for the m units' column and row counts c_j
-    and r_i (n^2 (2n + 1) for the full grid, E tr T^2 of ``_trace_means``).
-    None at any other Schatten exponent, and on sequence
-    spaces above v = 4: there the mean rests on ever rarer large draws, and
-    at 2000 samples the fit's bias measured 0.17-0.2 standard deviations at
-    v = 6 and 8 for a variance cut of 1.5x and 1.2x, and its two-sigma
-    coverage 0.8 at v = 16.
+    The power is s sum_i |g_i|^v, of mean ``size`` E|g|^v (3 size at
+    v = 4), a control of the loop. None above v = 4, where the mean rests on
+    ever rarer large draws: at 2000 samples the fit's bias measured
+    0.17-0.2 standard deviations at v = 6 and 8 for a variance cut of 1.5x
+    and 1.2x, and its two-sigma coverage 0.8 at v = 16. None on a Schatten
+    space too: the full grid's controls are its traces (``_controls``).
     """
     space = family.space
     v = space.exponent.value
     if space.kind is SpaceKind.SEQUENCE and v <= 4:
         return family.elements.size * _gaussian_abs_moment(v)
-    if space.kind is SpaceKind.SCHATTEN and v == 4:
-        rows, cols = np.divmod(family.elements[:, 0], space.dim)
-        return float(np.sum(np.bincount(rows) ** 2) + np.sum(np.bincount(cols) ** 2)
-                     + family.size)
     return None
 
 
@@ -360,13 +344,13 @@ def _controls(family: UnitFamily) -> tuple[float, np.ndarray]:
     Every sample's first control is C, its squared Frobenius norm, of mean
     ``family.elements.size``. The full grid's bidiagonal B adds tr T^2 and
     tr T^3 of T = B^T B (``_trace_means``); Y is shifted by Gordon's
-    (2 sqrt n)^2 = 4n at S_inf and by E tr T^2 ^ (1/2) at S_4. Any other
+    (2 sqrt n)^2 = 4n at S_inf and by E tr T^2 ^ (1/2) at S_4. A sequence
     family adds Z = ||x||_v^v where ``_power_mean`` closes its mean, and
     shifts Y by that mean's power 2/v; else Y is not shifted.
     """
     space = family.space
     v = space.exponent.value
-    if _draws_bidiagonal(family.size, space):
+    if _draws_bidiagonal(space):
         means = _trace_means(space.dim)
         return ({4.0: means[1] ** 0.5, np.inf: 4.0 * space.dim}.get(v, 0.0),
                 np.array(means, dtype=float))
@@ -390,18 +374,18 @@ def _block_moments(block, shift: float, means) -> np.ndarray:
 def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shift,
               means) -> list[np.ndarray]:
     # On a pool thread: draw blocks first, first + 1, ... (counts[i] rows for
-    # block first + i) into a free slot in turn, as bidiagonals or as
-    # coefficients gathered there unless the gather is the identity, and
-    # write each block's columns of the slot's moment rows (1, Y, controls):
-    # C (the sum of squares of the chi row, or of the coefficient row) before
-    # the kernel runs; a bidiagonal's tr T^2 and tr T^3, whose square root
-    # at S_4 is Y; and Z = Y^(v/2) where it is a control. Each block is then reduced to its moments
+    # block first + i) into a free slot in turn, as bidiagonals or as the
+    # l_v^m basis's coefficient rows, and write each block's columns of the
+    # slot's moment rows (1, Y, controls): C (the sum of squares of the chi
+    # row, or of the coefficient row) before the kernel runs; a bidiagonal's
+    # tr T^2 and tr T^3, whose square root at S_4 is Y; and Z = Y^(v/2) where
+    # it is a control. Each block is then reduced to its moments
     # (``_block_moments``). At S_inf the bidiagonal blocks go to the slot's
     # SpectralRun instead, which writes their traces and reduces them all
     # at once while it holds the one_pass lock; their moment rows wait in
     # the slot. The pool's threads are as many as the slots, so get() never
     # waits.
-    slot = rows, coeffs, spectral, moments = slots.get()
+    slot = rows, spectral, moments = slots.get()
     try:
         space, sums, held = family.space, [], 0
         v = space.exponent.value
@@ -409,7 +393,7 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shi
             rng = make_rng(substream(seed, index))
             block = moments[:, held:held + count]
             y, c = block[1], block[2]
-            if _draws_bidiagonal(family.size, space):
+            if _draws_bidiagonal(space):
                 n = space.dim
                 chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
                 np.einsum("ij,ij->i", chis, chis, out=c)
@@ -424,11 +408,9 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shi
                 else:
                     np.square(bidiagonal_schatten_norms(diag, sup, v), out=y)
             else:
-                drawn = standard_gaussians(rng, (count, family.size),
-                                           out=(rows if coeffs is None else coeffs)[:count])
+                drawn = standard_gaussians(rng, (count, family.size), out=rows[:count])
                 np.einsum("ij,ij->i", drawn, drawn, out=c)
-                np.square(norms_of_stack(family.synthesize(drawn, out=rows[:count]), space),
-                          out=y)
+                np.square(norms_of_stack(drawn, space), out=y)
                 if len(means) == 2:
                     np.power(y, v / 2, out=block[3])
             sums.append(_block_moments(block, shift, means))
@@ -490,47 +472,42 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     Block k is MC_BLOCK samples drawn from ``substream(seed, k)``. A
     sequence family of m disjoint blocks of s ones spans s^(1/v) times the
     l_v^m basis, whose value and stderr it takes, scaled: the same
-    (count, m) draws, with no gather to n columns. A Schatten family that
-    gathers draws MC_BLOCK Gaussian rows and applies them by its gather
-    (``UnitFamily.synthesize``), which keeps real rows real. The full grid
-    of a Schatten space (``_draws_bidiagonal``) draws instead, per sample,
-    the 2n - 1 chi entries of a bidiagonal B with the singular values of
-    the Gaussian matrix sum_i g_i x_i, reduced at S_4 by
+    (count, m) draws, with no gather to n columns. A Schatten family is the
+    full grid (``second_moment`` refuses any other), which draws, per
+    sample, the 2n - 1 chi entries of a bidiagonal B with the singular
+    values of the Gaussian matrix sum_i g_i x_i, reduced at S_4 by
     ``bidiagonal_traces``, at S_inf by a ``kernels.SpectralRun`` and at any
     other exponent by ``bidiagonal_schatten_norms``. One pool task per run
-    of consecutive blocks, on ``_mc_width`` threads with its run length, draws
-    (and gathers) each block into a free slot, writes each sample's
+    of consecutive blocks, on ``_mc_width`` threads with its run length,
+    draws each block into a free slot, writes each sample's
     Y = ||sum_i g_i x_i||^2 and its controls there, and reduces the block
-    to its moments (``_block_moments``). Every control has an exact mean
+    to its moments (``_run_sums``). Every control has an exact mean
     (``_controls``): the squared Frobenius norm C, of mean
     ``family.elements.size`` (n^2 for a grid, whose bidiagonal keeps the
     Frobenius norm); on the full grid tr T^2 and tr T^3 of T = B^T B,
     computed in O(n) from the tridiagonal the kernels form, the S_4 value
-    being (tr T^2)^(1/2); elsewhere Z = ||x||_v^v where ``_power_mean``
-    closes its mean. C comes from what the slot already holds (the sum of
-    squares of the chi row, or of the coefficient row) before the kernel
-    runs. At S_inf the task appends each bidiagonal block to the slot's
-    SpectralRun, keeps its moment rows in the slot, and reduces the run in
-    one Laguerre pass,
-    whose numpy calls then act on the run's rows instead of one block's
-    (numpy's Philox and gamma fills, ``take``, ``matmul`` and LAPACK
-    release the GIL). There is one slot per thread, allocated once per
-    call, so nothing block-sized is allocated inside the loop but the
-    kernel's temporaries. The caller keeps at most two tasks per thread in
-    flight and adds each block's moments in block order, so the result is
-    the same float however the tasks interleave and however the blocks are
-    grouped into runs. From MC_CONTROL_SAMPLES samples on, the mean of Y is
-    estimated as Ybar - beta . (Bbar - mu), with beta the coefficients of
-    Y on the k controls B from their k x k normal equations and the
-    regression's residual variance over samples - k - 1 (Glasserman, Monte
-    Carlo Methods in Financial Engineering, 2003, section 4.1). Where the
-    controls' covariance is not positive definite (one a line in the
-    others) or the corrected mean is not positive, the last control is
-    dropped and the fit taken again; with none left, and under
-    MC_CONTROL_SAMPLES samples, it is the plain mean with its variance over
-    samples - 1 (``_controlled_moment``). The value is a Monte Carlo
-    estimate, so it is ``lower`` with a standard error (delta method on the
-    square root).
+    being (tr T^2)^(1/2); on a sequence space Z = ||x||_v^v where
+    ``_power_mean`` closes its mean. At S_inf the task appends each
+    bidiagonal block to the slot's SpectralRun, keeps its moment rows in
+    the slot, and reduces the run in one Laguerre pass, whose numpy calls
+    then act on the run's rows instead of one block's (numpy's Philox and
+    gamma fills and LAPACK release the GIL). There is one slot per thread,
+    allocated once per call, so nothing block-sized is allocated inside the
+    loop but the kernel's temporaries. The caller keeps at most two tasks
+    per thread in flight and adds each block's moments in block order, so
+    the result is the same float however the tasks interleave and however
+    the blocks are grouped into runs. From MC_CONTROL_SAMPLES samples on,
+    the mean of Y is estimated as Ybar - beta . (Bbar - mu), with beta the
+    coefficients of Y on the k controls B from their k x k normal equations
+    and the regression's residual variance over samples - k - 1
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+    section 4.1). Where the controls' covariance is not positive definite
+    (one a line in the others) or the corrected mean is not positive, the
+    last control is dropped and the fit taken again; with none left, and
+    under MC_CONTROL_SAMPLES samples, it is the plain mean with its
+    variance over samples - 1 (``_controlled_moment``). The value is a
+    Monte Carlo estimate, so it is ``lower`` with a standard error (delta
+    method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
@@ -541,26 +518,25 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
         scale = _ones_norm(family.elements.shape[1], family.space.exponent)
         family = UnitFamily(sequence_space(family.space.exponent, family.size),
                             np.arange(family.size)[:, None])
-    space, dim = family.space, family.size
-    width, run = _mc_width(dim, space, samples)
+    space = family.space
+    width, run = _mc_width(space, samples)
     shift, means = _controls(family)
     # imported here: concurrent.futures loads logging and queue, about 5 ms
     # of start-up that the commands without Monte Carlo need not pay
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    # one array per part for all slots: slot i is (drawn or kernel rows,
-    # coefficients, S_inf run, moment rows)[i]
-    row = 2 * space.dim - 1 if _draws_bidiagonal(dim, space) else space.flat_dim
+    # one array per part for all slots: slot i is (drawn rows, S_inf run,
+    # moment rows)[i]
+    row = 2 * space.dim - 1 if _draws_bidiagonal(space) else space.flat_dim
     kernel_rows = np.empty((width, MC_BLOCK, row))
-    coeffs = np.empty((width, MC_BLOCK, dim)) if dim < space.flat_dim else [None] * width
-    held = run * MC_BLOCK if _runs_spectral(dim, space) else MC_BLOCK
+    held = run * MC_BLOCK if _runs_spectral(space) else MC_BLOCK
     spectral = ([SpectralRun(space.dim, held) for _ in range(width)]
-                if _runs_spectral(dim, space) else [None] * width)
+                if _runs_spectral(space) else [None] * width)
     moments = np.empty((width, 2 + len(means), held))
     moments[:, 0] = 1.0
     slots = queue.SimpleQueue()
-    for slot in zip(kernel_rows, coeffs, spectral, moments):
+    for slot in zip(kernel_rows, spectral, moments):
         slots.put(slot)
     # One Laguerre pass at a time: a pass is thousands of short numpy calls,
     # each of which drops and retakes the GIL on vectors of over 500 rows,
@@ -599,13 +575,14 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     """(average of ||sum_i b_i(omega) y_i||^2)^(1/2) over the system, y = family.
 
     Matrix units in distinct rows and columns are taken as the l_u^m basis
-    they span (``spaces.sequence_copy``), with no matrix formed. Character
+    they span (``spaces.sequence_copy``), with no matrix formed; any other
+    Schatten unit family but the full grid raises ValueError. Character
     systems pair y_i with the first m characters of the set, exactly
     (certified): a unit family on a sequence space, such a copy included,
     by the closed form (ms)^(1/v), since sum_i gamma_i(x) y_i has ms
-    entries of modulus one and zeros elsewhere at every x; any other
-    family by the average over the group's N points, computed block by
-    block (``_group_norms``). The caps on the (N, flat_dim) values and the
+    entries of modulus one and zeros elsewhere at every x; the full grid
+    and dense families by the average over the group's N points, computed
+    block by block (``_group_norms``). The caps on the (N, flat_dim) values and the
     (N, size) character table bound what the average computes, a block at
     a time; neither table is formed whole. The Gaussian system takes
     unit families: blocked Monte Carlo with a reported standard error,
@@ -613,6 +590,10 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     """
     family = sequence_copy(family)
     space, m = family.space, family.size
+    if isinstance(family, UnitFamily) and space.kind is SpaceKind.SCHATTEN \
+            and m != space.flat_dim:
+        raise ValueError(f"{m} matrix units of {space} are neither in distinct rows and "
+                         f"columns nor the full grid, the only Schatten unit families integrated")
     if system.kind == "characters":
         cset = system.charset
         if m > cset.size:

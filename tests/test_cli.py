@@ -251,6 +251,14 @@ def test_kp_negative_steps_is_usage_error(capsys):
                            "argument --steps: must be >= 0, got -3")
 
 
+@pytest.mark.parametrize("freqs", ["1,,2", "a", "1.5"])
+def test_bad_freqs_name_the_flag_and_the_input(capsys, freqs):
+    _assert_usage_error(capsys, ["kp", "--group", "16", "--freqs", freqs, "--p", "4",
+                                 "--seed", "1"],
+                        f"error: --freqs takes 'full' or a comma list of integers, "
+                        f"got '{freqs}'")
+
+
 def test_lnorm_zero_samples_is_usage_error(capsys):
     _assert_argparse_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
                                     "--samples", "0", "--seed", "7"],

@@ -344,6 +344,15 @@ def _s4_from_traces(diag, sup, p):
     return np.sqrt(np.sqrt(kernels.bidiagonal_traces(diag, sup)[0]))
 
 
+def _spectral_norms(diag, sup, p):
+    # the Monte Carlo loop's S_inf reduction: a one-block SpectralRun
+    assert p == np.inf
+    run = kernels.SpectralRun(diag.shape[1], len(diag))
+    with np.errstate(over="ignore"):  # traces past the float range, which no norm reads
+        run.append(diag, sup, np.empty((2, len(diag))))
+    return run.norms()
+
+
 def _assert_bidiagonal_norms_match_svd(diag, sup, p, norms=kernels.bidiagonal_schatten_norms):
     # 1000 rows a call: the SVD fallback materializes its matrices
     out = np.concatenate([norms(diag[start:start + 1000], sup[start:start + 1000], p)
@@ -357,12 +366,13 @@ def _assert_bidiagonal_norms_match_svd(diag, sup, p, norms=kernels.bidiagonal_sc
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 @pytest.mark.parametrize("p", [3.0, 4.0, np.inf], ids=["svd-p3", "closed-p4", "laguerre-inf"])
 def test_bidiagonal_norms_match_dense_svd(n, p):
-    # 10^4 draws of the Monte Carlo loop's chi entries, against a dense SVD;
-    # at S_4 the loop's closed form from bidiagonal_traces
+    # 10^4 draws of the Monte Carlo loop's chi entries, against a dense SVD,
+    # reduced as the loop reduces them: at S_4 by the closed form from
+    # bidiagonal_traces, at S_inf by a one-block SpectralRun
     chis = gaussian_bidiagonal(make_rng(n), 10_000, n)
-    _assert_bidiagonal_norms_match_svd(chis[:, :n], chis[:, n:], p,
-                                       _s4_from_traces if p == 4.0
-                                       else kernels.bidiagonal_schatten_norms)
+    norms = {4.0: _s4_from_traces, np.inf: _spectral_norms}.get(
+        p, kernels.bidiagonal_schatten_norms)
+    _assert_bidiagonal_norms_match_svd(chis[:, :n], chis[:, n:], p, norms)
 
 
 def _edge_bidiagonals(n):
@@ -390,12 +400,13 @@ def _edge_bidiagonals(n):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 def test_bidiagonal_norms_edge_cases(n):
-    # finite, and within 1e-13 of the dense SVD, at every exponent path; the
-    # S_4 closed form too where the sixth powers of the entries that tr T^3
-    # holds stay in range (not near 1e+-150)
+    # finite, and within 1e-13 of the dense SVD, at every exponent path (the
+    # S_inf one a one-block SpectralRun); the S_4 closed form too where the
+    # sixth powers of the entries that tr T^3 holds stay in range (not near
+    # 1e+-150)
     for name, diag, sup in _edge_bidiagonals(n):
         paths = [(3.0, kernels.bidiagonal_schatten_norms), (4.0, kernels.bidiagonal_schatten_norms),
-                 (np.inf, kernels.bidiagonal_schatten_norms)]
+                 (np.inf, _spectral_norms)]
         if "150" not in name:
             paths.append((4.0, _s4_from_traces))
         for p, norms in paths:
@@ -406,20 +417,19 @@ def test_bidiagonal_norms_edge_cases(n):
 
 
 def test_bidiagonal_rows_do_not_depend_on_their_block():
-    # every row iterates alone and stops alone: a block's values equal
-    # one-row calls exactly, rows with a repeated top eigenvalue included,
-    # and so do its traces
+    # every row iterates alone and stops alone: a one-block run's values
+    # equal one-row runs exactly, rows with a repeated top eigenvalue
+    # included, and so do its traces
     chis = gaussian_bidiagonal(make_rng(5), 300, 16)
     chis[::7, 16::2] = 0.0
     chis[::7, :16] = 1.0
     diag, sup = chis[:, :16], chis[:, 16:]
-    loop = [kernels.bidiagonal_schatten_norms(diag[i:i + 1], sup[i:i + 1], np.inf)[0]
-            for i in range(len(diag))]
-    assert np.array_equal(kernels.bidiagonal_schatten_norms(diag, sup, np.inf), loop)
+    loop = [_spectral_norms(diag[i:i + 1], sup[i:i + 1], np.inf)[0] for i in range(len(diag))]
+    assert np.array_equal(_spectral_norms(diag, sup, np.inf), loop)
     loop = [kernels.bidiagonal_traces(diag[i:i + 1], sup[i:i + 1])[:, 0] for i in range(len(diag))]
     assert np.array_equal(kernels.bidiagonal_traces(diag, sup).T, loop)
     # a 1024-row run at n = 64, appended block by block from the Monte Carlo
-    # loop's one-block slot, equals each block's own call, its traces those
+    # loop's one-block slot, equals each block's own run, its traces those
     # of bidiagonal_traces, and the run is empty again after norms()
     n, block = 64, MC_BLOCK
     run = kernels.SpectralRun(n, 4 * block)
@@ -430,7 +440,7 @@ def test_bidiagonal_rows_do_not_depend_on_their_block():
         chis = gaussian_bidiagonal(make_rng(k), block, n, out=slot)
         if k == 2:
             chis[::5, n::3] = 0.0  # rows with decoupled blocks
-        per_block.append(kernels.bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], np.inf))
+        per_block.append(_spectral_norms(chis[:, :n], chis[:, n:], np.inf))
         per_block_traces.append(kernels.bidiagonal_traces(chis[:, :n], chis[:, n:]))
         run.append(chis[:, :n], chis[:, n:], traces[:, k * block:(k + 1) * block])
     assert np.array_equal(run.norms(), np.concatenate(per_block))

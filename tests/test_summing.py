@@ -13,7 +13,7 @@ from summinglab import (Certainty, CharacterSet, NormEstimate, SpaceKind, UnitFa
                         kp_summing_bound, parse_space, pivot_upper,
                         schatten_space, sequence_space, second_moment,
                         summing_norm_lower, summing_norm_search)
-from summinglab import kernels, spaces, summing, systems
+from summinglab import kernels, summing, systems
 from summinglab.systems import MC_BLOCK, MC_CONTROL_SAMPLES
 from summinglab.spaces import norms_of_stack, sequence_copy
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
@@ -234,11 +234,11 @@ def _bidiagonal_second_moment(space, samples, seed):
 
 
 def test_unit_family_gather_matches_dense_product():
-    # every unit candidate's second moment (gather, scaled l_v^m basis, or
-    # closed form for one element) against the dense product on the
-    # materialized family, over a partial last block; the full grid of a
-    # Schatten space draws bidiagonals, so its reference reduces the same
-    # draws as dense matrices
+    # every unit candidate's second moment (scaled l_v^m basis, or closed
+    # form for one element) against the dense product on the materialized
+    # family, over a partial last block; the full grid of a Schatten space
+    # draws bidiagonals, so its reference reduces the same draws as dense
+    # matrices
     samples = 32 * MC_BLOCK + 1
     for fam, space in _unit_families():
         est = second_moment(gaussian_system(), replace(fam, space=space),
@@ -262,7 +262,7 @@ def test_no_monte_carlo_numerator_has_a_zero_stderr(monkeypatch, samples):
     # summing_norm_lower drops a zero stderr, so a Monte Carlo row with one
     # would read as if it had none; a control fitted through two points
     # leaves no residual, and every candidate of the Gaussian searches here
-    # (gathers, sequence copies, S_4 and S_inf grids, the S_3 SVD) keeps a
+    # (sequences, sequence copies, S_4 and S_inf grids, the S_3 SVD) keeps a
     # positive stderr at 2, 3 and more samples
     seen = []
 
@@ -291,7 +291,7 @@ def test_bidiagonal_draws_match_dense_gaussian_matrices(n, v):
     est = second_moment(gaussian_system(), _grid_family(space, n), samples=samples, seed=37)
     assert est.method == "mc-gaussian"
     value, stderr = _dense_second_moment(np.eye(n * n), space, samples, 41,
-                                         systems._power_mean(_grid_family(space, n)))
+                                         systems._trace_means(n)[1] if v == 4 else None)
     assert abs(est.value - value) <= 4.0 * math.hypot(est.stderr, stderr)
 
 
@@ -311,20 +311,20 @@ def test_generic_family_takes_dense_product():
 
 
 def test_real_families_take_real_norm_kernels(monkeypatch):
-    # unit families are real: with real normals they reach the Schatten
-    # kernel as real stacks. No search candidate gathers into matrices any
-    # more (diagonals are sequences, grids draw bidiagonals), so the 2 x 2
-    # sub-grid of S_4^4 in rows and columns {0, 1} stands in for them
+    # unit families are real: with real draws they reach the Schatten kernel
+    # as real stacks. The one Monte Carlo route that forms matrices is the
+    # full grid's away from S_4 and S_inf, which materializes its bidiagonal
+    # blocks (the S_3^4 grid here)
     seen = []
+    batch = kernels.schatten_norm_batch
 
     def spy(mats, p):
-        seen.append(np.iscomplexobj(mats))
-        return kernels.schatten_norm_batch(mats, p)
+        seen.append((mats.shape[1:], np.iscomplexobj(mats)))
+        return batch(mats, p)
 
-    monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
-    fam = UnitFamily(schatten_space(4, 4), np.array([[0], [1], [4], [5]]))
-    second_moment(gaussian_system(), fam, samples=100, seed=3)
-    assert seen and not any(seen)
+    monkeypatch.setattr(kernels, "schatten_norm_batch", spy)
+    second_moment(gaussian_system(), _grid_family(schatten_space(3, 4), 4), samples=100, seed=3)
+    assert seen and all(item == ((4, 4), False) for item in seen)
 
 
 def test_search_family_memory_is_index_sized():

@@ -18,7 +18,7 @@ from summinglab import (AscentConfig, Certainty, CharacterSet, SpaceKind, SpanEl
                         lacunary_character_set, lp_norm_of_span,
                         parse_exponent, schatten_space, second_moment, sequence_space,
                         sidon_constant_lower, kernels, spaces, summing, systems)
-from summinglab.kernels import bidiagonal_schatten_norms, bidiagonal_traces
+from summinglab.kernels import SpectralRun, bidiagonal_schatten_norms, bidiagonal_traces
 from summinglab.rng import gaussian_bidiagonal, make_rng, standard_gaussians, substream
 from summinglab.spaces import lp_norm, norms_of_stack
 from summinglab.systems import MC_BLOCK, MC_CONTROL_SAMPLES, _mc_second_moment
@@ -395,9 +395,9 @@ def _controlled_moment(y, controls, means):
 def _gathered_moment(family, u, samples, seed):
     """(value, stderr) of the Monte Carlo loop's Gaussian rows, gathered into
     dense matrices block by block, reduced by ``_svd_norms`` and controlled
-    by the matrices' squared Frobenius norms and, where the family (or the
-    l_u^m basis it is a copy of) has a closed-form E ||X||_u^u, by the sum
-    of the singular values' u-th powers."""
+    by the matrices' squared Frobenius norms and, where the l_u^m basis that
+    the units are a copy of has a closed-form E ||X||_u^u, by the sum of the
+    singular values' u-th powers."""
     mats = np.concatenate([
         _unit_matrices(family, standard_gaussians(
             make_rng(substream(seed, k)), (min(MC_BLOCK, samples - start), family.size)))
@@ -441,29 +441,55 @@ def test_character_moment_of_bi_disjoint_units_is_the_group_average(kind, u):
     assert est.value == pytest.approx(np.sqrt(np.mean(norms ** 2)), rel=1e-12)
 
 
-def test_units_sharing_a_row_reach_the_dense_kernel(monkeypatch):
-    # two units in row 0: no sequence copy, so the gathered matrices go to
-    # the Schatten kernel, and the moment still matches the dense reduction
-    seen = []
-
-    def spy(mats, p):
-        seen.append(mats.shape)
-        return kernels.schatten_norm_batch(mats, p)
-
-    monkeypatch.setattr(spaces, "schatten_norm_batch", spy)
+@pytest.mark.parametrize("system", [gaussian_system(), character_system(_charset(4096, range(8)))],
+                         ids=["gaussian", "characters"])
+def test_other_schatten_unit_families_are_refused(system):
+    # two units in row 0 are neither a sequence copy nor the full grid: one
+    # line of ValueError, raised before any array above a few KiB exists
+    # (a Monte Carlo slot is 10 KiB a thread here, the group's roots 64 KiB)
     fam = UnitFamily(schatten_space(4, 3), np.array([[0], [1], [5]]))
-    samples, seed = 4 * MC_BLOCK + 3, 19
-    est = second_moment(gaussian_system(), fam, samples=samples, seed=seed)
-    assert seen and all(shape[1:] == (3, 3) for shape in seen)
-    value, stderr = _gathered_moment(fam, 4, samples, seed)
-    assert est.value == pytest.approx(value, rel=1e-12)
-    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    def refusal():
+        try:
+            second_moment(system, fam, samples=4 * MC_BLOCK + 3, seed=19)
+        except ValueError as exc:
+            return str(exc)
+
+    refusal()  # modules imported on first use are not the check's
+    tracemalloc.start()
+    try:
+        message = refusal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message.startswith("3 matrix units of s4:3 are neither") and "\n" not in message
+    assert peak < 8 * 2 ** 10
+
+
+@pytest.mark.parametrize("u", [3, 4, "inf"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("system", [gaussian_system(), character_system(_charset(64, range(64)))],
+                         ids=["gaussian", "characters"])
+def test_every_search_family_is_integrated(system, n, u):
+    # every unit family the searches and the ell-norm build, sequence and
+    # Schatten, mapped to a codomain of each route: second_moment takes it
+    # (a new candidate that needs another Schatten route fails here)
+    max_size = system.charset.size if system.charset else 1 << 30
+    for kind in (sequence_space, schatten_space):
+        candidates = (summing._sequence_candidates if kind is sequence_space
+                      else summing._schatten_candidates)
+        families = [fam for _, fam in candidates(kind(1, n), max_size)]
+        families.append(summing._family(kind(2, n), kind(2, n).flat_dim, 1))
+        for fam in families:
+            est = second_moment(system, UnitFamily(kind(u, n), fam.elements), samples=8,
+                                seed=3)
+            assert est.value > 0
 
 
 def _mc_family(space, kind):
-    """The full basis or grid (its gather is the identity), the diagonal
-    matrix units, or pairs of ones on the even coordinates of a sequence
-    space (a gather that leaves the odd ones zero)."""
+    """The full basis or grid, the diagonal matrix units (a copy of the
+    l_u^n basis), or pairs of ones on the even coordinates of a sequence
+    space (twice the l_v^(n/2) basis)."""
     if kind == "diag":
         return UnitFamily(space, (np.arange(space.dim) * (space.dim + 1))[:, None])
     if kind == "blocks":
@@ -472,13 +498,14 @@ def _mc_family(space, kind):
 
 
 def _serial_second_moment(family, samples, seed):
-    """The one-thread Monte Carlo loop: draw, gather and reduce each block in
-    turn into the rows (1, Y, controls): each row's squared Frobenius norm,
-    a bidiagonal's tr T^2 and tr T^3 (a Schatten space's full grid draws
-    bidiagonal chi entries), or ||x||_v^v where that has a closed-form mean;
-    shifted as the loop shifts them, summed block by block in the loop's own
-    float order and fitted by ``systems._controlled_moment``. A sequence
-    family of m blocks of s ones is s^(1/v) times the l_v^m basis."""
+    """The one-thread Monte Carlo loop: draw and reduce each block in turn
+    into the rows (1, Y, controls): each row's squared Frobenius norm, a
+    bidiagonal's tr T^2 and tr T^3 (a Schatten space's full grid draws
+    bidiagonal chi entries, reduced at S_inf by a one-block SpectralRun), or
+    ||x||_v^v where that has a closed-form mean; shifted as the loop shifts
+    them, summed block by block in the loop's own float order and fitted by
+    ``systems._controlled_moment``. A sequence family of m blocks of s ones
+    is s^(1/v) times the l_v^m basis."""
     space = family.space
     v = space.exponent.value
     if space.kind is SpaceKind.SEQUENCE and family.size < space.flat_dim:
@@ -493,17 +520,23 @@ def _serial_second_moment(family, samples, seed):
         rng = make_rng(substream(seed, index))
         block = np.empty((2 + len(means), count))
         block[0] = 1.0
-        if space.kind is SpaceKind.SCHATTEN and family.size == space.flat_dim:
+        if space.kind is SpaceKind.SCHATTEN:
             n = space.dim
             chis = gaussian_bidiagonal(rng, count, n)
             block[2] = np.einsum("ij,ij->i", chis, chis)
             block[3:] = bidiagonal_traces(chis[:, :n], chis[:, n:])
-            block[1] = (np.sqrt(block[3]) if v == 4
-                        else bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2)
+            if v == 4:
+                block[1] = np.sqrt(block[3])
+            elif v == np.inf:
+                run = SpectralRun(n, count)
+                run.append(chis[:, :n], chis[:, n:], np.empty((2, count)))
+                block[1] = run.norms() ** 2
+            else:
+                block[1] = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2
         else:
             rows = standard_gaussians(rng, (count, family.size))
             block[2] = np.einsum("ij,ij->i", rows, rows)
-            block[1] = norms_of_stack(family.synthesize(rows), space) ** 2
+            block[1] = norms_of_stack(rows, space) ** 2
             if len(means) == 2:
                 block[3] = block[1] ** (v / 2)
         block[1] -= shift
@@ -525,7 +558,6 @@ def _serial_second_moment(family, samples, seed):
     (schatten_space("inf", 6), "basis", 32 * MC_BLOCK + 1, 2),
     (schatten_space("4/3", 6), "basis", 32 * MC_BLOCK + 1, 2),
     (sequence_space("inf", 6), "basis", 32 * MC_BLOCK + 1, 2),
-    (schatten_space("inf", 6), "diag", 32 * MC_BLOCK + 1, 2),
     (schatten_space(4, 6), "grid", 32 * MC_BLOCK + 1, 2),
     (schatten_space(4, 6), "grid", 5, 2),
     (schatten_space("inf", 6), "basis", 96 * MC_BLOCK + 7, 4),
@@ -536,7 +568,7 @@ def _serial_second_moment(family, samples, seed):
     (schatten_space("inf", 16), "basis", 22 * MC_BLOCK + 3, 1),
     (schatten_space("inf", 16), "basis", 22 * MC_BLOCK + 3, 2),
     (schatten_space("inf", 16), "basis", 22 * MC_BLOCK + 3, 4),
-], ids=["s4", "sinf", "s4-3-svd", "linf", "sinf-diag", "s4-grid", "s4-grid-one-chunk",
+], ids=["s4", "sinf", "s4-3-svd", "linf", "s4-grid", "s4-grid-one-chunk",
         "sinf-4-threads", "sinf-one-chunk-2-threads", "s4-last-chunk-under-a-block",
         "l4-blocks", "sinf-1-thread", "sinf16-runs-1-thread", "sinf16-runs-2-threads",
         "sinf16-runs-4-threads"])
@@ -548,7 +580,7 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
     family = _mc_family(space, family)
     if space.dim == 16:
         runs = {1: 11, 2: 6, 4: 3}[width]
-        assert systems._mc_width(family.size, space, samples) == (width, runs)
+        assert systems._mc_width(space, samples) == (width, runs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -560,7 +592,6 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
 
 
 @pytest.mark.parametrize("space,elements,controls", [
-    (schatten_space(4, 3), [[0], [1], [5]], 2),
     (sequence_space(4, 12), "blocks", 2),
     (sequence_space(3, 12), "basis", 2),
     (schatten_space(4, 6), "basis", 3),
@@ -569,13 +600,13 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
     (schatten_space("inf", 6), "basis", 3),
     (sequence_space("inf", 12), "basis", 1),
     (schatten_space(3, 6), "basis", 3),
-], ids=["gather", "l4-blocks", "l3-basis", "s4-bidiagonal", "sequence-copy", "sinf-run",
+], ids=["l4-blocks", "l3-basis", "s4-bidiagonal", "sequence-copy", "sinf-run",
         "sinf-6", "linf-basis", "s3-svd"])
 def test_control_never_widens_the_stderr(monkeypatch, space, elements, controls):
     # on every route, the controlled stderr of the mean is positive and at
     # most the plain one, sqrt(Var(Y) / (samples - 1) / samples), from the
-    # same sums; where there are more controls than C (||x||_v^v at S_4,
-    # l_4 and l_3; tr T^2 and tr T^3 on the full grid at S_4, S_inf and
+    # same sums; where there are more controls than C (||x||_v^v on l_4 and
+    # l_3; tr T^2 and tr T^3 on the full grid at S_4, S_inf and
     # S_3), their fit's stderr is below the fit on C alone, from the first
     # three rows of the same sums; l_inf and S_inf sub-families take C alone
     seen = []
@@ -587,8 +618,7 @@ def test_control_never_widens_the_stderr(monkeypatch, space, elements, controls)
 
     controlled = systems._controlled_moment
     monkeypatch.setattr(systems, "_controlled_moment", spy)
-    family = (UnitFamily(space, np.array(elements)) if isinstance(elements, list)
-              else _mc_family(space, elements))
+    family = _mc_family(space, elements)
     second_moment(gaussian_system(), family, samples=8 * MC_BLOCK + 5, seed=7)
     (moments, shift, (_, stderr)), = seen
     assert moments.shape == (controls + 2,) * 2
@@ -722,35 +752,38 @@ def test_power_mean_of_a_block_family_is_its_monte_carlo_mean():
     # ||sum_i g_i x_i||_4^4 = 2 sum_i g_i^4, of mean 2 * 3 * 3
     family = _mc_family(sequence_space(4, 12), "blocks")
     g = np.random.default_rng(29).standard_normal((200_000, family.size))
-    z = np.sum(np.abs(family.synthesize(g)) ** 4, axis=1)
+    dense = np.zeros((family.size, 12))
+    dense[np.arange(family.size)[:, None], family.elements] = 1.0
+    z = np.sum(np.abs(g @ dense) ** 4, axis=1)
     assert systems._power_mean(family) == 18.0
     assert abs(18.0 - z.mean()) <= 4 * z.std() / math.sqrt(z.size)
 
 
 @pytest.mark.parametrize("n,elements,mean", [
-    (3, [[0], [1], [5]], 11),
-    (3, [[0], [1], [3], [4]], 20),
     (4, [[0], [5], [10], [15]], 12),
     (3, "grid", 63),
     (8, "grid", 1088),
-], ids=["shared-row", "2x2-block", "diagonal", "grid-3", "grid-8"])
+], ids=["diagonal", "grid-3", "grid-8"])
 def test_power_mean_of_schatten_families_at_s4(n, elements, mean):
-    # sum_j c_j^2 + sum_i r_i^2 + m against the mean of ||X||_4^4 = tr (X X^T)^2
-    # over fixed-seed draws, within 4 stderr: Gaussian units gathered densely,
-    # or for the full grid (n^2 (2n + 1)) the loop's bidiagonal draws; it is
-    # closed at S_4 only
+    # E ||X||_4^4 = E tr (X X^T)^2 of the two Schatten shapes the loop takes,
+    # against its mean over fixed-seed draws, within 4 stderr: diagonal units
+    # as their l_4^n copy (3n), over Gaussian units gathered densely, and the
+    # full grid, E tr T^2 = n^2 (2n + 1) (``_trace_means``), over the loop's
+    # bidiagonal draws; ``_power_mean`` closes sequence families only
     space = schatten_space(4, n)
-    idx = (np.arange(n * n)[:, None] if elements == "grid" else np.array(elements))
-    family = UnitFamily(space, idx)
-    assert systems._power_mean(family) == mean
-    assert systems._power_mean(UnitFamily(schatten_space(3, n), idx)) is None
     rng = make_rng(31)
     if elements == "grid":
+        assert systems._trace_means(n)[1] == mean
+        for v in (3, 4):
+            grid = UnitFamily(schatten_space(v, n), np.arange(n * n)[:, None])
+            assert systems._power_mean(grid) is None
         chis = gaussian_bidiagonal(rng, 40_000, n)
         mats = np.zeros((len(chis), n, n))
         mats[:, np.arange(n), np.arange(n)] = chis[:, :n]
         mats[:, np.arange(n - 1), np.arange(1, n)] = chis[:, n:]
     else:
+        family = UnitFamily(space, np.array(elements))
+        assert systems._power_mean(spaces.sequence_copy(family)) == mean
         mats = _unit_matrices(family, standard_gaussians(rng, (200_000, family.size)))
     w = mats @ mats.transpose(0, 2, 1)
     z = np.sum(w * w, axis=(1, 2))
@@ -758,23 +791,22 @@ def test_power_mean_of_schatten_families_at_s4(n, elements, mean):
 
 
 def test_mc_width_is_what_fits_under_the_cap(monkeypatch):
-    # a thread that gathers holds a block, its moment rows (five entries a
-    # sample), the coefficients it gathers from and three blocks for the SVD
-    # kernel: for 64 units of S_inf^64 that is 1029 rows of 32 KiB (34 MB),
-    # so all sixteen threads fit under the 2 GiB cap; at S_inf^180 it is 1027
-    # rows of 253 KiB (266 MB), and eight threads fit, nine do not, whatever the CPU count
-    # (such working sets are far above MC_RUN_BYTES, so each task takes one
-    # block)
-    space = schatten_space("inf", 64)
+    # a thread of the S_3 grid materializes its bidiagonal block for the SVD:
+    # at S_3^64 that is 541 rows of 32 KiB (17.7 MB), so all sixteen threads
+    # fit under the 2 GiB cap; at S_3^240 it is 519 rows of 450 KiB (239 MB),
+    # and eight threads fit, nine do not, whatever the CPU count (such
+    # working sets are far above MC_RUN_BYTES, so each task takes one block)
+    space = schatten_space(3, 64)
     monkeypatch.setattr(systems, "MC_WIDTH", 16)
-    assert systems._mc_working_set(64, space) == (1029, 4096)
-    assert systems._mc_width(64, space, 320 * MC_BLOCK) == (16, 1)
-    assert systems._mc_width(180, schatten_space("inf", 180), 320 * MC_BLOCK) == (8, 1)
+    assert systems._mc_working_set(space) == (541, 4096)
+    assert systems._mc_width(space, 320 * MC_BLOCK) == (16, 1)
+    assert systems._mc_working_set(schatten_space(3, 240)) == (519, 240 ** 2)
+    assert systems._mc_width(schatten_space(3, 240), 320 * MC_BLOCK) == (8, 1)
     # never more threads than blocks
-    assert systems._mc_width(64, space, 5 * MC_BLOCK) == (5, 1)
-    assert systems._mc_width(64, space, MC_BLOCK) == (1, 1)
+    assert systems._mc_width(space, 5 * MC_BLOCK) == (5, 1)
+    assert systems._mc_width(space, MC_BLOCK) == (1, 1)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    assert systems._mc_width(64, space, 320 * MC_BLOCK) == (2, 1)
+    assert systems._mc_width(space, 320 * MC_BLOCK) == (2, 1)
 
 
 def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
@@ -786,12 +818,12 @@ def test_mc_runs_are_what_fits_under_the_run_budget(monkeypatch):
     # fits (one that does not takes one block: the test above)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
     sinf64, sinf16 = schatten_space("inf", 64), schatten_space("inf", 16)
-    assert systems._mc_width(4096, sinf64, 20_000) == (2, 4)
-    assert systems._mc_working_set(4096, sinf64, 4) == (1982, 127)
-    assert systems._mc_working_set(4096, sinf64, 5)[0] * 127 * 8 > systems.MC_RUN_BYTES
-    assert systems._mc_width(256, sinf16, 20_000) == (2, 11)
-    assert systems._mc_width(256, sinf16, 9 * MC_BLOCK) == (2, 3)
-    assert systems._mc_width(16, sequence_space("inf", 16), 100_000) == (2, 98)
+    assert systems._mc_width(sinf64, 20_000) == (2, 4)
+    assert systems._mc_working_set(sinf64, 4) == (1982, 127)
+    assert systems._mc_working_set(sinf64, 5)[0] * 127 * 8 > systems.MC_RUN_BYTES
+    assert systems._mc_width(sinf16, 20_000) == (2, 11)
+    assert systems._mc_width(sinf16, 9 * MC_BLOCK) == (2, 3)
+    assert systems._mc_width(sequence_space("inf", 16), 100_000) == (2, 98)
 
 
 def test_mc_working_set_of_the_bidiagonal_route():
@@ -805,23 +837,22 @@ def test_mc_working_set_of_the_bidiagonal_route():
     # 537 MB); any other exponent materializes the block, in rows of n^2, and
     # holds one block more for the SVD's copy of it, and the traces'
     # temporaries
-    assert systems._mc_working_set(4096, schatten_space("inf", 64)) == (1172, 127)
-    assert systems._mc_working_set(4096, schatten_space("inf", 64), 4) == (1982, 127)
-    assert systems._mc_working_set(4096, schatten_space(4, 64)) == (912, 127)
-    assert systems._mc_working_set(4096, schatten_space(4, 64), 4) == (912, 127)
-    assert systems._mc_working_set(512 ** 2, schatten_space("inf", 512)) == (931, 1023)
-    assert systems._mc_working_set(4096, schatten_space(3, 64)) == (541, 4096)
+    assert systems._mc_working_set(schatten_space("inf", 64)) == (1172, 127)
+    assert systems._mc_working_set(schatten_space("inf", 64), 4) == (1982, 127)
+    assert systems._mc_working_set(schatten_space(4, 64)) == (912, 127)
+    assert systems._mc_working_set(schatten_space(4, 64), 4) == (912, 127)
+    assert systems._mc_working_set(schatten_space("inf", 512)) == (931, 1023)
+    assert systems._mc_working_set(schatten_space(3, 64)) == (541, 4096)
     # so one thread of the S_3^520 grid holds 515 rows of 270400 (1.04 GiB),
     # under the cap
-    assert systems._mc_working_set(520 ** 2, schatten_space(3, 520)) == (515, 520 ** 2)
-    assert systems._mc_width(520 ** 2, schatten_space(3, 520), 4096) == (1, 1)
-    # a sequence space's full basis still draws its rows
-    assert systems._mc_working_set(64, sequence_space("inf", 64)) == (788, 64)
+    assert systems._mc_working_set(schatten_space(3, 520)) == (515, 520 ** 2)
+    assert systems._mc_width(schatten_space(3, 520), 4096) == (1, 1)
+    # a sequence space's full basis draws its rows
+    assert systems._mc_working_set(sequence_space("inf", 64)) == (788, 64)
 
 
 @pytest.mark.parametrize("space,family,samples", [
     (schatten_space("inf", 64), "basis", 17 * MC_BLOCK + 1),
-    (schatten_space(4, 32), "diag", 32 * MC_BLOCK + 1),
     (sequence_space("inf", 512), "blocks", 32 * MC_BLOCK + 1),
     (schatten_space(4, 64), "basis", 17 * MC_BLOCK + 1),
     (schatten_space("inf", 2), "basis", 17 * MC_BLOCK + 1),
@@ -829,7 +860,7 @@ def test_mc_working_set_of_the_bidiagonal_route():
     (schatten_space(3, 32), "basis", 5 * MC_BLOCK + 1),
     (schatten_space(3, 64), "basis", 5 * MC_BLOCK + 1),
     (schatten_space("inf", 16), "basis", 52 * MC_BLOCK + 1),
-], ids=["sinf64-basis", "s4-32-diag", "linf-blocks", "s4-64-basis", "sinf2-basis",
+], ids=["sinf64-basis", "linf-blocks", "s4-64-basis", "sinf2-basis",
         "s3-16-basis", "s3-32-basis", "s3-64-basis", "sinf16-long-runs"])
 def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
     # what numpy allocates during the loop, on every thread, stays under the
@@ -841,8 +872,8 @@ def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, sam
     family = _mc_family(space, family)
     reduced = (sequence_space(space.exponent, family.size)
                if space.kind is SpaceKind.SEQUENCE else space)
-    width, run = systems._mc_width(family.size, reduced, samples)
-    rows, length = systems._mc_working_set(family.size, reduced, run)
+    width, run = systems._mc_width(reduced, samples)
+    rows, length = systems._mc_working_set(reduced, run)
     _mc_second_moment(family, 2, 5)  # imports on first use are not the loop's
     tracemalloc.start()
     try:
@@ -854,11 +885,12 @@ def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, sam
 
 
 def test_full_grid_gather_is_the_identity():
+    # the full grid is the one unit family synthesized; any other raises
     space = schatten_space(4, 3)
     coeffs = np.arange(18.0).reshape(2, 9)
     assert UnitFamily(space, np.arange(9)[:, None]).synthesize(coeffs) is coeffs
-    diag = UnitFamily(space, np.array([[0], [4], [8]])).synthesize(coeffs[:, :3])
-    assert np.array_equal(diag, [[0, 0, 0, 0, 1, 0, 0, 0, 2], [9, 0, 0, 0, 10, 0, 0, 0, 11]])
+    with pytest.raises(ValueError, match="full basis or grid"):
+        UnitFamily(space, np.array([[0], [4], [8]])).synthesize(coeffs[:, :3])
 
 
 def _fail_reduction(monkeypatch, at_call):
@@ -910,8 +942,8 @@ def test_pool_worker_error_ends_the_call(monkeypatch, at_call):
 def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
     # a task is in flight from its submit until the caller takes its sums;
     # a loop that submitted every task at once (as Executor.map does) would
-    # have all 64 in flight, and hold all their futures. The S_4^32 diagonal
-    # units' working set is above MC_RUN_BYTES, so each task is one block
+    # have all 64 in flight, and hold all their futures. The l_inf^512
+    # basis's working set is above MC_RUN_BYTES, so each task is one block
     in_flight = set()
     peak = [0]
 
@@ -935,8 +967,8 @@ def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    family = _mc_family(schatten_space(4, 32), "diag")
-    assert systems._mc_width(family.size, family.space, 64 * MC_BLOCK) == (2, 1)
+    family = _mc_family(sequence_space("inf", 512), "basis")
+    assert systems._mc_width(family.space, 64 * MC_BLOCK) == (2, 1)
     est = _mc_second_moment(family, 64 * MC_BLOCK, 3)
     assert not in_flight
     assert 1 <= peak[0] <= 2 * 2  # 2 * width
