@@ -16,7 +16,7 @@ from .estimates import NormEstimate
 from .experiments import (ConfigError, ExperimentConfig, RunReport,
                           SystemSpec, run_experiment)
 from .limit_order import fit_exponent, limit_order_table
-from .spaces import identity_map, parse_space
+from .spaces import identity_map, parse_exponent, parse_space
 from .summing import ell_norm_mc, summing_norm_search
 from .systems import (AscentConfig, CharacterSet, character_system,
                       full_character_set, gaussian_system, kp_constant_lower,
@@ -39,6 +39,21 @@ def _int_at_least(low: int):
     return parse
 
 
+def _flag_value(flag: str, parse, text: str):
+    """parse(text), its ValueError prefixed by the flag the text came from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _int_list(flag: str, text: str, expected: str = "a comma list of integers") -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes {expected}, got {text!r}") from None
+
+
 def _estimate_payload(est: NormEstimate) -> dict:
     return {"value": est.value, "cert": est.certainty.value,
             "stderr": est.stderr, "method": est.method}
@@ -54,17 +69,17 @@ def _emit(args, payload: dict, text: str) -> None:
 def _parse_charset(args) -> CharacterSet:
     if args.freqs.strip().lower() == "full":
         return full_character_set(args.group)
-    try:
-        freqs = tuple(int(f) for f in args.freqs.split(","))
-    except ValueError:
-        raise ValueError(f"--freqs takes 'full' or a comma list of integers, "
-                         f"got {args.freqs!r}") from None
-    return CharacterSet(args.group, freqs)
+    return CharacterSet(args.group,
+                        _int_list("--freqs", args.freqs, "'full' or a comma list of integers"))
+
+
+def _spaces(args):
+    return (_flag_value("--space", parse_space, args.space),
+            _flag_value("--target", parse_space, args.target))
 
 
 def _cmd_lnorm(args) -> int:
-    domain = parse_space(args.space)
-    codomain = parse_space(args.target)
+    domain, codomain = _spaces(args)
     est = ell_norm_mc(identity_map(domain, codomain), samples=args.samples, seed=args.seed)
     _emit(args, _estimate_payload(est),
           f"ell-norm {args.space} -> {args.target}: {est.value:.6g}"
@@ -73,8 +88,7 @@ def _cmd_lnorm(args) -> int:
 
 
 def _cmd_pib(args) -> int:
-    domain = parse_space(args.space)
-    codomain = parse_space(args.target)
+    domain, codomain = _spaces(args)
     if args.system == "gaussian":
         system = gaussian_system()
     else:
@@ -92,7 +106,7 @@ def _cmd_pib(args) -> int:
 def _cmd_kp(args) -> int:
     charset = _parse_charset(args)
     cfg = AscentConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
-    est = kp_constant_lower(charset, args.p, cfg)
+    est = kp_constant_lower(charset, _flag_value("--p", parse_exponent, args.p), cfg)
     _emit(args, _estimate_payload(est),
           f"K_{args.p} lower bound for {charset.size} characters on Z_{args.group}: "
           f"{est.value:.6g}")
@@ -114,7 +128,9 @@ def _cmd_sidon(args) -> int:
 def _cmd_limit_order(args) -> int:
     grid = [g.strip() for g in args.grid.split(",")]
     v_grid = [g.strip() for g in args.v_grid.split(",")] if args.v_grid else grid
-    table = limit_order_table(args.ideal, grid, v_grid)
+    table = limit_order_table(args.ideal,
+                              [_flag_value("--grid", parse_exponent, g) for g in grid],
+                              [_flag_value("--v-grid", parse_exponent, g) for g in v_grid])
     if args.json:
         payload = {"ideal": args.ideal, "u_grid": grid, "v_grid": v_grid,
                    "table": table.tolist()}
@@ -131,7 +147,11 @@ def _cmd_fit(args) -> int:
     points = []
     for chunk in args.points.split(","):
         n, _, v = chunk.partition(":")
-        points.append((float(n), float(v)))
+        try:
+            points.append((float(n), float(v)))
+        except ValueError:
+            raise ValueError(f"--points takes a comma list of n:value pairs, "
+                             f"got {args.points!r}") from None
     fit = fit_exponent(points)
     _emit(args, {"slope": fit.slope, "intercept": fit.intercept,
                  "max_rel_residual": fit.max_rel_residual},
@@ -151,7 +171,7 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
     if args.seed is None:
         raise ConfigError("--seed (or --config) is required")
     if getattr(args, "n_grid", None):
-        data["n_grid"] = tuple(int(x) for x in args.n_grid.split(","))
+        data["n_grid"] = _int_list("--n-grid", args.n_grid)
     if getattr(args, "pairs", None):
         pairs = []
         for chunk in args.pairs.split(","):

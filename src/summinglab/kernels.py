@@ -3,7 +3,7 @@
 ``schatten_norm_batch`` reduces a dense stack by one batched SVD and
 ``lp_norms`` of the singular values, at every exponent. The Monte Carlo
 loop (``systems._mc_second_moment``) forms no such stack from Gaussian
-rows: its one Schatten family, the full grid of matrix units, draws
+rows: on S_v^n, the space the full grid of matrix units spans, it draws
 upper-bidiagonal matrices B with the singular values of a Gaussian matrix,
 given by their 2n - 1 entries. ``bidiagonal_traces`` gives tr (B^T B)^2
 and tr (B^T B)^3 of each in O(n): the loop's controls, whose means are

@@ -70,10 +70,14 @@ def parse_exponent(spec) -> Exponent:
     s = str(spec).strip().lower()
     if s in ("inf", "infinity", "oo"):
         return Exponent(0.0)
-    if "/" in s:
-        num, den = s.split("/")
-        return Exponent.from_fraction(int(num), int(den))
-    return Exponent.from_value(float(s))
+    try:
+        if "/" in s:
+            num, den = (int(part) for part in s.split("/", 1))
+        else:
+            value = float(s)
+    except ValueError:
+        raise ValueError(f"cannot parse exponent {spec!r}") from None
+    return Exponent.from_fraction(num, den) if "/" in s else Exponent.from_value(value)
 
 
 def format_exponent(e: Exponent) -> str:
@@ -130,11 +134,16 @@ def schatten_space(u, n: int) -> SpaceDescriptor:
 def parse_space(spec: str) -> SpaceDescriptor:
     """Parse 'l2:16' or 's4/3:8' style descriptors."""
     s = spec.strip().lower()
+    unparsed = f"cannot parse space descriptor {spec!r} (expected e.g. 'l2:16', 's1:8')"
     if ":" not in s or s[0] not in ("l", "s"):
-        raise ValueError(f"cannot parse space descriptor {spec!r} (expected e.g. 'l2:16', 's1:8')")
+        raise ValueError(unparsed)
     head, _, dim = s.partition(":")
     kind = SpaceKind.SEQUENCE if head[0] == "l" else SpaceKind.SCHATTEN
-    return SpaceDescriptor(kind, int(dim), parse_exponent(head[1:]))
+    try:
+        dim = int(dim)
+    except ValueError:
+        raise ValueError(unparsed) from None
+    return SpaceDescriptor(kind, dim, parse_exponent(head[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +161,9 @@ def norms_of_stack(flat_rows: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     Sequence spaces and S_2 (the Frobenius norm, no SVD) reduce the entry
     magnitudes. Other Schatten spaces go to ``schatten_norm_batch``, one
     batched SVD. The Monte Carlo loop (``systems._mc_second_moment``) calls
-    it once per MC_BLOCK-row block, on a pool thread, with the Gaussian
-    coefficients of the l_v^m basis it reduces a sequence family as; it
-    reduces a Schatten space's full grid, its one Schatten family, from
-    bidiagonal chi draws in ``kernels`` instead. The character average
+    it on l_v^m, once per MC_BLOCK-row block of standard Gaussian rows, on a
+    pool thread; on S_v^n it reduces bidiagonal chi draws in ``kernels``
+    instead. The character average
     (``systems._group_norms``) calls it on the full grid's or a dense
     family's values at the group's points.
     """

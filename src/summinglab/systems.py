@@ -6,21 +6,24 @@ and columns span (``spaces.sequence_copy``), and a Schatten space's full
 grid; it refuses any other Schatten unit family. Character systems
 integrate exactly: a sequence family by the modulus-one closed form, the
 full grid and dense families by the normalized counting average over the
-group. The Gaussian system integrates by seeded Monte Carlo, in one loop
-whose MC_BLOCK-row blocks are drawn and reduced on a pool of at most
-``MC_WIDTH`` threads, each from its own substream, one pool task per run
-of consecutive blocks, and whose sums are added in block order, so the
-result depends neither on the core count nor on how blocks are grouped in
-runs. A sequence family is drawn as the l_v^m basis; the full grid draws
-each sample as the 2n - 1 chi entries of a bidiagonal B with a Gaussian
-matrix's singular values, and at S_inf a run's blocks are reduced
-together. Every control variate has an exactly known mean (``_controls``):
-the squared Frobenius norm; on the full grid tr T^2 and tr T^3 of
-T = B^T B too (real-Wishart moments), and on sequence spaces up to v = 4
-||x||_v^v. From 1024 samples on, the estimate is the sample mean corrected
-along the least-squares regression on them, dropping the last control
-where the fit fails, and below it the plain mean (``_mc_second_moment``).
-On top of the systems sit the Lambda(p)-constant and Sidon-constant
+group. On the Gaussian system, where no closed form applies,
+``second_moment`` reduces the family to a space once: sum_i g_i x_i is
+the standard Gaussian vector of S_v^n for the full grid, and s^(1/v) times
+that of l_v^m for m blocks of s ones. The Monte Carlo loop
+(``_mc_second_moment``) takes that space and integrates ||g||^2 over it,
+in MC_BLOCK-row blocks drawn and reduced on a pool of at most ``MC_WIDTH``
+threads, each from its own substream, one pool task per run of
+consecutive blocks, whose moments are added in block order, so the result
+depends neither on the core count nor on how blocks are grouped in runs.
+On l_v^m a sample is a Gaussian row; on S_v^n it is the 2n - 1 chi
+entries of a bidiagonal B with a Gaussian matrix's singular values, and
+at S_inf a run's blocks are reduced together. Every control variate has
+an exactly known mean (``_controls``): the squared Frobenius norm; on
+S_v^n tr T^2 and tr T^3 of T = B^T B too (real-Wishart moments), and on
+l_v^m up to v = 4 ||g||_v^v. From 1024 samples on, the estimate is the
+sample mean corrected along the least-squares regression on them,
+dropping the last control where the fit fails, and below it the plain
+mean. On top of the systems sit the Lambda(p)-constant and Sidon-constant
 estimators: nonconvex maximizations shipped as ascent-with-restarts
 giving certified lower bounds.
 """
@@ -199,16 +202,6 @@ MC_WIDTH = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _draws_bidiagonal(space: SpaceDescriptor) -> bool:
-    """Whether a Monte Carlo block on ``space`` draws bidiagonals: on a Schatten space.
-
-    There the loop's family is the full grid, which turns a Gaussian row
-    into an n x n Gaussian matrix; ``rng.gaussian_bidiagonal`` draws its
-    singular values in 2n - 1 chi variates instead of n^2 normals.
-    """
-    return space.kind is SpaceKind.SCHATTEN
-
-
 # Bytes to which taking more blocks per pool task may grow a thread's
 # projected working set: four S_inf bidiagonal blocks at n = 64 (1.98 MB),
 # whose iteration then acts on about a thousand rows a numpy call. Not a
@@ -224,7 +217,7 @@ def _runs_spectral(space: SpaceDescriptor) -> bool:
     the rows it reduces at once; every other route reduces each block as it
     is drawn.
     """
-    return _draws_bidiagonal(space) and space.exponent.value == np.inf
+    return space.kind is SpaceKind.SCHATTEN and space.exponent.value == np.inf
 
 
 def _mc_working_set(space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
@@ -233,14 +226,13 @@ def _mc_working_set(space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
     For a pool task of ``run`` blocks: its slot, an MC_BLOCK-row block of
     what it draws and, per matrix, the block's moment rows (a one, the
     squared norm and at most three controls); and the kernel's arrays,
-    rounded up to whole rows. On a sequence space, the l_v^m basis the loop
-    reduces, rows of flat_dim: the drawn block, and a magnitude and a scaled
-    copy of it for the norm. On a Schatten space, the full grid, rows of its
-    2n - 1 chi entries at S_4 and S_inf, and ``bidiagonal_traces`` at most
-    three n-entry arrays and 128 more entries per matrix (numpy's buffers
-    for its reductions). At S_inf, the ``SpectralRun`` holds 2n + 1 entries
-    per matrix of the run and the slot its moment rows per matrix of the
-    run, until the run's norms are taken; on top, either the temporaries of
+    rounded up to whole rows. On l_v^m, rows of m: the drawn block, and a
+    magnitude and a scaled copy of it for the norm. On S_v^n, whose samples
+    are bidiagonals, rows of their 2n - 1 chi entries at S_4 and S_inf, and
+    ``bidiagonal_traces`` at most three n-entry arrays and 128 more entries
+    per matrix (numpy's buffers for its reductions). At S_inf, the
+    ``SpectralRun`` holds 2n + 1 entries per matrix of the run and the slot
+    its moment rows per matrix of the run, until the run's norms are taken; on top, either the temporaries of
     appending a block (3n + 128 entries per matrix of the block: three
     n-entry arrays, and numpy's buffers for the strided operands or the
     traces' reductions) or the Laguerre iteration's (48 + n/8 entries per
@@ -249,10 +241,11 @@ def _mc_working_set(space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
     exponent, rows of flat_dim for the draws, the traces' temporaries, the
     materialized block and one block more for the copy of it that the SVD
     takes. Only the S_inf route grows with ``run``: the others reduce each
-    block in the slot before they draw the next.
+    block in the slot before they draw the next. numpy's ufunc staging
+    buffers are not counted here but by ``_mc_width``.
     """
     flat, moments = space.flat_dim, 2 + 3
-    if not _draws_bidiagonal(space):
+    if space.kind is SpaceKind.SEQUENCE:
         return MC_BLOCK + -(-moments * MC_BLOCK // flat) + 2 * MC_BLOCK, flat
     n, entries = space.dim, 2 * space.dim - 1
     traces = (3 * n + 128) * MC_BLOCK
@@ -267,26 +260,36 @@ def _mc_working_set(space: SpaceDescriptor, run: int = 1) -> tuple[int, int]:
             + 2 * MC_BLOCK), flat
 
 
+# Entries of numpy's ufunc staging buffers that a working set allows, a
+# Monte Carlo thread's or an ascent's: np.getbufsize() per operand a
+# broadcasting or casting ufunc stages, for up to three operands. The
+# sequence reduction's ``mags / peak`` stages one: a tracemalloc of it on a
+# 256 x 32 block peaked at 134 kB, against the 66 kB of its result.
+_STAGED = 3 * np.getbufsize()
+
+
 def _mc_width(space: SpaceDescriptor, samples: int) -> tuple[int, int]:
     """(threads, blocks per pool task) for one Monte Carlo loop, checked against MAX_ARRAY_BYTES.
 
     Threads: at most MC_WIDTH, the number of MC_BLOCK-row blocks, and as
-    many as ``_mc_working_set`` of one block fits under the cap; a working
-    set over the cap even at width 1 is refused before any allocation. A
-    task then takes a run of as many consecutive blocks as keep its working
-    set within MC_RUN_BYTES (at least one), and at most a 2 * width-th of
-    the blocks, so that every thread gets work.
+    many as ``_mc_working_set`` of one block and ``_STAGED`` entries, in
+    whole rows, fit under the cap; a working set over the cap even at width
+    1 is refused before any allocation. A task then takes a run of as many
+    consecutive blocks as keep its working set, without the staged entries,
+    within MC_RUN_BYTES (at least one), and at most a 2 * width-th of the
+    blocks, so that every thread gets work.
     """
     blocks = -(-samples // MC_BLOCK)
     rows, length = _mc_working_set(space)
+    staged = -(-_STAGED // length)
     cap = MAX_ARRAY_BYTES // (length * 8)
-    width = max(1, min(MC_WIDTH, blocks, cap // rows))
+    width = max(1, min(MC_WIDTH, blocks, cap // (rows + staged)))
     run = 1
     while (run < -(-blocks // (2 * width))
            and _mc_working_set(space, run + 1)[0] * length * 8 <= MC_RUN_BYTES):
         run += 1
     check_array_bytes("Monte Carlo chunk working set",
-                      (width * _mc_working_set(space, run)[0], length), np.float64)
+                      (width * (_mc_working_set(space, run)[0] + staged), length), np.float64)
     return width, run
 
 
@@ -312,23 +315,6 @@ def _gaussian_abs_moment(v: float) -> float:
     return 2.0 ** (v / 2) * math.gamma((v + 1) / 2) / math.sqrt(math.pi)
 
 
-def _power_mean(family: UnitFamily) -> float | None:
-    """E ||sum_i g_i x_i||_v^v over standard Gaussian g for a sequence family, or None.
-
-    The power is s sum_i |g_i|^v, of mean ``size`` E|g|^v (3 size at
-    v = 4), a control of the loop. None above v = 4, where the mean rests on
-    ever rarer large draws: at 2000 samples the fit's bias measured
-    0.17-0.2 standard deviations at v = 6 and 8 for a variance cut of 1.5x
-    and 1.2x, and its two-sigma coverage 0.8 at v = 16. None on a Schatten
-    space too: the full grid's controls are its traces (``_controls``).
-    """
-    space = family.space
-    v = space.exponent.value
-    if space.kind is SpaceKind.SEQUENCE and v <= 4:
-        return family.elements.size * _gaussian_abs_moment(v)
-    return None
-
-
 def _trace_means(n: int) -> tuple[int, int, int]:
     """E tr W, E tr W^2 and E tr W^3 of the real Wishart W = G^T G of an n x n Gaussian G.
 
@@ -338,26 +324,30 @@ def _trace_means(n: int) -> tuple[int, int, int]:
     return n * n, n * n * (2 * n + 1), n * n * (5 * n * n + 6 * n + 4)
 
 
-def _controls(family: UnitFamily) -> tuple[float, np.ndarray]:
-    """(shift of Y, exact means of the controls) of the Monte Carlo loop on a family.
+def _controls(space: SpaceDescriptor) -> tuple[float, np.ndarray]:
+    """(shift of Y, exact means of the controls) of the Monte Carlo loop on ``space``.
 
-    Every sample's first control is C, its squared Frobenius norm, of mean
-    ``family.elements.size``. The full grid's bidiagonal B adds tr T^2 and
-    tr T^3 of T = B^T B (``_trace_means``); Y is shifted by Gordon's
-    (2 sqrt n)^2 = 4n at S_inf and by E tr T^2 ^ (1/2) at S_4. A sequence
-    family adds Z = ||x||_v^v where ``_power_mean`` closes its mean, and
-    shifts Y by that mean's power 2/v; else Y is not shifted.
+    Every sample's first control is C, the sum of its squared coordinates
+    (on S_v^n the Frobenius norm, which the bidiagonal keeps), of mean
+    ``space.flat_dim``. On S_v^n the bidiagonal B adds tr T^2 and tr T^3 of
+    T = B^T B (``_trace_means``); Y is shifted by Gordon's (2 sqrt n)^2 = 4n
+    at S_inf and by E tr T^2 ^ (1/2) at S_4. On l_v^m up to v = 4,
+    Z = ||g||_v^v is a control, of mean m E|g|^v (3m at v = 4), and Y is
+    shifted by that mean's power 2/v. Above v = 4 Z's mean rests on ever
+    rarer large draws: at 2000 samples the fit's bias measured 0.17-0.2
+    standard deviations at v = 6 and 8 for a variance cut of 1.5x and 1.2x,
+    and its two-sigma coverage 0.8 at v = 16; there C is the one control,
+    and Y is not shifted.
     """
-    space = family.space
     v = space.exponent.value
-    if _draws_bidiagonal(space):
+    if space.kind is SpaceKind.SCHATTEN:
         means = _trace_means(space.dim)
         return ({4.0: means[1] ** 0.5, np.inf: 4.0 * space.dim}.get(v, 0.0),
                 np.array(means, dtype=float))
-    mu_c, mu_z = float(family.elements.size), _power_mean(family)
-    if mu_z is None:
-        return 0.0, np.array([mu_c])
-    return mu_z ** (2 / v), np.array([mu_c, mu_z])
+    if v > 4:
+        return 0.0, np.array([float(space.flat_dim)])
+    mu_z = space.dim * _gaussian_abs_moment(v)
+    return mu_z ** (2 / v), np.array([float(space.flat_dim), mu_z])
 
 
 def _block_moments(block, shift: float, means) -> np.ndarray:
@@ -371,13 +361,13 @@ def _block_moments(block, shift: float, means) -> np.ndarray:
     return np.einsum("ik,jk->ij", block, block)
 
 
-def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shift,
+def _run_sums(space: SpaceDescriptor, seed, first: int, counts, slots, one_pass, shift,
               means) -> list[np.ndarray]:
     # On a pool thread: draw blocks first, first + 1, ... (counts[i] rows for
-    # block first + i) into a free slot in turn, as bidiagonals or as the
-    # l_v^m basis's coefficient rows, and write each block's columns of the
+    # block first + i) into a free slot in turn, as bidiagonals on S_v^n or
+    # as Gaussian rows of l_v^m, and write each block's columns of the
     # slot's moment rows (1, Y, controls): C (the sum of squares of the chi
-    # row, or of the coefficient row) before the kernel runs; a bidiagonal's
+    # row, or of the Gaussian row) before the kernel runs; a bidiagonal's
     # tr T^2 and tr T^3, whose square root at S_4 is Y; and Z = Y^(v/2) where
     # it is a control. Each block is then reduced to its moments
     # (``_block_moments``). At S_inf the bidiagonal blocks go to the slot's
@@ -387,13 +377,13 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shi
     # waits.
     slot = rows, spectral, moments = slots.get()
     try:
-        space, sums, held = family.space, [], 0
+        sums, held = [], 0
         v = space.exponent.value
         for index, count in enumerate(counts, first):
             rng = make_rng(substream(seed, index))
             block = moments[:, held:held + count]
             y, c = block[1], block[2]
-            if _draws_bidiagonal(space):
+            if space.kind is SpaceKind.SCHATTEN:
                 n = space.dim
                 chis = gaussian_bidiagonal(rng, count, n, out=rows[:count])
                 np.einsum("ij,ij->i", chis, chis, out=c)
@@ -408,7 +398,7 @@ def _run_sums(family: UnitFamily, seed, first: int, counts, slots, one_pass, shi
                 else:
                     np.square(bidiagonal_schatten_norms(diag, sup, v), out=y)
             else:
-                drawn = standard_gaussians(rng, (count, family.size), out=rows[:count])
+                drawn = standard_gaussians(rng, (count, space.dim), out=rows[:count])
                 np.einsum("ij,ij->i", drawn, drawn, out=c)
                 np.square(norms_of_stack(drawn, space), out=y)
                 if len(means) == 2:
@@ -466,61 +456,51 @@ def _controlled_moment(moments, shift: float = 0.0) -> tuple[float, float]:
             return float(value), math.sqrt(var / n)
 
 
-def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
-    """(E ||sum_i g_i x_i||^2)^(1/2) over standard Gaussian rows g, x = family.
+def _mc_second_moment(space: SpaceDescriptor, samples: int, seed) -> NormEstimate:
+    """(E ||g||^2)^(1/2) of the standard Gaussian vector g of ``space``, l_v^m or S_v^n.
 
-    Block k is MC_BLOCK samples drawn from ``substream(seed, k)``. A
-    sequence family of m disjoint blocks of s ones spans s^(1/v) times the
-    l_v^m basis, whose value and stderr it takes, scaled: the same
-    (count, m) draws, with no gather to n columns. A Schatten family is the
-    full grid (``second_moment`` refuses any other), which draws, per
-    sample, the 2n - 1 chi entries of a bidiagonal B with the singular
-    values of the Gaussian matrix sum_i g_i x_i, reduced at S_4 by
-    ``bidiagonal_traces``, at S_inf by a ``kernels.SpectralRun`` and at any
-    other exponent by ``bidiagonal_schatten_norms``. One pool task per run
-    of consecutive blocks, on ``_mc_width`` threads with its run length,
-    draws each block into a free slot, writes each sample's
-    Y = ||sum_i g_i x_i||^2 and its controls there, and reduces the block
-    to its moments (``_run_sums``). Every control has an exact mean
-    (``_controls``): the squared Frobenius norm C, of mean
-    ``family.elements.size`` (n^2 for a grid, whose bidiagonal keeps the
-    Frobenius norm); on the full grid tr T^2 and tr T^3 of T = B^T B,
-    computed in O(n) from the tridiagonal the kernels form, the S_4 value
-    being (tr T^2)^(1/2); on a sequence space Z = ||x||_v^v where
-    ``_power_mean`` closes its mean. At S_inf the task appends each
-    bidiagonal block to the slot's SpectralRun, keeps its moment rows in
-    the slot, and reduces the run in one Laguerre pass, whose numpy calls
-    then act on the run's rows instead of one block's (numpy's Philox and
-    gamma fills and LAPACK release the GIL). There is one slot per thread,
-    allocated once per call, so nothing block-sized is allocated inside the
-    loop but the kernel's temporaries. The caller keeps at most two tasks
-    per thread in flight and adds each block's moments in block order, so
-    the result is the same float however the tasks interleave and however
-    the blocks are grouped into runs. From MC_CONTROL_SAMPLES samples on,
-    the mean of Y is estimated as Ybar - beta . (Bbar - mu), with beta the
-    coefficients of Y on the k controls B from their k x k normal equations
-    and the regression's residual variance over samples - k - 1
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
-    section 4.1). Where the controls' covariance is not positive definite
-    (one a line in the others) or the corrected mean is not positive, the
-    last control is dropped and the fit taken again; with none left, and
-    under MC_CONTROL_SAMPLES samples, it is the plain mean with its
-    variance over samples - 1 (``_controlled_moment``). The value is a
-    Monte Carlo estimate, so it is ``lower`` with a standard error (delta
-    method on the square root).
+    Block k is MC_BLOCK samples drawn from ``substream(seed, k)``. On l_v^m
+    a sample is a row of m standard Gaussians. On S_v^n it is the 2n - 1
+    chi entries of a bidiagonal B with the singular values of an n x n
+    Gaussian matrix (``rng.gaussian_bidiagonal``: 2n - 1 variates instead of
+    n^2), reduced at S_4 by ``bidiagonal_traces``, at S_inf by a
+    ``kernels.SpectralRun`` and at any other exponent by
+    ``bidiagonal_schatten_norms``. One pool task per run of consecutive
+    blocks, on ``_mc_width`` threads with its run length, draws each block
+    into a free slot, writes each sample's Y = ||g||^2 and its controls
+    there, and reduces the block to its moments (``_run_sums``). Every
+    control has an exact mean (``_controls``): C = ||g||_2^2 of the
+    coordinates (the squared Frobenius norm, which B keeps); on S_v^n
+    tr T^2 and tr T^3 of T = B^T B, computed in O(n) from the tridiagonal
+    the kernels form, the S_4 value being (tr T^2)^(1/2); on l_v^m up to
+    v = 4, Z = ||g||_v^v. At S_inf the task appends each block to the
+    slot's SpectralRun, keeps its moment rows in the slot, and reduces the
+    run in one Laguerre pass, whose numpy calls then act on the run's rows
+    instead of one block's (numpy's Philox and gamma fills and LAPACK
+    release the GIL). There is one slot per thread, allocated once per
+    call, so nothing block-sized is allocated inside the loop but the
+    kernel's temporaries. The caller keeps at most two tasks per thread in
+    flight and, as it takes each task's result, adds each block's moments
+    to one running total in block order, so the result is the same float
+    however the tasks interleave and however the blocks are grouped into
+    runs. From MC_CONTROL_SAMPLES samples on, the mean of Y is estimated as
+    Ybar - beta . (Bbar - mu), with beta the coefficients of Y on the k
+    controls B from their k x k normal equations and the regression's
+    residual variance over samples - k - 1 (Glasserman, Monte Carlo Methods
+    in Financial Engineering, 2003, section 4.1). Where the controls'
+    covariance is not positive definite (one a line in the others) or the
+    corrected mean is not positive, the last control is dropped and the fit
+    taken again; with none left, and under MC_CONTROL_SAMPLES samples, it
+    is the plain mean with its variance over samples - 1
+    (``_controlled_moment``). The value is a Monte Carlo estimate, so it is
+    ``lower`` with a standard error (delta method on the square root).
     """
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo integration")
     if samples < 2:
         raise ValueError(f"Monte Carlo integration needs >= 2 samples for a stderr, got {samples}")
-    scale = 1.0
-    if family.space.kind is SpaceKind.SEQUENCE:
-        scale = _ones_norm(family.elements.shape[1], family.space.exponent)
-        family = UnitFamily(sequence_space(family.space.exponent, family.size),
-                            np.arange(family.size)[:, None])
-    space = family.space
     width, run = _mc_width(space, samples)
-    shift, means = _controls(family)
+    shift, means = _controls(space)
     # imported here: concurrent.futures loads logging and queue, about 5 ms
     # of start-up that the commands without Monte Carlo need not pay
     import queue
@@ -528,7 +508,7 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
 
     # one array per part for all slots: slot i is (drawn rows, S_inf run,
     # moment rows)[i]
-    row = 2 * space.dim - 1 if _draws_bidiagonal(space) else space.flat_dim
+    row = 2 * space.dim - 1 if space.kind is SpaceKind.SCHATTEN else space.dim
     kernel_rows = np.empty((width, MC_BLOCK, row))
     held = run * MC_BLOCK if _runs_spectral(space) else MC_BLOCK
     spectral = ([SpectralRun(space.dim, held) for _ in range(width)]
@@ -544,30 +524,28 @@ def _mc_second_moment(family: UnitFamily, samples: int, seed) -> NormEstimate:
     # threads draw and append their next blocks meanwhile.
     one_pass = threading.Lock()
     blocks = -(-samples // MC_BLOCK)
-    sums = []
+    totals = np.zeros((2 + len(means),) * 2)
     running = deque()  # each run's task, in block order
     pool = ThreadPoolExecutor(width)
     try:
         for first in range(0, blocks, run):
             if len(running) == 2 * width:
-                sums.extend(running.popleft().result())
+                for block in running.popleft().result():
+                    totals += block
             counts = [min(MC_BLOCK, samples - index * MC_BLOCK)
                       for index in range(first, min(first + run, blocks))]
-            running.append(pool.submit(_run_sums, family, seed, first, counts, slots, one_pass,
+            running.append(pool.submit(_run_sums, space, seed, first, counts, slots, one_pass,
                                        shift, means))
         for task in running:
-            sums.extend(task.result())
+            for block in task.result():
+                totals += block
     finally:
         # after an error, drop the queued tasks; the running ones end first
         pool.shutdown(cancel_futures=True)
-    totals = np.zeros_like(sums[0])
-    for block in sums:
-        totals += block
     mean, stderr = _controlled_moment(totals, shift)
     value = float(np.sqrt(mean))
     stderr = float(stderr / (2.0 * value)) if value > 0 else 0.0
-    return NormEstimate(scale * value, Certainty.LOWER, stderr=scale * stderr,
-                        method="mc-gaussian")
+    return NormEstimate(value, Certainty.LOWER, stderr=stderr, method="mc-gaussian")
 
 
 def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, *,
@@ -585,8 +563,12 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
     block by block (``_group_norms``). The caps on the (N, flat_dim) values and the
     (N, size) character table bound what the average computes, a block at
     a time; neither table is formed whole. The Gaussian system takes
-    unit families: blocked Monte Carlo with a reported standard error,
-    except where ``gaussian_closed_form`` gives the value.
+    unit families, and where ``gaussian_closed_form`` does not give the
+    value, reduces the family to the space whose standard Gaussian vector
+    sum_i g_i y_i is: the full grid spans S_v^n, and m blocks of s ones on
+    l_v are s^(1/v) times the l_v^m basis. Blocked Monte Carlo
+    (``_mc_second_moment``) integrates that space, with a reported standard
+    error; a sequence family's value and stderr are scaled by s^(1/v).
     """
     family = sequence_copy(family)
     space, m = family.space, family.size
@@ -611,10 +593,15 @@ def second_moment(system: OrthonormalSystem, family: UnitFamily | VectorSystem, 
 
     if not isinstance(family, UnitFamily):
         raise ValueError("the Gaussian system integrates unit families")
-    exact = gaussian_closed_form(space, *family.elements.shape)
+    size = family.elements.shape[1]
+    exact = gaussian_closed_form(space, m, size)
     if exact is not None:
         return exact
-    return _mc_second_moment(family, samples, seed)
+    if space.kind is SpaceKind.SCHATTEN:
+        return _mc_second_moment(space, samples, seed)
+    est = _mc_second_moment(sequence_space(space.exponent, m), samples, seed)
+    scale = _ones_norm(size, space.exponent)
+    return replace(est, value=scale * est.value, stderr=scale * est.stderr)
 
 
 # Complex entries in the wider table of a block of the group average, the
@@ -678,12 +665,6 @@ class AscentConfig:
 
 def _random_starts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-
-
-# Entries of numpy's ufunc staging buffers that an ascent's working set
-# allows: np.getbufsize() per operand a broadcasting or casting ufunc
-# stages, for up to three operands.
-_STAGED = 3 * np.getbufsize()
 
 
 def _ascent_basis(charset: CharacterSet, restarts: int) -> np.ndarray:

@@ -259,6 +259,28 @@ def test_bad_freqs_name_the_flag_and_the_input(capsys, freqs):
                         f"got '{freqs}'")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["thm2", "--seed", "1", "--n-grid", "8,a,16", "--pairs", "2:2"],
+     "error: --n-grid takes a comma list of integers, got '8,a,16'"),
+    (["fit", "--points", "4:2,16:x"],
+     "error: --points takes a comma list of n:value pairs, got '4:2,16:x'"),
+    (["fit", "--points", "4:2,16"],
+     "error: --points takes a comma list of n:value pairs, got '4:2,16'"),
+    (["lnorm", "--space", "l2:x", "--target", "l4:4", "--seed", "1"],
+     "error: --space: cannot parse space descriptor 'l2:x'"),
+    (["pib", "--space", "l2:4", "--target", "lx:4", "--seed", "1"],
+     "error: --target: cannot parse exponent 'x'"),
+    (["kp", "--group", "16", "--p", "abc", "--seed", "1"],
+     "error: --p: cannot parse exponent 'abc'"),
+    (["limit-order", "--grid", "1,x"], "error: --grid: cannot parse exponent 'x'"),
+    (["limit-order", "--grid", "1,2", "--v-grid", "2,4/y"],
+     "error: --v-grid: cannot parse exponent '4/y'"),
+], ids=["n-grid", "points-value", "points-pair", "space-dim", "target-exponent", "kp-p",
+        "grid", "v-grid"])
+def test_unparsable_values_name_the_flag_and_the_text(capsys, argv, needle):
+    _assert_usage_error(capsys, argv, needle)
+
+
 def test_lnorm_zero_samples_is_usage_error(capsys):
     _assert_argparse_error(capsys, ["lnorm", "--space", "l2:16", "--target", "linf:16",
                                     "--samples", "0", "--seed", "7"],
@@ -480,11 +502,11 @@ def test_lnorm_huge_schatten_target_exponent(capsys):
       "--samples", "16", "--seed", "1"], "Monte Carlo chunk"),
     # the S_3^1024 grid materializes its bidiagonal draws: one block is 2.1
     # GB, and with the chi rows, the moment rows, the traces' temporaries and
-    # the block more for the SVD's copy a thread holds 514 rows of 1048576
-    # (4.02 GiB), over the cap (S_3^520 fits: test_systems' bidiagonal
-    # working set)
+    # the block more for the SVD's copy a thread holds 514 rows of 1048576,
+    # and one more for numpy's staging buffers (4.02 GiB), over the cap
+    # (S_3^520 fits: test_systems' bidiagonal working set)
     (["lnorm", "--space", "s2:1024", "--target", "s3:1024", "--samples", "4096", "--seed", "1"],
-     "Monte Carlo chunk working set of shape (514, 1048576)"),
+     "Monte Carlo chunk working set of shape (515, 1048576)"),
 ], ids=["kp-character-matrix", "pib-grid-family", "pib-group-average", "lnorm-mc-chunk",
         "lnorm-gram-working-set"])
 def test_config_sized_allocation_is_usage_error(capsys, argv, needle):
@@ -540,8 +562,8 @@ def test_kp_even_p_on_a_huge_group_runs(capsys, monkeypatch):
 
 def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     # one l_inf^400000 block is 0.82 GB, under the 2 GiB cap, but a thread's
-    # working set, the block with its moment rows and the reduction's
-    # magnitude and scaled copy, is not: the pool narrows to one thread, and
+    # working set, the block with its moment rows, the reduction's
+    # magnitude and scaled copy and a row for numpy's staging buffers, is not: the pool narrows to one thread, and
     # that is refused before any draw
     def draw(*args, **kwargs):
         raise AssertionError("drew normals before the working-set check")
@@ -552,7 +574,7 @@ def test_mc_working_set_counts_the_pool(capsys, monkeypatch):
     assert rows * flat * 8 < systems.MAX_ARRAY_BYTES
     _assert_usage_error(capsys, ["lnorm", "--space", f"l2:{flat}", "--target", f"linf:{flat}",
                                  "--samples", str(3 * rows), "--seed", "1"],
-                        "Monte Carlo chunk working set of shape (769, 400000)")
+                        "Monte Carlo chunk working set of shape (770, 400000)")
 
 
 def test_bidiagonal_ell_norm_runs_where_dense_blocks_would_not(capsys):

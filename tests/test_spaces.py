@@ -45,6 +45,27 @@ def test_parse_exponent_forms():
     assert parse_space("s4/3:8") == schatten_space("4/3", 8)
 
 
+@pytest.mark.parametrize("text", ["abc", "", "4/", "a/3", "4/3/2"])
+def test_unparsable_exponent_names_the_text(text):
+    with pytest.raises(ValueError, match=f"^cannot parse exponent {text!r}$"):
+        parse_exponent(text)
+
+
+def test_parse_errors_keep_their_reasons():
+    # a parsed exponent or dimension out of range says why, not that it did
+    # not parse; an unparsable dimension names the descriptor
+    with pytest.raises(ValueError, match="positive denominator"):
+        parse_exponent("1/0")
+    with pytest.raises(ValueError, match="u >= 1"):
+        parse_exponent("0.5")
+    with pytest.raises(ValueError, match="^cannot parse space descriptor 'l2:x' "):
+        parse_space("l2:x")
+    with pytest.raises(ValueError, match="^cannot parse exponent 'x'$"):
+        parse_space("lx:4")
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        parse_space("l2:0")
+
+
 # ---------------------------------------------------------------------------
 # element norms and singular values
 # ---------------------------------------------------------------------------

@@ -251,7 +251,11 @@ def test_unit_family_gather_matches_dense_product():
         if space.kind is SpaceKind.SCHATTEN and fam.size == space.flat_dim:
             value, stderr = _bidiagonal_second_moment(space, samples, 31)
         else:
-            mu_z = systems._power_mean(sequence_copy(replace(fam, space=space)))
+            # m blocks of s ones: ||x||_v^v = s ||g||_v^v, a control where the
+            # loop takes ||g||_v^v on l_v^m as one (``_controls``)
+            m, s = sequence_copy(replace(fam, space=space)).elements.shape
+            means = systems._controls(sequence_space(space.exponent, m))[1]
+            mu_z = s * means[1] if len(means) == 2 else None
             value, stderr = _dense_second_moment(dense, space, samples, 31, mu_z)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)

@@ -244,7 +244,7 @@ def test_second_moment_gaussian_exact_and_mc():
     assert exact.value == pytest.approx(np.sqrt(n), rel=1e-14)
     # on l_2 the squared norm is its own Frobenius control, so the
     # controlled mean is n up to rounding
-    mc = _mc_second_moment(_basis(space, n), 20_000, 5)
+    mc = _mc_second_moment(space, 20_000, 5)
     assert mc.certainty is Certainty.LOWER
     assert mc.value == pytest.approx(np.sqrt(n), rel=1e-12)
 
@@ -253,7 +253,7 @@ def test_second_moment_gaussian_exact_and_mc():
 def test_second_moment_gaussian_linf2_is_its_closed_form(seed):
     # E max(g_1^2, g_2^2) = 1 + E|g_1^2 - g_2^2| / 2 = 1 + 2/pi; the control
     # g_1^2 + g_2^2 is not the squared norm, so a stderr is left
-    mc = _mc_second_moment(_basis(sequence_space("inf", 2), 2), 20_000, seed)
+    mc = _mc_second_moment(sequence_space("inf", 2), 20_000, seed)
     assert mc.stderr > 0
     assert abs(mc.value - math.sqrt(1 + 2 / math.pi)) <= 3 * mc.stderr
 
@@ -395,18 +395,16 @@ def _controlled_moment(y, controls, means):
 def _gathered_moment(family, u, samples, seed):
     """(value, stderr) of the Monte Carlo loop's Gaussian rows, gathered into
     dense matrices block by block, reduced by ``_svd_norms`` and controlled
-    by the matrices' squared Frobenius norms and, where the l_u^m basis that
-    the units are a copy of has a closed-form E ||X||_u^u, by the sum of the
-    singular values' u-th powers."""
+    by the matrices' squared Frobenius norms and, where the loop takes
+    E ||g||_u^u on the l_u^m that the units are a copy of as a control
+    (``_controls``), by the sum of the singular values' u-th powers."""
     mats = np.concatenate([
         _unit_matrices(family, standard_gaussians(
             make_rng(substream(seed, k)), (min(MC_BLOCK, samples - start), family.size)))
         for k, start in enumerate(range(0, samples, MC_BLOCK))])
     norms, p = _svd_norms(mats, u), parse_exponent(u).value
-    mu_z = systems._power_mean(spaces.sequence_copy(family))
-    controls, means = [np.sum(mats ** 2, axis=(1, 2))], [family.size]
-    if mu_z is not None:
-        controls, means = controls + [norms ** p], means + [mu_z]
+    means = list(systems._controls(sequence_space(u, family.size))[1])
+    controls = [np.sum(mats ** 2, axis=(1, 2)), norms ** p][:len(means)]
     return _controlled_moment(norms ** 2, controls, means)
 
 
@@ -497,23 +495,27 @@ def _mc_family(space, kind):
     return _basis(space, space.flat_dim)
 
 
-def _serial_second_moment(family, samples, seed):
-    """The one-thread Monte Carlo loop: draw and reduce each block in turn
-    into the rows (1, Y, controls): each row's squared Frobenius norm, a
-    bidiagonal's tr T^2 and tr T^3 (a Schatten space's full grid draws
-    bidiagonal chi entries, reduced at S_inf by a one-block SpectralRun), or
-    ||x||_v^v where that has a closed-form mean; shifted as the loop shifts
-    them, summed block by block in the loop's own float order and fitted by
-    ``systems._controlled_moment``. A sequence family of m blocks of s ones
-    is s^(1/v) times the l_v^m basis."""
-    space = family.space
+def _mc_space(space, kind):
+    """The space whose standard Gaussian vector the Monte Carlo loop
+    integrates for ``_mc_family(space, kind)``: S_v^n for the full grid,
+    else l_v^m for its m elements (the diagonal units span the l_v^n basis,
+    and m blocks of s ones s^(1/v) times it)."""
+    family = _mc_family(space, kind)
+    if family.size == space.flat_dim:
+        return space
+    return sequence_space(space.exponent, family.size)
+
+
+def _serial_second_moment(space, samples, seed):
+    """The one-thread Monte Carlo loop on ``space``: draw and reduce each
+    block in turn into the rows (1, Y, controls): each row's squared
+    Frobenius norm, a bidiagonal's tr T^2 and tr T^3 (S_v^n draws bidiagonal
+    chi entries, reduced at S_inf by a one-block SpectralRun), or ||g||_v^v
+    where that has a closed-form mean; shifted as the loop shifts them,
+    summed block by block in the loop's own float order and fitted by
+    ``systems._controlled_moment``."""
     v = space.exponent.value
-    if space.kind is SpaceKind.SEQUENCE and family.size < space.flat_dim:
-        value, stderr = _serial_second_moment(_basis(sequence_space(v, family.size), family.size),
-                                              samples, seed)
-        scale = float(family.elements.shape[1]) ** (1.0 / v)
-        return scale * value, scale * stderr
-    shift, means = systems._controls(family)
+    shift, means = systems._controls(space)
     totals = 0.0
     for index, start in enumerate(range(0, samples, MC_BLOCK)):
         count = min(MC_BLOCK, samples - start)
@@ -534,7 +536,7 @@ def _serial_second_moment(family, samples, seed):
             else:
                 block[1] = bidiagonal_schatten_norms(chis[:, :n], chis[:, n:], v) ** 2
         else:
-            rows = standard_gaussians(rng, (count, family.size))
+            rows = standard_gaussians(rng, (count, space.dim))
             block[2] = np.einsum("ij,ij->i", rows, rows)
             block[1] = norms_of_stack(rows, space) ** 2
             if len(means) == 2:
@@ -577,18 +579,32 @@ def test_pooled_mc_loop_equals_serial_loop(monkeypatch, space, family, samples, 
     # the same floats as the one-thread loop, value and stderr, also with
     # more threads than cores and a short switch interval
     monkeypatch.setattr(systems, "MC_WIDTH", width)
-    family = _mc_family(space, family)
+    space = _mc_space(space, family)
     if space.dim == 16:
         runs = {1: 11, 2: 6, 4: 3}[width]
         assert systems._mc_width(space, samples) == (width, runs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        est = _mc_second_moment(family, samples, 13)
+        est = _mc_second_moment(space, samples, 13)
     finally:
         sys.setswitchinterval(interval)
-    value, stderr = _serial_second_moment(family, samples, 13)
+    value, stderr = _serial_second_moment(space, samples, 13)
     assert (est.value, est.stderr) == (value, stderr)
+
+
+def test_block_family_is_the_scaled_basis_bit_for_bit():
+    # three blocks of two ones on l_4^12 are 2^(1/4) times the l_4^3 basis:
+    # second_moment scales the loop's value and stderr on l_4^3, the same
+    # floats as that call, also over a partial last block
+    samples, seed = 8 * MC_BLOCK + 5, 13
+    family = _mc_family(sequence_space(4, 12), "blocks")
+    assert family.elements.shape == (3, 2)
+    est = second_moment(gaussian_system(), family, samples=samples, seed=seed)
+    basis = _mc_second_moment(sequence_space(4, 3), samples, seed)
+    scale = 2.0 ** (1 / 4)
+    assert (est.value, est.stderr) == (scale * basis.value, scale * basis.stderr)
+    assert est.method == basis.method == "mc-gaussian"
 
 
 @pytest.mark.parametrize("space,elements,controls", [
@@ -731,32 +747,25 @@ def test_trace_means_are_the_bidiagonal_draws_means(n):
 @pytest.mark.parametrize("v", [1, "4/3", 3, 4, 6])
 def test_power_mean_of_sequence_families(v):
     # E|g|^v against the mean of 400 000 fixed-seed draws of |g|^v, within 4
-    # stderr ((v - 1)!! exactly at even v); the power mean of a family of
-    # blocks of s ones is size E|g|^v up to v = 4, and none above
+    # stderr ((v - 1)!! exactly at even v); on l_v^m the loop's controls are
+    # C, of mean m, and up to v = 4 Z = ||g||_v^v, of mean m E|g|^v, by whose
+    # power 2/v Y is shifted; above v = 4 C alone, and no shift
     p = parse_exponent(v).value
     draws = np.abs(np.random.default_rng(23).standard_normal(400_000)) ** p
     moment = systems._gaussian_abs_moment(p)
     assert abs(moment - draws.mean()) <= 4 * draws.std() / math.sqrt(draws.size)
     if p % 2 == 0:
         assert moment == math.prod(range(1, int(p), 2))
-    for family in (UnitFamily(sequence_space(v, 5), np.arange(5)[:, None]),
-                   UnitFamily(sequence_space(v, 12), np.arange(0, 12, 2).reshape(-1, 2))):
-        assert systems._power_mean(family) == (family.elements.size * moment if p <= 4
-                                               else None)
-    assert systems._power_mean(UnitFamily(sequence_space("inf", 5),
-                                          np.arange(5)[:, None])) is None
-
-
-def test_power_mean_of_a_block_family_is_its_monte_carlo_mean():
-    # three blocks of two ones on the even coordinates of l_4^12:
-    # ||sum_i g_i x_i||_4^4 = 2 sum_i g_i^4, of mean 2 * 3 * 3
-    family = _mc_family(sequence_space(4, 12), "blocks")
-    g = np.random.default_rng(29).standard_normal((200_000, family.size))
-    dense = np.zeros((family.size, 12))
-    dense[np.arange(family.size)[:, None], family.elements] = 1.0
-    z = np.sum(np.abs(g @ dense) ** 4, axis=1)
-    assert systems._power_mean(family) == 18.0
-    assert abs(18.0 - z.mean()) <= 4 * z.std() / math.sqrt(z.size)
+    for m in (5, 12):
+        shift, means = systems._controls(sequence_space(v, m))
+        if p <= 4:
+            assert means.tolist() == [m, m * moment] and shift == (m * moment) ** (2 / p)
+        else:
+            assert means.tolist() == [m] and shift == 0.0
+    shift, means = systems._controls(sequence_space(4, 4))
+    assert means.tolist() == [4, 12] and shift == 12 ** 0.5
+    shift, means = systems._controls(sequence_space("inf", 5))
+    assert means.tolist() == [5] and shift == 0.0
 
 
 @pytest.mark.parametrize("n,elements,mean", [
@@ -767,23 +776,24 @@ def test_power_mean_of_a_block_family_is_its_monte_carlo_mean():
 def test_power_mean_of_schatten_families_at_s4(n, elements, mean):
     # E ||X||_4^4 = E tr (X X^T)^2 of the two Schatten shapes the loop takes,
     # against its mean over fixed-seed draws, within 4 stderr: diagonal units
-    # as their l_4^n copy (3n), over Gaussian units gathered densely, and the
-    # full grid, E tr T^2 = n^2 (2n + 1) (``_trace_means``), over the loop's
-    # bidiagonal draws; ``_power_mean`` closes sequence families only
+    # as the Z control of their l_4^n copy (3n), over Gaussian units
+    # gathered densely, and S_4^n, E tr T^2 = n^2 (2n + 1) (``_trace_means``),
+    # over the loop's bidiagonal draws; S_v^n's controls are its traces at
+    # every v, with no power control
     space = schatten_space(4, n)
     rng = make_rng(31)
     if elements == "grid":
         assert systems._trace_means(n)[1] == mean
         for v in (3, 4):
-            grid = UnitFamily(schatten_space(v, n), np.arange(n * n)[:, None])
-            assert systems._power_mean(grid) is None
+            means = systems._controls(schatten_space(v, n))[1]
+            assert means.tolist() == list(systems._trace_means(n))
         chis = gaussian_bidiagonal(rng, 40_000, n)
         mats = np.zeros((len(chis), n, n))
         mats[:, np.arange(n), np.arange(n)] = chis[:, :n]
         mats[:, np.arange(n - 1), np.arange(1, n)] = chis[:, n:]
     else:
         family = UnitFamily(space, np.array(elements))
-        assert systems._power_mean(spaces.sequence_copy(family)) == mean
+        assert systems._controls(spaces.sequence_copy(family).space)[1][1] == mean
         mats = _unit_matrices(family, standard_gaussians(rng, (200_000, family.size)))
     w = mats @ mats.transpose(0, 2, 1)
     z = np.sum(w * w, axis=(1, 2))
@@ -851,36 +861,41 @@ def test_mc_working_set_of_the_bidiagonal_route():
     assert systems._mc_working_set(sequence_space("inf", 64)) == (788, 64)
 
 
-@pytest.mark.parametrize("space,family,samples", [
-    (schatten_space("inf", 64), "basis", 17 * MC_BLOCK + 1),
-    (sequence_space("inf", 512), "blocks", 32 * MC_BLOCK + 1),
-    (schatten_space(4, 64), "basis", 17 * MC_BLOCK + 1),
-    (schatten_space("inf", 2), "basis", 17 * MC_BLOCK + 1),
-    (schatten_space(3, 16), "basis", 17 * MC_BLOCK + 1),
-    (schatten_space(3, 32), "basis", 5 * MC_BLOCK + 1),
-    (schatten_space(3, 64), "basis", 5 * MC_BLOCK + 1),
-    (schatten_space("inf", 16), "basis", 52 * MC_BLOCK + 1),
+@pytest.mark.parametrize("space,family,samples,threads", [
+    (schatten_space("inf", 64), "basis", 17 * MC_BLOCK + 1, 2),
+    (sequence_space("inf", 512), "blocks", 32 * MC_BLOCK + 1, 2),
+    (schatten_space(4, 64), "basis", 17 * MC_BLOCK + 1, 2),
+    (schatten_space("inf", 2), "basis", 17 * MC_BLOCK + 1, 2),
+    (schatten_space(3, 16), "basis", 17 * MC_BLOCK + 1, 2),
+    (schatten_space(3, 32), "basis", 5 * MC_BLOCK + 1, 2),
+    (schatten_space(3, 64), "basis", 5 * MC_BLOCK + 1, 2),
+    (schatten_space("inf", 16), "basis", 52 * MC_BLOCK + 1, 2),
+    (sequence_space(4, 32), "basis", 32 * MC_BLOCK + 1, 1),
+    (sequence_space(4, 32), "basis", 32 * MC_BLOCK + 1, 2),
 ], ids=["sinf64-basis", "linf-blocks", "s4-64-basis", "sinf2-basis",
-        "s3-16-basis", "s3-32-basis", "s3-64-basis", "sinf16-long-runs"])
-def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples):
+        "s3-16-basis", "s3-32-basis", "s3-64-basis", "sinf16-long-runs",
+        "l4-32-1-thread", "l4-32-2-threads"])
+def test_mc_loop_peak_stays_under_its_projection(monkeypatch, space, family, samples, threads):
     # what numpy allocates during the loop, on every thread, stays under the
     # working set _mc_width checks against the cap for its run length (11
-    # blocks a task for the S_inf^16 grid), and holds at least one block of
-    # the rows the route draws or reduces; a sequence family's are those of
-    # the l_v^m basis it is reduced as
-    monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    family = _mc_family(space, family)
-    reduced = (sequence_space(space.exponent, family.size)
-               if space.kind is SpaceKind.SEQUENCE else space)
-    width, run = systems._mc_width(reduced, samples)
-    rows, length = systems._mc_working_set(reduced, run)
-    _mc_second_moment(family, 2, 5)  # imports on first use are not the loop's
+    # blocks a task for the S_inf^16 grid) with numpy's staging buffers
+    # (``_STAGED`` entries a thread, in whole rows), and holds at least one
+    # block of the rows the route draws or reduces. On l_4^32 the staging
+    # buffer of the norm's ``mags / peak`` (8192 entries) is a third of a
+    # block's working set, above what the block's own rows leave spare
+    monkeypatch.setattr(systems, "MC_WIDTH", threads)
+    space = _mc_space(space, family)
+    width, run = systems._mc_width(space, samples)
+    rows, length = systems._mc_working_set(space, run)
+    rows += -(-systems._STAGED // length)
+    _mc_second_moment(space, 2, 5)  # imports on first use are not the loop's
     tracemalloc.start()
     try:
-        _mc_second_moment(family, samples, 5)
+        _mc_second_moment(space, samples, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert width == threads
     assert MC_BLOCK * length * 8 <= peak <= width * rows * length * 8
 
 
@@ -926,7 +941,7 @@ def test_pool_worker_error_ends_the_call(monkeypatch, at_call):
 
     def call():
         try:
-            _mc_second_moment(_basis(sequence_space("inf", 4), 4), 64 * MC_BLOCK, 3)
+            _mc_second_moment(sequence_space("inf", 4), 64 * MC_BLOCK, 3)
         except RuntimeWarning as exc:
             caught.append(exc)
 
@@ -967,12 +982,12 @@ def test_mc_loop_keeps_at_most_two_blocks_per_thread_in_flight(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(systems, "MC_WIDTH", 2)
-    family = _mc_family(sequence_space("inf", 512), "basis")
-    assert systems._mc_width(family.space, 64 * MC_BLOCK) == (2, 1)
-    est = _mc_second_moment(family, 64 * MC_BLOCK, 3)
+    space = sequence_space("inf", 512)
+    assert systems._mc_width(space, 64 * MC_BLOCK) == (2, 1)
+    est = _mc_second_moment(space, 64 * MC_BLOCK, 3)
     assert not in_flight
     assert 1 <= peak[0] <= 2 * 2  # 2 * width
-    assert (est.value, est.stderr) == _serial_second_moment(family, 64 * MC_BLOCK, 3)
+    assert (est.value, est.stderr) == _serial_second_moment(space, 64 * MC_BLOCK, 3)
 
 
 # ---------------------------------------------------------------------------
