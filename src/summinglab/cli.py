@@ -18,7 +18,7 @@ from .experiments import (ConfigError, ExperimentConfig, RunReport,
 from .limit_order import fit_exponent, limit_order_table
 from .spaces import identity_map, parse_exponent, parse_space
 from .summing import ell_norm_mc, summing_norm_search
-from .systems import (AscentConfig, CharacterSet, character_system,
+from .systems import (MC_CONTROL_SAMPLES, AscentConfig, CharacterSet, character_system,
                       full_character_set, gaussian_system, kp_constant_lower,
                       sidon_constant_lower)
 
@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=_int_at_least(1), default=None,
                    help="cyclic group order (characters)")
     p.add_argument("--freqs", default="full", help="comma list or 'full' (characters)")
-    p.add_argument("--samples", type=_int_at_least(2), default=20_000)
+    p.add_argument("--samples", type=_int_at_least(2), default=20_000,
+                   help="Monte Carlo samples of the leader's report run; candidates "
+                        f"are ranked on min(samples, {MC_CONTROL_SAMPLES})")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     add_json_flag(p)
     p.set_defaults(func=_cmd_pib)

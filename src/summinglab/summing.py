@@ -21,9 +21,9 @@ from .rng import substream
 from .spaces import (Exponent, SpaceDescriptor, SpaceKind, SpaceMap,
                      UnitFamily, VectorSystem, inclusion_norm, parse_exponent,
                      weak_l2_norm)
-from .systems import (OrthonormalSystem, _characters_at, _mc_width, _roots_of_unity,
-                      check_array_bytes, gaussian_closed_form, gaussian_system,
-                      kp_constant_lower, second_moment)
+from .systems import (MC_CONTROL_SAMPLES, OrthonormalSystem, _characters_at,
+                      _mc_second_moment, _roots_of_unity, check_array_bytes,
+                      gaussian_closed_form, kp_constant_lower, second_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -33,22 +33,20 @@ from .systems import (OrthonormalSystem, _characters_at, _mc_width, _roots_of_un
 def ell_norm_mc(space_map: SpaceMap, *, samples: int = 100_000, seed=None) -> NormEstimate:
     """(E ||id g||^2)^(1/2) for an identity with Hilbert domain (l_2^n or S_2^n).
 
-    The Gaussian second moment of the coordinate basis in the codomain:
-    exactly sqrt(flat dimension) when the codomain is Hilbert as well,
-    otherwise Monte Carlo in MC_BLOCK-row blocks with a standard error. The result doubles as a lower bound for
-    the Gaussian-summing norm (coordinate family, weak-l2 norm exactly 1).
+    The Gaussian second moment of the coordinate basis in the codomain, the
+    standard Gaussian vector of the codomain: exactly sqrt(flat dimension)
+    when the codomain is Hilbert as well, otherwise Monte Carlo in
+    MC_BLOCK-row blocks with a standard error, with no basis formed. The
+    result doubles as a lower bound for the Gaussian-summing norm
+    (coordinate family, weak-l2 norm exactly 1).
     """
     if not space_map.domain.exponent.is_hilbert:
         raise ValueError("the ell-norm needs a Hilbert domain (exponent 2)")
     codomain = space_map.codomain
-    n = codomain.flat_dim
-    # the basis takes 8 bytes a coordinate: answer by a closed form, or refuse
-    # an oversized Monte Carlo working set, before it is built
-    exact = gaussian_closed_form(codomain, n, 1)
+    exact = gaussian_closed_form(codomain, codomain.flat_dim, 1)
     if exact is not None:
         return exact
-    _mc_width(codomain, samples)
-    return second_moment(gaussian_system(), _family(codomain, n, 1), samples=samples, seed=seed)
+    return _mc_second_moment(codomain, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +144,14 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem, *, sampl
     basis, dyadic blocks and (character systems on l_2) translate combs;
     Schatten domains a singleton, the diagonal units and the full unit
     grid. Deterministic given the seed: candidates are built and scored one
-    at a time in that fixed order, each with its own derived substream, the
-    first highest score leads, and the leader is re-evaluated on a fresh
-    substream. Only the leader and the candidate in hand are kept. Every
-    evaluation takes ``samples`` Monte Carlo samples.
+    at a time in that fixed order, candidate i on ``substream(seed, i)``
+    with min(samples, MC_CONTROL_SAMPLES) Monte Carlo samples, the first
+    highest score leads, and the leader is re-evaluated with ``samples``
+    samples on ``substream(seed, count)``, count being the number of
+    candidates. Only the leader and the candidate in hand are kept. Every
+    candidate's ratio is a certified lower bound, and the reported one is
+    drawn independently of the ranking draws, so a ranking on fewer
+    samples can cost tightness but neither validity nor bias.
     """
     domain = space_map.domain
     max_size = system.charset.size if system.kind == "characters" else 1 << 30
@@ -162,7 +164,8 @@ def summing_norm_search(space_map: SpaceMap, system: OrthonormalSystem, *, sampl
     best = None  # (value, tag, family)
     scored = 0
     for tag, fam in candidates:
-        value = summing_norm_lower(space_map, system, fam, samples=samples,
+        value = summing_norm_lower(space_map, system, fam,
+                                   samples=min(samples, MC_CONTROL_SAMPLES),
                                    seed=substream(seed, scored)).value
         scored += 1
         if best is None or value > best[0]:

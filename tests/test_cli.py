@@ -587,11 +587,11 @@ def test_bidiagonal_ell_norm_runs_where_dense_blocks_would_not(capsys):
 
 
 def test_oversized_grid_family_is_still_refused(capsys):
-    # the bidiagonal working set of S_inf^20000 fits, but the grid's 4 * 10^8
-    # indices do not: refused before they are built
-    _assert_usage_error(capsys, ["lnorm", "--space", "s2:20000", "--target", "sinf:20000",
+    # the ell-norm builds no grid of matrix units, but the bidiagonal working
+    # set of S_inf^400000 is over the cap: refused before it is allocated
+    _assert_usage_error(capsys, ["lnorm", "--space", "s2:400000", "--target", "sinf:400000",
                                  "--samples", "512", "--seed", "1"],
-                        "candidate family of shape (400000000, 1)")
+                        "Monte Carlo chunk working set of shape (898, 799999) would take 5.35 GiB")
 
 
 def test_mc_pool_narrows_to_the_cap_on_many_cores(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from summinglab import interpolation
+from summinglab import interpolation, systems
 from summinglab.experiments import (ConfigError, ExperimentConfig, ROW_FIELDS,
                                     SystemSpec, run_experiment)
 
@@ -159,6 +159,22 @@ def test_interp_audit_run():
     audits = [r for r in report.rows if r["kind"].startswith("audit")]
     assert len(audits) == 6
     assert {r["kind"] for r in audits} == {"audit-sequence", "audit-schatten"}
+
+
+def test_interp_audit_scores_candidates_on_control_samples(monkeypatch):
+    # six searches: each leader's report run takes the configured samples,
+    # and the three Monte Carlo candidates each search ranks take 1024
+    calls = []
+    integrate = systems._mc_second_moment
+
+    def spy(space, samples, seed):
+        calls.append(samples)
+        return integrate(space, samples, seed)
+
+    monkeypatch.setattr(systems, "_mc_second_moment", spy)
+    run_experiment(ExperimentConfig.from_dict(dict(
+        kind="interp-audit", seed=11, n_grid=(8, 16, 32), samples=20_000)))
+    assert sorted(calls) == [1024] * 18 + [20_000] * 6
 
 
 def test_interp_audit_fail_with_tiny_couple_constant(monkeypatch):

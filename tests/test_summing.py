@@ -158,6 +158,21 @@ def test_ell_norm_and_second_moment_share_one_loop():
     assert ell.stderr == pytest.approx(mom.stderr, rel=1e-12)
 
 
+@pytest.mark.parametrize("u,v", [("l2:16", "linf:16"), ("s2:8", "sinf:8")])
+def test_ell_norm_builds_no_basis(monkeypatch, u, v):
+    # the loop integrates the codomain itself: no coordinate basis is built,
+    # and the floats are those of the basis's second moment (scale 1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a candidate family")
+
+    codomain = parse_space(v)
+    basis = UnitFamily(codomain, np.arange(codomain.flat_dim)[:, None])
+    mom = second_moment(gaussian_system(), basis, samples=3000, seed=23)
+    monkeypatch.setattr(summing, "_family", refuse)
+    ell = ell_norm_mc(identity_map(parse_space(u), codomain), samples=3000, seed=23)
+    assert (ell.value, ell.stderr, ell.method) == (mom.value, mom.stderr, mom.method)
+
+
 def _unit_families():
     # every candidate family the searches build, with non-Hilbert codomains
     # on each side of the bidiagonal route's choice (S_4 and S_inf reduce in
@@ -409,6 +424,52 @@ def test_character_comb_still_takes_the_group_average(monkeypatch):
     assert shapes and all(columns == 12 for _, columns in shapes)
     # every scoring of the comb (the search's and the leader's) covers the group once
     assert sum(rows for rows, _ in shapes) in (4096, 2 * 4096) and max(shapes)[0] < 4096
+
+
+@pytest.mark.parametrize("u,v", [("l4/3:8", "l4:8"), ("s4/3:4", "s4:4")])
+def test_search_ranks_on_control_samples(monkeypatch, u, v):
+    # candidate i is scored on MC_CONTROL_SAMPLES samples of substream(seed, i),
+    # spawn key (i,); only the leader's report run, on substream(seed, count),
+    # takes them all
+    calls = []
+
+    def spy(system, family, *, samples, seed):
+        calls.append((samples, seed.spawn_key))
+        return second_moment(system, family, samples=samples, seed=seed)
+
+    monkeypatch.setattr(summing, "second_moment", spy)
+    mapping = identity_map(parse_space(u), parse_space(v))
+    summing_norm_search(mapping, gaussian_system(), samples=20_000, seed=7)
+    count = len(calls) - 1
+    assert count >= 3
+    assert calls == [(MC_CONTROL_SAMPLES, (i,)) for i in range(count)] + [(20_000, (count,))]
+    calls.clear()
+    summing_norm_search(mapping, gaussian_system(), samples=500, seed=7)
+    assert [samples for samples, _ in calls] == [500] * (count + 1)
+
+
+def _full_sample_search(mapping, samples, seed):
+    """The family search with every candidate scored on ``samples``."""
+    make = (_sequence_candidates if mapping.domain.kind is SpaceKind.SEQUENCE
+            else _schatten_candidates)
+    families = [fam for _, fam in make(mapping.domain, 1 << 30)]
+    scores = [summing_norm_lower(mapping, gaussian_system(), fam, samples=samples,
+                                 seed=substream(seed, i)).value
+              for i, fam in enumerate(families)]
+    leader = families[scores.index(max(scores))]
+    return summing_norm_lower(mapping, gaussian_system(), leader, samples=samples,
+                              seed=substream(seed, len(families)))
+
+
+@pytest.mark.parametrize("u,v", [("l4/3:8", "l4:8"), ("s4/3:8", "s4:8")])
+def test_screening_leaves_the_search_result_unchanged(u, v):
+    # ranking on fewer samples picks the same leader here, and the reported
+    # draw is the leader's own: the same floats as scoring every candidate in full
+    mapping = identity_map(parse_space(u), parse_space(v))
+    est = summing_norm_search(mapping, gaussian_system(), samples=4096, seed=3)
+    full = _full_sample_search(mapping, 4096, 3)
+    assert est.stderr is not None
+    assert (est.value, est.stderr) == (full.value, full.stderr)
 
 
 def test_search_deterministic_given_seed():

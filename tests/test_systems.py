@@ -469,9 +469,10 @@ def test_other_schatten_unit_families_are_refused(system):
 @pytest.mark.parametrize("system", [gaussian_system(), character_system(_charset(64, range(64)))],
                          ids=["gaussian", "characters"])
 def test_every_search_family_is_integrated(system, n, u):
-    # every unit family the searches and the ell-norm build, sequence and
-    # Schatten, mapped to a codomain of each route: second_moment takes it
-    # (a new candidate that needs another Schatten route fails here)
+    # every unit family the searches build, and the full basis or grid,
+    # sequence and Schatten, mapped to a codomain of each route:
+    # second_moment takes it (a new candidate that needs another Schatten
+    # route fails here)
     max_size = system.charset.size if system.charset else 1 << 30
     for kind in (sequence_space, schatten_space):
         candidates = (summing._sequence_candidates if kind is sequence_space
