@@ -16,7 +16,7 @@ from .estimates import NormEstimate
 from .experiments import (ConfigError, ExperimentConfig, RunReport,
                           SystemSpec, run_experiment)
 from .limit_order import fit_exponent, limit_order_table
-from .spaces import identity_map, parse_exponent, parse_space
+from .spaces import format_exponent, identity_map, parse_exponent, parse_space
 from .summing import ell_norm_mc, summing_norm_search
 from .systems import (MC_CONTROL_SAMPLES, AscentConfig, CharacterSet, character_system,
                       full_character_set, gaussian_system, kp_constant_lower,
@@ -106,9 +106,10 @@ def _cmd_pib(args) -> int:
 def _cmd_kp(args) -> int:
     charset = _parse_charset(args)
     cfg = AscentConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
-    est = kp_constant_lower(charset, _flag_value("--p", parse_exponent, args.p), cfg)
+    p = _flag_value("--p", parse_exponent, args.p)
+    est = kp_constant_lower(charset, p, cfg)
     _emit(args, _estimate_payload(est),
-          f"K_{args.p} lower bound for {charset.size} characters on Z_{args.group}: "
+          f"K_{format_exponent(p)} lower bound for {charset.size} characters on Z_{args.group}: "
           f"{est.value:.6g}")
     return 0
 

@@ -19,12 +19,17 @@ matrices for ``schatten_norm_batch``.
 Both ascents are one projected-gradient loop, ``_sphere_ascent``, that runs
 every restart in lockstep: each round takes one backtracking trial for each
 restart still searching, and asks an objective for all the trials' values
-at once, and for the directions of the rows that go on. Each restart
-follows the same iteration as a single-restart loop would; only the
-grouping of the work differs, so values agree with such a loop to
-floating-point roundoff. The one exception is ``ratio_ascent``'s sup with
-exactly tied maxima (a singleton start on a full group), where roundoff
-decides which tied point's subgradient is followed. The objective takes
+at once, and for the directions of the rows that go on. A step follows the
+part of the direction tangent to the unit sphere at its row (the Riemannian
+gradient): the l_p objectives are homogeneous of degree p, so their
+gradients carry a radial part that the renormalization would drop, and
+that dominates near a maximum; the Sidon ratio is scale-invariant, so its
+direction is tangent already. Each restart follows the same iteration as
+a single-restart loop would; only the grouping of the work differs, so
+values agree with such a loop to floating-point roundoff. The one
+exception is ``ratio_ascent``'s sup with exactly tied maxima (a singleton
+start on a full group), where roundoff decides which tied point's
+subgradient is followed. The objective takes
 one of two routes:
 
 - on the group's points (``ratio_ascent``, and ``lp_ascent`` on an
@@ -74,6 +79,12 @@ def _row_norms(rows):
     return np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
 
 
+def _tangent(rows, grad):
+    # each direction's part tangent to the unit sphere at its unit row a,
+    # g - Re<a, g> a: the radial part, which the renormalization would drop
+    return grad - np.sum((np.conj(rows) * grad).real, axis=1)[:, None] * rows
+
+
 # Initial step and convergence tolerance of the projected-gradient ascents.
 ASCENT_STEP_SIZE = 0.1
 ASCENT_TOL = 1e-8
@@ -85,14 +96,15 @@ def _sphere_ascent(starts, evaluate, max_steps):
     # (R', m) ascent direction of the rows that keep (a slice or a mask)
     # selects; it may read the round's scratch, which the next evaluation
     # overwrites, so it is called before that. Each restart maximizes the
-    # value over ||a||_2 = 1 with one backtracking line search per step: an
-    # improving trial is accepted and the step grows by 1.25, else the step
-    # halves until it drops below 1e-7 * ASCENT_STEP_SIZE. A restart stops
+    # value over ||a||_2 = 1 with one backtracking line search per step
+    # along the direction's tangent part (``_tangent``): an improving trial
+    # is accepted and the step grows by 1.25, else the step halves until it
+    # drops below 1e-7 * ASCENT_STEP_SIZE. A restart stops
     # after max_steps accepted steps, a relative gain <= ASCENT_TOL, a zero
     # gradient, or a failed line search.
     coeffs = starts / _row_norms(starts)[:, None]
     best, direction = evaluate(coeffs)
-    grad = direction(slice(None))
+    grad = _tangent(coeffs, direction(slice(None)))
     gnorm = _row_norms(grad)
     searching = (gnorm != 0.0) & (max_steps > 0)
     step = np.full(len(coeffs), ASCENT_STEP_SIZE)
@@ -118,7 +130,7 @@ def _sphere_ascent(starts, evaluate, max_steps):
         if more.any():
             # gather the round's scratch only when some rows stop here
             nxt = rows[more]
-            grad[nxt] = direction(slice(None) if more.all() else more)
+            grad[nxt] = _tangent(coeffs[nxt], direction(slice(None) if more.all() else more))
             gnorm[nxt] = _row_norms(grad[nxt])
             searching[nxt] = gnorm[nxt] != 0.0
     return best, coeffs

@@ -101,6 +101,14 @@ def test_kp_and_sidon_commands(capsys):
     assert doc["upper"] == 1.0
 
 
+@pytest.mark.parametrize("flag,label", [("1e400", "K_inf"), ("8.0", "K_8")])
+def test_kp_label_names_the_parsed_exponent(capsys, flag, label):
+    # 1e400 parses to p = inf, and 8.0 to 8
+    assert main(["kp", "--group", "8", "--freqs", "1,2", "--p", flag,
+                 "--restarts", "4", "--steps", "20", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith(f"{label} lower bound for 2 characters on Z_8: ")
+
+
 def test_sidon_bracket_on_random_sets(capsys):
     # the ascent's lower bound never passes the sqrt(m) ceiling
     rng = np.random.default_rng(8)

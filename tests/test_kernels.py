@@ -9,7 +9,7 @@ import pytest
 
 from summinglab import (AscentConfig, CharacterSet, full_character_set, kernels,
                         kp_constant_lower, systems)
-from summinglab.rng import gaussian_bidiagonal, make_rng
+from summinglab.rng import gaussian_bidiagonal, make_rng, substream
 from summinglab.systems import MC_BLOCK, lacunary_character_set
 
 
@@ -20,7 +20,8 @@ from summinglab.systems import MC_BLOCK, lacunary_character_set
 def _lp_ascent_impl(basis_t, p, starts, max_steps, step0, tol):
     # basis_t: (npoints, m) synthesis columns. starts: (nrestarts, m) complex.
     # Maximizes (sum |basis_t @ a|^p)^(1/p) over the unit sphere ||a||_2 = 1,
-    # one backtracking line search per step.
+    # one backtracking line search per step along the tangent part of the
+    # gradient.
     basis_h = basis_t.conj().T
     nrest, m = starts.shape
     out_vals = np.empty(nrest)
@@ -36,6 +37,7 @@ def _lp_ascent_impl(basis_t, p, starts, max_steps, step0, tol):
         for _ in range(max_steps):
             w = av ** (p - 2.0) * v
             g = basis_h @ w
+            g = g - np.real(np.vdot(a, g)) * a  # the part tangent to the sphere at a
             gn = np.sqrt(np.sum(np.abs(g) ** 2))
             if gn == 0.0:
                 break
@@ -91,6 +93,7 @@ def _ratio_ascent_impl(basis_t, starts, max_steps, step0, tol):
                     g[k] = 0.0
             gden = basis_h[:, idx] * (v[idx] / av[idx])
             g = g / den - (num / (den * den)) * gden
+            g = g - np.real(np.vdot(a, g)) * a
             gn = np.sqrt(np.sum(np.abs(g) ** 2))
             if gn == 0.0:
                 break
@@ -219,6 +222,37 @@ def test_ratio_ascent_singleton_start_over_blocks():
     batched = kernels.ratio_ascent(basis, starts, 150)
     _agree(batched, _ratio_ascent_impl(basis, starts, 150, 0.1, 1e-8))
     assert batched[0][0] >= 1.0
+
+
+@pytest.mark.parametrize("seed", [11, 20261])
+def test_lp_ascent_reaches_the_b2_closed_form(seed):
+    # a B_2 set of m characters has ||f||_4^4 = 2 ||a||_2^4 - sum |a_k|^4, so
+    # K_4 = (2 - 1/m)^(1/4), at the flat |a_k| = 1/sqrt(m); the ascent
+    # must reach it, not stop short where its steps shrink
+    est = kp_constant_lower(lacunary_character_set(4096, 12), 4,
+                            AscentConfig(seed=substream(seed, 0)))
+    assert est.value == pytest.approx((2.0 - 1.0 / 12) ** 0.25, rel=1e-12, abs=0)
+
+
+def test_lp_ascent_evaluates_few_rows(monkeypatch):
+    # kp-profile's runs on its B_2 set (64 restarts, seed 11): the rows the
+    # objective evaluates stay under half of the 6152, 6433 and 6894 that an
+    # ascent stepping along the full gradient, radial part and all, takes
+    # at p = 4, 6 and 8
+    ascent, rows = kernels._sphere_ascent, []
+
+    def counted(starts, evaluate, max_steps):
+        def evaluate_counted(coeffs):
+            rows[-1] += len(coeffs)
+            return evaluate(coeffs)
+        return ascent(starts, evaluate_counted, max_steps)
+
+    monkeypatch.setattr(kernels, "_sphere_ascent", counted)
+    charset = lacunary_character_set(4096, 12)
+    for i, (p, full_gradient) in enumerate(((4, 6152), (6, 6433), (8, 6894))):
+        rows.append(0)
+        kp_constant_lower(charset, p, AscentConfig(seed=substream(11, i)))
+        assert 0 < rows[-1] < full_gradient / 2, (p, rows[-1])
 
 
 def test_dispatch_matches_active_backend():
